@@ -11,6 +11,13 @@ that reaches a report or an error message is 1-based (e1, e2, ...).
 Left and right multiplication operators follow the column-vector convention:
 ``L[i][k][j] = c[i][j][k]`` so that multiply(A, e_i, v) == L[i].apply(v), and
 ``R[j][k][i] = c[i][j][k]`` so that multiply(A, v, e_j) == R[j].apply(v).
+
+This module also holds the machinery every other module builds on: the
+law runner ``_run_laws`` that turns residual functions into Violations,
+``_prefixed`` for folding one report into another, the one tensor
+contraction ``_contract`` behind every product, ``_operator_tables``
+behind every (L, R) table, and ``_block_tensor``, the assembler of the
+product tensor on A + B behind semidirect and bowtie products.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     DimensionMismatch,
@@ -70,6 +77,31 @@ class CheckReport:
             "violations": [v.as_dict() for v in self.violations],
             "info": self.info,
         }
+
+
+def _run_laws(
+    tuples: Iterable[tuple[int, ...]],
+    residual: Callable[..., Iterable[tuple[str, list[Fraction]]]],
+) -> list[Violation]:
+    """The law runner behind every check: ``residual(*idx)`` yields
+    (identity_id, residual) pairs for one 0-based index tuple, and the
+    nonzero residuals become Violations with 1-based indices, in tuple
+    order and then yield order."""
+    out = []
+    for idx in tuples:
+        for identity_id, res in residual(*idx):
+            if not vec_is_zero(res):
+                out.append(Violation(identity_id, tuple(i + 1 for i in idx), res))
+    return out
+
+
+def _prefixed(tag: str, rep: CheckReport) -> list[Violation]:
+    """A report's violations with ids prefixed ``tag:``, for folding one
+    check into another's verdict."""
+    return [
+        Violation(f"{tag}:{v.identity_id}", v.indices, v.residual)
+        for v in rep.violations
+    ]
 
 
 @dataclass
@@ -145,26 +177,33 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim={self.dim}, q={self.q})"
 
 
+def _contract(
+    c: Tensor3, x: Sequence[Fraction], y: Sequence[Fraction]
+) -> list[Fraction]:
+    """The tensor contraction sum_{i,j,k} x_i y_j c[i][j][k] e_k."""
+    out = zero_vec(c.d3)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        plane = c.entries[i]
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            f = xi * yj
+            fiber = plane[j]
+            for k in range(c.d3):
+                if fiber[k] != 0:
+                    out[k] += f * fiber[k]
+    return out
+
+
 def multiply(
     A: StructureAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]
 ) -> list[Fraction]:
     """Bilinear product: returns sum_{i,j,k} x_i y_j c[i][j][k] e_k."""
     if len(x) != A.dim or len(y) != A.dim:
         raise DimensionMismatch("operand length does not match algebra dimension")
-    out = zero_vec(A.dim)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        plane = A.c.entries[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            f = xi * yj
-            fiber = plane[j]
-            for k in range(A.dim):
-                if fiber[k] != 0:
-                    out[k] += f * fiber[k]
-    return out
+    return _contract(A.c, x, y)
 
 
 def basis_product(A: StructureAlgebra, i: int, j: int) -> list[Fraction]:
@@ -172,36 +211,70 @@ def basis_product(A: StructureAlgebra, i: int, j: int) -> list[Fraction]:
     return list(A.c.entries[i][j])
 
 
-def mult_operators(A: StructureAlgebra) -> tuple[list[Matrix], list[Matrix]]:
-    """Matrices of left and right multiplication by each basis vector."""
-    n = A.dim
+def _operator_tables(c: Tensor3) -> tuple[list[Matrix], list[Matrix]]:
+    """Left and right multiplication matrices of a cubic product tensor."""
+    n = c.d1
     L = [
-        Matrix([[A.c.entries[i][j][k] for j in range(n)] for k in range(n)])
+        Matrix([[c.entries[i][j][k] for j in range(n)] for k in range(n)])
         for i in range(n)
     ]
     R = [
-        Matrix([[A.c.entries[i][j][k] for i in range(n)] for k in range(n)])
+        Matrix([[c.entries[i][j][k] for i in range(n)] for k in range(n)])
         for j in range(n)
     ]
     return L, R
 
 
+def mult_operators(A: StructureAlgebra) -> tuple[list[Matrix], list[Matrix]]:
+    """Matrices of left and right multiplication by each basis vector."""
+    return _operator_tables(A.c)
+
+
+def _block_tensor(
+    cA: Tensor3,
+    cB: Tensor3,
+    la: Sequence[Matrix],
+    ra: Sequence[Matrix],
+    lb: Sequence[Matrix],
+    rb: Sequence[Matrix],
+) -> Tensor3:
+    """Product tensor on A + B (A-block first):
+
+    (x+a)(y+b) = (x*y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a)
+
+    where la/ra are indexed by A's basis and act on B's space, lb/rb the
+    other way around.  A semidirect product is the case cB = 0, lb = rb = 0.
+    """
+    n, m = cA.d1, cB.d1
+    d = n + m
+    t = Tensor3.zeros(d, d, d)
+    for i in range(n):
+        for j in range(n):
+            t.entries[i][j][:n] = cA.entries[i][j]
+    for i in range(m):
+        for j in range(m):
+            t.entries[n + i][n + j][n:] = cB.entries[i][j]
+    for i in range(n):
+        for j in range(m):
+            t.entries[i][n + j][n:] = la[i].column(j)  # e_i * b_j, B part
+            t.entries[i][n + j][:n] = rb[j].column(i)  # e_i * b_j, A part
+            t.entries[n + j][i][n:] = ra[i].column(j)  # b_j * e_i, B part
+            t.entries[n + j][i][:n] = lb[j].column(i)  # b_j * e_i, A part
+    return t
+
+
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
     """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
     n = A.dim
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            ij = basis_product(A, i, j)
-            for k in range(n):
-                lhs = multiply(A, ij, basis_vec(n, k))
-                jk = basis_product(A, j, k)
-                rhs = [A.q * t for t in multiply(A, basis_vec(n, i), jk)]
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    violations.append(
-                        Violation("q_assoc", (i + 1, j + 1, k + 1), res)
-                    )
+    c = A.c.entries
+    e = [basis_vec(n, i) for i in range(n)]
+
+    def residual(i, j, k):
+        lhs = multiply(A, c[i][j], e[k])
+        rhs = multiply(A, e[i], c[j][k])
+        yield "q_assoc", [u - A.q * v for u, v in zip(lhs, rhs)]
+
+    violations = _run_laws(itertools.product(range(n), repeat=3), residual)
     return CheckReport.from_violations(
         violations, q=str(A.q), triples=n**3
     )
@@ -225,30 +298,22 @@ def anticommutator_algebra(A: StructureAlgebra) -> StructureAlgebra:
 def check_mock_lie(A: StructureAlgebra) -> CheckReport:
     """Commutativity plus the Jacobi identity, both on A's own product."""
     n = A.dim
-    violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = vec_sub(basis_product(A, i, j), basis_product(A, j, i))
-            if not vec_is_zero(res):
-                violations.append(Violation("commutative", (i + 1, j + 1), res))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = multiply(A, basis_product(A, i, j), basis_vec(n, k))
-                s = [
-                    a + b
-                    for a, b in zip(
-                        s, multiply(A, basis_product(A, k, i), basis_vec(n, j))
-                    )
-                ]
-                s = [
-                    a + b
-                    for a, b in zip(
-                        s, multiply(A, basis_product(A, j, k), basis_vec(n, i))
-                    )
-                ]
-                if not vec_is_zero(s):
-                    violations.append(Violation("jacobi", (i + 1, j + 1, k + 1), s))
+    c = A.c.entries
+    e = [basis_vec(n, i) for i in range(n)]
+
+    def commutator(i, j):
+        yield "commutative", vec_sub(c[i][j], c[j][i])
+
+    def jacobi(i, j, k):
+        terms = (
+            multiply(A, c[i][j], e[k]),
+            multiply(A, c[k][i], e[j]),
+            multiply(A, c[j][k], e[i]),
+        )
+        yield "jacobi", [sum(t, Fraction(0)) for t in zip(*terms)]
+
+    violations = _run_laws(itertools.combinations(range(n), 2), commutator)
+    violations += _run_laws(itertools.product(range(n), repeat=3), jacobi)
     return CheckReport.from_violations(violations)
 
 
@@ -260,32 +325,26 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
     5 w(x(yz)).
     """
     n = A.dim
-    mul = lambda u, v: multiply(A, u, v)  # noqa: E731
+    c = A.c.entries
     e = [basis_vec(n, i) for i in range(n)]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            ij = mul(e[i], e[j])
-            for k in range(n):
-                jk = mul(e[j], e[k])
-                for l in range(n):
-                    kl = mul(e[k], e[l])
-                    prods = (
-                        mul(mul(ij, e[k]), e[l]),
-                        mul(mul(e[i], jk), e[l]),
-                        mul(ij, kl),
-                        mul(e[i], mul(jk, e[l])),
-                        mul(e[i], mul(e[j], kl)),
-                    )
-                    for p, res in enumerate(prods, start=1):
-                        if not vec_is_zero(res):
-                            violations.append(
-                                Violation(
-                                    "quartic",
-                                    (p, i + 1, j + 1, k + 1, l + 1),
-                                    res,
-                                )
-                            )
+    mul = lambda u, v: multiply(A, u, v)  # noqa: E731
+    parenthesizations = (
+        lambda i, j, k, l: mul(mul(c[i][j], e[k]), e[l]),
+        lambda i, j, k, l: mul(mul(e[i], c[j][k]), e[l]),
+        lambda i, j, k, l: mul(c[i][j], c[k][l]),
+        lambda i, j, k, l: mul(e[i], mul(c[j][k], e[l])),
+        lambda i, j, k, l: mul(e[i], mul(e[j], c[k][l])),
+    )
+
+    def residual(p, i, j, k, l):
+        yield "quartic", parenthesizations[p](i, j, k, l)
+
+    quintuples = (
+        (p, *ijkl)
+        for ijkl in itertools.product(range(n), repeat=4)
+        for p in range(5)
+    )
+    violations = _run_laws(quintuples, residual)
     return CheckReport.from_violations(violations, quadruples=n**4)
 
 

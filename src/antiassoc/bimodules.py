@@ -8,17 +8,27 @@ action.  The three laws checked here, with q the algebra's parameter:
     r(x*y) = q^{-1} * r(y) r(x)
     l(x) r(y) = q^{-1} * r(y) l(x)
 
-Actions of non-basis elements extend linearly from the tables.
+Actions of non-basis elements extend linearly from the tables.  The
+laws run on the law runner in algebra.py, and the semidirect product is
+algebra.py's block assembler with a zero partner algebra.  ``_flat``
+turns a matrix law's residual into the coordinate list a Violation holds.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CheckReport, StructureAlgebra, Violation, basis_product
-from .linalg import DimensionMismatch, Matrix
+from .algebra import (
+    CheckReport,
+    StructureAlgebra,
+    _block_tensor,
+    _run_laws,
+    mult_operators,
+)
+from .linalg import DimensionMismatch, Matrix, Tensor3
 
 
 @dataclass
@@ -68,27 +78,20 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
     q = A.q
     qinv = 1 / q
-    n = A.dim
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            prod = basis_product(A, i, j)
-            lhs = action_of(M.l, prod) - (M.l[i] * M.l[j]).scale(q)
-            if not lhs.is_zero():
-                violations.append(Violation("l_law", (i + 1, j + 1), _flat(lhs)))
-            rhs = action_of(M.r, prod) - (M.r[j] * M.r[i]).scale(qinv)
-            if not rhs.is_zero():
-                violations.append(Violation("r_law", (i + 1, j + 1), _flat(rhs)))
-            mix = M.l[i] * M.r[j] - (M.r[j] * M.l[i]).scale(qinv)
-            if not mix.is_zero():
-                violations.append(Violation("lr_law", (i + 1, j + 1), _flat(mix)))
+    c = A.c.entries
+    l, r = M.l, M.r
+
+    def residual(i, j):
+        yield "l_law", _flat(action_of(l, c[i][j]) - (l[i] * l[j]).scale(q))
+        yield "r_law", _flat(action_of(r, c[i][j]) - (r[j] * r[i]).scale(qinv))
+        yield "lr_law", _flat(l[i] * r[j] - (r[j] * l[i]).scale(qinv))
+
+    violations = _run_laws(itertools.product(range(A.dim), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(q))
 
 
 def regular_bimodule(A: StructureAlgebra) -> Bimodule:
     """The algebra acting on itself by its own multiplication operators."""
-    from .algebra import mult_operators
-
     L, R = mult_operators(A)
     return Bimodule(A.dim, A.dim, L, R)
 
@@ -110,21 +113,7 @@ def semidirect_product(A: StructureAlgebra, M: Bimodule) -> StructureAlgebra:
     """Algebra on A + V with product (x+a)(y+b) = x*y + l(x)b + r(y)a."""
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
-    from .linalg import Tensor3
-
-    n, m = A.dim, M.module_dim
-    d = n + m
-    t = Tensor3.zeros(d, d, d)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t.entries[i][j][k] = A.c.entries[i][j][k]
-    for i in range(n):
-        for j in range(m):
-            col = M.l[i].column(j)  # l(e_i) v_j
-            for k in range(m):
-                t.entries[i][n + j][n + k] = col[k]
-            col = M.r[i].column(j)  # v_j * e_i = r(e_i) v_j
-            for k in range(m):
-                t.entries[n + j][i][n + k] = col[k]
-    return StructureAlgebra(d, A.q, t)
+    m = M.module_dim
+    back = Bimodule.zero(m, A.dim)
+    t = _block_tensor(A.c, Tensor3.zeros(m, m, m), M.l, M.r, back.l, back.r)
+    return StructureAlgebra(A.dim + m, A.q, t)

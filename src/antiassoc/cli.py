@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -36,7 +35,6 @@ from .classify2d import (
 from .dendriform import DendriformStructure, associated_algebra, check_q_dendriform
 from .doubles import build_quadratic_double, build_symplectic_double
 from .forms import check_invariant_symmetric, check_symplectic
-from .linalg import DimensionMismatch, SingularError
 from .matched import bowtie, check_matched_pair
 from .operators import (
     NotAnOOperator,
@@ -47,11 +45,8 @@ from .operators import (
     dendriform_from_symplectic,
 )
 
-_RATIONAL_TOKEN = re.compile(r"-?\d+(?:/\d+)?")
-
-
 def _rational_arg(text: str) -> Fraction:
-    if not _RATIONAL_TOKEN.fullmatch(text):
+    if not aio._RATIONAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
     if "/" in text and int(text.split("/", 1)[1]) == 0:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}")
@@ -267,13 +262,15 @@ def cmd_build_double_symplectic(ns) -> int:
     return 0 if d.report.passed else 1
 
 
-def cmd_build_dendriform_from_omega(ns) -> int:
-    A, w = aio.load_form(ns.file)
-    rep_pre = check_symplectic(A, w)
+def _build_dendriform_split(ns, title: str, check, construct, *data) -> int:
+    """Check the precondition on ``data`` (algebra first), refuse unless it
+    passes or --force is given, then emit the dendriform split with both
+    reports."""
+    rep_pre = check(*data)
     if not rep_pre.passed and not ns.force:
-        _print_report("symplectic form", rep_pre, aio.basis_names(A.dim))
+        _print_report(title, rep_pre, aio.basis_names(data[0].dim))
         return 1
-    D = dendriform_from_symplectic(A, w, force=True)
+    D = construct(*data, force=True)
     rep_out = check_q_dendriform(D)
     _emit_doc(
         {
@@ -284,25 +281,20 @@ def cmd_build_dendriform_from_omega(ns) -> int:
         ns,
     )
     return 0 if rep_pre.passed and rep_out.passed else 1
+
+
+def cmd_build_dendriform_from_omega(ns) -> int:
+    return _build_dendriform_split(
+        ns, "symplectic form", check_symplectic, dendriform_from_symplectic,
+        *aio.load_form(ns.file),
+    )
 
 
 def cmd_build_dendriform_from_o_operator(ns) -> int:
-    A, M, T = aio.load_o_operator(ns.file)
-    rep_pre = check_o_operator(A, M, T)
-    if not rep_pre.passed and not ns.force:
-        _print_report("o-operator", rep_pre, aio.basis_names(A.dim))
-        return 1
-    D = compatible_dendriform_from_o_operator(A, M, T, force=True)
-    rep_out = check_q_dendriform(D)
-    _emit_doc(
-        {
-            "dendriform": aio.dendriform_to_doc(D),
-            "precondition": rep_pre.as_dict(),
-            "report": rep_out.as_dict(),
-        },
-        ns,
+    return _build_dendriform_split(
+        ns, "o-operator", check_o_operator, compatible_dendriform_from_o_operator,
+        *aio.load_o_operator(ns.file),
     )
-    return 0 if rep_pre.passed and rep_out.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +560,14 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except aio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotAnOOperator as exc:
         _print_report("o-operator", exc.report)
         return 1
     except NotSymplectic as exc:
         _print_report("symplectic form", exc.report)
         return 1
-    except SingularError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ParseError, SingularError and DimensionMismatch are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,16 +16,31 @@ eighteen matched-pair conditions are stored under the identity_ids
 "35".."52": the first nine quantify (x; a, b) with x in A and a, b in B,
 the last nine are their exact mirrors under swapping the roles of A and
 B, in the same order.
+
+Everything here is the associative machinery of algebra.py applied to
+each of the two tensors: both products are its tensor contraction, the
+operator tables its ``_operator_tables``, semidirect and bowtie products
+its block assembler, and every check runs on its law runner.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CheckReport, StructureAlgebra, Violation
-from .bimodules import Bimodule, action_of
+from .algebra import (
+    CheckReport,
+    StructureAlgebra,
+    Violation,
+    _block_tensor,
+    _contract,
+    _operator_tables,
+    _prefixed,
+    _run_laws,
+)
+from .bimodules import Bimodule, _flat, action_of
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -34,28 +49,7 @@ from .linalg import (
     basis_vec,
     rat,
     vec_add,
-    vec_is_zero,
-    zero_vec,
 )
-
-
-def _tensor_multiply(
-    c: Tensor3, x: Sequence[Fraction], y: Sequence[Fraction]
-) -> list[Fraction]:
-    out = zero_vec(c.d3)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        plane = c.entries[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            f = xi * yj
-            fiber = plane[j]
-            for k in range(c.d3):
-                if fiber[k] != 0:
-                    out[k] += f * fiber[k]
-    return out
 
 
 class DendriformStructure:
@@ -98,10 +92,10 @@ class DendriformStructure:
         return cls(dim, q, tensors[0], tensors[1])
 
     def prec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        return _tensor_multiply(self.c_prec, x, y)
+        return _contract(self.c_prec, x, y)
 
     def succ(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        return _tensor_multiply(self.c_succ, x, y)
+        return _contract(self.c_succ, x, y)
 
     def star(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
         return vec_add(self.prec(x, y), self.succ(x, y))
@@ -126,37 +120,18 @@ def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     q = D.q
     qi = 1 / q
     e = [basis_vec(n, i) for i in range(n)]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            p_ij = D.prec(e[i], e[j])
-            s_ij = D.succ(e[i], e[j])
-            star_ij = vec_add(p_ij, s_ij)
-            for k in range(n):
-                idx = (i + 1, j + 1, k + 1)
-                star_jk = D.star(e[j], e[k])
-                r1 = [
-                    u - q * v
-                    for u, v in zip(D.prec(p_ij, e[k]), D.prec(e[i], star_jk))
-                ]
-                if not vec_is_zero(r1):
-                    violations.append(Violation("axiom1", idx, r1))
-                r2 = [
-                    u - q * v
-                    for u, v in zip(
-                        D.prec(s_ij, e[k]), D.succ(e[i], D.prec(e[j], e[k]))
-                    )
-                ]
-                if not vec_is_zero(r2):
-                    violations.append(Violation("axiom2", idx, r2))
-                r3 = [
-                    u - qi * v
-                    for u, v in zip(
-                        D.succ(e[i], D.succ(e[j], e[k])), D.succ(star_ij, e[k])
-                    )
-                ]
-                if not vec_is_zero(r3):
-                    violations.append(Violation("axiom3", idx, r3))
+    p, s = D.c_prec.entries, D.c_succ.entries
+    star = associated_algebra(D).c.entries
+
+    def residual(i, j, k):
+        lhs, rhs = D.prec(p[i][j], e[k]), D.prec(e[i], star[j][k])
+        yield "axiom1", [u - q * v for u, v in zip(lhs, rhs)]
+        lhs, rhs = D.prec(s[i][j], e[k]), D.succ(e[i], p[j][k])
+        yield "axiom2", [u - q * v for u, v in zip(lhs, rhs)]
+        lhs, rhs = D.succ(e[i], s[j][k]), D.succ(star[i][j], e[k])
+        yield "axiom3", [u - qi * v for u, v in zip(lhs, rhs)]
+
+    violations = _run_laws(itertools.product(range(n), repeat=3), residual)
     return CheckReport.from_violations(violations, q=str(q), triples=n**3)
 
 
@@ -177,21 +152,9 @@ def dendriform_mult_operators(
     D: DendriformStructure,
 ) -> tuple[list[Matrix], list[Matrix], list[Matrix], list[Matrix]]:
     """(L_succ, R_succ, L_prec, R_prec) basis-operator tables."""
-    n = D.dim
-
-    def left(c: Tensor3) -> list[Matrix]:
-        return [
-            Matrix([[c.entries[i][j][k] for j in range(n)] for k in range(n)])
-            for i in range(n)
-        ]
-
-    def right(c: Tensor3) -> list[Matrix]:
-        return [
-            Matrix([[c.entries[i][j][k] for i in range(n)] for k in range(n)])
-            for j in range(n)
-        ]
-
-    return left(D.c_succ), right(D.c_succ), left(D.c_prec), right(D.c_prec)
+    l_succ, r_succ = _operator_tables(D.c_succ)
+    l_prec, r_prec = _operator_tables(D.c_prec)
+    return l_succ, r_succ, l_prec, r_prec
 
 
 @dataclass
@@ -244,10 +207,6 @@ def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
     return DendriformBimodule(D.dim, D.dim, ls, rs, lp, rp)
 
 
-def _flat(m: Matrix) -> list[Fraction]:
-    return [x for row in m.entries for x in row]
-
-
 def check_dendriform_bimodule(
     D: DendriformStructure, M: DendriformBimodule
 ) -> CheckReport:
@@ -260,35 +219,27 @@ def check_dendriform_bimodule(
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
     q = D.q
-    n = D.dim
-    e = [basis_vec(n, i) for i in range(n)]
     ls, rs, lp, rp = M.l_succ, M.r_succ, M.l_prec, M.r_prec
     lstar = [a + b for a, b in zip(ls, lp)]
     rstar = [a + b for a, b in zip(rs, rp)]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            idx = (i + 1, j + 1)
-            p_ij = D.prec(e[i], e[j])
-            s_ij = D.succ(e[i], e[j])
-            star_ij = vec_add(p_ij, s_ij)
-            p_ji = D.prec(e[j], e[i])
-            s_ji = D.succ(e[j], e[i])
-            star_ji = vec_add(p_ji, s_ji)
-            checks = (
-                ("law1", action_of(lp, p_ij) - (lp[i] * lstar[j]).scale(q)),
-                ("law2", rp[i] * lp[j] - (lp[j] * rstar[i]).scale(q)),
-                ("law3", rp[i] * rp[j] - action_of(rp, star_ji).scale(q)),
-                ("law4", action_of(lp, s_ij) - (ls[i] * lp[j]).scale(q)),
-                ("law5", rp[i] * ls[j] - (ls[j] * rp[i]).scale(q)),
-                ("law6", rp[i] * rs[j] - action_of(rs, p_ji).scale(q)),
-                ("law7", action_of(ls, star_ij) - (ls[i] * ls[j]).scale(q)),
-                ("law8", rs[i] * lstar[j] - (ls[j] * rs[i]).scale(q)),
-                ("law9", rs[i] * rstar[j] - action_of(rs, s_ji).scale(q)),
-            )
-            for law, res in checks:
-                if not res.is_zero():
-                    violations.append(Violation(law, idx, _flat(res)))
+    p, s = D.c_prec.entries, D.c_succ.entries
+    star = associated_algebra(D).c.entries
+
+    def residual(i, j):
+        for law, res in (
+            ("law1", action_of(lp, p[i][j]) - (lp[i] * lstar[j]).scale(q)),
+            ("law2", rp[i] * lp[j] - (lp[j] * rstar[i]).scale(q)),
+            ("law3", rp[i] * rp[j] - action_of(rp, star[j][i]).scale(q)),
+            ("law4", action_of(lp, s[i][j]) - (ls[i] * lp[j]).scale(q)),
+            ("law5", rp[i] * ls[j] - (ls[j] * rp[i]).scale(q)),
+            ("law6", rp[i] * rs[j] - action_of(rs, p[j][i]).scale(q)),
+            ("law7", action_of(ls, star[i][j]) - (ls[i] * ls[j]).scale(q)),
+            ("law8", rs[i] * lstar[j] - (ls[j] * rs[i]).scale(q)),
+            ("law9", rs[i] * rstar[j] - action_of(rs, s[j][i]).scale(q)),
+        ):
+            yield law, _flat(res)
+
+    violations = _run_laws(itertools.product(range(D.dim), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(q))
 
 
@@ -324,30 +275,14 @@ def dendriform_semidirect(
     """
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
-    n, m = D.dim, M.module_dim
-    d = n + m
-
-    def build(c: Tensor3, l: list[Matrix], r: list[Matrix]) -> Tensor3:
-        t = Tensor3.zeros(d, d, d)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t.entries[i][j][k] = c.entries[i][j][k]
-        for i in range(n):
-            for j in range(m):
-                col = l[i].column(j)
-                for k in range(m):
-                    t.entries[i][n + j][n + k] = col[k]
-                col = r[i].column(j)
-                for k in range(m):
-                    t.entries[n + j][i][n + k] = col[k]
-        return t
-
+    m = M.module_dim
+    zero = Tensor3.zeros(m, m, m)
+    back = Bimodule.zero(m, D.dim)
     return DendriformStructure(
-        d,
+        D.dim + m,
         D.q,
-        build(D.c_prec, M.l_prec, M.r_prec),
-        build(D.c_succ, M.l_succ, M.r_succ),
+        _block_tensor(D.c_prec, zero, M.l_prec, M.r_prec, back.l, back.r),
+        _block_tensor(D.c_succ, zero, M.l_succ, M.r_succ, back.l, back.r),
     )
 
 
@@ -404,36 +339,30 @@ class DendriformMatchedPairData:
 
 
 def _halfside_violations(
-    q: Fraction,
     DY: DendriformStructure,
-    x_dim: int,
-    lx_s, rx_s, lx_p, rx_p,
-    ly_s, ry_s, ly_p, ry_p,
+    by_X: DendriformBimodule,
+    by_Y: DendriformBimodule,
     first_id: int,
 ) -> list[Violation]:
     """The nine conditions for X acting on Y, ids first_id..first_id+8.
 
-    Quantified over x in X's basis and a, b in Y's basis; residuals live
-    in Y's space; indices are (i_x, i_a, i_b).
+    ``by_X`` holds the actions of X's basis on Y's space, ``by_Y`` those
+    of Y's basis on X's space.  Quantified over x in X's basis and a, b
+    in Y's basis; residuals live in Y's space; indices are (i_x, i_a, i_b).
     """
+    q = DY.q
     qi = 1 / q
-    m = DY.dim
-    eX = [basis_vec(x_dim, i) for i in range(x_dim)]
+    n, m = by_X.algebra_dim, DY.dim
+    eX = [basis_vec(n, i) for i in range(n)]
     eY = [basis_vec(m, i) for i in range(m)]
     ids = [str(first_id + k) for k in range(9)]
-
-    LXs = lambda v: action_of(lx_s, v)  # noqa: E731
-    RXs = lambda v: action_of(rx_s, v)  # noqa: E731
-    LXp = lambda v: action_of(lx_p, v)  # noqa: E731
-    RXp = lambda v: action_of(rx_p, v)  # noqa: E731
-    LX = lambda v: LXs(v) + LXp(v)  # noqa: E731
-    RX = lambda v: RXs(v) + RXp(v)  # noqa: E731
-    LYs = lambda w: action_of(ly_s, w)  # noqa: E731
-    RYs = lambda w: action_of(ry_s, w)  # noqa: E731
-    LYp = lambda w: action_of(ly_p, w)  # noqa: E731
-    RYp = lambda w: action_of(ry_p, w)  # noqa: E731
-    LY = lambda w: LYs(w) + LYp(w)  # noqa: E731
-    RY = lambda w: RYs(w) + RYp(w)  # noqa: E731
+    lx_s, rx_s, lx_p, rx_p = by_X.l_succ, by_X.r_succ, by_X.l_prec, by_X.r_prec
+    ly_s, ry_s, ly_p, ry_p = by_Y.l_succ, by_Y.r_succ, by_Y.l_prec, by_Y.r_prec
+    sum_X, sum_Y = by_X.sum_actions(), by_Y.sum_actions()
+    lx, rx, ly, ry = sum_X.l, sum_X.r, sum_Y.l, sum_Y.r
+    p, s = DY.c_prec.entries, DY.c_succ.entries
+    star = associated_algebra(DY).c.entries
+    one = Fraction(1)
 
     def comb(*terms):
         out = list(terms[0])
@@ -441,90 +370,65 @@ def _halfside_violations(
             out = [u + coeff * v for u, v in zip(out, vecv)]
         return out
 
-    violations = []
-    for ix, x in enumerate(eX):
-        for ia, a in enumerate(eY):
-            for ib, b in enumerate(eY):
-                idx = (ix + 1, ia + 1, ib + 1)
-                pab = DY.prec(a, b)
-                sab = DY.succ(a, b)
-                star_ab = vec_add(pab, sab)
+    def residual(ix, ia, ib):
+        x, a, b = eX[ix], eY[ia], eY[ib]
+        # the actions of x on Y's space
+        Ls, Rs, Lp, Rp = lx_s[ix], rx_s[ix], lx_p[ix], rx_p[ix]
+        L, R = lx[ix], rx[ix]
+        terms = (
+            (
+                Rp.apply(p[ia][ib]),
+                (-q, DY.prec(a, R.apply(b))),
+                (-q, action_of(rx_p, ly[ib].apply(x)).apply(a)),
+            ),
+            (
+                action_of(lx_p, ly_p[ia].apply(x)).apply(b),
+                (one, DY.prec(Rp.apply(a), b)),
+                (-q, DY.prec(a, L.apply(b))),
+                (-q, action_of(rx_p, ry[ib].apply(x)).apply(a)),
+            ),
+            (
+                Lp.apply(star[ia][ib]),
+                (-qi, DY.prec(Lp.apply(a), b)),
+                (-qi, action_of(lx_p, ry_p[ia].apply(x)).apply(b)),
+            ),
+            (
+                Rp.apply(s[ia][ib]),
+                (-q, action_of(rx_s, ly_p[ib].apply(x)).apply(a)),
+                (-q, DY.succ(a, Rp.apply(b))),
+            ),
+            (
+                action_of(lx_p, ly_s[ia].apply(x)).apply(b),
+                (one, DY.prec(Rs.apply(a), b)),
+                (-q, DY.succ(a, Lp.apply(b))),
+                (-q, action_of(rx_s, ry_p[ib].apply(x)).apply(a)),
+            ),
+            (
+                Ls.apply(p[ia][ib]),
+                (-qi, DY.prec(Ls.apply(a), b)),
+                (-qi, action_of(lx_p, ry_s[ia].apply(x)).apply(b)),
+            ),
+            (
+                Rs.apply(star[ia][ib]),
+                (-q, DY.succ(a, Rs.apply(b))),
+                (-q, action_of(rx_s, ly_s[ib].apply(x)).apply(a)),
+            ),
+            (
+                DY.succ(a, Ls.apply(b)),
+                (one, action_of(rx_s, ry_s[ib].apply(x)).apply(a)),
+                (-qi, action_of(lx_s, ly[ia].apply(x)).apply(b)),
+                (-qi, DY.succ(R.apply(a), b)),
+            ),
+            (
+                Ls.apply(s[ia][ib]),
+                (-qi, DY.succ(L.apply(a), b)),
+                (-qi, action_of(lx_s, ry[ia].apply(x)).apply(b)),
+            ),
+        )
+        for identity_id, t in zip(ids, terms):
+            yield identity_id, comb(*t)
 
-                res = comb(
-                    RXp(x).apply(pab),
-                    (-q, DY.prec(a, RX(x).apply(b))),
-                    (-q, RXp(LY(b).apply(x)).apply(a)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[0], idx, res))
-
-                res = comb(
-                    LXp(LYp(a).apply(x)).apply(b),
-                    (Fraction(1), DY.prec(RXp(x).apply(a), b)),
-                    (-q, DY.prec(a, LX(x).apply(b))),
-                    (-q, RXp(RY(b).apply(x)).apply(a)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[1], idx, res))
-
-                res = comb(
-                    LXp(x).apply(star_ab),
-                    (-qi, DY.prec(LXp(x).apply(a), b)),
-                    (-qi, LXp(RYp(a).apply(x)).apply(b)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[2], idx, res))
-
-                res = comb(
-                    RXp(x).apply(sab),
-                    (-q, RXs(LYp(b).apply(x)).apply(a)),
-                    (-q, DY.succ(a, RXp(x).apply(b))),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[3], idx, res))
-
-                res = comb(
-                    LXp(LYs(a).apply(x)).apply(b),
-                    (Fraction(1), DY.prec(RXs(x).apply(a), b)),
-                    (-q, DY.succ(a, LXp(x).apply(b))),
-                    (-q, RXs(RYp(b).apply(x)).apply(a)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[4], idx, res))
-
-                res = comb(
-                    LXs(x).apply(pab),
-                    (-qi, DY.prec(LXs(x).apply(a), b)),
-                    (-qi, LXp(RYs(a).apply(x)).apply(b)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[5], idx, res))
-
-                res = comb(
-                    RXs(x).apply(star_ab),
-                    (-q, DY.succ(a, RXs(x).apply(b))),
-                    (-q, RXs(LYs(b).apply(x)).apply(a)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[6], idx, res))
-
-                res = comb(
-                    DY.succ(a, LXs(x).apply(b)),
-                    (Fraction(1), RXs(RYs(b).apply(x)).apply(a)),
-                    (-qi, LXs(LY(a).apply(x)).apply(b)),
-                    (-qi, DY.succ(RX(x).apply(a), b)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[7], idx, res))
-
-                res = comb(
-                    LXs(x).apply(sab),
-                    (-qi, DY.succ(LX(x).apply(a), b)),
-                    (-qi, LXs(RY(a).apply(x)).apply(b)),
-                )
-                if not vec_is_zero(res):
-                    violations.append(Violation(ids[8], idx, res))
-    return violations
+    return _run_laws(itertools.product(range(n), range(m), range(m)), residual)
 
 
 def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
@@ -534,31 +438,16 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     quadruples pass check_dendriform_bimodule) are folded into the
     violation list with a precondition: prefix.
     """
-    violations = []
-    for tag, rep in (
-        ("dendriform:A", check_q_dendriform(P.D_A)),
-        ("dendriform:B", check_q_dendriform(P.D_B)),
-        ("bimodule:A_on_B", check_dendriform_bimodule(P.D_A, P.actions_on_B())),
-        ("bimodule:B_on_A", check_dendriform_bimodule(P.D_B, P.actions_on_A())),
-    ):
-        for v in rep.violations:
-            violations.append(
-                Violation(f"precondition:{tag}:{v.identity_id}", v.indices, v.residual)
-            )
-    q = P.D_A.q
-    violations += _halfside_violations(
-        q, P.D_B, P.D_A.dim,
-        P.la_succ, P.ra_succ, P.la_prec, P.ra_prec,
-        P.lb_succ, P.rb_succ, P.lb_prec, P.rb_prec,
-        35,
+    on_B, on_A = P.actions_on_B(), P.actions_on_A()
+    violations = (
+        _prefixed("precondition:dendriform:A", check_q_dendriform(P.D_A))
+        + _prefixed("precondition:dendriform:B", check_q_dendriform(P.D_B))
+        + _prefixed("precondition:bimodule:A_on_B", check_dendriform_bimodule(P.D_A, on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_dendriform_bimodule(P.D_B, on_A))
+        + _halfside_violations(P.D_B, on_B, on_A, 35)
+        + _halfside_violations(P.D_A, on_A, on_B, 44)
     )
-    violations += _halfside_violations(
-        q, P.D_A, P.D_B.dim,
-        P.lb_succ, P.rb_succ, P.lb_prec, P.rb_prec,
-        P.la_succ, P.ra_succ, P.la_prec, P.ra_prec,
-        44,
-    )
-    return CheckReport.from_violations(violations, q=str(q))
+    return CheckReport.from_violations(violations, q=str(P.D_A.q))
 
 
 def dendriform_bowtie(P: DendriformMatchedPairData) -> DendriformStructure:
@@ -569,40 +458,11 @@ def dendriform_bowtie(P: DendriformMatchedPairData) -> DendriformStructure:
 
     and the prec analogue with the _prec tables.
     """
-    n, m = P.D_A.dim, P.D_B.dim
-    d = n + m
-
-    def build(cA, cB, la, ra, lb, rb) -> Tensor3:
-        t = Tensor3.zeros(d, d, d)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t.entries[i][j][k] = cA.entries[i][j][k]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    t.entries[n + i][n + j][n + k] = cB.entries[i][j][k]
-        for i in range(n):
-            for j in range(m):
-                col = la[i].column(j)  # e_i acting left on b_j
-                for k in range(m):
-                    t.entries[i][n + j][n + k] = col[k]
-                col = rb[j].column(i)  # b_j acting right on e_i
-                for k in range(n):
-                    t.entries[i][n + j][k] = col[k]
-        for i in range(m):
-            for j in range(n):
-                col = lb[i].column(j)  # a_i acting left on e_j
-                for k in range(n):
-                    t.entries[n + i][j][k] = col[k]
-                col = ra[j].column(i)  # a_i acted on from the right by e_j
-                for k in range(m):
-                    t.entries[n + i][j][n + k] = col[k]
-        return t
-
     return DendriformStructure(
-        d,
+        P.D_A.dim + P.D_B.dim,
         P.D_A.q,
-        build(P.D_A.c_prec, P.D_B.c_prec, P.la_prec, P.ra_prec, P.lb_prec, P.rb_prec),
-        build(P.D_A.c_succ, P.D_B.c_succ, P.la_succ, P.ra_succ, P.lb_succ, P.rb_succ),
+        _block_tensor(P.D_A.c_prec, P.D_B.c_prec,
+                      P.la_prec, P.ra_prec, P.lb_prec, P.rb_prec),
+        _block_tensor(P.D_A.c_succ, P.D_B.c_succ,
+                      P.la_succ, P.ra_succ, P.lb_succ, P.rb_succ),
     )

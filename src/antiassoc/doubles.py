@@ -16,6 +16,7 @@ the prec-right and succ-left operators of the two dendriform halves.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     Violation,
+    _prefixed,
+    _run_laws,
     basis_product,
     check_q_associative,
     mult_operators,
@@ -42,7 +45,7 @@ from .forms import (
     check_symplectic,
     natural_forms,
 )
-from .linalg import DimensionMismatch, basis_vec, vec_is_zero
+from .linalg import DimensionMismatch, Matrix, basis_vec, vec_is_zero
 from .matched import MatchedPairData, bowtie, check_matched_pair
 from .operators import LinearMap
 
@@ -56,30 +59,42 @@ class DoubleConstruction:
     report: CheckReport
 
 
-def _prefixed(tag: str, rep: CheckReport) -> list[Violation]:
-    return [
-        Violation(f"{tag}:{v.identity_id}", v.indices, v.residual)
-        for v in rep.violations
-    ]
-
-
 def _closure_violations(total: StructureAlgebra, n: int) -> list[Violation]:
     """Each half must be closed under the total product."""
-    d = total.dim
-    out = []
-    for i in range(n):
-        for j in range(n):
-            prod = basis_product(total, i, j)
-            leak = [Fraction(0)] * n + prod[n:]
-            if not vec_is_zero(leak):
-                out.append(Violation("closure:A", (i + 1, j + 1), leak))
-    for i in range(n, d):
-        for j in range(n, d):
-            prod = basis_product(total, i, j)
-            leak = prod[:n] + [Fraction(0)] * n
-            if not vec_is_zero(leak):
-                out.append(Violation("closure:B", (i + 1, j + 1), leak))
-    return out
+    c = total.c.entries
+
+    def leak_A(i, j):
+        yield "closure:A", [Fraction(0)] * n + c[i][j][n:]
+
+    def leak_B(i, j):
+        yield "closure:B", c[i][j][:n] + [Fraction(0)] * n
+
+    pairs_A = itertools.product(range(n), repeat=2)
+    pairs_B = itertools.product(range(n, total.dim), repeat=2)
+    return _run_laws(pairs_A, leak_A) + _run_laws(pairs_B, leak_B)
+
+
+def _audited_double(
+    P: MatchedPairData, form: BilinearForm, check_form, kind: str
+) -> DoubleConstruction:
+    """Bowtie of P with ``form`` attached; the report collects the matched
+    pair, the q-law of the total, ``check_form`` and closure of the halves."""
+    n = P.A.dim
+    total = bowtie(P)
+    violations = (
+        _prefixed("matched_pair", check_matched_pair(P))
+        + _prefixed("total_q_assoc", check_q_associative(total))
+        + _prefixed("form", check_form(total, form))
+        + _closure_violations(total, n)
+    )
+    report = CheckReport.from_violations(
+        violations, kind=kind, half_dim=n, form_rank=form.rank()
+    )
+    return DoubleConstruction(total, form, n, kind, report)
+
+
+def _transposed(tables: list[Matrix]) -> list[Matrix]:
+    return [m.transpose() for m in tables]
 
 
 def _require_antiassociative_parameter(*qs: Fraction) -> None:
@@ -98,29 +113,14 @@ def build_quadratic_double(
     if A.dim != Astar.dim:
         raise DimensionMismatch("the two halves must have equal dimension")
     _require_antiassociative_parameter(A.q, Astar.q)
-    n = A.dim
     LA, RA = mult_operators(A)
     LB, RB = mult_operators(Astar)
     P = MatchedPairData(
-        A,
-        Astar,
-        lA=[m.transpose() for m in RA],
-        rA=[m.transpose() for m in LA],
-        lB=[m.transpose() for m in RB],
-        rB=[m.transpose() for m in LB],
+        A, Astar, _transposed(RA), _transposed(LA), _transposed(RB), _transposed(LB)
     )
-    total = bowtie(P)
-    form, _ = natural_forms(n)
-    violations = (
-        _prefixed("matched_pair", check_matched_pair(P))
-        + _prefixed("total_q_assoc", check_q_associative(total))
-        + _prefixed("form", check_invariant_symmetric(total, form))
-        + _closure_violations(total, n)
+    return _audited_double(
+        P, natural_forms(A.dim)[0], check_invariant_symmetric, "quadratic"
     )
-    report = CheckReport.from_violations(
-        violations, kind="quadratic", half_dim=n, form_rank=form.rank()
-    )
-    return DoubleConstruction(total, form, n, "quadratic", report)
 
 
 def check_dual_matched_pair_criterion(
@@ -193,31 +193,17 @@ def build_symplectic_double(
     if D_A.dim != D_Astar.dim:
         raise DimensionMismatch("the two halves must have equal dimension")
     _require_antiassociative_parameter(D_A.q, D_Astar.q)
-    n = D_A.dim
-    A = associated_algebra(D_A)
-    B = associated_algebra(D_Astar)
-    ls_a, rs_a, lp_a, rp_a = dendriform_mult_operators(D_A)
-    ls_b, rs_b, lp_b, rp_b = dendriform_mult_operators(D_Astar)
+    ls_a, _, _, rp_a = dendriform_mult_operators(D_A)
+    ls_b, _, _, rp_b = dendriform_mult_operators(D_Astar)
     P = MatchedPairData(
-        A,
-        B,
-        lA=[m.transpose() for m in rp_a],
-        rA=[m.transpose() for m in ls_a],
-        lB=[m.transpose() for m in rp_b],
-        rB=[m.transpose() for m in ls_b],
+        associated_algebra(D_A),
+        associated_algebra(D_Astar),
+        _transposed(rp_a),
+        _transposed(ls_a),
+        _transposed(rp_b),
+        _transposed(ls_b),
     )
-    total = bowtie(P)
-    _, form = natural_forms(n)
-    violations = (
-        _prefixed("matched_pair", check_matched_pair(P))
-        + _prefixed("total_q_assoc", check_q_associative(total))
-        + _prefixed("form", check_symplectic(total, form))
-        + _closure_violations(total, n)
-    )
-    report = CheckReport.from_violations(
-        violations, kind="symplectic", half_dim=n, form_rank=form.rank()
-    )
-    return DoubleConstruction(total, form, n, "symplectic", report)
+    return _audited_double(P, natural_forms(D_A.dim)[1], check_symplectic, "symplectic")
 
 
 def check_symplectic_criterion(

@@ -9,15 +9,18 @@ forms on a doubled space A + A* (coordinates: A-block first) are
 
     B: gram = [[0, I], [I, 0]]      symmetric pairing
     w: gram = [[0, -I], [I, 0]]     so w(e_1, e_1*) = -1, w(e_1*, e_1) = +1
+
+Both checks run on the law runner in algebra.py.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CheckReport, StructureAlgebra, Violation, basis_product
+from .algebra import CheckReport, StructureAlgebra, Violation, _run_laws
 from .linalg import DimensionMismatch, Matrix, basis_vec, dot
 
 KINDS = ("symmetric", "antisymmetric", "general")
@@ -61,20 +64,17 @@ def check_invariant_symmetric(A: StructureAlgebra, B: BilinearForm) -> CheckRepo
     if B.dim != A.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     n = A.dim
-    violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = B.gram.entries[i][j] - B.gram.entries[j][i]
-            if d != 0:
-                violations.append(Violation("symmetric", (i + 1, j + 1), [d]))
-    for i in range(n):
-        for j in range(n):
-            ij = basis_product(A, i, j)
-            for k in range(n):
-                jk = basis_product(A, j, k)
-                d = B.value(ij, basis_vec(n, k)) - B.value(basis_vec(n, i), jk)
-                if d != 0:
-                    violations.append(Violation("invariance", (i + 1, j + 1, k + 1), [d]))
+    g, c = B.gram.entries, A.c.entries
+    e = [basis_vec(n, i) for i in range(n)]
+
+    def symmetric(i, j):
+        yield "symmetric", [g[i][j] - g[j][i]]
+
+    def invariance(i, j, k):
+        yield "invariance", [B.value(c[i][j], e[k]) - B.value(e[i], c[j][k])]
+
+    violations = _run_laws(itertools.combinations(range(n), 2), symmetric)
+    violations += _run_laws(itertools.product(range(n), repeat=3), invariance)
     rank = B.rank()
     return CheckReport.from_violations(
         violations, rank=rank, nondegenerate=rank == n
@@ -92,24 +92,20 @@ def check_symplectic(A: StructureAlgebra, w: BilinearForm) -> CheckReport:
     if w.dim != A.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     n = A.dim
-    violations = []
-    for i in range(n):
-        for j in range(i, n):
-            d = w.gram.entries[i][j] + w.gram.entries[j][i]
-            if d != 0:
-                violations.append(Violation("antisymmetric", (i + 1, j + 1), [d]))
+    g, c = w.gram.entries, A.c.entries
     e = [basis_vec(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ij = basis_product(A, i, j)
-            for k in range(n):
-                s = (
-                    w.value(ij, e[k])
-                    + w.value(basis_product(A, j, k), e[i])
-                    + w.value(basis_product(A, k, i), e[j])
-                )
-                if s != 0:
-                    violations.append(Violation("cyclic", (i + 1, j + 1, k + 1), [s]))
+
+    def antisymmetric(i, j):
+        yield "antisymmetric", [g[i][j] + g[j][i]]
+
+    def cyclic(i, j, k):
+        yield "cyclic", [
+            w.value(c[i][j], e[k]) + w.value(c[j][k], e[i]) + w.value(c[k][i], e[j])
+        ]
+
+    pairs = itertools.combinations_with_replacement(range(n), 2)
+    violations = _run_laws(pairs, antisymmetric)
+    violations += _run_laws(itertools.product(range(n), repeat=3), cyclic)
     kernel = w.gram.kernel_basis()
     if kernel:
         violations.append(Violation("nondegenerate", (), kernel[0]))

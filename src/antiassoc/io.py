@@ -137,10 +137,22 @@ def _products_into(t: Tensor3, node: object, ctx: _Ctx, what: str) -> None:
             t.entries[i - 1][j - 1][int(kstr) - 1] = _rational(val, ctx)
 
 
+def _resolve(node: object, ctx: _Ctx) -> tuple[object, _Ctx]:
+    """Follow string file references, each relative to the file holding it,
+    to the document they end at.  A reference back into the chain of files
+    already followed is a ParseError, not endless recursion."""
+    chain: list[str] = []
+    while isinstance(node, str):
+        path = os.path.join(os.path.dirname(ctx.path) or ".", node)
+        if os.path.realpath(path) in chain:
+            raise ctx.fail(node, f"circular file reference to {path}")
+        chain.append(os.path.realpath(path))
+        ctx, node = _read(path)
+    return node, ctx
+
+
 def _algebra_from(node: object, ctx: _Ctx) -> StructureAlgebra:
-    if isinstance(node, str):
-        sub_ctx, sub = _read(os.path.join(os.path.dirname(ctx.path) or ".", node))
-        return _algebra_from(sub, sub_ctx)
+    node, ctx = _resolve(node, ctx)
     dim = _nat(_field(node, "dim", ctx), ctx, "dim", 0)
     q = _rational(_field(node, "q", ctx), ctx)
     if q == 0:
@@ -186,9 +198,7 @@ def load_matched_pair(path: str) -> MatchedPairData:
 
 
 def _dendriform_from(node: object, ctx: _Ctx) -> DendriformStructure:
-    if isinstance(node, str):
-        sub_ctx, sub = _read(os.path.join(os.path.dirname(ctx.path) or ".", node))
-        return _dendriform_from(sub, sub_ctx)
+    node, ctx = _resolve(node, ctx)
     dim = _nat(_field(node, "dim", ctx), ctx, "dim", 0)
     q = _rational(_field(node, "q", ctx), ctx)
     if q == 0:

@@ -12,31 +12,32 @@ writing * for A's product and o for B's:
     (5) lA(lB(a)x)b + (rA(x)a) o b - q rA(rB(b)x)a - q a o (lA(x)b) = 0
     (6) lB(lA(x)a)y + (rB(a)x) * y - q rB(rA(y)a)x - q x * (lB(a)y) = 0
 
-Equations (1), (2), (5) live in B's space and are quantified over
-(x, a, b); violations carry indices (i_x, i_a, i_b).  Equations (3),
-(4), (6) live in A's space over (a, x, y); indices are (i_a, i_x, i_y).
+Equations (3), (4), (6) are (1), (2), (5) with the roles of A and B
+swapped, so one half-function evaluates both: over (A, B) it gives (1),
+(2), (5), which live in B's space and are quantified over (x, a, b) with
+indices (i_x, i_a, i_b); over (B, A) it gives (3), (4), (6), which live
+in A's space over (a, x, y) with indices (i_a, i_x, i_y).  The half runs
+on the law runner in algebra.py, and bowtie is algebra.py's block
+assembler.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import (
     CheckReport,
     StructureAlgebra,
     Violation,
+    _block_tensor,
+    _prefixed,
+    _run_laws,
     check_q_associative,
     multiply,
 )
 from .bimodules import Bimodule, action_of, check_bimodule
-from .linalg import (
-    DimensionMismatch,
-    Matrix,
-    Tensor3,
-    basis_vec,
-    vec_is_zero,
-    vec_sub,
-)
+from .linalg import DimensionMismatch, Matrix, basis_vec, vec_sub
 
 
 @dataclass
@@ -73,19 +74,34 @@ class MatchedPairData:
         return Bimodule(self.B.dim, self.A.dim, self.lB, self.rB)
 
 
-def _precondition_violations(P: MatchedPairData) -> list[Violation]:
-    out = []
-    for tag, rep in (
-        ("q_assoc:A", check_q_associative(P.A)),
-        ("q_assoc:B", check_q_associative(P.B)),
-        ("bimodule:A_on_B", check_bimodule(P.A, P.actions_on_B())),
-        ("bimodule:B_on_A", check_bimodule(P.B, P.actions_on_A())),
-    ):
-        for v in rep.violations:
-            out.append(
-                Violation(f"precondition:{tag}:{v.identity_id}", v.indices, v.residual)
-            )
-    return out
+def _matched_half(
+    Y: StructureAlgebra, by_X: Bimodule, by_Y: Bimodule, ids: tuple[str, str, str]
+) -> list[Violation]:
+    """Equations (1), (2), (5) for the actions ``by_X`` of X's basis on Y's
+    space and ``by_Y`` of Y's basis on X's space, over x in X and a, b in Y."""
+    q = Y.q
+    qi = 1 / q
+    n, m = by_X.algebra_dim, Y.dim
+    eX = [basis_vec(n, i) for i in range(n)]
+    eY = [basis_vec(m, i) for i in range(m)]
+    lX, rX, lY, rY = by_X.l, by_X.r, by_Y.l, by_Y.r
+    mulY = lambda u, v: multiply(Y, u, v)  # noqa: E731
+
+    def residual(ix, ia, ib):
+        x, a, b = eX[ix], eY[ia], eY[ib]
+        ab = Y.c.entries[ia][ib]
+        lx, rx = lX[ix], rX[ix]
+        rhs1 = zip(action_of(lX, rY[ia].apply(x)).apply(b), mulY(lx.apply(a), b))
+        yield ids[0], vec_sub(lx.apply(ab), [qi * (u + v) for u, v in rhs1])
+        rhs2 = zip(action_of(rX, lY[ib].apply(x)).apply(a), mulY(a, rx.apply(b)))
+        yield ids[1], vec_sub(rx.apply(ab), [q * (u + v) for u, v in rhs2])
+        t5 = action_of(lX, lY[ia].apply(x)).apply(b)
+        t5 = [u + v for u, v in zip(t5, mulY(rx.apply(a), b))]
+        t5 = [u - q * v for u, v in zip(t5, action_of(rX, rY[ib].apply(x)).apply(a))]
+        t5 = [u - q * v for u, v in zip(t5, mulY(a, lx.apply(b)))]
+        yield ids[2], t5
+
+    return _run_laws(itertools.product(range(n), range(m), range(m)), residual)
 
 
 def check_matched_pair(P: MatchedPairData) -> CheckReport:
@@ -95,104 +111,16 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     pair not a bimodule) are themselves reported as violations with an
     ``precondition:`` id prefix, so the verdict is the full conjunction.
     """
-    q = P.A.q
-    qi = 1 / q
-    n, m = P.A.dim, P.B.dim
-    eA = [basis_vec(n, i) for i in range(n)]
-    eB = [basis_vec(m, i) for i in range(m)]
-    violations = _precondition_violations(P)
-
-    def lA(x):  # action matrix of an A-element on B's space
-        return action_of(P.lA, x)
-
-    def rA(x):
-        return action_of(P.rA, x)
-
-    def lB(a):
-        return action_of(P.lB, a)
-
-    def rB(a):
-        return action_of(P.rB, a)
-
-    mulA = lambda u, v: multiply(P.A, u, v)  # noqa: E731
-    mulB = lambda u, v: multiply(P.B, u, v)  # noqa: E731
-
-    # equations in B's space, over x in A and a, b in B
-    for ix, x in enumerate(eA):
-        for ia, a in enumerate(eB):
-            for ib, b in enumerate(eB):
-                idx = (ix + 1, ia + 1, ib + 1)
-                ab = mulB(a, b)
-                lhs1 = lA(x).apply(ab)
-                rhs1 = [
-                    qi * (u + v)
-                    for u, v in zip(
-                        lA(rB(a).apply(x)).apply(b), mulB(lA(x).apply(a), b)
-                    )
-                ]
-                r1 = vec_sub(lhs1, rhs1)
-                if not vec_is_zero(r1):
-                    violations.append(Violation("eq1", idx, r1))
-
-                lhs2 = rA(x).apply(ab)
-                rhs2 = [
-                    q * (u + v)
-                    for u, v in zip(
-                        rA(lB(b).apply(x)).apply(a), mulB(a, rA(x).apply(b))
-                    )
-                ]
-                r2 = vec_sub(lhs2, rhs2)
-                if not vec_is_zero(r2):
-                    violations.append(Violation("eq2", idx, r2))
-
-                t5 = lA(lB(a).apply(x)).apply(b)
-                t5 = [u + v for u, v in zip(t5, mulB(rA(x).apply(a), b))]
-                t5 = [
-                    u - q * v for u, v in zip(t5, rA(rB(b).apply(x)).apply(a))
-                ]
-                t5 = [u - q * v for u, v in zip(t5, mulB(a, lA(x).apply(b)))]
-                if not vec_is_zero(t5):
-                    violations.append(Violation("eq5", idx, t5))
-
-    # equations in A's space, over a in B and x, y in A
-    for ia, a in enumerate(eB):
-        for ix, x in enumerate(eA):
-            for iy, y in enumerate(eA):
-                idx = (ia + 1, ix + 1, iy + 1)
-                xy = mulA(x, y)
-
-                lhs3 = lB(a).apply(xy)
-                rhs3 = [
-                    qi * (u + v)
-                    for u, v in zip(
-                        lB(rA(x).apply(a)).apply(y), mulA(lB(a).apply(x), y)
-                    )
-                ]
-                r3 = vec_sub(lhs3, rhs3)
-                if not vec_is_zero(r3):
-                    violations.append(Violation("eq3", idx, r3))
-
-                lhs4 = rB(a).apply(xy)
-                rhs4 = [
-                    q * (u + v)
-                    for u, v in zip(
-                        rB(lA(y).apply(a)).apply(x), mulA(x, rB(a).apply(y))
-                    )
-                ]
-                r4 = vec_sub(lhs4, rhs4)
-                if not vec_is_zero(r4):
-                    violations.append(Violation("eq4", idx, r4))
-
-                t6 = lB(lA(x).apply(a)).apply(y)
-                t6 = [u + v for u, v in zip(t6, mulA(rB(a).apply(x), y))]
-                t6 = [
-                    u - q * v for u, v in zip(t6, rB(rA(y).apply(a)).apply(x))
-                ]
-                t6 = [u - q * v for u, v in zip(t6, mulA(x, lB(a).apply(y)))]
-                if not vec_is_zero(t6):
-                    violations.append(Violation("eq6", idx, t6))
-
-    return CheckReport.from_violations(violations, q=str(q))
+    on_B, on_A = P.actions_on_B(), P.actions_on_A()
+    violations = (
+        _prefixed("precondition:q_assoc:A", check_q_associative(P.A))
+        + _prefixed("precondition:q_assoc:B", check_q_associative(P.B))
+        + _prefixed("precondition:bimodule:A_on_B", check_bimodule(P.A, on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_bimodule(P.B, on_A))
+        + _matched_half(P.B, on_B, on_A, ("eq1", "eq2", "eq5"))
+        + _matched_half(P.A, on_A, on_B, ("eq3", "eq4", "eq6"))
+    )
+    return CheckReport.from_violations(violations, q=str(P.A.q))
 
 
 def bowtie(P: MatchedPairData) -> StructureAlgebra:
@@ -203,35 +131,5 @@ def bowtie(P: MatchedPairData) -> StructureAlgebra:
     Built unconditionally; whether it satisfies the q-law is for
     check_q_associative to say.
     """
-    n, m = P.A.dim, P.B.dim
-    d = n + m
-    t = Tensor3.zeros(d, d, d)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t.entries[i][j][k] = P.A.c.entries[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                t.entries[n + i][n + j][n + k] = P.B.c.entries[i][j][k]
-    for i in range(n):  # e_i * b_j  ->  lA part in B
-        for j in range(m):
-            col = P.lA[i].column(j)
-            for k in range(m):
-                t.entries[i][n + j][n + k] = col[k]
-    for j in range(n):  # a_i * e_j  ->  rA part in B
-        for i in range(m):
-            col = P.rA[j].column(i)
-            for k in range(m):
-                t.entries[n + i][j][n + k] = col[k]
-    for i in range(m):  # a_i * e_j  ->  lB part in A
-        for j in range(n):
-            col = P.lB[i].column(j)
-            for k in range(n):
-                t.entries[n + i][j][k] = col[k]
-    for j in range(m):  # e_i * b_j  ->  rB part in A
-        for i in range(n):
-            col = P.rB[j].column(i)
-            for k in range(n):
-                t.entries[i][n + j][k] = col[k]
-    return StructureAlgebra(d, P.A.q, t)
+    t = _block_tensor(P.A.c, P.B.c, P.lA, P.rA, P.lB, P.rB)
+    return StructureAlgebra(P.A.dim + P.B.dim, P.A.q, t)

@@ -16,13 +16,14 @@ instead of emitting structures the theorems say nothing about.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     CheckReport,
     StructureAlgebra,
-    Violation,
+    _run_laws,
     mult_operators,
     multiply,
 )
@@ -84,17 +85,16 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
     if T.src_dim != M.module_dim or T.dst_dim != A.dim:
         raise DimensionMismatch("T must map the module space into the algebra")
     m = M.module_dim
-    violations = []
-    for i in range(m):
-        u = basis_vec(m, i)
-        Tu = T(u)
-        for j in range(m):
-            v = basis_vec(m, j)
-            Tv = T(v)
-            inner = vec_add(action_of(M.l, Tu).apply(v), action_of(M.r, Tv).apply(u))
-            res = vec_sub(multiply(A, Tu, Tv), T(inner))
-            if not vec_is_zero(res):
-                violations.append(Violation("o_operator", (i + 1, j + 1), res))
+    e = [basis_vec(m, i) for i in range(m)]
+    Te = [T(u) for u in e]
+
+    def residual(i, j):
+        inner = vec_add(
+            action_of(M.l, Te[i]).apply(e[j]), action_of(M.r, Te[j]).apply(e[i])
+        )
+        yield "o_operator", vec_sub(multiply(A, Te[i], Te[j]), T(inner))
+
+    violations = _run_laws(itertools.product(range(m), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
@@ -103,17 +103,14 @@ def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
     if tau.src_dim != A.dim or tau.dst_dim != A.dim:
         raise DimensionMismatch("tau must be a square map on the algebra")
     n = A.dim
-    violations = []
-    for i in range(n):
-        x = basis_vec(n, i)
-        tx = tau(x)
-        for j in range(n):
-            y = basis_vec(n, j)
-            ty = tau(y)
-            inner = vec_add(multiply(A, tx, y), multiply(A, x, ty))
-            res = vec_sub(multiply(A, tx, ty), tau(inner))
-            if not vec_is_zero(res):
-                violations.append(Violation("rota_baxter", (i + 1, j + 1), res))
+    e = [basis_vec(n, i) for i in range(n)]
+    te = [tau(x) for x in e]
+
+    def residual(i, j):
+        inner = vec_add(multiply(A, te[i], e[j]), multiply(A, e[i], te[j]))
+        yield "rota_baxter", vec_sub(multiply(A, te[i], te[j]), tau(inner))
+
+    violations = _run_laws(itertools.product(range(n), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(A.q))
 
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from antiassoc import (
     Bimodule,
+    MatchedPairData,
     StructureAlgebra,
+    bowtie,
     check_bimodule,
     check_q_associative,
     dual_bimodule,
@@ -18,6 +20,7 @@ from antiassoc.bimodules import action_of
 from antiassoc.linalg import DimensionMismatch, Matrix, basis_vec
 
 from .support import (
+    nilpotent_algebra,
     perturb_bimodule,
     random_bimodule,
     valid_algebra,
@@ -132,3 +135,18 @@ def test_broken_regular_action_fails():
     rep = check_bimodule(E1E1, M)
     assert not rep.passed
     assert {v.identity_id for v in rep.violations} <= {"l_law", "r_law", "lr_law"}
+
+
+@given(st.integers(0, 2**30), st.sampled_from(QS))
+@settings(max_examples=40, deadline=None)
+def test_semidirect_is_bowtie_with_zero_partner(seed, q):
+    """A + V is the bowtie of A with the zero algebra on V, acting on V by
+    (l, r) and acted on by nothing."""
+    rng = random.Random(seed)
+    A = nilpotent_algebra(rng, rng.randrange(1, 4), q)
+    M = random_bimodule(rng, A, rng.randrange(1, 4))
+    back = Bimodule.zero(M.module_dim, A.dim)
+    P = MatchedPairData(
+        A, StructureAlgebra.zero(M.module_dim, q), M.l, M.r, back.l, back.r
+    )
+    assert semidirect_product(A, M) == bowtie(P)

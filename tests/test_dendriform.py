@@ -30,6 +30,7 @@ from .support import (
     case3_dendriform,
     case4_dendriform,
     nilpotent_dendriform,
+    random_matrix,
 )
 
 QS = [Fraction(1), Fraction(-1), Fraction(2)]
@@ -284,3 +285,23 @@ def test_bimodule_shape_validation():
             [Matrix.zeros(2, 2)] * 2,
             [Matrix.zeros(2, 2)] * 2,
         )
+
+
+@given(st.integers(0, 2**30), st.sampled_from(QS))
+@settings(max_examples=40, deadline=None)
+def test_dendriform_semidirect_is_bowtie_with_zero_partner(seed, q):
+    """Both products on A + V are those of the dendriform bowtie of A with
+    the zero structure on V, acting on V by M and acted on by nothing."""
+    rng = random.Random(seed)
+    D = nilpotent_dendriform(rng, rng.randrange(1, 4), q)
+    m = rng.randrange(1, 4)
+    M = DendriformBimodule(
+        D.dim, m, *([random_matrix(rng, m, m) for _ in range(D.dim)] for _ in range(4))
+    )
+    back = DendriformBimodule.zero(m, D.dim)
+    P = DendriformMatchedPairData(
+        D, DendriformStructure.zero(m, q),
+        M.l_succ, M.r_succ, M.l_prec, M.r_prec,
+        back.l_succ, back.r_succ, back.l_prec, back.r_prec,
+    )
+    assert dendriform_semidirect(D, M) == dendriform_bowtie(P)

@@ -171,6 +171,40 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("algebra", '"self.json"'),
+        ("dendriform", '"self.json"'),
+        ("bimodule", {"algebra": "self.json", "module_dim": 1, "l": [], "r": []}),
+    ],
+)
+def test_cli_self_reference_is_a_parse_error(tmp_path, capsys, command, document):
+    """A file naming itself as its own content exits 2 instead of recursing."""
+    write(tmp_path, "self.json", '"self.json"')
+    doc = write(tmp_path, "doc.json", document)
+    assert cli.run(["verify", command, doc]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "self.json" in err
+
+
+def test_cli_reference_cycle_is_a_parse_error(tmp_path, capsys):
+    a = write(tmp_path, "a.json", '"b.json"')
+    write(tmp_path, "b.json", '"a.json"')
+    assert cli.run(["verify", "algebra", a]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "circular file reference" in err
+
+
+def test_reference_chain_without_cycle_resolves(tmp_path):
+    write(tmp_path, "alg.json", E1E1_DOC)
+    write(tmp_path, "link.json", '"alg.json"')
+    A = load_algebra(write(tmp_path, "top.json", '"link.json"'))
+    assert A.dim == 2
+
+
 def test_cli_usage_error_exit_code(capsys):
     assert cli.run(["verify", "algebra"]) == 2
     capsys.readouterr()
