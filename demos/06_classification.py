@@ -2,19 +2,20 @@
 and sort them into isomorphism classes.
 
 The residual system in the eight structure constants is solved by brute
-force over {-1, 0, 1}; class merging uses an explicit change-of-basis
-search, so every "same class" claim comes with a checkable witness.
+force over {-1, 0, 1}.  Class merging maps each table to the normal form
+e1.e1 = e2 through the basis (u, u.u) and composes the two changes of
+basis, so every "same class" claim comes with a re-verified witness.
 """
 
 from antiassoc import enumerate_2d_antiassociative, verify_paper_classification
-from antiassoc.classify2d import AUDIT_GRID, describe_products, partition_into_classes
+from antiassoc.classify2d import describe_products, partition_into_classes
 
 solutions = enumerate_2d_antiassociative(["-1", "0", "1"])
 print(f"{len(solutions)} solutions over the grid:")
 for A in solutions:
     print("   ", describe_products(A))
 
-classes = partition_into_classes(solutions, AUDIT_GRID)
+classes = partition_into_classes(solutions)
 print(f"\n{len(classes)} isomorphism classes; representatives:")
 for cls in classes:
     print(f"    {describe_products(solutions[cls[0]])}   (size {len(cls)})")

@@ -1,6 +1,13 @@
-"""Brute-force classification of 2-dimensional antiassociative algebras.
+"""Classification of 2-dimensional antiassociative algebras.
 
-The unknowns follow the layout
+Over Q, (xy)z = -x(yz) gives ((xy)z)w = -(xy)(zw) = x(y(zw)) and also
+((xy)z)w = -x(y(zw)), so A^4 = 0.  The chain A > A^2 > A^3 > A^4 is then
+strict: in dimension 2, dim A^2 <= 1 and A^3 = 0, so a nonzero algebra is
+e1.e1 = e2 in the basis (u, u.u) for any u outside A^2.
+are_isomorphic_dim2 builds its witness from that normal form.
+
+The grid enumeration is the independent cross-check.  Its unknowns
+follow the layout
 
     e1.e1 = a1 e1 + a2 e2      e1.e2 = b1 e1 + b2 e2
     e2.e1 = c1 e1 + c2 e2      e2.e2 = d1 e1 + d2 e2
@@ -26,7 +33,7 @@ from .algebra import (
     fingerprint,
     multiply,
 )
-from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, rat
+from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, basis_vec, rat
 
 UNKNOWNS = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
 
@@ -135,29 +142,38 @@ def verify_algebra_isomorphism(
     return True
 
 
-def are_isomorphic_dim2(
-    A1: StructureAlgebra, A2: StructureAlgebra, grid: Iterable[Scalar]
-) -> IsoVerdict:
-    """Sound-but-incomplete isomorphism test in dimension 2.
+def _normal_form_basis(A: StructureAlgebra) -> Matrix:
+    """[e_i | e_i.e_i] for the first i where it is invertible, else the
+    identity.  For antiassociative A the first maps e1.e1 = e2 onto A;
+    the identity is left only for A = 0."""
+    for i in range(2):
+        P = Matrix.from_columns([basis_vec(2, i), basis_product(A, i, i)])
+        if P.det() != 0:
+            return P
+    return Matrix.identity(2)
 
-    Yes verdicts come with a re-verified witness; No verdicts point at a
-    separating fingerprint field; everything else is an honest Unknown.
+
+def are_isomorphic_dim2(
+    A1: StructureAlgebra, A2: StructureAlgebra, grid: Iterable[Scalar] = ()
+) -> IsoVerdict:
+    """Isomorphism test in dimension 2 through the normal form e1.e1 = e2.
+
+    No verdicts point at a separating fingerprint field; Yes verdicts come
+    with the witness P2 P1^-1 of _normal_form_basis, re-verified.  Unknown
+    is left only for tables that are not antiassociative.
+    grid is accepted for existing positional callers and not read.
     """
     if A1.dim != 2 or A2.dim != 2:
-        raise DimensionMismatch("this search is specific to dimension 2")
+        raise DimensionMismatch("this test is specific to dimension 2")
     f1, f2 = fingerprint(A1), fingerprint(A2)
     for field in ("dim_square", "dim_left_ann", "dim_right_ann", "commutative"):
         x1, x2 = getattr(f1, field), getattr(f2, field)
         if x1 != x2:
             return IsoVerdict("no", None, f"{field} differs: {x1} vs {x2}")
-    values = sorted({rat(g) for g in grid})
-    for combo in itertools.product(values, repeat=4):
-        phi = Matrix([[combo[0], combo[1]], [combo[2], combo[3]]])
-        if phi.entries[0][0] * phi.entries[1][1] == phi.entries[0][1] * phi.entries[1][0]:
-            continue  # singular
-        if verify_algebra_isomorphism(A1, A2, phi):
-            return IsoVerdict("yes", phi, "witness re-verified multiplicative")
-    return IsoVerdict("unknown", None, "fingerprints agree; no witness in grid")
+    phi = _normal_form_basis(A2) * _normal_form_basis(A1).invert()
+    if verify_algebra_isomorphism(A1, A2, phi):
+        return IsoVerdict("yes", phi, "witness re-verified multiplicative")
+    return IsoVerdict("unknown", None, "fingerprints agree; normal-form witness fails")
 
 
 # the four dimension-2 tables under audit, in display order
@@ -168,22 +184,15 @@ AUDIT_TABLES: tuple[tuple[str, dict], ...] = (
     ("e2.e2=e1", {(2, 2): {1: 1}}),
 )
 
-AUDIT_GRID = ("-2", "-1", "-1/2", "0", "1/2", "1", "2")
 ENUM_GRID = ("-1", "0", "1")
 
 
-def _table_algebra(products: dict) -> StructureAlgebra:
-    return StructureAlgebra.from_products(2, -1, products)
-
-
-def partition_into_classes(
-    algebras: Sequence[StructureAlgebra], grid: Iterable[Scalar]
-) -> list[list[int]]:
-    """Partition indices into isomorphism classes (grid-decided only)."""
+def partition_into_classes(algebras: Sequence[StructureAlgebra]) -> list[list[int]]:
+    """Partition indices into isomorphism classes (witness-decided only)."""
     classes: list[list[int]] = []
     for idx, alg in enumerate(algebras):
         for cls in classes:
-            if are_isomorphic_dim2(algebras[cls[0]], alg, grid).status == "yes":
+            if are_isomorphic_dim2(algebras[cls[0]], alg).status == "yes":
                 cls.append(idx)
                 break
         else:
@@ -197,14 +206,8 @@ def describe_products(A: StructureAlgebra) -> str:
     for i in range(A.dim):
         for j in range(A.dim):
             prod = basis_product(A, i, j)
-            terms = []
-            for k, x in enumerate(prod):
-                if x == 0:
-                    continue
-                coeff = "" if x == 1 else ("-" if x == -1 else f"{x}*")
-                terms.append(f"{coeff}e{k + 1}")
-            if terms:
-                parts.append(f"e{i + 1}.e{j + 1} = " + " + ".join(terms))
+            if any(prod):
+                parts.append(f"e{i + 1}.e{j + 1} = " + describe_residual(prod))
     return "; ".join(parts) if parts else "0"
 
 
@@ -219,7 +222,7 @@ def verify_paper_classification() -> dict:
     valid: list[tuple[str, StructureAlgebra]] = []
     discrepancies: list[str] = []
     for label, products in AUDIT_TABLES:
-        alg = _table_algebra(products)
+        alg = StructureAlgebra.from_products(2, -1, products)
         rep = check_q_associative(alg)
         entry = {
             "label": label,
@@ -241,7 +244,7 @@ def verify_paper_classification() -> dict:
     pairwise = []
     for i in range(len(valid)):
         for j in range(i + 1, len(valid)):
-            verdict = are_isomorphic_dim2(valid[i][1], valid[j][1], AUDIT_GRID)
+            verdict = are_isomorphic_dim2(valid[i][1], valid[j][1])
             pairwise.append(
                 {
                     "first": valid[i][0],
@@ -255,11 +258,11 @@ def verify_paper_classification() -> dict:
                     f"(witness re-verified)"
                 )
 
-    classes = partition_into_classes([a for _, a in valid], AUDIT_GRID)
+    classes = partition_into_classes([a for _, a in valid])
     distinct_valid = len(classes)
 
     enumerated = enumerate_2d_antiassociative(ENUM_GRID)
-    enum_classes = partition_into_classes(enumerated, AUDIT_GRID)
+    enum_classes = partition_into_classes(enumerated)
     reps = [describe_products(enumerated[cls[0]]) for cls in enum_classes]
     discrepancies.append(
         f"distinct classes among the listed tables: {distinct_valid} "

@@ -11,6 +11,7 @@ import argparse
 import os
 import pathlib
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -26,7 +27,6 @@ from .algebra import (
 )
 from .bimodules import check_bimodule, dual_bimodule, semidirect_product
 from .classify2d import (
-    AUDIT_GRID,
     describe_products,
     enumerate_2d_antiassociative,
     partition_into_classes,
@@ -141,6 +141,7 @@ def cmd_verify_bimodule(ns) -> int:
 
 def cmd_verify_matched_pair(ns) -> int:
     data = aio.load_matched_pair(ns.file)
+    data = replace(data, A=_override_q(data.A, ns.q), B=_override_q(data.B, ns.q))
     rep = check_matched_pair(data)
     if ns.json:
         _verify_json("verify-matched-pair", ns.file, rep)
@@ -303,7 +304,7 @@ def cmd_build_dendriform_from_o_operator(ns) -> int:
 def cmd_classify_dim2(ns) -> int:
     grid = ns.grid if ns.grid else [Fraction(-1), Fraction(0), Fraction(1)]
     solutions = enumerate_2d_antiassociative(grid)
-    classes = partition_into_classes(solutions, AUDIT_GRID)
+    classes = partition_into_classes(solutions)
     audit = verify_paper_classification()
     if ns.json:
         doc = {

@@ -318,10 +318,6 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
-def vector_doc(v) -> list[str]:
-    return [str(x) for x in v]
-
-
 def matrix_doc(m: Matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in m.entries]
 

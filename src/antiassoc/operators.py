@@ -119,15 +119,15 @@ def induced_dendriform_on_module(
 ) -> DendriformStructure:
     """Split the module: u succ v = l(Tu)v, u prec v = r(Tv)u.
 
-    Refuses with NotAnOOperator when the identity fails (force=True
-    assembles anyway, for audit runs).  The returned structure lives on
+    Refuses with NotAnOOperator when the identity fails; force=True
+    skips the check, for audit runs.  The returned structure lives on
     V with q = -1 (the construction is the antiassociative-case
     theorem).  T is then a homomorphism from the associated product on
     V to A's product; that identity is re-checked here because it is
     cheap insurance against convention drift.
     """
-    report = check_o_operator(A, M, T)
-    if not report.passed and not force:
+    report = None if force else check_o_operator(A, M, T)
+    if report is not None and not report.passed:
         raise NotAnOOperator(report)
     m = M.module_dim
     succ = Tensor3.zeros(m, m, m)
@@ -155,8 +155,8 @@ def compatible_dendriform_from_o_operator(
     """Invertible-T transport onto A: x succ y = T(l(x) T^{-1}y), and
     x prec y = T(r(y) T^{-1}x).  The associated algebra is A itself.
     """
-    report = check_o_operator(A, M, T)
-    if not report.passed and not force:
+    report = None if force else check_o_operator(A, M, T)
+    if report is not None and not report.passed:
         raise NotAnOOperator(report)
     Tinv = T.m.invert()
     n = A.dim
@@ -183,15 +183,15 @@ def dendriform_from_symplectic(
 
     with (Tx)_i = w(x, e_i), i.e. T = gram^T.  T^{-1} is an O-operator
     for the dual regular bimodule, which is where the split comes from.
-    A degenerate gram raises SingularError before any other check
-    (force cannot help there: the construction needs T^{-1}).
+    A degenerate gram raises SingularError before any other check (force,
+    which skips the symplectic check, cannot help: it needs T^{-1}).
     """
     if w.dim != A.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     T = w.gram.transpose()
     Tinv = T.invert()  # SingularError on degenerate forms
-    report = check_symplectic(A, w)
-    if not report.passed and not force:
+    report = None if force else check_symplectic(A, w)
+    if report is not None and not report.passed:
         raise NotSymplectic(report)
     L, R = mult_operators(A)
     n = A.dim

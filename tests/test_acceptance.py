@@ -38,7 +38,7 @@ from antiassoc import (
     verify_paper_classification,
 )
 from antiassoc import LinearMap, cli
-from antiassoc.classify2d import AUDIT_GRID, partition_into_classes
+from antiassoc.classify2d import partition_into_classes
 from antiassoc.linalg import Matrix, basis_vec
 
 from .support import (
@@ -311,7 +311,7 @@ def test_criterion_09_three_way_equivalence():
 def test_criterion_10_classification_audit():
     start = time.monotonic()
     sols = enumerate_2d_antiassociative(["-1", "0", "1"])
-    classes = partition_into_classes(sols, AUDIT_GRID)
+    classes = partition_into_classes(sols)
     ok = len(classes) == 2
     audit = verify_paper_classification()
     ok = ok and audit["distinct_valid_classes"] == 2

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antiassoc import (
@@ -16,7 +16,8 @@ from antiassoc import (
     verify_algebra_isomorphism,
     verify_paper_classification,
 )
-from antiassoc.classify2d import AUDIT_GRID, describe_residual, partition_into_classes
+from antiassoc.algebra import multiply
+from antiassoc.classify2d import describe_residual, partition_into_classes
 from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3
 
 E1E1 = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 1}})
@@ -53,7 +54,7 @@ def test_two_value_grid():
 def test_full_small_grid_count_and_classes():
     sols = enumerate_2d_antiassociative(["-1", "0", "1"])
     assert len(sols) == 9
-    classes = partition_into_classes(sols, AUDIT_GRID)
+    classes = partition_into_classes(sols)
     assert sorted(len(c) for c in classes) == [1, 8]
 
 
@@ -76,28 +77,64 @@ def test_enumeration_closed_under_basis_swap():
 
 
 def test_swap_witness_between_published_tables():
-    v = are_isomorphic_dim2(E1E1, E2E2, ["-1", "0", "1"])
+    v = are_isomorphic_dim2(E1E1, E2E2)
     assert v.status == "yes"
     assert verify_algebra_isomorphism(E1E1, E2E2, v.witness)
 
 
 def test_fingerprint_separates_zero_algebra():
-    v = are_isomorphic_dim2(E1E1, StructureAlgebra.zero(2, -1), AUDIT_GRID)
+    v = are_isomorphic_dim2(E1E1, StructureAlgebra.zero(2, -1))
     assert v.status == "no"
     assert "differs" in v.detail
     assert v.witness is None
 
 
-def test_unknown_is_honest_about_grid_limits():
-    scaled = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 2}})
-    narrow = are_isomorphic_dim2(E1E1, scaled, ["0", "1"])
-    assert narrow.status == "unknown"
-    wider = are_isomorphic_dim2(E1E1, scaled, ["0", "1", "2"])
-    assert wider.status == "yes"
+def test_scaled_tables_get_verified_witnesses():
+    # the witnesses need the entries 1/2 and 1/5, which no small grid holds
+    for first, second in (
+        (E1E1, StructureAlgebra.from_products(2, -1, {(1, 1): {2: 2}})),
+        (E2E2, StructureAlgebra.from_products(2, -1, {(2, 2): {1: 5}})),
+    ):
+        v = are_isomorphic_dim2(first, second)
+        assert v.status == "yes"
+        assert verify_algebra_isomorphism(first, second, v.witness)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(small_rationals.filter(lambda b: b != 0), st.tuples(*([small_rationals] * 4)))
+@settings(max_examples=80, deadline=None)
+def test_transported_normal_form_is_isomorphic(b, entries):
+    # Y is e1.e1 = b*e2 transported by P: y1.y2 = P(P^-1 y1 . P^-1 y2)
+    P = Matrix([entries[:2], entries[2:]])
+    assume(P.det() != 0)
+    X = StructureAlgebra.from_products(2, -1, {(1, 1): {2: b}})
+    Pinv = P.invert()
+    cols = [Pinv.column(j) for j in range(2)]
+    Y = StructureAlgebra(2, -1, Tensor3(
+        [[P.apply(multiply(X, cols[i], cols[j])) for j in range(2)] for i in range(2)]
+    ))
+    assert check_q_associative(Y).passed
+    v = are_isomorphic_dim2(E1E1, Y)
+    assert v.status == "yes"
+    assert verify_algebra_isomorphism(E1E1, Y, v.witness)
+    assert are_isomorphic_dim2(Y, StructureAlgebra.zero(2, -1)).status == "no"
+
+
+def test_unknown_only_outside_the_theorem():
+    # neither table is antiassociative and neither has a nonzero square
+    # e_i.e_i, so there is no normal-form basis; the fingerprints agree,
+    # and the swap is in fact an isomorphism, so "no" would be wrong
+    left = StructureAlgebra.from_products(2, -1, {(2, 1): {2: 1}})
+    right = StructureAlgebra.from_products(2, -1, {(1, 2): {1: 1}})
+    v = are_isomorphic_dim2(left, right)
+    assert v.status == "unknown"
+    assert v.witness is None
 
 
 def test_iso_verdict_as_dict_is_json_ready():
-    v = are_isomorphic_dim2(E1E1, E2E2, ["-1", "0", "1"])
+    v = are_isomorphic_dim2(E1E1, E2E2)
     d = v.as_dict()
     assert d["status"] == "yes"
     assert all(isinstance(x, str) for row in d["witness"] for x in row)
@@ -105,7 +142,7 @@ def test_iso_verdict_as_dict_is_json_ready():
 
 def test_dimension_guard():
     with pytest.raises(DimensionMismatch):
-        are_isomorphic_dim2(E1E1, StructureAlgebra.zero(3, -1), ["0", "1"])
+        are_isomorphic_dim2(E1E1, StructureAlgebra.zero(3, -1))
 
 
 def test_describe_residual():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from antiassoc import cli
+from antiassoc import cli, operators
 from antiassoc.io import (
     ParseError,
     algebra_to_doc,
@@ -160,6 +160,19 @@ def test_cli_q_override(tmp_path, capsys):
     assert doc["report"]["info"]["q"] == "2"
 
 
+def test_cli_matched_pair_q_override(tmp_path, capsys):
+    # e1.e1 = e1 is associative (q = 1) but not antiassociative (q = -1)
+    zero_action = [[["0"]]]
+    p = write(tmp_path, "mp.json", {
+        "A": {"dim": 1, "q": "1", "products": [{"i": 1, "j": 1, "out": {"1": "1"}}]},
+        "B": {"dim": 1, "q": "1", "products": []},
+        "lA": zero_action, "rA": zero_action, "lB": zero_action, "rB": zero_action,
+    })
+    assert cli.run(["verify", "matched-pair", p]) == 0
+    assert cli.run(["verify", "matched-pair", p, "--q", "-1"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     p = write(tmp_path, "broken.json", "{nope")
     assert cli.run(["verify", "algebra", p]) == 2
@@ -292,12 +305,50 @@ def test_cli_build_dendriform_from_omega_refusal(tmp_path, capsys):
     del alg
 
 
+ZERO_ACTIONS = [[["0", "0"], ["0", "0"]]] * 2
+
+
+@pytest.mark.parametrize("target, check, data", [
+    ("dendriform-from-omega", "check_symplectic",
+     {"form": {"dim": 2, "kind": "antisymmetric", "gram": [["0", "1"], ["-1", "0"]]}}),
+    ("dendriform-from-o-operator", "check_o_operator",
+     {"bimodule": {"module_dim": 2, "l": ZERO_ACTIONS, "r": ZERO_ACTIONS},
+      "T": [["1", "0"], ["0", "1"]]}),
+], ids=["omega", "o-operator"])
+@pytest.mark.parametrize("algebra, flags", [
+    ({"dim": 2, "q": "-1", "products": []}, []),  # precondition holds
+    (E1E1_DOC, ["--force"]),  # precondition fails
+], ids=["holds", "forced"])
+def test_cli_dendriform_build_checks_precondition_once(
+    tmp_path, monkeypatch, capsys, target, check, data, algebra, flags
+):
+    calls = []
+    real = getattr(operators, check)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, check, counted)
+    monkeypatch.setattr(operators, check, counted)
+    f = write(tmp_path, "in.json", {"algebra": algebra, **data})
+    cli.run(["build", target, f] + flags)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_cli_classify_small_grid(tmp_path, capsys):
     assert cli.run(["classify", "dim2", "--grid", "0,1"]) == 0
     out = capsys.readouterr().out
     assert "3 antiassociative tables over grid {0,1}" in out
     assert "audit of the published table:" in out
     assert "e2.e1=e2: antiassociative FAIL" in out
+
+
+def test_cli_classify_merges_scaled_tables(capsys):
+    # e2.e2 = e1 and e2.e2 = 5*e1 are isomorphic; the witness holds 1/5
+    assert cli.run(["classify", "dim2", "--grid", "0,1,5"]) == 0
+    assert "\n2 isomorphism classes\n" in capsys.readouterr().out
 
 
 def test_cli_classify_json(capsys):
