@@ -16,8 +16,9 @@ This module also holds the machinery every other module builds on: the
 law runner ``_run_laws`` that turns residual functions into Violations,
 ``_prefixed`` for folding one report into another, the one tensor
 contraction ``_contract`` behind every product, ``_operator_tables``
-behind every (L, R) table, and ``_block_tensor``, the assembler of the
-product tensor on A + B behind semidirect and bowtie products.
+behind every (L, R) table and its reverse ``_tables_tensor`` behind every
+dendriform split, and ``_block_tensor``, the assembler of the product
+tensor on A + B behind semidirect and bowtie products.
 """
 
 from __future__ import annotations
@@ -223,6 +224,16 @@ def _operator_tables(c: Tensor3) -> tuple[list[Matrix], list[Matrix]]:
         for j in range(n)
     ]
     return L, R
+
+
+def _tables_tensor(tables: Sequence[Matrix], right: bool = False) -> Tensor3:
+    """The reverse of ``_operator_tables``: the product tensor whose left
+    multiplication matrices are ``tables`` (c[i][j] = L[i].column(j)), or
+    with ``right`` its right ones (c[i][j] = R[j].column(i))."""
+    n = len(tables)
+    if right:
+        return Tensor3([[tables[j].column(i) for j in range(n)] for i in range(n)])
+    return Tensor3([[tables[i].column(j) for j in range(n)] for i in range(n)])
 
 
 def mult_operators(A: StructureAlgebra) -> tuple[list[Matrix], list[Matrix]]:

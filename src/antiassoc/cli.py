@@ -19,11 +19,9 @@ from . import io as aio
 from .algebra import (
     StructureAlgebra,
     anticommutator_algebra,
-    basis_product,
     check_mock_lie,
     check_q_associative,
     fingerprint,
-    multiply,
 )
 from .bimodules import check_bimodule, dual_bimodule, semidirect_product
 from .classify2d import (
@@ -33,7 +31,11 @@ from .classify2d import (
     verify_paper_classification,
 )
 from .dendriform import DendriformStructure, associated_algebra, check_q_dendriform
-from .doubles import build_quadratic_double, build_symplectic_double
+from .doubles import (
+    audit_paper_fixture,
+    build_quadratic_double,
+    build_symplectic_double,
+)
 from .forms import check_invariant_symmetric, check_symplectic
 from .matched import bowtie, check_matched_pair
 from .operators import (
@@ -354,105 +356,17 @@ def cmd_classify_dim2(ns) -> int:
 # ---------------------------------------------------------------------------
 # paper fixtures
 
-_CONDITION_NAMES = {
-    "matched_pair:": "matched-pair",
-    "total_q_assoc:": "q-associative",
-    "form:": "form",
-    "closure:": "closure",
-}
-
-
-def _fixture_dir():
-    env = os.environ.get("ANTIASSOC_FIXTURES")
-    if env:
-        return pathlib.Path(env)
-    return resources.files("antiassoc") / "fixtures"
-
-
-def _basis_pair(line) -> tuple[int, int] | None:
-    """(i, j) when left and right are plain basis vectors, else None."""
-
-    def index_of(v) -> int | None:
-        hits = [k for k, x in enumerate(v) if x != 0]
-        if len(hits) == 1 and v[hits[0]] == 1:
-            return hits[0]
-        return None
-
-    i, j = index_of(line["left"]), index_of(line["right"])
-    if i is None or j is None:
-        return None
-    return i, j
-
-
 def paper_fixtures() -> dict:
-    """Run every bundled fixture through its double builder and diff the
-    assembled products against the published lines."""
-    base = _fixture_dir()
+    """Audit every fixture file, in name order, of $ANTIASSOC_FIXTURES or
+    else of the bundled fixture directory."""
+    env = os.environ.get("ANTIASSOC_FIXTURES")
+    base = pathlib.Path(env) if env else resources.files("antiassoc") / "fixtures"
     names = sorted(p.name for p in base.iterdir() if p.name.endswith(".json"))
-    cases = []
-    all_passed = True
-    for name in names:
-        fx = aio.load_fixture(str(base / name))
-        if fx.kind == "quadratic":
-            d = build_quadratic_double(fx.A, fx.Astar)
-        else:
-            d = build_symplectic_double(fx.DA, fx.DAstar)
-        labels = aio.double_basis_names(fx.half_dim)
-        conditions = []
-        for prefix, cname in _CONDITION_NAMES.items():
-            ok = not any(v.identity_id.startswith(prefix) for v in d.report.violations)
-            conditions.append({"name": cname, "passed": ok})
-        table = []
-        listed_pairs = set()
-        for line in fx.displayed:
-            recomputed = multiply(d.total, line["left"], line["right"])
-            match = recomputed == line["result"]
-            pair = _basis_pair(line)
-            if pair is not None:
-                listed_pairs.add(pair)
-            table.append(
-                {
-                    "left": aio.format_element(line["left"], labels),
-                    "right": aio.format_element(line["right"], labels),
-                    "displayed": aio.format_element(line["result"], labels),
-                    "recomputed": aio.format_element(recomputed, labels),
-                    "match": match,
-                }
-            )
-        undisplayed = []
-        if fx.complete:
-            n2 = 2 * fx.half_dim
-            for i in range(n2):
-                for j in range(n2):
-                    if (i, j) in listed_pairs:
-                        continue
-                    prod = basis_product(d.total, i, j)
-                    if any(x != 0 for x in prod):
-                        undisplayed.append(
-                            {
-                                "left": labels[i],
-                                "right": labels[j],
-                                "product": aio.format_element(prod, labels),
-                            }
-                        )
-        case_ok = (
-            all(c["passed"] for c in conditions)
-            and all(row["match"] for row in table)
-            and not undisplayed
-        )
-        all_passed = all_passed and case_ok
-        cases.append(
-            {
-                "label": fx.label,
-                "kind": fx.kind,
-                "source": name,
-                "conditions": conditions,
-                "table": table,
-                "undisplayed_nonzero": undisplayed,
-                "passed": case_ok,
-            }
-        )
-    return {"cases": cases, "all_passed": all_passed}
+    cases = [
+        dict(audit_paper_fixture(aio.load_fixture(str(base / name))), source=name)
+        for name in names
+    ]
+    return {"cases": cases, "all_passed": all(c["passed"] for c in cases)}
 
 
 def cmd_paper_fixtures(ns) -> int:

@@ -7,6 +7,11 @@ two criterion verifiers are deliberately separate code paths from the
 generic matched-pair machinery; agreement of their verdicts with the
 builders' is a theorem, and the test suite exploits that.
 
+``verify_double_isomorphism`` runs its conditions on algebra.py's law
+runner.  ``audit_paper_fixture`` rebuilds one bundled fixture's double
+and diffs it against the published product lines; ``paper fixtures`` in
+the CLI only finds the fixture files and prints these audits.
+
 Conventions.  The double space is coordinatized A-block first.  Every
 dual action is a transpose of a multiplication operator taken in the
 dual basis: the quadratic builder uses (R_A^T, L_A^T) for A acting on
@@ -45,7 +50,8 @@ from .forms import (
     check_symplectic,
     natural_forms,
 )
-from .linalg import DimensionMismatch, Matrix, basis_vec, vec_is_zero
+from .io import PaperFixture, double_basis_names, format_element
+from .linalg import DimensionMismatch, Matrix, basis_vec, vec_is_zero, vec_sub
 from .matched import MatchedPairData, bowtie, check_matched_pair
 from .operators import LinearMap
 
@@ -345,32 +351,94 @@ def verify_double_isomorphism(
     if T2.total.dim != d or phi.src_dim != d or phi.dst_dim != d:
         raise DimensionMismatch("phi must be square of the common double dimension")
     n = T1.half_dim
-    violations = []
-    kernel = phi.m.kernel_basis()
-    if kernel:
-        violations.append(Violation("invertible", (), kernel[0]))
     cols = [phi.m.column(j) for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = phi.m.apply(basis_product(T1.total, i, j))
-            rhs = multiply(T2.total, cols[i], cols[j])
-            res = [u - v for u, v in zip(lhs, rhs)]
-            if not vec_is_zero(res):
-                violations.append(Violation("multiplicative", (i + 1, j + 1), res))
-    for j in range(n):
-        leak = cols[j][n:]
-        if not vec_is_zero(leak):
-            violations.append(Violation("block_A", (j + 1,), leak))
-    for j in range(n, d):
-        leak = cols[j][:n]
-        if not vec_is_zero(leak):
-            violations.append(Violation("block_Astar", (j + 1,), leak))
-    pulled = phi.m.transpose() * T2.form.gram * phi.m
-    diff = pulled - T1.form.gram
-    for i in range(d):
-        for j in range(d):
-            if diff.entries[i][j] != 0:
-                violations.append(Violation("form", (i + 1, j + 1), [diff.entries[i][j]]))
+    diff = (phi.m.transpose() * T2.form.gram * phi.m - T1.form.gram).entries
+
+    def invertible():
+        for v in phi.m.kernel_basis()[:1]:
+            yield "invertible", v
+
+    def multiplicative(i, j):
+        lhs = phi.m.apply(basis_product(T1.total, i, j))
+        yield "multiplicative", vec_sub(lhs, multiply(T2.total, cols[i], cols[j]))
+
+    def block(j):
+        yield ("block_A", cols[j][n:]) if j < n else ("block_Astar", cols[j][:n])
+
+    def form(i, j):
+        yield "form", [diff[i][j]]
+
+    pairs = list(itertools.product(range(d), repeat=2))
+    violations = (
+        _run_laws([()], invertible)
+        + _run_laws(pairs, multiplicative)
+        + _run_laws([(j,) for j in range(d)], block)
+        + _run_laws(pairs, form)
+    )
     return CheckReport.from_violations(
         violations, kinds=[T1.kind, T2.kind], dim=d
     )
+
+
+# Condition names of a fixture audit, keyed by the tag that starts the ids
+# under which _audited_double folds each condition into its report.
+_CONDITION_NAMES = {
+    "matched_pair": "matched-pair",
+    "total_q_assoc": "q-associative",
+    "form": "form",
+    "closure": "closure",
+}
+
+
+def audit_paper_fixture(fx: PaperFixture) -> dict:
+    """Rebuild a fixture's double and diff it against the published
+    data: which conditions of the build report hold, each displayed product
+    line against the recomputed one, and, when the fixture claims its lines
+    are the complete table, every nonzero basis product it does not show."""
+    if fx.kind == "quadratic":
+        d = build_quadratic_double(fx.A, fx.Astar)
+    else:
+        d = build_symplectic_double(fx.DA, fx.DAstar)
+    labels = double_basis_names(fx.half_dim)
+    failed = {v.identity_id.split(":", 1)[0] for v in d.report.violations}
+    conditions = [
+        {"name": name, "passed": tag not in failed}
+        for tag, name in _CONDITION_NAMES.items()
+    ]
+    table = []
+    for line in fx.displayed:
+        recomputed = multiply(d.total, line["left"], line["right"])
+        table.append(
+            {
+                "left": format_element(line["left"], labels),
+                "right": format_element(line["right"], labels),
+                "displayed": format_element(line["result"], labels),
+                "recomputed": format_element(recomputed, labels),
+                "match": recomputed == line["result"],
+            }
+        )
+    listed = {(tuple(line["left"]), tuple(line["right"])) for line in fx.displayed}
+    e = [tuple(basis_vec(d.total.dim, i)) for i in range(d.total.dim)]
+    undisplayed = []
+    for i, j in itertools.product(range(d.total.dim), repeat=2):
+        if not fx.complete or (e[i], e[j]) in listed:
+            continue
+        prod = basis_product(d.total, i, j)
+        if not vec_is_zero(prod):
+            undisplayed.append(
+                {
+                    "left": labels[i],
+                    "right": labels[j],
+                    "product": format_element(prod, labels),
+                }
+            )
+    return {
+        "label": fx.label,
+        "kind": fx.kind,
+        "conditions": conditions,
+        "table": table,
+        "undisplayed_nonzero": undisplayed,
+        "passed": all(c["passed"] for c in conditions)
+        and all(row["match"] for row in table)
+        and not undisplayed,
+    }

@@ -25,6 +25,11 @@ from .operators import LinearMap
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
+# Largest dim an algebra or dendriform document may declare.  Product
+# tensors are allocated dense, dim^3 Fractions, before their entries are
+# read, so the bound keeps a hostile dim from exhausting memory.
+MAX_DIM = 64
+
 
 class ParseError(ValueError):
     def __init__(self, path: str, offset: int, token: str, message: str):
@@ -42,8 +47,8 @@ class _Ctx:
 
     def fail(self, token: object, message: str) -> "ParseError":
         tok = str(token)
-        pos = self.text.find(tok) if tok else -1
-        return ParseError(self.path, max(pos, 0), tok, message)
+        pos = max(self.text.find(tok), 0) if tok else 0
+        return ParseError(self.path, len(self.text[:pos].encode("utf-8")), tok, message)
 
 
 def _read(path: str) -> tuple[_Ctx, object]:
@@ -151,12 +156,19 @@ def _resolve(node: object, ctx: _Ctx) -> tuple[object, _Ctx]:
     return node, ctx
 
 
-def _algebra_from(node: object, ctx: _Ctx) -> StructureAlgebra:
-    node, ctx = _resolve(node, ctx)
+def _dim_and_q(node: object, ctx: _Ctx) -> tuple[int, Fraction]:
     dim = _nat(_field(node, "dim", ctx), ctx, "dim", 0)
+    if dim > MAX_DIM:
+        raise ctx.fail(dim, f"dim must be at most {MAX_DIM}")
     q = _rational(_field(node, "q", ctx), ctx)
     if q == 0:
         raise ctx.fail("q", "q must be nonzero")
+    return dim, q
+
+
+def _algebra_from(node: object, ctx: _Ctx) -> StructureAlgebra:
+    node, ctx = _resolve(node, ctx)
+    dim, q = _dim_and_q(node, ctx)
     if "products" in node:
         t = Tensor3.zeros(dim, dim, dim)
         _products_into(t, node["products"], ctx, "products")
@@ -199,10 +211,7 @@ def load_matched_pair(path: str) -> MatchedPairData:
 
 def _dendriform_from(node: object, ctx: _Ctx) -> DendriformStructure:
     node, ctx = _resolve(node, ctx)
-    dim = _nat(_field(node, "dim", ctx), ctx, "dim", 0)
-    q = _rational(_field(node, "q", ctx), ctx)
-    if q == 0:
-        raise ctx.fail("q", "q must be nonzero")
+    dim, q = _dim_and_q(node, ctx)
     if "prec_products" in node or "succ_products" in node:
         prec = Tensor3.zeros(dim, dim, dim)
         succ = Tensor3.zeros(dim, dim, dim)

@@ -10,7 +10,7 @@ matrices act on the left.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -36,10 +36,6 @@ def rat(x: Scalar) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # vectors
-
-
-def vec(entries: Iterable[Scalar]) -> list[Fraction]:
-    return [rat(x) for x in entries]
 
 
 def zero_vec(n: int) -> list[Fraction]:
@@ -115,10 +111,6 @@ class Matrix:
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.entries]
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -127,9 +119,6 @@ class Matrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -152,9 +141,6 @@ class Matrix:
                 for r1, r2 in zip(self.entries, other.entries)
             ]
         )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.entries])
 
     def scale(self, s: Scalar) -> "Matrix":
         c = rat(s)

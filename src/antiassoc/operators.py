@@ -10,6 +10,10 @@ associative data:
   * a nondegenerate symplectic form on A is an invertible O-operator in
     disguise, via the musical map (Tx)_i = w(x, e_i).
 
+Each route is one formula on multiplication operators: it computes the
+matrices of left succ- and right prec-multiplication by each basis vector,
+and algebra.py's ``_tables_tensor`` turns them into the product tensors.
+
 Constructions refuse invalid input (NotAnOOperator / NotSymplectic)
 instead of emitting structures the theorems say nothing about.
 """
@@ -24,21 +28,14 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     _run_laws,
+    _tables_tensor,
     mult_operators,
     multiply,
 )
 from .bimodules import Bimodule, action_of
 from .dendriform import DendriformStructure
 from .forms import BilinearForm, check_symplectic
-from .linalg import (
-    DimensionMismatch,
-    Matrix,
-    Tensor3,
-    basis_vec,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
-)
+from .linalg import DimensionMismatch, Matrix, basis_vec, vec_add, vec_sub
 
 
 class NotAnOOperator(ValueError):
@@ -78,12 +75,16 @@ class LinearMap:
         return self.m.apply(v)
 
 
-def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
-    """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs."""
+def _check_shapes(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> None:
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule belongs to a different algebra dimension")
     if T.src_dim != M.module_dim or T.dst_dim != A.dim:
         raise DimensionMismatch("T must map the module space into the algebra")
+
+
+def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
+    """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs."""
+    _check_shapes(A, M, T)
     m = M.module_dim
     e = [basis_vec(m, i) for i in range(m)]
     Te = [T(u) for u in e]
@@ -96,6 +97,16 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
 
     violations = _run_laws(itertools.product(range(m), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(A.q))
+
+
+def _require_o_operator(
+    A: StructureAlgebra, M: Bimodule, T: LinearMap, force: bool
+) -> None:
+    """Refuse mismatched shapes always, and a failing identity unless forced."""
+    _check_shapes(A, M, T)
+    report = None if force else check_o_operator(A, M, T)
+    if report is not None and not report.passed:
+        raise NotAnOOperator(report)
 
 
 def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
@@ -123,30 +134,13 @@ def induced_dendriform_on_module(
     skips the check, for audit runs.  The returned structure lives on
     V with q = -1 (the construction is the antiassociative-case
     theorem).  T is then a homomorphism from the associated product on
-    V to A's product; that identity is re-checked here because it is
-    cheap insurance against convention drift.
+    V to A's product.
     """
-    report = None if force else check_o_operator(A, M, T)
-    if report is not None and not report.passed:
-        raise NotAnOOperator(report)
-    m = M.module_dim
-    succ = Tensor3.zeros(m, m, m)
-    prec = Tensor3.zeros(m, m, m)
-    for i in range(m):
-        u = basis_vec(m, i)
-        Tu = T(u)
-        for j in range(m):
-            v = basis_vec(m, j)
-            sv = action_of(M.l, Tu).apply(v)
-            pv = action_of(M.r, T(v)).apply(u)
-            for k in range(m):
-                succ.entries[i][j][k] = sv[k]
-                prec.entries[i][j][k] = pv[k]
-            hom = vec_sub(
-                multiply(A, Tu, T(v)), T(vec_add(sv, pv))
-            )
-            assert force or vec_is_zero(hom), "O-operator identity should force this"
-    return DendriformStructure(m, Fraction(-1), prec, succ)
+    _require_o_operator(A, M, T, force)
+    Te = [T.m.column(i) for i in range(M.module_dim)]
+    succ = _tables_tensor([action_of(M.l, t) for t in Te])
+    prec = _tables_tensor([action_of(M.r, t) for t in Te], right=True)
+    return DendriformStructure(M.module_dim, Fraction(-1), prec, succ)
 
 
 def compatible_dendriform_from_o_operator(
@@ -155,23 +149,11 @@ def compatible_dendriform_from_o_operator(
     """Invertible-T transport onto A: x succ y = T(l(x) T^{-1}y), and
     x prec y = T(r(y) T^{-1}x).  The associated algebra is A itself.
     """
-    report = None if force else check_o_operator(A, M, T)
-    if report is not None and not report.passed:
-        raise NotAnOOperator(report)
+    _require_o_operator(A, M, T, force)
     Tinv = T.m.invert()
-    n = A.dim
-    succ = Tensor3.zeros(n, n, n)
-    prec = Tensor3.zeros(n, n, n)
-    for i in range(n):
-        x = basis_vec(n, i)
-        for j in range(n):
-            y = basis_vec(n, j)
-            sv = T.m.apply(action_of(M.l, x).apply(Tinv.apply(y)))
-            pv = T.m.apply(action_of(M.r, y).apply(Tinv.apply(x)))
-            for k in range(n):
-                succ.entries[i][j][k] = sv[k]
-                prec.entries[i][j][k] = pv[k]
-    return DendriformStructure(n, A.q, prec, succ)
+    succ = _tables_tensor([T.m * l * Tinv for l in M.l])
+    prec = _tables_tensor([T.m * r * Tinv for r in M.r], right=True)
+    return DendriformStructure(A.dim, A.q, prec, succ)
 
 
 def dendriform_from_symplectic(
@@ -194,16 +176,6 @@ def dendriform_from_symplectic(
     if report is not None and not report.passed:
         raise NotSymplectic(report)
     L, R = mult_operators(A)
-    n = A.dim
-    succ = Tensor3.zeros(n, n, n)
-    prec = Tensor3.zeros(n, n, n)
-    for i in range(n):
-        for j in range(n):
-            Ty = T.apply(basis_vec(n, j))
-            sv = Tinv.apply(R[i].transpose().apply(Ty))
-            Tx = T.apply(basis_vec(n, i))
-            pv = Tinv.apply(L[j].transpose().apply(Tx))
-            for k in range(n):
-                succ.entries[i][j][k] = sv[k]
-                prec.entries[i][j][k] = pv[k]
-    return DendriformStructure(n, A.q, prec, succ)
+    succ = _tables_tensor([Tinv * r.transpose() * T for r in R])
+    prec = _tables_tensor([Tinv * l.transpose() * T for l in L], right=True)
+    return DendriformStructure(A.dim, A.q, prec, succ)

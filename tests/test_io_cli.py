@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from antiassoc import cli, operators
+from antiassoc import io as aio
 from antiassoc.io import (
     ParseError,
     algebra_to_doc,
@@ -71,6 +72,12 @@ def test_zero_denominator_is_rejected(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_algebra(p)
     assert exc.value.token == "1/0"
+    # the offset counts UTF-8 bytes, also after non-ASCII text
+    raw = json.dumps({"note": "ééé", **doc}, ensure_ascii=False).encode("utf-8")
+    (tmp_path / "z8.json").write_bytes(raw)
+    with pytest.raises(ParseError) as exc:
+        load_algebra(str(tmp_path / "z8.json"))
+    assert exc.value.offset == raw.index(b"1/0")
 
 
 @pytest.mark.parametrize("bad", [0.5, True, "0.5", "1 /2", "", "two"])
@@ -86,6 +93,21 @@ def test_q_zero_is_rejected(tmp_path):
     p = write(tmp_path, "q0.json", {"dim": 2, "q": "0", "products": []})
     with pytest.raises(ParseError):
         load_algebra(p)
+
+
+@pytest.mark.parametrize(
+    "command, load, products",
+    [
+        ("algebra", load_algebra, "products"),
+        ("dendriform", load_dendriform, "prec_products"),
+    ],
+)
+def test_dim_above_bound_is_rejected(tmp_path, capsys, command, load, products):
+    p = write(tmp_path, "big.json", {"dim": aio.MAX_DIM + 1, "q": "-1", products: []})
+    with pytest.raises(ParseError):
+        load(p)
+    assert cli.run(["verify", command, p]) == 2
+    assert f"dim must be at most {aio.MAX_DIM}" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_parse_error(tmp_path):

@@ -1,9 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiassoc import (
     BilinearForm,
+    Bimodule,
     LinearMap,
     NotAnOOperator,
     NotSymplectic,
@@ -16,9 +21,19 @@ from antiassoc import (
     dendriform_from_symplectic,
     induced_dendriform_on_module,
     multiply,
+    operators,
     regular_bimodule,
 )
-from antiassoc.linalg import DimensionMismatch, Matrix, SingularError, basis_vec
+from antiassoc.linalg import (
+    DimensionMismatch,
+    Matrix,
+    SingularError,
+    Tensor3,
+    basis_vec,
+    dot,
+)
+
+from .support import rand_fraction, random_bimodule, random_matrix
 
 E1E1 = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 1}})
 TAU = LinearMap(2, 2, Matrix([["1", "0"], ["0", "1/2"]]))
@@ -148,3 +163,77 @@ def test_noncyclic_form_is_refused():
     assert "cyclic" in ids
     forced = dendriform_from_symplectic(E1E1, w, force=True)
     assert forced.dim == 2
+
+
+def test_forced_induced_split_evaluates_no_products(monkeypatch):
+    calls = []
+    real = operators.multiply
+    monkeypatch.setattr(operators, "multiply", lambda *a: calls.append(a) or real(*a))
+    T = LinearMap(3, 2, Matrix([["1", "0", "2"], ["0", "1", "-1"]]))
+    D = induced_dendriform_on_module(E1E1, Bimodule.zero(2, 3), T, force=True)
+    assert D.dim == 3
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "split", [induced_dendriform_on_module, compatible_dendriform_from_o_operator]
+)
+def test_forced_splits_still_check_shapes(split):
+    with pytest.raises(DimensionMismatch):  # T maps dim 2, the module has dim 3
+        split(E1E1, Bimodule.zero(2, 3), LinearMap.identity(2), force=True)
+    with pytest.raises(DimensionMismatch):  # T lands in dim 3, A has dim 2
+        T = LinearMap(2, 3, Matrix.zeros(3, 2))
+        split(E1E1, Bimodule.zero(2, 2), T, force=True)
+
+
+def _act(table, x, v):
+    """The action of the element with coordinates x on v: sum_k x_k table[k] v."""
+    out = [Fraction(0)] * len(v)
+    for xk, mat in zip(x, table):
+        out = [a + xk * b for a, b in zip(out, mat.apply(v))]
+    return out
+
+
+def _invertible(rng, n):
+    while True:
+        mat = random_matrix(rng, n, n)
+        if mat.det() != 0:
+            return mat
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=25, deadline=None)
+def test_splits_follow_their_formulas(seed):
+    """Every basis product of each forced split equals its defining formula,
+    on random (mostly invalid) data with module dim and algebra dim apart."""
+    rng = random.Random(seed)
+    n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+    c = [[[rand_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    A = StructureAlgebra(n, -1, Tensor3(c))
+    e = [basis_vec(n, i) for i in range(n)]
+
+    M = random_bimodule(rng, A, m)
+    T = LinearMap(m, n, random_matrix(rng, n, m))
+    D = induced_dendriform_on_module(A, M, T, force=True)
+    for u, v in itertools.product([basis_vec(m, i) for i in range(m)], repeat=2):
+        assert D.succ(u, v) == _act(M.l, T(u), v)
+        assert D.prec(u, v) == _act(M.r, T(v), u)
+
+    M = random_bimodule(rng, A, n)
+    S = _invertible(rng, n)
+    Sinv = S.invert()
+    D = compatible_dendriform_from_o_operator(A, M, LinearMap(n, n, S), force=True)
+    for x, y in itertools.product(e, repeat=2):
+        assert D.succ(x, y) == S.apply(_act(M.l, x, Sinv.apply(y)))
+        assert D.prec(x, y) == S.apply(_act(M.r, y, Sinv.apply(x)))
+
+    w = BilinearForm(n, _invertible(rng, n), "general")
+    T = w.gram.transpose()
+    Tinv = T.invert()
+    D = dendriform_from_symplectic(A, w, force=True)
+    for x, y in itertools.product(e, repeat=2):
+        # (R(x)^T z)_i = <e_i x, z> and (L(y)^T z)_i = <y e_i, z>
+        right_t = [dot(multiply(A, ei, x), T.apply(y)) for ei in e]
+        left_t = [dot(multiply(A, y, ei), T.apply(x)) for ei in e]
+        assert D.succ(x, y) == Tinv.apply(right_t)
+        assert D.prec(x, y) == Tinv.apply(left_t)
