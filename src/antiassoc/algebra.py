@@ -293,17 +293,14 @@ def check_q_associative(A: StructureAlgebra) -> CheckReport:
 
 def anticommutator_algebra(A: StructureAlgebra) -> StructureAlgebra:
     """Symmetrized product a # b = (a*b + b*a)/2; output carries q = -1."""
-    n = A.dim
-    t = Tensor3.zeros(n, n, n)
+    n, c = A.dim, A.c.entries
     half = Fraction(1, 2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t.entries[i][j][k] = half * (
-                    A.c.entries[i][j][k] + A.c.entries[j][i][k]
-                )
+    t = [
+        [[half * (u + v) for u, v in zip(c[i][j], c[j][i])] for j in range(n)]
+        for i in range(n)
+    ]
     # the q slot is meaningless for the symmetrized product; -1 by convention
-    return StructureAlgebra(n, Fraction(-1), t)
+    return StructureAlgebra(n, Fraction(-1), Tensor3(t))
 
 
 def check_mock_lie(A: StructureAlgebra) -> CheckReport:

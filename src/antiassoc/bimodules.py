@@ -31,6 +31,18 @@ from .algebra import (
 from .linalg import DimensionMismatch, Matrix, Tensor3
 
 
+def _check_tables(name: str, table: Sequence[Matrix], count: int, size: int) -> None:
+    """The shape check of every action-table dataclass: ``count`` matrices,
+    one per acting basis vector, each ``size`` x ``size``."""
+    if len(table) != count:
+        raise DimensionMismatch(f"{name}: expected {count} matrices")
+    for m in table:
+        if m.rows != size or m.cols != size:
+            raise DimensionMismatch(
+                f"{name}: matrices must be {size}x{size}, got {m.rows}x{m.cols}"
+            )
+
+
 @dataclass
 class Bimodule:
     algebra_dim: int
@@ -39,13 +51,8 @@ class Bimodule:
     r: list[Matrix]
 
     def __post_init__(self):
-        if len(self.l) != self.algebra_dim or len(self.r) != self.algebra_dim:
-            raise DimensionMismatch("need one action matrix per algebra basis vector")
-        for m in list(self.l) + list(self.r):
-            if m.rows != self.module_dim or m.cols != self.module_dim:
-                raise DimensionMismatch(
-                    f"action matrix {m.rows}x{m.cols}, module dim {self.module_dim}"
-                )
+        _check_tables("l", self.l, self.algebra_dim, self.module_dim)
+        _check_tables("r", self.r, self.algebra_dim, self.module_dim)
 
     @classmethod
     def zero(cls, algebra_dim: int, module_dim: int) -> "Bimodule":

@@ -94,14 +94,20 @@ def _print_report(title: str, rep, names=None, total=None, unit="identities") ->
         print(f"{where} {v.indices}: residual {_fmt_residual(v.residual, names)}")
 
 
-def _verify_json(command: str, path: str, rep, extra: dict | None = None) -> None:
-    doc = {"command": command, "input": path, "passed": rep.passed, "report": rep.as_dict()}
-    if extra:
-        doc.update(extra)
-    sys.stdout.write(aio.dump_json(doc))
+def _verify_done(ns, rep, title: str, *text_args, extra=None) -> int:
+    """Emit a verify report, as JSON with ``extra`` keys under --json or else
+    through _print_report(title, rep, *text_args), and give the exit code."""
+    if ns.json:
+        doc = {"command": f"verify-{ns.target}", "input": ns.file,
+               "passed": rep.passed, "report": rep.as_dict(), **(extra or {})}
+        sys.stdout.write(aio.dump_json(doc))
+    else:
+        _print_report(title, rep, *text_args)
+    return 0 if rep.passed else 1
 
 
-def _emit_doc(doc: dict, ns) -> None:
+def _emit_doc(doc: dict, ns, passed: bool) -> int:
+    """Write ``doc`` to -o or stdout, and give the exit code of ``passed``."""
     text = aio.dump_json(doc)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
@@ -109,6 +115,12 @@ def _emit_doc(doc: dict, ns) -> None:
         print(f"wrote {ns.out}")
     else:
         sys.stdout.write(text)
+    return 0 if passed else 1
+
+
+def _emit_built(ns, key: str, doc: dict, rep) -> int:
+    """Emit a one-file build: the construction under ``key`` with its report."""
+    return _emit_doc({key: doc, "report": rep.as_dict()}, ns, rep.passed)
 
 
 def _override_q(A: StructureAlgebra, q) -> StructureAlgebra:
@@ -121,37 +133,25 @@ def _override_q(A: StructureAlgebra, q) -> StructureAlgebra:
 def cmd_verify_algebra(ns) -> int:
     A = _override_q(aio.load_algebra(ns.file), ns.q)
     rep = check_q_associative(A)
-    if ns.json:
-        _verify_json("verify-algebra", ns.file, rep,
-                     {"fingerprint": fingerprint(A).as_dict()})
-    else:
-        total = A.dim ** 3
-        _print_report("q-associative", rep, aio.basis_names(A.dim), total, "triples")
-    return 0 if rep.passed else 1
+    extra = {"fingerprint": fingerprint(A).as_dict()} if ns.json else None
+    return _verify_done(ns, rep, "q-associative",
+                        aio.basis_names(A.dim), A.dim ** 3, "triples", extra=extra)
 
 
 def cmd_verify_bimodule(ns) -> int:
     A, M = aio.load_bimodule(ns.file)
     A = _override_q(A, ns.q)
     rep = check_bimodule(A, M)
-    if ns.json:
-        _verify_json("verify-bimodule", ns.file, rep)
-    else:
-        _print_report("bimodule laws", rep, None, 3 * A.dim * A.dim, "pairs")
-    return 0 if rep.passed else 1
+    return _verify_done(ns, rep, "bimodule laws", None, 3 * A.dim * A.dim, "pairs")
 
 
 def cmd_verify_matched_pair(ns) -> int:
     data = aio.load_matched_pair(ns.file)
     data = replace(data, A=_override_q(data.A, ns.q), B=_override_q(data.B, ns.q))
     rep = check_matched_pair(data)
-    if ns.json:
-        _verify_json("verify-matched-pair", ns.file, rep)
-    else:
-        na, nb = data.A.dim, data.B.dim
-        total = 3 * na * nb * nb + 3 * nb * na * na
-        _print_report("matched pair", rep, None, None if not rep.passed else total)
-    return 0 if rep.passed else 1
+    na, nb = data.A.dim, data.B.dim
+    total = 3 * na * nb * nb + 3 * nb * na * na
+    return _verify_done(ns, rep, "matched pair", None, None if not rep.passed else total)
 
 
 def cmd_verify_dendriform(ns) -> int:
@@ -159,11 +159,8 @@ def cmd_verify_dendriform(ns) -> int:
     if ns.q is not None:
         D = DendriformStructure(D.dim, ns.q, D.c_prec, D.c_succ)
     rep = check_q_dendriform(D)
-    if ns.json:
-        _verify_json("verify-dendriform", ns.file, rep)
-    else:
-        _print_report("q-dendriform", rep, aio.basis_names(D.dim), 3 * D.dim ** 3, "triples")
-    return 0 if rep.passed else 1
+    return _verify_done(ns, rep, "q-dendriform",
+                        aio.basis_names(D.dim), 3 * D.dim ** 3, "triples")
 
 
 def cmd_verify_form(ns) -> int:
@@ -175,94 +172,70 @@ def cmd_verify_form(ns) -> int:
         title, rep = "symplectic form", check_symplectic(A, w)
     else:
         raise ValueError("form.kind must be symmetric or antisymmetric to verify")
-    if ns.json:
-        _verify_json("verify-form", ns.file, rep)
-    else:
-        _print_report(title, rep, aio.basis_names(A.dim))
+    code = _verify_done(ns, rep, title, aio.basis_names(A.dim))
+    if not ns.json:
         print(f"rank {rep.info['rank']}")
-    return 0 if rep.passed else 1
+    return code
 
 
 def cmd_verify_o_operator(ns) -> int:
     A, M, T = aio.load_o_operator(ns.file)
     A = _override_q(A, ns.q)
     rep = check_o_operator(A, M, T)
-    if ns.json:
-        _verify_json("verify-o-operator", ns.file, rep)
-    else:
-        _print_report("o-operator", rep, aio.basis_names(A.dim),
-                      M.module_dim ** 2, "pairs")
-    return 0 if rep.passed else 1
+    return _verify_done(ns, rep, "o-operator",
+                        aio.basis_names(A.dim), M.module_dim ** 2, "pairs")
 
 
 def cmd_verify_rota_baxter(ns) -> int:
     A, tau = aio.load_rota_baxter(ns.file)
     A = _override_q(A, ns.q)
     rep = check_rota_baxter(A, tau)
-    if ns.json:
-        _verify_json("verify-rota-baxter", ns.file, rep)
-    else:
-        _print_report("rota-baxter", rep, aio.basis_names(A.dim), A.dim ** 2, "pairs")
-    return 0 if rep.passed else 1
+    return _verify_done(ns, rep, "rota-baxter",
+                        aio.basis_names(A.dim), A.dim ** 2, "pairs")
 
 
 # ---------------------------------------------------------------------------
 # build
 
 def cmd_build_semidirect(ns) -> int:
-    A, M = aio.load_bimodule(ns.file)
-    S = semidirect_product(A, M)
-    rep = check_q_associative(S)
-    _emit_doc({"algebra": aio.algebra_to_doc(S), "report": rep.as_dict()}, ns)
-    return 0 if rep.passed else 1
+    S = semidirect_product(*aio.load_bimodule(ns.file))
+    return _emit_built(ns, "algebra", aio.algebra_to_doc(S), check_q_associative(S))
 
 
 def cmd_build_bowtie(ns) -> int:
-    data = aio.load_matched_pair(ns.file)
-    total = bowtie(data)
+    total = bowtie(aio.load_matched_pair(ns.file))
     rep = check_q_associative(total)
-    _emit_doc({"algebra": aio.algebra_to_doc(total), "report": rep.as_dict()}, ns)
-    return 0 if rep.passed else 1
+    return _emit_built(ns, "algebra", aio.algebra_to_doc(total), rep)
 
 
 def cmd_build_dual_bimodule(ns) -> int:
     A, M = aio.load_bimodule(ns.file)
     D = dual_bimodule(A, M)
-    rep = check_bimodule(A, D)
-    _emit_doc({"bimodule": aio.bimodule_to_doc(A, D), "report": rep.as_dict()}, ns)
-    return 0 if rep.passed else 1
+    return _emit_built(ns, "bimodule", aio.bimodule_to_doc(A, D), check_bimodule(A, D))
 
 
 def cmd_build_anticommutator(ns) -> int:
-    A = aio.load_algebra(ns.file)
-    out = anticommutator_algebra(A)
-    rep = check_mock_lie(out)
-    _emit_doc({"algebra": aio.algebra_to_doc(out), "report": rep.as_dict()}, ns)
-    return 0 if rep.passed else 1
+    out = anticommutator_algebra(aio.load_algebra(ns.file))
+    return _emit_built(ns, "algebra", aio.algebra_to_doc(out), check_mock_lie(out))
 
 
 def cmd_build_associated(ns) -> int:
-    D = aio.load_dendriform(ns.file)
-    out = associated_algebra(D)
-    rep = check_q_associative(out)
-    _emit_doc({"algebra": aio.algebra_to_doc(out), "report": rep.as_dict()}, ns)
-    return 0 if rep.passed else 1
+    out = associated_algebra(aio.load_dendriform(ns.file))
+    return _emit_built(ns, "algebra", aio.algebra_to_doc(out), check_q_associative(out))
 
 
 def cmd_build_double_quadratic(ns) -> int:
     A = aio.load_algebra(ns.a)
     Astar = aio.load_algebra(ns.astar)
     d = build_quadratic_double(A, Astar)
-    _emit_doc(aio.double_to_doc(d), ns)
-    return 0 if d.report.passed else 1
+    return _emit_doc(aio.double_to_doc(d), ns, d.report.passed)
 
 
 def cmd_build_double_symplectic(ns) -> int:
     DA = aio.load_dendriform(ns.a)
     DAstar = aio.load_dendriform(ns.astar)
     d = build_symplectic_double(DA, DAstar)
-    _emit_doc(aio.double_to_doc(d), ns)
-    return 0 if d.report.passed else 1
+    return _emit_doc(aio.double_to_doc(d), ns, d.report.passed)
 
 
 def _build_dendriform_split(ns, title: str, check, construct, *data) -> int:
@@ -275,15 +248,12 @@ def _build_dendriform_split(ns, title: str, check, construct, *data) -> int:
         return 1
     D = construct(*data, force=True)
     rep_out = check_q_dendriform(D)
-    _emit_doc(
-        {
-            "dendriform": aio.dendriform_to_doc(D),
-            "precondition": rep_pre.as_dict(),
-            "report": rep_out.as_dict(),
-        },
-        ns,
-    )
-    return 0 if rep_pre.passed and rep_out.passed else 1
+    doc = {
+        "dendriform": aio.dendriform_to_doc(D),
+        "precondition": rep_pre.as_dict(),
+        "report": rep_out.as_dict(),
+    }
+    return _emit_doc(doc, ns, rep_pre.passed and rep_out.passed)
 
 
 def cmd_build_dendriform_from_omega(ns) -> int:

@@ -40,7 +40,7 @@ from .algebra import (
     _prefixed,
     _run_laws,
 )
-from .bimodules import Bimodule, _flat, action_of
+from .bimodules import Bimodule, _check_tables, _flat, action_of
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -79,17 +79,12 @@ class DendriformStructure:
         prec: dict[tuple[int, int], dict[int, Scalar]] | None = None,
         succ: dict[tuple[int, int], dict[int, Scalar]] | None = None,
     ) -> "DendriformStructure":
-        """Sparse 1-indexed constructor, mirroring StructureAlgebra.from_products."""
-        tensors = []
-        for table in (prec, succ):
-            t = Tensor3.zeros(dim, dim, dim)
-            for (i, j), out in (table or {}).items():
-                for k, v in out.items():
-                    if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-                        raise DimensionMismatch(f"index out of range in ({i},{j})->{k}")
-                    t.entries[i - 1][j - 1][k - 1] = rat(v)
-            tensors.append(t)
-        return cls(dim, q, tensors[0], tensors[1])
+        """Sparse 1-indexed constructor: each table is read by
+        StructureAlgebra.from_products."""
+        prec_t, succ_t = (
+            StructureAlgebra.from_products(dim, q, t or {}).c for t in (prec, succ)
+        )
+        return cls(dim, q, prec_t, succ_t)
 
     def prec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
         return _contract(self.c_prec, x, y)
@@ -137,15 +132,9 @@ def check_q_dendriform(D: DendriformStructure) -> CheckReport:
 
 def associated_algebra(D: DendriformStructure) -> StructureAlgebra:
     """x * y = x prec y + x succ y, with the same q."""
-    n = D.dim
-    t = Tensor3.zeros(n, n, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t.entries[i][j][k] = (
-                    D.c_prec.entries[i][j][k] + D.c_succ.entries[i][j][k]
-                )
-    return StructureAlgebra(n, D.q, t)
+    p, s = D.c_prec.entries, D.c_succ.entries
+    t = [[vec_add(x, y) for x, y in zip(p[i], s[i])] for i in range(D.dim)]
+    return StructureAlgebra(D.dim, D.q, Tensor3(t))
 
 
 def dendriform_mult_operators(
@@ -167,17 +156,8 @@ class DendriformBimodule:
     r_prec: list[Matrix]
 
     def __post_init__(self):
-        for name, table in (
-            ("l_succ", self.l_succ),
-            ("r_succ", self.r_succ),
-            ("l_prec", self.l_prec),
-            ("r_prec", self.r_prec),
-        ):
-            if len(table) != self.algebra_dim:
-                raise DimensionMismatch(f"{name}: need {self.algebra_dim} matrices")
-            for m in table:
-                if m.rows != self.module_dim or m.cols != self.module_dim:
-                    raise DimensionMismatch(f"{name}: matrices must be square of module_dim")
+        for name in ("l_succ", "r_succ", "l_prec", "r_prec"):
+            _check_tables(name, getattr(self, name), self.algebra_dim, self.module_dim)
 
     @classmethod
     def zero(cls, algebra_dim: int, module_dim: int) -> "DendriformBimodule":
@@ -203,8 +183,7 @@ def lift_assoc_bimodule(l: Sequence[Matrix], r: Sequence[Matrix]) -> DendriformB
 
 
 def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
-    ls, rs, lp, rp = dendriform_mult_operators(D)
-    return DendriformBimodule(D.dim, D.dim, ls, rs, lp, rp)
+    return DendriformBimodule(D.dim, D.dim, *dendriform_mult_operators(D))
 
 
 def check_dendriform_bimodule(
@@ -220,8 +199,8 @@ def check_dendriform_bimodule(
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
     q = D.q
     ls, rs, lp, rp = M.l_succ, M.r_succ, M.l_prec, M.r_prec
-    lstar = [a + b for a, b in zip(ls, lp)]
-    rstar = [a + b for a, b in zip(rs, rp)]
+    summed = M.sum_actions()
+    lstar, rstar = summed.l, summed.r
     p, s = D.c_prec.entries, D.c_succ.entries
     star = associated_algebra(D).c.entries
 
@@ -309,21 +288,10 @@ class DendriformMatchedPairData:
         if self.D_A.q != self.D_B.q:
             raise ValueError("matched pair requires a single q on both structures")
         n, m = self.D_A.dim, self.D_B.dim
-        for name, table, count, size in (
-            ("la_succ", self.la_succ, n, m),
-            ("ra_succ", self.ra_succ, n, m),
-            ("la_prec", self.la_prec, n, m),
-            ("ra_prec", self.ra_prec, n, m),
-            ("lb_succ", self.lb_succ, m, n),
-            ("rb_succ", self.rb_succ, m, n),
-            ("lb_prec", self.lb_prec, m, n),
-            ("rb_prec", self.rb_prec, m, n),
-        ):
-            if len(table) != count:
-                raise DimensionMismatch(f"{name}: expected {count} matrices")
-            for mat in table:
-                if mat.rows != size or mat.cols != size:
-                    raise DimensionMismatch(f"{name}: matrices must be {size}x{size}")
+        for name in ("la_succ", "ra_succ", "la_prec", "ra_prec"):
+            _check_tables(name, getattr(self, name), n, m)
+        for name in ("lb_succ", "rb_succ", "lb_prec", "rb_prec"):
+            _check_tables(name, getattr(self, name), m, n)
 
     def actions_on_B(self) -> DendriformBimodule:
         return DendriformBimodule(

@@ -13,10 +13,13 @@ and diffs it against the published product lines; ``paper fixtures`` in
 the CLI only finds the fixture files and prints these audits.
 
 Conventions.  The double space is coordinatized A-block first.  Every
-dual action is a transpose of a multiplication operator taken in the
-dual basis: the quadratic builder uses (R_A^T, L_A^T) for A acting on
-A* and (R_{A*}^T, L_{A*}^T) the other way; the symplectic builder uses
-the prec-right and succ-left operators of the two dendriform halves.
+dual action is built by the dual-bimodule constructions, in the dual
+basis: the quadratic builder takes ``dual_bimodule`` of each half's
+regular bimodule, which at q = -1 is (R_A^T, L_A^T) for A acting on A*
+and (R_{A*}^T, L_{A*}^T) the other way; the symplectic builder takes the
+summed actions of the octuple, whose halves are ``dual_dendriform_bimodule``
+of each half's regular dendriform bimodule, and which sum to the
+prec-right and succ-left transposes (R_prec^T, L_succ^T).
 """
 
 from __future__ import annotations
@@ -36,13 +39,15 @@ from .algebra import (
     mult_operators,
     multiply,
 )
-from .bimodules import action_of
+from .bimodules import action_of, dual_bimodule, regular_bimodule
 from .dendriform import (
     DendriformMatchedPairData,
     DendriformStructure,
     associated_algebra,
     check_q_dendriform,
     dendriform_mult_operators,
+    dual_dendriform_bimodule,
+    regular_dendriform_bimodule,
 )
 from .forms import (
     BilinearForm,
@@ -51,7 +56,7 @@ from .forms import (
     natural_forms,
 )
 from .io import PaperFixture, double_basis_names, format_element
-from .linalg import DimensionMismatch, Matrix, basis_vec, vec_is_zero, vec_sub
+from .linalg import DimensionMismatch, basis_vec, vec_is_zero, vec_sub
 from .matched import MatchedPairData, bowtie, check_matched_pair
 from .operators import LinearMap
 
@@ -99,31 +104,25 @@ def _audited_double(
     return DoubleConstruction(total, form, n, kind, report)
 
 
-def _transposed(tables: list[Matrix]) -> list[Matrix]:
-    return [m.transpose() for m in tables]
-
-
-def _require_antiassociative_parameter(*qs: Fraction) -> None:
-    for q in qs:
-        if q != -1:
-            raise ValueError("double constructions are defined at q = -1")
+def _require_halves(X, Y) -> None:
+    """The two halves of a double (algebras or dendriform structures) must
+    have equal dimension, and both must have q = -1."""
+    if X.dim != Y.dim:
+        raise DimensionMismatch("the two halves must have equal dimension")
+    if X.q != -1 or Y.q != -1:
+        raise ValueError("double constructions are defined at q = -1")
 
 
 def build_quadratic_double(
     A: StructureAlgebra, Astar: StructureAlgebra
 ) -> DoubleConstruction:
-    """Bowtie of (A, A*) under the transposed regular actions, with the
+    """Bowtie of (A, A*) under the dual regular actions, with the
     canonical symmetric pairing attached.  Audit mode: every failed
     condition lands in the report, nothing raises.
     """
-    if A.dim != Astar.dim:
-        raise DimensionMismatch("the two halves must have equal dimension")
-    _require_antiassociative_parameter(A.q, Astar.q)
-    LA, RA = mult_operators(A)
-    LB, RB = mult_operators(Astar)
-    P = MatchedPairData(
-        A, Astar, _transposed(RA), _transposed(LA), _transposed(RB), _transposed(LB)
-    )
+    _require_halves(A, Astar)
+    on_Astar, on_A = (dual_bimodule(X, regular_bimodule(X)) for X in (A, Astar))
+    P = MatchedPairData(A, Astar, on_Astar.l, on_Astar.r, on_A.l, on_A.r)
     return _audited_double(
         P, natural_forms(A.dim)[0], check_invariant_symmetric, "quadratic"
     )
@@ -142,9 +141,7 @@ def check_dual_matched_pair_criterion(
     six-equation matched-pair check on the quadratic-double data; the
     two are implemented independently so tests can confirm that.
     """
-    if A.dim != Astar.dim:
-        raise DimensionMismatch("the two halves must have equal dimension")
-    _require_antiassociative_parameter(A.q, Astar.q)
+    _require_halves(A, Astar)
     n = A.dim
     violations = []
     for tag, rep in (
@@ -192,22 +189,16 @@ def check_dual_matched_pair_criterion(
 def build_symplectic_double(
     D_A: DendriformStructure, D_Astar: DendriformStructure
 ) -> DoubleConstruction:
-    """Bowtie of the associated algebras under the dendriform-transpose
-    actions (prec-right and succ-left), with the canonical symplectic
-    form attached.  Audit mode, like the quadratic builder.
+    """Bowtie of the associated algebras under the summed actions of the
+    octuple (prec-right and succ-left transposes), with the canonical
+    symplectic form attached.  Audit mode, like the quadratic builder.
     """
-    if D_A.dim != D_Astar.dim:
-        raise DimensionMismatch("the two halves must have equal dimension")
-    _require_antiassociative_parameter(D_A.q, D_Astar.q)
-    ls_a, _, _, rp_a = dendriform_mult_operators(D_A)
-    ls_b, _, _, rp_b = dendriform_mult_operators(D_Astar)
+    octuple = octuple_from_symplectic_pair(D_A, D_Astar)
+    on_Astar = octuple.actions_on_B().sum_actions()
+    on_A = octuple.actions_on_A().sum_actions()
     P = MatchedPairData(
-        associated_algebra(D_A),
-        associated_algebra(D_Astar),
-        _transposed(rp_a),
-        _transposed(ls_a),
-        _transposed(rp_b),
-        _transposed(ls_b),
+        associated_algebra(D_A), associated_algebra(D_Astar),
+        on_Astar.l, on_Astar.r, on_A.l, on_A.r,
     )
     return _audited_double(P, natural_forms(D_A.dim)[1], check_symplectic, "symplectic")
 
@@ -224,9 +215,7 @@ def check_symplectic_criterion(
     (i_x, i_a, i_b); eq3, eq4, eq6 live in the primal half and are
     indexed (i_a, i_x, i_y).
     """
-    if D_A.dim != D_Astar.dim:
-        raise DimensionMismatch("the two halves must have equal dimension")
-    _require_antiassociative_parameter(D_A.q, D_Astar.q)
+    _require_halves(D_A, D_Astar)
     n = D_A.dim
     violations = []
     for tag, rep in (
@@ -315,25 +304,19 @@ def octuple_from_symplectic_pair(
 
         ( R_succ^T + R_prec^T,  -L_prec^T,  -R_succ^T,  L_succ^T + L_prec^T )
 
-    on each side.  Summing the succ and prec slots collapses back to the
-    four associative actions used by build_symplectic_double.
+    on each side: the dual of each half's regular dendriform bimodule.
+    Summing the succ and prec slots collapses back to the four associative
+    actions (R_prec^T, L_succ^T) used by build_symplectic_double.
     """
-    if D_A.dim != D_Astar.dim:
-        raise DimensionMismatch("the two halves must have equal dimension")
-    _require_antiassociative_parameter(D_A.q, D_Astar.q)
-
-    def octuple_half(D: DendriformStructure):
-        ls, rs, lp, rp = dendriform_mult_operators(D)
-        l_succ = [a.transpose() + b.transpose() for a, b in zip(rs, rp)]
-        r_succ = [m.transpose().scale(-1) for m in lp]
-        l_prec = [m.transpose().scale(-1) for m in rs]
-        r_prec = [a.transpose() + b.transpose() for a, b in zip(ls, lp)]
-        return l_succ, r_succ, l_prec, r_prec
-
-    la_s, ra_s, la_p, ra_p = octuple_half(D_A)
-    lb_s, rb_s, lb_p, rb_p = octuple_half(D_Astar)
+    _require_halves(D_A, D_Astar)
+    by_A, by_Astar = (
+        dual_dendriform_bimodule(regular_dendriform_bimodule(D), -1)
+        for D in (D_A, D_Astar)
+    )
     return DendriformMatchedPairData(
-        D_A, D_Astar, la_s, ra_s, la_p, ra_p, lb_s, rb_s, lb_p, rb_p
+        D_A, D_Astar,
+        by_A.l_succ, by_A.r_succ, by_A.l_prec, by_A.r_prec,
+        by_Astar.l_succ, by_Astar.r_succ, by_Astar.l_prec, by_Astar.r_prec,
     )
 
 

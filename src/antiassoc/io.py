@@ -46,7 +46,8 @@ class _Ctx:
     text: str
 
     def fail(self, token: object, message: str) -> "ParseError":
-        tok = str(token)
+        # JSON spells the Python tokens True, False and None as true, false, null
+        tok = json.dumps(token) if isinstance(token, (bool, type(None))) else str(token)
         pos = max(self.text.find(tok), 0) if tok else 0
         return ParseError(self.path, len(self.text[:pos].encode("utf-8")), tok, message)
 
@@ -305,15 +306,14 @@ def load_fixture(path: str) -> PaperFixture:
         DA = _dendriform_from(_field(data, "DA", ctx), ctx)
         DAstar = _dendriform_from(_field(data, "DAstar", ctx), ctx)
         half = DA.dim
-    displayed = []
-    for item in _field(data, "displayed", ctx):
-        displayed.append(
-            {
-                "left": _fraction_vector(_field(item, "left", ctx), 2 * half, ctx, "left"),
-                "right": _fraction_vector(_field(item, "right", ctx), 2 * half, ctx, "right"),
-                "result": _fraction_vector(_field(item, "result", ctx), 2 * half, ctx, "result"),
-            }
-        )
+    lines = _field(data, "displayed", ctx)
+    if not isinstance(lines, list):
+        raise ctx.fail(lines, "displayed must be a list")
+    displayed = [
+        {k: _fraction_vector(_field(item, k, ctx), 2 * half, ctx, k)
+         for k in ("left", "right", "result")}
+        for item in lines
+    ]
     complete = _field(data, "complete", ctx)
     if not isinstance(complete, bool):
         raise ctx.fail(complete, "complete must be true or false")

@@ -36,8 +36,8 @@ from .algebra import (
     check_q_associative,
     multiply,
 )
-from .bimodules import Bimodule, action_of, check_bimodule
-from .linalg import DimensionMismatch, Matrix, basis_vec, vec_sub
+from .bimodules import Bimodule, _check_tables, action_of, check_bimodule
+from .linalg import Matrix, basis_vec, vec_sub
 
 
 @dataclass
@@ -53,19 +53,10 @@ class MatchedPairData:
         if self.A.q != self.B.q:
             raise ValueError("matched pair requires a single q on both algebras")
         n, m = self.A.dim, self.B.dim
-        for name, table, count, size in (
-            ("lA", self.lA, n, m),
-            ("rA", self.rA, n, m),
-            ("lB", self.lB, m, n),
-            ("rB", self.rB, m, n),
-        ):
-            if len(table) != count:
-                raise DimensionMismatch(f"{name}: expected {count} matrices")
-            for mat in table:
-                if mat.rows != size or mat.cols != size:
-                    raise DimensionMismatch(
-                        f"{name}: matrices must be {size}x{size}, got {mat.rows}x{mat.cols}"
-                    )
+        _check_tables("lA", self.lA, n, m)
+        _check_tables("rA", self.rA, n, m)
+        _check_tables("lB", self.lB, m, n)
+        _check_tables("rB", self.rB, m, n)
 
     def actions_on_B(self) -> Bimodule:
         return Bimodule(self.A.dim, self.B.dim, self.lA, self.rA)

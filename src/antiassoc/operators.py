@@ -13,6 +13,9 @@ associative data:
 Each route is one formula on multiplication operators: it computes the
 matrices of left succ- and right prec-multiplication by each basis vector,
 and algebra.py's ``_tables_tensor`` turns them into the product tensors.
+``check_o_operator`` reads its identity off the first route's split,
+built unchecked: T is an O-operator exactly when it maps the associated
+product of that split on V to A's product.
 
 Constructions refuse invalid input (NotAnOOperator / NotSymplectic)
 instead of emitting structures the theorems say nothing about.
@@ -33,7 +36,7 @@ from .algebra import (
     multiply,
 )
 from .bimodules import Bimodule, action_of
-from .dendriform import DendriformStructure
+from .dendriform import DendriformStructure, associated_algebra
 from .forms import BilinearForm, check_symplectic
 from .linalg import DimensionMismatch, Matrix, basis_vec, vec_add, vec_sub
 
@@ -82,18 +85,25 @@ def _check_shapes(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> None:
         raise DimensionMismatch("T must map the module space into the algebra")
 
 
+def _induced_split(M: Bimodule, T: LinearMap) -> DendriformStructure:
+    """u succ v = l(Tu)v and u prec v = r(Tv)u on V, unchecked: the left
+    succ-tables are l(Te_i) and the right prec-tables r(Te_j)."""
+    Te = [T.m.column(i) for i in range(M.module_dim)]
+    succ = _tables_tensor([action_of(M.l, t) for t in Te])
+    prec = _tables_tensor([action_of(M.r, t) for t in Te], right=True)
+    return DendriformStructure(M.module_dim, Fraction(-1), prec, succ)
+
+
 def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
-    """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs."""
+    """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs, that is,
+    T maps the associated product of the induced split on V into A's."""
     _check_shapes(A, M, T)
     m = M.module_dim
-    e = [basis_vec(m, i) for i in range(m)]
-    Te = [T(u) for u in e]
+    induced = associated_algebra(_induced_split(M, T)).c.entries
+    Te = [T.m.column(i) for i in range(m)]
 
     def residual(i, j):
-        inner = vec_add(
-            action_of(M.l, Te[i]).apply(e[j]), action_of(M.r, Te[j]).apply(e[i])
-        )
-        yield "o_operator", vec_sub(multiply(A, Te[i], Te[j]), T(inner))
+        yield "o_operator", vec_sub(multiply(A, Te[i], Te[j]), T(induced[i][j]))
 
     violations = _run_laws(itertools.product(range(m), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(A.q))
@@ -137,10 +147,7 @@ def induced_dendriform_on_module(
     V to A's product.
     """
     _require_o_operator(A, M, T, force)
-    Te = [T.m.column(i) for i in range(M.module_dim)]
-    succ = _tables_tensor([action_of(M.l, t) for t in Te])
-    prec = _tables_tensor([action_of(M.r, t) for t in Te], right=True)
-    return DendriformStructure(M.module_dim, Fraction(-1), prec, succ)
+    return _induced_split(M, T)
 
 
 def compatible_dendriform_from_o_operator(

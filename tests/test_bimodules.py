@@ -35,6 +35,8 @@ QS = [Fraction(1), Fraction(-1), Fraction(2)]
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         Bimodule(2, 2, [Matrix.identity(2)], [Matrix.identity(2)] * 2)
+    with pytest.raises(DimensionMismatch):
+        Bimodule(2, 2, [Matrix.identity(2)] * 2, [Matrix.identity(2), Matrix.identity(3)])
 
 
 def test_regular_bimodule_is_valid():

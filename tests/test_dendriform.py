@@ -285,6 +285,38 @@ def test_bimodule_shape_validation():
             [Matrix.zeros(2, 2)] * 2,
             [Matrix.zeros(2, 2)] * 2,
         )
+    with pytest.raises(DimensionMismatch):  # right count, wrong size
+        DendriformBimodule(
+            2, 2,
+            [Matrix.zeros(2, 2)] * 2,
+            [Matrix.zeros(2, 2)] * 2,
+            [Matrix.zeros(2, 2)] * 2,
+            [Matrix.zeros(2, 2), Matrix.zeros(1, 1)],
+        )
+
+
+SLOTS = ("la_succ", "ra_succ", "la_prec", "ra_prec",
+         "lb_succ", "rb_succ", "lb_prec", "rb_prec")
+
+
+@pytest.mark.parametrize("slot", SLOTS)
+def test_matched_pair_shape_validation(slot):
+    """D_A has dim 2 and D_B dim 3: la/ra tables are two 3x3 matrices,
+    lb/rb tables three 2x2 ones."""
+    DA, DB = DendriformStructure.zero(2, -1), DendriformStructure.zero(3, -1)
+    good = {s: [Matrix.zeros(3, 3)] * 2 if s[1] == "a" else [Matrix.zeros(2, 2)] * 3
+            for s in SLOTS}
+    DendriformMatchedPairData(DA, DB, **good)
+    with pytest.raises(DimensionMismatch):  # wrong count
+        DendriformMatchedPairData(DA, DB, **dict(good, **{slot: good[slot][:-1]}))
+    wrong_size = good[slot][:-1] + [Matrix.zeros(4, 4)]
+    with pytest.raises(DimensionMismatch):
+        DendriformMatchedPairData(DA, DB, **dict(good, **{slot: wrong_size}))
+
+
+def test_from_products_rejects_out_of_range_pair_without_outputs():
+    with pytest.raises(DimensionMismatch):
+        DendriformStructure.from_products(2, -1, prec={(3, 1): {}})
 
 
 @given(st.integers(0, 2**30), st.sampled_from(QS))

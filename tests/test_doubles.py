@@ -2,27 +2,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiassoc import (
     DendriformStructure,
     LinearMap,
+    MatchedPairData,
     StructureAlgebra,
     associated_algebra,
     basis_product,
+    bowtie,
     build_quadratic_double,
     build_symplectic_double,
     check_dendriform_matched_pair,
     check_dual_matched_pair_criterion,
     check_symplectic_criterion,
     dendriform_bowtie,
+    dendriform_mult_operators,
+    mult_operators,
     octuple_from_symplectic_pair,
     verify_double_isomorphism,
 )
 from antiassoc.doubles import _closure_violations
 from antiassoc.io import double_basis_names, format_element
-from antiassoc.linalg import DimensionMismatch, Matrix
+from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3
 
-from .support import case3_dendriform, case4_dendriform, perturb_dendriform
+from .support import case3_dendriform, case4_dendriform, perturb_dendriform, rand_fraction
 
 E1E1 = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 1}})
 Z2 = StructureAlgebra.zero(2, -1)
@@ -204,3 +210,50 @@ def test_isomorphism_dimension_guard():
     dh = build_symplectic_double(case3_dendriform(Fraction(1, 2)), DZ)
     with pytest.raises(DimensionMismatch):
         verify_double_isomorphism(dh, dh, LinearMap.identity(3))
+
+
+def _dense_tensor(rng, n):
+    return Tensor3([[[rand_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+
+def _transposed(tables):
+    return [m.transpose() for m in tables]
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=15, deadline=None)
+def test_double_actions_follow_their_formulas(seed):
+    """On dense (mostly failing) q = -1 halves: the octuple's tables are
+    (R_succ^T + R_prec^T, -L_prec^T, -R_succ^T, L_succ^T + L_prec^T) on each
+    side, its slot sums are (R_prec^T, L_succ^T), and the two doubles are the
+    bowtie products under the transposed operator tables."""
+    rng = random.Random(seed)
+    n = rng.randrange(1, 4)
+    DA, DB = (
+        DendriformStructure(n, -1, _dense_tensor(rng, n), _dense_tensor(rng, n))
+        for _ in range(2)
+    )
+    O = octuple_from_symplectic_pair(DA, DB)
+    sides = (
+        (DA, (O.la_succ, O.ra_succ, O.la_prec, O.ra_prec)),
+        (DB, (O.lb_succ, O.rb_succ, O.lb_prec, O.rb_prec)),
+    )
+    for D, (l_succ, r_succ, l_prec, r_prec) in sides:
+        ls, rs, lp, rp = map(_transposed, dendriform_mult_operators(D))
+        assert l_succ == [a + b for a, b in zip(rs, rp)]
+        assert r_succ == [m.scale(-1) for m in lp]
+        assert l_prec == [m.scale(-1) for m in rs]
+        assert r_prec == [a + b for a, b in zip(ls, lp)]
+        assert [a + b for a, b in zip(l_succ, l_prec)] == rp
+        assert [a + b for a, b in zip(r_succ, r_prec)] == ls
+
+    (ls_a, _, _, rp_a), (ls_b, _, _, rp_b) = (
+        map(_transposed, dendriform_mult_operators(D)) for D in (DA, DB)
+    )
+    P = MatchedPairData(associated_algebra(DA), associated_algebra(DB), rp_a, ls_a, rp_b, ls_b)
+    assert build_symplectic_double(DA, DB).total == bowtie(P)
+
+    A, B = (StructureAlgebra(n, -1, _dense_tensor(rng, n)) for _ in range(2))
+    (LA, RA), (LB, RB) = (map(_transposed, mult_operators(X)) for X in (A, B))
+    P = MatchedPairData(A, B, RA, LA, RB, LB)
+    assert build_quadratic_double(A, B).total == bowtie(P)

@@ -80,6 +80,16 @@ def test_zero_denominator_is_rejected(tmp_path):
     assert exc.value.offset == raw.index(b"1/0")
 
 
+@pytest.mark.parametrize("literal", ["true", "null"])
+def test_json_literal_token_is_located(tmp_path, literal):
+    raw = '{"dim": 2, "q": %s, "products": []}' % literal
+    p = write(tmp_path, "lit.json", raw)
+    with pytest.raises(ParseError) as exc:
+        load_algebra(p)
+    assert exc.value.token == literal
+    assert exc.value.offset == 16
+
+
 @pytest.mark.parametrize("bad", [0.5, True, "0.5", "1 /2", "", "two"])
 def test_nonrational_values_are_rejected(tmp_path, bad):
     doc = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": bad}}]}
@@ -413,6 +423,19 @@ def test_cli_fixture_dir_override(tmp_path, capsys, monkeypatch):
     assert cli.run(["paper", "fixtures"]) == 0
     out = capsys.readouterr().out
     assert "1/1 cases fully reproduced" in out
+
+
+def test_cli_malformed_fixture_exits_2(tmp_path, capsys, monkeypatch):
+    import importlib.resources
+
+    src = importlib.resources.files("antiassoc") / "fixtures" / "case4.json"
+    doc = json.loads(src.read_text())
+    doc["displayed"] = None
+    (tmp_path / "case4.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("ANTIASSOC_FIXTURES", str(tmp_path))
+    assert cli.run(["paper", "fixtures"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "displayed must be a list" in err
 
 
 def test_cli_load_rota_baxter_repo_fixture():

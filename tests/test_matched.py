@@ -65,6 +65,8 @@ def test_rejects_wrong_table_shape():
     good_lB = [Matrix.zeros(2, 2)] * 3
     with pytest.raises(DimensionMismatch):
         MatchedPairData(A, B, good_lB, good_lA, good_lB, good_lB)
+    with pytest.raises(DimensionMismatch):  # right count, wrong size
+        MatchedPairData(A, B, good_lA, good_lA, good_lB, [Matrix.zeros(3, 3)] * 3)
 
 
 @given(st.integers(0, 2**30), st.sampled_from(QS))

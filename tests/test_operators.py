@@ -175,6 +175,17 @@ def test_forced_induced_split_evaluates_no_products(monkeypatch):
     assert calls == []
 
 
+def test_o_operator_check_builds_one_action_per_table_and_basis_vector(monkeypatch):
+    calls = []
+    real = operators.action_of
+    monkeypatch.setattr(operators, "action_of", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(4)
+    M = random_bimodule(rng, E1E1, 4)
+    T = LinearMap(4, 2, random_matrix(rng, 2, 4))
+    assert not check_o_operator(E1E1, M, T).passed
+    assert len(calls) <= 8  # l(Te_i) and r(Te_i) for the 4 module basis vectors
+
+
 @pytest.mark.parametrize(
     "split", [induced_dendriform_on_module, compatible_dendriform_from_o_operator]
 )
