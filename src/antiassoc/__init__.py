@@ -19,7 +19,6 @@ from .algebra import (
     check_mock_lie,
     check_q_associative,
     check_quartic_vanishing,
-    find_idempotents_grid,
     fingerprint,
     mult_operators,
     multiply,
@@ -147,7 +146,6 @@ __all__ = [
     "dual_bimodule",
     "dual_dendriform_bimodule",
     "enumerate_2d_antiassociative",
-    "find_idempotents_grid",
     "fingerprint",
     "induced_dendriform_on_module",
     "lift_assoc_bimodule",

@@ -356,23 +356,6 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
     return CheckReport.from_violations(violations, quadruples=n**4)
 
 
-def find_idempotents_grid(
-    A: StructureAlgebra, grid: Sequence[Scalar]
-) -> list[list[Fraction]]:
-    """Nonzero x with grid-valued coordinates and x*x = x (brute force)."""
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    values = [rat(g) for g in grid]
-    found = []
-    for coords in itertools.product(values, repeat=A.dim):
-        x = list(coords)
-        if vec_is_zero(x):
-            continue
-        if multiply(A, x, x) == x:
-            found.append(x)
-    return found
-
-
 def fingerprint(A: StructureAlgebra) -> Fingerprint:
     """Basis-change invariants: dim A^2, annihilator dimensions, symmetry."""
     n = A.dim

@@ -43,6 +43,18 @@ def _check_tables(name: str, table: Sequence[Matrix], count: int, size: int) -> 
             )
 
 
+def _check_sides(n: int, m: int, on_B, on_A) -> None:
+    """The shape check of a matched pair of spaces A (dim n) and B (dim m):
+    ``on_B`` is indexed by A's basis and acts on B's space, ``on_A`` the
+    other way around.  Either may be a Bimodule or a DendriformBimodule."""
+    for name, M, count, size in (("on_B", on_B, n, m), ("on_A", on_A, m, n)):
+        if (M.algebra_dim, M.module_dim) != (count, size):
+            raise DimensionMismatch(
+                f"{name}: expected {count} actions on a {size}-dim space, "
+                f"got {M.algebra_dim} on a {M.module_dim}-dim space"
+            )
+
+
 @dataclass
 class Bimodule:
     algebra_dim: int

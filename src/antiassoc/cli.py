@@ -56,7 +56,10 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _grid_arg(text: str) -> list[Fraction]:
-    return [_rational_arg(tok.strip()) for tok in text.split(",") if tok.strip()]
+    grid = [_rational_arg(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not grid:
+        raise argparse.ArgumentTypeError(f"empty grid: {text!r}")
+    return grid
 
 
 def _merge_value_flags(argv: list[str]) -> list[str]:

@@ -11,7 +11,8 @@ Summing the three gives the q-law for *, so every valid structure splits
 a q-generalized associative algebra into two halves.
 
 Dendriform bimodules carry four action tables in the fixed slot order
-(l_succ, r_succ, l_prec, r_prec); matched pairs carry eight.  The
+(l_succ, r_succ, l_prec, r_prec); a matched pair carries two dendriform
+bimodules, one for each side's basis acting on the other's space.  The
 eighteen matched-pair conditions are stored under the identity_ids
 "35".."52": the first nine quantify (x; a, b) with x in A and a, b in B,
 the last nine are their exact mirrors under swapping the roles of A and
@@ -40,7 +41,7 @@ from .algebra import (
     _prefixed,
     _run_laws,
 )
-from .bimodules import Bimodule, _check_tables, _flat, action_of
+from .bimodules import Bimodule, _check_sides, _check_tables, _flat, action_of
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -173,13 +174,12 @@ class DendriformBimodule:
         return Bimodule(self.algebra_dim, self.module_dim, l_star, r_star)
 
 
-def lift_assoc_bimodule(l: Sequence[Matrix], r: Sequence[Matrix]) -> DendriformBimodule:
-    """Pad an associative bimodule into the slots (l, 0, 0, r)."""
-    if not l or len(l) != len(r):
-        raise DimensionMismatch("need equally long nonempty action tables")
-    m = l[0].rows
-    zeros = [Matrix.zeros(m, m) for _ in l]
-    return DendriformBimodule(len(l), m, list(l), zeros, [z for z in zeros], list(r))
+def lift_assoc_bimodule(M: Bimodule) -> DendriformBimodule:
+    """Pad an associative bimodule (l, r) into the slots (l, 0, 0, r)."""
+    zeros = [Matrix.zeros(M.module_dim, M.module_dim) for _ in M.l]
+    return DendriformBimodule(
+        M.algebra_dim, M.module_dim, list(M.l), zeros, [z for z in zeros], list(M.r)
+    )
 
 
 def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
@@ -267,43 +267,18 @@ def dendriform_semidirect(
 
 @dataclass
 class DendriformMatchedPairData:
-    """Two structures plus eight action tables.
-
-    Tables prefixed la/ra are indexed by D_A's basis and act on D_B's
-    space; lb/rb the other way around.  Suffix _succ/_prec names the slot.
-    """
+    """Two structures plus two dendriform bimodules: ``on_B`` is indexed by
+    D_A's basis and acts on D_B's space, ``on_A`` the other way around."""
 
     D_A: DendriformStructure
     D_B: DendriformStructure
-    la_succ: list[Matrix]
-    ra_succ: list[Matrix]
-    la_prec: list[Matrix]
-    ra_prec: list[Matrix]
-    lb_succ: list[Matrix]
-    rb_succ: list[Matrix]
-    lb_prec: list[Matrix]
-    rb_prec: list[Matrix]
+    on_B: DendriformBimodule
+    on_A: DendriformBimodule
 
     def __post_init__(self):
         if self.D_A.q != self.D_B.q:
             raise ValueError("matched pair requires a single q on both structures")
-        n, m = self.D_A.dim, self.D_B.dim
-        for name in ("la_succ", "ra_succ", "la_prec", "ra_prec"):
-            _check_tables(name, getattr(self, name), n, m)
-        for name in ("lb_succ", "rb_succ", "lb_prec", "rb_prec"):
-            _check_tables(name, getattr(self, name), m, n)
-
-    def actions_on_B(self) -> DendriformBimodule:
-        return DendriformBimodule(
-            self.D_A.dim, self.D_B.dim,
-            self.la_succ, self.ra_succ, self.la_prec, self.ra_prec,
-        )
-
-    def actions_on_A(self) -> DendriformBimodule:
-        return DendriformBimodule(
-            self.D_B.dim, self.D_A.dim,
-            self.lb_succ, self.rb_succ, self.lb_prec, self.rb_prec,
-        )
+        _check_sides(self.D_A.dim, self.D_B.dim, self.on_B, self.on_A)
 
 
 def _halfside_violations(
@@ -406,14 +381,13 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     quadruples pass check_dendriform_bimodule) are folded into the
     violation list with a precondition: prefix.
     """
-    on_B, on_A = P.actions_on_B(), P.actions_on_A()
     violations = (
         _prefixed("precondition:dendriform:A", check_q_dendriform(P.D_A))
         + _prefixed("precondition:dendriform:B", check_q_dendriform(P.D_B))
-        + _prefixed("precondition:bimodule:A_on_B", check_dendriform_bimodule(P.D_A, on_B))
-        + _prefixed("precondition:bimodule:B_on_A", check_dendriform_bimodule(P.D_B, on_A))
-        + _halfside_violations(P.D_B, on_B, on_A, 35)
-        + _halfside_violations(P.D_A, on_A, on_B, 44)
+        + _prefixed("precondition:bimodule:A_on_B", check_dendriform_bimodule(P.D_A, P.on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_dendriform_bimodule(P.D_B, P.on_A))
+        + _halfside_violations(P.D_B, P.on_B, P.on_A, 35)
+        + _halfside_violations(P.D_A, P.on_A, P.on_B, 44)
     )
     return CheckReport.from_violations(violations, q=str(P.D_A.q))
 
@@ -421,16 +395,15 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
 def dendriform_bowtie(P: DendriformMatchedPairData) -> DendriformStructure:
     """Both products on A + B:
 
-        (x+a) succ (y+b) = (x succ y + rb_succ(b)x + lb_succ(a)y)
-                         + (la_succ(x)b + ra_succ(y)a + a succ b)
+        (x+a) succ (y+b) = (x succ y + on_A.r_succ(b)x + on_A.l_succ(a)y)
+                         + (on_B.l_succ(x)b + on_B.r_succ(y)a + a succ b)
 
     and the prec analogue with the _prec tables.
     """
+    A, B, on_B, on_A = P.D_A, P.D_B, P.on_B, P.on_A
     return DendriformStructure(
-        P.D_A.dim + P.D_B.dim,
-        P.D_A.q,
-        _block_tensor(P.D_A.c_prec, P.D_B.c_prec,
-                      P.la_prec, P.ra_prec, P.lb_prec, P.rb_prec),
-        _block_tensor(P.D_A.c_succ, P.D_B.c_succ,
-                      P.la_succ, P.ra_succ, P.lb_succ, P.rb_succ),
+        A.dim + B.dim,
+        A.q,
+        _block_tensor(A.c_prec, B.c_prec, on_B.l_prec, on_B.r_prec, on_A.l_prec, on_A.r_prec),
+        _block_tensor(A.c_succ, B.c_succ, on_B.l_succ, on_B.r_succ, on_A.l_succ, on_A.r_succ),
     )

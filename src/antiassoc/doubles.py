@@ -13,12 +13,13 @@ and diffs it against the published product lines; ``paper fixtures`` in
 the CLI only finds the fixture files and prints these audits.
 
 Conventions.  The double space is coordinatized A-block first.  Every
-dual action is built by the dual-bimodule constructions, in the dual
-basis: the quadratic builder takes ``dual_bimodule`` of each half's
-regular bimodule, which at q = -1 is (R_A^T, L_A^T) for A acting on A*
-and (R_{A*}^T, L_{A*}^T) the other way; the symplectic builder takes the
-summed actions of the octuple, whose halves are ``dual_dendriform_bimodule``
-of each half's regular dendriform bimodule, and which sum to the
+matched pair here holds the two bimodules the dual constructions return,
+in the dual basis, as they are: ``on_B`` is A acting on A*, ``on_A`` is
+A* acting on A.  The quadratic builder takes ``dual_bimodule`` of each
+half's regular bimodule, which at q = -1 is (R_A^T, L_A^T) for A acting
+on A* and (R_{A*}^T, L_{A*}^T) the other way.  The octuple's two sides
+are ``dual_dendriform_bimodule`` of each half's regular dendriform
+bimodule, and the symplectic builder takes their ``sum_actions``, the
 prec-right and succ-left transposes (R_prec^T, L_succ^T).
 """
 
@@ -122,7 +123,7 @@ def build_quadratic_double(
     """
     _require_halves(A, Astar)
     on_Astar, on_A = (dual_bimodule(X, regular_bimodule(X)) for X in (A, Astar))
-    P = MatchedPairData(A, Astar, on_Astar.l, on_Astar.r, on_A.l, on_A.r)
+    P = MatchedPairData(A, Astar, on_Astar, on_A)
     return _audited_double(
         P, natural_forms(A.dim)[0], check_invariant_symmetric, "quadratic"
     )
@@ -193,12 +194,10 @@ def build_symplectic_double(
     octuple (prec-right and succ-left transposes), with the canonical
     symplectic form attached.  Audit mode, like the quadratic builder.
     """
-    octuple = octuple_from_symplectic_pair(D_A, D_Astar)
-    on_Astar = octuple.actions_on_B().sum_actions()
-    on_A = octuple.actions_on_A().sum_actions()
+    O = octuple_from_symplectic_pair(D_A, D_Astar)
     P = MatchedPairData(
         associated_algebra(D_A), associated_algebra(D_Astar),
-        on_Astar.l, on_Astar.r, on_A.l, on_A.r,
+        O.on_B.sum_actions(), O.on_A.sum_actions(),
     )
     return _audited_double(P, natural_forms(D_A.dim)[1], check_symplectic, "symplectic")
 
@@ -309,15 +308,11 @@ def octuple_from_symplectic_pair(
     actions (R_prec^T, L_succ^T) used by build_symplectic_double.
     """
     _require_halves(D_A, D_Astar)
-    by_A, by_Astar = (
+    on_Astar, on_A = (
         dual_dendriform_bimodule(regular_dendriform_bimodule(D), -1)
         for D in (D_A, D_Astar)
     )
-    return DendriformMatchedPairData(
-        D_A, D_Astar,
-        by_A.l_succ, by_A.r_succ, by_A.l_prec, by_A.r_prec,
-        by_Astar.l_succ, by_Astar.r_succ, by_Astar.l_prec, by_Astar.r_prec,
-    )
+    return DendriformMatchedPairData(D_A, D_Astar, on_Astar, on_A)
 
 
 def verify_double_isomorphism(

@@ -23,7 +23,7 @@ from .linalg import Matrix, Tensor3
 from .matched import MatchedPairData
 from .operators import LinearMap
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 # Largest dim an algebra or dendriform document may declare.  Product
 # tensors are allocated dense, dim^3 Fractions, before their entries are
@@ -138,7 +138,7 @@ def _products_into(t: Tensor3, node: object, ctx: _Ctx, what: str) -> None:
         if not isinstance(out, dict):
             raise ctx.fail(out, f"{what}.out must map basis index to rational")
         for kstr, val in out.items():
-            if not kstr.isdigit() or not 1 <= int(kstr) <= n:
+            if not (kstr.isascii() and kstr.isdigit()) or not 1 <= int(kstr) <= n:
                 raise ctx.fail(kstr, f"{what}.out key out of range for dim {n}")
             t.entries[i - 1][j - 1][int(kstr) - 1] = _rational(val, ctx)
 
@@ -190,24 +190,33 @@ def load_algebra(path: str) -> StructureAlgebra:
     return _algebra_from(data, ctx)
 
 
+def _bimodule_from(node: object, n: int, ctx: _Ctx, prefix: str) -> Bimodule:
+    """The fields module_dim, l and r of ``node``, named ``prefix + field``
+    in errors, as a bimodule of an n-dim algebra."""
+    m = _nat(_field(node, "module_dim", ctx), ctx, f"{prefix}module_dim", 0)
+    l = _action_list(_field(node, "l", ctx), n, m, ctx, f"{prefix}l")
+    r = _action_list(_field(node, "r", ctx), n, m, ctx, f"{prefix}r")
+    return Bimodule(n, m, l, r)
+
+
 def load_bimodule(path: str) -> tuple[StructureAlgebra, Bimodule]:
     ctx, data = _read(path)
     A = _algebra_from(_field(data, "algebra", ctx), ctx)
-    m = _nat(_field(data, "module_dim", ctx), ctx, "module_dim", 0)
-    l = _action_list(_field(data, "l", ctx), A.dim, m, ctx, "l")
-    r = _action_list(_field(data, "r", ctx), A.dim, m, ctx, "r")
-    return A, Bimodule(A.dim, m, l, r)
+    return A, _bimodule_from(data, A.dim, ctx, "")
 
 
 def load_matched_pair(path: str) -> MatchedPairData:
     ctx, data = _read(path)
     A = _algebra_from(_field(data, "A", ctx), ctx)
     B = _algebra_from(_field(data, "B", ctx), ctx)
-    lA = _action_list(_field(data, "lA", ctx), A.dim, B.dim, ctx, "lA")
-    rA = _action_list(_field(data, "rA", ctx), A.dim, B.dim, ctx, "rA")
-    lB = _action_list(_field(data, "lB", ctx), B.dim, A.dim, ctx, "lB")
-    rB = _action_list(_field(data, "rB", ctx), B.dim, A.dim, ctx, "rB")
-    return MatchedPairData(A, B, lA, rA, lB, rB)
+
+    def side(keys: tuple[str, str], n: int, m: int) -> Bimodule:
+        l, r = (_action_list(_field(data, k, ctx), n, m, ctx, k) for k in keys)
+        return Bimodule(n, m, l, r)
+
+    return MatchedPairData(
+        A, B, side(("lA", "rA"), A.dim, B.dim), side(("lB", "rB"), B.dim, A.dim)
+    )
 
 
 def _dendriform_from(node: object, ctx: _Ctx) -> DendriformStructure:
@@ -246,12 +255,9 @@ def load_form(path: str) -> tuple[StructureAlgebra, BilinearForm]:
 def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, LinearMap]:
     ctx, data = _read(path)
     A = _algebra_from(_field(data, "algebra", ctx), ctx)
-    bnode = _field(data, "bimodule", ctx)
-    m = _nat(_field(bnode, "module_dim", ctx), ctx, "bimodule.module_dim", 0)
-    l = _action_list(_field(bnode, "l", ctx), A.dim, m, ctx, "bimodule.l")
-    r = _action_list(_field(bnode, "r", ctx), A.dim, m, ctx, "bimodule.r")
-    T = _matrix(_field(data, "T", ctx), A.dim, m, ctx, "T")
-    return A, Bimodule(A.dim, m, l, r), LinearMap(m, A.dim, T)
+    M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, "bimodule.")
+    T = _matrix(_field(data, "T", ctx), A.dim, M.module_dim, ctx, "T")
+    return A, M, LinearMap(M.module_dim, A.dim, T)
 
 
 def load_rota_baxter(path: str) -> tuple[StructureAlgebra, LinearMap]:
@@ -322,10 +328,6 @@ def load_fixture(path: str) -> PaperFixture:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
 
 def matrix_doc(m: Matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in m.entries]

@@ -61,11 +61,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_scale(s: Scalar, v: Sequence[Fraction]) -> list[Fraction]:
-    c = rat(s)
-    return [c * a for a in v]
-
-
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
@@ -311,11 +306,6 @@ class Tensor3:
         if not isinstance(other, Tensor3):
             return NotImplemented
         return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(
-            tuple(tuple(tuple(f) for f in plane) for plane in self.entries)
-        )
 
     def __repr__(self) -> str:
         return f"Tensor3({self.d1}x{self.d2}x{self.d3})"

@@ -1,9 +1,9 @@
 """Matched pairs of q-generalized associative algebras.
 
-Data: two algebras A and B with the same q, plus four action tables.
-lA/rA act on B's space and are indexed by A's basis; lB/rB act on A's
-space and are indexed by B's basis.  The six compatibility equations,
-writing * for A's product and o for B's:
+Data: two algebras A and B with the same q, plus two bimodules:
+``on_B`` = (lA, rA), A's basis acting on B's space, and ``on_A`` =
+(lB, rB), B's basis acting on A's space.  The six compatibility
+equations, writing * for A's product and o for B's:
 
     (1) lA(x)(a o b)            = q^{-1} lA(rB(a)x) b + q^{-1} (lA(x)a) o b
     (2) rA(x)(a o b)            = q rA(lB(b)x) a + q a o (rA(x)b)
@@ -36,33 +36,21 @@ from .algebra import (
     check_q_associative,
     multiply,
 )
-from .bimodules import Bimodule, _check_tables, action_of, check_bimodule
-from .linalg import Matrix, basis_vec, vec_sub
+from .bimodules import Bimodule, _check_sides, action_of, check_bimodule
+from .linalg import basis_vec, vec_sub
 
 
 @dataclass
 class MatchedPairData:
     A: StructureAlgebra
     B: StructureAlgebra
-    lA: list[Matrix]
-    rA: list[Matrix]
-    lB: list[Matrix]
-    rB: list[Matrix]
+    on_B: Bimodule
+    on_A: Bimodule
 
     def __post_init__(self):
         if self.A.q != self.B.q:
             raise ValueError("matched pair requires a single q on both algebras")
-        n, m = self.A.dim, self.B.dim
-        _check_tables("lA", self.lA, n, m)
-        _check_tables("rA", self.rA, n, m)
-        _check_tables("lB", self.lB, m, n)
-        _check_tables("rB", self.rB, m, n)
-
-    def actions_on_B(self) -> Bimodule:
-        return Bimodule(self.A.dim, self.B.dim, self.lA, self.rA)
-
-    def actions_on_A(self) -> Bimodule:
-        return Bimodule(self.B.dim, self.A.dim, self.lB, self.rB)
+        _check_sides(self.A.dim, self.B.dim, self.on_B, self.on_A)
 
 
 def _matched_half(
@@ -102,14 +90,13 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     pair not a bimodule) are themselves reported as violations with an
     ``precondition:`` id prefix, so the verdict is the full conjunction.
     """
-    on_B, on_A = P.actions_on_B(), P.actions_on_A()
     violations = (
         _prefixed("precondition:q_assoc:A", check_q_associative(P.A))
         + _prefixed("precondition:q_assoc:B", check_q_associative(P.B))
-        + _prefixed("precondition:bimodule:A_on_B", check_bimodule(P.A, on_B))
-        + _prefixed("precondition:bimodule:B_on_A", check_bimodule(P.B, on_A))
-        + _matched_half(P.B, on_B, on_A, ("eq1", "eq2", "eq5"))
-        + _matched_half(P.A, on_A, on_B, ("eq3", "eq4", "eq6"))
+        + _prefixed("precondition:bimodule:A_on_B", check_bimodule(P.A, P.on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_bimodule(P.B, P.on_A))
+        + _matched_half(P.B, P.on_B, P.on_A, ("eq1", "eq2", "eq5"))
+        + _matched_half(P.A, P.on_A, P.on_B, ("eq3", "eq4", "eq6"))
     )
     return CheckReport.from_violations(violations, q=str(P.A.q))
 
@@ -122,5 +109,5 @@ def bowtie(P: MatchedPairData) -> StructureAlgebra:
     Built unconditionally; whether it satisfies the q-law is for
     check_q_associative to say.
     """
-    t = _block_tensor(P.A.c, P.B.c, P.lA, P.rA, P.lB, P.rB)
+    t = _block_tensor(P.A.c, P.B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)
     return StructureAlgebra(P.A.dim + P.B.dim, P.A.q, t)

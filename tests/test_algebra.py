@@ -12,7 +12,6 @@ from antiassoc import (
     check_mock_lie,
     check_q_associative,
     check_quartic_vanishing,
-    find_idempotents_grid,
     fingerprint,
     mult_operators,
     multiply,
@@ -102,17 +101,6 @@ def test_mock_lie_violations_identify_laws():
     rep = check_mock_lie(skew)
     assert not rep.passed
     assert {v.identity_id for v in rep.violations} == {"commutative"}
-
-
-def test_find_idempotents_zero_and_nilpotent():
-    assert find_idempotents_grid(ZERO2, [0, 1]) == []
-    assert find_idempotents_grid(E1E1, [-1, 0, 1]) == []
-
-
-def test_find_idempotents_split_unit():
-    A = StructureAlgebra.from_products(1, 1, {(1, 1): {1: 1}})
-    hits = find_idempotents_grid(A, [0, 1])
-    assert hits == [[Fraction(1)]]
 
 
 def test_fingerprint_fields():

@@ -147,8 +147,7 @@ def test_semidirect_is_bowtie_with_zero_partner(seed, q):
     rng = random.Random(seed)
     A = nilpotent_algebra(rng, rng.randrange(1, 4), q)
     M = random_bimodule(rng, A, rng.randrange(1, 4))
-    back = Bimodule.zero(M.module_dim, A.dim)
     P = MatchedPairData(
-        A, StructureAlgebra.zero(M.module_dim, q), M.l, M.r, back.l, back.r
+        A, StructureAlgebra.zero(M.module_dim, q), M, Bimodule.zero(M.module_dim, A.dim)
     )
     assert semidirect_product(A, M) == bowtie(P)

@@ -60,7 +60,7 @@ def test_full_small_grid_count_and_classes():
 
 def test_enumeration_closed_under_basis_swap():
     sols = enumerate_2d_antiassociative(["-1", "0", "1"])
-    tensors = {a.c for a in sols}
+    tensors = [a.c for a in sols]
     swap = Matrix([[0, 1], [1, 0]])
     for a in sols:
         relabeled = [

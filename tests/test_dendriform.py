@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,25 @@ from .support import (
 )
 
 QS = [Fraction(1), Fraction(-1), Fraction(2)]
+
+# The eight action tables of a matched pair: la_*/ra_* are the l_*/r_*
+# slots of on_B (D_A acting on D_B), lb_*/rb_* those of on_A.
+SLOTS = ("la_succ", "ra_succ", "la_prec", "ra_prec",
+         "lb_succ", "rb_succ", "lb_prec", "rb_prec")
+
+
+def side_and_slot(name):
+    return ("on_B" if name[1] == "a" else "on_A"), name[0] + name[2:]
+
+
+def bump_table(P, name, bump):
+    """P with its table ``name`` changed by ``bump`` on a copy of its
+    entries, raw[k][i][j] for matrix k."""
+    side, slot = side_and_slot(name)
+    M = getattr(P, side)
+    raw = [[list(row) for row in m.entries] for m in getattr(M, slot)]
+    bump(raw)
+    return replace(P, **{side: replace(M, **{slot: [Matrix(m) for m in raw]})})
 
 
 def perturb_dendriform_bimodule(rng, M):
@@ -142,7 +162,7 @@ def test_lift_valid_iff_assoc_bimodule(seed, q):
         from .support import perturb_bimodule
 
         M = perturb_bimodule(rng, M)
-    lifted = lift_assoc_bimodule(M.l, M.r)
+    lifted = lift_assoc_bimodule(M)
     assert check_dendriform_bimodule(D, lifted).passed == check_bimodule(A, M).passed
 
 
@@ -212,22 +232,17 @@ def test_perturbed_octuple_reports_numbered_equations():
     P = octuple_from_symplectic_pair(
         case3_dendriform(Fraction(1, 2)), DendriformStructure.zero(2, -1)
     )
-    names = [
-        "la_succ", "ra_succ", "la_prec", "ra_prec",
-        "lb_succ", "rb_succ", "lb_prec", "rb_prec",
-    ]
     numbered = set()
     failed = 0
-    for _ in range(30):
-        name = rng.choice(names)
-        raw = [[list(row) for row in m.entries] for m in getattr(P, name)]
+
+    def bump(raw):
         k = rng.randrange(len(raw))
         i = rng.randrange(len(raw[k]))
         j = rng.randrange(len(raw[k][i]))
         raw[k][i][j] += rng.choice([1, -1])
-        kw = {n: getattr(P, n) for n in names}
-        kw[name] = [Matrix(m) for m in raw]
-        bad = DendriformMatchedPairData(P.D_A, P.D_B, **kw)
+
+    for _ in range(30):
+        bad = bump_table(P, rng.choice(SLOTS), bump)
         rep = check_dendriform_matched_pair(bad)
         if rep.passed:
             continue  # a single entry can land back inside the variety
@@ -253,16 +268,11 @@ def test_bowtie_axioms_iff_matched_pair(seed):
     ]
     P = octuple_from_symplectic_pair(rng.choice(halves), rng.choice(halves))
     if rng.random() < 0.5:
-        names = [
-            "la_succ", "ra_succ", "la_prec", "ra_prec",
-            "lb_succ", "rb_succ", "lb_prec", "rb_prec",
-        ]
-        name = rng.choice(names)
-        raw = [[list(row) for row in m.entries] for m in getattr(P, name)]
-        raw[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] += 1
-        kw = {n: getattr(P, n) for n in names}
-        kw[name] = [Matrix(m) for m in raw]
-        P = DendriformMatchedPairData(P.D_A, P.D_B, **kw)
+
+        def bump(raw):
+            raw[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] += 1
+
+        P = bump_table(P, rng.choice(SLOTS), bump)
     mp = check_dendriform_matched_pair(P).passed
     T = dendriform_bowtie(P)
     assert T.dim == 4
@@ -270,6 +280,8 @@ def test_bowtie_axioms_iff_matched_pair(seed):
 
 
 def test_matched_pair_rejects_mixed_q():
+    with pytest.raises(ValueError, match="single q"):
+        replace(zero_dendriform_pair(2, 3), D_B=DendriformStructure.zero(3, 1))
     with pytest.raises(ValueError):
         octuple_from_symplectic_pair(
             case3_dendriform(Fraction(0)), nilpotent_dendriform(random.Random(0), 2, Fraction(1))
@@ -295,23 +307,36 @@ def test_bimodule_shape_validation():
         )
 
 
-SLOTS = ("la_succ", "ra_succ", "la_prec", "ra_prec",
-         "lb_succ", "rb_succ", "lb_prec", "rb_prec")
+def zero_dendriform_pair(n, m, q=-1):
+    return DendriformMatchedPairData(
+        DendriformStructure.zero(n, q), DendriformStructure.zero(m, q),
+        DendriformBimodule.zero(n, m), DendriformBimodule.zero(m, n),
+    )
 
 
 @pytest.mark.parametrize("slot", SLOTS)
 def test_matched_pair_shape_validation(slot):
-    """D_A has dim 2 and D_B dim 3: la/ra tables are two 3x3 matrices,
-    lb/rb tables three 2x2 ones."""
-    DA, DB = DendriformStructure.zero(2, -1), DendriformStructure.zero(3, -1)
-    good = {s: [Matrix.zeros(3, 3)] * 2 if s[1] == "a" else [Matrix.zeros(2, 2)] * 3
-            for s in SLOTS}
-    DendriformMatchedPairData(DA, DB, **good)
+    """D_A has dim 2 and D_B dim 3: each table of on_B is two 3x3
+    matrices, each of on_A three 2x2 ones.  A table of the wrong count or
+    size is rejected by the dendriform bimodule of its side."""
+    side, name = side_and_slot(slot)
+    M = getattr(zero_dendriform_pair(2, 3), side)
+    good = getattr(M, name)
     with pytest.raises(DimensionMismatch):  # wrong count
-        DendriformMatchedPairData(DA, DB, **dict(good, **{slot: good[slot][:-1]}))
-    wrong_size = good[slot][:-1] + [Matrix.zeros(4, 4)]
-    with pytest.raises(DimensionMismatch):
-        DendriformMatchedPairData(DA, DB, **dict(good, **{slot: wrong_size}))
+        replace(M, **{name: good[:-1]})
+    with pytest.raises(DimensionMismatch):  # right count, wrong size
+        replace(M, **{name: good[:-1] + [Matrix.zeros(4, 4)]})
+
+
+@pytest.mark.parametrize("side", ["on_B", "on_A"])
+def test_matched_pair_side_validation(side):
+    """A side indexed by the wrong algebra or acting on the wrong space is
+    rejected by the pair."""
+    P = zero_dendriform_pair(2, 3)
+    M = getattr(P, side)
+    for n, m in ((M.algebra_dim + 1, M.module_dim), (M.algebra_dim, M.module_dim + 1)):
+        with pytest.raises(DimensionMismatch, match=side):
+            replace(P, **{side: DendriformBimodule.zero(n, m)})
 
 
 def test_from_products_rejects_out_of_range_pair_without_outputs():
@@ -330,10 +355,7 @@ def test_dendriform_semidirect_is_bowtie_with_zero_partner(seed, q):
     M = DendriformBimodule(
         D.dim, m, *([random_matrix(rng, m, m) for _ in range(D.dim)] for _ in range(4))
     )
-    back = DendriformBimodule.zero(m, D.dim)
     P = DendriformMatchedPairData(
-        D, DendriformStructure.zero(m, q),
-        M.l_succ, M.r_succ, M.l_prec, M.r_prec,
-        back.l_succ, back.r_succ, back.l_prec, back.r_prec,
+        D, DendriformStructure.zero(m, q), M, DendriformBimodule.zero(m, D.dim)
     )
     assert dendriform_semidirect(D, M) == dendriform_bowtie(P)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiassoc import (
+    Bimodule,
     DendriformStructure,
     LinearMap,
     MatchedPairData,
@@ -234,11 +235,8 @@ def test_double_actions_follow_their_formulas(seed):
         for _ in range(2)
     )
     O = octuple_from_symplectic_pair(DA, DB)
-    sides = (
-        (DA, (O.la_succ, O.ra_succ, O.la_prec, O.ra_prec)),
-        (DB, (O.lb_succ, O.rb_succ, O.lb_prec, O.rb_prec)),
-    )
-    for D, (l_succ, r_succ, l_prec, r_prec) in sides:
+    for D, M in ((DA, O.on_B), (DB, O.on_A)):
+        l_succ, r_succ, l_prec, r_prec = M.l_succ, M.r_succ, M.l_prec, M.r_prec
         ls, rs, lp, rp = map(_transposed, dendriform_mult_operators(D))
         assert l_succ == [a + b for a, b in zip(rs, rp)]
         assert r_succ == [m.scale(-1) for m in lp]
@@ -250,10 +248,13 @@ def test_double_actions_follow_their_formulas(seed):
     (ls_a, _, _, rp_a), (ls_b, _, _, rp_b) = (
         map(_transposed, dendriform_mult_operators(D)) for D in (DA, DB)
     )
-    P = MatchedPairData(associated_algebra(DA), associated_algebra(DB), rp_a, ls_a, rp_b, ls_b)
+    P = MatchedPairData(
+        associated_algebra(DA), associated_algebra(DB),
+        Bimodule(n, n, rp_a, ls_a), Bimodule(n, n, rp_b, ls_b),
+    )
     assert build_symplectic_double(DA, DB).total == bowtie(P)
 
     A, B = (StructureAlgebra(n, -1, _dense_tensor(rng, n)) for _ in range(2))
     (LA, RA), (LB, RB) = (map(_transposed, mult_operators(X)) for X in (A, B))
-    P = MatchedPairData(A, B, RA, LA, RB, LB)
+    P = MatchedPairData(A, B, Bimodule(n, n, RA, LA), Bimodule(n, n, RB, LB))
     assert build_quadratic_double(A, B).total == bowtie(P)

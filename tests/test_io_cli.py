@@ -18,7 +18,6 @@ from antiassoc.io import (
     load_dendriform,
     load_form,
     load_rota_baxter,
-    rational_str,
 )
 
 E1E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": "1"}}]}
@@ -99,6 +98,29 @@ def test_nonrational_values_are_rejected(tmp_path, bad):
         load_algebra(str(p))
 
 
+@pytest.mark.parametrize(
+    "out, token",
+    [({"2": "\u0661"}, "\u0661"), ({"\u00b2": "1"}, "\u00b2")],
+    ids=["value", "out_key"],
+)
+def test_non_ascii_digits_are_located(tmp_path, capsys, out, token):
+    """An Arabic-Indic one as a value and a superscript two as an out key
+    are not ASCII digits, so each is a ParseError at its own byte."""
+    doc = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": out}]}
+    raw = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    p = tmp_path / "digits.json"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError) as exc:
+        load_algebra(str(p))
+    assert exc.value.token == token
+    assert exc.value.offset == raw.index(token.encode("utf-8"))
+    assert cli.run(["verify", "algebra", str(p)]) == 2
+    assert f"{p}: byte {exc.value.offset}: " in capsys.readouterr().err
+    ok = write(tmp_path, "ok.json", E1E1_DOC)
+    assert cli.run(["verify", "algebra", ok, "--q", "\u0661"]) == 2
+    capsys.readouterr()
+
+
 def test_q_zero_is_rejected(tmp_path):
     p = write(tmp_path, "q0.json", {"dim": 2, "q": "0", "products": []})
     with pytest.raises(ParseError):
@@ -141,8 +163,6 @@ def test_unknown_form_kind(tmp_path):
 
 
 def test_rational_str_and_format_element():
-    assert rational_str(Fraction(1, 2)) == "1/2"
-    assert rational_str(Fraction(-3)) == "-3"
     v = [Fraction(1), Fraction(0), Fraction(-2)]
     assert format_element(v) == "e1 - 2*e3"
     assert format_element([Fraction(0)] * 2) == "0"
@@ -393,6 +413,14 @@ def test_cli_classify_json(capsys):
 def test_cli_classify_rejects_junk_grid(capsys):
     assert cli.run(["classify", "dim2", "--grid", "0,banana"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--grid", ","], ["--grid="], ["--grid", " , "]])
+def test_cli_classify_rejects_empty_grid(capsys, argv):
+    assert cli.run(["classify", "dim2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty grid" in captured.err
 
 
 def test_cli_paper_fixtures_honest_failure(capsys):

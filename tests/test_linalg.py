@@ -14,7 +14,6 @@ from antiassoc.linalg import (
     rat,
     stack_rows,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 
@@ -44,7 +43,6 @@ def test_vector_helpers():
     assert basis_vec(3, 1) == [0, 1, 0]
     assert vec_add([1, 2], [3, 4]) == [4, 6]
     assert vec_sub([1, 2], [3, 4]) == [-2, -2]
-    assert vec_scale(Fraction(1, 2), [2, 4]) == [1, 2]
     assert dot([1, 2], [3, 4]) == 11
 
 

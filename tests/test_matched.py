@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiassoc import (
+    Bimodule,
     MatchedPairData,
     StructureAlgebra,
     basis_product,
@@ -28,45 +30,54 @@ def trivial_dual_pair(A):
     its regular bimodule, with the zero algebra acting trivially back."""
     B = StructureAlgebra.zero(A.dim, A.q)
     D = dual_bimodule(A, regular_bimodule(A))
-    zero = [Matrix.zeros(A.dim, A.dim) for _ in range(A.dim)]
-    return MatchedPairData(A, B, D.l, D.r, zero, [m for m in zero])
+    return MatchedPairData(A, B, D, Bimodule.zero(A.dim, A.dim))
 
 
 def zero_action_pair(A, B):
-    z1 = [Matrix.zeros(B.dim, B.dim) for _ in range(A.dim)]
-    z2 = [Matrix.zeros(A.dim, A.dim) for _ in range(B.dim)]
-    return MatchedPairData(A, B, z1, [m for m in z1], z2, [m for m in z2])
+    return MatchedPairData(A, B, Bimodule.zero(A.dim, B.dim), Bimodule.zero(B.dim, A.dim))
+
+
+# The four action tables of a pair: lA/rA are on_B's l/r, lB/rB on_A's.
+TABLES = {"lA": ("on_B", "l"), "rA": ("on_B", "r"), "lB": ("on_A", "l"), "rB": ("on_A", "r")}
 
 
 def perturb_pair(rng, P):
-    name = rng.choice(["lA", "rA", "lB", "rB"])
-    raw = [[list(row) for row in mat.entries] for mat in getattr(P, name)]
+    side, slot = TABLES[rng.choice(list(TABLES))]
+    M = getattr(P, side)
+    raw = [[list(row) for row in mat.entries] for mat in getattr(M, slot)]
     k = rng.randrange(len(raw))
     i = rng.randrange(len(raw[k]))
     j = rng.randrange(len(raw[k][i]))
     raw[k][i][j] += rng.choice([x for x in SMALL if x != 0])
-    kwargs = {n: getattr(P, n) for n in ("lA", "rA", "lB", "rB")}
-    kwargs[name] = [Matrix(mat) for mat in raw]
-    return MatchedPairData(P.A, P.B, **kwargs)
+    moved = replace(M, **{slot: [Matrix(mat) for mat in raw]})
+    return replace(P, **{side: moved})
 
 
 def test_rejects_mismatched_q():
     A = StructureAlgebra.zero(2, -1)
     B = StructureAlgebra.zero(2, 1)
-    z = [Matrix.zeros(2, 2)] * 2
+    z = Bimodule.zero(2, 2)
     with pytest.raises(ValueError):
-        MatchedPairData(A, B, z, z, z, z)
+        MatchedPairData(A, B, z, z)
 
 
 def test_rejects_wrong_table_shape():
+    """A has dim 2 and B dim 3: on_B must be two actions on a 3-dim space,
+    on_A three on a 2-dim space.  Each side is rejected when its algebra
+    dimension or its module dimension is wrong; the shapes of the tables
+    themselves are the Bimodule's own check."""
     A = StructureAlgebra.zero(2, -1)
     B = StructureAlgebra.zero(3, -1)
-    good_lA = [Matrix.zeros(3, 3)] * 2
-    good_lB = [Matrix.zeros(2, 2)] * 3
-    with pytest.raises(DimensionMismatch):
-        MatchedPairData(A, B, good_lB, good_lA, good_lB, good_lB)
-    with pytest.raises(DimensionMismatch):  # right count, wrong size
-        MatchedPairData(A, B, good_lA, good_lA, good_lB, [Matrix.zeros(3, 3)] * 3)
+    on_B, on_A = Bimodule.zero(2, 3), Bimodule.zero(3, 2)
+    MatchedPairData(A, B, on_B, on_A)
+    for bad_on_B in (Bimodule.zero(3, 3), Bimodule.zero(2, 2)):
+        with pytest.raises(DimensionMismatch, match="on_B"):
+            MatchedPairData(A, B, bad_on_B, on_A)
+    for bad_on_A in (Bimodule.zero(2, 2), Bimodule.zero(3, 3)):
+        with pytest.raises(DimensionMismatch, match="on_A"):
+            MatchedPairData(A, B, on_B, bad_on_A)
+    with pytest.raises(DimensionMismatch, match="on_B"):  # the two sides swapped
+        MatchedPairData(A, B, on_A, on_B)
 
 
 @given(st.integers(0, 2**30), st.sampled_from(QS))

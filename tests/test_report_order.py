@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antiassoc import (
+    Bimodule,
     DendriformBimodule,
     DendriformStructure,
     MatchedPairData,
@@ -101,8 +102,8 @@ def test_matched_pair_order(seed, q):
     n, m = rng.randrange(1, 4), rng.randrange(1, 4)
     A, B = dense_algebra(rng, n, q), dense_algebra(rng, m, q)
     P = MatchedPairData(
-        A, B, matrices(rng, n, m), matrices(rng, n, m),
-        matrices(rng, m, n), matrices(rng, m, n),
+        A, B, Bimodule(n, m, matrices(rng, n, m), matrices(rng, n, m)),
+        Bimodule(m, n, matrices(rng, m, n), matrices(rng, m, n)),
     )
     rep = check_matched_pair(P)
     assume(not rep.passed)
