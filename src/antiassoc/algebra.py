@@ -19,11 +19,24 @@ contraction ``_contract`` behind every product, ``_operator_tables``
 behind every (L, R) table and its reverse ``_tables_tensor`` behind every
 dendriform split, and ``_block_tensor``, the assembler of the product
 tensor on A + B behind semidirect and bowtie products.
+
+It also holds the exact sparse integer kernel the law checks run on.  A
+check scales every table it reads (structure tensors, action tables, maps,
+Gram matrices) by one common denominator D (``_common_den``) and keeps
+each fiber or column as its nonzero ``(index, int)`` pairs (``_fibers``,
+``_columns``).  It evaluates each law as integer contractions (``_imul``,
+``_iapply``, ``_iaction``, ``_imatmul``), with q's numerator and
+denominator folded into the coefficients, often through scaled basis
+vectors (``_basis``), so every term of a law carries the same scale.  The
+runner divides by that scale, building Fractions only for the coordinates
+of a nonzero residual.  Nothing is cached on the tables, whose entries are
+mutable: each check call compiles its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -33,11 +46,8 @@ from .linalg import (
     Matrix,
     Scalar,
     Tensor3,
-    basis_vec,
     rat,
     stack_rows,
-    vec_is_zero,
-    vec_sub,
     zero_vec,
 )
 
@@ -82,17 +92,21 @@ class CheckReport:
 
 def _run_laws(
     tuples: Iterable[tuple[int, ...]],
-    residual: Callable[..., Iterable[tuple[str, list[Fraction]]]],
+    residual: Callable[..., Iterable[tuple[str, Sequence]]],
+    den: int = 1,
 ) -> list[Violation]:
     """The law runner behind every check: ``residual(*idx)`` yields
-    (identity_id, residual) pairs for one 0-based index tuple, and the
+    (identity_id, den * residual) pairs for one 0-based index tuple, and the
     nonzero residuals become Violations with 1-based indices, in tuple
-    order and then yield order."""
+    order and then yield order.  Kernel checks yield integers over their
+    common scale ``den``; the others yield Fractions with den 1."""
     out = []
     for idx in tuples:
         for identity_id, res in residual(*idx):
-            if not vec_is_zero(res):
-                out.append(Violation(identity_id, tuple(i + 1 for i in idx), res))
+            if any(res):
+                out.append(Violation(
+                    identity_id, tuple(i + 1 for i in idx), [Fraction(a, den) for a in res]
+                ))
     return out
 
 
@@ -103,6 +117,86 @@ def _prefixed(tag: str, rep: CheckReport) -> list[Violation]:
         Violation(f"{tag}:{v.identity_id}", v.indices, v.residual)
         for v in rep.violations
     ]
+
+
+# ---------------------------------------------------------------------------
+# the sparse integer kernel: a sparse vector is a list of (index, int) pairs
+
+Sparse = list[tuple[int, int]]
+
+
+def _common_den(tensors: Iterable[Tensor3] = (), matrices: Iterable[Matrix] = ()) -> int:
+    """The least common denominator D of every entry of the given tables."""
+    dens = {x.denominator for t in tensors for plane in t.entries for f in plane for x in f}
+    dens.update(x.denominator for m in matrices for row in m.entries for x in row)
+    return math.lcm(*dens)
+
+
+def _scaled(vec: Sequence[Fraction], D: int) -> list[int]:
+    """D * vec as integers; D must be a multiple of every denominator."""
+    return [x.numerator * (D // x.denominator) for x in vec]
+
+
+def _nonzero(vec: Sequence[int]) -> Sparse:
+    return [(k, a) for k, a in enumerate(vec) if a]
+
+
+def _fibers(c: Tensor3, D: int) -> list[list[Sparse]]:
+    """D * c[i][j] as sparse vectors."""
+    return [[_nonzero(_scaled(fiber, D)) for fiber in plane] for plane in c.entries]
+
+
+def _columns(m: Matrix, D: int) -> list[Sparse]:
+    """The columns of D * m as sparse vectors."""
+    return [_nonzero(col) for col in zip(*(_scaled(row, D) for row in m.entries))]
+
+
+def _basis(n: int, f: int = 1) -> list[Sparse]:
+    """f * e_i as sparse vectors, for i < n."""
+    return [[(i, f)] for i in range(n)]
+
+
+def _imul(F: list[list[Sparse]], x: Sparse, y: Sparse, acc: list[int]) -> list[int]:
+    """acc += the contraction of sparse x and y with the compiled tensor F."""
+    for a, xa in x:
+        Fa = F[a]
+        for b, yb in y:
+            f = xa * yb
+            for k, v in Fa[b]:
+                acc[k] += f * v
+    return acc
+
+
+def _iapply(cols: Sequence[Sparse], x: Sparse, acc: list[int]) -> list[int]:
+    """acc += M x for the matrix M with sparse columns ``cols``."""
+    for s, xs in x:
+        for r, v in cols[s]:
+            acc[r] += xs * v
+    return acc
+
+
+def _iaction(tables: Sequence[list[Sparse]], x: Sparse, f: int, acc: list[int]) -> list[int]:
+    """acc += f * sum_t x_t tables[t], row-major; each table is given by its
+    sparse columns."""
+    for t, xt in x:
+        g = f * xt
+        cols = tables[t]
+        m = len(cols)
+        for u, col in enumerate(cols):
+            for r, v in col:
+                acc[r * m + u] += g * v
+    return acc
+
+
+def _imatmul(P: list[Sparse], Q: list[Sparse], f: int, acc: list[int]) -> list[int]:
+    """acc += f * P Q, row-major, for square P and Q given by sparse columns."""
+    m = len(Q)
+    for u, qcol in enumerate(Q):
+        for s, qv in qcol:
+            g = f * qv
+            for r, pv in P[s]:
+                acc[r * m + u] += g * pv
+    return acc
 
 
 @dataclass
@@ -277,15 +371,17 @@ def _block_tensor(
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
     """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
     n = A.dim
-    c = A.c.entries
-    e = [basis_vec(n, i) for i in range(n)]
+    D = _common_den([A.c])
+    F = _fibers(A.c, D)
+    qn, qd = A.q.numerator, A.q.denominator
+    right, left = _basis(n, qd), _basis(n, -qn)
 
     def residual(i, j, k):
-        lhs = multiply(A, c[i][j], e[k])
-        rhs = multiply(A, e[i], c[j][k])
-        yield "q_assoc", [u - A.q * v for u, v in zip(lhs, rhs)]
+        acc = _imul(F, F[i][j], right[k], [0] * n)
+        yield "q_assoc", _imul(F, left[i], F[j][k], acc)
 
-    violations = _run_laws(itertools.product(range(n), repeat=3), residual)
+    triples = itertools.product(range(n), repeat=3)
+    violations = _run_laws(triples, residual, D * D * qd)
     return CheckReport.from_violations(
         violations, q=str(A.q), triples=n**3
     )
@@ -306,22 +402,20 @@ def anticommutator_algebra(A: StructureAlgebra) -> StructureAlgebra:
 def check_mock_lie(A: StructureAlgebra) -> CheckReport:
     """Commutativity plus the Jacobi identity, both on A's own product."""
     n = A.dim
-    c = A.c.entries
-    e = [basis_vec(n, i) for i in range(n)]
+    D = _common_den([A.c])
+    F = _fibers(A.c, D)
+    e, minus = _basis(n), _basis(n, -1)
 
     def commutator(i, j):
-        yield "commutative", vec_sub(c[i][j], c[j][i])
+        yield "commutative", _imul(F, e[i], e[j], _imul(F, minus[j], e[i], [0] * n))
 
     def jacobi(i, j, k):
-        terms = (
-            multiply(A, c[i][j], e[k]),
-            multiply(A, c[k][i], e[j]),
-            multiply(A, c[j][k], e[i]),
-        )
-        yield "jacobi", [sum(t, Fraction(0)) for t in zip(*terms)]
+        acc = _imul(F, F[i][j], e[k], [0] * n)
+        acc = _imul(F, F[k][i], e[j], acc)
+        yield "jacobi", _imul(F, F[j][k], e[i], acc)
 
-    violations = _run_laws(itertools.combinations(range(n), 2), commutator)
-    violations += _run_laws(itertools.product(range(n), repeat=3), jacobi)
+    violations = _run_laws(itertools.combinations(range(n), 2), commutator, D)
+    violations += _run_laws(itertools.product(range(n), repeat=3), jacobi, D * D)
     return CheckReport.from_violations(violations)
 
 
@@ -333,15 +427,19 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
     5 w(x(yz)).
     """
     n = A.dim
-    c = A.c.entries
-    e = [basis_vec(n, i) for i in range(n)]
-    mul = lambda u, v: multiply(A, u, v)  # noqa: E731
+    D = _common_den([A.c])
+    F = _fibers(A.c, D)
+    e = _basis(n)
+    r = range(n)
+    # (e_i e_j) e_k and e_i (e_j e_k), times D^2
+    left = [[[_nonzero(_imul(F, F[i][j], e[k], [0] * n)) for k in r] for j in r] for i in r]
+    right = [[[_nonzero(_imul(F, e[i], F[j][k], [0] * n)) for k in r] for j in r] for i in r]
     parenthesizations = (
-        lambda i, j, k, l: mul(mul(c[i][j], e[k]), e[l]),
-        lambda i, j, k, l: mul(mul(e[i], c[j][k]), e[l]),
-        lambda i, j, k, l: mul(c[i][j], c[k][l]),
-        lambda i, j, k, l: mul(e[i], mul(c[j][k], e[l])),
-        lambda i, j, k, l: mul(e[i], mul(e[j], c[k][l])),
+        lambda i, j, k, l: _imul(F, left[i][j][k], e[l], [0] * n),
+        lambda i, j, k, l: _imul(F, right[i][j][k], e[l], [0] * n),
+        lambda i, j, k, l: _imul(F, F[i][j], F[k][l], [0] * n),
+        lambda i, j, k, l: _imul(F, e[i], left[j][k][l], [0] * n),
+        lambda i, j, k, l: _imul(F, e[i], right[j][k][l], [0] * n),
     )
 
     def residual(p, i, j, k, l):
@@ -352,7 +450,7 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
         for ijkl in itertools.product(range(n), repeat=4)
         for p in range(5)
     )
-    violations = _run_laws(quintuples, residual)
+    violations = _run_laws(quintuples, residual, D**3)
     return CheckReport.from_violations(violations, quadruples=n**4)
 
 

@@ -9,9 +9,10 @@ action.  The three laws checked here, with q the algebra's parameter:
     l(x) r(y) = q^{-1} * r(y) l(x)
 
 Actions of non-basis elements extend linearly from the tables.  The
-laws run on the law runner in algebra.py, and the semidirect product is
-algebra.py's block assembler with a zero partner algebra.  ``_flat``
-turns a matrix law's residual into the coordinate list a Violation holds.
+laws run on the sparse integer kernel and the law runner in algebra.py,
+and the semidirect product is algebra.py's block assembler with a zero
+partner algebra.  ``_flat`` turns a matrix law's residual into the
+coordinate list a Violation holds, for the dendriform bimodule laws.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     _block_tensor,
+    _columns,
+    _common_den,
+    _fibers,
+    _iaction,
+    _imatmul,
     _run_laws,
     mult_operators,
 )
@@ -96,16 +102,22 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
     q = A.q
-    qinv = 1 / q
-    c = A.c.entries
-    l, r = M.l, M.r
+    D = _common_den([A.c], [*M.l, *M.r])
+    F = _fibers(A.c, D)
+    l = [_columns(x, D) for x in M.l]
+    r = [_columns(x, D) for x in M.r]
+    size = M.module_dim**2
+    # every law times D^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
+    qn, qd = q.numerator, q.denominator
+    f, fq, fqi = qn * qd, -qn * qn, -qd * qd
 
     def residual(i, j):
-        yield "l_law", _flat(action_of(l, c[i][j]) - (l[i] * l[j]).scale(q))
-        yield "r_law", _flat(action_of(r, c[i][j]) - (r[j] * r[i]).scale(qinv))
-        yield "lr_law", _flat(l[i] * r[j] - (r[j] * l[i]).scale(qinv))
+        yield "l_law", _imatmul(l[i], l[j], fq, _iaction(l, F[i][j], f, [0] * size))
+        yield "r_law", _imatmul(r[j], r[i], fqi, _iaction(r, F[i][j], f, [0] * size))
+        yield "lr_law", _imatmul(r[j], l[i], fqi, _imatmul(l[i], r[j], f, [0] * size))
 
-    violations = _run_laws(itertools.product(range(A.dim), repeat=2), residual)
+    pairs = itertools.product(range(A.dim), repeat=2)
+    violations = _run_laws(pairs, residual, D * D * qn * qd)
     return CheckReport.from_violations(violations, q=str(q))
 
 

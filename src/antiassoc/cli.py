@@ -8,6 +8,7 @@ bad shapes, bad flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import pathlib
 import sys
@@ -373,7 +374,10 @@ def cmd_paper_fixtures(ns) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args returns a fresh
+    Namespace on every call, so no value carries over between runs."""
     parser = argparse.ArgumentParser(prog="antiassoc")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,8 @@ B, in the same order.
 Everything here is the associative machinery of algebra.py applied to
 each of the two tensors: both products are its tensor contraction, the
 operator tables its ``_operator_tables``, semidirect and bowtie products
-its block assembler, and every check runs on its law runner.
+its block assembler, and every check runs on its law runner.  The axioms
+run on its sparse integer kernel.
 """
 
 from __future__ import annotations
@@ -35,8 +36,12 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     Violation,
+    _basis,
     _block_tensor,
+    _common_den,
     _contract,
+    _fibers,
+    _imul,
     _operator_tables,
     _prefixed,
     _run_laws,
@@ -113,22 +118,21 @@ class DendriformStructure:
 def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
     n = D.dim
-    q = D.q
-    qi = 1 / q
-    e = [basis_vec(n, i) for i in range(n)]
-    p, s = D.c_prec.entries, D.c_succ.entries
-    star = associated_algebra(D).c.entries
+    den = _common_den([D.c_prec, D.c_succ])
+    p, s = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
+    star = _fibers(associated_algebra(D).c, den)
+    # every axiom times den^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
+    qn, qd = D.q.numerator, D.q.denominator
+    e, eq, eqi = _basis(n, qn * qd), _basis(n, -qn * qn), _basis(n, -qd * qd)
 
     def residual(i, j, k):
-        lhs, rhs = D.prec(p[i][j], e[k]), D.prec(e[i], star[j][k])
-        yield "axiom1", [u - q * v for u, v in zip(lhs, rhs)]
-        lhs, rhs = D.prec(s[i][j], e[k]), D.succ(e[i], p[j][k])
-        yield "axiom2", [u - q * v for u, v in zip(lhs, rhs)]
-        lhs, rhs = D.succ(e[i], s[j][k]), D.succ(star[i][j], e[k])
-        yield "axiom3", [u - qi * v for u, v in zip(lhs, rhs)]
+        yield "axiom1", _imul(p, eq[i], star[j][k], _imul(p, p[i][j], e[k], [0] * n))
+        yield "axiom2", _imul(s, eq[i], p[j][k], _imul(p, s[i][j], e[k], [0] * n))
+        yield "axiom3", _imul(s, star[i][j], eqi[k], _imul(s, e[i], s[j][k], [0] * n))
 
-    violations = _run_laws(itertools.product(range(n), repeat=3), residual)
-    return CheckReport.from_violations(violations, q=str(q), triples=n**3)
+    triples = itertools.product(range(n), repeat=3)
+    violations = _run_laws(triples, residual, den * den * qn * qd)
+    return CheckReport.from_violations(violations, q=str(D.q), triples=n**3)
 
 
 def associated_algebra(D: DendriformStructure) -> StructureAlgebra:

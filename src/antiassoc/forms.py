@@ -10,7 +10,9 @@ forms on a doubled space A + A* (coordinates: A-block first) are
     B: gram = [[0, I], [I, 0]]      symmetric pairing
     w: gram = [[0, -I], [I, 0]]     so w(e_1, e_1*) = -1, w(e_1*, e_1) = +1
 
-Both checks run on the law runner in algebra.py.
+Both checks run on the sparse integer kernel and the law runner in
+algebra.py.  The Gram matrix is contracted with the structure tensor once
+per check, so each invariance or cyclic instance is a table lookup.
 """
 
 from __future__ import annotations
@@ -20,8 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CheckReport, StructureAlgebra, Violation, _run_laws
-from .linalg import DimensionMismatch, Matrix, basis_vec, dot
+from .algebra import (
+    CheckReport,
+    StructureAlgebra,
+    Violation,
+    _common_den,
+    _fibers,
+    _iapply,
+    _nonzero,
+    _run_laws,
+    _scaled,
+)
+from .linalg import DimensionMismatch, Matrix, dot
 
 KINDS = ("symmetric", "antisymmetric", "general")
 
@@ -55,26 +67,40 @@ class BilinearForm:
         return self.rank() == self.dim
 
 
+def _compiled(A: StructureAlgebra, form: BilinearForm):
+    """The kernel's view of a form on A: the common denominator D of c and
+    the Gram matrix, D * c as sparse fibers, D * gram as integer rows, and
+    first[i][j][k] = D^2 * form(e_i e_j, e_k)."""
+    if form.dim != A.dim:
+        raise DimensionMismatch("form and algebra dimensions differ")
+    D = _common_den([A.c], [form.gram])
+    F = _fibers(A.c, D)
+    g = [_scaled(row, D) for row in form.gram.entries]
+    rows = [_nonzero(row) for row in g]
+    first = [[_iapply(rows, fiber, [0] * A.dim) for fiber in plane] for plane in F]
+    return D, F, g, first
+
+
 def check_invariant_symmetric(A: StructureAlgebra, B: BilinearForm) -> CheckReport:
     """Symmetry plus B(x*y, z) = B(x, y*z) on all basis triples.
 
     Nondegeneracy is not a pass/fail condition here; the rank is reported
     in info because audits feed degenerate candidates on purpose.
     """
-    if B.dim != A.dim:
-        raise DimensionMismatch("form and algebra dimensions differ")
+    D, F, g, first = _compiled(A, B)
     n = A.dim
-    g, c = B.gram.entries, A.c.entries
-    e = [basis_vec(n, i) for i in range(n)]
+    # second[j][k][i] = D^2 * B(e_i, e_j e_k), read off the Gram matrix's columns
+    cols = [_nonzero(col) for col in zip(*g)]
+    second = [[_iapply(cols, fiber, [0] * n) for fiber in plane] for plane in F]
 
     def symmetric(i, j):
         yield "symmetric", [g[i][j] - g[j][i]]
 
     def invariance(i, j, k):
-        yield "invariance", [B.value(c[i][j], e[k]) - B.value(e[i], c[j][k])]
+        yield "invariance", [first[i][j][k] - second[j][k][i]]
 
-    violations = _run_laws(itertools.combinations(range(n), 2), symmetric)
-    violations += _run_laws(itertools.product(range(n), repeat=3), invariance)
+    violations = _run_laws(itertools.combinations(range(n), 2), symmetric, D)
+    violations += _run_laws(itertools.product(range(n), repeat=3), invariance, D * D)
     rank = B.rank()
     return CheckReport.from_violations(
         violations, rank=rank, nondegenerate=rank == n
@@ -89,23 +115,18 @@ def check_symplectic(A: StructureAlgebra, w: BilinearForm) -> CheckReport:
     on all basis triples, and nondegeneracy (a degenerate form is a
     violation here, with a kernel vector as the residual).
     """
-    if w.dim != A.dim:
-        raise DimensionMismatch("form and algebra dimensions differ")
+    D, F, g, first = _compiled(A, w)
     n = A.dim
-    g, c = w.gram.entries, A.c.entries
-    e = [basis_vec(n, i) for i in range(n)]
 
     def antisymmetric(i, j):
         yield "antisymmetric", [g[i][j] + g[j][i]]
 
     def cyclic(i, j, k):
-        yield "cyclic", [
-            w.value(c[i][j], e[k]) + w.value(c[j][k], e[i]) + w.value(c[k][i], e[j])
-        ]
+        yield "cyclic", [first[i][j][k] + first[j][k][i] + first[k][i][j]]
 
     pairs = itertools.combinations_with_replacement(range(n), 2)
-    violations = _run_laws(pairs, antisymmetric)
-    violations += _run_laws(itertools.product(range(n), repeat=3), cyclic)
+    violations = _run_laws(pairs, antisymmetric, D)
+    violations += _run_laws(itertools.product(range(n), repeat=3), cyclic, D * D)
     kernel = w.gram.kernel_basis()
     if kernel:
         violations.append(Violation("nondegenerate", (), kernel[0]))

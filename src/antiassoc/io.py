@@ -129,12 +129,17 @@ def _products_into(t: Tensor3, node: object, ctx: _Ctx, what: str) -> None:
     n = t.d1
     if not isinstance(node, list):
         raise ctx.fail(node, f"{what} must be a list")
-    for item in node:
+    first: dict[tuple[int, int], int] = {}
+    for pos, item in enumerate(node, start=1):
         i = _nat(_field(item, "i", ctx), ctx, f"{what}.i", 1)
         j = _nat(_field(item, "j", ctx), ctx, f"{what}.j", 1)
         out = _field(item, "out", ctx)
         if i > n or j > n:
             raise ctx.fail(max(i, j), f"{what}: index out of range for dim {n}")
+        if (i, j) in first:
+            raise ctx.fail(what, f"{what}[{pos}] repeats the pair (i, j) = ({i}, {j}) "
+                                 f"of {what}[{first[i, j]}]")
+        first[i, j] = pos
         if not isinstance(out, dict):
             raise ctx.fail(out, f"{what}.out must map basis index to rational")
         for kstr, val in out.items():

@@ -2,13 +2,14 @@
 
 Everything in this package funnels through the small kernel in this module:
 dense matrices and rank-3 tensors with Fraction entries, Gaussian elimination
-for rank / inverse / kernel, and a handful of vector helpers.  No floats,
-anywhere.  Vectors are plain ``list[Fraction]`` and are always column vectors;
-matrices act on the left.
+for inverse / kernel, fraction-free integer elimination for rank, and a
+handful of vector helpers.  No floats, anywhere.  Vectors are plain
+``list[Fraction]`` and are always column vectors; matrices act on the left.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -208,7 +209,37 @@ class Matrix:
         return m, pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Rank by fraction-free elimination: each row is scaled to
+        integers, eliminated with integer row operations, and divided by
+        the gcd of its entries to keep the integers small."""
+        rows = []
+        for row in self.entries:
+            d = math.lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (d // x.denominator) for x in row]
+            if any(ints):
+                rows.append(ints)
+        rank = 0
+        for col in range(self.cols):
+            pivot = next((r for r in rows if r[col]), None)
+            if pivot is None:
+                continue
+            rank += 1
+            p = pivot[col]
+            reduced = []
+            for r in rows:
+                if r is pivot:
+                    continue
+                f = r[col]
+                if f:
+                    r = [p * a - f * b for a, b in zip(r, pivot)]
+                    g = math.gcd(*r)
+                    if not g:
+                        continue
+                    if g > 1:
+                        r = [a // g for a in r]
+                reduced.append(r)
+            rows = reduced
+        return rank
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the null space {v : self.apply(v) = 0}."""

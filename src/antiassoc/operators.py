@@ -13,9 +13,10 @@ associative data:
 Each route is one formula on multiplication operators: it computes the
 matrices of left succ- and right prec-multiplication by each basis vector,
 and algebra.py's ``_tables_tensor`` turns them into the product tensors.
-``check_o_operator`` reads its identity off the first route's split,
-built unchecked: T is an O-operator exactly when it maps the associated
-product of that split on V to A's product.
+``check_o_operator`` checks that T maps the associated product of the
+first route's split on V to A's product, which is exactly the O-operator
+identity; it and ``check_rota_baxter`` run on the sparse integer kernel
+in algebra.py.
 
 Constructions refuse invalid input (NotAnOOperator / NotSymplectic)
 instead of emitting structures the theorems say nothing about.
@@ -30,15 +31,21 @@ from fractions import Fraction
 from .algebra import (
     CheckReport,
     StructureAlgebra,
+    _basis,
+    _columns,
+    _common_den,
+    _fibers,
+    _iapply,
+    _imul,
+    _nonzero,
     _run_laws,
     _tables_tensor,
     mult_operators,
-    multiply,
 )
 from .bimodules import Bimodule, action_of
-from .dendriform import DendriformStructure, associated_algebra
+from .dendriform import DendriformStructure
 from .forms import BilinearForm, check_symplectic
-from .linalg import DimensionMismatch, Matrix, basis_vec, vec_add, vec_sub
+from .linalg import DimensionMismatch, Matrix
 
 
 class NotAnOOperator(ValueError):
@@ -98,14 +105,25 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
     """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs, that is,
     T maps the associated product of the induced split on V into A's."""
     _check_shapes(A, M, T)
-    m = M.module_dim
-    induced = associated_algebra(_induced_split(M, T)).c.entries
-    Te = [T.m.column(i) for i in range(m)]
+    n, m = A.dim, M.module_dim
+    D = _common_den([A.c], [T.m, *M.l, *M.r])
+    F = _fibers(A.c, D)
+    Te = _columns(T.m, D)
+    minus_Te = [[(k, -a) for k, a in col] for col in Te]
+    l = [_columns(x, D) for x in M.l]
+    r = [_columns(x, D) for x in M.r]
+    # on_e[j] is the map x -> l(x) e_j from A to V, by its columns; so is at_e[j]
+    # for x -> r(x) e_j
+    on_e = [[l[t][j] for t in range(n)] for j in range(m)]
+    at_e = [[r[t][j] for t in range(n)] for j in range(m)]
 
     def residual(i, j):
-        yield "o_operator", vec_sub(multiply(A, Te[i], Te[j]), T(induced[i][j]))
+        # all terms times D^3; induced is -(l(Tu)v + r(Tv)u)
+        induced = _iapply(at_e[i], minus_Te[j], _iapply(on_e[j], minus_Te[i], [0] * m))
+        acc = _imul(F, Te[i], Te[j], [0] * n)
+        yield "o_operator", _iapply(Te, _nonzero(induced), acc)
 
-    violations = _run_laws(itertools.product(range(m), repeat=2), residual)
+    violations = _run_laws(itertools.product(range(m), repeat=2), residual, D**3)
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
@@ -124,14 +142,18 @@ def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
     if tau.src_dim != A.dim or tau.dst_dim != A.dim:
         raise DimensionMismatch("tau must be a square map on the algebra")
     n = A.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    te = [tau(x) for x in e]
+    D = _common_den([A.c], [tau.m])
+    F = _fibers(A.c, D)
+    te = _columns(tau.m, D)
+    minus = _basis(n, -1)
 
     def residual(i, j):
-        inner = vec_add(multiply(A, te[i], e[j]), multiply(A, e[i], te[j]))
-        yield "rota_baxter", vec_sub(multiply(A, te[i], te[j]), tau(inner))
+        # all terms times D^3; inner is -(tau(x).y + x.tau(y))
+        inner = _imul(F, minus[i], te[j], _imul(F, te[i], minus[j], [0] * n))
+        acc = _imul(F, te[i], te[j], [0] * n)
+        yield "rota_baxter", _iapply(te, _nonzero(inner), acc)
 
-    violations = _run_laws(itertools.product(range(n), repeat=2), residual)
+    violations = _run_laws(itertools.product(range(n), repeat=2), residual, D**3)
     return CheckReport.from_violations(violations, q=str(A.q))
 
 

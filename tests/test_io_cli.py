@@ -212,6 +212,39 @@ def test_cli_q_override(tmp_path, capsys):
     assert doc["report"]["info"]["q"] == "2"
 
 
+def test_cli_runs_share_no_flags(tmp_path, capsys):
+    # e1.e1 = e1 is associative (q = 1) and fails the q-law at q = 2
+    p = write(tmp_path, "idem.json",
+              {"dim": 1, "q": "1", "products": [{"i": 1, "j": 1, "out": {"1": "1"}}]})
+    assert cli.run(["verify", "algebra", p, "--json", "--q", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["report"]["info"]["q"] == "2"
+    assert cli.run(["verify", "algebra", p]) == 0
+    assert capsys.readouterr().out.startswith("q-associative: pass (1/1 triples)")
+
+
+@pytest.mark.parametrize("kind, load, key", [
+    ("algebra", load_algebra, "products"),
+    ("dendriform", load_dendriform, "prec_products"),
+    ("dendriform", load_dendriform, "succ_products"),
+])
+def test_repeated_product_pair_is_rejected(tmp_path, capsys, kind, load, key):
+    """A second entry for the same (i, j) used to replace the first's
+    outputs silently; now it is a ParseError naming both entries."""
+    entries = [
+        {"i": 2, "j": 2, "out": {}},
+        {"i": 1, "j": 1, "out": {"2": "1"}},
+        {"i": 1, "j": 1, "out": {"1": "1"}},
+    ]
+    p = write(tmp_path, "dup.json", {"dim": 2, "q": "-1", key: entries})
+    with pytest.raises(ParseError) as exc:
+        load(p)
+    assert f"{key}[3] repeats the pair (i, j) = (1, 1) of {key}[2]" in str(exc.value)
+    assert cli.run(["verify", kind, p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: byte ")
+
+
 def test_cli_matched_pair_q_override(tmp_path, capsys):
     # e1.e1 = e1 is associative (q = 1) but not antiassociative (q = -1)
     zero_action = [[["0"]]]

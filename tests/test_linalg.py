@@ -57,6 +57,24 @@ def test_rank_plus_nullity(m):
     assert m.rank() + len(m.kernel_basis()) == 3
 
 
+@st.composite
+def any_shape(draw):
+    """Wide, tall, square or empty, with many zero entries."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(1, 7)) if rows else 0
+    entry = st.one_of(st.just(Fraction(0)), fractions)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return Matrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@given(any_shape())
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_rref(m):
+    assert m.rank() == len(m.rref()[1])
+    zero = Matrix.zeros(m.rows, m.cols)
+    assert zero.rank() == len(zero.rref()[1]) == 0
+
+
 @given(square(3))
 @settings(max_examples=60)
 def test_kernel_vectors_annihilate(m):
