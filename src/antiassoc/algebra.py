@@ -28,9 +28,14 @@ each fiber or column as its nonzero ``(index, int)`` pairs (``_fibers``,
 ``_iapply``, ``_iaction``, ``_imatmul``), with q's numerator and
 denominator folded into the coefficients, often through scaled basis
 vectors (``_basis``), so every term of a law carries the same scale.  The
-runner divides by that scale, building Fractions only for the coordinates
-of a nonzero residual.  Nothing is cached on the tables, whose entries are
-mutable: each check call compiles its own.
+action of an element on a basis vector, as in the matched-pair laws, is
+one ``_iapply`` through the columns of the map x -> T(x) e_j
+(``_on_basis``).  The runner divides by the scale, building Fractions only
+for the coordinates of a nonzero residual.  Nothing is cached on the
+tables, whose entries are mutable: each check call compiles its own.
+The checks of the bimodules, the matched pairs, the dendriform structures
+and the forms all run on this kernel; the independent oracles (classify2d
+and the criteria in doubles.py) do not.
 """
 
 from __future__ import annotations
@@ -167,11 +172,12 @@ def _imul(F: list[list[Sparse]], x: Sparse, y: Sparse, acc: list[int]) -> list[i
     return acc
 
 
-def _iapply(cols: Sequence[Sparse], x: Sparse, acc: list[int]) -> list[int]:
-    """acc += M x for the matrix M with sparse columns ``cols``."""
+def _iapply(cols: Sequence[Sparse], x: Sparse, f: int, acc: list[int]) -> list[int]:
+    """acc += f * M x for the matrix M with sparse columns ``cols``."""
     for s, xs in x:
+        g = f * xs
         for r, v in cols[s]:
-            acc[r] += xs * v
+            acc[r] += g * v
     return acc
 
 
@@ -186,6 +192,13 @@ def _iaction(tables: Sequence[list[Sparse]], x: Sparse, f: int, acc: list[int]) 
             for r, v in col:
                 acc[r * m + u] += g * v
     return acc
+
+
+def _on_basis(tables: Sequence[list[Sparse]], m: int) -> list[list[Sparse]]:
+    """For an action table T given by each matrix's sparse columns, the
+    sparse columns of each map x -> T(x) e_j, for j < m: the action of an
+    element x on a basis vector is then one ``_iapply``."""
+    return [[cols[j] for cols in tables] for j in range(m)]
 
 
 def _imatmul(P: list[Sparse], Q: list[Sparse], f: int, acc: list[int]) -> list[int]:

@@ -8,11 +8,13 @@ action.  The three laws checked here, with q the algebra's parameter:
     r(x*y) = q^{-1} * r(y) r(x)
     l(x) r(y) = q^{-1} * r(y) l(x)
 
-Actions of non-basis elements extend linearly from the tables.  The
-laws run on the sparse integer kernel and the law runner in algebra.py,
-and the semidirect product is algebra.py's block assembler with a zero
-partner algebra.  ``_flat`` turns a matrix law's residual into the
-coordinate list a Violation holds, for the dendriform bimodule laws.
+Actions of non-basis elements extend linearly from the tables;
+``action_of`` builds that extension as a Fraction matrix, for the
+induced split in operators.py and the independent criteria in
+doubles.py.  The laws run on the sparse integer kernel and the law
+runner in algebra.py instead, as do the matched-pair laws built on these
+tables, and the semidirect product is algebra.py's block assembler with
+a zero partner algebra.
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ def action_of(table: Sequence[Matrix], x: Sequence[Fraction]) -> Matrix:
         if xi != 0:
             out = out + m.scale(xi)
     return out
-
-
-def _flat(m: Matrix) -> list[Fraction]:
-    return [x for row in m.entries for x in row]
 
 
 def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:

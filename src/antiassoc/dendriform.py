@@ -21,8 +21,10 @@ B, in the same order.
 Everything here is the associative machinery of algebra.py applied to
 each of the two tensors: both products are its tensor contraction, the
 operator tables its ``_operator_tables``, semidirect and bowtie products
-its block assembler, and every check runs on its law runner.  The axioms
-run on its sparse integer kernel.
+its block assembler, and every check runs on its law runner and its
+sparse integer kernel: the axioms, the nine bimodule laws and the
+eighteen matched-pair conditions, whose two halves share one compilation
+of both structures and both bimodules.
 """
 
 from __future__ import annotations
@@ -34,28 +36,26 @@ from typing import Sequence
 
 from .algebra import (
     CheckReport,
+    Sparse,
     StructureAlgebra,
     Violation,
     _basis,
     _block_tensor,
+    _columns,
     _common_den,
     _contract,
     _fibers,
+    _iaction,
+    _iapply,
+    _imatmul,
     _imul,
+    _on_basis,
     _operator_tables,
     _prefixed,
     _run_laws,
 )
-from .bimodules import Bimodule, _check_sides, _check_tables, _flat, action_of
-from .linalg import (
-    DimensionMismatch,
-    Matrix,
-    Scalar,
-    Tensor3,
-    basis_vec,
-    rat,
-    vec_add,
-)
+from .bimodules import Bimodule, _check_sides, _check_tables
+from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, rat, vec_add
 
 
 class DendriformStructure:
@@ -190,6 +190,20 @@ def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
     return DendriformBimodule(D.dim, D.dim, *dendriform_mult_operators(D))
 
 
+def _compiled(M: DendriformBimodule, den: int) -> list[list[list[Sparse]]]:
+    """The kernel's view of a dendriform bimodule: the sparse columns of
+    den times each matrix of the four tables and of the two summed ones,
+    in the order (l_succ, r_succ, l_prec, r_prec, l_star, r_star)."""
+    summed = M.sum_actions()
+    tables = (M.l_succ, M.r_succ, M.l_prec, M.r_prec, summed.l, summed.r)
+    return [[_columns(x, den) for x in t] for t in tables]
+
+
+def _matrices(M: DendriformBimodule) -> list[Matrix]:
+    """Every matrix of the four tables, for the common denominator."""
+    return [*M.l_succ, *M.r_succ, *M.l_prec, *M.r_prec]
+
+
 def check_dendriform_bimodule(
     D: DendriformStructure, M: DendriformBimodule
 ) -> CheckReport:
@@ -201,29 +215,28 @@ def check_dendriform_bimodule(
     """
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
-    q = D.q
-    ls, rs, lp, rp = M.l_succ, M.r_succ, M.l_prec, M.r_prec
-    summed = M.sum_actions()
-    lstar, rstar = summed.l, summed.r
-    p, s = D.c_prec.entries, D.c_succ.entries
-    star = associated_algebra(D).c.entries
+    den = _common_den([D.c_prec, D.c_succ], _matrices(M))
+    p, s = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
+    star = _fibers(associated_algebra(D).c, den)
+    ls, rs, lp, rp, lstar, rstar = _compiled(M, den)
+    size = M.module_dim**2
+    # every law times den^2 qd: q = qn/qd folds into integers
+    f, fq = D.q.denominator, -D.q.numerator
 
     def residual(i, j):
-        for law, res in (
-            ("law1", action_of(lp, p[i][j]) - (lp[i] * lstar[j]).scale(q)),
-            ("law2", rp[i] * lp[j] - (lp[j] * rstar[i]).scale(q)),
-            ("law3", rp[i] * rp[j] - action_of(rp, star[j][i]).scale(q)),
-            ("law4", action_of(lp, s[i][j]) - (ls[i] * lp[j]).scale(q)),
-            ("law5", rp[i] * ls[j] - (ls[j] * rp[i]).scale(q)),
-            ("law6", rp[i] * rs[j] - action_of(rs, p[j][i]).scale(q)),
-            ("law7", action_of(ls, star[i][j]) - (ls[i] * ls[j]).scale(q)),
-            ("law8", rs[i] * lstar[j] - (ls[j] * rs[i]).scale(q)),
-            ("law9", rs[i] * rstar[j] - action_of(rs, s[j][i]).scale(q)),
-        ):
-            yield law, _flat(res)
+        yield "law1", _imatmul(lp[i], lstar[j], fq, _iaction(lp, p[i][j], f, [0] * size))
+        yield "law2", _imatmul(lp[j], rstar[i], fq, _imatmul(rp[i], lp[j], f, [0] * size))
+        yield "law3", _iaction(rp, star[j][i], fq, _imatmul(rp[i], rp[j], f, [0] * size))
+        yield "law4", _imatmul(ls[i], lp[j], fq, _iaction(lp, s[i][j], f, [0] * size))
+        yield "law5", _imatmul(ls[j], rp[i], fq, _imatmul(rp[i], ls[j], f, [0] * size))
+        yield "law6", _iaction(rs, p[j][i], fq, _imatmul(rp[i], rs[j], f, [0] * size))
+        yield "law7", _imatmul(ls[i], ls[j], fq, _iaction(ls, star[i][j], f, [0] * size))
+        yield "law8", _imatmul(ls[j], rs[i], fq, _imatmul(rs[i], lstar[j], f, [0] * size))
+        yield "law9", _iaction(rs, s[j][i], fq, _imatmul(rs[i], rstar[j], f, [0] * size))
 
-    violations = _run_laws(itertools.product(range(D.dim), repeat=2), residual)
-    return CheckReport.from_violations(violations, q=str(q))
+    pairs = itertools.product(range(D.dim), repeat=2)
+    violations = _run_laws(pairs, residual, den * den * D.q.denominator)
+    return CheckReport.from_violations(violations, q=str(D.q))
 
 
 def dual_dendriform_bimodule(M: DendriformBimodule, q: Scalar) -> DendriformBimodule:
@@ -286,96 +299,60 @@ class DendriformMatchedPairData:
 
 
 def _halfside_violations(
-    DY: DendriformStructure,
-    by_X: DendriformBimodule,
-    by_Y: DendriformBimodule,
+    Y: tuple[list[list[Sparse]], ...],
+    by_X: list[list[list[Sparse]]],
+    by_Y: list[list[list[Sparse]]],
+    q: Fraction,
     first_id: int,
+    den: int,
 ) -> list[Violation]:
     """The nine conditions for X acting on Y, ids first_id..first_id+8.
 
-    ``by_X`` holds the actions of X's basis on Y's space, ``by_Y`` those
-    of Y's basis on X's space.  Quantified over x in X's basis and a, b
-    in Y's basis; residuals live in Y's space; indices are (i_x, i_a, i_b).
+    ``by_X`` holds the compiled actions of X's basis on Y's space, ``by_Y``
+    those of Y's basis on X's space, and ``Y`` Y's compiled (prec, succ,
+    star) tensors.  Quantified over x in X's basis and a, b in Y's basis;
+    residuals live in Y's space; indices are (i_x, i_a, i_b).  Every term
+    is scaled by the common denominator squared and, with q folded in, by
+    qn qd: ``den``.
     """
-    q = DY.q
-    qi = 1 / q
-    n, m = by_X.algebra_dim, DY.dim
-    eX = [basis_vec(n, i) for i in range(n)]
-    eY = [basis_vec(m, i) for i in range(m)]
+    p, s, star = Y
+    lx_s, rx_s, lx_p, rx_p, lx, rx = by_X
+    ly_s, ry_s, ly_p, ry_p, ly, ry = by_Y
+    n, m = len(lx), len(p)
+    qn, qd = q.numerator, q.denominator
+    f, fq, fqi = qn * qd, -qn * qn, -qd * qd
+    e, eq, eqi = _basis(m, f), _basis(m, fq), _basis(m, fqi)
     ids = [str(first_id + k) for k in range(9)]
-    lx_s, rx_s, lx_p, rx_p = by_X.l_succ, by_X.r_succ, by_X.l_prec, by_X.r_prec
-    ly_s, ry_s, ly_p, ry_p = by_Y.l_succ, by_Y.r_succ, by_Y.l_prec, by_Y.r_prec
-    sum_X, sum_Y = by_X.sum_actions(), by_Y.sum_actions()
-    lx, rx, ly, ry = sum_X.l, sum_X.r, sum_Y.l, sum_Y.r
-    p, s = DY.c_prec.entries, DY.c_succ.entries
-    star = associated_algebra(DY).c.entries
-    one = Fraction(1)
-
-    def comb(*terms):
-        out = list(terms[0])
-        for coeff, vecv in terms[1:]:
-            out = [u + coeff * v for u, v in zip(out, vecv)]
-        return out
+    # on_lp[j] is the map x -> lx_p(x) e_j from X to Y, by its columns; so
+    # are the other three for their tables
+    on_lp, on_rp, on_ls, on_rs = (_on_basis(t, m) for t in (lx_p, rx_p, lx_s, rx_s))
 
     def residual(ix, ia, ib):
-        x, a, b = eX[ix], eY[ia], eY[ib]
         # the actions of x on Y's space
-        Ls, Rs, Lp, Rp = lx_s[ix], rx_s[ix], lx_p[ix], rx_p[ix]
-        L, R = lx[ix], rx[ix]
-        terms = (
-            (
-                Rp.apply(p[ia][ib]),
-                (-q, DY.prec(a, R.apply(b))),
-                (-q, action_of(rx_p, ly[ib].apply(x)).apply(a)),
-            ),
-            (
-                action_of(lx_p, ly_p[ia].apply(x)).apply(b),
-                (one, DY.prec(Rp.apply(a), b)),
-                (-q, DY.prec(a, L.apply(b))),
-                (-q, action_of(rx_p, ry[ib].apply(x)).apply(a)),
-            ),
-            (
-                Lp.apply(star[ia][ib]),
-                (-qi, DY.prec(Lp.apply(a), b)),
-                (-qi, action_of(lx_p, ry_p[ia].apply(x)).apply(b)),
-            ),
-            (
-                Rp.apply(s[ia][ib]),
-                (-q, action_of(rx_s, ly_p[ib].apply(x)).apply(a)),
-                (-q, DY.succ(a, Rp.apply(b))),
-            ),
-            (
-                action_of(lx_p, ly_s[ia].apply(x)).apply(b),
-                (one, DY.prec(Rs.apply(a), b)),
-                (-q, DY.succ(a, Lp.apply(b))),
-                (-q, action_of(rx_s, ry_p[ib].apply(x)).apply(a)),
-            ),
-            (
-                Ls.apply(p[ia][ib]),
-                (-qi, DY.prec(Ls.apply(a), b)),
-                (-qi, action_of(lx_p, ry_s[ia].apply(x)).apply(b)),
-            ),
-            (
-                Rs.apply(star[ia][ib]),
-                (-q, DY.succ(a, Rs.apply(b))),
-                (-q, action_of(rx_s, ly_s[ib].apply(x)).apply(a)),
-            ),
-            (
-                DY.succ(a, Ls.apply(b)),
-                (one, action_of(rx_s, ry_s[ib].apply(x)).apply(a)),
-                (-qi, action_of(lx_s, ly[ia].apply(x)).apply(b)),
-                (-qi, DY.succ(R.apply(a), b)),
-            ),
-            (
-                Ls.apply(s[ia][ib]),
-                (-qi, DY.succ(L.apply(a), b)),
-                (-qi, action_of(lx_s, ry[ia].apply(x)).apply(b)),
-            ),
-        )
-        for identity_id, t in zip(ids, terms):
-            yield identity_id, comb(*t)
+        Ls, Rs, Lp, Rp, L, R = lx_s[ix], rx_s[ix], lx_p[ix], rx_p[ix], lx[ix], rx[ix]
+        acc = _imul(p, eq[ia], R[ib], _iapply(Rp, p[ia][ib], f, [0] * m))
+        yield ids[0], _iapply(on_rp[ia], ly[ib][ix], fq, acc)
+        acc = _imul(p, Rp[ia], e[ib], _iapply(on_lp[ib], ly_p[ia][ix], f, [0] * m))
+        acc = _imul(p, eq[ia], L[ib], acc)
+        yield ids[1], _iapply(on_rp[ia], ry[ib][ix], fq, acc)
+        acc = _imul(p, Lp[ia], eqi[ib], _iapply(Lp, star[ia][ib], f, [0] * m))
+        yield ids[2], _iapply(on_lp[ib], ry_p[ia][ix], fqi, acc)
+        acc = _iapply(on_rs[ia], ly_p[ib][ix], fq, _iapply(Rp, s[ia][ib], f, [0] * m))
+        yield ids[3], _imul(s, eq[ia], Rp[ib], acc)
+        acc = _imul(p, Rs[ia], e[ib], _iapply(on_lp[ib], ly_s[ia][ix], f, [0] * m))
+        acc = _imul(s, eq[ia], Lp[ib], acc)
+        yield ids[4], _iapply(on_rs[ia], ry_p[ib][ix], fq, acc)
+        acc = _imul(p, Ls[ia], eqi[ib], _iapply(Ls, p[ia][ib], f, [0] * m))
+        yield ids[5], _iapply(on_lp[ib], ry_s[ia][ix], fqi, acc)
+        acc = _imul(s, eq[ia], Rs[ib], _iapply(Rs, star[ia][ib], f, [0] * m))
+        yield ids[6], _iapply(on_rs[ia], ly_s[ib][ix], fq, acc)
+        acc = _iapply(on_rs[ia], ry_s[ib][ix], f, _imul(s, e[ia], Ls[ib], [0] * m))
+        acc = _iapply(on_ls[ib], ly[ia][ix], fqi, acc)
+        yield ids[7], _imul(s, R[ia], eqi[ib], acc)
+        acc = _imul(s, L[ia], eqi[ib], _iapply(Ls, s[ia][ib], f, [0] * m))
+        yield ids[8], _iapply(on_ls[ib], ry[ia][ix], fqi, acc)
 
-    return _run_laws(itertools.product(range(n), range(m), range(m)), residual)
+    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, den)
 
 
 def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
@@ -383,17 +360,27 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
 
     Preconditions (both structures pass check_q_dendriform, both action
     quadruples pass check_dendriform_bimodule) are folded into the
-    violation list with a precondition: prefix.
+    violation list with a precondition: prefix.  Both halves share one
+    compilation of the two structures and the two bimodules.
     """
-    violations = (
-        _prefixed("precondition:dendriform:A", check_q_dendriform(P.D_A))
-        + _prefixed("precondition:dendriform:B", check_q_dendriform(P.D_B))
-        + _prefixed("precondition:bimodule:A_on_B", check_dendriform_bimodule(P.D_A, P.on_B))
-        + _prefixed("precondition:bimodule:B_on_A", check_dendriform_bimodule(P.D_B, P.on_A))
-        + _halfside_violations(P.D_B, P.on_B, P.on_A, 35)
-        + _halfside_violations(P.D_A, P.on_A, P.on_B, 44)
+    A, B, q = P.D_A, P.D_B, P.D_A.q
+    tensors = [A.c_prec, A.c_succ, B.c_prec, B.c_succ]
+    den = _common_den(tensors, _matrices(P.on_B) + _matrices(P.on_A))
+    on_B, on_A = _compiled(P.on_B, den), _compiled(P.on_A, den)
+    fA, fB = (
+        tuple(_fibers(t, den) for t in (X.c_prec, X.c_succ, associated_algebra(X).c))
+        for X in (A, B)
     )
-    return CheckReport.from_violations(violations, q=str(P.D_A.q))
+    scale = den * den * q.numerator * q.denominator
+    violations = (
+        _prefixed("precondition:dendriform:A", check_q_dendriform(A))
+        + _prefixed("precondition:dendriform:B", check_q_dendriform(B))
+        + _prefixed("precondition:bimodule:A_on_B", check_dendriform_bimodule(A, P.on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_dendriform_bimodule(B, P.on_A))
+        + _halfside_violations(fB, on_B, on_A, q, 35, scale)
+        + _halfside_violations(fA, on_A, on_B, q, 44, scale)
+    )
+    return CheckReport.from_violations(violations, q=str(q))
 
 
 def dendriform_bowtie(P: DendriformMatchedPairData) -> DendriformStructure:

@@ -161,26 +161,33 @@ def check_dual_matched_pair_criterion(
 
     for ix in range(n):
         x = e[ix]
+        # the actions that depend on x alone, and on x and b
+        RAx, LAx = action_of(RstarA, x), action_of(LstarA, x)
+        RAx_e = [RAx.apply(v) for v in e]
+        LA_LBx = [action_of(LstarA, action_of(LstarB, b).apply(x)) for b in e]
         for ia in range(n):
             a = e[ia]
+            RA_LBa = action_of(RstarA, action_of(LstarB, a).apply(x))
+            RA_RBa = action_of(RstarA, action_of(RstarB, a).apply(x))
+            LAx_a = LAx.apply(a)
             for ib in range(n):
                 b = e[ib]
                 idx = (ix + 1, ia + 1, ib + 1)
                 ab = multiply(Astar, a, b)
-                r1 = action_of(RstarA, x).apply(ab)
-                t = action_of(RstarA, action_of(LstarB, a).apply(x)).apply(b)
+                r1 = RAx.apply(ab)
+                t = RA_LBa.apply(b)
                 r1 = [u + v for u, v in zip(r1, t)]
-                t = multiply(Astar, action_of(RstarA, x).apply(a), b)
+                t = multiply(Astar, RAx_e[ia], b)
                 r1 = [u + v for u, v in zip(r1, t)]
                 if not vec_is_zero(r1):
                     violations.append(Violation("dual1", idx, r1))
 
-                r2 = action_of(RstarA, action_of(RstarB, a).apply(x)).apply(b)
-                t = multiply(Astar, action_of(LstarA, x).apply(a), b)
+                r2 = RA_RBa.apply(b)
+                t = multiply(Astar, LAx_a, b)
                 r2 = [u + v for u, v in zip(r2, t)]
-                t = action_of(LstarA, action_of(LstarB, b).apply(x)).apply(a)
+                t = LA_LBx[ib].apply(a)
                 r2 = [u + v for u, v in zip(r2, t)]
-                t = multiply(Astar, a, action_of(RstarA, x).apply(b))
+                t = multiply(Astar, a, RAx_e[ib])
                 r2 = [u + v for u, v in zip(r2, t)]
                 if not vec_is_zero(r2):
                     violations.append(Violation("dual2", idx, r2))
@@ -240,56 +247,74 @@ def check_symplectic_criterion(
         return out
 
     for i1 in range(n):
+        # the actions that depend on the outer basis vector alone: x in the
+        # dual-half equations and a2 in the primal-half ones are both e[i1]
+        x = a2 = e[i1]
+        Ra_x, La_x = action_of(Ra, x), action_of(La, x)
+        Rb_a2, Lb_a2 = action_of(Rb, a2), action_of(Lb, a2)
+        Ra_x_e = [Ra_x.apply(v) for v in e]
+        La_x_e = [La_x.apply(v) for v in e]
+        Rb_a2_e = [Rb_a2.apply(v) for v in e]
+        Lb_a2_e = [Lb_a2.apply(v) for v in e]
+        # the nested actions that depend on e[i1] and one more basis vector
+        Ra_Lb = [action_of(Ra, action_of(Lb, v).apply(x)) for v in e]
+        La_Rb = [action_of(La, action_of(Rb, v).apply(x)) for v in e]
+        Ra_Rb = [action_of(Ra, action_of(Rb, v).apply(x)) for v in e]
+        La_Lb = [action_of(La, action_of(Lb, v).apply(x)) for v in e]
+        Rb_La = [action_of(Rb, action_of(La, v).apply(a2)) for v in e]
+        Lb_Ra = [action_of(Lb, action_of(Ra, v).apply(a2)) for v in e]
+        Rb_Ra = [action_of(Rb, action_of(Ra, v).apply(a2)) for v in e]
+        Lb_La = [action_of(Lb, action_of(La, v).apply(a2)) for v in e]
         for i2 in range(n):
             for i3 in range(n):
-                x, a, b = e[i1], e[i2], e[i3]
+                a, b = e[i2], e[i3]
                 idx = (i1 + 1, i2 + 1, i3 + 1)
                 ab = multiply(B, a, b)
                 r = acc(
-                    action_of(Ra, x).apply(ab),
-                    action_of(Ra, action_of(Lb, a).apply(x)).apply(b),
-                    multiply(B, action_of(Ra, x).apply(a), b),
+                    Ra_x.apply(ab),
+                    Ra_Lb[i2].apply(b),
+                    multiply(B, Ra_x_e[i2], b),
                 )
                 if not vec_is_zero(r):
                     violations.append(Violation("eq1", idx, r))
                 r = acc(
-                    action_of(La, x).apply(ab),
-                    action_of(La, action_of(Rb, b).apply(x)).apply(a),
-                    multiply(B, a, action_of(La, x).apply(b)),
+                    La_x.apply(ab),
+                    La_Rb[i3].apply(a),
+                    multiply(B, a, La_x_e[i3]),
                 )
                 if not vec_is_zero(r):
                     violations.append(Violation("eq2", idx, r))
                 r = acc(
-                    action_of(Ra, action_of(Rb, a).apply(x)).apply(b),
-                    multiply(B, action_of(La, x).apply(a), b),
-                    action_of(La, action_of(Lb, b).apply(x)).apply(a),
-                    multiply(B, a, action_of(Ra, x).apply(b)),
+                    Ra_Rb[i2].apply(b),
+                    multiply(B, La_x_e[i2], b),
+                    La_Lb[i3].apply(a),
+                    multiply(B, a, Ra_x_e[i3]),
                 )
                 if not vec_is_zero(r):
                     violations.append(Violation("eq5", idx, r))
 
                 # primal-half equations; rename the loop triple (a, x, y)
-                a2, x2, y2 = e[i1], e[i2], e[i3]
+                x2, y2 = e[i2], e[i3]
                 xy = multiply(A, x2, y2)
                 r = acc(
-                    action_of(Rb, a2).apply(xy),
-                    action_of(Rb, action_of(La, x2).apply(a2)).apply(y2),
-                    multiply(A, action_of(Rb, a2).apply(x2), y2),
+                    Rb_a2.apply(xy),
+                    Rb_La[i2].apply(y2),
+                    multiply(A, Rb_a2_e[i2], y2),
                 )
                 if not vec_is_zero(r):
                     violations.append(Violation("eq3", idx, r))
                 r = acc(
-                    action_of(Lb, a2).apply(xy),
-                    action_of(Lb, action_of(Ra, y2).apply(a2)).apply(x2),
-                    multiply(A, x2, action_of(Lb, a2).apply(y2)),
+                    Lb_a2.apply(xy),
+                    Lb_Ra[i3].apply(x2),
+                    multiply(A, x2, Lb_a2_e[i3]),
                 )
                 if not vec_is_zero(r):
                     violations.append(Violation("eq4", idx, r))
                 r = acc(
-                    action_of(Rb, action_of(Ra, x2).apply(a2)).apply(y2),
-                    multiply(A, action_of(Lb, a2).apply(x2), y2),
-                    action_of(Lb, action_of(La, y2).apply(a2)).apply(x2),
-                    multiply(A, x2, action_of(Rb, a2).apply(y2)),
+                    Rb_Ra[i2].apply(y2),
+                    multiply(A, Lb_a2_e[i2], y2),
+                    Lb_La[i3].apply(x2),
+                    multiply(A, x2, Rb_a2_e[i3]),
                 )
                 if not vec_is_zero(r):
                     violations.append(Violation("eq6", idx, r))

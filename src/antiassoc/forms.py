@@ -77,7 +77,7 @@ def _compiled(A: StructureAlgebra, form: BilinearForm):
     F = _fibers(A.c, D)
     g = [_scaled(row, D) for row in form.gram.entries]
     rows = [_nonzero(row) for row in g]
-    first = [[_iapply(rows, fiber, [0] * A.dim) for fiber in plane] for plane in F]
+    first = [[_iapply(rows, fiber, 1, [0] * A.dim) for fiber in plane] for plane in F]
     return D, F, g, first
 
 
@@ -91,7 +91,7 @@ def check_invariant_symmetric(A: StructureAlgebra, B: BilinearForm) -> CheckRepo
     n = A.dim
     # second[j][k][i] = D^2 * B(e_i, e_j e_k), read off the Gram matrix's columns
     cols = [_nonzero(col) for col in zip(*g)]
-    second = [[_iapply(cols, fiber, [0] * n) for fiber in plane] for plane in F]
+    second = [[_iapply(cols, fiber, 1, [0] * n) for fiber in plane] for plane in F]
 
     def symmetric(i, j):
         yield "symmetric", [g[i][j] - g[j][i]]

@@ -16,28 +16,36 @@ Equations (3), (4), (6) are (1), (2), (5) with the roles of A and B
 swapped, so one half-function evaluates both: over (A, B) it gives (1),
 (2), (5), which live in B's space and are quantified over (x, a, b) with
 indices (i_x, i_a, i_b); over (B, A) it gives (3), (4), (6), which live
-in A's space over (a, x, y) with indices (i_a, i_x, i_y).  The half runs
-on the law runner in algebra.py, and bowtie is algebra.py's block
-assembler.
+in A's space over (a, x, y) with indices (i_a, i_x, i_y).  Both halves
+run on the sparse integer kernel and the law runner in algebra.py, from
+one compilation of the two tensors and the four action tables, and
+bowtie is algebra.py's block assembler.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     CheckReport,
+    Sparse,
     StructureAlgebra,
     Violation,
+    _basis,
     _block_tensor,
+    _columns,
+    _common_den,
+    _fibers,
+    _iapply,
+    _imul,
+    _on_basis,
     _prefixed,
     _run_laws,
     check_q_associative,
-    multiply,
 )
-from .bimodules import Bimodule, _check_sides, action_of, check_bimodule
-from .linalg import basis_vec, vec_sub
+from .bimodules import Bimodule, _check_sides, check_bimodule
 
 
 @dataclass
@@ -53,34 +61,42 @@ class MatchedPairData:
         _check_sides(self.A.dim, self.B.dim, self.on_B, self.on_A)
 
 
+Tables = list[list[Sparse]]
+
+
 def _matched_half(
-    Y: StructureAlgebra, by_X: Bimodule, by_Y: Bimodule, ids: tuple[str, str, str]
+    F: list[list[Sparse]],
+    by_X: tuple[Tables, Tables],
+    by_Y: tuple[Tables, Tables],
+    q: Fraction,
+    ids: tuple[str, str, str],
+    den: int,
 ) -> list[Violation]:
-    """Equations (1), (2), (5) for the actions ``by_X`` of X's basis on Y's
-    space and ``by_Y`` of Y's basis on X's space, over x in X and a, b in Y."""
-    q = Y.q
-    qi = 1 / q
-    n, m = by_X.algebra_dim, Y.dim
-    eX = [basis_vec(n, i) for i in range(n)]
-    eY = [basis_vec(m, i) for i in range(m)]
-    lX, rX, lY, rY = by_X.l, by_X.r, by_Y.l, by_Y.r
-    mulY = lambda u, v: multiply(Y, u, v)  # noqa: E731
+    """Equations (1), (2), (5) for the actions ``by_X`` = (l, r) of X's
+    basis on Y's space and ``by_Y`` of Y's basis on X's space, over x in X
+    and a, b in Y.  F is Y's compiled tensor; every term is scaled by the
+    common denominator squared and, with q folded in, by qn qd: ``den``."""
+    lX, rX = by_X
+    lY, rY = by_Y
+    n, m = len(lX), len(F)
+    qn, qd = q.numerator, q.denominator
+    f, fq, fqi = qn * qd, -qn * qn, -qd * qd
+    e, eq, eqi = _basis(m, f), _basis(m, fq), _basis(m, fqi)
+    # l_on[j] is the map x -> lX(x) e_j from X to Y, by its columns; so is
+    # r_on[j] for x -> rX(x) e_j
+    l_on, r_on = _on_basis(lX, m), _on_basis(rX, m)
 
     def residual(ix, ia, ib):
-        x, a, b = eX[ix], eY[ia], eY[ib]
-        ab = Y.c.entries[ia][ib]
-        lx, rx = lX[ix], rX[ix]
-        rhs1 = zip(action_of(lX, rY[ia].apply(x)).apply(b), mulY(lx.apply(a), b))
-        yield ids[0], vec_sub(lx.apply(ab), [qi * (u + v) for u, v in rhs1])
-        rhs2 = zip(action_of(rX, lY[ib].apply(x)).apply(a), mulY(a, rx.apply(b)))
-        yield ids[1], vec_sub(rx.apply(ab), [q * (u + v) for u, v in rhs2])
-        t5 = action_of(lX, lY[ia].apply(x)).apply(b)
-        t5 = [u + v for u, v in zip(t5, mulY(rx.apply(a), b))]
-        t5 = [u - q * v for u, v in zip(t5, action_of(rX, rY[ib].apply(x)).apply(a))]
-        t5 = [u - q * v for u, v in zip(t5, mulY(a, lx.apply(b)))]
-        yield ids[2], t5
+        lx, rx, ab = lX[ix], rX[ix], F[ia][ib]
+        acc = _iapply(l_on[ib], rY[ia][ix], fqi, _iapply(lx, ab, f, [0] * m))
+        yield ids[0], _imul(F, lx[ia], eqi[ib], acc)
+        acc = _iapply(r_on[ia], lY[ib][ix], fq, _iapply(rx, ab, f, [0] * m))
+        yield ids[1], _imul(F, eq[ia], rx[ib], acc)
+        acc = _imul(F, rx[ia], e[ib], _iapply(l_on[ib], lY[ia][ix], f, [0] * m))
+        acc = _iapply(r_on[ia], rY[ib][ix], fq, acc)
+        yield ids[2], _imul(F, eq[ia], lx[ib], acc)
 
-    return _run_laws(itertools.product(range(n), range(m), range(m)), residual)
+    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, den)
 
 
 def check_matched_pair(P: MatchedPairData) -> CheckReport:
@@ -90,15 +106,21 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     pair not a bimodule) are themselves reported as violations with an
     ``precondition:`` id prefix, so the verdict is the full conjunction.
     """
-    violations = (
-        _prefixed("precondition:q_assoc:A", check_q_associative(P.A))
-        + _prefixed("precondition:q_assoc:B", check_q_associative(P.B))
-        + _prefixed("precondition:bimodule:A_on_B", check_bimodule(P.A, P.on_B))
-        + _prefixed("precondition:bimodule:B_on_A", check_bimodule(P.B, P.on_A))
-        + _matched_half(P.B, P.on_B, P.on_A, ("eq1", "eq2", "eq5"))
-        + _matched_half(P.A, P.on_A, P.on_B, ("eq3", "eq4", "eq6"))
+    A, B, q = P.A, P.B, P.A.q
+    D = _common_den([A.c, B.c], [*P.on_B.l, *P.on_B.r, *P.on_A.l, *P.on_A.r])
+    on_B, on_A = (
+        tuple([_columns(x, D) for x in t] for t in (M.l, M.r)) for M in (P.on_B, P.on_A)
     )
-    return CheckReport.from_violations(violations, q=str(P.A.q))
+    den = D * D * q.numerator * q.denominator
+    violations = (
+        _prefixed("precondition:q_assoc:A", check_q_associative(A))
+        + _prefixed("precondition:q_assoc:B", check_q_associative(B))
+        + _prefixed("precondition:bimodule:A_on_B", check_bimodule(A, P.on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_bimodule(B, P.on_A))
+        + _matched_half(_fibers(B.c, D), on_B, on_A, q, ("eq1", "eq2", "eq5"), den)
+        + _matched_half(_fibers(A.c, D), on_A, on_B, q, ("eq3", "eq4", "eq6"), den)
+    )
+    return CheckReport.from_violations(violations, q=str(q))
 
 
 def bowtie(P: MatchedPairData) -> StructureAlgebra:

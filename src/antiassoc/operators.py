@@ -38,6 +38,7 @@ from .algebra import (
     _iapply,
     _imul,
     _nonzero,
+    _on_basis,
     _run_laws,
     _tables_tensor,
     mult_operators,
@@ -109,19 +110,16 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
     D = _common_den([A.c], [T.m, *M.l, *M.r])
     F = _fibers(A.c, D)
     Te = _columns(T.m, D)
-    minus_Te = [[(k, -a) for k, a in col] for col in Te]
-    l = [_columns(x, D) for x in M.l]
-    r = [_columns(x, D) for x in M.r]
     # on_e[j] is the map x -> l(x) e_j from A to V, by its columns; so is at_e[j]
     # for x -> r(x) e_j
-    on_e = [[l[t][j] for t in range(n)] for j in range(m)]
-    at_e = [[r[t][j] for t in range(n)] for j in range(m)]
+    on_e = _on_basis([_columns(x, D) for x in M.l], m)
+    at_e = _on_basis([_columns(x, D) for x in M.r], m)
 
     def residual(i, j):
         # all terms times D^3; induced is -(l(Tu)v + r(Tv)u)
-        induced = _iapply(at_e[i], minus_Te[j], _iapply(on_e[j], minus_Te[i], [0] * m))
+        induced = _iapply(at_e[i], Te[j], -1, _iapply(on_e[j], Te[i], -1, [0] * m))
         acc = _imul(F, Te[i], Te[j], [0] * n)
-        yield "o_operator", _iapply(Te, _nonzero(induced), acc)
+        yield "o_operator", _iapply(Te, _nonzero(induced), 1, acc)
 
     violations = _run_laws(itertools.product(range(m), repeat=2), residual, D**3)
     return CheckReport.from_violations(violations, q=str(A.q))
@@ -151,7 +149,7 @@ def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
         # all terms times D^3; inner is -(tau(x).y + x.tau(y))
         inner = _imul(F, minus[i], te[j], _imul(F, te[i], minus[j], [0] * n))
         acc = _imul(F, te[i], te[j], [0] * n)
-        yield "rota_baxter", _iapply(te, _nonzero(inner), acc)
+        yield "rota_baxter", _iapply(te, _nonzero(inner), 1, acc)
 
     violations = _run_laws(itertools.product(range(n), repeat=2), residual, D**3)
     return CheckReport.from_violations(violations, q=str(A.q))

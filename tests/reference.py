@@ -16,8 +16,11 @@ from antiassoc import (
     BilinearForm,
     Bimodule,
     CheckReport,
+    DendriformBimodule,
+    DendriformMatchedPairData,
     DendriformStructure,
     LinearMap,
+    MatchedPairData,
     StructureAlgebra,
     Violation,
     associated_algebra,
@@ -34,6 +37,10 @@ def _run(tuples, residual) -> list[Violation]:
             if any(x != 0 for x in res):
                 out.append(Violation(identity_id, tuple(i + 1 for i in idx), list(res)))
     return out
+
+
+def _prefixed(tag, rep: CheckReport) -> list[Violation]:
+    return [Violation(f"{tag}:{v.identity_id}", v.indices, v.residual) for v in rep.violations]
 
 
 def _flat(m) -> list[Fraction]:
@@ -184,3 +191,158 @@ def check_symplectic(A: StructureAlgebra, w: BilinearForm) -> CheckReport:
     if kernel:
         violations.append(Violation("nondegenerate", (), kernel[0]))
     return CheckReport.from_violations(violations, rank=n - len(kernel))
+
+
+def _matched_half(Y: StructureAlgebra, by_X: Bimodule, by_Y: Bimodule, ids) -> list[Violation]:
+    q = Y.q
+    qi = 1 / q
+    n, m = by_X.algebra_dim, Y.dim
+    eX, eY = _basis(n), _basis(m)
+    lX, rX, lY, rY = by_X.l, by_X.r, by_Y.l, by_Y.r
+    mulY = lambda u, v: multiply(Y, u, v)  # noqa: E731
+
+    def residual(ix, ia, ib):
+        x, a, b = eX[ix], eY[ia], eY[ib]
+        ab = Y.c.entries[ia][ib]
+        lx, rx = lX[ix], rX[ix]
+        rhs1 = zip(action_of(lX, rY[ia].apply(x)).apply(b), mulY(lx.apply(a), b))
+        yield ids[0], vec_sub(lx.apply(ab), [qi * (u + v) for u, v in rhs1])
+        rhs2 = zip(action_of(rX, lY[ib].apply(x)).apply(a), mulY(a, rx.apply(b)))
+        yield ids[1], vec_sub(rx.apply(ab), [q * (u + v) for u, v in rhs2])
+        t5 = action_of(lX, lY[ia].apply(x)).apply(b)
+        t5 = [u + v for u, v in zip(t5, mulY(rx.apply(a), b))]
+        t5 = [u - q * v for u, v in zip(t5, action_of(rX, rY[ib].apply(x)).apply(a))]
+        t5 = [u - q * v for u, v in zip(t5, mulY(a, lx.apply(b)))]
+        yield ids[2], t5
+
+    return _run(itertools.product(range(n), range(m), range(m)), residual)
+
+
+def check_matched_pair(P: MatchedPairData) -> CheckReport:
+    violations = (
+        _prefixed("precondition:q_assoc:A", check_q_associative(P.A))
+        + _prefixed("precondition:q_assoc:B", check_q_associative(P.B))
+        + _prefixed("precondition:bimodule:A_on_B", check_bimodule(P.A, P.on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_bimodule(P.B, P.on_A))
+        + _matched_half(P.B, P.on_B, P.on_A, ("eq1", "eq2", "eq5"))
+        + _matched_half(P.A, P.on_A, P.on_B, ("eq3", "eq4", "eq6"))
+    )
+    return CheckReport.from_violations(violations, q=str(P.A.q))
+
+
+def check_dendriform_bimodule(D: DendriformStructure, M: DendriformBimodule) -> CheckReport:
+    q = D.q
+    ls, rs, lp, rp = M.l_succ, M.r_succ, M.l_prec, M.r_prec
+    summed = M.sum_actions()
+    lstar, rstar = summed.l, summed.r
+    p, s = D.c_prec.entries, D.c_succ.entries
+    star = associated_algebra(D).c.entries
+
+    def residual(i, j):
+        for law, res in (
+            ("law1", action_of(lp, p[i][j]) - (lp[i] * lstar[j]).scale(q)),
+            ("law2", rp[i] * lp[j] - (lp[j] * rstar[i]).scale(q)),
+            ("law3", rp[i] * rp[j] - action_of(rp, star[j][i]).scale(q)),
+            ("law4", action_of(lp, s[i][j]) - (ls[i] * lp[j]).scale(q)),
+            ("law5", rp[i] * ls[j] - (ls[j] * rp[i]).scale(q)),
+            ("law6", rp[i] * rs[j] - action_of(rs, p[j][i]).scale(q)),
+            ("law7", action_of(ls, star[i][j]) - (ls[i] * ls[j]).scale(q)),
+            ("law8", rs[i] * lstar[j] - (ls[j] * rs[i]).scale(q)),
+            ("law9", rs[i] * rstar[j] - action_of(rs, s[j][i]).scale(q)),
+        ):
+            yield law, _flat(res)
+
+    violations = _run(itertools.product(range(D.dim), repeat=2), residual)
+    return CheckReport.from_violations(violations, q=str(q))
+
+
+def _halfside(DY: DendriformStructure, by_X, by_Y, first_id: int) -> list[Violation]:
+    q = DY.q
+    qi = 1 / q
+    n, m = by_X.algebra_dim, DY.dim
+    eX, eY = _basis(n), _basis(m)
+    ids = [str(first_id + k) for k in range(9)]
+    lx_s, rx_s, lx_p, rx_p = by_X.l_succ, by_X.r_succ, by_X.l_prec, by_X.r_prec
+    ly_s, ry_s, ly_p, ry_p = by_Y.l_succ, by_Y.r_succ, by_Y.l_prec, by_Y.r_prec
+    sum_X, sum_Y = by_X.sum_actions(), by_Y.sum_actions()
+    lx, rx, ly, ry = sum_X.l, sum_X.r, sum_Y.l, sum_Y.r
+    p, s = DY.c_prec.entries, DY.c_succ.entries
+    star = associated_algebra(DY).c.entries
+    one = Fraction(1)
+
+    def comb(*terms):
+        out = list(terms[0])
+        for coeff, vecv in terms[1:]:
+            out = [u + coeff * v for u, v in zip(out, vecv)]
+        return out
+
+    def residual(ix, ia, ib):
+        x, a, b = eX[ix], eY[ia], eY[ib]
+        Ls, Rs, Lp, Rp = lx_s[ix], rx_s[ix], lx_p[ix], rx_p[ix]
+        L, R = lx[ix], rx[ix]
+        terms = (
+            (
+                Rp.apply(p[ia][ib]),
+                (-q, DY.prec(a, R.apply(b))),
+                (-q, action_of(rx_p, ly[ib].apply(x)).apply(a)),
+            ),
+            (
+                action_of(lx_p, ly_p[ia].apply(x)).apply(b),
+                (one, DY.prec(Rp.apply(a), b)),
+                (-q, DY.prec(a, L.apply(b))),
+                (-q, action_of(rx_p, ry[ib].apply(x)).apply(a)),
+            ),
+            (
+                Lp.apply(star[ia][ib]),
+                (-qi, DY.prec(Lp.apply(a), b)),
+                (-qi, action_of(lx_p, ry_p[ia].apply(x)).apply(b)),
+            ),
+            (
+                Rp.apply(s[ia][ib]),
+                (-q, action_of(rx_s, ly_p[ib].apply(x)).apply(a)),
+                (-q, DY.succ(a, Rp.apply(b))),
+            ),
+            (
+                action_of(lx_p, ly_s[ia].apply(x)).apply(b),
+                (one, DY.prec(Rs.apply(a), b)),
+                (-q, DY.succ(a, Lp.apply(b))),
+                (-q, action_of(rx_s, ry_p[ib].apply(x)).apply(a)),
+            ),
+            (
+                Ls.apply(p[ia][ib]),
+                (-qi, DY.prec(Ls.apply(a), b)),
+                (-qi, action_of(lx_p, ry_s[ia].apply(x)).apply(b)),
+            ),
+            (
+                Rs.apply(star[ia][ib]),
+                (-q, DY.succ(a, Rs.apply(b))),
+                (-q, action_of(rx_s, ly_s[ib].apply(x)).apply(a)),
+            ),
+            (
+                DY.succ(a, Ls.apply(b)),
+                (one, action_of(rx_s, ry_s[ib].apply(x)).apply(a)),
+                (-qi, action_of(lx_s, ly[ia].apply(x)).apply(b)),
+                (-qi, DY.succ(R.apply(a), b)),
+            ),
+            (
+                Ls.apply(s[ia][ib]),
+                (-qi, DY.succ(L.apply(a), b)),
+                (-qi, action_of(lx_s, ry[ia].apply(x)).apply(b)),
+            ),
+        )
+        for identity_id, t in zip(ids, terms):
+            yield identity_id, comb(*t)
+
+    return _run(itertools.product(range(n), range(m), range(m)), residual)
+
+
+def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
+    violations = (
+        _prefixed("precondition:dendriform:A", check_q_dendriform(P.D_A))
+        + _prefixed("precondition:dendriform:B", check_q_dendriform(P.D_B))
+        + _prefixed("precondition:bimodule:A_on_B", check_dendriform_bimodule(P.D_A, P.on_B))
+        + _prefixed("precondition:bimodule:B_on_A", check_dendriform_bimodule(P.D_B, P.on_A))
+        + _halfside(P.D_B, P.on_B, P.on_A, 35)
+        + _halfside(P.D_A, P.on_A, P.on_B, 44)
+    )
+    return CheckReport.from_violations(violations, q=str(P.D_A.q))

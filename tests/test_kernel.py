@@ -4,10 +4,15 @@ Every check that runs on the kernel must give the reference's report
 exactly: verdict, ids, indices, residual strings, order and info.  Inputs
 are dense, 2-step nilpotent (valid for every q), or nilpotent with one
 entry bumped; entries have denominators up to 7, the module dimension
-differs from the algebra dimension, and dims 0 and 1 are drawn.
+differs from the algebra dimension (for a matched pair, the dimension of
+B differs from that of A), and dims 0 and 1 are drawn.  Each check also
+compiles every action table once per call, whatever the number of tuples.
 """
 
+import copy
+import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,10 +23,14 @@ import antiassoc
 from antiassoc import (
     BilinearForm,
     Bimodule,
+    DendriformBimodule,
+    DendriformMatchedPairData,
     DendriformStructure,
     LinearMap,
+    MatchedPairData,
     StructureAlgebra,
 )
+from antiassoc import dendriform, matched
 from antiassoc.linalg import Matrix, Tensor3
 
 from . import reference
@@ -41,7 +50,10 @@ class Draw:
     generators (below ``split``) then targets, products of generators land
     in the targets; V splits the same way at ``vsplit``, generators of A
     map V's generators into V's targets, and maps land in A's targets.
-    Every law of the nine checks then holds for every q."""
+    A matched pair takes B on V's space, split at ``vsplit``, with B's
+    generators mapping A's generators into A's targets.  Every law of the
+    twelve checks then holds for every q, apart from commutativity and the
+    nondegeneracy of a symplectic form."""
 
     def __init__(self, rng, family, n, m):
         self.rng, self.family, self.n, self.m = rng, family, n, m
@@ -80,11 +92,23 @@ class Draw:
             for i in range(self.n)
         ]
 
+    def swapped(self) -> "Draw":
+        """The same draw with the roles of A and V exchanged."""
+        other = copy.copy(self)
+        other.n, other.m, other.split, other.vsplit = self.m, self.n, self.vsplit, self.split
+        return other
+
     def algebra(self, q) -> StructureAlgebra:
         return StructureAlgebra(self.n, q, self.tensor())
 
     def bimodule(self) -> Bimodule:
         return Bimodule(self.n, self.m, self.actions(), self.actions())
+
+    def dendriform(self, q) -> DendriformStructure:
+        return DendriformStructure(self.n, q, self.tensor(), self.tensor())
+
+    def dendriform_bimodule(self) -> DendriformBimodule:
+        return DendriformBimodule(self.n, self.m, *(self.actions() for _ in range(4)))
 
     def map_into(self, src) -> LinearMap:
         n = self.n
@@ -101,9 +125,19 @@ class Draw:
 
 
 def inputs(name, draw, q):
+    back = draw.swapped()
     if name == "check_q_dendriform":
-        return (DendriformStructure(draw.n, q, draw.tensor(), draw.tensor()),)
+        return (draw.dendriform(q),)
+    if name == "check_dendriform_bimodule":
+        return draw.dendriform(q), draw.dendriform_bimodule()
+    if name == "check_dendriform_matched_pair":
+        D_A, D_B = draw.dendriform(q), back.dendriform(q)
+        on_B, on_A = draw.dendriform_bimodule(), back.dendriform_bimodule()
+        return (DendriformMatchedPairData(D_A, D_B, on_B, on_A),)
     A = draw.algebra(q)
+    if name == "check_matched_pair":
+        pair = MatchedPairData(A, back.algebra(q), draw.bimodule(), back.bimodule())
+        return (pair,)
     if name == "check_bimodule":
         return A, draw.bimodule()
     if name == "check_rota_baxter":
@@ -127,7 +161,12 @@ CHECKS = [
     "check_q_dendriform",
     "check_invariant_symmetric",
     "check_symplectic",
+    "check_matched_pair",
+    "check_dendriform_bimodule",
+    "check_dendriform_matched_pair",
 ]
+# the checks whose nilpotent draws must pass, so both verdicts are compared
+PASS_WHEN_NILPOTENT = CHECKS[-3:]
 
 
 @pytest.mark.parametrize("name", CHECKS)
@@ -147,3 +186,69 @@ def test_kernel_matches_reference(name, seed, q, family, n):
     got = getattr(antiassoc, name)(*args)
     want = getattr(reference, name)(*args)
     assert got.as_dict() == want.as_dict()
+    if family == "nilpotent" and name in PASS_WHEN_NILPOTENT:
+        assert got.passed
+
+
+def _count_compiles(monkeypatch, module):
+    calls = []
+    real = module._columns
+    monkeypatch.setattr(module, "_columns", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _dense(n, m, seed=5):
+    return Draw(random.Random(seed), "dense", n, m)
+
+
+def test_matched_pair_compiles_each_action_once(monkeypatch):
+    draw, n, m = _dense(2, 3), 2, 3
+    back = draw.swapped()
+    P = MatchedPairData(draw.algebra(-1), back.algebra(-1), draw.bimodule(), back.bimodule())
+    calls = _count_compiles(monkeypatch, matched)
+    assert not antiassoc.check_matched_pair(P).passed
+    assert len(calls) == 2 * n + 2 * m  # each matrix of on_B.l, on_B.r, on_A.l, on_A.r
+
+
+def test_dendriform_bimodule_compiles_each_action_once(monkeypatch):
+    draw, n = _dense(2, 3), 2
+    D, M = draw.dendriform(-1), draw.dendriform_bimodule()
+    calls = _count_compiles(monkeypatch, dendriform)
+    assert not antiassoc.check_dendriform_bimodule(D, M).passed
+    assert len(calls) == 6 * n  # each matrix of the four tables and the two summed ones
+
+
+def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
+    draw, n, m = _dense(2, 3), 2, 3
+    back = draw.swapped()
+    P = DendriformMatchedPairData(
+        draw.dendriform(-1), back.dendriform(-1),
+        draw.dendriform_bimodule(), back.dendriform_bimodule(),
+    )
+    calls = _count_compiles(monkeypatch, dendriform)
+    assert not antiassoc.check_dendriform_matched_pair(P).passed
+    # the six tables of each side compile once in that side's bimodule
+    # precondition and once more for both halves of the eighteen conditions
+    assert len(calls) == 2 * (6 * n + 6 * m)
+
+
+KERNEL_NAMES = [
+    "_fibers", "_columns", "_imul", "_iapply", "_iaction", "_imatmul", "_common_den",
+]
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        antiassoc.classify2d,
+        antiassoc.check_dual_matched_pair_criterion,
+        antiassoc.check_symplectic_criterion,
+    ],
+    ids=lambda o: o.__name__,
+)
+def test_independent_oracles_stay_off_the_kernel(oracle):
+    """The hand-expanded residuals of classify2d and the two criteria in
+    doubles.py are checked against the kernel path; sharing the kernel
+    would let one bug pass both."""
+    source = inspect.getsource(oracle)
+    assert [name for name in KERNEL_NAMES if re.search(rf"\b{name}\b", source)] == []

@@ -174,15 +174,15 @@ def test_forced_induced_split_evaluates_no_products(monkeypatch):
     assert calls == []
 
 
-def test_o_operator_check_builds_one_action_per_table_and_basis_vector(monkeypatch):
+def test_o_operator_check_compiles_each_table_once(monkeypatch):
     calls = []
-    real = operators.action_of
-    monkeypatch.setattr(operators, "action_of", lambda *a: calls.append(a) or real(*a))
+    real = operators._columns
+    monkeypatch.setattr(operators, "_columns", lambda *a: calls.append(a) or real(*a))
     rng = random.Random(4)
     M = random_bimodule(rng, E1E1, 4)
     T = LinearMap(4, 2, random_matrix(rng, 2, 4))
     assert not check_o_operator(E1E1, M, T).passed
-    assert len(calls) <= 8  # l(Te_i) and r(Te_i) for the 4 module basis vectors
+    assert len(calls) == 1 + 2 * E1E1.dim  # T, then each matrix of l and of r
 
 
 @pytest.mark.parametrize(
