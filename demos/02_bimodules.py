@@ -14,7 +14,6 @@ from antiassoc import (
     regular_bimodule,
     semidirect_product,
 )
-from antiassoc.linalg import Matrix
 
 A = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 1}})
 
@@ -25,15 +24,16 @@ S = semidirect_product(A, reg)
 print("semidirect product dim:", S.dim, "q-associative:", check_q_associative(S).passed)
 
 # The dual twists by powers of q and transposes; applying it twice
-# gives back the original action matrices entry for entry.
+# gives back the original action tables entry for entry.
 D = dual_bimodule(A, reg)
 DD = dual_bimodule(A, D)
 print("dual valid:", check_bimodule(A, D).passed)
 print("double dual == original:", DD.l == reg.l and DD.r == reg.r)
 
-# Now damage one action matrix and watch both checks fail together.
-bad_l = [Matrix([[x for x in row] for row in m.entries]) for m in reg.l]
-bad_l[0] = bad_l[0] + Matrix([["1", "0"], ["0", "0"]])
+# Now damage one action entry and watch both checks fail together: the
+# table entry l[i][j][k] is the e_k coordinate of l(e_i) e_j.
+bad_l = reg.l.copy()
+bad_l[0][0][0] += 1
 bad = Bimodule(A.dim, reg.module_dim, bad_l, reg.r)
 direct = check_bimodule(A, bad)
 via_product = check_q_associative(semidirect_product(A, bad))

@@ -8,31 +8,36 @@ An algebra is a dense tensor c together with the deformation parameter q:
 with q = -1 the antiassociative case.  Storage is 0-indexed; every index
 that reaches a report or an error message is 1-based (e1, e2, ...).
 
-Left and right multiplication operators follow the column-vector convention:
-``L[i][k][j] = c[i][j][k]`` so that multiply(A, e_i, v) == L[i].apply(v), and
-``R[j][k][i] = c[i][j][k]`` so that multiply(A, v, e_j) == R[j].apply(v).
+Every bilinear table has the layout of c.  An action table of an n-dim
+algebra on an m-dim space is a Tensor3 T of shape (n, m, m) with
+``T[i][j] = T(e_i) e_j``, so the action is the same contraction as the
+product: T(x) v = ``_contract(T, x, v)``.  The left multiplication table
+is c itself, L(x) y = x * y, and the right one is c with its first two
+axes swapped, R(y) x = x * y.
 
 This module also holds the machinery every other module builds on: the
 law runner ``_run_laws`` that turns residual functions into Violations,
 ``_prefixed`` for folding one report into another, the one tensor
-contraction ``_contract`` behind every product, ``_operator_tables``
-behind every (L, R) table and its reverse ``_tables_tensor`` behind every
-dendriform split, and ``_block_tensor``, the assembler of the product
-tensor on A + B behind semidirect and bowtie products.
+contraction ``_contract`` behind every product and every action, and
+``_block_tensor``, the assembler of the product tensor on A + B behind
+semidirect and bowtie products.
 
 It also holds the exact sparse integer kernel the law checks run on.  A
 check scales every table it reads (structure tensors, action tables, maps,
 Gram matrices) by one common denominator D (``_common_den``) and keeps
-each fiber or column as its nonzero ``(index, int)`` pairs (``_fibers``,
-``_columns``).  It evaluates each law as integer contractions (``_imul``,
-``_iapply``, ``_iaction``, ``_imatmul``), with q's numerator and
-denominator folded into the coefficients, often through scaled basis
-vectors (``_basis``), so every term of a law carries the same scale.  The
-action of an element on a basis vector, as in the matched-pair laws, is
-one ``_iapply`` through the columns of the map x -> T(x) e_j
-(``_on_basis``).  The runner divides by the scale, building Fractions only
-for the coordinates of a nonzero residual.  Nothing is cached on the
-tables, whose entries are mutable: each check call compiles its own.
+each fiber or column as its nonzero ``(index, int)`` pairs: ``_fibers``
+compiles every bilinear table, structure tensor or action table alike,
+and ``_columns`` the matrices of linear maps.  It evaluates each law as
+integer contractions (``_imul``, ``_iapply``, ``_iaction``,
+``_imatmul``), with q's numerator and denominator folded into the
+coefficients, often through scaled basis vectors (``_basis``), so every
+term of a law carries the same scale.  The action of an element on a
+basis vector, as in the matched-pair laws, is one ``_iapply`` through the
+columns of the map x -> T(x) e_j, which are the fibers of T with its
+first two axes swapped (``_on_basis``).  The runner divides by the
+scale, building Fractions only for the coordinates of a nonzero
+residual.  Nothing is cached on the tables, whose entries are mutable:
+each check call compiles its own.
 The checks of the bimodules, the matched pairs, the dendriform structures
 and the forms all run on this kernel; the independent oracles (classify2d
 and the criteria in doubles.py) do not.
@@ -52,7 +57,6 @@ from .linalg import (
     Scalar,
     Tensor3,
     rat,
-    stack_rows,
     zero_vec,
 )
 
@@ -131,7 +135,8 @@ Sparse = list[tuple[int, int]]
 
 
 def _common_den(tensors: Iterable[Tensor3] = (), matrices: Iterable[Matrix] = ()) -> int:
-    """The least common denominator D of every entry of the given tables."""
+    """The least common denominator D of every entry of the given tensors
+    (structure tensors and action tables) and matrices."""
     dens = {x.denominator for t in tensors for plane in t.entries for f in plane for x in f}
     dens.update(x.denominator for m in matrices for row in m.entries for x in row)
     return math.lcm(*dens)
@@ -147,7 +152,8 @@ def _nonzero(vec: Sequence[int]) -> Sparse:
 
 
 def _fibers(c: Tensor3, D: int) -> list[list[Sparse]]:
-    """D * c[i][j] as sparse vectors."""
+    """D * c[i][j] as sparse vectors.  For an action table T these are the
+    sparse columns of each D * T(e_i)."""
     return [[_nonzero(_scaled(fiber, D)) for fiber in plane] for plane in c.entries]
 
 
@@ -182,8 +188,8 @@ def _iapply(cols: Sequence[Sparse], x: Sparse, f: int, acc: list[int]) -> list[i
 
 
 def _iaction(tables: Sequence[list[Sparse]], x: Sparse, f: int, acc: list[int]) -> list[int]:
-    """acc += f * sum_t x_t tables[t], row-major; each table is given by its
-    sparse columns."""
+    """acc += f * T(x) for the action table T compiled by ``_fibers``, as a
+    matrix flattened row-major."""
     for t, xt in x:
         g = f * xt
         cols = tables[t]
@@ -195,9 +201,10 @@ def _iaction(tables: Sequence[list[Sparse]], x: Sparse, f: int, acc: list[int]) 
 
 
 def _on_basis(tables: Sequence[list[Sparse]], m: int) -> list[list[Sparse]]:
-    """For an action table T given by each matrix's sparse columns, the
-    sparse columns of each map x -> T(x) e_j, for j < m: the action of an
-    element x on a basis vector is then one ``_iapply``."""
+    """For an action table T compiled by ``_fibers``, the fibers of T with
+    its first two axes swapped: the sparse columns of each map
+    x -> T(x) e_j, for j < m.  The action of an element x on a basis vector
+    is then one ``_iapply``."""
     return [[cols[j] for cols in tables] for j in range(m)]
 
 
@@ -319,42 +326,15 @@ def basis_product(A: StructureAlgebra, i: int, j: int) -> list[Fraction]:
     return list(A.c.entries[i][j])
 
 
-def _operator_tables(c: Tensor3) -> tuple[list[Matrix], list[Matrix]]:
-    """Left and right multiplication matrices of a cubic product tensor."""
-    n = c.d1
-    L = [
-        Matrix([[c.entries[i][j][k] for j in range(n)] for k in range(n)])
-        for i in range(n)
-    ]
-    R = [
-        Matrix([[c.entries[i][j][k] for i in range(n)] for k in range(n)])
-        for j in range(n)
-    ]
-    return L, R
-
-
-def _tables_tensor(tables: Sequence[Matrix], right: bool = False) -> Tensor3:
-    """The reverse of ``_operator_tables``: the product tensor whose left
-    multiplication matrices are ``tables`` (c[i][j] = L[i].column(j)), or
-    with ``right`` its right ones (c[i][j] = R[j].column(i))."""
-    n = len(tables)
-    if right:
-        return Tensor3([[tables[j].column(i) for j in range(n)] for i in range(n)])
-    return Tensor3([[tables[i].column(j) for j in range(n)] for i in range(n)])
-
-
-def mult_operators(A: StructureAlgebra) -> tuple[list[Matrix], list[Matrix]]:
-    """Matrices of left and right multiplication by each basis vector."""
-    return _operator_tables(A.c)
+def mult_operators(A: StructureAlgebra) -> tuple[Tensor3, Tensor3]:
+    """The left and right multiplication tables (L, R), with
+    L(x) y = R(y) x = x * y: fresh copies of c and of c with its first two
+    axes swapped."""
+    return A.c.copy(), A.c.swapped()
 
 
 def _block_tensor(
-    cA: Tensor3,
-    cB: Tensor3,
-    la: Sequence[Matrix],
-    ra: Sequence[Matrix],
-    lb: Sequence[Matrix],
-    rb: Sequence[Matrix],
+    cA: Tensor3, cB: Tensor3, la: Tensor3, ra: Tensor3, lb: Tensor3, rb: Tensor3
 ) -> Tensor3:
     """Product tensor on A + B (A-block first):
 
@@ -374,10 +354,10 @@ def _block_tensor(
             t.entries[n + i][n + j][n:] = cB.entries[i][j]
     for i in range(n):
         for j in range(m):
-            t.entries[i][n + j][n:] = la[i].column(j)  # e_i * b_j, B part
-            t.entries[i][n + j][:n] = rb[j].column(i)  # e_i * b_j, A part
-            t.entries[n + j][i][n:] = ra[i].column(j)  # b_j * e_i, B part
-            t.entries[n + j][i][:n] = lb[j].column(i)  # b_j * e_i, A part
+            t.entries[i][n + j][n:] = la[i][j]  # e_i * b_j, B part
+            t.entries[i][n + j][:n] = rb[j][i]  # e_i * b_j, A part
+            t.entries[n + j][i][n:] = ra[i][j]  # b_j * e_i, B part
+            t.entries[n + j][i][:n] = lb[j][i]  # b_j * e_i, A part
     return t
 
 
@@ -472,13 +452,11 @@ def fingerprint(A: StructureAlgebra) -> Fingerprint:
     n = A.dim
     if n == 0:
         return Fingerprint(0, 0, 0, 0, True)
-    products = [basis_product(A, i, j) for i in range(n) for j in range(n)]
-    dim_square = Matrix.from_columns(products).rank()
-    L, R = mult_operators(A)
-    # x is a left annihilator iff x*e_j = R[j] x = 0 for every j
-    dim_left = n - stack_rows(R).rank()
-    dim_right = n - stack_rows(L).rank()
-    commutative = all(
-        A.c.entries[i][j] == A.c.entries[j][i] for i in range(n) for j in range(i)
-    )
+    c, r = A.c.entries, range(n)
+    dim_square = Matrix.from_columns([c[i][j] for i in r for j in r]).rank()
+    # x is a left annihilator iff x*e_j = sum_i x_i c[i][j] = 0 for every j,
+    # and a right one iff e_i*x = sum_j x_j c[i][j] = 0 for every i
+    dim_left = n - Matrix([[c[i][j][k] for i in r] for j in r for k in r]).rank()
+    dim_right = n - Matrix([[c[i][j][k] for j in r] for i in r for k in r]).rank()
+    commutative = all(c[i][j] == c[j][i] for i in r for j in range(i))
     return Fingerprint(n, dim_square, dim_left, dim_right, commutative)

@@ -1,20 +1,25 @@
 """Bimodules over q-generalized associative algebras.
 
-A bimodule is a pair of action tables (l, r) on a module space V:
-``l[i]`` is the matrix of the left action of e_i, ``r[i]`` of the right
-action.  The three laws checked here, with q the algebra's parameter:
+A bimodule is a pair of action tables (l, r) on a module space V, each a
+Tensor3 of shape (dim A, dim V, dim V) like a structure tensor:
+``l[i][j]`` is l(e_i) e_j, the left action of e_i on e_j, and ``r[i][j]``
+is r(e_i) e_j.  Documents still spell each table as a list of row-major
+matrices; io.py converts at load and at dump.  The three laws checked
+here, with q the algebra's parameter:
 
     l(x*y) = q * l(x) l(y)
     r(x*y) = q^{-1} * r(y) r(x)
     l(x) r(y) = q^{-1} * r(y) l(x)
 
-Actions of non-basis elements extend linearly from the tables;
-``action_of`` builds that extension as a Fraction matrix, for the
-induced split in operators.py and the independent criteria in
-doubles.py.  The laws run on the sparse integer kernel and the law
-runner in algebra.py instead, as do the matched-pair laws built on these
-tables, and the semidirect product is algebra.py's block assembler with
-a zero partner algebra.
+Actions of non-basis elements extend linearly from the tables: T(x) v is
+algebra.py's contraction of T with x and v, and ``action_of`` builds the
+matrix of T(x) for the independent criteria in doubles.py.  The regular
+bimodule is (c, c with its first two axes swapped) and a dual is a
+transpose of the last two axes, scaled.  The laws run on the sparse
+integer kernel and the law runner in algebra.py, which compiles an
+action table like any structure tensor, as do the matched-pair laws
+built on these tables, and the semidirect product is algebra.py's block
+assembler with a zero partner algebra.
 """
 
 from __future__ import annotations
@@ -28,27 +33,29 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     _block_tensor,
-    _columns,
     _common_den,
+    _contract,
     _fibers,
     _iaction,
     _imatmul,
     _run_laws,
     mult_operators,
 )
-from .linalg import DimensionMismatch, Matrix, Tensor3
+from .linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
 
 
-def _check_tables(name: str, table: Sequence[Matrix], count: int, size: int) -> None:
-    """The shape check of every action-table dataclass: ``count`` matrices,
-    one per acting basis vector, each ``size`` x ``size``."""
-    if len(table) != count:
-        raise DimensionMismatch(f"{name}: expected {count} matrices")
-    for m in table:
-        if m.rows != size or m.cols != size:
-            raise DimensionMismatch(
-                f"{name}: matrices must be {size}x{size}, got {m.rows}x{m.cols}"
-            )
+def _check_tables(name: str, table: Tensor3, count: int, size: int) -> None:
+    """The shape check of every action-table dataclass: a Tensor3 of shape
+    (count, size, size), one plane per acting basis vector.  A tensor with
+    no planes reads (0, 0, 0)."""
+    if not isinstance(table, Tensor3):
+        raise TypeError(f"{name}: an action table is a Tensor3, got {type(table).__name__}")
+    shape = (table.d1, table.d2, table.d3)
+    want = (count, size, size) if count else (0, 0, 0)
+    if shape != want:
+        raise DimensionMismatch(
+            f"{name}: expected a {count}x{size}x{size} table, got {'x'.join(map(str, shape))}"
+        )
 
 
 def _check_sides(n: int, m: int, on_B, on_A) -> None:
@@ -67,8 +74,8 @@ def _check_sides(n: int, m: int, on_B, on_A) -> None:
 class Bimodule:
     algebra_dim: int
     module_dim: int
-    l: list[Matrix]
-    r: list[Matrix]
+    l: Tensor3
+    r: Tensor3
 
     def __post_init__(self):
         _check_tables("l", self.l, self.algebra_dim, self.module_dim)
@@ -76,19 +83,17 @@ class Bimodule:
 
     @classmethod
     def zero(cls, algebra_dim: int, module_dim: int) -> "Bimodule":
-        z = [Matrix.zeros(module_dim, module_dim) for _ in range(algebra_dim)]
-        return cls(algebra_dim, module_dim, z, [m for m in z])
+        n, m = algebra_dim, module_dim
+        return cls(n, m, Tensor3.zeros(n, m, m), Tensor3.zeros(n, m, m))
 
 
-def action_of(table: Sequence[Matrix], x: Sequence[Fraction]) -> Matrix:
-    """Linear extension: the action matrix of the element with coordinates x."""
-    if len(table) != len(x):
+def action_of(table: Tensor3, x: Sequence[Fraction]) -> Matrix:
+    """Linear extension: the action matrix of the element with coordinates x,
+    whose column j is T(x) e_j."""
+    if table.d1 != len(x):
         raise DimensionMismatch("coordinate length does not match action table")
-    out = Matrix.zeros(table[0].rows, table[0].cols)
-    for xi, m in zip(x, table):
-        if xi != 0:
-            out = out + m.scale(xi)
-    return out
+    m = table.d2
+    return Matrix.from_columns([_contract(table, x, basis_vec(m, j)) for j in range(m)])
 
 
 def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
@@ -100,10 +105,8 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
     q = A.q
-    D = _common_den([A.c], [*M.l, *M.r])
-    F = _fibers(A.c, D)
-    l = [_columns(x, D) for x in M.l]
-    r = [_columns(x, D) for x in M.r]
+    D = _common_den([A.c, M.l, M.r])
+    F, l, r = (_fibers(t, D) for t in (A.c, M.l, M.r))
     size = M.module_dim**2
     # every law times D^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
     qn, qd = q.numerator, q.denominator
@@ -120,9 +123,8 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
 
 
 def regular_bimodule(A: StructureAlgebra) -> Bimodule:
-    """The algebra acting on itself by its own multiplication operators."""
-    L, R = mult_operators(A)
-    return Bimodule(A.dim, A.dim, L, R)
+    """The algebra acting on itself by its own multiplication tables."""
+    return Bimodule(A.dim, A.dim, *mult_operators(A))
 
 
 def dual_bimodule(A: StructureAlgebra, M: Bimodule) -> Bimodule:
@@ -133,8 +135,8 @@ def dual_bimodule(A: StructureAlgebra, M: Bimodule) -> Bimodule:
     returns the original bimodule exactly.
     """
     q2 = A.q * A.q
-    dual_l = [m.transpose().scale(1 / q2) for m in M.r]
-    dual_r = [m.transpose().scale(q2) for m in M.l]
+    dual_l = M.r.transposed().scale(1 / q2)
+    dual_r = M.l.transposed().scale(q2)
     return Bimodule(M.algebra_dim, M.module_dim, dual_l, dual_r)
 
 

@@ -11,20 +11,22 @@ Summing the three gives the q-law for *, so every valid structure splits
 a q-generalized associative algebra into two halves.
 
 Dendriform bimodules carry four action tables in the fixed slot order
-(l_succ, r_succ, l_prec, r_prec); a matched pair carries two dendriform
-bimodules, one for each side's basis acting on the other's space.  The
-eighteen matched-pair conditions are stored under the identity_ids
-"35".."52": the first nine quantify (x; a, b) with x in A and a, b in B,
-the last nine are their exact mirrors under swapping the roles of A and
-B, in the same order.
+(l_succ, r_succ, l_prec, r_prec), each a Tensor3 of shape
+(dim A, dim V, dim V) in the layout of bimodules.py; a matched pair
+carries two dendriform bimodules, one for each side's basis acting on
+the other's space.  The eighteen matched-pair conditions are stored
+under the identity_ids "35".."52": the first nine quantify (x; a, b)
+with x in A and a, b in B, the last nine are their exact mirrors under
+swapping the roles of A and B, in the same order.
 
 Everything here is the associative machinery of algebra.py applied to
 each of the two tensors: both products are its tensor contraction, the
-operator tables its ``_operator_tables``, semidirect and bowtie products
-its block assembler, and every check runs on its law runner and its
-sparse integer kernel: the axioms, the nine bimodule laws and the
-eighteen matched-pair conditions, whose two halves share one compilation
-of both structures and both bimodules.
+multiplication tables are each tensor and its axis swap, the associated
+product is their sum, a dual is a transpose of the last two axes,
+semidirect and bowtie products are its block assembler, and every check
+runs on its law runner and its sparse integer kernel: the axioms, the
+nine bimodule laws and the eighteen matched-pair conditions, whose two
+halves share one compilation of both structures and both bimodules.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .algebra import (
     Violation,
     _basis,
     _block_tensor,
-    _columns,
     _common_den,
     _contract,
     _fibers,
@@ -50,12 +51,11 @@ from .algebra import (
     _imatmul,
     _imul,
     _on_basis,
-    _operator_tables,
     _prefixed,
     _run_laws,
 )
 from .bimodules import Bimodule, _check_sides, _check_tables
-from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, rat, vec_add
+from .linalg import DimensionMismatch, Scalar, Tensor3, rat, vec_add
 
 
 class DendriformStructure:
@@ -137,28 +137,25 @@ def check_q_dendriform(D: DendriformStructure) -> CheckReport:
 
 def associated_algebra(D: DendriformStructure) -> StructureAlgebra:
     """x * y = x prec y + x succ y, with the same q."""
-    p, s = D.c_prec.entries, D.c_succ.entries
-    t = [[vec_add(x, y) for x, y in zip(p[i], s[i])] for i in range(D.dim)]
-    return StructureAlgebra(D.dim, D.q, Tensor3(t))
+    return StructureAlgebra(D.dim, D.q, D.c_prec + D.c_succ)
 
 
 def dendriform_mult_operators(
     D: DendriformStructure,
-) -> tuple[list[Matrix], list[Matrix], list[Matrix], list[Matrix]]:
-    """(L_succ, R_succ, L_prec, R_prec) basis-operator tables."""
-    l_succ, r_succ = _operator_tables(D.c_succ)
-    l_prec, r_prec = _operator_tables(D.c_prec)
-    return l_succ, r_succ, l_prec, r_prec
+) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
+    """(L_succ, R_succ, L_prec, R_prec), the multiplication tables of the
+    two products as in algebra.mult_operators: fresh copies, never c itself."""
+    return D.c_succ.copy(), D.c_succ.swapped(), D.c_prec.copy(), D.c_prec.swapped()
 
 
 @dataclass
 class DendriformBimodule:
     algebra_dim: int
     module_dim: int
-    l_succ: list[Matrix]
-    r_succ: list[Matrix]
-    l_prec: list[Matrix]
-    r_prec: list[Matrix]
+    l_succ: Tensor3
+    r_succ: Tensor3
+    l_prec: Tensor3
+    r_prec: Tensor3
 
     def __post_init__(self):
         for name in ("l_succ", "r_succ", "l_prec", "r_prec"):
@@ -166,23 +163,21 @@ class DendriformBimodule:
 
     @classmethod
     def zero(cls, algebra_dim: int, module_dim: int) -> "DendriformBimodule":
-        def z():
-            return [Matrix.zeros(module_dim, module_dim) for _ in range(algebra_dim)]
-
-        return cls(algebra_dim, module_dim, z(), z(), z(), z())
+        n, m = algebra_dim, module_dim
+        return cls(n, m, *(Tensor3.zeros(n, m, m) for _ in range(4)))
 
     def sum_actions(self) -> Bimodule:
         """The associative-module shadow (l_*, r_*)."""
-        l_star = [a + b for a, b in zip(self.l_succ, self.l_prec)]
-        r_star = [a + b for a, b in zip(self.r_succ, self.r_prec)]
+        l_star = self.l_succ + self.l_prec
+        r_star = self.r_succ + self.r_prec
         return Bimodule(self.algebra_dim, self.module_dim, l_star, r_star)
 
 
 def lift_assoc_bimodule(M: Bimodule) -> DendriformBimodule:
     """Pad an associative bimodule (l, r) into the slots (l, 0, 0, r)."""
-    zeros = [Matrix.zeros(M.module_dim, M.module_dim) for _ in M.l]
+    n, m = M.algebra_dim, M.module_dim
     return DendriformBimodule(
-        M.algebra_dim, M.module_dim, list(M.l), zeros, [z for z in zeros], list(M.r)
+        n, m, M.l.copy(), Tensor3.zeros(n, m, m), Tensor3.zeros(n, m, m), M.r.copy()
     )
 
 
@@ -191,17 +186,12 @@ def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
 
 
 def _compiled(M: DendriformBimodule, den: int) -> list[list[list[Sparse]]]:
-    """The kernel's view of a dendriform bimodule: the sparse columns of
-    den times each matrix of the four tables and of the two summed ones,
-    in the order (l_succ, r_succ, l_prec, r_prec, l_star, r_star)."""
+    """The kernel's view of a dendriform bimodule: den times each of the
+    four tables and of the two summed ones, compiled by ``_fibers``, in the
+    order (l_succ, r_succ, l_prec, r_prec, l_star, r_star)."""
     summed = M.sum_actions()
     tables = (M.l_succ, M.r_succ, M.l_prec, M.r_prec, summed.l, summed.r)
-    return [[_columns(x, den) for x in t] for t in tables]
-
-
-def _matrices(M: DendriformBimodule) -> list[Matrix]:
-    """Every matrix of the four tables, for the common denominator."""
-    return [*M.l_succ, *M.r_succ, *M.l_prec, *M.r_prec]
+    return [_fibers(t, den) for t in tables]
 
 
 def check_dendriform_bimodule(
@@ -215,7 +205,7 @@ def check_dendriform_bimodule(
     """
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
-    den = _common_den([D.c_prec, D.c_succ], _matrices(M))
+    den = _common_den([D.c_prec, D.c_succ, M.l_succ, M.r_succ, M.l_prec, M.r_prec])
     p, s = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
     star = _fibers(associated_algebra(D).c, den)
     ls, rs, lp, rp, lstar, rstar = _compiled(M, den)
@@ -248,16 +238,10 @@ def dual_dendriform_bimodule(M: DendriformBimodule, q: Scalar) -> DendriformBimo
     q = rat(q)
     q2 = q * q
     qm2 = 1 / q2
-    l_succ = [
-        (a.transpose() + b.transpose()).scale(qm2)
-        for a, b in zip(M.r_succ, M.r_prec)
-    ]
-    r_succ = [m.transpose().scale(-q2) for m in M.l_prec]
-    l_prec = [m.transpose().scale(-qm2) for m in M.r_succ]
-    r_prec = [
-        (a.transpose() + b.transpose()).scale(q2)
-        for a, b in zip(M.l_succ, M.l_prec)
-    ]
+    l_succ = (M.r_succ + M.r_prec).transposed().scale(qm2)
+    r_succ = M.l_prec.transposed().scale(-q2)
+    l_prec = M.r_succ.transposed().scale(-qm2)
+    r_prec = (M.l_succ + M.l_prec).transposed().scale(q2)
     return DendriformBimodule(M.algebra_dim, M.module_dim, l_succ, r_succ, l_prec, r_prec)
 
 
@@ -364,8 +348,10 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     compilation of the two structures and the two bimodules.
     """
     A, B, q = P.D_A, P.D_B, P.D_A.q
-    tensors = [A.c_prec, A.c_succ, B.c_prec, B.c_succ]
-    den = _common_den(tensors, _matrices(P.on_B) + _matrices(P.on_A))
+    den = _common_den([
+        A.c_prec, A.c_succ, B.c_prec, B.c_succ,
+        *(t for M in (P.on_B, P.on_A) for t in (M.l_succ, M.r_succ, M.l_prec, M.r_prec)),
+    ])
     on_B, on_A = _compiled(P.on_B, den), _compiled(P.on_A, den)
     fA, fB = (
         tuple(_fibers(t, den) for t in (X.c_prec, X.c_succ, associated_algebra(X).c))

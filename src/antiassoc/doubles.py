@@ -153,10 +153,8 @@ def check_dual_matched_pair_criterion(
 
     LA, RA = mult_operators(A)
     LB, RB = mult_operators(Astar)
-    RstarA = [m.transpose() for m in RA]
-    LstarA = [m.transpose() for m in LA]
-    RstarB = [m.transpose() for m in RB]
-    LstarB = [m.transpose() for m in LB]
+    RstarA, LstarA = RA.transposed(), LA.transposed()
+    RstarB, LstarB = RB.transposed(), LB.transposed()
     e = [basis_vec(n, i) for i in range(n)]
 
     for ix in range(n):
@@ -234,10 +232,10 @@ def check_symplectic_criterion(
     B = associated_algebra(D_Astar)
     ls_a, _, _, rp_a = dendriform_mult_operators(D_A)
     ls_b, _, _, rp_b = dendriform_mult_operators(D_Astar)
-    Ra = [m.transpose() for m in rp_a]  # R_prec_A^T  : A* -> A*
-    La = [m.transpose() for m in ls_a]  # L_succ_A^T  : A* -> A*
-    Rb = [m.transpose() for m in rp_b]  # R_prec_B^T  : A  -> A
-    Lb = [m.transpose() for m in ls_b]  # L_succ_B^T  : A  -> A
+    Ra = rp_a.transposed()  # R_prec_A^T  : A* -> A*
+    La = ls_a.transposed()  # L_succ_A^T  : A* -> A*
+    Rb = rp_b.transposed()  # R_prec_B^T  : A  -> A
+    Lb = ls_b.transposed()  # L_succ_B^T  : A  -> A
     e = [basis_vec(n, i) for i in range(n)]
 
     def acc(*vecs):

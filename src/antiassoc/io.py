@@ -46,8 +46,8 @@ class _Ctx:
     text: str
 
     def fail(self, token: object, message: str) -> "ParseError":
-        # JSON spells the Python tokens True, False and None as true, false, null
-        tok = json.dumps(token) if isinstance(token, (bool, type(None))) else str(token)
+        # a non-string token is spelled as JSON spells it: true, null, {"a": 1}
+        tok = token if isinstance(token, str) else json.dumps(token)
         pos = max(self.text.find(tok), 0) if tok else 0
         return ParseError(self.path, len(self.text[:pos].encode("utf-8")), tok, message)
 
@@ -183,11 +183,14 @@ def _algebra_from(node: object, ctx: _Ctx) -> StructureAlgebra:
     return StructureAlgebra(dim, q, t)
 
 
-def _action_list(node: object, count: int, m: int, ctx: _Ctx, what: str) -> list[Matrix]:
+def _action_list(node: object, count: int, m: int, ctx: _Ctx, what: str) -> Tensor3:
+    """An action table from its document form, a list of ``count`` row-major
+    m x m matrices, one per acting basis vector."""
     if not isinstance(node, list) or len(node) != count:
         raise ctx.fail(node if not isinstance(node, list) else len(node),
                        f"{what}: expected {count} matrices")
-    return [_matrix(mat, m, m, ctx, f"{what}[{k + 1}]") for k, mat in enumerate(node)]
+    mats = [_matrix(mat, m, m, ctx, f"{what}[{k + 1}]") for k, mat in enumerate(node)]
+    return Tensor3([mat.entries for mat in mats]).transposed()
 
 
 def load_algebra(path: str) -> StructureAlgebra:
@@ -350,8 +353,9 @@ def bimodule_to_doc(A: StructureAlgebra, M: Bimodule) -> dict:
     return {
         "algebra": algebra_to_doc(A),
         "module_dim": M.module_dim,
-        "l": [matrix_doc(x) for x in M.l],
-        "r": [matrix_doc(x) for x in M.r],
+        # each table as a list of row-major matrices, one per basis vector
+        "l": tensor_doc(M.l.transposed()),
+        "r": tensor_doc(M.r.transposed()),
     }
 
 

@@ -286,28 +286,17 @@ class Matrix:
         return d
 
 
-def stack_rows(mats: Sequence[Matrix]) -> Matrix:
-    """Stack matrices vertically (all must share a column count)."""
-    if not mats:
-        raise DimensionMismatch("nothing to stack")
-    cols = mats[0].cols
-    rows: list[list[Fraction]] = []
-    for m in mats:
-        if m.cols != cols:
-            raise DimensionMismatch("column counts differ across stack")
-        rows.extend(row[:] for row in m.entries)
-    return Matrix(rows)
-
-
 # ---------------------------------------------------------------------------
 # rank-3 tensors
 
 
 class Tensor3:
-    """Structure-constant tensor c[i][j][k], stored dense and row-major.
+    """Rank-3 tensor c[i][j][k], stored dense and row-major.
 
-    The three axes need not agree in general (bimodule action tables use
-    mixed shapes), but algebra product tensors are cubic.
+    The three axes need not agree in general (action tables of an n-dim
+    algebra on an m-dim space are n x m x m), but algebra product tensors
+    are cubic.  With no planes, or planes of no rows, the trailing
+    dimensions read 0.
     """
 
     __slots__ = ("d1", "d2", "d3", "entries")
@@ -343,6 +332,27 @@ class Tensor3:
 
     def copy(self) -> "Tensor3":
         return Tensor3(self.entries)
+
+    def __add__(self, other: "Tensor3") -> "Tensor3":
+        if (self.d1, self.d2, self.d3) != (other.d1, other.d2, other.d3):
+            raise DimensionMismatch(f"shapes {self!r} and {other!r}")
+        return Tensor3([
+            [[a + b for a, b in zip(f1, f2)] for f1, f2 in zip(p1, p2)]
+            for p1, p2 in zip(self.entries, other.entries)
+        ])
+
+    def scale(self, s: Scalar) -> "Tensor3":
+        c = rat(s)
+        return Tensor3([[[c * a for a in fiber] for fiber in plane] for plane in self.entries])
+
+    def swapped(self) -> "Tensor3":
+        """The tensor with axes 0 and 1 exchanged: out[j][i] = self[i][j]."""
+        return Tensor3([[plane[j] for plane in self.entries] for j in range(self.d2)])
+
+    def transposed(self) -> "Tensor3":
+        """The tensor with axes 1 and 2 exchanged: out[i][k][j] = self[i][j][k],
+        so each plane, read as a matrix, is transposed."""
+        return Tensor3([[list(col) for col in zip(*plane)] for plane in self.entries])
 
     def is_zero(self) -> bool:
         return all(

@@ -35,7 +35,6 @@ from .algebra import (
     Violation,
     _basis,
     _block_tensor,
-    _columns,
     _common_den,
     _fibers,
     _iapply,
@@ -107,10 +106,8 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     ``precondition:`` id prefix, so the verdict is the full conjunction.
     """
     A, B, q = P.A, P.B, P.A.q
-    D = _common_den([A.c, B.c], [*P.on_B.l, *P.on_B.r, *P.on_A.l, *P.on_A.r])
-    on_B, on_A = (
-        tuple([_columns(x, D) for x in t] for t in (M.l, M.r)) for M in (P.on_B, P.on_A)
-    )
+    D = _common_den([A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r])
+    on_B, on_A = ((_fibers(M.l, D), _fibers(M.r, D)) for M in (P.on_B, P.on_A))
     den = D * D * q.numerator * q.denominator
     violations = (
         _prefixed("precondition:q_assoc:A", check_q_associative(A))

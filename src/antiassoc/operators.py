@@ -10,13 +10,14 @@ associative data:
   * a nondegenerate symplectic form on A is an invertible O-operator in
     disguise, via the musical map (Tx)_i = w(x, e_i).
 
-Each route is one formula on multiplication operators: it computes the
-matrices of left succ- and right prec-multiplication by each basis vector,
-and algebra.py's ``_tables_tensor`` turns them into the product tensors.
-``check_o_operator`` checks that T maps the associated product of the
-first route's split on V to A's product, which is exactly the O-operator
-identity; it and ``check_rota_baxter`` run on the sparse integer kernel
-in algebra.py.
+Each route reads both product tensors off algebra.py's contraction of
+the action tables, and the last two share one transport: an invertible S
+and a pair of action tables (l, r) give x succ y = S(l(x) S^{-1}y) and
+x prec y = S(r(y) S^{-1}x).  ``check_o_operator`` checks that T maps the
+associated product of the first route's split on V to A's product, which
+is exactly the O-operator identity; it and ``check_rota_baxter`` run on
+the sparse integer kernel in algebra.py, where the action tables compile
+like structure tensors and only the maps T and tau as matrices.
 
 Constructions refuse invalid input (NotAnOOperator / NotSymplectic)
 instead of emitting structures the theorems say nothing about.
@@ -34,19 +35,18 @@ from .algebra import (
     _basis,
     _columns,
     _common_den,
+    _contract,
     _fibers,
     _iapply,
     _imul,
     _nonzero,
-    _on_basis,
     _run_laws,
-    _tables_tensor,
     mult_operators,
 )
-from .bimodules import Bimodule, action_of
+from .bimodules import Bimodule
 from .dendriform import DendriformStructure
 from .forms import BilinearForm, check_symplectic
-from .linalg import DimensionMismatch, Matrix
+from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, basis_vec
 
 
 class NotAnOOperator(ValueError):
@@ -94,12 +94,24 @@ def _check_shapes(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> None:
 
 
 def _induced_split(M: Bimodule, T: LinearMap) -> DendriformStructure:
-    """u succ v = l(Tu)v and u prec v = r(Tv)u on V, unchecked: the left
-    succ-tables are l(Te_i) and the right prec-tables r(Te_j)."""
-    Te = [T.m.column(i) for i in range(M.module_dim)]
-    succ = _tables_tensor([action_of(M.l, t) for t in Te])
-    prec = _tables_tensor([action_of(M.r, t) for t in Te], right=True)
-    return DendriformStructure(M.module_dim, Fraction(-1), prec, succ)
+    """u succ v = l(Tu)v and u prec v = r(Tv)u on V, unchecked."""
+    m = M.module_dim
+    Te, e = [T.m.column(i) for i in range(m)], [basis_vec(m, i) for i in range(m)]
+    succ = Tensor3([[_contract(M.l, Te[i], e[j]) for j in range(m)] for i in range(m)])
+    prec = Tensor3([[_contract(M.r, Te[j], e[i]) for j in range(m)] for i in range(m)])
+    return DendriformStructure(m, Fraction(-1), prec, succ)
+
+
+def _transported(
+    l: Tensor3, r: Tensor3, S: Matrix, Sinv: Matrix, q: Scalar
+) -> DendriformStructure:
+    """x succ y = S(l(x) S^{-1}y) and x prec y = S(r(y) S^{-1}x), unchecked,
+    for action tables l and r of the space S maps onto."""
+    n = S.rows
+    e, Sinv_e = [basis_vec(n, i) for i in range(n)], [Sinv.column(i) for i in range(n)]
+    succ = [[S.apply(_contract(l, e[i], Sinv_e[j])) for j in range(n)] for i in range(n)]
+    prec = [[S.apply(_contract(r, e[j], Sinv_e[i])) for j in range(n)] for i in range(n)]
+    return DendriformStructure(n, q, Tensor3(prec), Tensor3(succ))
 
 
 def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
@@ -107,13 +119,12 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
     T maps the associated product of the induced split on V into A's."""
     _check_shapes(A, M, T)
     n, m = A.dim, M.module_dim
-    D = _common_den([A.c], [T.m, *M.l, *M.r])
+    D = _common_den([A.c, M.l, M.r], [T.m])
     F = _fibers(A.c, D)
     Te = _columns(T.m, D)
     # on_e[j] is the map x -> l(x) e_j from A to V, by its columns; so is at_e[j]
     # for x -> r(x) e_j
-    on_e = _on_basis([_columns(x, D) for x in M.l], m)
-    at_e = _on_basis([_columns(x, D) for x in M.r], m)
+    on_e, at_e = _fibers(M.l.swapped(), D), _fibers(M.r.swapped(), D)
 
     def residual(i, j):
         # all terms times D^3; induced is -(l(Tu)v + r(Tv)u)
@@ -177,10 +188,7 @@ def compatible_dendriform_from_o_operator(
     x prec y = T(r(y) T^{-1}x).  The associated algebra is A itself.
     """
     _require_o_operator(A, M, T, force)
-    Tinv = T.m.invert()
-    succ = _tables_tensor([T.m * l * Tinv for l in M.l])
-    prec = _tables_tensor([T.m * r * Tinv for r in M.r], right=True)
-    return DendriformStructure(A.dim, A.q, prec, succ)
+    return _transported(M.l, M.r, T.m, T.m.invert(), A.q)
 
 
 def dendriform_from_symplectic(
@@ -203,6 +211,4 @@ def dendriform_from_symplectic(
     if report is not None and not report.passed:
         raise NotSymplectic(report)
     L, R = mult_operators(A)
-    succ = _tables_tensor([Tinv * r.transpose() * T for r in R])
-    prec = _tables_tensor([Tinv * l.transpose() * T for l in L], right=True)
-    return DendriformStructure(A.dim, A.q, prec, succ)
+    return _transported(R.transposed(), L.transposed(), Tinv, T, A.q)

@@ -3,7 +3,9 @@
 Each function here evaluates one check's laws tuple by tuple in Fraction
 arithmetic, through the public products and matrix operations, and
 returns a CheckReport with the same ids, indices, residual order and info
-as the library check of the same name.  tests/test_kernel.py compares the
+as the library check of the same name.  An action table is read as the
+matrices of its basis vectors' actions and, for any other element,
+through ``action_of``.  tests/test_kernel.py compares the
 two exactly; nothing in the library imports this module.
 """
 
@@ -49,6 +51,11 @@ def _flat(m) -> list[Fraction]:
 
 def _basis(n):
     return [basis_vec(n, i) for i in range(n)]
+
+
+def _matrices(table):
+    """The matrix of each basis vector's action."""
+    return [action_of(table, e) for e in _basis(table.d1)]
 
 
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
@@ -104,11 +111,11 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
 
 def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     q, qinv, c = A.q, 1 / A.q, A.c.entries
-    l, r = M.l, M.r
+    l, r = _matrices(M.l), _matrices(M.r)
 
     def residual(i, j):
-        yield "l_law", _flat(action_of(l, c[i][j]) - (l[i] * l[j]).scale(q))
-        yield "r_law", _flat(action_of(r, c[i][j]) - (r[j] * r[i]).scale(qinv))
+        yield "l_law", _flat(action_of(M.l, c[i][j]) - (l[i] * l[j]).scale(q))
+        yield "r_law", _flat(action_of(M.r, c[i][j]) - (r[j] * r[i]).scale(qinv))
         yield "lr_law", _flat(l[i] * r[j] - (r[j] * l[i]).scale(qinv))
 
     violations = _run(itertools.product(range(A.dim), repeat=2), residual)
@@ -198,20 +205,20 @@ def _matched_half(Y: StructureAlgebra, by_X: Bimodule, by_Y: Bimodule, ids) -> l
     qi = 1 / q
     n, m = by_X.algebra_dim, Y.dim
     eX, eY = _basis(n), _basis(m)
-    lX, rX, lY, rY = by_X.l, by_X.r, by_Y.l, by_Y.r
+    lX, rX, lY, rY = (_matrices(t) for t in (by_X.l, by_X.r, by_Y.l, by_Y.r))
     mulY = lambda u, v: multiply(Y, u, v)  # noqa: E731
 
     def residual(ix, ia, ib):
         x, a, b = eX[ix], eY[ia], eY[ib]
         ab = Y.c.entries[ia][ib]
         lx, rx = lX[ix], rX[ix]
-        rhs1 = zip(action_of(lX, rY[ia].apply(x)).apply(b), mulY(lx.apply(a), b))
+        rhs1 = zip(action_of(by_X.l, rY[ia].apply(x)).apply(b), mulY(lx.apply(a), b))
         yield ids[0], vec_sub(lx.apply(ab), [qi * (u + v) for u, v in rhs1])
-        rhs2 = zip(action_of(rX, lY[ib].apply(x)).apply(a), mulY(a, rx.apply(b)))
+        rhs2 = zip(action_of(by_X.r, lY[ib].apply(x)).apply(a), mulY(a, rx.apply(b)))
         yield ids[1], vec_sub(rx.apply(ab), [q * (u + v) for u, v in rhs2])
-        t5 = action_of(lX, lY[ia].apply(x)).apply(b)
+        t5 = action_of(by_X.l, lY[ia].apply(x)).apply(b)
         t5 = [u + v for u, v in zip(t5, mulY(rx.apply(a), b))]
-        t5 = [u - q * v for u, v in zip(t5, action_of(rX, rY[ib].apply(x)).apply(a))]
+        t5 = [u - q * v for u, v in zip(t5, action_of(by_X.r, rY[ib].apply(x)).apply(a))]
         t5 = [u - q * v for u, v in zip(t5, mulY(a, lx.apply(b)))]
         yield ids[2], t5
 
@@ -232,23 +239,23 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
 
 def check_dendriform_bimodule(D: DendriformStructure, M: DendriformBimodule) -> CheckReport:
     q = D.q
-    ls, rs, lp, rp = M.l_succ, M.r_succ, M.l_prec, M.r_prec
+    ls, rs, lp, rp = (_matrices(t) for t in (M.l_succ, M.r_succ, M.l_prec, M.r_prec))
     summed = M.sum_actions()
-    lstar, rstar = summed.l, summed.r
+    lstar, rstar = _matrices(summed.l), _matrices(summed.r)
     p, s = D.c_prec.entries, D.c_succ.entries
     star = associated_algebra(D).c.entries
 
     def residual(i, j):
         for law, res in (
-            ("law1", action_of(lp, p[i][j]) - (lp[i] * lstar[j]).scale(q)),
+            ("law1", action_of(M.l_prec, p[i][j]) - (lp[i] * lstar[j]).scale(q)),
             ("law2", rp[i] * lp[j] - (lp[j] * rstar[i]).scale(q)),
-            ("law3", rp[i] * rp[j] - action_of(rp, star[j][i]).scale(q)),
-            ("law4", action_of(lp, s[i][j]) - (ls[i] * lp[j]).scale(q)),
+            ("law3", rp[i] * rp[j] - action_of(M.r_prec, star[j][i]).scale(q)),
+            ("law4", action_of(M.l_prec, s[i][j]) - (ls[i] * lp[j]).scale(q)),
             ("law5", rp[i] * ls[j] - (ls[j] * rp[i]).scale(q)),
-            ("law6", rp[i] * rs[j] - action_of(rs, p[j][i]).scale(q)),
-            ("law7", action_of(ls, star[i][j]) - (ls[i] * ls[j]).scale(q)),
+            ("law6", rp[i] * rs[j] - action_of(M.r_succ, p[j][i]).scale(q)),
+            ("law7", action_of(M.l_succ, star[i][j]) - (ls[i] * ls[j]).scale(q)),
             ("law8", rs[i] * lstar[j] - (ls[j] * rs[i]).scale(q)),
-            ("law9", rs[i] * rstar[j] - action_of(rs, s[j][i]).scale(q)),
+            ("law9", rs[i] * rstar[j] - action_of(M.r_succ, s[j][i]).scale(q)),
         ):
             yield law, _flat(res)
 
@@ -262,10 +269,14 @@ def _halfside(DY: DendriformStructure, by_X, by_Y, first_id: int) -> list[Violat
     n, m = by_X.algebra_dim, DY.dim
     eX, eY = _basis(n), _basis(m)
     ids = [str(first_id + k) for k in range(9)]
-    lx_s, rx_s, lx_p, rx_p = by_X.l_succ, by_X.r_succ, by_X.l_prec, by_X.r_prec
-    ly_s, ry_s, ly_p, ry_p = by_Y.l_succ, by_Y.r_succ, by_Y.l_prec, by_Y.r_prec
+    lx_s, rx_s, lx_p, rx_p = (
+        _matrices(t) for t in (by_X.l_succ, by_X.r_succ, by_X.l_prec, by_X.r_prec)
+    )
+    ly_s, ry_s, ly_p, ry_p = (
+        _matrices(t) for t in (by_Y.l_succ, by_Y.r_succ, by_Y.l_prec, by_Y.r_prec)
+    )
     sum_X, sum_Y = by_X.sum_actions(), by_Y.sum_actions()
-    lx, rx, ly, ry = sum_X.l, sum_X.r, sum_Y.l, sum_Y.r
+    lx, rx, ly, ry = (_matrices(t) for t in (sum_X.l, sum_X.r, sum_Y.l, sum_Y.r))
     p, s = DY.c_prec.entries, DY.c_succ.entries
     star = associated_algebra(DY).c.entries
     one = Fraction(1)
@@ -284,50 +295,50 @@ def _halfside(DY: DendriformStructure, by_X, by_Y, first_id: int) -> list[Violat
             (
                 Rp.apply(p[ia][ib]),
                 (-q, DY.prec(a, R.apply(b))),
-                (-q, action_of(rx_p, ly[ib].apply(x)).apply(a)),
+                (-q, action_of(by_X.r_prec, ly[ib].apply(x)).apply(a)),
             ),
             (
-                action_of(lx_p, ly_p[ia].apply(x)).apply(b),
+                action_of(by_X.l_prec, ly_p[ia].apply(x)).apply(b),
                 (one, DY.prec(Rp.apply(a), b)),
                 (-q, DY.prec(a, L.apply(b))),
-                (-q, action_of(rx_p, ry[ib].apply(x)).apply(a)),
+                (-q, action_of(by_X.r_prec, ry[ib].apply(x)).apply(a)),
             ),
             (
                 Lp.apply(star[ia][ib]),
                 (-qi, DY.prec(Lp.apply(a), b)),
-                (-qi, action_of(lx_p, ry_p[ia].apply(x)).apply(b)),
+                (-qi, action_of(by_X.l_prec, ry_p[ia].apply(x)).apply(b)),
             ),
             (
                 Rp.apply(s[ia][ib]),
-                (-q, action_of(rx_s, ly_p[ib].apply(x)).apply(a)),
+                (-q, action_of(by_X.r_succ, ly_p[ib].apply(x)).apply(a)),
                 (-q, DY.succ(a, Rp.apply(b))),
             ),
             (
-                action_of(lx_p, ly_s[ia].apply(x)).apply(b),
+                action_of(by_X.l_prec, ly_s[ia].apply(x)).apply(b),
                 (one, DY.prec(Rs.apply(a), b)),
                 (-q, DY.succ(a, Lp.apply(b))),
-                (-q, action_of(rx_s, ry_p[ib].apply(x)).apply(a)),
+                (-q, action_of(by_X.r_succ, ry_p[ib].apply(x)).apply(a)),
             ),
             (
                 Ls.apply(p[ia][ib]),
                 (-qi, DY.prec(Ls.apply(a), b)),
-                (-qi, action_of(lx_p, ry_s[ia].apply(x)).apply(b)),
+                (-qi, action_of(by_X.l_prec, ry_s[ia].apply(x)).apply(b)),
             ),
             (
                 Rs.apply(star[ia][ib]),
                 (-q, DY.succ(a, Rs.apply(b))),
-                (-q, action_of(rx_s, ly_s[ib].apply(x)).apply(a)),
+                (-q, action_of(by_X.r_succ, ly_s[ib].apply(x)).apply(a)),
             ),
             (
                 DY.succ(a, Ls.apply(b)),
-                (one, action_of(rx_s, ry_s[ib].apply(x)).apply(a)),
-                (-qi, action_of(lx_s, ly[ia].apply(x)).apply(b)),
+                (one, action_of(by_X.r_succ, ry_s[ib].apply(x)).apply(a)),
+                (-qi, action_of(by_X.l_succ, ly[ia].apply(x)).apply(b)),
                 (-qi, DY.succ(R.apply(a), b)),
             ),
             (
                 Ls.apply(s[ia][ib]),
                 (-qi, DY.succ(L.apply(a), b)),
-                (-qi, action_of(lx_s, ry[ia].apply(x)).apply(b)),
+                (-qi, action_of(by_X.l_succ, ry[ia].apply(x)).apply(b)),
             ),
         )
         for identity_id, t in zip(ids, terms):

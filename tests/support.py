@@ -66,9 +66,15 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     return Matrix([[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)])
 
 
+def table(mats) -> Tensor3:
+    """The action table whose action of e_k has the row-major matrix
+    mats[k], as a document spells it: T[k][j] is column j of mats[k]."""
+    return Tensor3([m.entries for m in mats]).transposed()
+
+
 def random_bimodule(rng: random.Random, A: StructureAlgebra, m: int) -> Bimodule:
-    l = [random_matrix(rng, m, m) for _ in range(A.dim)]
-    r = [random_matrix(rng, m, m) for _ in range(A.dim)]
+    l = table([random_matrix(rng, m, m) for _ in range(A.dim)])
+    r = table([random_matrix(rng, m, m) for _ in range(A.dim)])
     return Bimodule(A.dim, m, l, r)
 
 
@@ -78,14 +84,15 @@ def valid_bimodules(A: StructureAlgebra) -> list[Bimodule]:
 
 
 def perturb_bimodule(rng: random.Random, M: Bimodule) -> Bimodule:
-    """Copy with a single random entry bumped by a nonzero amount."""
-    l = [Matrix([row[:] for row in mat.entries]) for mat in M.l]
-    r = [Matrix([row[:] for row in mat.entries]) for mat in M.r]
+    """Copy with a single random entry bumped by a nonzero amount: row i,
+    column j of the matrix of one basis vector's action, which is the
+    table entry [k][j][i]."""
+    l, r = M.l.copy(), M.r.copy()
     side = l if rng.random() < 0.5 else r
-    mat = rng.choice(side)
-    i = rng.randrange(mat.rows)
-    j = rng.randrange(mat.cols)
-    mat.entries[i][j] += rng.choice([Fraction(1), Fraction(-1), Fraction(1, 2)])
+    k = rng.randrange(side.d1)
+    i = rng.randrange(M.module_dim)
+    j = rng.randrange(M.module_dim)
+    side[k][j][i] += rng.choice([Fraction(1), Fraction(-1), Fraction(1, 2)])
     return Bimodule(M.algebra_dim, M.module_dim, l, r)
 
 

@@ -16,6 +16,7 @@ from antiassoc import (
     mult_operators,
     multiply,
 )
+from antiassoc.bimodules import action_of
 from antiassoc.linalg import basis_vec
 
 from .support import nilpotent_algebra, valid_algebra
@@ -64,8 +65,17 @@ def test_mult_operators_agree_with_multiply():
     for i in range(2):
         for j in range(2):
             ei, ej = basis_vec(2, i), basis_vec(2, j)
-            assert L[i].apply(ej) == multiply(E1E1, ei, ej)
-            assert R[j].apply(ei) == multiply(E1E1, ei, ej)
+            assert action_of(L, ei).apply(ej) == multiply(E1E1, ei, ej)
+            assert action_of(R, ej).apply(ei) == multiply(E1E1, ei, ej)
+
+
+def test_mult_operators_are_fresh_tables():
+    """Editing a multiplication table never edits the algebra's c."""
+    A = StructureAlgebra.from_products(2, -1, {(1, 2): {1: 3}})
+    L, R = mult_operators(A)
+    L[0][1][0] += 1
+    R[1][0][0] += 1
+    assert A.c == StructureAlgebra.from_products(2, -1, {(1, 2): {1: 3}}).c
 
 
 @given(st.integers(0, 2**30), st.sampled_from(["1", "-1", "2", "-1/2"]))

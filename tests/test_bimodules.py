@@ -23,6 +23,8 @@ from .support import (
     nilpotent_algebra,
     perturb_bimodule,
     random_bimodule,
+    random_matrix,
+    table,
     valid_algebra,
     valid_bimodules,
 )
@@ -34,9 +36,13 @@ QS = [Fraction(1), Fraction(-1), Fraction(2)]
 
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
-        Bimodule(2, 2, [Matrix.identity(2)], [Matrix.identity(2)] * 2)
+        Bimodule(2, 2, table([Matrix.identity(2)]), table([Matrix.identity(2)] * 2))
     with pytest.raises(DimensionMismatch):
-        Bimodule(2, 2, [Matrix.identity(2)] * 2, [Matrix.identity(2), Matrix.identity(3)])
+        Bimodule(2, 2, table([Matrix.identity(2)] * 2), table([Matrix.identity(3)] * 2))
+    with pytest.raises(TypeError):  # a list of matrices is not a table
+        Bimodule(2, 2, [Matrix.identity(2)] * 2, [Matrix.identity(2)] * 2)
+    # an algebra of dim 0 has the empty table, whatever the module
+    assert Bimodule(0, 3, table([]), table([])).module_dim == 3
 
 
 def test_regular_bimodule_is_valid():
@@ -48,11 +54,13 @@ def test_zero_bimodule_is_valid():
 
 
 def test_action_of_extends_linearly():
-    M = regular_bimodule(E1E1)
+    mats = [random_matrix(random.Random(3), 3, 3) for _ in range(2)]
     x = [Fraction(2), Fraction(5)]
-    got = action_of(M.l, x)
-    expect = M.l[0].scale(Fraction(2)) + M.l[1].scale(Fraction(5))
+    got = action_of(table(mats), x)
+    expect = mats[0].scale(Fraction(2)) + mats[1].scale(Fraction(5))
     assert got == expect
+    # e1 e1 = e2: the left action of e1 maps e1 to e2
+    assert action_of(regular_bimodule(E1E1).l, basis_vec(2, 0)) == Matrix([[0, 0], [1, 0]])
 
 
 @given(st.integers(0, 2**30), st.sampled_from(QS))
@@ -97,9 +105,9 @@ def test_semidirect_blocks(seed, q):
     for i in range(n):
         for j in range(m):
             mixed = basis_product(S, i, n + j)
-            assert mixed[n:] == M.l[i].column(j)
+            assert mixed[n:] == action_of(M.l, basis_vec(n, i)).column(j)
             mixed_r = basis_product(S, n + j, i)
-            assert mixed_r[n:] == M.r[i].column(j)
+            assert mixed_r[n:] == action_of(M.r, basis_vec(n, i)).column(j)
 
 
 @given(st.integers(0, 2**30), st.sampled_from(QS))
@@ -127,8 +135,10 @@ def test_dual_swaps_and_transposes():
     M = regular_bimodule(E1E1)
     D = dual_bimodule(E1E1, M)
     q2 = Fraction(1)  # q = -1 so q^2 = 1
-    assert D.l == [mat.transpose().scale(1 / q2) for mat in M.r]
-    assert D.r == [mat.transpose().scale(q2) for mat in M.l]
+    E = [basis_vec(2, i) for i in range(2)]
+    for e in E:
+        assert action_of(D.l, e) == action_of(M.r, e).transpose().scale(1 / q2)
+        assert action_of(D.r, e) == action_of(M.l, e).transpose().scale(q2)
 
 
 def test_broken_regular_action_fails():

@@ -1,0 +1,221 @@
+"""Golden CLI output: every verify target, every one-file build, both
+doubles and ``paper fixtures`` must keep their exact bytes.
+
+Each case's digest is the sha256 of its exit code, stdout and stderr (and,
+for a build with ``-o``, the file it writes), kept in ``golden_cli.json``
+next to this file.  The documents are written inline or copied from
+``fixtures/`` into a temporary directory, which is the working directory of
+every run, and are named by relative paths, so no absolute path reaches the
+output.  After a change that is meant to alter the output, rerun this file
+as a script to record the manifest again:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+from antiassoc import cli
+
+HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parent
+MANIFEST = HERE / "golden_cli.json"
+
+# the left and right multiplication tables of e1e1_e2.json (e1.e1 = e2), row-major
+REGULAR = {"l": [[["0", "0"], ["1", "0"]], [["0", "0"], ["0", "0"]]],
+           "r": [[["0", "0"], ["1", "0"]], [["0", "0"], ["0", "0"]]]}
+
+# a 3-dim module of a 2-dim algebra, asymmetric entries, failing laws
+BIMODULE_FAIL = {
+    "algebra": "e1e1_e2.json",
+    "module_dim": 3,
+    "l": [[["1", "2", "0"], ["0", "-1/2", "3"], ["1", "0", "0"]],
+          [["0", "0", "1"], ["2/3", "0", "0"], ["0", "1", "-1"]]],
+    "r": [[["0", "1", "0"], ["0", "0", "0"], ["-1", "0", "1/2"]],
+          [["1", "0", "0"], ["0", "0", "2"], ["0", "0", "0"]]],
+}
+
+DOCS = {
+    "bimodule_pass.json": {"algebra": "e1e1_e2.json", "module_dim": 2, **REGULAR},
+    "bimodule_fail.json": BIMODULE_FAIL,
+    # A (dim 2) and B (dim 1) with zero actions: both algebras are antiassociative
+    "matched_pass.json": {
+        "A": "e1e1_e2.json",
+        "B": {"dim": 1, "q": "-1", "products": []},
+        "lA": [[["0"]], [["0"]]], "rA": [[["0"]], [["0"]]],
+        "lB": [[["0", "0"], ["0", "0"]]], "rB": [[["0", "0"], ["0", "0"]]],
+    },
+    "matched_fail.json": {
+        "A": "e1e1_e2.json",
+        "B": {"dim": 1, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"1": "1/2"}}]},
+        "lA": [[["1"]], [["-2"]]], "rA": [[["0"]], [["1/3"]]],
+        "lB": [[["0", "1"], ["2", "0"]]], "rB": [[["1", "0"], ["0", "-1"]]],
+    },
+    "dendriform_pass.json": {
+        "dim": 2, "q": "-1",
+        "prec_products": [{"i": 1, "j": 1, "out": {"2": "1/2"}}],
+        "succ_products": [{"i": 1, "j": 1, "out": {"2": "1/2"}}],
+    },
+    "dendriform_fail.json": {
+        "dim": 2, "q": "-1",
+        "prec_products": [{"i": 1, "j": 1, "out": {"1": "1", "2": "1/2"}}],
+        "succ_products": [{"i": 2, "j": 1, "out": {"2": "-1"}}],
+    },
+    "dendriform_zero.json": {"dim": 2, "q": "-1", "prec_products": []},
+    "form_symmetric.json": {
+        "algebra": "e1e1_e2.json",
+        "form": {"dim": 2, "kind": "symmetric", "gram": [["0", "1"], ["1", "0"]]},
+    },
+    "form_antisymmetric.json": {
+        "algebra": "e1e1_e2.json",
+        "form": {"dim": 2, "kind": "antisymmetric", "gram": [["0", "1"], ["-1", "0"]]},
+    },
+    # tau = diag(1, 1/2) is a Rota-Baxter operator of E1E1, so an
+    # O-operator for its regular bimodule; the identity is not
+    "o_operator_pass.json": {
+        "algebra": "e1e1_e2.json",
+        "bimodule": {"module_dim": 2, **REGULAR},
+        "T": [["1", "0"], ["0", "1/2"]],
+    },
+    "o_operator_fail.json": {
+        "algebra": "e1e1_e2.json",
+        "bimodule": {"module_dim": 2, **REGULAR},
+        "T": [["1", "0"], ["0", "1"]],
+    },
+    "o_operator_wide.json": {
+        "algebra": "e1e1_e2.json",
+        "bimodule": {k: v for k, v in BIMODULE_FAIL.items() if k != "algebra"},
+        "T": [["1", "0", "2"], ["0", "1", "-1"]],
+    },
+}
+
+# (case name, argv); a case whose argv holds "-o" also digests the file written
+CASES = [
+    ("verify_algebra_pass", ["verify", "algebra", "e1e1_e2.json", "--json"]),
+    ("verify_algebra_fail", ["verify", "algebra", "e2e1_e2.json", "--json"]),
+    ("verify_algebra_q2", ["verify", "algebra", "e2e1_e2.json", "--q", "2"]),
+    ("verify_bimodule_pass", ["verify", "bimodule", "bimodule_pass.json", "--json"]),
+    ("verify_bimodule_fail", ["verify", "bimodule", "bimodule_fail.json", "--json"]),
+    ("verify_bimodule_fail_text", ["verify", "bimodule", "bimodule_fail.json", "--q", "-1/2"]),
+    ("verify_matched_pass", ["verify", "matched-pair", "matched_pass.json", "--json"]),
+    ("verify_matched_fail", ["verify", "matched-pair", "matched_fail.json", "--json"]),
+    ("verify_matched_fail_text", ["verify", "matched-pair", "matched_fail.json", "--q", "2"]),
+    ("verify_dendriform_pass", ["verify", "dendriform", "dendriform_pass.json", "--json"]),
+    ("verify_dendriform_fail", ["verify", "dendriform", "dendriform_fail.json", "--json"]),
+    ("verify_form_symmetric", ["verify", "form", "form_symmetric.json", "--json"]),
+    ("verify_form_antisymmetric", ["verify", "form", "form_antisymmetric.json", "--json"]),
+    ("verify_o_operator_pass", ["verify", "o-operator", "o_operator_pass.json", "--json"]),
+    ("verify_o_operator_fail", ["verify", "o-operator", "o_operator_fail.json", "--json"]),
+    ("verify_o_operator_wide", ["verify", "o-operator", "o_operator_wide.json", "--json"]),
+    ("verify_rota_baxter", ["verify", "rota-baxter", "rb_diag.json", "--json"]),
+    ("build_semidirect", ["build", "semidirect", "bimodule_fail.json"]),
+    ("build_semidirect_out", ["build", "semidirect", "bimodule_pass.json", "-o", "out.json"]),
+    ("build_bowtie", ["build", "bowtie", "matched_fail.json"]),
+    ("build_dual_bimodule", ["build", "dual-bimodule", "bimodule_fail.json"]),
+    ("build_dual_bimodule_out", ["build", "dual-bimodule", "bimodule_pass.json",
+                                 "-o", "dual.json"]),
+    ("build_anticommutator", ["build", "anticommutator", "e2e1_e2.json"]),
+    ("build_associated", ["build", "associated", "dendriform_fail.json"]),
+    ("build_from_omega", ["build", "dendriform-from-omega", "form_antisymmetric.json",
+                          "--force"]),
+    ("build_from_omega_refused", ["build", "dendriform-from-omega",
+                                  "form_antisymmetric.json"]),
+    ("build_from_o_operator", ["build", "dendriform-from-o-operator", "o_operator_fail.json",
+                               "--force"]),
+    ("build_from_o_operator_pass", ["build", "dendriform-from-o-operator",
+                                    "o_operator_pass.json"]),
+    ("build_double_quadratic", ["build", "double-quadratic", "e1e1_e2.json", "e2e1_e2.json"]),
+    ("build_double_symplectic", ["build", "double-symplectic", "dendriform_pass.json",
+                                 "dendriform_zero.json"]),
+    ("build_double_symplectic_fail", ["build", "double-symplectic", "dendriform_fail.json",
+                                      "dendriform_pass.json"]),
+    ("paper_fixtures", ["paper", "fixtures", "--json"]),
+]
+
+
+def write_documents(directory: pathlib.Path) -> None:
+    """The inline documents and the files of ``fixtures/``, in ``directory``."""
+    for src in sorted((ROOT / "fixtures").glob("*.json")):
+        shutil.copy(src, directory / src.name)
+    for name, doc in DOCS.items():
+        (directory / name).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def digest(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
+
+
+def run_case(argv: list[str]) -> str:
+    """Run one command in the current directory and digest its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    parts = [rc, out.getvalue(), err.getvalue()]
+    if "-o" in argv:
+        parts.append(pathlib.Path(argv[argv.index("-o") + 1]).read_text())
+    return digest(*parts)
+
+
+def demo_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    write_documents(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    return json.loads(MANIFEST.read_text())
+
+
+def test_manifest_covers_every_case(manifest):
+    assert sorted(manifest["cli"]) == sorted(name for name, _ in CASES)
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_bytes_match_the_manifest(name, argv, documents, manifest, monkeypatch):
+    monkeypatch.chdir(documents)
+    monkeypatch.delenv("ANTIASSOC_FIXTURES", raising=False)
+    assert run_case(argv) == manifest["cli"][name]
+
+
+def record() -> dict:
+    """Digests of every case and every demo's stdout, from this checkout."""
+    cli_digests = {}
+    previous = os.getcwd()
+    os.environ.pop("ANTIASSOC_FIXTURES", None)
+    with tempfile.TemporaryDirectory() as work:
+        write_documents(pathlib.Path(work))
+        os.chdir(work)
+        try:
+            for name, argv in CASES:
+                cli_digests[name] = run_case(argv)
+        finally:
+            os.chdir(previous)
+    demos = {}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], env=demo_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        demos[demo.name] = digest(proc.stdout)
+    return {"cli": cli_digests, "demos": demos}
+
+
+if __name__ == "__main__":
+    MANIFEST.write_text(json.dumps(record(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST.relative_to(ROOT)}")

@@ -25,6 +25,7 @@ from antiassoc import (
     regular_bimodule,
     regular_dendriform_bimodule,
 )
+from antiassoc.bimodules import action_of
 from antiassoc.linalg import DimensionMismatch, Matrix, basis_vec
 
 from .support import (
@@ -32,6 +33,7 @@ from .support import (
     case4_dendriform,
     nilpotent_dendriform,
     random_matrix,
+    table,
 )
 
 QS = [Fraction(1), Fraction(-1), Fraction(2)]
@@ -46,25 +48,32 @@ def side_and_slot(name):
     return ("on_B" if name[1] == "a" else "on_A"), name[0] + name[2:]
 
 
+def raw_matrices(T):
+    """The row-major matrices of T's actions as nested lists, raw[k][i][j]
+    for the action of e_k."""
+    return [[list(row) for row in action_of(T, basis_vec(T.d1, k)).entries]
+            for k in range(T.d1)]
+
+
 def bump_table(P, name, bump):
     """P with its table ``name`` changed by ``bump`` on a copy of its
     entries, raw[k][i][j] for matrix k."""
     side, slot = side_and_slot(name)
     M = getattr(P, side)
-    raw = [[list(row) for row in m.entries] for m in getattr(M, slot)]
+    raw = raw_matrices(getattr(M, slot))
     bump(raw)
-    return replace(P, **{side: replace(M, **{slot: [Matrix(m) for m in raw]})})
+    return replace(P, **{side: replace(M, **{slot: table([Matrix(m) for m in raw])})})
 
 
 def perturb_dendriform_bimodule(rng, M):
     slot = rng.choice(["l_succ", "r_succ", "l_prec", "r_prec"])
-    raw = [[list(row) for row in m.entries] for m in getattr(M, slot)]
+    raw = raw_matrices(getattr(M, slot))
     k = rng.randrange(len(raw))
     i = rng.randrange(len(raw[k]))
     j = rng.randrange(len(raw[k][i]))
     raw[k][i][j] += rng.choice([1, -1, Fraction(1, 2)])
     kw = dict(l_succ=M.l_succ, r_succ=M.r_succ, l_prec=M.l_prec, r_prec=M.r_prec)
-    kw[slot] = [Matrix(m) for m in raw]
+    kw[slot] = table([Matrix(m) for m in raw])
     return DendriformBimodule(M.algebra_dim, M.module_dim, **kw)
 
 
@@ -130,10 +139,10 @@ def test_mult_operator_columns_are_products():
     e = [basis_vec(2, i) for i in range(2)]
     for i in range(2):
         for j in range(2):
-            assert ls[i].column(j) == D.succ(e[i], e[j])
-            assert rs[j].column(i) == D.succ(e[i], e[j])
-            assert lp[i].column(j) == D.prec(e[i], e[j])
-            assert rp[j].column(i) == D.prec(e[i], e[j])
+            assert action_of(ls, e[i]).column(j) == D.succ(e[i], e[j])
+            assert action_of(rs, e[j]).column(i) == D.succ(e[i], e[j])
+            assert action_of(lp, e[i]).column(j) == D.prec(e[i], e[j])
+            assert action_of(rp, e[j]).column(i) == D.prec(e[i], e[j])
 
 
 @given(st.integers(0, 2**30), st.sampled_from(QS))
@@ -212,7 +221,7 @@ def test_semidirect_blocks():
     # module squares to zero
     assert S.star(e[2], e[3]) == [Fraction(0)] * 4
     # mixed products follow the action tables
-    assert S.succ(e[0], e[2])[2:] == M.l_succ[0].column(0)
+    assert S.succ(e[0], e[2])[2:] == action_of(M.l_succ, basis_vec(2, 0)).column(0)
 
 
 def test_octuple_matched_pair_passes_for_model_pairs():
@@ -292,18 +301,18 @@ def test_bimodule_shape_validation():
     with pytest.raises(DimensionMismatch):
         DendriformBimodule(
             2, 2,
-            [Matrix.zeros(2, 2)],
-            [Matrix.zeros(2, 2)] * 2,
-            [Matrix.zeros(2, 2)] * 2,
-            [Matrix.zeros(2, 2)] * 2,
+            table([Matrix.zeros(2, 2)]),
+            table([Matrix.zeros(2, 2)] * 2),
+            table([Matrix.zeros(2, 2)] * 2),
+            table([Matrix.zeros(2, 2)] * 2),
         )
     with pytest.raises(DimensionMismatch):  # right count, wrong size
         DendriformBimodule(
             2, 2,
-            [Matrix.zeros(2, 2)] * 2,
-            [Matrix.zeros(2, 2)] * 2,
-            [Matrix.zeros(2, 2)] * 2,
-            [Matrix.zeros(2, 2), Matrix.zeros(1, 1)],
+            table([Matrix.zeros(2, 2)] * 2),
+            table([Matrix.zeros(2, 2)] * 2),
+            table([Matrix.zeros(2, 2)] * 2),
+            table([Matrix.zeros(1, 1)] * 2),
         )
 
 
@@ -321,11 +330,11 @@ def test_matched_pair_shape_validation(slot):
     size is rejected by the dendriform bimodule of its side."""
     side, name = side_and_slot(slot)
     M = getattr(zero_dendriform_pair(2, 3), side)
-    good = getattr(M, name)
+    good = raw_matrices(getattr(M, name))
     with pytest.raises(DimensionMismatch):  # wrong count
-        replace(M, **{name: good[:-1]})
+        replace(M, **{name: table([Matrix(m) for m in good[:-1]])})
     with pytest.raises(DimensionMismatch):  # right count, wrong size
-        replace(M, **{name: good[:-1] + [Matrix.zeros(4, 4)]})
+        replace(M, **{name: table([Matrix.zeros(4, 4)] * len(good))})
 
 
 @pytest.mark.parametrize("side", ["on_B", "on_A"])
@@ -353,7 +362,7 @@ def test_dendriform_semidirect_is_bowtie_with_zero_partner(seed, q):
     D = nilpotent_dendriform(rng, rng.randrange(1, 4), q)
     m = rng.randrange(1, 4)
     M = DendriformBimodule(
-        D.dim, m, *([random_matrix(rng, m, m) for _ in range(D.dim)] for _ in range(4))
+        D.dim, m, *(table([random_matrix(rng, m, m) for _ in range(D.dim)]) for _ in range(4))
     )
     P = DendriformMatchedPairData(
         D, DendriformStructure.zero(m, q), M, DendriformBimodule.zero(m, D.dim)

@@ -27,9 +27,16 @@ from antiassoc import (
 )
 from antiassoc.doubles import _closure_violations
 from antiassoc.io import double_basis_names, format_element
-from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3
+from antiassoc.bimodules import action_of
+from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
 
-from .support import case3_dendriform, case4_dendriform, perturb_dendriform, rand_fraction
+from .support import (
+    case3_dendriform,
+    case4_dendriform,
+    perturb_dendriform,
+    rand_fraction,
+    table,
+)
 
 E1E1 = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 1}})
 Z2 = StructureAlgebra.zero(2, -1)
@@ -217,8 +224,9 @@ def _dense_tensor(rng, n):
     return Tensor3([[[rand_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)])
 
 
-def _transposed(tables):
-    return [m.transpose() for m in tables]
+def _transposed(T):
+    """The table whose action matrices are the transposes of T's."""
+    return table([action_of(T, basis_vec(T.d1, i)).transpose() for i in range(T.d1)])
 
 
 @given(st.integers(0, 2**30))
@@ -238,12 +246,12 @@ def test_double_actions_follow_their_formulas(seed):
     for D, M in ((DA, O.on_B), (DB, O.on_A)):
         l_succ, r_succ, l_prec, r_prec = M.l_succ, M.r_succ, M.l_prec, M.r_prec
         ls, rs, lp, rp = map(_transposed, dendriform_mult_operators(D))
-        assert l_succ == [a + b for a, b in zip(rs, rp)]
-        assert r_succ == [m.scale(-1) for m in lp]
-        assert l_prec == [m.scale(-1) for m in rs]
-        assert r_prec == [a + b for a, b in zip(ls, lp)]
-        assert [a + b for a, b in zip(l_succ, l_prec)] == rp
-        assert [a + b for a, b in zip(r_succ, r_prec)] == ls
+        assert l_succ == rs + rp
+        assert r_succ == lp.scale(-1)
+        assert l_prec == rs.scale(-1)
+        assert r_prec == ls + lp
+        assert l_succ + l_prec == rp
+        assert r_succ + r_prec == ls
 
     (ls_a, _, _, rp_a), (ls_b, _, _, rp_b) = (
         map(_transposed, dendriform_mult_operators(D)) for D in (DA, DB)

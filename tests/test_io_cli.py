@@ -79,8 +79,10 @@ def test_zero_denominator_is_rejected(tmp_path):
     assert exc.value.offset == raw.index(b"1/0")
 
 
-@pytest.mark.parametrize("literal", ["true", "null"])
+@pytest.mark.parametrize("literal", ["true", "null", '{"a": 1}', '["1"]'])
 def test_json_literal_token_is_located(tmp_path, literal):
+    """A non-string token is spelled as JSON spells it, so it is found at
+    its own byte when the file uses json's default separators."""
     raw = '{"dim": 2, "q": %s, "products": []}' % literal
     p = write(tmp_path, "lit.json", raw)
     with pytest.raises(ParseError) as exc:

@@ -6,7 +6,8 @@ are dense, 2-step nilpotent (valid for every q), or nilpotent with one
 entry bumped; entries have denominators up to 7, the module dimension
 differs from the algebra dimension (for a matched pair, the dimension of
 B differs from that of A), and dims 0 and 1 are drawn.  Each check also
-compiles every action table once per call, whatever the number of tuples.
+compiles every table once per call, whatever the dimensions and the
+number of tuples.
 """
 
 import copy
@@ -34,7 +35,7 @@ from antiassoc import dendriform, matched
 from antiassoc.linalg import Matrix, Tensor3
 
 from . import reference
-from .support import SMALL
+from .support import SMALL, table
 
 QS = [Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3, 5), Fraction(-7, 2)]
 WIDE = [x for x in SMALL if x] + [Fraction(1, 7), Fraction(-5, 3), Fraction(7, 2)]
@@ -85,12 +86,12 @@ class Draw:
         self.bump(m)
         return Matrix(m)
 
-    def actions(self) -> list[Matrix]:
+    def actions(self) -> Tensor3:
         m, vs = self.m, self.vsplit
-        return [
+        return table([
             self.matrix(m, m, lambda r: r >= vs and i < self.split, lambda c: c < vs)
             for i in range(self.n)
-        ]
+        ])
 
     def swapped(self) -> "Draw":
         """The same draw with the roles of A and V exchanged."""
@@ -190,46 +191,62 @@ def test_kernel_matches_reference(name, seed, q, family, n):
         assert got.passed
 
 
-def _count_compiles(monkeypatch, module):
+# two (n, m) shapes: a compile count that is the same at both is one
+# compile per table, not one per matrix of an action table or per tuple
+SHAPES = [(2, 3), (3, 1)]
+
+
+def _compiles_per_call(monkeypatch, module, check, make_args):
+    """The number of ``_fibers`` compiles that ``module`` makes in one call
+    of ``check`` on dense (failing) inputs, at each of SHAPES."""
     calls = []
-    real = module._columns
-    monkeypatch.setattr(module, "_columns", lambda *a: calls.append(a) or real(*a))
-    return calls
-
-
-def _dense(n, m, seed=5):
-    return Draw(random.Random(seed), "dense", n, m)
+    real = module._fibers
+    monkeypatch.setattr(module, "_fibers", lambda *a: calls.append(a) or real(*a))
+    counts = []
+    for n, m in SHAPES:
+        args = make_args(Draw(random.Random(5), "dense", n, m))
+        calls.clear()
+        assert not check(*args).passed
+        counts.append(len(calls))
+    return counts
 
 
 def test_matched_pair_compiles_each_action_once(monkeypatch):
-    draw, n, m = _dense(2, 3), 2, 3
-    back = draw.swapped()
-    P = MatchedPairData(draw.algebra(-1), back.algebra(-1), draw.bimodule(), back.bimodule())
-    calls = _count_compiles(monkeypatch, matched)
-    assert not antiassoc.check_matched_pair(P).passed
-    assert len(calls) == 2 * n + 2 * m  # each matrix of on_B.l, on_B.r, on_A.l, on_A.r
+    def make_args(draw):
+        back = draw.swapped()
+        return (MatchedPairData(draw.algebra(-1), back.algebra(-1),
+                                draw.bimodule(), back.bimodule()),)
+
+    counts = _compiles_per_call(monkeypatch, matched, antiassoc.check_matched_pair, make_args)
+    # the two structure tensors and on_B.l, on_B.r, on_A.l, on_A.r
+    assert counts == [6, 6]
 
 
 def test_dendriform_bimodule_compiles_each_action_once(monkeypatch):
-    draw, n = _dense(2, 3), 2
-    D, M = draw.dendriform(-1), draw.dendriform_bimodule()
-    calls = _count_compiles(monkeypatch, dendriform)
-    assert not antiassoc.check_dendriform_bimodule(D, M).passed
-    assert len(calls) == 6 * n  # each matrix of the four tables and the two summed ones
+    counts = _compiles_per_call(
+        monkeypatch, dendriform, antiassoc.check_dendriform_bimodule,
+        lambda draw: (draw.dendriform(-1), draw.dendriform_bimodule()),
+    )
+    # prec, succ and their sum; the four tables and the two summed ones
+    assert counts == [9, 9]
 
 
 def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
-    draw, n, m = _dense(2, 3), 2, 3
-    back = draw.swapped()
-    P = DendriformMatchedPairData(
-        draw.dendriform(-1), back.dendriform(-1),
-        draw.dendriform_bimodule(), back.dendriform_bimodule(),
+    def make_args(draw):
+        back = draw.swapped()
+        return (DendriformMatchedPairData(
+            draw.dendriform(-1), back.dendriform(-1),
+            draw.dendriform_bimodule(), back.dendriform_bimodule(),
+        ),)
+
+    counts = _compiles_per_call(
+        monkeypatch, dendriform, antiassoc.check_dendriform_matched_pair, make_args
     )
-    calls = _count_compiles(monkeypatch, dendriform)
-    assert not antiassoc.check_dendriform_matched_pair(P).passed
-    # the six tables of each side compile once in that side's bimodule
-    # precondition and once more for both halves of the eighteen conditions
-    assert len(calls) == 2 * (6 * n + 6 * m)
+    # each side's three tensors compile in its axiom precondition (3) and
+    # again with its six tables in its bimodule precondition (9); then the
+    # halves compile the six tables (6) and the three tensors (3) of each
+    # side once more
+    assert counts == [2 * (3 + 9 + 6 + 3)] * 2
 
 
 KERNEL_NAMES = [

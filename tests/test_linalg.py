@@ -12,7 +12,6 @@ from antiassoc.linalg import (
     basis_vec,
     dot,
     rat,
-    stack_rows,
     vec_add,
     vec_sub,
 )
@@ -107,11 +106,6 @@ def test_transpose_involution(m):
     assert m.transpose().transpose() == m
 
 
-def test_stack_rows():
-    s = stack_rows([Matrix([[1, 2]]), Matrix([[3, 4]])])
-    assert s.rows == 2 and s.entries == [[1, 2], [3, 4]]
-
-
 def test_from_columns_column_round_trip():
     m = Matrix.from_columns([[1, 2], [3, 4]])
     assert m.column(0) == [1, 2]
@@ -125,3 +119,32 @@ def test_tensor_shape_and_copy():
     c.entries[0][0][0] = Fraction(1)
     assert t.entries[0][0][0] == 0
     assert t != c
+
+
+def test_tensor_axis_swaps_and_arithmetic():
+    t = Tensor3([[[1, 2, 3], [4, 5, 6]]])  # 1 x 2 x 3
+    s = t.swapped()
+    assert (s.d1, s.d2, s.d3) == (2, 1, 3)
+    assert s.entries == [[[1, 2, 3]], [[4, 5, 6]]]
+    u = t.transposed()
+    assert (u.d1, u.d2, u.d3) == (1, 3, 2)
+    assert u.entries == [[[1, 4], [2, 5], [3, 6]]]
+    assert s.swapped() == t and u.transposed() == t
+    assert (t + t.scale(2)).entries == [[[3, 6, 9], [12, 15, 18]]]
+    assert t.scale("1/2").entries[0][1] == [2, Fraction(5, 2), 3]
+    with pytest.raises(DimensionMismatch):
+        t + s
+
+
+def test_tensor_results_are_fresh():
+    t = Tensor3([[[1, 2], [3, 4]]])
+    for out in (t.copy(), t.swapped(), t.transposed(), t + t, t.scale(1)):
+        out.entries[0][0][0] += 1
+    assert t.entries == [[[1, 2], [3, 4]]]
+
+
+def test_tensor_without_planes_or_rows_reads_zero():
+    for t in (Tensor3([]), Tensor3([[], []])):
+        assert (t.d2, t.d3) == (0, 0)
+        assert t.transposed() == t
+    assert Tensor3([[], []]).swapped() == Tensor3([])

@@ -18,7 +18,7 @@ from antiassoc import (
     dual_bimodule,
     regular_bimodule,
 )
-from antiassoc.linalg import DimensionMismatch, Matrix
+from antiassoc.linalg import DimensionMismatch
 
 from .support import SMALL, valid_algebra
 
@@ -44,12 +44,13 @@ TABLES = {"lA": ("on_B", "l"), "rA": ("on_B", "r"), "lB": ("on_A", "l"), "rB": (
 def perturb_pair(rng, P):
     side, slot = TABLES[rng.choice(list(TABLES))]
     M = getattr(P, side)
-    raw = [[list(row) for row in mat.entries] for mat in getattr(M, slot)]
-    k = rng.randrange(len(raw))
-    i = rng.randrange(len(raw[k]))
-    j = rng.randrange(len(raw[k][i]))
-    raw[k][i][j] += rng.choice([x for x in SMALL if x != 0])
-    moved = replace(M, **{slot: [Matrix(mat) for mat in raw]})
+    # row i, column j of the matrix of e_k's action is the table entry [k][j][i]
+    T = getattr(M, slot).copy()
+    k = rng.randrange(T.d1)
+    i = rng.randrange(M.module_dim)
+    j = rng.randrange(M.module_dim)
+    T[k][j][i] += rng.choice([x for x in SMALL if x != 0])
+    moved = replace(M, **{slot: T})
     return replace(P, **{side: moved})
 
 

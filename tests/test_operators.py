@@ -175,14 +175,24 @@ def test_forced_induced_split_evaluates_no_products(monkeypatch):
 
 
 def test_o_operator_check_compiles_each_table_once(monkeypatch):
-    calls = []
-    real = operators._columns
-    monkeypatch.setattr(operators, "_columns", lambda *a: calls.append(a) or real(*a))
+    """One compile per table and per call, the same at two (n, m): not one
+    per matrix of an action table, and not one per tuple."""
+    calls = {"_fibers": [], "_columns": []}
+    for name, spied in calls.items():
+        real = getattr(operators, name)
+        monkeypatch.setattr(operators, name, lambda *a, real=real, spied=spied: (
+            spied.append(a) or real(*a)))
     rng = random.Random(4)
-    M = random_bimodule(rng, E1E1, 4)
-    T = LinearMap(4, 2, random_matrix(rng, 2, 4))
-    assert not check_o_operator(E1E1, M, T).passed
-    assert len(calls) == 1 + 2 * E1E1.dim  # T, then each matrix of l and of r
+    for n, m in ((2, 4), (3, 2)):
+        c = [[[rand_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        A = StructureAlgebra(n, -1, Tensor3(c))
+        M = random_bimodule(rng, A, m)
+        T = LinearMap(m, n, random_matrix(rng, n, m))
+        for spied in calls.values():
+            spied.clear()
+        assert not check_o_operator(A, M, T).passed
+        assert len(calls["_fibers"]) == 3  # c, then l and r with axes 0 and 1 swapped
+        assert len(calls["_columns"]) == 1  # T
 
 
 @pytest.mark.parametrize(
@@ -197,10 +207,12 @@ def test_forced_splits_still_check_shapes(split):
 
 
 def _act(table, x, v):
-    """The action of the element with coordinates x on v: sum_k x_k table[k] v."""
+    """The action of the element with coordinates x on v:
+    sum_{k,j} x_k v_j table[k][j], where table[k][j] is e_k acting on e_j."""
     out = [Fraction(0)] * len(v)
-    for xk, mat in zip(x, table):
-        out = [a + xk * b for a, b in zip(out, mat.apply(v))]
+    for xk, plane in zip(x, table.entries):
+        for vj, fiber in zip(v, plane):
+            out = [a + xk * vj * b for a, b in zip(out, fiber)]
     return out
 
 

@@ -26,7 +26,7 @@ from antiassoc import (
 )
 from antiassoc.linalg import Tensor3
 
-from .support import rand_fraction, random_bimodule, random_matrix
+from .support import rand_fraction, random_bimodule, random_matrix, table
 
 QS = [Fraction(-1), Fraction(2), Fraction(-1, 2)]
 
@@ -41,8 +41,8 @@ def dense_algebra(rng, n, q):
     return StructureAlgebra(n, q, dense_tensor(rng, n))
 
 
-def matrices(rng, count, size):
-    return [random_matrix(rng, size, size) for _ in range(count)]
+def action_table(rng, count, size):
+    return table([random_matrix(rng, size, size) for _ in range(count)])
 
 
 def assert_ordered(violations, laws):
@@ -89,7 +89,7 @@ def test_dendriform_bimodule_order(seed, q):
     rng = random.Random(seed)
     n, m = rng.randrange(1, 4), rng.randrange(1, 3)
     D = DendriformStructure(n, q, dense_tensor(rng, n), dense_tensor(rng, n))
-    M = DendriformBimodule(n, m, *(matrices(rng, n, m) for _ in range(4)))
+    M = DendriformBimodule(n, m, *(action_table(rng, n, m) for _ in range(4)))
     rep = check_dendriform_bimodule(D, M)
     assume(not rep.passed)
     assert_ordered(rep.violations, [f"law{k}" for k in range(1, 10)])
@@ -102,8 +102,8 @@ def test_matched_pair_order(seed, q):
     n, m = rng.randrange(1, 4), rng.randrange(1, 4)
     A, B = dense_algebra(rng, n, q), dense_algebra(rng, m, q)
     P = MatchedPairData(
-        A, B, Bimodule(n, m, matrices(rng, n, m), matrices(rng, n, m)),
-        Bimodule(m, n, matrices(rng, m, n), matrices(rng, m, n)),
+        A, B, Bimodule(n, m, action_table(rng, n, m), action_table(rng, n, m)),
+        Bimodule(m, n, action_table(rng, m, n), action_table(rng, m, n)),
     )
     rep = check_matched_pair(P)
     assume(not rep.passed)
