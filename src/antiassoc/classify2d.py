@@ -13,18 +13,29 @@ follow the layout
     e2.e1 = c1 e1 + c2 e2      e2.e2 = d1 e1 + d2 e2
 
 and antiassociativity is 8 basis triples x 2 coordinates = 16 polynomial
-residuals in those eight unknowns.  The residual evaluator here expands
-the products directly from an assignment, without going through the
-Tensor3 machinery, so the equivalence with check_q_associative is a
-genuine cross-check and not a tautology.
+residuals in those eight unknowns.  _residual_terms expands the products
+directly from an assignment, without going through the Tensor3 machinery
+or the integer kernel of algebra.py, so its agreement with
+check_q_associative is a genuine cross-check and not a tautology.
+
+Every term of every residual is a product of exactly two structure
+constants, so the residuals are homogeneous of degree 2: scaling every
+unknown by L scales every residual by L^2.  The enumeration therefore
+multiplies the grid by the lcm L of its denominators and walks integer
+assignments, which vanish exactly where the rational ones do, and drops
+an assignment at its first nonzero residual.  A Fraction table is built
+only for a solution.  The classify command enumerates once:
+verify_paper_classification reuses its solutions when the grid is
+{-1,0,1}, and enumerates that grid itself otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     StructureAlgebra,
@@ -58,33 +69,22 @@ class ConstraintSystem:
         """(e_i e_j) e_k + e_i (e_j e_k), both coordinates, 8 triples in
         lexicographic order: 16 values, all zero iff antiassociative.
         """
-        v = [rat(assignment[k]) for k in UNKNOWNS]
-        table = [
-            [(v[0], v[1]), (v[2], v[3])],
-            [(v[4], v[5]), (v[6], v[7])],
-        ]
+        return list(_residual_terms([rat(assignment[k]) for k in UNKNOWNS]))
 
-        def mul(p: tuple[Fraction, Fraction], k: int) -> tuple[Fraction, Fraction]:
-            # (p1 e1 + p2 e2) . e_k
-            r1 = p[0] * table[0][k][0] + p[1] * table[1][k][0]
-            r2 = p[0] * table[0][k][1] + p[1] * table[1][k][1]
-            return (r1, r2)
 
-        def lum(i: int, p: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-            # e_i . (p1 e1 + p2 e2)
-            r1 = p[0] * table[i][0][0] + p[1] * table[i][1][0]
-            r2 = p[0] * table[i][0][1] + p[1] * table[i][1][1]
-            return (r1, r2)
-
-        out: list[Fraction] = []
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    left = mul(table[i][j], k)
-                    right = lum(i, table[j][k])
-                    out.append(left[0] + right[0])
-                    out.append(left[1] + right[1])
-        return out
+def _residual_terms(v: Sequence) -> Iterator:
+    """The 16 residuals of ConstraintSystem.residuals, lazily, for the
+    eight unknowns v in UNKNOWNS order (ints or Fractions alike)."""
+    table = ((v[0:2], v[2:4]), (v[4:6], v[6:8]))
+    for i in range(2):
+        for j in range(2):
+            p = table[i][j]
+            for k in range(2):
+                r = table[j][k]
+                for s in range(2):
+                    # ((e_i e_j) e_k)_s + (e_i (e_j e_k))_s
+                    yield (p[0] * table[0][k][s] + p[1] * table[1][k][s]
+                           + r[0] * table[i][0][s] + r[1] * table[i][1][s])
 
 
 def enumerate_2d_antiassociative(grid: Sequence[Scalar]) -> list[StructureAlgebra]:
@@ -92,17 +92,24 @@ def enumerate_2d_antiassociative(grid: Sequence[Scalar]) -> list[StructureAlgebr
 
     Output order is lexicographic on the flattened tensor (with grid
     values sorted), so it is deterministic however the search is run.
+    The search runs on the grid scaled to integers by the lcm L of its
+    denominators; the residuals are homogeneous of degree 2, so an
+    integer assignment n solves them iff n / L does.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
     values = sorted({rat(g) for g in grid})
+    L = math.lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (L // x.denominator) for x in values]
     found = []
-    for combo in itertools.product(values, repeat=8):
-        assignment = dict(zip(UNKNOWNS, combo))
-        if any(r != 0 for r in ConstraintSystem.residuals(assignment)):
+    for ints in itertools.product(scaled, repeat=8):
+        if any(_residual_terms(ints)):
             continue
-        alg = ConstraintSystem.algebra_from(assignment)
-        assert check_q_associative(alg).passed, "residual evaluator disagrees"
+        alg = ConstraintSystem.algebra_from(
+            dict(zip(UNKNOWNS, (Fraction(n, L) for n in ints)))
+        )
+        if not check_q_associative(alg).passed:
+            raise RuntimeError("residual evaluator disagrees with check_q_associative")
         found.append(alg)
     return found
 
@@ -211,12 +218,16 @@ def describe_products(A: StructureAlgebra) -> str:
     return "; ".join(parts) if parts else "0"
 
 
-def verify_paper_classification() -> dict:
+def verify_paper_classification(
+    enumerated: Sequence[StructureAlgebra] | None = None,
+) -> dict:
     """Audit of the published four-class table in dimension 2.
 
     Runs the antiassociativity verifier on each listed table, tests the
-    valid ones pairwise for isomorphism, reduces the full grid
-    enumeration to classes, and reports plain verifier facts.
+    valid ones pairwise for isomorphism, reduces the grid enumeration over
+    ENUM_GRID to classes, and reports plain verifier facts.  enumerated,
+    when given, must be enumerate_2d_antiassociative(ENUM_GRID); it spares
+    a caller that has just run that enumeration a second run.
     """
     tables = []
     valid: list[tuple[str, StructureAlgebra]] = []
@@ -261,7 +272,8 @@ def verify_paper_classification() -> dict:
     classes = partition_into_classes([a for _, a in valid])
     distinct_valid = len(classes)
 
-    enumerated = enumerate_2d_antiassociative(ENUM_GRID)
+    if enumerated is None:
+        enumerated = enumerate_2d_antiassociative(ENUM_GRID)
     enum_classes = partition_into_classes(enumerated)
     reps = [describe_products(enumerated[cls[0]]) for cls in enum_classes]
     discrepancies.append(

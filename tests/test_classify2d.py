@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from antiassoc import (
     verify_algebra_isomorphism,
     verify_paper_classification,
 )
-from antiassoc.algebra import multiply
+from antiassoc import classify2d
+from antiassoc.algebra import CheckReport, multiply
 from antiassoc.classify2d import describe_residual, partition_into_classes
 from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3
 
@@ -49,6 +51,27 @@ def test_two_value_grid():
         "e2.e2 = e1",
         "e1.e1 = e2",
     ]
+
+
+@pytest.mark.parametrize("grid", [("-1/2", "0", "1/3"), ("0", "1", "5")],
+                         ids=["denominators", "numerator"])
+def test_integer_enumeration_matches_the_fraction_filter(grid):
+    # the reference: every assignment over the grid through the Fraction residuals
+    values = sorted(Fraction(g) for g in grid)
+    expected = []
+    for combo in itertools.product(values, repeat=8):
+        assignment = dict(zip(UNKNOWNS, combo))
+        if all(r == 0 for r in ConstraintSystem.residuals(assignment)):
+            expected.append(ConstraintSystem.algebra_from(assignment).c)
+    assert [a.c for a in enumerate_2d_antiassociative(grid)] == expected
+
+
+def test_enumeration_cross_check_raises(monkeypatch):
+    # an explicit raise, so the cross-check also runs under python -O
+    monkeypatch.setattr(classify2d, "check_q_associative",
+                        lambda alg: CheckReport(passed=False, violations=[]))
+    with pytest.raises(RuntimeError, match="disagrees"):
+        enumerate_2d_antiassociative(["0"])
 
 
 def test_full_small_grid_count_and_classes():

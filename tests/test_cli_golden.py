@@ -1,5 +1,6 @@
 """Golden CLI output: every verify target, every one-file build, both
-doubles and ``paper fixtures`` must keep their exact bytes.
+doubles, ``paper fixtures`` and ``classify dim2`` on three grids must keep
+their exact bytes.
 
 Each case's digest is the sha256 of its exit code, stdout and stderr (and,
 for a build with ``-o``, the file it writes), kept in ``golden_cli.json``
@@ -142,6 +143,9 @@ CASES = [
     ("build_double_symplectic_fail", ["build", "double-symplectic", "dendriform_fail.json",
                                       "dendriform_pass.json"]),
     ("paper_fixtures", ["paper", "fixtures", "--json"]),
+    ("classify_dim2", ["classify", "dim2"]),
+    ("classify_dim2_scaled", ["classify", "dim2", "--grid", "0,1,5"]),
+    ("classify_dim2_fractions", ["classify", "dim2", "--grid", "-1/2,0,1/3", "--json"]),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from antiassoc import cli, operators
+from antiassoc import classify2d, cli, operators
 from antiassoc import io as aio
 from antiassoc.io import (
     ParseError,
@@ -443,6 +443,25 @@ def test_cli_classify_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["solutions"]) == 3
     assert doc["audit"]["distinct_valid_classes"] == 2
+
+
+@pytest.mark.parametrize("flags, enumerations", [([], 1), (["--grid", "0,1"], 2)],
+                         ids=["default", "other-grid"])
+def test_cli_classify_enumerates_once_per_grid(monkeypatch, capsys, flags, enumerations):
+    calls = []
+    real = classify2d.enumerate_2d_antiassociative
+
+    def counted(grid):
+        calls.append(grid)
+        return real(grid)
+
+    monkeypatch.setattr(cli, "enumerate_2d_antiassociative", counted)
+    monkeypatch.setattr(classify2d, "enumerate_2d_antiassociative", counted)
+    assert cli.run(["classify", "dim2", *flags, "--json"]) == 0
+    enumeration = json.loads(capsys.readouterr().out)["audit"]["enumeration"]
+    assert len(calls) == enumerations
+    assert enumeration["grid"] == ["-1", "0", "1"]
+    assert enumeration["solutions"] == 9
 
 
 def test_cli_classify_rejects_junk_grid(capsys):
