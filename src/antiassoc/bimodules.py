@@ -13,7 +13,7 @@ here, with q the algebra's parameter:
 
 Actions of non-basis elements extend linearly from the tables: T(x) v is
 algebra.py's contraction of T with x and v, and ``action_of`` builds the
-matrix of T(x) for the independent criteria in doubles.py.  The regular
+matrix of T(x) as a ``Matrix``.  The regular
 bimodule is (c, c with its first two axes swapped) and a dual is a
 transpose of the last two axes, scaled.  The laws run on the sparse
 integer kernel and the law runner in algebra.py, which compiles an

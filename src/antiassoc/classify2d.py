@@ -24,9 +24,9 @@ unknown by L scales every residual by L^2.  The enumeration therefore
 multiplies the grid by the lcm L of its denominators and walks integer
 assignments, which vanish exactly where the rational ones do, and drops
 an assignment at its first nonzero residual.  A Fraction table is built
-only for a solution.  The classify command enumerates once:
-verify_paper_classification reuses its solutions when the grid is
-{-1,0,1}, and enumerates that grid itself otherwise.
+only for a solution.  The classify command enumerates and partitions
+once: verify_paper_classification reuses its solutions and their classes
+when the grid is {-1,0,1}, and enumerates that grid itself otherwise.
 """
 
 from __future__ import annotations
@@ -220,14 +220,16 @@ def describe_products(A: StructureAlgebra) -> str:
 
 def verify_paper_classification(
     enumerated: Sequence[StructureAlgebra] | None = None,
+    enumerated_classes: Sequence[Sequence[int]] | None = None,
 ) -> dict:
     """Audit of the published four-class table in dimension 2.
 
     Runs the antiassociativity verifier on each listed table, tests the
     valid ones pairwise for isomorphism, reduces the grid enumeration over
     ENUM_GRID to classes, and reports plain verifier facts.  enumerated,
-    when given, must be enumerate_2d_antiassociative(ENUM_GRID); it spares
-    a caller that has just run that enumeration a second run.
+    when given, must be enumerate_2d_antiassociative(ENUM_GRID), and
+    enumerated_classes, read only with it, partition_into_classes(enumerated);
+    they spare a caller that has just computed them a second run.
     """
     tables = []
     valid: list[tuple[str, StructureAlgebra]] = []
@@ -273,13 +275,14 @@ def verify_paper_classification(
     distinct_valid = len(classes)
 
     if enumerated is None:
-        enumerated = enumerate_2d_antiassociative(ENUM_GRID)
-    enum_classes = partition_into_classes(enumerated)
-    reps = [describe_products(enumerated[cls[0]]) for cls in enum_classes]
+        enumerated, enumerated_classes = enumerate_2d_antiassociative(ENUM_GRID), None
+    if enumerated_classes is None:
+        enumerated_classes = partition_into_classes(enumerated)
+    reps = [describe_products(enumerated[cls[0]]) for cls in enumerated_classes]
     discrepancies.append(
         f"distinct classes among the listed tables: {distinct_valid} "
         f"(of {len(AUDIT_TABLES)} listed); grid enumeration over "
-        f"{{-1,0,1}} yields {len(enum_classes)} classes"
+        f"{{-1,0,1}} yields {len(enumerated_classes)} classes"
     )
 
     return {
@@ -289,8 +292,8 @@ def verify_paper_classification(
         "enumeration": {
             "grid": list(ENUM_GRID),
             "solutions": len(enumerated),
-            "classes": len(enum_classes),
-            "class_sizes": sorted(len(c) for c in enum_classes),
+            "classes": len(enumerated_classes),
+            "class_sizes": sorted(len(c) for c in enumerated_classes),
             "representatives": reps,
         },
         "discrepancies": discrepancies,

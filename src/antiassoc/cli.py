@@ -283,8 +283,12 @@ def cmd_classify_dim2(ns) -> int:
     grid = sorted(set(ns.grid)) if ns.grid else enum_grid
     solutions = enumerate_2d_antiassociative(grid)
     classes = partition_into_classes(solutions)
-    # the audit enumerates ENUM_GRID; on that grid it reuses these solutions
-    audit = verify_paper_classification(solutions if grid == enum_grid else None)
+    # the audit enumerates and partitions ENUM_GRID; on that grid it reuses
+    # these solutions and classes
+    if grid == enum_grid:
+        audit = verify_paper_classification(solutions, classes)
+    else:
+        audit = verify_paper_classification()
     if ns.json:
         doc = {
             "grid": [str(g) for g in grid],

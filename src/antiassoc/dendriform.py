@@ -25,8 +25,9 @@ multiplication tables are each tensor and its axis swap, the associated
 product is their sum, a dual is a transpose of the last two axes,
 semidirect and bowtie products are its block assembler, and every check
 runs on its law runner and its sparse integer kernel: the axioms, the
-nine bimodule laws and the eighteen matched-pair conditions, whose two
-halves share one compilation of both structures and both bimodules.
+nine bimodule laws and the eighteen matched-pair conditions, whose four
+preconditions and two halves share one compilation of both structures
+and both bimodules.
 """
 
 from __future__ import annotations
@@ -115,14 +116,18 @@ class DendriformStructure:
         return f"DendriformStructure(dim={self.dim}, q={self.q})"
 
 
-def check_q_dendriform(D: DendriformStructure) -> CheckReport:
-    """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
-    n = D.dim
-    den = _common_den([D.c_prec, D.c_succ])
-    p, s = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
-    star = _fibers(associated_algebra(D).c, den)
+def _structure_tables(D: DendriformStructure, den: int) -> tuple[list[list[Sparse]], ...]:
+    """den times D's (prec, succ, star) tensors, compiled by ``_fibers``."""
+    return tuple(_fibers(t, den) for t in (D.c_prec, D.c_succ, associated_algebra(D).c))
+
+
+def _axiom_violations(Y: tuple[list[list[Sparse]], ...], q: Fraction, den: int) -> list[Violation]:
+    """The three axioms on the compiled (prec, succ, star) tensors ``Y``,
+    compiled at den."""
+    p, s, star = Y
+    n = len(p)
     # every axiom times den^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
-    qn, qd = D.q.numerator, D.q.denominator
+    qn, qd = q.numerator, q.denominator
     e, eq, eqi = _basis(n, qn * qd), _basis(n, -qn * qn), _basis(n, -qd * qd)
 
     def residual(i, j, k):
@@ -130,9 +135,14 @@ def check_q_dendriform(D: DendriformStructure) -> CheckReport:
         yield "axiom2", _imul(s, eq[i], p[j][k], _imul(p, s[i][j], e[k], [0] * n))
         yield "axiom3", _imul(s, star[i][j], eqi[k], _imul(s, e[i], s[j][k], [0] * n))
 
-    triples = itertools.product(range(n), repeat=3)
-    violations = _run_laws(triples, residual, den * den * qn * qd)
-    return CheckReport.from_violations(violations, q=str(D.q), triples=n**3)
+    return _run_laws(itertools.product(range(n), repeat=3), residual, den * den * qn * qd)
+
+
+def check_q_dendriform(D: DendriformStructure) -> CheckReport:
+    """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
+    den = _common_den([D.c_prec, D.c_succ])
+    violations = _axiom_violations(_structure_tables(D, den), D.q, den)
+    return CheckReport.from_violations(violations, q=str(D.q), triples=D.dim**3)
 
 
 def associated_algebra(D: DendriformStructure) -> StructureAlgebra:
@@ -194,24 +204,16 @@ def _compiled(M: DendriformBimodule, den: int) -> list[list[list[Sparse]]]:
     return [_fibers(t, den) for t in tables]
 
 
-def check_dendriform_bimodule(
-    D: DendriformStructure, M: DendriformBimodule
-) -> CheckReport:
-    """The nine action laws on all basis pairs (i, j) of D.
-
-    Laws are numbered law1..law9 in the order: the three laws with
-    l_prec/r_prec against prec (1-3), the mixed block (4-6), then the
-    succ block (7-9).  Residuals are matrices flattened row-major.
-    """
-    if M.algebra_dim != D.dim:
-        raise DimensionMismatch("bimodule indexed by a different algebra dimension")
-    den = _common_den([D.c_prec, D.c_succ, M.l_succ, M.r_succ, M.l_prec, M.r_prec])
-    p, s = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
-    star = _fibers(associated_algebra(D).c, den)
-    ls, rs, lp, rp, lstar, rstar = _compiled(M, den)
-    size = M.module_dim**2
+def _bimodule_violations(
+    X: tuple[list[list[Sparse]], ...], M: list[list[list[Sparse]]], q: Fraction, den: int
+) -> list[Violation]:
+    """The nine action laws for X's compiled (prec, succ, star) tensors and
+    the compiled tables ``M`` of ``_compiled``, both compiled at den."""
+    p, s, star = X
+    ls, rs, lp, rp, lstar, rstar = M
+    size = len(ls[0]) ** 2 if ls else 0
     # every law times den^2 qd: q = qn/qd folds into integers
-    f, fq = D.q.denominator, -D.q.numerator
+    f, fq = q.denominator, -q.numerator
 
     def residual(i, j):
         yield "law1", _imatmul(lp[i], lstar[j], fq, _iaction(lp, p[i][j], f, [0] * size))
@@ -224,8 +226,23 @@ def check_dendriform_bimodule(
         yield "law8", _imatmul(ls[j], rs[i], fq, _imatmul(rs[i], lstar[j], f, [0] * size))
         yield "law9", _iaction(rs, s[j][i], fq, _imatmul(rs[i], rstar[j], f, [0] * size))
 
-    pairs = itertools.product(range(D.dim), repeat=2)
-    violations = _run_laws(pairs, residual, den * den * D.q.denominator)
+    pairs = itertools.product(range(len(p)), repeat=2)
+    return _run_laws(pairs, residual, den * den * q.denominator)
+
+
+def check_dendriform_bimodule(
+    D: DendriformStructure, M: DendriformBimodule
+) -> CheckReport:
+    """The nine action laws on all basis pairs (i, j) of D.
+
+    Laws are numbered law1..law9 in the order: the three laws with
+    l_prec/r_prec against prec (1-3), the mixed block (4-6), then the
+    succ block (7-9).  Residuals are matrices flattened row-major.
+    """
+    if M.algebra_dim != D.dim:
+        raise DimensionMismatch("bimodule indexed by a different algebra dimension")
+    den = _common_den([D.c_prec, D.c_succ, M.l_succ, M.r_succ, M.l_prec, M.r_prec])
+    violations = _bimodule_violations(_structure_tables(D, den), _compiled(M, den), D.q, den)
     return CheckReport.from_violations(violations, q=str(D.q))
 
 
@@ -344,8 +361,9 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
 
     Preconditions (both structures pass check_q_dendriform, both action
     quadruples pass check_dendriform_bimodule) are folded into the
-    violation list with a precondition: prefix.  Both halves share one
-    compilation of the two structures and the two bimodules.
+    violation list with a precondition: prefix.  The preconditions and
+    both halves share one compilation of the two structures and the two
+    bimodules, at the common denominator of all their tables.
     """
     A, B, q = P.D_A, P.D_B, P.D_A.q
     den = _common_den([
@@ -353,16 +371,17 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
         *(t for M in (P.on_B, P.on_A) for t in (M.l_succ, M.r_succ, M.l_prec, M.r_prec)),
     ])
     on_B, on_A = _compiled(P.on_B, den), _compiled(P.on_A, den)
-    fA, fB = (
-        tuple(_fibers(t, den) for t in (X.c_prec, X.c_succ, associated_algebra(X).c))
-        for X in (A, B)
-    )
+    fA, fB = _structure_tables(A, den), _structure_tables(B, den)
     scale = den * den * q.numerator * q.denominator
+
+    def precondition(tag: str, violations: list[Violation]) -> list[Violation]:
+        return _prefixed(f"precondition:{tag}", CheckReport.from_violations(violations))
+
     violations = (
-        _prefixed("precondition:dendriform:A", check_q_dendriform(A))
-        + _prefixed("precondition:dendriform:B", check_q_dendriform(B))
-        + _prefixed("precondition:bimodule:A_on_B", check_dendriform_bimodule(A, P.on_B))
-        + _prefixed("precondition:bimodule:B_on_A", check_dendriform_bimodule(B, P.on_A))
+        precondition("dendriform:A", _axiom_violations(fA, q, den))
+        + precondition("dendriform:B", _axiom_violations(fB, q, den))
+        + precondition("bimodule:A_on_B", _bimodule_violations(fA, on_B, q, den))
+        + precondition("bimodule:B_on_A", _bimodule_violations(fB, on_A, q, den))
         + _halfside_violations(fB, on_B, on_A, q, 35, scale)
         + _halfside_violations(fA, on_A, on_B, q, 44, scale)
     )

@@ -5,7 +5,10 @@ never refuse.  The attached report carries every failed condition, which
 is what makes auditing published-but-inconsistent tables possible.  The
 two criterion verifiers are deliberately separate code paths from the
 generic matched-pair machinery; agreement of their verdicts with the
-builders' is a theorem, and the test suite exploits that.
+builders' is a theorem, and the test suite exploits that.  The criteria
+are sparse Fraction table lookups (see the helpers above them), off the
+integer kernel; their dense Matrix form is kept in tests/reference.py,
+and tests/test_kernel.py requires identical reports from the two.
 
 ``verify_double_isomorphism`` runs its conditions on algebra.py's law
 runner.  ``audit_paper_fixture`` rebuilds one bundled fixture's double
@@ -40,7 +43,7 @@ from .algebra import (
     mult_operators,
     multiply,
 )
-from .bimodules import action_of, dual_bimodule, regular_bimodule
+from .bimodules import dual_bimodule, regular_bimodule
 from .dendriform import (
     DendriformMatchedPairData,
     DendriformStructure,
@@ -57,7 +60,7 @@ from .forms import (
     natural_forms,
 )
 from .io import PaperFixture, double_basis_names, format_element
-from .linalg import DimensionMismatch, basis_vec, vec_is_zero, vec_sub
+from .linalg import DimensionMismatch, Tensor3, basis_vec, vec_is_zero, vec_sub
 from .matched import MatchedPairData, bowtie, check_matched_pair
 from .operators import LinearMap
 
@@ -114,6 +117,74 @@ def _require_halves(X, Y) -> None:
         raise ValueError("double constructions are defined at q = -1")
 
 
+# ---------------------------------------------------------------------------
+# The two criteria read every table T (a structure tensor or an action
+# table, both with T[i][j] = T(e_i) e_j) as lists of its fibers' nonzero
+# (k, Fraction) pairs.  Each quantified vector is a basis vector, so each
+# term of a criterion equation is a fiber, or one fiber pushed through one
+# slice of a table:
+#
+#     T(e_i) v = sum_j v_j T[i][j]      T(w) e_j = sum_i w_i T[i][j]
+#
+# A product a o b of the half with structure tensor o is the action of its
+# left multiplication table, which is o itself.  The arithmetic is plain
+# Fraction sums; the integer kernel of algebra.py is not used, so the
+# criteria stay an independent check on the builders.
+
+SparseTable = list[list[list[tuple[int, Fraction]]]]
+
+
+def _nonzero_table(T: Tensor3) -> SparseTable:
+    """Each fiber T[i][j] as the list of its nonzero (k, T[i][j][k])."""
+    return [
+        [[(k, v) for k, v in enumerate(fiber) if v] for fiber in plane]
+        for plane in T.entries
+    ]
+
+
+def _act(T: SparseTable, i: int, v, acc: list) -> list:
+    """acc += T(e_i) v for v given by its nonzero (j, v_j)."""
+    for j, vj in v:
+        for k, t in T[i][j]:
+            acc[k] += vj * t
+    return acc
+
+
+def _act_by(T: SparseTable, w, j: int, acc: list) -> list:
+    """acc += T(w) e_j for w given by its nonzero (i, w_i)."""
+    for i, wi in w:
+        for k, t in T[i][j]:
+            acc[k] += wi * t
+    return acc
+
+
+# In the three equation shapes below, R and L are the actions of the outer
+# basis vector x on the half with product o, and Ro and Lo those of that
+# half's basis vectors on x's space.  Each returns the residual at (x, a, b).
+
+
+def _right_equation(R, Lo, o, x: int, a: int, b: int) -> list:
+    """R(x)(a o b) + R(Lo(a) x) b + (R(x) a) o b."""
+    acc = _act(R, x, o[a][b], [0] * len(o))
+    acc = _act_by(R, Lo[a][x], b, acc)
+    return _act_by(o, R[x][a], b, acc)
+
+
+def _left_equation(L, Ro, o, x: int, a: int, b: int) -> list:
+    """L(x)(a o b) + L(Ro(b) x) a + a o (L(x) b)."""
+    acc = _act(L, x, o[a][b], [0] * len(o))
+    acc = _act_by(L, Ro[b][x], a, acc)
+    return _act(o, a, L[x][b], acc)
+
+
+def _mixed_equation(R, L, Ro, Lo, o, x: int, a: int, b: int) -> list:
+    """R(Ro(a) x) b + (L(x) a) o b + L(Lo(b) x) a + a o (R(x) b)."""
+    acc = _act_by(R, Ro[a][x], b, [0] * len(o))
+    acc = _act_by(o, L[x][a], b, acc)
+    acc = _act_by(L, Lo[b][x], a, acc)
+    return _act(o, a, R[x][b], acc)
+
+
 def build_quadratic_double(
     A: StructureAlgebra, Astar: StructureAlgebra
 ) -> DoubleConstruction:
@@ -143,7 +214,6 @@ def check_dual_matched_pair_criterion(
     two are implemented independently so tests can confirm that.
     """
     _require_halves(A, Astar)
-    n = A.dim
     violations = []
     for tag, rep in (
         ("A", check_q_associative(A)),
@@ -153,42 +223,14 @@ def check_dual_matched_pair_criterion(
 
     LA, RA = mult_operators(A)
     LB, RB = mult_operators(Astar)
-    RstarA, LstarA = RA.transposed(), LA.transposed()
-    RstarB, LstarB = RB.transposed(), LB.transposed()
-    e = [basis_vec(n, i) for i in range(n)]
+    R, L, Ro, Lo = (_nonzero_table(T.transposed()) for T in (RA, LA, RB, LB))
+    o = _nonzero_table(Astar.c)
 
-    for ix in range(n):
-        x = e[ix]
-        # the actions that depend on x alone, and on x and b
-        RAx, LAx = action_of(RstarA, x), action_of(LstarA, x)
-        RAx_e = [RAx.apply(v) for v in e]
-        LA_LBx = [action_of(LstarA, action_of(LstarB, b).apply(x)) for b in e]
-        for ia in range(n):
-            a = e[ia]
-            RA_LBa = action_of(RstarA, action_of(LstarB, a).apply(x))
-            RA_RBa = action_of(RstarA, action_of(RstarB, a).apply(x))
-            LAx_a = LAx.apply(a)
-            for ib in range(n):
-                b = e[ib]
-                idx = (ix + 1, ia + 1, ib + 1)
-                ab = multiply(Astar, a, b)
-                r1 = RAx.apply(ab)
-                t = RA_LBa.apply(b)
-                r1 = [u + v for u, v in zip(r1, t)]
-                t = multiply(Astar, RAx_e[ia], b)
-                r1 = [u + v for u, v in zip(r1, t)]
-                if not vec_is_zero(r1):
-                    violations.append(Violation("dual1", idx, r1))
+    def residual(x, a, b):
+        yield "dual1", _right_equation(R, Lo, o, x, a, b)
+        yield "dual2", _mixed_equation(R, L, Ro, Lo, o, x, a, b)
 
-                r2 = RA_RBa.apply(b)
-                t = multiply(Astar, LAx_a, b)
-                r2 = [u + v for u, v in zip(r2, t)]
-                t = LA_LBx[ib].apply(a)
-                r2 = [u + v for u, v in zip(r2, t)]
-                t = multiply(Astar, a, RAx_e[ib])
-                r2 = [u + v for u, v in zip(r2, t)]
-                if not vec_is_zero(r2):
-                    violations.append(Violation("dual2", idx, r2))
+    violations += _run_laws(itertools.product(range(A.dim), repeat=3), residual)
     return CheckReport.from_violations(violations)
 
 
@@ -217,10 +259,10 @@ def check_symplectic_criterion(
 
     Equations eq1, eq2, eq5 live in the dual half and are indexed
     (i_x, i_a, i_b); eq3, eq4, eq6 live in the primal half and are
-    indexed (i_a, i_x, i_y).
+    indexed (i_a, i_x, i_y).  Each primal equation is its dual-half
+    partner with the roles of the two halves exchanged.
     """
     _require_halves(D_A, D_Astar)
-    n = D_A.dim
     violations = []
     for tag, rep in (
         ("A", check_q_dendriform(D_A)),
@@ -228,94 +270,21 @@ def check_symplectic_criterion(
     ):
         violations += _prefixed(f"precondition:dendriform:{tag}", rep)
 
-    A = associated_algebra(D_A)
-    B = associated_algebra(D_Astar)
     ls_a, _, _, rp_a = dendriform_mult_operators(D_A)
     ls_b, _, _, rp_b = dendriform_mult_operators(D_Astar)
-    Ra = rp_a.transposed()  # R_prec_A^T  : A* -> A*
-    La = ls_a.transposed()  # L_succ_A^T  : A* -> A*
-    Rb = rp_b.transposed()  # R_prec_B^T  : A  -> A
-    Lb = ls_b.transposed()  # L_succ_B^T  : A  -> A
-    e = [basis_vec(n, i) for i in range(n)]
+    # R_prec_A^T and L_succ_A^T act on A*, R_prec_B^T and L_succ_B^T on A
+    Ra, La, Rb, Lb = (_nonzero_table(T.transposed()) for T in (rp_a, ls_a, rp_b, ls_b))
+    A, B = (_nonzero_table(associated_algebra(D).c) for D in (D_A, D_Astar))
 
-    def acc(*vecs):
-        out = list(vecs[0])
-        for v in vecs[1:]:
-            out = [u + w for u, w in zip(out, v)]
-        return out
+    def residual(i1, i2, i3):
+        yield "eq1", _right_equation(Ra, Lb, B, i1, i2, i3)
+        yield "eq2", _left_equation(La, Rb, B, i1, i2, i3)
+        yield "eq5", _mixed_equation(Ra, La, Rb, Lb, B, i1, i2, i3)
+        yield "eq3", _right_equation(Rb, La, A, i1, i2, i3)
+        yield "eq4", _left_equation(Lb, Ra, A, i1, i2, i3)
+        yield "eq6", _mixed_equation(Rb, Lb, Ra, La, A, i1, i2, i3)
 
-    for i1 in range(n):
-        # the actions that depend on the outer basis vector alone: x in the
-        # dual-half equations and a2 in the primal-half ones are both e[i1]
-        x = a2 = e[i1]
-        Ra_x, La_x = action_of(Ra, x), action_of(La, x)
-        Rb_a2, Lb_a2 = action_of(Rb, a2), action_of(Lb, a2)
-        Ra_x_e = [Ra_x.apply(v) for v in e]
-        La_x_e = [La_x.apply(v) for v in e]
-        Rb_a2_e = [Rb_a2.apply(v) for v in e]
-        Lb_a2_e = [Lb_a2.apply(v) for v in e]
-        # the nested actions that depend on e[i1] and one more basis vector
-        Ra_Lb = [action_of(Ra, action_of(Lb, v).apply(x)) for v in e]
-        La_Rb = [action_of(La, action_of(Rb, v).apply(x)) for v in e]
-        Ra_Rb = [action_of(Ra, action_of(Rb, v).apply(x)) for v in e]
-        La_Lb = [action_of(La, action_of(Lb, v).apply(x)) for v in e]
-        Rb_La = [action_of(Rb, action_of(La, v).apply(a2)) for v in e]
-        Lb_Ra = [action_of(Lb, action_of(Ra, v).apply(a2)) for v in e]
-        Rb_Ra = [action_of(Rb, action_of(Ra, v).apply(a2)) for v in e]
-        Lb_La = [action_of(Lb, action_of(La, v).apply(a2)) for v in e]
-        for i2 in range(n):
-            for i3 in range(n):
-                a, b = e[i2], e[i3]
-                idx = (i1 + 1, i2 + 1, i3 + 1)
-                ab = multiply(B, a, b)
-                r = acc(
-                    Ra_x.apply(ab),
-                    Ra_Lb[i2].apply(b),
-                    multiply(B, Ra_x_e[i2], b),
-                )
-                if not vec_is_zero(r):
-                    violations.append(Violation("eq1", idx, r))
-                r = acc(
-                    La_x.apply(ab),
-                    La_Rb[i3].apply(a),
-                    multiply(B, a, La_x_e[i3]),
-                )
-                if not vec_is_zero(r):
-                    violations.append(Violation("eq2", idx, r))
-                r = acc(
-                    Ra_Rb[i2].apply(b),
-                    multiply(B, La_x_e[i2], b),
-                    La_Lb[i3].apply(a),
-                    multiply(B, a, Ra_x_e[i3]),
-                )
-                if not vec_is_zero(r):
-                    violations.append(Violation("eq5", idx, r))
-
-                # primal-half equations; rename the loop triple (a, x, y)
-                x2, y2 = e[i2], e[i3]
-                xy = multiply(A, x2, y2)
-                r = acc(
-                    Rb_a2.apply(xy),
-                    Rb_La[i2].apply(y2),
-                    multiply(A, Rb_a2_e[i2], y2),
-                )
-                if not vec_is_zero(r):
-                    violations.append(Violation("eq3", idx, r))
-                r = acc(
-                    Lb_a2.apply(xy),
-                    Lb_Ra[i3].apply(x2),
-                    multiply(A, x2, Lb_a2_e[i3]),
-                )
-                if not vec_is_zero(r):
-                    violations.append(Violation("eq4", idx, r))
-                r = acc(
-                    Rb_Ra[i2].apply(y2),
-                    multiply(A, Lb_a2_e[i2], y2),
-                    Lb_La[i3].apply(x2),
-                    multiply(A, x2, Rb_a2_e[i3]),
-                )
-                if not vec_is_zero(r):
-                    violations.append(Violation("eq6", idx, r))
+    violations += _run_laws(itertools.product(range(D_A.dim), repeat=3), residual)
     return CheckReport.from_violations(violations)
 
 

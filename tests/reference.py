@@ -7,6 +7,10 @@ as the library check of the same name.  An action table is read as the
 matrices of its basis vectors' actions and, for any other element,
 through ``action_of``.  tests/test_kernel.py compares the
 two exactly; nothing in the library imports this module.
+
+The module also keeps the dense form of the two independent criteria of
+doubles.py, ``dual_matched_pair_criterion`` and ``symplectic_criterion``,
+which test_kernel.py compares with the sparse ones the same way.
 """
 
 from __future__ import annotations
@@ -26,10 +30,13 @@ from antiassoc import (
     StructureAlgebra,
     Violation,
     associated_algebra,
+    dendriform_mult_operators,
+    mult_operators,
     multiply,
 )
 from antiassoc.bimodules import action_of
-from antiassoc.linalg import basis_vec, vec_add, vec_sub
+from antiassoc.doubles import _require_halves
+from antiassoc.linalg import basis_vec, vec_add, vec_is_zero, vec_sub
 
 
 def _run(tuples, residual) -> list[Violation]:
@@ -357,3 +364,185 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
         + _halfside(P.D_A, P.on_A, P.on_B, 44)
     )
     return CheckReport.from_violations(violations, q=str(P.D_A.q))
+
+
+# ---------------------------------------------------------------------------
+# the dense form of the two criteria in doubles.py, as they stood before the
+# criteria read their tables as sparse fibers: every action is a Matrix
+# built by ``action_of`` and applied through Fraction dot products.  Here
+# the preconditions resolve to this module's Fraction checks.
+
+
+def dual_matched_pair_criterion(
+    A: StructureAlgebra, Astar: StructureAlgebra
+) -> CheckReport:
+    """The two-equation criterion for the quadratic double, namely
+
+        R^T(x)(a o b) + R^T(L_o^T(a) x) b + (R^T(x)a) o b = 0
+        R^T(R_o^T(a)x)b + (L^T(x)a) o b + L^T(L_o^T(b)x)a + a o (R^T(x)b) = 0
+
+    over all (x, a, b), with antiassociativity of both halves reported
+    as preconditions.  The verdict provably coincides with the full
+    six-equation matched-pair check on the quadratic-double data; the
+    two are implemented independently so tests can confirm that.
+    """
+    _require_halves(A, Astar)
+    n = A.dim
+    violations = []
+    for tag, rep in (
+        ("A", check_q_associative(A)),
+        ("B", check_q_associative(Astar)),
+    ):
+        violations += _prefixed(f"precondition:q_assoc:{tag}", rep)
+
+    LA, RA = mult_operators(A)
+    LB, RB = mult_operators(Astar)
+    RstarA, LstarA = RA.transposed(), LA.transposed()
+    RstarB, LstarB = RB.transposed(), LB.transposed()
+    e = [basis_vec(n, i) for i in range(n)]
+
+    for ix in range(n):
+        x = e[ix]
+        # the actions that depend on x alone, and on x and b
+        RAx, LAx = action_of(RstarA, x), action_of(LstarA, x)
+        RAx_e = [RAx.apply(v) for v in e]
+        LA_LBx = [action_of(LstarA, action_of(LstarB, b).apply(x)) for b in e]
+        for ia in range(n):
+            a = e[ia]
+            RA_LBa = action_of(RstarA, action_of(LstarB, a).apply(x))
+            RA_RBa = action_of(RstarA, action_of(RstarB, a).apply(x))
+            LAx_a = LAx.apply(a)
+            for ib in range(n):
+                b = e[ib]
+                idx = (ix + 1, ia + 1, ib + 1)
+                ab = multiply(Astar, a, b)
+                r1 = RAx.apply(ab)
+                t = RA_LBa.apply(b)
+                r1 = [u + v for u, v in zip(r1, t)]
+                t = multiply(Astar, RAx_e[ia], b)
+                r1 = [u + v for u, v in zip(r1, t)]
+                if not vec_is_zero(r1):
+                    violations.append(Violation("dual1", idx, r1))
+
+                r2 = RA_RBa.apply(b)
+                t = multiply(Astar, LAx_a, b)
+                r2 = [u + v for u, v in zip(r2, t)]
+                t = LA_LBx[ib].apply(a)
+                r2 = [u + v for u, v in zip(r2, t)]
+                t = multiply(Astar, a, RAx_e[ib])
+                r2 = [u + v for u, v in zip(r2, t)]
+                if not vec_is_zero(r2):
+                    violations.append(Violation("dual2", idx, r2))
+    return CheckReport.from_violations(violations)
+
+
+def symplectic_criterion(
+    D_A: DendriformStructure, D_Astar: DendriformStructure
+) -> CheckReport:
+    """The six-equation criterion behind the symplectic double, written
+    directly in terms of the two dendriform halves (ids eq1..eq6), with
+    both q-dendriform checks reported as preconditions.  Independent of
+    the builder's generic matched-pair path; the verdicts must agree.
+
+    Equations eq1, eq2, eq5 live in the dual half and are indexed
+    (i_x, i_a, i_b); eq3, eq4, eq6 live in the primal half and are
+    indexed (i_a, i_x, i_y).
+    """
+    _require_halves(D_A, D_Astar)
+    n = D_A.dim
+    violations = []
+    for tag, rep in (
+        ("A", check_q_dendriform(D_A)),
+        ("B", check_q_dendriform(D_Astar)),
+    ):
+        violations += _prefixed(f"precondition:dendriform:{tag}", rep)
+
+    A = associated_algebra(D_A)
+    B = associated_algebra(D_Astar)
+    ls_a, _, _, rp_a = dendriform_mult_operators(D_A)
+    ls_b, _, _, rp_b = dendriform_mult_operators(D_Astar)
+    Ra = rp_a.transposed()  # R_prec_A^T  : A* -> A*
+    La = ls_a.transposed()  # L_succ_A^T  : A* -> A*
+    Rb = rp_b.transposed()  # R_prec_B^T  : A  -> A
+    Lb = ls_b.transposed()  # L_succ_B^T  : A  -> A
+    e = [basis_vec(n, i) for i in range(n)]
+
+    def acc(*vecs):
+        out = list(vecs[0])
+        for v in vecs[1:]:
+            out = [u + w for u, w in zip(out, v)]
+        return out
+
+    for i1 in range(n):
+        # the actions that depend on the outer basis vector alone: x in the
+        # dual-half equations and a2 in the primal-half ones are both e[i1]
+        x = a2 = e[i1]
+        Ra_x, La_x = action_of(Ra, x), action_of(La, x)
+        Rb_a2, Lb_a2 = action_of(Rb, a2), action_of(Lb, a2)
+        Ra_x_e = [Ra_x.apply(v) for v in e]
+        La_x_e = [La_x.apply(v) for v in e]
+        Rb_a2_e = [Rb_a2.apply(v) for v in e]
+        Lb_a2_e = [Lb_a2.apply(v) for v in e]
+        # the nested actions that depend on e[i1] and one more basis vector
+        Ra_Lb = [action_of(Ra, action_of(Lb, v).apply(x)) for v in e]
+        La_Rb = [action_of(La, action_of(Rb, v).apply(x)) for v in e]
+        Ra_Rb = [action_of(Ra, action_of(Rb, v).apply(x)) for v in e]
+        La_Lb = [action_of(La, action_of(Lb, v).apply(x)) for v in e]
+        Rb_La = [action_of(Rb, action_of(La, v).apply(a2)) for v in e]
+        Lb_Ra = [action_of(Lb, action_of(Ra, v).apply(a2)) for v in e]
+        Rb_Ra = [action_of(Rb, action_of(Ra, v).apply(a2)) for v in e]
+        Lb_La = [action_of(Lb, action_of(La, v).apply(a2)) for v in e]
+        for i2 in range(n):
+            for i3 in range(n):
+                a, b = e[i2], e[i3]
+                idx = (i1 + 1, i2 + 1, i3 + 1)
+                ab = multiply(B, a, b)
+                r = acc(
+                    Ra_x.apply(ab),
+                    Ra_Lb[i2].apply(b),
+                    multiply(B, Ra_x_e[i2], b),
+                )
+                if not vec_is_zero(r):
+                    violations.append(Violation("eq1", idx, r))
+                r = acc(
+                    La_x.apply(ab),
+                    La_Rb[i3].apply(a),
+                    multiply(B, a, La_x_e[i3]),
+                )
+                if not vec_is_zero(r):
+                    violations.append(Violation("eq2", idx, r))
+                r = acc(
+                    Ra_Rb[i2].apply(b),
+                    multiply(B, La_x_e[i2], b),
+                    La_Lb[i3].apply(a),
+                    multiply(B, a, Ra_x_e[i3]),
+                )
+                if not vec_is_zero(r):
+                    violations.append(Violation("eq5", idx, r))
+
+                # primal-half equations; rename the loop triple (a, x, y)
+                x2, y2 = e[i2], e[i3]
+                xy = multiply(A, x2, y2)
+                r = acc(
+                    Rb_a2.apply(xy),
+                    Rb_La[i2].apply(y2),
+                    multiply(A, Rb_a2_e[i2], y2),
+                )
+                if not vec_is_zero(r):
+                    violations.append(Violation("eq3", idx, r))
+                r = acc(
+                    Lb_a2.apply(xy),
+                    Lb_Ra[i3].apply(x2),
+                    multiply(A, x2, Lb_a2_e[i3]),
+                )
+                if not vec_is_zero(r):
+                    violations.append(Violation("eq4", idx, r))
+                r = acc(
+                    Rb_Ra[i2].apply(y2),
+                    multiply(A, Lb_a2_e[i2], y2),
+                    Lb_La[i3].apply(x2),
+                    multiply(A, x2, Rb_a2_e[i3]),
+                )
+                if not vec_is_zero(r):
+                    violations.append(Violation("eq6", idx, r))
+    return CheckReport.from_violations(violations)

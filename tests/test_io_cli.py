@@ -445,21 +445,32 @@ def test_cli_classify_json(capsys):
     assert doc["audit"]["distinct_valid_classes"] == 2
 
 
-@pytest.mark.parametrize("flags, enumerations", [([], 1), (["--grid", "0,1"], 2)],
+# partitions: the command's solutions, the audit's listed tables and, off
+# the default grid, the audit's own enumeration
+@pytest.mark.parametrize("flags, enumerations, partitions",
+                         [([], 1, 2), (["--grid", "0,1"], 2, 3)],
                          ids=["default", "other-grid"])
-def test_cli_classify_enumerates_once_per_grid(monkeypatch, capsys, flags, enumerations):
-    calls = []
-    real = classify2d.enumerate_2d_antiassociative
+def test_cli_classify_enumerates_once_per_grid(
+    monkeypatch, capsys, flags, enumerations, partitions
+):
+    calls = {}
 
-    def counted(grid):
-        calls.append(grid)
-        return real(grid)
+    def counted(name):
+        real = getattr(classify2d, name)
 
-    monkeypatch.setattr(cli, "enumerate_2d_antiassociative", counted)
-    monkeypatch.setattr(classify2d, "enumerate_2d_antiassociative", counted)
+        def wrapper(arg):
+            calls.setdefault(name, []).append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(classify2d, name, wrapper)
+
+    counted("enumerate_2d_antiassociative")
+    counted("partition_into_classes")
     assert cli.run(["classify", "dim2", *flags, "--json"]) == 0
     enumeration = json.loads(capsys.readouterr().out)["audit"]["enumeration"]
-    assert len(calls) == enumerations
+    assert len(calls["enumerate_2d_antiassociative"]) == enumerations
+    assert len(calls["partition_into_classes"]) == partitions
     assert enumeration["grid"] == ["-1", "0", "1"]
     assert enumeration["solutions"] == 9
 

@@ -8,13 +8,20 @@ differs from the algebra dimension (for a matched pair, the dimension of
 B differs from that of A), and dims 0 and 1 are drawn.  Each check also
 compiles every table once per call, whatever the dimensions and the
 number of tuples.
+
+The two criteria of doubles.py, sparse Fraction lookups, are compared
+the same way with their dense form, and they, with every doubles.py
+helper they reach, and classify2d stay off the kernel.
 """
 
+import ast
 import copy
 import inspect
 import random
 import re
+import textwrap
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +38,8 @@ from antiassoc import (
     MatchedPairData,
     StructureAlgebra,
 )
-from antiassoc import dendriform, matched
+from antiassoc import dendriform, doubles, matched
+from antiassoc.io import load_fixture
 from antiassoc.linalg import Matrix, Tensor3
 
 from . import reference
@@ -191,6 +199,62 @@ def test_kernel_matches_reference(name, seed, q, family, n):
         assert got.passed
 
 
+# The two criteria of doubles.py read sparse Fraction fibers; the dense
+# Matrix form they replaced is kept in tests/reference.py.  Each draw is a
+# pair of halves: dense random ones (failing nearly everywhere), a
+# nilpotent half with the zero half (a valid double), or two nilpotent
+# halves split alike, which the criteria need not accept.
+CRITERIA = [
+    ("check_dual_matched_pair_criterion", "dual_matched_pair_criterion"),
+    ("check_symplectic_criterion", "symplectic_criterion"),
+]
+CRITERION_DRAWS = [("dense", 2), ("dense", 3)] + [("zero", n) for n in range(2, 6)] + [
+    ("nilpotent", n) for n in range(2, 5)
+]
+
+
+def _halves(name, draw, family):
+    """Two q = -1 halves of dimension draw.n for the criterion ``name``."""
+    quadratic = name == "check_dual_matched_pair_criterion"
+    half = draw.algebra if quadratic else draw.dendriform
+    zero = (StructureAlgebra if quadratic else DendriformStructure).zero(draw.n, -1)
+    return half(-1), zero if family == "zero" else half(-1)
+
+
+@pytest.mark.parametrize("name, ref", CRITERIA, ids=[c for c, _ in CRITERIA])
+@pytest.mark.parametrize("family, n", CRITERION_DRAWS)
+@given(seed=st.integers(0, 2**30))
+@settings(max_examples=3, deadline=None)
+def test_criteria_match_the_dense_reference(name, ref, family, n, seed):
+    rng = random.Random(seed)
+    draw = Draw(rng, "dense" if family == "dense" else "nilpotent", n, n)
+    halves = _halves(name, draw, family)
+    got = getattr(antiassoc, name)(*halves)
+    want = getattr(reference, ref)(*halves)
+    assert got.violations == want.violations
+    assert got.as_dict() == want.as_dict()
+    if family == "zero":
+        assert got.passed
+
+
+FIXTURES = resources.files("antiassoc") / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "source", sorted(p.name for p in FIXTURES.iterdir() if p.name.endswith(".json"))
+)
+def test_criteria_match_the_dense_reference_on_the_paper_fixtures(source):
+    fx = load_fixture(str(FIXTURES / source))
+    if fx.kind == "quadratic":
+        (name, ref), halves = CRITERIA[0], (fx.A, fx.Astar)
+    else:
+        (name, ref), halves = CRITERIA[1], (fx.DA, fx.DAstar)
+    got = getattr(antiassoc, name)(*halves)
+    want = getattr(reference, ref)(*halves)
+    assert got.violations == want.violations
+    assert got.as_dict() == want.as_dict()
+
+
 # two (n, m) shapes: a compile count that is the same at both is one
 # compile per table, not one per matrix of an action table or per tuple
 SHAPES = [(2, 3), (3, 1)]
@@ -242,16 +306,32 @@ def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
     counts = _compiles_per_call(
         monkeypatch, dendriform, antiassoc.check_dendriform_matched_pair, make_args
     )
-    # each side's three tensors compile in its axiom precondition (3) and
-    # again with its six tables in its bimodule precondition (9); then the
-    # halves compile the six tables (6) and the three tensors (3) of each
-    # side once more
-    assert counts == [2 * (3 + 9 + 6 + 3)] * 2
+    # each side's three tensors and six tables, shared by the preconditions
+    # and the two halves
+    assert counts == [2 * (3 + 6)] * 2
 
 
 KERNEL_NAMES = [
     "_fibers", "_columns", "_imul", "_iapply", "_iaction", "_imatmul", "_common_den",
+    "_scaled", "_nonzero", "_basis", "_on_basis",
 ]
+
+
+def _with_doubles_helpers(fn) -> list:
+    """``fn`` and every doubles.py function it calls, directly or through
+    another such function."""
+    found, todo = [], [fn]
+    while todo:
+        f = todo.pop()
+        if f in found:
+            continue
+        found.append(f)
+        tree = ast.parse(textwrap.dedent(inspect.getsource(f)))
+        for name in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}:
+            g = getattr(doubles, name, None)
+            if inspect.isfunction(g) and g.__module__ == doubles.__name__:
+                todo.append(g)
+    return found
 
 
 @pytest.mark.parametrize(
@@ -266,6 +346,15 @@ KERNEL_NAMES = [
 def test_independent_oracles_stay_off_the_kernel(oracle):
     """The hand-expanded residuals of classify2d and the two criteria in
     doubles.py are checked against the kernel path; sharing the kernel
-    would let one bug pass both."""
-    source = inspect.getsource(oracle)
-    assert [name for name in KERNEL_NAMES if re.search(rf"\b{name}\b", source)] == []
+    would let one bug pass both.  A criterion is scanned together with
+    every doubles.py helper it reaches, so no kernel name enters through
+    a helper."""
+    if inspect.ismodule(oracle):
+        sources = [inspect.getsource(oracle)]
+    else:
+        helpers = _with_doubles_helpers(oracle)
+        assert doubles._require_halves in helpers  # the scan follows calls
+        sources = [inspect.getsource(f) for f in helpers]
+    used = {name for source in sources for name in KERNEL_NAMES
+            if re.search(rf"\b{name}\b", source)}
+    assert used == set()
