@@ -17,8 +17,8 @@ axes swapped, R(y) x = x * y.
 
 This module also holds the machinery every other module builds on: the
 law runner ``_run_laws`` that turns residual functions into Violations,
-``_prefixed`` for folding one report into another, the one tensor
-contraction ``_contract`` behind every product and every action, and
+``_prefixed`` for folding one check's violations into another's, the one
+tensor contraction ``_contract`` behind every product and every action, and
 ``_block_tensor``, the assembler of the product tensor on A + B behind
 semidirect and bowtie products.
 
@@ -37,7 +37,9 @@ columns of the map x -> T(x) e_j, which are the fibers of T with its
 first two axes swapped (``_on_basis``).  The runner divides by the
 scale, building Fractions only for the coordinates of a nonzero
 residual.  Nothing is cached on the tables, whose entries are mutable:
-each check call compiles its own.
+each check call compiles its own and hands them, with q and D, to its law
+bodies (such as ``_q_assoc_violations``), which work out their divisors,
+so a composite check runs its preconditions on one compilation.
 The checks of the bimodules, the matched pairs, the dendriform structures
 and the forms all run on this kernel; the independent oracles (classify2d
 and the criteria in doubles.py) do not.
@@ -119,13 +121,10 @@ def _run_laws(
     return out
 
 
-def _prefixed(tag: str, rep: CheckReport) -> list[Violation]:
-    """A report's violations with ids prefixed ``tag:``, for folding one
-    check into another's verdict."""
-    return [
-        Violation(f"{tag}:{v.identity_id}", v.indices, v.residual)
-        for v in rep.violations
-    ]
+def _prefixed(tag: str, violations: list[Violation]) -> list[Violation]:
+    """``violations`` with ids prefixed ``tag:``, for folding one check, or
+    one law body, into another's verdict."""
+    return [Violation(f"{tag}:{v.identity_id}", v.indices, v.residual) for v in violations]
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +360,26 @@ def _block_tensor(
     return t
 
 
-def check_q_associative(A: StructureAlgebra) -> CheckReport:
-    """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
-    n = A.dim
-    D = _common_den([A.c])
-    F = _fibers(A.c, D)
-    qn, qd = A.q.numerator, A.q.denominator
+def _q_assoc_violations(F: list[list[Sparse]], q: Fraction, D: int) -> list[Violation]:
+    """The q-law on all basis triples of the structure tensor compiled at D
+    as ``F``."""
+    n = len(F)
+    # every term times D^2 qd: q = qn/qd folds into integers
+    qn, qd = q.numerator, q.denominator
     right, left = _basis(n, qd), _basis(n, -qn)
 
     def residual(i, j, k):
         acc = _imul(F, F[i][j], right[k], [0] * n)
         yield "q_assoc", _imul(F, left[i], F[j][k], acc)
 
-    triples = itertools.product(range(n), repeat=3)
-    violations = _run_laws(triples, residual, D * D * qd)
-    return CheckReport.from_violations(
-        violations, q=str(A.q), triples=n**3
-    )
+    return _run_laws(itertools.product(range(n), repeat=3), residual, D * D * qd)
+
+
+def check_q_associative(A: StructureAlgebra) -> CheckReport:
+    """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
+    D = _common_den([A.c])
+    violations = _q_assoc_violations(_fibers(A.c, D), A.q, D)
+    return CheckReport.from_violations(violations, q=str(A.q), triples=A.dim**3)
 
 
 def anticommutator_algebra(A: StructureAlgebra) -> StructureAlgebra:

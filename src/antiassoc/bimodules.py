@@ -31,7 +31,9 @@ from typing import Sequence
 
 from .algebra import (
     CheckReport,
+    Sparse,
     StructureAlgebra,
+    Violation,
     _block_tensor,
     _common_den,
     _contract,
@@ -96,18 +98,12 @@ def action_of(table: Tensor3, x: Sequence[Fraction]) -> Matrix:
     return Matrix.from_columns([_contract(table, x, basis_vec(m, j)) for j in range(m)])
 
 
-def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
-    """Verify the three bimodule laws on all basis pairs of A.
-
-    Violations are matrix identities, reported at indices (i, j) with the
-    residual matrix flattened row-major.
-    """
-    if M.algebra_dim != A.dim:
-        raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
-    q = A.q
-    D = _common_den([A.c, M.l, M.r])
-    F, l, r = (_fibers(t, D) for t in (A.c, M.l, M.r))
-    size = M.module_dim**2
+def _bimodule_violations(
+    F: list[list[Sparse]], l: list[list[Sparse]], r: list[list[Sparse]], q: Fraction, D: int
+) -> list[Violation]:
+    """The three laws for the structure tensor and the action tables
+    compiled at D as ``F``, ``l`` and ``r``."""
+    size = len(l[0]) ** 2 if l else 0
     # every law times D^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
     qn, qd = q.numerator, q.denominator
     f, fq, fqi = qn * qd, -qn * qn, -qd * qd
@@ -117,9 +113,21 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
         yield "r_law", _imatmul(r[j], r[i], fqi, _iaction(r, F[i][j], f, [0] * size))
         yield "lr_law", _imatmul(r[j], l[i], fqi, _imatmul(l[i], r[j], f, [0] * size))
 
-    pairs = itertools.product(range(A.dim), repeat=2)
-    violations = _run_laws(pairs, residual, D * D * qn * qd)
-    return CheckReport.from_violations(violations, q=str(q))
+    pairs = itertools.product(range(len(F)), repeat=2)
+    return _run_laws(pairs, residual, D * D * qn * qd)
+
+
+def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
+    """Verify the three bimodule laws on all basis pairs of A.
+
+    Violations are matrix identities, reported at indices (i, j) with the
+    residual matrix flattened row-major.
+    """
+    if M.algebra_dim != A.dim:
+        raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
+    D = _common_den([A.c, M.l, M.r])
+    F, l, r = (_fibers(t, D) for t in (A.c, M.l, M.r))
+    return CheckReport.from_violations(_bimodule_violations(F, l, r, A.q, D), q=str(A.q))
 
 
 def regular_bimodule(A: StructureAlgebra) -> Bimodule:

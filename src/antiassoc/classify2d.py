@@ -254,7 +254,9 @@ def verify_paper_classification(
                 + describe_residual(first.residual)
             )
 
-    pairwise = []
+    # verdicts are exact, so the classes are the tables isomorphic to no
+    # earlier one
+    pairwise, repeated = [], set()
     for i in range(len(valid)):
         for j in range(i + 1, len(valid)):
             verdict = are_isomorphic_dim2(valid[i][1], valid[j][1])
@@ -266,13 +268,13 @@ def verify_paper_classification(
                 }
             )
             if verdict.status == "yes":
+                repeated.add(j)
                 discrepancies.append(
                     f"tables {valid[i][0]} and {valid[j][0]}: isomorphic "
                     f"(witness re-verified)"
                 )
 
-    classes = partition_into_classes([a for _, a in valid])
-    distinct_valid = len(classes)
+    distinct_valid = len(valid) - len(repeated)
 
     if enumerated is None:
         enumerated, enumerated_classes = enumerate_2d_antiassociative(ENUM_GRID), None

@@ -41,8 +41,6 @@ from .doubles import (
 from .forms import check_invariant_symmetric, check_symplectic
 from .matched import bowtie, check_matched_pair
 from .operators import (
-    NotAnOOperator,
-    NotSymplectic,
     check_o_operator,
     check_rota_baxter,
     compatible_dendriform_from_o_operator,
@@ -459,12 +457,6 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except NotAnOOperator as exc:
-        _print_report("o-operator", exc.report)
-        return 1
-    except NotSymplectic as exc:
-        _print_report("symplectic form", exc.report)
-        return 1
     except (ValueError, OSError) as exc:
         # ParseError, SingularError and DimensionMismatch are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)

@@ -309,17 +309,16 @@ def _halfside_violations(
 ) -> list[Violation]:
     """The nine conditions for X acting on Y, ids first_id..first_id+8.
 
-    ``by_X`` holds the compiled actions of X's basis on Y's space, ``by_Y``
-    those of Y's basis on X's space, and ``Y`` Y's compiled (prec, succ,
-    star) tensors.  Quantified over x in X's basis and a, b in Y's basis;
-    residuals live in Y's space; indices are (i_x, i_a, i_b).  Every term
-    is scaled by the common denominator squared and, with q folded in, by
-    qn qd: ``den``.
+    ``by_X`` holds the actions of X's basis on Y's space, ``by_Y`` those
+    of Y's basis on X's space, and ``Y`` Y's (prec, succ, star) tensors,
+    all compiled at den.  Quantified over x in X's basis and a, b in Y's
+    basis; residuals live in Y's space; indices are (i_x, i_a, i_b).
     """
     p, s, star = Y
     lx_s, rx_s, lx_p, rx_p, lx, rx = by_X
     ly_s, ry_s, ly_p, ry_p, ly, ry = by_Y
     n, m = len(lx), len(p)
+    # every term times den^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
     qn, qd = q.numerator, q.denominator
     f, fq, fqi = qn * qd, -qn * qn, -qd * qd
     e, eq, eqi = _basis(m, f), _basis(m, fq), _basis(m, fqi)
@@ -353,7 +352,7 @@ def _halfside_violations(
         acc = _imul(s, L[ia], eqi[ib], _iapply(Ls, s[ia][ib], f, [0] * m))
         yield ids[8], _iapply(on_ls[ib], ry[ia][ix], fqi, acc)
 
-    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, den)
+    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, den * den * f)
 
 
 def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
@@ -372,18 +371,13 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     ])
     on_B, on_A = _compiled(P.on_B, den), _compiled(P.on_A, den)
     fA, fB = _structure_tables(A, den), _structure_tables(B, den)
-    scale = den * den * q.numerator * q.denominator
-
-    def precondition(tag: str, violations: list[Violation]) -> list[Violation]:
-        return _prefixed(f"precondition:{tag}", CheckReport.from_violations(violations))
-
     violations = (
-        precondition("dendriform:A", _axiom_violations(fA, q, den))
-        + precondition("dendriform:B", _axiom_violations(fB, q, den))
-        + precondition("bimodule:A_on_B", _bimodule_violations(fA, on_B, q, den))
-        + precondition("bimodule:B_on_A", _bimodule_violations(fB, on_A, q, den))
-        + _halfside_violations(fB, on_B, on_A, q, 35, scale)
-        + _halfside_violations(fA, on_A, on_B, q, 44, scale)
+        _prefixed("precondition:dendriform:A", _axiom_violations(fA, q, den))
+        + _prefixed("precondition:dendriform:B", _axiom_violations(fB, q, den))
+        + _prefixed("precondition:bimodule:A_on_B", _bimodule_violations(fA, on_B, q, den))
+        + _prefixed("precondition:bimodule:B_on_A", _bimodule_violations(fB, on_A, q, den))
+        + _halfside_violations(fB, on_B, on_A, q, 35, den)
+        + _halfside_violations(fA, on_A, on_B, q, 44, den)
     )
     return CheckReport.from_violations(violations, q=str(q))
 

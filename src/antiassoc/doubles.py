@@ -97,9 +97,9 @@ def _audited_double(
     n = P.A.dim
     total = bowtie(P)
     violations = (
-        _prefixed("matched_pair", check_matched_pair(P))
-        + _prefixed("total_q_assoc", check_q_associative(total))
-        + _prefixed("form", check_form(total, form))
+        _prefixed("matched_pair", check_matched_pair(P).violations)
+        + _prefixed("total_q_assoc", check_q_associative(total).violations)
+        + _prefixed("form", check_form(total, form).violations)
         + _closure_violations(total, n)
     )
     report = CheckReport.from_violations(
@@ -214,12 +214,8 @@ def check_dual_matched_pair_criterion(
     two are implemented independently so tests can confirm that.
     """
     _require_halves(A, Astar)
-    violations = []
-    for tag, rep in (
-        ("A", check_q_associative(A)),
-        ("B", check_q_associative(Astar)),
-    ):
-        violations += _prefixed(f"precondition:q_assoc:{tag}", rep)
+    violations = _prefixed("precondition:q_assoc:A", check_q_associative(A).violations)
+    violations += _prefixed("precondition:q_assoc:B", check_q_associative(Astar).violations)
 
     LA, RA = mult_operators(A)
     LB, RB = mult_operators(Astar)
@@ -263,12 +259,8 @@ def check_symplectic_criterion(
     partner with the roles of the two halves exchanged.
     """
     _require_halves(D_A, D_Astar)
-    violations = []
-    for tag, rep in (
-        ("A", check_q_dendriform(D_A)),
-        ("B", check_q_dendriform(D_Astar)),
-    ):
-        violations += _prefixed(f"precondition:dendriform:{tag}", rep)
+    violations = _prefixed("precondition:dendriform:A", check_q_dendriform(D_A).violations)
+    violations += _prefixed("precondition:dendriform:B", check_q_dendriform(D_Astar).violations)
 
     ls_a, _, _, rp_a = dendriform_mult_operators(D_A)
     ls_b, _, _, rp_b = dendriform_mult_operators(D_Astar)

@@ -17,9 +17,9 @@ swapped, so one half-function evaluates both: over (A, B) it gives (1),
 (2), (5), which live in B's space and are quantified over (x, a, b) with
 indices (i_x, i_a, i_b); over (B, A) it gives (3), (4), (6), which live
 in A's space over (a, x, y) with indices (i_a, i_x, i_y).  Both halves
-run on the sparse integer kernel and the law runner in algebra.py, from
-one compilation of the two tensors and the four action tables, and
-bowtie is algebra.py's block assembler.
+and the four preconditions run on the sparse integer kernel and the law
+runner in algebra.py, from one compilation of the two tensors and the
+four action tables, and bowtie is algebra.py's block assembler.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .algebra import (
     _imul,
     _on_basis,
     _prefixed,
+    _q_assoc_violations,
     _run_laws,
-    check_q_associative,
 )
-from .bimodules import Bimodule, _check_sides, check_bimodule
+from .bimodules import Bimodule, _bimodule_violations, _check_sides
 
 
 @dataclass
@@ -69,15 +69,15 @@ def _matched_half(
     by_Y: tuple[Tables, Tables],
     q: Fraction,
     ids: tuple[str, str, str],
-    den: int,
+    D: int,
 ) -> list[Violation]:
     """Equations (1), (2), (5) for the actions ``by_X`` = (l, r) of X's
     basis on Y's space and ``by_Y`` of Y's basis on X's space, over x in X
-    and a, b in Y.  F is Y's compiled tensor; every term is scaled by the
-    common denominator squared and, with q folded in, by qn qd: ``den``."""
+    and a, b in Y.  F is Y's tensor; all of them are compiled at D."""
     lX, rX = by_X
     lY, rY = by_Y
     n, m = len(lX), len(F)
+    # every term times D^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
     qn, qd = q.numerator, q.denominator
     f, fq, fqi = qn * qd, -qn * qn, -qd * qd
     e, eq, eqi = _basis(m, f), _basis(m, fq), _basis(m, fqi)
@@ -95,7 +95,7 @@ def _matched_half(
         acc = _iapply(r_on[ia], rY[ib][ix], fq, acc)
         yield ids[2], _imul(F, eq[ia], lx[ib], acc)
 
-    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, den)
+    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, D * D * f)
 
 
 def check_matched_pair(P: MatchedPairData) -> CheckReport:
@@ -104,18 +104,19 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     Precondition failures (either algebra not q-associative, either action
     pair not a bimodule) are themselves reported as violations with an
     ``precondition:`` id prefix, so the verdict is the full conjunction.
+    All of them share one compilation of the six tables at their common D.
     """
     A, B, q = P.A, P.B, P.A.q
     D = _common_den([A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r])
+    fA, fB = _fibers(A.c, D), _fibers(B.c, D)
     on_B, on_A = ((_fibers(M.l, D), _fibers(M.r, D)) for M in (P.on_B, P.on_A))
-    den = D * D * q.numerator * q.denominator
     violations = (
-        _prefixed("precondition:q_assoc:A", check_q_associative(A))
-        + _prefixed("precondition:q_assoc:B", check_q_associative(B))
-        + _prefixed("precondition:bimodule:A_on_B", check_bimodule(A, P.on_B))
-        + _prefixed("precondition:bimodule:B_on_A", check_bimodule(B, P.on_A))
-        + _matched_half(_fibers(B.c, D), on_B, on_A, q, ("eq1", "eq2", "eq5"), den)
-        + _matched_half(_fibers(A.c, D), on_A, on_B, q, ("eq3", "eq4", "eq6"), den)
+        _prefixed("precondition:q_assoc:A", _q_assoc_violations(fA, q, D))
+        + _prefixed("precondition:q_assoc:B", _q_assoc_violations(fB, q, D))
+        + _prefixed("precondition:bimodule:A_on_B", _bimodule_violations(fA, *on_B, q, D))
+        + _prefixed("precondition:bimodule:B_on_A", _bimodule_violations(fB, *on_A, q, D))
+        + _matched_half(fB, on_B, on_A, q, ("eq1", "eq2", "eq5"), D)
+        + _matched_half(fA, on_A, on_B, q, ("eq3", "eq4", "eq6"), D)
     )
     return CheckReport.from_violations(violations, q=str(q))
 

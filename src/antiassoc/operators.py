@@ -40,6 +40,7 @@ from .algebra import (
     _iapply,
     _imul,
     _nonzero,
+    _on_basis,
     _run_laws,
     mult_operators,
 )
@@ -124,7 +125,7 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
     Te = _columns(T.m, D)
     # on_e[j] is the map x -> l(x) e_j from A to V, by its columns; so is at_e[j]
     # for x -> r(x) e_j
-    on_e, at_e = _fibers(M.l.swapped(), D), _fibers(M.r.swapped(), D)
+    on_e, at_e = _on_basis(_fibers(M.l, D), m), _on_basis(_fibers(M.r, D), m)
 
     def residual(i, j):
         # all terms times D^3; induced is -(l(Tu)v + r(Tv)u)

@@ -191,7 +191,7 @@ def test_o_operator_check_compiles_each_table_once(monkeypatch):
         for spied in calls.values():
             spied.clear()
         assert not check_o_operator(A, M, T).passed
-        assert len(calls["_fibers"]) == 3  # c, then l and r with axes 0 and 1 swapped
+        assert len(calls["_fibers"]) == 3  # c, l and r
         assert len(calls["_columns"]) == 1  # T
 
 
