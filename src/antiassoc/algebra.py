@@ -16,37 +16,42 @@ is c itself, L(x) y = x * y, and the right one is c with its first two
 axes swapped, R(y) x = x * y.
 
 This module also holds the machinery every other module builds on: the
-law runner ``_run_laws`` that turns residual functions into Violations,
-``_prefixed`` for folding one check's violations into another's, the one
-tensor contraction ``_contract`` behind every product and every action, and
-``_block_tensor``, the assembler of the product tensor on A + B behind
-semidirect and bowtie products.
+law runner ``_run_laws`` over (identity_id, law) pairs, ``_prefixed``
+for folding one check's violations into another's, the one contraction
+``_contract`` behind every product and action, and ``_block_tensor``,
+the product tensor on A + B behind semidirect and bowtie products.
 
-It also holds the exact sparse integer kernel the law checks run on.  A
-check scales every table it reads (structure tensors, action tables, maps,
-Gram matrices) by one common denominator D (``_common_den``) and keeps
-each fiber or column as its nonzero ``(index, int)`` pairs: ``_fibers``
-compiles every bilinear table, structure tensor or action table alike,
-and ``_columns`` the matrices of linear maps.  It evaluates each law as
-integer contractions (``_imul``, ``_iapply``, ``_iaction``,
-``_imatmul``), with q's numerator and denominator folded into the
-coefficients, often through scaled basis vectors (``_basis``), so every
-term of a law carries the same scale.  The action of an element on a
-basis vector, as in the matched-pair laws, is one ``_iapply`` through the
-columns of the map x -> T(x) e_j, which are the fibers of T with its
-first two axes swapped (``_on_basis``).  The runner divides by the
-scale, building Fractions only for the coordinates of a nonzero
-residual.  Nothing is cached on the tables, whose entries are mutable:
-each check call compiles its own and hands them, with q and D, to its law
-bodies (such as ``_q_assoc_violations``), which work out their divisors,
-so a composite check runs its preconditions on one compilation.
-The checks of the bimodules, the matched pairs, the dendriform structures
-and the forms all run on this kernel; the independent oracles (classify2d
-and the criteria in doubles.py) do not.
+One law shape covers every identity of an algebra, a dendriform
+structure, their bimodules and their matched pairs:
+
+    G(x, y, z) = (x o1 y) o2 z - q * x o3 (y o4 z)
+
+for four products from [c] or [prec, succ, star], named by position in
+a shape.  A bimodule law puts one argument of the base law in the
+module, a matched-pair condition one in the other algebra.  So each
+identity is a route row (id, shape, placement, scale): the placement
+spells G's arguments ("iju" is G(e_i, e_j, u), "axb" is G(a, x, b)) and
+the scale is 1 or -1/q.  One body per family of placements runs them:
+``_pure_violations``, ``_module_violations`` and ``_mixed_violations``.
+
+They run on the exact sparse integer kernel, as do the operator and form
+checks.  A check scales every table it reads by one common denominator D
+(``_common_den``) and keeps each fiber or column as its nonzero
+``(index, int)`` pairs (``_fibers`` for bilinear tables, ``_columns``
+for maps).  Each law is a sum of integer contractions (``_imul``,
+``_iapply``, ``_iaction``, ``_imatmul``) with q's numerator and
+denominator folded into the coefficients, often through scaled basis
+vectors (``_basis``), so all its terms share one scale, D^2 qn qd in a
+route body; ``_on_basis`` turns x -> T(x) e_j into columns.  The runner
+divides by the scale, building Fractions only for a nonzero residual.
+Nothing is cached on the mutable tables: each check call compiles its
+own, once for all its preconditions.  The independent oracles
+(classify2d and the criteria in doubles.py) stay off the kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -103,17 +108,17 @@ class CheckReport:
 
 def _run_laws(
     tuples: Iterable[tuple[int, ...]],
-    residual: Callable[..., Iterable[tuple[str, Sequence]]],
+    laws: Sequence[tuple[str, Callable[..., Sequence]]],
     den: int = 1,
 ) -> list[Violation]:
-    """The law runner behind every check: ``residual(*idx)`` yields
-    (identity_id, den * residual) pairs for one 0-based index tuple, and the
-    nonzero residuals become Violations with 1-based indices, in tuple
-    order and then yield order.  Kernel checks yield integers over their
-    common scale ``den``; the others yield Fractions with den 1."""
+    """The law runner behind every check: for (identity_id, law) pairs, with
+    ``law(*idx)`` den times the residual at a 0-based index tuple, the
+    nonzero residuals become Violations with 1-based indices, in tuple order
+    and then law order.  Kernel laws return integers over ``den``."""
     out = []
     for idx in tuples:
-        for identity_id, res in residual(*idx):
+        for identity_id, law in laws:
+            res = law(*idx)
             if any(res):
                 out.append(Violation(
                     identity_id, tuple(i + 1 for i in idx), [Fraction(a, den) for a in res]
@@ -131,6 +136,8 @@ def _prefixed(tag: str, violations: list[Violation]) -> list[Violation]:
 # the sparse integer kernel: a sparse vector is a list of (index, int) pairs
 
 Sparse = list[tuple[int, int]]
+_Compiled = list[list[Sparse]]  # a bilinear table compiled by _fibers
+_Acts = list[tuple[_Compiled, _Compiled]]  # the (L, R) tables of each product
 
 
 def _common_den(tensors: Iterable[Tensor3] = (), matrices: Iterable[Matrix] = ()) -> int:
@@ -150,7 +157,7 @@ def _nonzero(vec: Sequence[int]) -> Sparse:
     return [(k, a) for k, a in enumerate(vec) if a]
 
 
-def _fibers(c: Tensor3, D: int) -> list[list[Sparse]]:
+def _fibers(c: Tensor3, D: int) -> _Compiled:
     """D * c[i][j] as sparse vectors.  For an action table T these are the
     sparse columns of each D * T(e_i)."""
     return [[_nonzero(_scaled(fiber, D)) for fiber in plane] for plane in c.entries]
@@ -216,6 +223,104 @@ def _imatmul(P: list[Sparse], Q: list[Sparse], f: int, acc: list[int]) -> list[i
             for r, pv in P[s]:
                 acc[r * m + u] += g * pv
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the route bodies of the one law shape G (see the module docstring)
+
+_Q_LAW = (0, 0, 0, 0)
+_Q_ASSOC_ROUTES = (("q_assoc", _Q_LAW, "1"),)
+
+
+@functools.lru_cache(maxsize=64)
+def _scales(qn: int, qd: int, n: int) -> dict[str, tuple]:
+    """For each scale, (a, b, a e_k, b e_k) with scale * G * qn qd equal to
+    a (x o1 y) o2 z + b x o3 (y o4 z), for q = qn/qd and the e_k of an
+    n-dim space.  Cached on integers, which hash faster than a Fraction;
+    every caller only reads the result."""
+    pairs = (("1", (qn * qd, -qn * qn)), ("-1/q", (-qd * qd, qn * qd)))
+    return {scale: (a, b, _basis(n, a), _basis(n, b)) for scale, (a, b) in pairs}
+
+
+def _pure_violations(Fs: list[_Compiled], routes, q: Fraction, D: int) -> list[Violation]:
+    """Routes (id, shape, scale) on the basis triples of the products ``Fs``."""
+    n, scales = len(Fs[0]), _scales(q.numerator, q.denominator, len(Fs[0]))
+
+    def law(shape, scale):
+        (o1, o2, o3, o4), (_, _, ez, ex) = shape, scales[scale]
+        F1, F2, F3, F4 = Fs[o1], Fs[o2], Fs[o3], Fs[o4]
+        return lambda i, j, k: _imul(F3, ex[i], F4[j][k], _imul(F2, F1[i][j], ez[k], [0] * n))
+
+    laws = [(name, law(shape, scale)) for name, shape, scale in routes]
+    triples = itertools.product(range(n), repeat=3)
+    return _run_laws(triples, laws, D * D * q.numerator * q.denominator)
+
+
+def _module_violations(
+    Fs: list[_Compiled], acts: _Acts, routes, q: Fraction, D: int
+) -> list[Violation]:
+    """Routes (id, shape, placement, scale) on the basis pairs (i, j) for the
+    products ``Fs`` and their (L, R) tables ``acts`` on a module V, as the
+    matrix of u -> scale * G, row-major, for u in V."""
+    n, scales = len(Fs[0]), _scales(q.numerator, q.denominator, 0)
+    size = len(acts[0][0][0]) ** 2 if n else 0
+
+    def law(shape, placement, scale):
+        (o1, o2, o3, o4), (a, b, _, _) = shape, scales[scale]
+        (L1, R1), (L2, R2), (L3, R3), (L4, R4) = acts[o1], acts[o2], acts[o3], acts[o4]
+        F1, F4 = Fs[o1], Fs[o4]
+        residual = (
+            # u first: R2(y) R1(x) - q R3(x o4 y)
+            lambda x, y: _iaction(R3, F4[x][y], b, _imatmul(R2[y], R1[x], a, [0] * size)),
+            # u in the middle: R2(y) L1(x) - q L3(x) R4(y)
+            lambda x, y: _imatmul(L3[x], R4[y], b, _imatmul(R2[y], L1[x], a, [0] * size)),
+            # u last: L2(x o1 y) - q L3(x) L4(y)
+            lambda x, y: _imatmul(L3[x], L4[y], b, _iaction(L2, F1[x][y], a, [0] * size)),
+        )[placement.index("u")]
+        if placement.index("i") < placement.index("j"):
+            return residual
+        return lambda i, j: residual(j, i)
+
+    laws = [(name, law(shape, place, scale)) for name, shape, place, scale in routes]
+    pairs = itertools.product(range(n), repeat=2)
+    return _run_laws(pairs, laws, D * D * q.numerator * q.denominator)
+
+
+def _mixed_violations(
+    Fs: list[_Compiled], by_X: _Acts, by_Y: _Acts, routes, q: Fraction, D: int
+) -> list[Violation]:
+    """Routes (id, shape, placement, scale) on the basis triples (x, a, b),
+    x in X and a, b in Y, read in Y's block at (i_x, i_a, i_b).  ``Fs`` are
+    Y's products, ``by_X`` X's (L, R) tables on Y and ``by_Y`` Y's on X."""
+    n, m = len(by_X[0][0]), len(Fs[0])
+    scales = _scales(q.numerator, q.denominator, m)
+    # the maps x -> L(x) e_j and x -> R(x) e_j from X to Y, by their columns
+    on = [tuple(_on_basis(T, m) for T in pair) for pair in by_X]
+
+    def law(shape, placement, scale):
+        (o1, o2, o3, o4), (a, b, e1, e2) = shape, scales[scale]
+        F1, F2, F3, F4 = Fs[o1], Fs[o2], Fs[o3], Fs[o4]
+        (L1, R1), (L2, R2), (L3, R3), (L4, R4) = by_X[o1], by_X[o2], by_X[o3], by_X[o4]
+        (L1y, R1y), (L4y, R4y), on_L2, on_R3 = by_Y[o1], by_Y[o4], on[o2][0], on[o3][1]
+
+        def xab(ix, ia, ib):  # L2(R'1(a)x)b + (L1(x)a) o2 b - q L3(x)(a o4 b)
+            acc = _imul(F2, L1[ix][ia], e1[ib], _iapply(on_L2[ib], R1y[ia][ix], a, [0] * m))
+            return _iapply(L3[ix], F4[ia][ib], b, acc)
+
+        def abx(ix, ia, ib):  # R2(x)(a o1 b) - q [R3(L'4(b)x)a + a o3 (R4(x)b)]
+            acc = _iapply(on_R3[ia], L4y[ib][ix], b, _iapply(R2[ix], F1[ia][ib], a, [0] * m))
+            return _imul(F3, e2[ia], R4[ix][ib], acc)
+
+        def axb(ix, ia, ib):  # L2(L'1(a)x)b + (R1(x)a) o2 b - q [R3(R'4(b)x)a + a o3 (L4(x)b)]
+            acc = _imul(F2, R1[ix][ia], e1[ib], _iapply(on_L2[ib], L1y[ia][ix], a, [0] * m))
+            acc = _iapply(on_R3[ia], R4y[ib][ix], b, acc)
+            return _imul(F3, e2[ia], L4[ix][ib], acc)
+
+        return {"xab": xab, "abx": abx, "axb": axb}[placement]
+
+    laws = [(name, law(shape, place, scale)) for name, shape, place, scale in routes]
+    triples = itertools.product(range(n), range(m), range(m))
+    return _run_laws(triples, laws, D * D * q.numerator * q.denominator)
 
 
 @dataclass
@@ -360,25 +465,10 @@ def _block_tensor(
     return t
 
 
-def _q_assoc_violations(F: list[list[Sparse]], q: Fraction, D: int) -> list[Violation]:
-    """The q-law on all basis triples of the structure tensor compiled at D
-    as ``F``."""
-    n = len(F)
-    # every term times D^2 qd: q = qn/qd folds into integers
-    qn, qd = q.numerator, q.denominator
-    right, left = _basis(n, qd), _basis(n, -qn)
-
-    def residual(i, j, k):
-        acc = _imul(F, F[i][j], right[k], [0] * n)
-        yield "q_assoc", _imul(F, left[i], F[j][k], acc)
-
-    return _run_laws(itertools.product(range(n), repeat=3), residual, D * D * qd)
-
-
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
     """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
     D = _common_den([A.c])
-    violations = _q_assoc_violations(_fibers(A.c, D), A.q, D)
+    violations = _pure_violations([_fibers(A.c, D)], _Q_ASSOC_ROUTES, A.q, D)
     return CheckReport.from_violations(violations, q=str(A.q), triples=A.dim**3)
 
 
@@ -402,15 +492,16 @@ def check_mock_lie(A: StructureAlgebra) -> CheckReport:
     e, minus = _basis(n), _basis(n, -1)
 
     def commutator(i, j):
-        yield "commutative", _imul(F, e[i], e[j], _imul(F, minus[j], e[i], [0] * n))
+        return _imul(F, e[i], e[j], _imul(F, minus[j], e[i], [0] * n))
 
     def jacobi(i, j, k):
         acc = _imul(F, F[i][j], e[k], [0] * n)
         acc = _imul(F, F[k][i], e[j], acc)
-        yield "jacobi", _imul(F, F[j][k], e[i], acc)
+        return _imul(F, F[j][k], e[i], acc)
 
-    violations = _run_laws(itertools.combinations(range(n), 2), commutator, D)
-    violations += _run_laws(itertools.product(range(n), repeat=3), jacobi, D * D)
+    pairs = itertools.combinations(range(n), 2)
+    violations = _run_laws(pairs, [("commutative", commutator)], D)
+    violations += _run_laws(itertools.product(range(n), repeat=3), [("jacobi", jacobi)], D * D)
     return CheckReport.from_violations(violations)
 
 
@@ -438,14 +529,14 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
     )
 
     def residual(p, i, j, k, l):
-        yield "quartic", parenthesizations[p](i, j, k, l)
+        return parenthesizations[p](i, j, k, l)
 
     quintuples = (
         (p, *ijkl)
         for ijkl in itertools.product(range(n), repeat=4)
         for p in range(5)
     )
-    violations = _run_laws(quintuples, residual, D**3)
+    violations = _run_laws(quintuples, [("quartic", residual)], D**3)
     return CheckReport.from_violations(violations, quadruples=n**4)
 
 

@@ -5,42 +5,37 @@ Tensor3 of shape (dim A, dim V, dim V) like a structure tensor:
 ``l[i][j]`` is l(e_i) e_j, the left action of e_i on e_j, and ``r[i][j]``
 is r(e_i) e_j.  Documents still spell each table as a list of row-major
 matrices; io.py converts at load and at dump.  The three laws checked
-here, with q the algebra's parameter:
+here, with q the algebra's parameter, are the q-law G of the semidirect
+product A + V with one argument u in V (see algebra.py):
 
-    l(x*y) = q * l(x) l(y)
-    r(x*y) = q^{-1} * r(y) r(x)
-    l(x) r(y) = q^{-1} * r(y) l(x)
+    l_law   l(x*y) - q l(x) l(y)          =  G(x, y, u)
+    r_law   r(x*y) - q^{-1} r(y) r(x)     = -G(u, x, y) / q
+    lr_law  l(x) r(y) - q^{-1} r(y) l(x)  = -G(x, u, y) / q
 
-Actions of non-basis elements extend linearly from the tables: T(x) v is
-algebra.py's contraction of T with x and v, and ``action_of`` builds the
-matrix of T(x) as a ``Matrix``.  The regular
+Each is one route row, run by algebra.py's module body as a matrix
+identity in u.  Actions of non-basis elements extend linearly from the
+tables: T(x) v is algebra.py's contraction of T with x and v, and
+``action_of`` builds the matrix of T(x) as a ``Matrix``.  The regular
 bimodule is (c, c with its first two axes swapped) and a dual is a
-transpose of the last two axes, scaled.  The laws run on the sparse
-integer kernel and the law runner in algebra.py, which compiles an
-action table like any structure tensor, as do the matched-pair laws
-built on these tables, and the semidirect product is algebra.py's block
-assembler with a zero partner algebra.
+transpose of the last two axes, scaled.  The semidirect product is
+algebra.py's block assembler with a zero partner algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
+    _Q_LAW,
     CheckReport,
-    Sparse,
     StructureAlgebra,
-    Violation,
     _block_tensor,
     _common_den,
     _contract,
     _fibers,
-    _iaction,
-    _imatmul,
-    _run_laws,
+    _module_violations,
     mult_operators,
 )
 from .linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
@@ -98,23 +93,12 @@ def action_of(table: Tensor3, x: Sequence[Fraction]) -> Matrix:
     return Matrix.from_columns([_contract(table, x, basis_vec(m, j)) for j in range(m)])
 
 
-def _bimodule_violations(
-    F: list[list[Sparse]], l: list[list[Sparse]], r: list[list[Sparse]], q: Fraction, D: int
-) -> list[Violation]:
-    """The three laws for the structure tensor and the action tables
-    compiled at D as ``F``, ``l`` and ``r``."""
-    size = len(l[0]) ** 2 if l else 0
-    # every law times D^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
-    qn, qd = q.numerator, q.denominator
-    f, fq, fqi = qn * qd, -qn * qn, -qd * qd
-
-    def residual(i, j):
-        yield "l_law", _imatmul(l[i], l[j], fq, _iaction(l, F[i][j], f, [0] * size))
-        yield "r_law", _imatmul(r[j], r[i], fqi, _iaction(r, F[i][j], f, [0] * size))
-        yield "lr_law", _imatmul(r[j], l[i], fqi, _imatmul(l[i], r[j], f, [0] * size))
-
-    pairs = itertools.product(range(len(F)), repeat=2)
-    return _run_laws(pairs, residual, D * D * qn * qd)
+# (id, shape, placement, scale) of the three laws, as in the docstring
+_BIMODULE_ROUTES = (
+    ("l_law", _Q_LAW, "iju", "1"),
+    ("r_law", _Q_LAW, "uij", "-1/q"),
+    ("lr_law", _Q_LAW, "iuj", "-1/q"),
+)
 
 
 def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
@@ -126,8 +110,9 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
     D = _common_den([A.c, M.l, M.r])
-    F, l, r = (_fibers(t, D) for t in (A.c, M.l, M.r))
-    return CheckReport.from_violations(_bimodule_violations(F, l, r, A.q, D), q=str(A.q))
+    acts = [(_fibers(M.l, D), _fibers(M.r, D))]
+    violations = _module_violations([_fibers(A.c, D)], acts, _BIMODULE_ROUTES, A.q, D)
+    return CheckReport.from_violations(violations, q=str(A.q))
 
 
 def regular_bimodule(A: StructureAlgebra) -> Bimodule:

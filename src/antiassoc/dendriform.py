@@ -10,53 +10,50 @@ with x*y = x prec y + x succ y the associated product:
 Summing the three gives the q-law for *, so every valid structure splits
 a q-generalized associative algebra into two halves.
 
+Each axiom is algebra.py's law shape G on [prec, succ, star]: A1 and A2
+are G for (prec, prec, prec, star) and (succ, prec, succ, prec), A3 is
+-G/q for (star, succ, succ, succ).
+
 Dendriform bimodules carry four action tables in the fixed slot order
 (l_succ, r_succ, l_prec, r_prec), each a Tensor3 of shape
-(dim A, dim V, dim V) in the layout of bimodules.py; a matched pair
-carries two dendriform bimodules, one for each side's basis acting on
-the other's space.  The eighteen matched-pair conditions are stored
-under the identity_ids "35".."52": the first nine quantify (x; a, b)
-with x in A and a, b in B, the last nine are their exact mirrors under
-swapping the roles of A and B, in the same order.
+(dim A, dim V, dim V) in the layout of bimodules.py.  Law 3a+1, 3a+2 and
+3a+3 is G(x_i, x_j, u), G(x_j, u, x_i) and G(u, x_j, x_i) for axiom a+1
+on the semidirect product.  A matched pair carries two dendriform
+bimodules, one for each side's basis acting on the other's space; its
+eighteen conditions, ids "35".."52", are the axioms of the bowtie with x
+in one side and a, b in the other, read in the other's block at
+(i_x, i_a, i_b).  Ids first+3a, +1 and +2 are G(a, b, x), G(a, x, b) and
+G(x, a, b) for axiom a+1, at scales (1, 1, -1/q) for A1 and A2 and
+(1, -1/q, -1/q) for A3; first is 35 for x in A and 44 for the mirror.
 
-Everything here is the associative machinery of algebra.py applied to
-each of the two tensors: both products are its tensor contraction, the
-multiplication tables are each tensor and its axis swap, the associated
-product is their sum, a dual is a transpose of the last two axes,
-semidirect and bowtie products are its block assembler, and every check
-runs on its law runner and its sparse integer kernel: the axioms, the
-nine bimodule laws and the eighteen matched-pair conditions, whose four
-preconditions and two halves share one compilation of both structures
-and both bimodules.
+Everything else is algebra.py's associative machinery on each tensor:
+its contraction, its multiplication tables, duals as transposes, and its
+block assembler for semidirect and bowtie products.  The checks are route
+rows for algebra.py's bodies, the matched pair through matched.py's
+assembler on one compilation of both structures and both bimodules.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
     CheckReport,
-    Sparse,
     StructureAlgebra,
-    Violation,
-    _basis,
     _block_tensor,
+    _Acts,
+    _Compiled,
     _common_den,
     _contract,
     _fibers,
-    _iaction,
-    _iapply,
-    _imatmul,
-    _imul,
-    _on_basis,
-    _prefixed,
-    _run_laws,
+    _module_violations,
+    _pure_violations,
 )
 from .bimodules import Bimodule, _check_sides, _check_tables
 from .linalg import DimensionMismatch, Scalar, Tensor3, rat, vec_add
+from .matched import _matched_violations
 
 
 class DendriformStructure:
@@ -116,32 +113,24 @@ class DendriformStructure:
         return f"DendriformStructure(dim={self.dim}, q={self.q})"
 
 
-def _structure_tables(D: DendriformStructure, den: int) -> tuple[list[list[Sparse]], ...]:
-    """den times D's (prec, succ, star) tensors, compiled by ``_fibers``."""
-    return tuple(_fibers(t, den) for t in (D.c_prec, D.c_succ, associated_algebra(D).c))
+# the routes of the docstring; shapes index the products [prec, succ, star]
+_PREC, _SUCC, _STAR = 0, 1, 2
+_AXIOM_ROUTES = (
+    ("axiom1", (_PREC, _PREC, _PREC, _STAR), "1"),
+    ("axiom2", (_SUCC, _PREC, _SUCC, _PREC), "1"),
+    ("axiom3", (_STAR, _SUCC, _SUCC, _SUCC), "-1/q"),
+)
 
 
-def _axiom_violations(Y: tuple[list[list[Sparse]], ...], q: Fraction, den: int) -> list[Violation]:
-    """The three axioms on the compiled (prec, succ, star) tensors ``Y``,
-    compiled at den."""
-    p, s, star = Y
-    n = len(p)
-    # every axiom times den^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
-    qn, qd = q.numerator, q.denominator
-    e, eq, eqi = _basis(n, qn * qd), _basis(n, -qn * qn), _basis(n, -qd * qd)
-
-    def residual(i, j, k):
-        yield "axiom1", _imul(p, eq[i], star[j][k], _imul(p, p[i][j], e[k], [0] * n))
-        yield "axiom2", _imul(s, eq[i], p[j][k], _imul(p, s[i][j], e[k], [0] * n))
-        yield "axiom3", _imul(s, star[i][j], eqi[k], _imul(s, e[i], s[j][k], [0] * n))
-
-    return _run_laws(itertools.product(range(n), repeat=3), residual, den * den * qn * qd)
+def _structure_tables(D: DendriformStructure, den: int) -> list[_Compiled]:
+    """den times D's [prec, succ, star] tensors, compiled by ``_fibers``."""
+    return [_fibers(t, den) for t in (D.c_prec, D.c_succ, associated_algebra(D).c)]
 
 
 def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
     den = _common_den([D.c_prec, D.c_succ])
-    violations = _axiom_violations(_structure_tables(D, den), D.q, den)
+    violations = _pure_violations(_structure_tables(D, den), _AXIOM_ROUTES, D.q, den)
     return CheckReport.from_violations(violations, q=str(D.q), triples=D.dim**3)
 
 
@@ -195,39 +184,19 @@ def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
     return DendriformBimodule(D.dim, D.dim, *dendriform_mult_operators(D))
 
 
-def _compiled(M: DendriformBimodule, den: int) -> list[list[list[Sparse]]]:
-    """The kernel's view of a dendriform bimodule: den times each of the
-    four tables and of the two summed ones, compiled by ``_fibers``, in the
-    order (l_succ, r_succ, l_prec, r_prec, l_star, r_star)."""
+def _compiled(M: DendriformBimodule, den: int) -> _Acts:
+    """The kernel's view of a dendriform bimodule: den times its (L, R)
+    tables for each of prec, succ and star, compiled by ``_fibers``."""
     summed = M.sum_actions()
-    tables = (M.l_succ, M.r_succ, M.l_prec, M.r_prec, summed.l, summed.r)
-    return [_fibers(t, den) for t in tables]
+    pairs = ((M.l_prec, M.r_prec), (M.l_succ, M.r_succ), (summed.l, summed.r))
+    return [(_fibers(l, den), _fibers(r, den)) for l, r in pairs]
 
 
-def _bimodule_violations(
-    X: tuple[list[list[Sparse]], ...], M: list[list[list[Sparse]]], q: Fraction, den: int
-) -> list[Violation]:
-    """The nine action laws for X's compiled (prec, succ, star) tensors and
-    the compiled tables ``M`` of ``_compiled``, both compiled at den."""
-    p, s, star = X
-    ls, rs, lp, rp, lstar, rstar = M
-    size = len(ls[0]) ** 2 if ls else 0
-    # every law times den^2 qd: q = qn/qd folds into integers
-    f, fq = q.denominator, -q.numerator
-
-    def residual(i, j):
-        yield "law1", _imatmul(lp[i], lstar[j], fq, _iaction(lp, p[i][j], f, [0] * size))
-        yield "law2", _imatmul(lp[j], rstar[i], fq, _imatmul(rp[i], lp[j], f, [0] * size))
-        yield "law3", _iaction(rp, star[j][i], fq, _imatmul(rp[i], rp[j], f, [0] * size))
-        yield "law4", _imatmul(ls[i], lp[j], fq, _iaction(lp, s[i][j], f, [0] * size))
-        yield "law5", _imatmul(ls[j], rp[i], fq, _imatmul(rp[i], ls[j], f, [0] * size))
-        yield "law6", _iaction(rs, p[j][i], fq, _imatmul(rp[i], rs[j], f, [0] * size))
-        yield "law7", _imatmul(ls[i], ls[j], fq, _iaction(ls, star[i][j], f, [0] * size))
-        yield "law8", _imatmul(ls[j], rs[i], fq, _imatmul(rs[i], lstar[j], f, [0] * size))
-        yield "law9", _iaction(rs, s[j][i], fq, _imatmul(rs[i], rstar[j], f, [0] * size))
-
-    pairs = itertools.product(range(len(p)), repeat=2)
-    return _run_laws(pairs, residual, den * den * q.denominator)
+_BIMODULE_ROUTES = tuple(
+    (f"law{3 * a + k + 1}", shape, placement, "1")
+    for a, (_, shape, _) in enumerate(_AXIOM_ROUTES)
+    for k, placement in enumerate(("iju", "jui", "uji"))
+)
 
 
 def check_dendriform_bimodule(
@@ -242,7 +211,8 @@ def check_dendriform_bimodule(
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
     den = _common_den([D.c_prec, D.c_succ, M.l_succ, M.r_succ, M.l_prec, M.r_prec])
-    violations = _bimodule_violations(_structure_tables(D, den), _compiled(M, den), D.q, den)
+    tables = _structure_tables(D, den), _compiled(M, den)
+    violations = _module_violations(*tables, _BIMODULE_ROUTES, D.q, den)
     return CheckReport.from_violations(violations, q=str(D.q))
 
 
@@ -299,60 +269,12 @@ class DendriformMatchedPairData:
         _check_sides(self.D_A.dim, self.D_B.dim, self.on_B, self.on_A)
 
 
-def _halfside_violations(
-    Y: tuple[list[list[Sparse]], ...],
-    by_X: list[list[list[Sparse]]],
-    by_Y: list[list[list[Sparse]]],
-    q: Fraction,
-    first_id: int,
-    den: int,
-) -> list[Violation]:
-    """The nine conditions for X acting on Y, ids first_id..first_id+8.
-
-    ``by_X`` holds the actions of X's basis on Y's space, ``by_Y`` those
-    of Y's basis on X's space, and ``Y`` Y's (prec, succ, star) tensors,
-    all compiled at den.  Quantified over x in X's basis and a, b in Y's
-    basis; residuals live in Y's space; indices are (i_x, i_a, i_b).
-    """
-    p, s, star = Y
-    lx_s, rx_s, lx_p, rx_p, lx, rx = by_X
-    ly_s, ry_s, ly_p, ry_p, ly, ry = by_Y
-    n, m = len(lx), len(p)
-    # every term times den^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
-    qn, qd = q.numerator, q.denominator
-    f, fq, fqi = qn * qd, -qn * qn, -qd * qd
-    e, eq, eqi = _basis(m, f), _basis(m, fq), _basis(m, fqi)
-    ids = [str(first_id + k) for k in range(9)]
-    # on_lp[j] is the map x -> lx_p(x) e_j from X to Y, by its columns; so
-    # are the other three for their tables
-    on_lp, on_rp, on_ls, on_rs = (_on_basis(t, m) for t in (lx_p, rx_p, lx_s, rx_s))
-
-    def residual(ix, ia, ib):
-        # the actions of x on Y's space
-        Ls, Rs, Lp, Rp, L, R = lx_s[ix], rx_s[ix], lx_p[ix], rx_p[ix], lx[ix], rx[ix]
-        acc = _imul(p, eq[ia], R[ib], _iapply(Rp, p[ia][ib], f, [0] * m))
-        yield ids[0], _iapply(on_rp[ia], ly[ib][ix], fq, acc)
-        acc = _imul(p, Rp[ia], e[ib], _iapply(on_lp[ib], ly_p[ia][ix], f, [0] * m))
-        acc = _imul(p, eq[ia], L[ib], acc)
-        yield ids[1], _iapply(on_rp[ia], ry[ib][ix], fq, acc)
-        acc = _imul(p, Lp[ia], eqi[ib], _iapply(Lp, star[ia][ib], f, [0] * m))
-        yield ids[2], _iapply(on_lp[ib], ry_p[ia][ix], fqi, acc)
-        acc = _iapply(on_rs[ia], ly_p[ib][ix], fq, _iapply(Rp, s[ia][ib], f, [0] * m))
-        yield ids[3], _imul(s, eq[ia], Rp[ib], acc)
-        acc = _imul(p, Rs[ia], e[ib], _iapply(on_lp[ib], ly_s[ia][ix], f, [0] * m))
-        acc = _imul(s, eq[ia], Lp[ib], acc)
-        yield ids[4], _iapply(on_rs[ia], ry_p[ib][ix], fq, acc)
-        acc = _imul(p, Ls[ia], eqi[ib], _iapply(Ls, p[ia][ib], f, [0] * m))
-        yield ids[5], _iapply(on_lp[ib], ry_s[ia][ix], fqi, acc)
-        acc = _imul(s, eq[ia], Rs[ib], _iapply(Rs, star[ia][ib], f, [0] * m))
-        yield ids[6], _iapply(on_rs[ia], ly_s[ib][ix], fq, acc)
-        acc = _iapply(on_rs[ia], ry_s[ib][ix], f, _imul(s, e[ia], Ls[ib], [0] * m))
-        acc = _iapply(on_ls[ib], ly[ia][ix], fqi, acc)
-        yield ids[7], _imul(s, R[ia], eqi[ib], acc)
-        acc = _imul(s, L[ia], eqi[ib], _iapply(Ls, s[ia][ib], f, [0] * m))
-        yield ids[8], _iapply(on_ls[ib], ry[ia][ix], fqi, acc)
-
-    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, den * den * f)
+_MIXED_SCALES = (("1", "1", "-1/q"), ("1", "1", "-1/q"), ("1", "-1/q", "-1/q"))
+_MATCHED_ROUTES = tuple(
+    ((str(35 + 3 * a + k), str(44 + 3 * a + k)), shape, placement, scale)
+    for a, ((_, shape, _), scales) in enumerate(zip(_AXIOM_ROUTES, _MIXED_SCALES))
+    for k, (placement, scale) in enumerate(zip(("abx", "axb", "xab"), scales))
+)
 
 
 def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
@@ -370,14 +292,9 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
         *(t for M in (P.on_B, P.on_A) for t in (M.l_succ, M.r_succ, M.l_prec, M.r_prec)),
     ])
     on_B, on_A = _compiled(P.on_B, den), _compiled(P.on_A, den)
-    fA, fB = _structure_tables(A, den), _structure_tables(B, den)
-    violations = (
-        _prefixed("precondition:dendriform:A", _axiom_violations(fA, q, den))
-        + _prefixed("precondition:dendriform:B", _axiom_violations(fB, q, den))
-        + _prefixed("precondition:bimodule:A_on_B", _bimodule_violations(fA, on_B, q, den))
-        + _prefixed("precondition:bimodule:B_on_A", _bimodule_violations(fB, on_A, q, den))
-        + _halfside_violations(fB, on_B, on_A, q, 35, den)
-        + _halfside_violations(fA, on_A, on_B, q, 44, den)
+    violations = _matched_violations(
+        "dendriform", (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES),
+        _structure_tables(A, den), _structure_tables(B, den), on_B, on_A, q, den,
     )
     return CheckReport.from_violations(violations, q=str(q))
 

@@ -93,14 +93,10 @@ def check_invariant_symmetric(A: StructureAlgebra, B: BilinearForm) -> CheckRepo
     cols = [_nonzero(col) for col in zip(*g)]
     second = [[_iapply(cols, fiber, 1, [0] * n) for fiber in plane] for plane in F]
 
-    def symmetric(i, j):
-        yield "symmetric", [g[i][j] - g[j][i]]
-
-    def invariance(i, j, k):
-        yield "invariance", [first[i][j][k] - second[j][k][i]]
-
-    violations = _run_laws(itertools.combinations(range(n), 2), symmetric, D)
-    violations += _run_laws(itertools.product(range(n), repeat=3), invariance, D * D)
+    symmetric = ("symmetric", lambda i, j: [g[i][j] - g[j][i]])
+    invariance = ("invariance", lambda i, j, k: [first[i][j][k] - second[j][k][i]])
+    violations = _run_laws(itertools.combinations(range(n), 2), [symmetric], D)
+    violations += _run_laws(itertools.product(range(n), repeat=3), [invariance], D * D)
     rank = B.rank()
     return CheckReport.from_violations(
         violations, rank=rank, nondegenerate=rank == n
@@ -118,15 +114,11 @@ def check_symplectic(A: StructureAlgebra, w: BilinearForm) -> CheckReport:
     D, F, g, first = _compiled(A, w)
     n = A.dim
 
-    def antisymmetric(i, j):
-        yield "antisymmetric", [g[i][j] + g[j][i]]
-
-    def cyclic(i, j, k):
-        yield "cyclic", [first[i][j][k] + first[j][k][i] + first[k][i][j]]
-
+    antisymmetric = ("antisymmetric", lambda i, j: [g[i][j] + g[j][i]])
+    cyclic = ("cyclic", lambda i, j, k: [first[i][j][k] + first[j][k][i] + first[k][i][j]])
     pairs = itertools.combinations_with_replacement(range(n), 2)
-    violations = _run_laws(pairs, antisymmetric, D)
-    violations += _run_laws(itertools.product(range(n), repeat=3), cyclic, D * D)
+    violations = _run_laws(pairs, [antisymmetric], D)
+    violations += _run_laws(itertools.product(range(n), repeat=3), [cyclic], D * D)
     kernel = w.gram.kernel_basis()
     if kernel:
         violations.append(Violation("nondegenerate", (), kernel[0]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,9 +26,11 @@ from .operators import LinearMap
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
-# Largest dim an algebra or dendriform document may declare.  Product
-# tensors are allocated dense, dim^3 Fractions, before their entries are
-# read, so the bound keeps a hostile dim from exhausting memory.
+# Largest dim an algebra or dendriform document, and largest module_dim a
+# bimodule, may declare.  Product tensors are allocated dense, dim^3
+# Fractions, before their entries are read, and a semidirect product
+# allocates (dim + module_dim)^3, so the bound keeps a hostile dimension
+# from exhausting memory.
 MAX_DIM = 64
 
 
@@ -54,6 +57,9 @@ class _Ctx:
 
 def _read(path: str) -> tuple[_Ctx, object]:
     try:
+        # a device or a pipe may never end, so only a regular file is read
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ParseError(path, 0, "", "not a regular file")
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
@@ -202,6 +208,8 @@ def _bimodule_from(node: object, n: int, ctx: _Ctx, prefix: str) -> Bimodule:
     """The fields module_dim, l and r of ``node``, named ``prefix + field``
     in errors, as a bimodule of an n-dim algebra."""
     m = _nat(_field(node, "module_dim", ctx), ctx, f"{prefix}module_dim", 0)
+    if m > MAX_DIM:
+        raise ctx.fail(m, f"{prefix}module_dim must be at most {MAX_DIM}")
     l = _action_list(_field(node, "l", ctx), n, m, ctx, f"{prefix}l")
     r = _action_list(_field(node, "r", ctx), n, m, ctx, f"{prefix}r")
     return Bimodule(n, m, l, r)

@@ -12,39 +12,38 @@ equations, writing * for A's product and o for B's:
     (5) lA(lB(a)x)b + (rA(x)a) o b - q rA(rB(b)x)a - q a o (lA(x)b) = 0
     (6) lB(lA(x)a)y + (rB(a)x) * y - q rB(rA(y)a)x - q x * (lB(a)y) = 0
 
-Equations (3), (4), (6) are (1), (2), (5) with the roles of A and B
-swapped, so one half-function evaluates both: over (A, B) it gives (1),
-(2), (5), which live in B's space and are quantified over (x, a, b) with
-indices (i_x, i_a, i_b); over (B, A) it gives (3), (4), (6), which live
-in A's space over (a, x, y) with indices (i_a, i_x, i_y).  Both halves
-and the four preconditions run on the sparse integer kernel and the law
-runner in algebra.py, from one compilation of the two tensors and the
-four action tables, and bowtie is algebra.py's block assembler.
+Each is the q-law G of the bowtie (see algebra.py) with one argument in
+the other algebra, read in one block: for x in A and a, b in B, eq1 is
+-G(x, a, b)/q, eq2 is G(a, b, x) and eq5 is G(a, x, b), in B's block, at
+indices (i_x, i_a, i_b).  Equations (3), (4), (6) are their mirrors with
+the roles of A and B swapped, in A's block at (i_a, i_x, i_y), so one
+route row gives both ids.  ``_matched_violations`` assembles a matched
+pair of either kind, this one or the dendriform one: the two algebras'
+base laws and the two bimodules' laws as preconditions, then the two
+halves, all on one compilation of the pair's tables.  bowtie is
+algebra.py's block assembler.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    _Q_ASSOC_ROUTES,
+    _Q_LAW,
     CheckReport,
-    Sparse,
     StructureAlgebra,
     Violation,
-    _basis,
     _block_tensor,
     _common_den,
     _fibers,
-    _iapply,
-    _imul,
-    _on_basis,
+    _mixed_violations,
+    _module_violations,
     _prefixed,
-    _q_assoc_violations,
-    _run_laws,
+    _pure_violations,
 )
-from .bimodules import Bimodule, _bimodule_violations, _check_sides
+from .bimodules import _BIMODULE_ROUTES, Bimodule, _check_sides
 
 
 @dataclass
@@ -60,42 +59,27 @@ class MatchedPairData:
         _check_sides(self.A.dim, self.B.dim, self.on_B, self.on_A)
 
 
-Tables = list[list[Sparse]]
+# ((id for x in A, id for x in B), shape, placement, scale), as in the docstring
+_MATCHED_ROUTES = (
+    (("eq1", "eq3"), _Q_LAW, "xab", "-1/q"),
+    (("eq2", "eq4"), _Q_LAW, "abx", "1"),
+    (("eq5", "eq6"), _Q_LAW, "axb", "1"),
+)
 
 
-def _matched_half(
-    F: list[list[Sparse]],
-    by_X: tuple[Tables, Tables],
-    by_Y: tuple[Tables, Tables],
-    q: Fraction,
-    ids: tuple[str, str, str],
-    D: int,
-) -> list[Violation]:
-    """Equations (1), (2), (5) for the actions ``by_X`` = (l, r) of X's
-    basis on Y's space and ``by_Y`` of Y's basis on X's space, over x in X
-    and a, b in Y.  F is Y's tensor; all of them are compiled at D."""
-    lX, rX = by_X
-    lY, rY = by_Y
-    n, m = len(lX), len(F)
-    # every term times D^2 qn qd: q = qn/qd and q^{-1} = qd/qn fold into integers
-    qn, qd = q.numerator, q.denominator
-    f, fq, fqi = qn * qd, -qn * qn, -qd * qd
-    e, eq, eqi = _basis(m, f), _basis(m, fq), _basis(m, fqi)
-    # l_on[j] is the map x -> lX(x) e_j from X to Y, by its columns; so is
-    # r_on[j] for x -> rX(x) e_j
-    l_on, r_on = _on_basis(lX, m), _on_basis(rX, m)
-
-    def residual(ix, ia, ib):
-        lx, rx, ab = lX[ix], rX[ix], F[ia][ib]
-        acc = _iapply(l_on[ib], rY[ia][ix], fqi, _iapply(lx, ab, f, [0] * m))
-        yield ids[0], _imul(F, lx[ia], eqi[ib], acc)
-        acc = _iapply(r_on[ia], lY[ib][ix], fq, _iapply(rx, ab, f, [0] * m))
-        yield ids[1], _imul(F, eq[ia], rx[ib], acc)
-        acc = _imul(F, rx[ia], e[ib], _iapply(l_on[ib], lY[ia][ix], f, [0] * m))
-        acc = _iapply(r_on[ia], rY[ib][ix], fq, acc)
-        yield ids[2], _imul(F, eq[ia], lx[ib], acc)
-
-    return _run_laws(itertools.product(range(n), range(m), range(m)), residual, D * D * f)
+def _matched_violations(tag, routes, A, B, on_B, on_A, q: Fraction, D: int) -> list[Violation]:
+    """The four preconditions, tagged, and the two halves of a matched pair
+    of either kind, for the pure, module and mixed ``routes``, the products
+    A and B of the two sides and their (L, R) tables on each other."""
+    pure, module, mixed = routes
+    return (
+        _prefixed(f"precondition:{tag}:A", _pure_violations(A, pure, q, D))
+        + _prefixed(f"precondition:{tag}:B", _pure_violations(B, pure, q, D))
+        + _prefixed("precondition:bimodule:A_on_B", _module_violations(A, on_B, module, q, D))
+        + _prefixed("precondition:bimodule:B_on_A", _module_violations(B, on_A, module, q, D))
+        + _mixed_violations(B, on_B, on_A, [(ids[0], *r) for ids, *r in mixed], q, D)
+        + _mixed_violations(A, on_A, on_B, [(ids[1], *r) for ids, *r in mixed], q, D)
+    )
 
 
 def check_matched_pair(P: MatchedPairData) -> CheckReport:
@@ -108,15 +92,10 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     """
     A, B, q = P.A, P.B, P.A.q
     D = _common_den([A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r])
-    fA, fB = _fibers(A.c, D), _fibers(B.c, D)
-    on_B, on_A = ((_fibers(M.l, D), _fibers(M.r, D)) for M in (P.on_B, P.on_A))
-    violations = (
-        _prefixed("precondition:q_assoc:A", _q_assoc_violations(fA, q, D))
-        + _prefixed("precondition:q_assoc:B", _q_assoc_violations(fB, q, D))
-        + _prefixed("precondition:bimodule:A_on_B", _bimodule_violations(fA, *on_B, q, D))
-        + _prefixed("precondition:bimodule:B_on_A", _bimodule_violations(fB, *on_A, q, D))
-        + _matched_half(fB, on_B, on_A, q, ("eq1", "eq2", "eq5"), D)
-        + _matched_half(fA, on_A, on_B, q, ("eq3", "eq4", "eq6"), D)
+    on_B, on_A = ([(_fibers(M.l, D), _fibers(M.r, D))] for M in (P.on_B, P.on_A))
+    routes = (_Q_ASSOC_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
+    violations = _matched_violations(
+        "q_assoc", routes, [_fibers(A.c, D)], [_fibers(B.c, D)], on_B, on_A, q, D
     )
     return CheckReport.from_violations(violations, q=str(q))
 

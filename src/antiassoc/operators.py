@@ -131,9 +131,9 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
         # all terms times D^3; induced is -(l(Tu)v + r(Tv)u)
         induced = _iapply(at_e[i], Te[j], -1, _iapply(on_e[j], Te[i], -1, [0] * m))
         acc = _imul(F, Te[i], Te[j], [0] * n)
-        yield "o_operator", _iapply(Te, _nonzero(induced), 1, acc)
+        return _iapply(Te, _nonzero(induced), 1, acc)
 
-    violations = _run_laws(itertools.product(range(m), repeat=2), residual, D**3)
+    violations = _run_laws(itertools.product(range(m), repeat=2), [("o_operator", residual)], D**3)
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
@@ -161,9 +161,10 @@ def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
         # all terms times D^3; inner is -(tau(x).y + x.tau(y))
         inner = _imul(F, minus[i], te[j], _imul(F, te[i], minus[j], [0] * n))
         acc = _imul(F, te[i], te[j], [0] * n)
-        yield "rota_baxter", _iapply(te, _nonzero(inner), 1, acc)
+        return _iapply(te, _nonzero(inner), 1, acc)
 
-    violations = _run_laws(itertools.product(range(n), repeat=2), residual, D**3)
+    pairs = itertools.product(range(n), repeat=2)
+    violations = _run_laws(pairs, [("rota_baxter", residual)], D**3)
     return CheckReport.from_violations(violations, q=str(A.q))
 
 

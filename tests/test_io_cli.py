@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,8 @@ from antiassoc.io import (
     load_form,
     load_rota_baxter,
 )
+
+from .test_cli_golden import demo_env
 
 E1E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": "1"}}]}
 E2E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 2, "j": 1, "out": {"2": "1"}}]}
@@ -142,6 +146,61 @@ def test_dim_above_bound_is_rejected(tmp_path, capsys, command, load, products):
         load(p)
     assert cli.run(["verify", command, p]) == 2
     assert f"dim must be at most {aio.MAX_DIM}" in capsys.readouterr().err
+
+
+EMPTY_ALGEBRA = {"dim": 0, "q": "-1", "c": []}
+BIG_MODULE = {"module_dim": aio.MAX_DIM + 1, "l": [], "r": []}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        (["build", "semidirect", "-o", "out.json"], {"algebra": EMPTY_ALGEBRA, **BIG_MODULE},
+         "module_dim"),
+        (["verify", "bimodule"], {"algebra": EMPTY_ALGEBRA, **BIG_MODULE}, "module_dim"),
+        (["verify", "o-operator"], {"algebra": EMPTY_ALGEBRA, "bimodule": BIG_MODULE, "T": []},
+         "bimodule.module_dim"),
+    ],
+    ids=["build-semidirect", "verify-bimodule", "verify-o-operator"],
+)
+def test_module_dim_above_bound_is_rejected(tmp_path, monkeypatch, capsys, argv, doc, field):
+    """A bimodule of a 0-dim algebra has no actions to spell out, so a
+    two-line document could otherwise ask for (module_dim)^3 entries."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([*argv, write(tmp_path, "big_module.json", doc)]) == 2
+    assert f"{field} must be at most {aio.MAX_DIM}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def _cli_in_bounded_child(*argv):
+    """The CLI in a child process limited to 1.5 GB of address space and
+    60 s, so an endless read fails there instead of stalling the suite."""
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000_000
+
+    def bound():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "antiassoc.cli", *argv], env=demo_env(), preexec_fn=bound,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("kind", ["direct", "referenced"])
+def test_a_file_that_is_not_regular_is_refused(tmp_path, kind):
+    """/dev/zero never ends: it must be refused before it is read, whether
+    named on the command line or referenced from a document."""
+    if kind == "direct":
+        argv = ["verify", "algebra", "/dev/zero"]
+    else:
+        doc = {"algebra": "/dev/zero", "module_dim": 1, "l": [], "r": []}
+        argv = ["verify", "bimodule", write(tmp_path, "refers.json", doc)]
+    proc = _cli_in_bounded_child(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "/dev/zero: byte 0: not a regular file" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_is_a_parse_error(tmp_path):

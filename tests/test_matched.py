@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,19 +9,28 @@ from hypothesis import strategies as st
 
 from antiassoc import (
     Bimodule,
+    DendriformMatchedPairData,
     MatchedPairData,
     StructureAlgebra,
     basis_product,
     bowtie,
     build_quadratic_double,
+    check_bimodule,
+    check_dendriform_bimodule,
+    check_dendriform_matched_pair,
     check_matched_pair,
     check_q_associative,
+    check_q_dendriform,
+    dendriform_bowtie,
+    dendriform_semidirect,
     dual_bimodule,
     regular_bimodule,
+    semidirect_product,
 )
 from antiassoc.linalg import DimensionMismatch
 
 from .support import SMALL, valid_algebra
+from .test_kernel import Draw
 
 QS = [Fraction(1), Fraction(-1), Fraction(2)]
 
@@ -163,3 +173,137 @@ def test_equation_indices_are_one_based():
     for v in eqs:
         assert len(v.indices) == 3
         assert all(ix >= 1 for ix in v.indices)
+
+
+# ---------------------------------------------------------------------------
+# Each law of a bimodule or a matched pair, associative or dendriform, is
+# the base law of its construction with its arguments at one placement.
+# The rows below are written from the definitions, not read from src/:
+# (id, base law, placement, scale), where the placement spells the
+# arguments of the base law G (i, j: the algebra's basis; u: the module's;
+# x: the acting side; a, b: the side the residual lives in) and the law's
+# residual is scale * G.  G itself is the base check's residual over that
+# check's own scale: check_q_dendriform reports axiom3 as -G/q.
+
+MINUS_INV_Q = "-1/q"
+BASE_SCALE = {"q_assoc": 1, "axiom1": 1, "axiom2": 1, "axiom3": MINUS_INV_Q}
+
+BIMODULE_ROWS = [
+    ("l_law", "q_assoc", "iju", 1),
+    ("r_law", "q_assoc", "uij", MINUS_INV_Q),
+    ("lr_law", "q_assoc", "iuj", MINUS_INV_Q),
+]
+DENDRIFORM_BIMODULE_ROWS = [
+    ("law1", "axiom1", "iju", 1),
+    ("law2", "axiom1", "jui", 1),
+    ("law3", "axiom1", "uji", 1),
+    ("law4", "axiom2", "iju", 1),
+    ("law5", "axiom2", "jui", 1),
+    ("law6", "axiom2", "uji", 1),
+    ("law7", "axiom3", "iju", 1),
+    ("law8", "axiom3", "jui", 1),
+    ("law9", "axiom3", "uji", 1),
+]
+# matched pairs: (id with x in A, id with x in B, base law, placement, scale)
+MATCHED_ROWS = [
+    ("eq1", "eq3", "q_assoc", "xab", MINUS_INV_Q),
+    ("eq2", "eq4", "q_assoc", "abx", 1),
+    ("eq5", "eq6", "q_assoc", "axb", 1),
+]
+DENDRIFORM_MATCHED_ROWS = [
+    ("35", "44", "axiom1", "abx", 1),
+    ("36", "45", "axiom1", "axb", 1),
+    ("37", "46", "axiom1", "xab", MINUS_INV_Q),
+    ("38", "47", "axiom2", "abx", 1),
+    ("39", "48", "axiom2", "axb", 1),
+    ("40", "49", "axiom2", "xab", MINUS_INV_Q),
+    ("41", "50", "axiom3", "abx", 1),
+    ("42", "51", "axiom3", "axb", MINUS_INV_Q),
+    ("43", "52", "axiom3", "xab", MINUS_INV_Q),
+]
+ROUTE_QS = [Fraction(-1), Fraction(1), Fraction(2), Fraction(-3, 5)]
+
+
+def _factor(scale, q):
+    return Fraction(1) if scale == 1 else -1 / q
+
+
+def _by_key(report):
+    return {(v.identity_id, v.indices): v.residual for v in report.violations}
+
+
+def _base_law(base, law, triple, q, dim):
+    """G at the 0-based basis triple of the composite, from its base check."""
+    res = base.get((law, tuple(t + 1 for t in triple)), [Fraction(0)] * dim)
+    return [r / _factor(BASE_SCALE[law], q) for r in res]
+
+
+def _module_routes(A, M, check, rows, composite, base_check):
+    n, m, q = A.dim, M.module_dim, A.q
+    report = check(A, M)
+    base = _by_key(base_check(composite(A, M)))
+    got = _by_key(report)
+    assert {k[0] for k in got} <= {row[0] for row in rows}
+    for law_id, law, placement, scale in rows:
+        for i, j, u in itertools.product(range(n), range(n), range(m)):
+            slot = {"i": i, "j": j, "u": n + u}
+            G = _base_law(base, law, [slot[c] for c in placement], q, n + m)
+            matrix = got.get((law_id, (i + 1, j + 1)), [Fraction(0)] * (m * m))
+            column = [matrix[r * m + u] for r in range(m)]
+            assert column == [_factor(scale, q) * g for g in G[n:]], (law_id, i, j, u)
+
+
+def _matched_routes(P, sides, check, rows, composite, base_check):
+    X, Y = sides
+    n, q = X.dim, X.q
+    base = _by_key(base_check(composite(P)))
+    got = _by_key(check(P))
+    ids = {row[0] for row in rows} | {row[1] for row in rows}
+    assert {k[0] for k in got if not k[0].startswith("precondition:")} <= ids
+    for half, (acting, acted) in enumerate(((X, Y), (Y, X))):
+        # the acting side's basis, then the side the residual lives in
+        offset_x, offset_ab = (0, n) if half == 0 else (n, 0)
+        for *ids, law, placement, scale in rows:
+            for ix, ia, ib in itertools.product(
+                range(acting.dim), range(acted.dim), range(acted.dim)
+            ):
+                slot = {"x": offset_x + ix, "a": offset_ab + ia, "b": offset_ab + ib}
+                G = _base_law(base, law, [slot[c] for c in placement], q, X.dim + Y.dim)
+                block = G[offset_ab:offset_ab + acted.dim]
+                res = got.get((ids[half], (ix + 1, ia + 1, ib + 1)), [Fraction(0)] * acted.dim)
+                assert res == [_factor(scale, q) * g for g in block], (ids[half], ix, ia, ib)
+
+
+@pytest.mark.parametrize("q", ROUTE_QS, ids=str)
+@pytest.mark.parametrize("family", ["dense", "perturbed"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "check",
+    ["check_bimodule", "check_matched_pair",
+     "check_dendriform_bimodule", "check_dendriform_matched_pair"],
+)
+def test_each_route_is_the_base_law_at_one_placement(check, seed, family, q):
+    """Tuple by tuple, each id's residual is its scale times the block of
+    the base check on the semidirect product or the bowtie, at the triple
+    its placement names; a bimodule law compares each column of its
+    matrix.  A tuple missing from a report counts as zero."""
+    draw = Draw(random.Random(seed), family, 2, 3)
+    back = draw.swapped()
+    if check == "check_bimodule":
+        _module_routes(draw.algebra(q), draw.bimodule(), check_bimodule, BIMODULE_ROWS,
+                       semidirect_product, check_q_associative)
+    elif check == "check_dendriform_bimodule":
+        _module_routes(draw.dendriform(q), draw.dendriform_bimodule(),
+                       check_dendriform_bimodule, DENDRIFORM_BIMODULE_ROWS,
+                       dendriform_semidirect, check_q_dendriform)
+    elif check == "check_matched_pair":
+        P = MatchedPairData(draw.algebra(q), back.algebra(q), draw.bimodule(), back.bimodule())
+        _matched_routes(P, (P.A, P.B), check_matched_pair, MATCHED_ROWS,
+                        bowtie, check_q_associative)
+    else:
+        P = DendriformMatchedPairData(
+            draw.dendriform(q), back.dendriform(q),
+            draw.dendriform_bimodule(), back.dendriform_bimodule(),
+        )
+        _matched_routes(P, (P.D_A, P.D_B), check_dendriform_matched_pair,
+                        DENDRIFORM_MATCHED_ROWS, dendriform_bowtie, check_q_dendriform)
