@@ -2,9 +2,16 @@
 
 All rationals travel as strings "p" or "p/q" (JSON integers are also
 accepted on input).  Parsing is strict: no floats, no booleans, no
-denominator zero, no whitespace inside a rational.  Errors carry the
-file path, a byte offset, and the offending token; offsets for semantic
-errors are best-effort (first occurrence of the token in the file).
+denominator zero, no whitespace inside a rational.
+
+Three readers take every document apart: ``_array`` reads a nested list
+of rationals of a fixed shape, ``_structure`` an algebra-like node (an
+algebra or a dendriform structure, dense or sparse, or the file it
+names), and ``_actions`` an (l, r) pair of action lists.  Errors carry
+the file path, a byte offset, and the offending token, and each message
+names the value by its path from the root of that file, as in
+``B.products[2]`` or ``displayed[4].left``.  Offsets for semantic errors
+are best-effort: the first occurrence of the token in the file.
 """
 
 from __future__ import annotations
@@ -43,14 +50,22 @@ class ParseError(ValueError):
         super().__init__(f"{path}: byte {offset}: {message} (token {token!r})")
 
 
+class _Unreadable(ParseError):
+    """A file that could not be read at all, as opposed to one read and refused."""
+
+
 @dataclass
 class _Ctx:
     path: str
     text: str
 
     def fail(self, token: object, message: str) -> "ParseError":
-        # a non-string token is spelled as JSON spells it: true, null, {"a": 1}
-        tok = token if isinstance(token, str) else json.dumps(token)
+        # a non-string token is spelled as JSON spells it: true, null, {"a": 1};
+        # one nested too deeply to spell is not searched for
+        try:
+            tok = token if isinstance(token, str) else json.dumps(token)
+        except RecursionError:
+            tok = ""
         pos = max(self.text.find(tok), 0) if tok else 0
         return ParseError(self.path, len(self.text[:pos].encode("utf-8")), tok, message)
 
@@ -59,11 +74,11 @@ def _read(path: str) -> tuple[_Ctx, object]:
     try:
         # a device or a pipe may never end, so only a regular file is read
         if not stat.S_ISREG(os.stat(path).st_mode):
-            raise ParseError(path, 0, "", "not a regular file")
+            raise _Unreadable(path, 0, "", "not a regular file")
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ParseError(path, 0, "", f"cannot read file: {exc}") from exc
+        raise _Unreadable(path, 0, "", f"cannot read file: {exc}") from exc
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -75,6 +90,8 @@ def _read(path: str) -> tuple[_Ctx, object]:
         offset = len(text[: exc.pos].encode("utf-8"))
         token = text[exc.pos : exc.pos + 10].strip() or "<end>"
         raise ParseError(path, offset, token, exc.msg) from exc
+    except RecursionError as exc:
+        raise ParseError(path, 0, "", "JSON nested too deeply") from exc
     return ctx, data
 
 
@@ -90,9 +107,11 @@ def _rational(node: object, ctx: _Ctx) -> Fraction:
     return Fraction(node)
 
 
-def _nat(node: object, ctx: _Ctx, what: str, minimum: int = 0) -> int:
+def _nat(node: object, ctx: _Ctx, what: str, minimum: int = 0, maximum: int | None = None) -> int:
     if type(node) is not int or node < minimum:
         raise ctx.fail(node, f"{what} must be an integer >= {minimum}")
+    if maximum is not None and node > maximum:
+        raise ctx.fail(node, f"{what} must be at most {maximum}")
     return node
 
 
@@ -104,182 +123,171 @@ def _field(data: object, key: str, ctx: _Ctx) -> object:
     return data[key]
 
 
-def _matrix(node: object, rows: int, cols: int, ctx: _Ctx, what: str) -> Matrix:
-    if not isinstance(node, list) or len(node) != rows:
-        raise ctx.fail(node if not isinstance(node, list) else len(node),
-                       f"{what}: expected {rows} rows")
-    entries = []
-    for row in node:
-        if not isinstance(row, list) or len(row) != cols:
-            raise ctx.fail(row, f"{what}: expected rows of length {cols}")
-        entries.append([_rational(x, ctx) for x in row])
-    return Matrix(entries)
-
-
-def _tensor(node: object, n: int, ctx: _Ctx, what: str) -> Tensor3:
+def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, what: str) -> list:
+    """The nested list of rationals ``node`` of the given shape.  A list of
+    the wrong length is named by its position, as in c[1][2], and its token
+    is its length when it holds lists."""
+    n, inner = shape[0], shape[1:]
     if not isinstance(node, list) or len(node) != n:
-        raise ctx.fail(node if not isinstance(node, list) else len(node),
-                       f"{what}: expected {n} slices")
+        raise ctx.fail(len(node) if isinstance(node, list) and inner else node,
+                       f"{what}: expected a list of {n}")
+    if not inner:
+        return [_rational(x, ctx) for x in node]
+    return [_array(x, inner, ctx, f"{what}[{i}]") for i, x in enumerate(node, start=1)]
+
+
+def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
+    """A dim-n product tensor from its list ``key`` of {i, j, out} entries."""
+    what = prefix + key
+    if not isinstance(node, list):
+        raise ctx.fail(node, f"{what} must be a list")
     t = Tensor3.zeros(n, n, n)
-    for i, slab in enumerate(node):
-        if not isinstance(slab, list) or len(slab) != n:
-            raise ctx.fail(slab, f"{what}: slice {i + 1} must hold {n} rows")
-        for j, row in enumerate(slab):
-            if not isinstance(row, list) or len(row) != n:
-                raise ctx.fail(row, f"{what}: row ({i + 1},{j + 1}) must hold {n} values")
-            t.entries[i][j] = [_rational(x, ctx) for x in row]
+    first: dict[tuple[int, int], int] = {}
+    for pos, item in enumerate(node, start=1):
+        entry = f"{what}[{pos}]"
+        i = _nat(_field(item, "i", ctx), ctx, f"{entry}.i", 1)
+        j = _nat(_field(item, "j", ctx), ctx, f"{entry}.j", 1)
+        out = _field(item, "out", ctx)
+        if i > n or j > n:
+            raise ctx.fail(max(i, j), f"{entry}: index out of range for dim {n}")
+        if (i, j) in first:
+            # the bare key is the token: the path is not text of the file
+            raise ctx.fail(key, f"{entry} repeats the pair (i, j) = ({i}, {j}) "
+                                f"of {what}[{first[i, j]}]")
+        first[i, j] = pos
+        if not isinstance(out, dict):
+            raise ctx.fail(out, f"{entry}.out must map basis index to rational")
+        for kstr, val in out.items():
+            if not (kstr.isascii() and kstr.isdigit()) or not 1 <= int(kstr) <= n:
+                raise ctx.fail(kstr, f"{entry}.out key out of range for dim {n}")
+            t.entries[i - 1][j - 1][int(kstr) - 1] = _rational(val, ctx)
     return t
 
 
-def _products_into(t: Tensor3, node: object, ctx: _Ctx, what: str) -> None:
-    n = t.d1
-    if not isinstance(node, list):
-        raise ctx.fail(node, f"{what} must be a list")
-    first: dict[tuple[int, int], int] = {}
-    for pos, item in enumerate(node, start=1):
-        i = _nat(_field(item, "i", ctx), ctx, f"{what}.i", 1)
-        j = _nat(_field(item, "j", ctx), ctx, f"{what}.j", 1)
-        out = _field(item, "out", ctx)
-        if i > n or j > n:
-            raise ctx.fail(max(i, j), f"{what}: index out of range for dim {n}")
-        if (i, j) in first:
-            raise ctx.fail(what, f"{what}[{pos}] repeats the pair (i, j) = ({i}, {j}) "
-                                 f"of {what}[{first[i, j]}]")
-        first[i, j] = pos
-        if not isinstance(out, dict):
-            raise ctx.fail(out, f"{what}.out must map basis index to rational")
-        for kstr, val in out.items():
-            if not (kstr.isascii() and kstr.isdigit()) or not 1 <= int(kstr) <= n:
-                raise ctx.fail(kstr, f"{what}.out key out of range for dim {n}")
-            t.entries[i - 1][j - 1][int(kstr) - 1] = _rational(val, ctx)
-
-
-def _resolve(node: object, ctx: _Ctx) -> tuple[object, _Ctx]:
+def _resolve(node: object, ctx: _Ctx, prefix: str) -> tuple[object, _Ctx, str]:
     """Follow string file references, each relative to the file holding it,
-    to the document they end at.  A reference back into the chain of files
-    already followed is a ParseError, not endless recursion."""
+    to the document they end at; the path prefix starts again at the root
+    of each file followed.  A reference back into the chain of files
+    already followed, or to a file that cannot be read, is a ParseError at
+    the reference, not endless recursion or an error that names no referrer."""
     chain: list[str] = []
     while isinstance(node, str):
         path = os.path.join(os.path.dirname(ctx.path) or ".", node)
         if os.path.realpath(path) in chain:
             raise ctx.fail(node, f"circular file reference to {path}")
         chain.append(os.path.realpath(path))
-        ctx, node = _read(path)
-    return node, ctx
+        try:
+            ctx, node = _read(path)
+        except _Unreadable as exc:
+            field = f"{prefix[:-1]}: " if prefix else ""
+            raise ctx.fail(node, f"{field}{exc.path}: byte 0: {exc.message}") from exc
+        prefix = ""
+    return node, ctx, prefix
 
 
-def _dim_and_q(node: object, ctx: _Ctx) -> tuple[int, Fraction]:
-    dim = _nat(_field(node, "dim", ctx), ctx, "dim", 0)
-    if dim > MAX_DIM:
-        raise ctx.fail(dim, f"dim must be at most {MAX_DIM}")
+def _structure(node: object, ctx: _Ctx, prefix: str, cls, *keys: str):
+    """The algebra-like ``node``, or the file it names, as cls(dim, q,
+    *tensors) with one product tensor per key of ``keys``.  When the node
+    holds any list ``<key>_products`` (``products`` for ``c``) every tensor
+    is read sparse from its list, a missing one meaning zero; else each is
+    read dense under its key."""
+    node, ctx, prefix = _resolve(node, ctx, prefix)
+    dim = _nat(_field(node, "dim", ctx), ctx, f"{prefix}dim", 0, MAX_DIM)
     q = _rational(_field(node, "q", ctx), ctx)
     if q == 0:
-        raise ctx.fail("q", "q must be nonzero")
-    return dim, q
-
-
-def _algebra_from(node: object, ctx: _Ctx) -> StructureAlgebra:
-    node, ctx = _resolve(node, ctx)
-    dim, q = _dim_and_q(node, ctx)
-    if "products" in node:
-        t = Tensor3.zeros(dim, dim, dim)
-        _products_into(t, node["products"], ctx, "products")
+        raise ctx.fail("q", f"{prefix}q must be nonzero")
+    lists = ["products" if key == "c" else f"{key}_products" for key in keys]
+    if any(name in node for name in lists):
+        tensors = [_sparse(node.get(name, []), dim, ctx, prefix, name) for name in lists]
     else:
-        t = _tensor(_field(node, "c", ctx), dim, ctx, "c")
-    return StructureAlgebra(dim, q, t)
+        shape = (dim, dim, dim)
+        tensors = [Tensor3(_array(_field(node, key, ctx), shape, ctx, prefix + key))
+                   for key in keys]
+    return cls(dim, q, *tensors)
 
 
-def _action_list(node: object, count: int, m: int, ctx: _Ctx, what: str) -> Tensor3:
-    """An action table from its document form, a list of ``count`` row-major
+def _algebra_from(node: object, ctx: _Ctx, prefix: str) -> StructureAlgebra:
+    return _structure(node, ctx, prefix, StructureAlgebra, "c")
+
+
+def _dendriform_from(node: object, ctx: _Ctx, prefix: str) -> DendriformStructure:
+    return _structure(node, ctx, prefix, DendriformStructure, "prec", "succ")
+
+
+def _actions(node: object, keys: tuple[str, str], n: int, m: int, ctx: _Ctx,
+             prefix: str) -> Bimodule:
+    """The action lists under ``keys`` (l then r) of ``node`` as a bimodule
+    of an n-dim algebra on an m-dim space.  Each list holds n row-major
     m x m matrices, one per acting basis vector."""
-    if not isinstance(node, list) or len(node) != count:
-        raise ctx.fail(node if not isinstance(node, list) else len(node),
-                       f"{what}: expected {count} matrices")
-    mats = [_matrix(mat, m, m, ctx, f"{what}[{k + 1}]") for k, mat in enumerate(node)]
-    return Tensor3([mat.entries for mat in mats]).transposed()
+    l, r = (Tensor3(_array(_field(node, k, ctx), (n, m, m), ctx, prefix + k)).transposed()
+            for k in keys)
+    return Bimodule(n, m, l, r)
+
+
+def _bimodule_from(node: object, n: int, ctx: _Ctx, prefix: str) -> Bimodule:
+    """The fields module_dim, l and r of ``node`` as a bimodule of an n-dim
+    algebra."""
+    m = _nat(_field(node, "module_dim", ctx), ctx, f"{prefix}module_dim", 0, MAX_DIM)
+    return _actions(node, ("l", "r"), n, m, ctx, prefix)
 
 
 def load_algebra(path: str) -> StructureAlgebra:
     ctx, data = _read(path)
-    return _algebra_from(data, ctx)
-
-
-def _bimodule_from(node: object, n: int, ctx: _Ctx, prefix: str) -> Bimodule:
-    """The fields module_dim, l and r of ``node``, named ``prefix + field``
-    in errors, as a bimodule of an n-dim algebra."""
-    m = _nat(_field(node, "module_dim", ctx), ctx, f"{prefix}module_dim", 0)
-    if m > MAX_DIM:
-        raise ctx.fail(m, f"{prefix}module_dim must be at most {MAX_DIM}")
-    l = _action_list(_field(node, "l", ctx), n, m, ctx, f"{prefix}l")
-    r = _action_list(_field(node, "r", ctx), n, m, ctx, f"{prefix}r")
-    return Bimodule(n, m, l, r)
+    return _algebra_from(data, ctx, "")
 
 
 def load_bimodule(path: str) -> tuple[StructureAlgebra, Bimodule]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx)
+    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
     return A, _bimodule_from(data, A.dim, ctx, "")
 
 
 def load_matched_pair(path: str) -> MatchedPairData:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "A", ctx), ctx)
-    B = _algebra_from(_field(data, "B", ctx), ctx)
-
-    def side(keys: tuple[str, str], n: int, m: int) -> Bimodule:
-        l, r = (_action_list(_field(data, k, ctx), n, m, ctx, k) for k in keys)
-        return Bimodule(n, m, l, r)
-
-    return MatchedPairData(
-        A, B, side(("lA", "rA"), A.dim, B.dim), side(("lB", "rB"), B.dim, A.dim)
-    )
-
-
-def _dendriform_from(node: object, ctx: _Ctx) -> DendriformStructure:
-    node, ctx = _resolve(node, ctx)
-    dim, q = _dim_and_q(node, ctx)
-    if "prec_products" in node or "succ_products" in node:
-        prec = Tensor3.zeros(dim, dim, dim)
-        succ = Tensor3.zeros(dim, dim, dim)
-        _products_into(prec, node.get("prec_products", []), ctx, "prec_products")
-        _products_into(succ, node.get("succ_products", []), ctx, "succ_products")
-    else:
-        prec = _tensor(_field(node, "prec", ctx), dim, ctx, "prec")
-        succ = _tensor(_field(node, "succ", ctx), dim, ctx, "succ")
-    return DendriformStructure(dim, q, prec, succ)
+    A = _algebra_from(_field(data, "A", ctx), ctx, "A.")
+    B = _algebra_from(_field(data, "B", ctx), ctx, "B.")
+    on_B = _actions(data, ("lA", "rA"), A.dim, B.dim, ctx, "")
+    on_A = _actions(data, ("lB", "rB"), B.dim, A.dim, ctx, "")
+    try:
+        return MatchedPairData(A, B, on_B, on_A)
+    except ValueError as exc:  # A and B at two values of q
+        raise ctx.fail("B", f"B: {exc}") from exc
 
 
 def load_dendriform(path: str) -> DendriformStructure:
     ctx, data = _read(path)
-    return _dendriform_from(data, ctx)
+    return _dendriform_from(data, ctx, "")
 
 
 def load_form(path: str) -> tuple[StructureAlgebra, BilinearForm]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx)
+    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
     fnode = _field(data, "form", ctx)
     dim = _nat(_field(fnode, "dim", ctx), ctx, "form.dim", 0)
     kind = _field(fnode, "kind", ctx)
     if kind not in ("symmetric", "antisymmetric", "general"):
         raise ctx.fail(kind, "form.kind must be symmetric, antisymmetric, or general")
-    gram = _matrix(_field(fnode, "gram", ctx), dim, dim, ctx, "form.gram")
+    gram = Matrix(_array(_field(fnode, "gram", ctx), (dim, dim), ctx, "form.gram"))
     if dim != A.dim:
         raise ctx.fail(dim, "form.dim must match the algebra dimension")
-    return A, BilinearForm(dim, gram, kind)
+    try:
+        return A, BilinearForm(dim, gram, kind)
+    except ValueError as exc:  # a gram matrix that does not have its kind
+        raise ctx.fail("gram", f"form.gram: {exc}") from exc
 
 
 def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, LinearMap]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx)
+    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
     M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, "bimodule.")
-    T = _matrix(_field(data, "T", ctx), A.dim, M.module_dim, ctx, "T")
+    T = Matrix(_array(_field(data, "T", ctx), (A.dim, M.module_dim), ctx, "T"))
     return A, M, LinearMap(M.module_dim, A.dim, T)
 
 
 def load_rota_baxter(path: str) -> tuple[StructureAlgebra, LinearMap]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx)
-    tau = _matrix(_field(data, "tau", ctx), A.dim, A.dim, ctx, "tau")
+    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
+    tau = Matrix(_array(_field(data, "tau", ctx), (A.dim, A.dim), ctx, "tau"))
     return A, LinearMap(A.dim, A.dim, tau)
 
 
@@ -307,34 +315,28 @@ class PaperFixture:
         return self.A.dim if self.A is not None else self.DA.dim
 
 
-def _fraction_vector(node: object, length: int, ctx: _Ctx, what: str) -> list[Fraction]:
-    if not isinstance(node, list) or len(node) != length:
-        raise ctx.fail(node, f"{what}: expected a vector of length {length}")
-    return [_rational(x, ctx) for x in node]
-
-
 def load_fixture(path: str) -> PaperFixture:
     ctx, data = _read(path)
     label = _field(data, "label", ctx)
     kind = _field(data, "kind", ctx)
     if kind not in ("quadratic", "symplectic"):
         raise ctx.fail(kind, "kind must be quadratic or symplectic")
-    A = Astar = DA = DAstar = None
-    if kind == "quadratic":
-        A = _algebra_from(_field(data, "A", ctx), ctx)
-        Astar = _algebra_from(_field(data, "Astar", ctx), ctx)
-        half = A.dim
-    else:
-        DA = _dendriform_from(_field(data, "DA", ctx), ctx)
-        DAstar = _dendriform_from(_field(data, "DAstar", ctx), ctx)
-        half = DA.dim
+    quadratic = kind == "quadratic"
+    keys = ("A", "Astar") if quadratic else ("DA", "DAstar")
+    read = _algebra_from if quadratic else _dendriform_from
+    X, Y = (read(_field(data, k, ctx), ctx, f"{k}.") for k in keys)
+    if X.dim != Y.dim or X.q != -1 or Y.q != -1:
+        # the audit builds a double, which needs equal halves at q = -1
+        raise ctx.fail(keys[1], f"{keys[0]} and {keys[1]} must have equal dim and q = -1")
+    A, Astar, DA, DAstar = (X, Y, None, None) if quadratic else (None, None, X, Y)
+    half = X.dim
     lines = _field(data, "displayed", ctx)
     if not isinstance(lines, list):
         raise ctx.fail(lines, "displayed must be a list")
     displayed = [
-        {k: _fraction_vector(_field(item, k, ctx), 2 * half, ctx, k)
+        {k: _array(_field(item, k, ctx), (2 * half,), ctx, f"displayed[{pos}].{k}")
          for k in ("left", "right", "result")}
-        for item in lines
+        for pos, item in enumerate(lines, start=1)
     ]
     complete = _field(data, "complete", ctx)
     if not isinstance(complete, bool):

@@ -15,9 +15,10 @@ the action tables, and the last two share one transport: an invertible S
 and a pair of action tables (l, r) give x succ y = S(l(x) S^{-1}y) and
 x prec y = S(r(y) S^{-1}x).  ``check_o_operator`` checks that T maps the
 associated product of the first route's split on V to A's product, which
-is exactly the O-operator identity; it and ``check_rota_baxter`` run on
-the sparse integer kernel in algebra.py, where the action tables compile
-like structure tensors and only the maps T and tau as matrices.
+is exactly the O-operator identity.  ``check_rota_baxter`` runs the same
+identity body for the regular bimodule (l, r) = (L, R); both run on the
+sparse integer kernel in algebra.py, where the action tables compile like
+structure tensors and only the maps T and tau as matrices.
 
 Constructions refuse invalid input (NotAnOOperator / NotSymplectic)
 instead of emitting structures the theorems say nothing about.
@@ -32,7 +33,7 @@ from fractions import Fraction
 from .algebra import (
     CheckReport,
     StructureAlgebra,
-    _basis,
+    Violation,
     _columns,
     _common_den,
     _contract,
@@ -115,17 +116,14 @@ def _transported(
     return DendriformStructure(n, q, Tensor3(prec), Tensor3(succ))
 
 
-def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
-    """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs, that is,
-    T maps the associated product of the induced split on V into A's."""
-    _check_shapes(A, M, T)
-    n, m = A.dim, M.module_dim
-    D = _common_den([A.c, M.l, M.r], [T.m])
-    F = _fibers(A.c, D)
-    Te = _columns(T.m, D)
+def _o_operator_violations(F, l, r, Te, D: int, identity_id: str) -> list[Violation]:
+    """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs, for the
+    algebra's fibers F, the action tables l and r and the columns Te of T,
+    all compiled at D, with each violation under ``identity_id``."""
+    n, m = len(F), len(Te)
     # on_e[j] is the map x -> l(x) e_j from A to V, by its columns; so is at_e[j]
     # for x -> r(x) e_j
-    on_e, at_e = _on_basis(_fibers(M.l, D), m), _on_basis(_fibers(M.r, D), m)
+    on_e, at_e = _on_basis(l, m), _on_basis(r, m)
 
     def residual(i, j):
         # all terms times D^3; induced is -(l(Tu)v + r(Tv)u)
@@ -133,7 +131,17 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckRep
         acc = _imul(F, Te[i], Te[j], [0] * n)
         return _iapply(Te, _nonzero(induced), 1, acc)
 
-    violations = _run_laws(itertools.product(range(m), repeat=2), [("o_operator", residual)], D**3)
+    return _run_laws(itertools.product(range(m), repeat=2), [(identity_id, residual)], D**3)
+
+
+def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
+    """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs, that is,
+    T maps the associated product of the induced split on V into A's."""
+    _check_shapes(A, M, T)
+    D = _common_den([A.c, M.l, M.r], [T.m])
+    violations = _o_operator_violations(
+        _fibers(A.c, D), _fibers(M.l, D), _fibers(M.r, D), _columns(T.m, D), D, "o_operator"
+    )
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
@@ -148,23 +156,14 @@ def _require_o_operator(
 
 
 def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
-    """Weight-zero identity tau(x).tau(y) = tau(tau(x).y + x.tau(y))."""
+    """Weight-zero identity tau(x).tau(y) = tau(tau(x).y + x.tau(y)): the
+    O-operator identity of tau for the regular bimodule, l = L and r = R."""
     if tau.src_dim != A.dim or tau.dst_dim != A.dim:
         raise DimensionMismatch("tau must be a square map on the algebra")
-    n = A.dim
     D = _common_den([A.c], [tau.m])
     F = _fibers(A.c, D)
-    te = _columns(tau.m, D)
-    minus = _basis(n, -1)
-
-    def residual(i, j):
-        # all terms times D^3; inner is -(tau(x).y + x.tau(y))
-        inner = _imul(F, minus[i], te[j], _imul(F, te[i], minus[j], [0] * n))
-        acc = _imul(F, te[i], te[j], [0] * n)
-        return _iapply(te, _nonzero(inner), 1, acc)
-
-    pairs = itertools.product(range(n), repeat=2)
-    violations = _run_laws(pairs, [("rota_baxter", residual)], D**3)
+    R = [list(fibers) for fibers in zip(*F)]  # R(e_i) e_j = e_j e_i: F's axes swapped
+    violations = _o_operator_violations(F, F, R, _columns(tau.m, D), D, "rota_baxter")
     return CheckReport.from_violations(violations, q=str(A.q))
 
 

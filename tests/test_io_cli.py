@@ -1,10 +1,19 @@
+import contextlib
+import copy
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
+from io import StringIO
+from unittest import mock
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from antiassoc import classify2d, cli, operators
 from antiassoc import io as aio
@@ -22,7 +31,7 @@ from antiassoc.io import (
     load_rota_baxter,
 )
 
-from .test_cli_golden import demo_env
+from .test_cli_golden import CASES, DOCS, ROOT, demo_env, write_documents
 
 E1E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": "1"}}]}
 E2E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 2, "j": 1, "out": {"2": "1"}}]}
@@ -614,3 +623,195 @@ def test_load_dendriform_sparse(tmp_path):
     D = load_dendriform(p)
     assert D.c_prec.entries[0][0][1] == Fraction(1, 2)
     assert D.q == Fraction(-1)
+
+
+ONE_BY_ONE = [[["0"]]]
+
+
+def test_repeat_in_a_nested_table_names_its_algebra(tmp_path):
+    doc = {
+        "A": {"dim": 1, "q": "-1", "products": []},
+        "B": {"dim": 1, "q": "-1", "products": [{"i": 1, "j": 1, "out": {}}] * 2},
+        **dict.fromkeys(["lA", "rA", "lB", "rB"], ONE_BY_ONE),
+    }
+    p = write(tmp_path, "mp.json", json.dumps(doc))
+    with pytest.raises(ParseError) as exc:
+        aio.load_matched_pair(p)
+    assert exc.value.message == (
+        "B.products[2] repeats the pair (i, j) = (1, 1) of B.products[1]"
+    )
+    assert exc.value.token == "products"
+
+
+BAD_ROW_C = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0"]]]
+
+
+def test_wrong_length_row_is_named_by_its_position(tmp_path):
+    raw = json.dumps({"dim": 2, "q": "-1", "c": BAD_ROW_C}, separators=(",", ":"))
+    p = write(tmp_path, "c.json", raw)
+    with pytest.raises(ParseError) as exc:
+        load_algebra(p)
+    assert exc.value.message == "c[2][2]: expected a list of 2"
+    assert exc.value.token == '["0"]'
+    assert exc.value.offset == raw.index('["0"]]]')
+
+
+def test_path_starts_again_at_a_referenced_file(tmp_path):
+    module = {"module_dim": 1, "l": [[["0"]]] * 2, "r": [[["0"]]] * 2}
+    algebra = {"dim": 2, "q": "-1", "c": BAD_ROW_C}
+    inline = write(tmp_path, "inline.json", {"algebra": algebra, **module})
+    write(tmp_path, "alg.json", algebra)
+    referring = write(tmp_path, "refers.json", {"algebra": "alg.json", **module})
+    with pytest.raises(ParseError) as exc:
+        load_bimodule(inline)
+    assert exc.value.message == "algebra.c[2][2]: expected a list of 2"
+    with pytest.raises(ParseError) as exc:
+        load_bimodule(referring)
+    assert exc.value.message == "c[2][2]: expected a list of 2"
+    assert exc.value.path.endswith("alg.json")
+
+
+def test_unreadable_referenced_file_is_located_at_the_reference(tmp_path, capsys):
+    raw = json.dumps({"algebra": "missing.json", "module_dim": 1, "l": [], "r": []})
+    p = write(tmp_path, "refers.json", raw)
+    with pytest.raises(ParseError) as exc:
+        load_bimodule(p)
+    assert exc.value.path == p
+    assert exc.value.offset == raw.index("missing.json")
+    missing = tmp_path / "missing.json"
+    assert exc.value.message.startswith(f"algebra: {missing}: byte 0: cannot read file: ")
+    assert cli.run(["verify", "bimodule", p]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}: byte {exc.value.offset}: algebra: ")
+
+
+def test_error_inside_a_readable_referenced_file_stays_there(tmp_path):
+    alg = tmp_path / "alg.json"
+    alg.write_bytes(b'{"dim": 2, "q": "\xff"}')
+    p = write(tmp_path, "refers.json", {"algebra": "alg.json", "module_dim": 1, "l": [], "r": []})
+    with pytest.raises(ParseError) as exc:
+        load_bimodule(p)
+    assert (exc.value.path, exc.value.offset, exc.value.message) == (
+        f"{tmp_path}{os.sep}alg.json", 17, "invalid UTF-8"
+    )
+
+
+BUNDLED = resources.files("antiassoc") / "fixtures"
+CASE4 = json.loads((BUNDLED / "case4.json").read_text())
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (load_form, {"algebra": E1E1_DOC,
+                 "form": {"dim": 2, "kind": "symmetric", "gram": [["0", "1"], ["0", "0"]]}},
+     "form.gram: kind is symmetric but the gram matrix is not"),
+    (aio.load_matched_pair, {"A": {"dim": 1, "q": "-1", "products": []},
+                             "B": {"dim": 1, "q": "2", "products": []},
+                             **dict.fromkeys(["lA", "rA", "lB", "rB"], ONE_BY_ONE)},
+     "B: matched pair requires a single q on both algebras"),
+    (aio.load_fixture, {**CASE4, "DAstar": {**CASE4["DAstar"], "q": "2"}},
+     "DA and DAstar must have equal dim and q = -1"),
+], ids=["form-kind", "matched-pair-q", "fixture-halves"])
+def test_values_that_do_not_fit_together_are_located(tmp_path, load, doc, message):
+    """Each value is well formed, but the document as a whole is refused by
+    the object it builds; that refusal is a ParseError of the document."""
+    p = write(tmp_path, "doc.json", doc)
+    with pytest.raises(ParseError) as exc:
+        load(p)
+    assert (exc.value.path, exc.value.message) == (p, message)
+
+
+@pytest.mark.parametrize("where", ["top", "note"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, where):
+    """json's decoder recurses per level, so a deep list is refused as a
+    document rather than escaping as a RecursionError (exit 1)."""
+    nest = "[" * 100_000 + "]" * 100_000
+    raw = nest if where == "top" else '{"note": %s, "dim": 1, "q": "-1", "c": [[["0"]]]}' % nest
+    p = write(tmp_path, "deep.json", raw)
+    with pytest.raises(ParseError) as exc:
+        load_algebra(p)
+    assert (exc.value.offset, exc.value.message) == (0, "JSON nested too deeply")
+    assert cli.run(["verify", "algebra", p]) == 2
+    assert capsys.readouterr().err == f"error: {p}: byte 0: JSON nested too deeply (token '')\n"
+
+
+def test_nesting_just_below_the_decoders_limit_is_a_parse_error(tmp_path):
+    """A list the decoder still reads may be too deep for the encoder that
+    spells the token of an error; that error must stay a ParseError.  On
+    CPython 3.11 both boundaries fall among these depths, around the
+    recursion limit, wherever the caller's stack puts them."""
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit + 100, 3):
+        nest = "[" * depth + "]" * depth
+        for raw in (nest, '{"dim": 1, "q": %s, "c": []}' % nest):
+            p = write(tmp_path, "deep.json", raw)
+            with pytest.raises(ParseError):
+                load_algebra(p)
+
+
+# ---------------------------------------------------------------------------
+# the front end over mutated documents
+
+FUZZ_VALUES = [True, None, 0.5, -1, 65, "1/0", "\u0661", [], {}, "missing.json"]
+# each document a verify case of the golden CLI tests reads, with its
+# command; the bundled fixtures go through ``paper fixtures``
+FUZZ_TARGETS = sorted({(argv[1], argv[2]) for _, argv in CASES if argv[0] == "verify"}) + [
+    ("paper", p.name) for p in sorted(BUNDLED.iterdir(), key=lambda p: p.name)
+    if p.name.endswith(".json")
+]
+ERROR_LINE = re.compile(r"error: [^\n]+: byte [0-9]+: [^\n]*\n")
+
+
+def _json_paths(node, at=()):
+    """Every path to a value inside ``node``, as tuples of keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _json_paths(child, at + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_documents(directory)
+    (directory / "fixtures").mkdir()
+    return directory
+
+
+def _fuzz_source(command, name):
+    if command == "paper":
+        return json.loads((BUNDLED / name).read_text())
+    if name in DOCS:
+        return DOCS[name]
+    return json.loads((ROOT / "fixtures" / name).read_text())
+
+
+@given(seed=st.integers(0, 2**30))
+@settings(max_examples=500, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+def test_cli_survives_one_mutated_value(fuzz_dir, seed):
+    """One value of a valid document, at a drawn path, replaced by a value
+    of the wrong type, range or spelling, or by a file name that does not
+    exist: the CLI exits 0, 1 or 2 without an escaping exception, and exit
+    2 prints one located error line."""
+    rng = random.Random(seed)
+    command, name = rng.choice(FUZZ_TARGETS)
+    doc = copy.deepcopy(_fuzz_source(command, name))
+    *parents, last = rng.choice(list(_json_paths(doc)))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = rng.choice(FUZZ_VALUES)
+    if command == "paper":
+        target = fuzz_dir / "fixtures" / "case.json"
+        argv = ["paper", "fixtures"]
+    else:
+        target = fuzz_dir / "mutant.json"
+        argv = ["verify", command, str(target)]
+    target.write_text(json.dumps(doc, indent=2))
+    out, err = StringIO(), StringIO()
+    env = {"ANTIASSOC_FIXTURES": str(fuzz_dir / "fixtures")}
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()

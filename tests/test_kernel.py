@@ -203,6 +203,21 @@ def test_kernel_matches_reference(name, seed, q, family, n):
         assert got.passed
 
 
+@given(seed=st.integers(0, 2**30), family=st.sampled_from(["dense", "nilpotent"]),
+       n=st.integers(0, 3))
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+def test_rota_baxter_is_the_o_operator_identity_of_the_regular_bimodule(seed, family, n):
+    """The whole report, not only the verdict: the same violations, indices
+    and residuals in the same order, under the id rota_baxter."""
+    rng = random.Random(seed)
+    draw = Draw(rng, family, n, n)
+    A, tau = draw.algebra(rng.choice(QS)), draw.map_into(n)
+    want = antiassoc.check_o_operator(A, antiassoc.regular_bimodule(A), tau).as_dict()
+    for v in want["violations"]:
+        v["identity_id"] = "rota_baxter"
+    assert antiassoc.check_rota_baxter(A, tau).as_dict() == want
+
+
 def test_matched_pair_preconditions_at_the_pairs_scale():
     """The preconditions run on the pair's tables compiled at the pair's
     common denominator, 21 here, where A's own is 1 and B's is 7: their
