@@ -227,18 +227,27 @@ def cmd_build_associated(ns) -> int:
     return _emit_built(ns, "algebra", aio.algebra_to_doc(out), check_q_associative(out))
 
 
-def cmd_build_double_quadratic(ns) -> int:
-    A = aio.load_algebra(ns.a)
-    Astar = aio.load_algebra(ns.astar)
-    d = build_quadratic_double(A, Astar)
+def _build_double(ns, load, build) -> int:
+    """Load the halves from ns.a and ns.astar, refuse halves of two
+    dimensions (naming both files) or a half whose q is not -1 (naming its
+    file), then emit the double."""
+    X, Y = load(ns.a), load(ns.astar)
+    if X.dim != Y.dim:
+        raise ValueError(f"{ns.a} (dim {X.dim}) and {ns.astar} (dim {Y.dim}): "
+                         "the two halves must have equal dimension")
+    for path, H in ((ns.a, X), (ns.astar, Y)):
+        if H.q != -1:
+            raise ValueError(f"{path}: q = {H.q}, but double constructions are defined at q = -1")
+    d = build(X, Y)
     return _emit_doc(aio.double_to_doc(d), ns, d.report.passed)
+
+
+def cmd_build_double_quadratic(ns) -> int:
+    return _build_double(ns, aio.load_algebra, build_quadratic_double)
 
 
 def cmd_build_double_symplectic(ns) -> int:
-    DA = aio.load_dendriform(ns.a)
-    DAstar = aio.load_dendriform(ns.astar)
-    d = build_symplectic_double(DA, DAstar)
-    return _emit_doc(aio.double_to_doc(d), ns, d.report.passed)
+    return _build_double(ns, aio.load_dendriform, build_symplectic_double)
 
 
 def _build_dendriform_split(ns, title: str, check, construct, *data) -> int:

@@ -89,17 +89,19 @@ def _audited_double(
     P: MatchedPairData, form: BilinearForm, check_form, kind: str
 ) -> DoubleConstruction:
     """Bowtie of P with ``form`` attached; the report collects the matched
-    pair, the q-law of the total, ``check_form`` and closure of the halves."""
+    pair, the q-law of the total, ``check_form`` and closure of the halves,
+    and the form's rank as ``check_form`` reports it."""
     n = P.A.dim
     total = bowtie(P)
+    form_report = check_form(total, form)
     violations = (
         _prefixed("matched_pair", check_matched_pair(P).violations)
         + _prefixed("total_q_assoc", check_q_associative(total).violations)
-        + _prefixed("form", check_form(total, form).violations)
+        + _prefixed("form", form_report.violations)
         + _closure_violations(total, n)
     )
     report = CheckReport.from_violations(
-        violations, kind=kind, half_dim=n, form_rank=form.rank()
+        violations, kind=kind, half_dim=n, form_rank=form_report.info["rank"]
     )
     return DoubleConstruction(total, form, n, kind, report)
 

@@ -115,12 +115,23 @@ def _nat(node: object, ctx: _Ctx, what: str, minimum: int = 0, maximum: int | No
     return node
 
 
-def _field(data: object, key: str, ctx: _Ctx) -> object:
+def _field(data: object, key: str, ctx: _Ctx, where: str = "") -> object:
+    """data[key], where ``where`` is data's path in its file, empty at the root."""
+    if isinstance(data, dict) and key in data:
+        return data[key]
+    at = f"{where}: " if where else ""
     if not isinstance(data, dict):
-        raise ctx.fail(data, "expected a JSON object")
-    if key not in data:
-        raise ctx.fail(key, f"missing field {key!r}")
-    return data[key]
+        raise ctx.fail(data, f"{at}expected a JSON object")
+    raise ctx.fail(key, f"{at}missing field {key!r}")
+
+
+def _built(ctx: _Ctx, token: str, what: str, cls, *args):
+    """cls(*args); a refusal of the constructor is a ParseError at ``token``
+    that names the value ``what``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ctx.fail(token, f"{what}: {exc}") from exc
 
 
 def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, what: str) -> list:
@@ -145,9 +156,9 @@ def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
     first: dict[tuple[int, int], int] = {}
     for pos, item in enumerate(node, start=1):
         entry = f"{what}[{pos}]"
-        i = _nat(_field(item, "i", ctx), ctx, f"{entry}.i", 1)
-        j = _nat(_field(item, "j", ctx), ctx, f"{entry}.j", 1)
-        out = _field(item, "out", ctx)
+        i = _nat(_field(item, "i", ctx, entry), ctx, f"{entry}.i", 1)
+        j = _nat(_field(item, "j", ctx, entry), ctx, f"{entry}.j", 1)
+        out = _field(item, "out", ctx, entry)
         if i > n or j > n:
             raise ctx.fail(max(i, j), f"{entry}: index out of range for dim {n}")
         if (i, j) in first:
@@ -192,8 +203,9 @@ def _structure(node: object, ctx: _Ctx, prefix: str, cls, *keys: str):
     is read sparse from its list, a missing one meaning zero; else each is
     read dense under its key."""
     node, ctx, prefix = _resolve(node, ctx, prefix)
-    dim = _nat(_field(node, "dim", ctx), ctx, f"{prefix}dim", 0, MAX_DIM)
-    q = _rational(_field(node, "q", ctx), ctx)
+    where = prefix[:-1]
+    dim = _nat(_field(node, "dim", ctx, where), ctx, f"{prefix}dim", 0, MAX_DIM)
+    q = _rational(_field(node, "q", ctx, where), ctx)
     if q == 0:
         raise ctx.fail("q", f"{prefix}q must be nonzero")
     lists = ["products" if key == "c" else f"{key}_products" for key in keys]
@@ -201,7 +213,7 @@ def _structure(node: object, ctx: _Ctx, prefix: str, cls, *keys: str):
         tensors = [_sparse(node.get(name, []), dim, ctx, prefix, name) for name in lists]
     else:
         shape = (dim, dim, dim)
-        tensors = [Tensor3(_array(_field(node, key, ctx), shape, ctx, prefix + key))
+        tensors = [Tensor3(_array(_field(node, key, ctx, where), shape, ctx, prefix + key))
                    for key in keys]
     return cls(dim, q, *tensors)
 
@@ -219,15 +231,16 @@ def _actions(node: object, keys: tuple[str, str], n: int, m: int, ctx: _Ctx,
     """The action lists under ``keys`` (l then r) of ``node`` as a bimodule
     of an n-dim algebra on an m-dim space.  Each list holds n row-major
     m x m matrices, one per acting basis vector."""
-    l, r = (Tensor3(_array(_field(node, k, ctx), (n, m, m), ctx, prefix + k)).transposed()
-            for k in keys)
+    l, r = (Tensor3(_array(_field(node, k, ctx, prefix[:-1]), (n, m, m), ctx, prefix + k))
+            .transposed() for k in keys)
     return Bimodule(n, m, l, r)
 
 
 def _bimodule_from(node: object, n: int, ctx: _Ctx, prefix: str) -> Bimodule:
     """The fields module_dim, l and r of ``node`` as a bimodule of an n-dim
     algebra."""
-    m = _nat(_field(node, "module_dim", ctx), ctx, f"{prefix}module_dim", 0, MAX_DIM)
+    m = _field(node, "module_dim", ctx, prefix[:-1])
+    m = _nat(m, ctx, f"{prefix}module_dim", 0, MAX_DIM)
     return _actions(node, ("l", "r"), n, m, ctx, prefix)
 
 
@@ -248,10 +261,8 @@ def load_matched_pair(path: str) -> MatchedPairData:
     B = _algebra_from(_field(data, "B", ctx), ctx, "B.")
     on_B = _actions(data, ("lA", "rA"), A.dim, B.dim, ctx, "")
     on_A = _actions(data, ("lB", "rB"), B.dim, A.dim, ctx, "")
-    try:
-        return MatchedPairData(A, B, on_B, on_A)
-    except ValueError as exc:  # A and B at two values of q
-        raise ctx.fail("B", f"B: {exc}") from exc
+    # A and B at two values of q are refused
+    return _built(ctx, "B", "B", MatchedPairData, A, B, on_B, on_A)
 
 
 def load_dendriform(path: str) -> DendriformStructure:
@@ -263,17 +274,15 @@ def load_form(path: str) -> tuple[StructureAlgebra, BilinearForm]:
     ctx, data = _read(path)
     A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
     fnode = _field(data, "form", ctx)
-    dim = _nat(_field(fnode, "dim", ctx), ctx, "form.dim", 0)
-    kind = _field(fnode, "kind", ctx)
+    dim = _nat(_field(fnode, "dim", ctx, "form"), ctx, "form.dim", 0)
+    kind = _field(fnode, "kind", ctx, "form")
     if kind not in ("symmetric", "antisymmetric", "general"):
         raise ctx.fail(kind, "form.kind must be symmetric, antisymmetric, or general")
-    gram = Matrix(_array(_field(fnode, "gram", ctx), (dim, dim), ctx, "form.gram"))
+    gram = Matrix(_array(_field(fnode, "gram", ctx, "form"), (dim, dim), ctx, "form.gram"))
     if dim != A.dim:
         raise ctx.fail(dim, "form.dim must match the algebra dimension")
-    try:
-        return A, BilinearForm(dim, gram, kind)
-    except ValueError as exc:  # a gram matrix that does not have its kind
-        raise ctx.fail("gram", f"form.gram: {exc}") from exc
+    # a gram matrix that does not have its kind is refused
+    return A, _built(ctx, "gram", "form.gram", BilinearForm, dim, gram, kind)
 
 
 def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, LinearMap]:
@@ -281,14 +290,14 @@ def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, LinearMap]:
     A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
     M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, "bimodule.")
     T = Matrix(_array(_field(data, "T", ctx), (A.dim, M.module_dim), ctx, "T"))
-    return A, M, LinearMap(M.module_dim, A.dim, T)
+    return A, M, _built(ctx, "T", "T", LinearMap, M.module_dim, A.dim, T)
 
 
 def load_rota_baxter(path: str) -> tuple[StructureAlgebra, LinearMap]:
     ctx, data = _read(path)
     A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
     tau = Matrix(_array(_field(data, "tau", ctx), (A.dim, A.dim), ctx, "tau"))
-    return A, LinearMap(A.dim, A.dim, tau)
+    return A, _built(ctx, "tau", "tau", LinearMap, A.dim, A.dim, tau)
 
 
 @dataclass
@@ -334,7 +343,8 @@ def load_fixture(path: str) -> PaperFixture:
     if not isinstance(lines, list):
         raise ctx.fail(lines, "displayed must be a list")
     displayed = [
-        {k: _array(_field(item, k, ctx), (2 * half,), ctx, f"displayed[{pos}].{k}")
+        {k: _array(_field(item, k, ctx, f"displayed[{pos}]"), (2 * half,), ctx,
+                   f"displayed[{pos}].{k}")
          for k in ("left", "right", "result")}
         for pos, item in enumerate(lines, start=1)
     ]

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package funnels through the small kernel in this module:
-dense matrices and rank-3 tensors with Fraction entries, Gaussian elimination
-for inverse / kernel, fraction-free integer elimination for rank, and a
-handful of vector helpers.  No floats, anywhere.  Vectors are plain
-``list[Fraction]`` and are always column vectors; matrices act on the left.
+dense matrices and rank-3 tensors with Fraction entries, one fraction-free
+integer elimination (``Matrix._echelon``) behind rank, rref, kernel, inverse
+and determinant, and a handful of vector helpers.  No floats, anywhere.
+Vectors are plain ``list[Fraction]`` and are always column vectors; matrices
+act on the left.
 """
 
 from __future__ import annotations
@@ -184,62 +185,67 @@ class Matrix:
 
     # -- elimination-based queries ---------------------------------------
 
-    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
-        m = [row[:] for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.cols):
-            pivot_row = next(
-                (i for i in range(r, self.rows) if m[i][col] != 0), None
-            )
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][col]
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+    def _echelon(self) -> tuple[list[list[int]], list[int], int, list[tuple[int, int]]]:
+        """The one elimination behind rank, rref and det, fraction-free: each
+        row is scaled to integers by the lcm of its denominators, and zero
+        rows are dropped.  For each column in turn, the first row left with a
+        nonzero entry p there is the pivot and leaves the pool; every other
+        row with an entry f there becomes p*row - f*pivot, divided by the gcd
+        of its entries (a row that reaches zero is dropped).
 
-    def rank(self) -> int:
-        """Rank by fraction-free elimination: each row is scaled to
-        integers, eliminated with integer row operations, and divided by
-        the gcd of its entries to keep the integers small."""
+        Returns the pivot rows in order, their pivot columns, and for det
+        ``moves``, the sum of each pivot's index in the pool it was taken
+        from, and ``ops``, the (gcd, pivot) pair of each row operation."""
         rows = []
         for row in self.entries:
             d = math.lcm(*(x.denominator for x in row))
             ints = [x.numerator * (d // x.denominator) for x in row]
             if any(ints):
                 rows.append(ints)
-        rank = 0
+        pivots, cols, moves, ops = [], [], 0, []
         for col in range(self.cols):
-            pivot = next((r for r in rows if r[col]), None)
-            if pivot is None:
+            for k, pivot in enumerate(rows):
+                if pivot[col]:
+                    break
+            else:
                 continue
-            rank += 1
+            del rows[k]
+            pivots.append(pivot)
+            cols.append(col)
+            moves += k
             p = pivot[col]
             reduced = []
             for r in rows:
-                if r is pivot:
-                    continue
                 f = r[col]
                 if f:
                     r = [p * a - f * b for a, b in zip(r, pivot)]
                     g = math.gcd(*r)
                     if not g:
                         continue
+                    ops.append((g, p))
                     if g > 1:
                         r = [a // g for a in r]
                 reduced.append(r)
             rows = reduced
-        return rank
+        return pivots, cols, moves, ops
+
+    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
+        """Reduced row echelon form; returns (rows, pivot column indices).
+        Each pivot row of the echelon is divided by its pivot, each pivot
+        column is cleared upward, and zero rows pad the form to self.rows."""
+        pivots, cols, _, _ = self._echelon()
+        m = [[Fraction(a, r[c]) for a in r] for r, c in zip(pivots, cols)]
+        for t in range(len(m) - 1, 0, -1):
+            row, c = m[t], cols[t]
+            for s in range(t):
+                f = m[s][c]
+                if f:
+                    m[s] = [a - f * b for a, b in zip(m[s], row)]
+        m += [[Fraction(0)] * self.cols for _ in range(self.rows - len(m))]
+        return m, cols
+
+    def rank(self) -> int:
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the null space {v : self.apply(v) = 0}."""
@@ -265,25 +271,18 @@ class Matrix:
         return Matrix([row[n:] for row in reduced])
 
     def det(self) -> Fraction:
+        """0 below full rank; else (-1)^moves times the echelon's pivots, with
+        each row's lcm and each row operation's pivot and gcd undone."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        m = [row[:] for row in self.entries]
-        n = self.rows
-        d = Fraction(1)
-        for col in range(n):
-            pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                d = -d
-            d *= m[col][col]
-            inv = 1 / m[col][col]
-            for i in range(col + 1, n):
-                if m[i][col] != 0:
-                    f = m[i][col] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-        return d
+        pivots, cols, moves, ops = self._echelon()
+        if len(cols) < self.rows:
+            return Fraction(0)
+        num = math.prod(r[c] for r, c in zip(pivots, cols)) * math.prod(g for g, _ in ops)
+        den = math.prod(p for _, p in ops) * math.prod(
+            math.lcm(*(x.denominator for x in row)) for row in self.entries
+        )
+        return Fraction((-1) ** moves * num, den)
 
 
 # ---------------------------------------------------------------------------

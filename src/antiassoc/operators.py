@@ -48,7 +48,7 @@ from .algebra import (
 from .bimodules import Bimodule
 from .dendriform import DendriformStructure
 from .forms import BilinearForm, check_symplectic
-from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, basis_vec
+from .linalg import DimensionMismatch, Matrix, Scalar, SingularError, Tensor3, basis_vec
 
 
 class NotAnOOperator(ValueError):
@@ -74,7 +74,9 @@ class LinearMap:
     m: Matrix
 
     def __post_init__(self):
-        if self.m.rows != self.dst_dim or self.m.cols != self.src_dim:
+        # a matrix with no rows reads 0 columns, so a map onto the zero
+        # space is checked by its row count alone
+        if self.m.rows != self.dst_dim or (self.m.rows and self.m.cols != self.src_dim):
             raise DimensionMismatch(
                 f"matrix {self.m.rows}x{self.m.cols} does not map "
                 f"dim {self.src_dim} to dim {self.dst_dim}"
@@ -187,8 +189,12 @@ def compatible_dendriform_from_o_operator(
 ) -> DendriformStructure:
     """Invertible-T transport onto A: x succ y = T(l(x) T^{-1}y), and
     x prec y = T(r(y) T^{-1}x).  The associated algebra is A itself.
+    A T between spaces of different dimensions raises SingularError, read
+    off T's dims: a matrix with no rows reads as 0x0, which inverts.
     """
     _require_o_operator(A, M, T, force)
+    if T.src_dim != T.dst_dim:
+        raise SingularError(f"T maps dim {T.src_dim} to dim {T.dst_dim}, so it is not invertible")
     return _transported(M.l, M.r, T.m, T.m.invert(), A.q)
 
 

@@ -10,7 +10,9 @@ two exactly; nothing in the library imports this module.
 
 The module also keeps the dense form of the two independent criteria of
 doubles.py, ``dual_matched_pair_criterion`` and ``symplectic_criterion``,
-which test_kernel.py compares with the sparse ones the same way.
+which test_kernel.py compares with the sparse ones the same way, and the
+Fraction Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
+``invert`` and ``det``, which test_linalg.py compares with Matrix's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from antiassoc import (
 )
 from antiassoc.bimodules import action_of
 from antiassoc.doubles import _require_halves
-from antiassoc.linalg import basis_vec, vec_add, vec_is_zero, vec_sub
+from antiassoc.linalg import Matrix, SingularError, basis_vec, vec_add, vec_is_zero, vec_sub
 
 
 def _run(tuples, residual) -> list[Violation]:
@@ -546,3 +548,73 @@ def symplectic_criterion(
                 if not vec_is_zero(r):
                     violations.append(Violation("eq6", idx, r))
     return CheckReport.from_violations(violations)
+
+
+# ---------------------------------------------------------------------------
+# Fraction elimination: the reference for linalg.Matrix, whose queries all
+# read one fraction-free integer echelon.  tests/test_linalg.py compares them.
+
+
+def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Fractions: (rows, pivot columns)."""
+    rows = [row[:] for row in m.entries]
+    pivots: list[int] = []
+    r = 0
+    for col in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == m.rows:
+            break
+    return rows, pivots
+
+
+def kernel_basis(m: Matrix) -> list[list[Fraction]]:
+    """One kernel vector per free column j of the rref: e_j minus column j
+    of the rref placed at the pivot columns."""
+    rows, pivots = rref(m)
+    basis = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(int(k == j)) for k in range(m.cols)]
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][j]
+        basis.append(v)
+    return basis
+
+
+def invert(m: Matrix) -> Matrix:
+    """The right half of the rref of [m | I]; SingularError when the left
+    half is not the identity."""
+    n = m.rows
+    rows, pivots = rref(Matrix([row + basis_vec(n, i) for i, row in enumerate(m.entries)]))
+    if pivots != list(range(n)):
+        raise SingularError("matrix is singular")
+    return Matrix([row[n:] for row in rows])
+
+
+def det(m: Matrix) -> Fraction:
+    """Gaussian elimination over Fractions, negated at each row swap."""
+    rows = [row[:] for row in m.entries]
+    d = Fraction(1)
+    for col in range(m.rows):
+        pivot_row = next((i for i in range(col, m.rows) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            d = -d
+        d *= rows[col][col]
+        for i in range(col + 1, m.rows):
+            if rows[i][col] != 0:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return d

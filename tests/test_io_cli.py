@@ -719,6 +719,78 @@ def test_values_that_do_not_fit_together_are_located(tmp_path, load, doc, messag
     assert (exc.value.path, exc.value.message) == (p, message)
 
 
+@pytest.mark.parametrize("B, message", [
+    ({"dim": 1, "products": []}, "B: missing field 'q'"),
+    ([], "B: expected a JSON object"),
+], ids=["missing-field", "not-an-object"])
+def test_a_refused_nested_object_is_named(tmp_path, capsys, B, message):
+    """A's "q" comes first in the file, so the byte offset alone would point
+    at A; the message names B."""
+    doc = {"A": {"dim": 1, "q": "-1", "products": []}, "B": B,
+           **dict.fromkeys(["lA", "rA", "lB", "rB"], ONE_BY_ONE)}
+    p = write(tmp_path, "mp.json", json.dumps(doc))
+    assert cli.run(["verify", "matched-pair", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: byte ")
+    assert f": {message} (token " in err
+
+
+def test_a_missing_top_level_field_is_not_prefixed(tmp_path):
+    p = write(tmp_path, "mp.json", {"A": {"dim": 1, "q": "-1", "products": []}})
+    with pytest.raises(ParseError) as exc:
+        aio.load_matched_pair(p)
+    assert exc.value.message == "missing field 'B'"
+
+
+def _onto_zero_space(module_dim):
+    return {"algebra": {"dim": 0, "q": "-1", "products": []},
+            "bimodule": {"module_dim": module_dim, "l": [], "r": []}, "T": []}
+
+
+@pytest.mark.parametrize("module_dim", [1, 2])
+def test_a_map_onto_the_zero_space_loads(tmp_path, capsys, module_dim):
+    """T's matrix has no rows, and so reads no columns either."""
+    p = write(tmp_path, "o.json", _onto_zero_space(module_dim))
+    assert cli.run(["verify", "o-operator", p]) == 0
+    pairs = module_dim**2
+    assert capsys.readouterr().out == f"o-operator: pass ({pairs}/{pairs} pairs)\n"
+
+
+def test_a_map_onto_the_zero_space_is_not_invertible(tmp_path, capsys):
+    """Its matrix, with no rows, inverts as the 0x0 identity; the dims of
+    the map refuse it."""
+    p = write(tmp_path, "o.json", _onto_zero_space(2))
+    assert cli.run(["build", "dendriform-from-o-operator", p]) == 2
+    assert capsys.readouterr().err == "error: T maps dim 2 to dim 0, so it is not invertible\n"
+
+
+def test_a_refused_map_is_located(tmp_path):
+    p = write(tmp_path, "o.json", _onto_zero_space(1))
+    with mock.patch.object(aio, "LinearMap", side_effect=ValueError("refused")), \
+            pytest.raises(ParseError) as exc:
+        aio.load_o_operator(p)
+    assert (exc.value.path, exc.value.token, exc.value.message) == (p, "T", "T: refused")
+
+
+@pytest.mark.parametrize("command, half", [
+    ("double-quadratic", {"dim": 2, "q": "-1", "products": []}),
+    ("double-symplectic", {"dim": 2, "q": "-1", "prec_products": []}),
+])
+def test_double_builds_name_the_file_they_refuse(tmp_path, capsys, command, half):
+    good = write(tmp_path, "good.json", half)
+    q2 = write(tmp_path, "q2.json", {**half, "q": "2"})
+    dim3 = write(tmp_path, "dim3.json", {**half, "dim": 3})
+    for argv in ([good, q2], [q2, good]):
+        assert cli.run(["build", command, *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {q2}: q = 2, but double constructions are defined at q = -1\n"
+        )
+    assert cli.run(["build", command, good, dim3]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {good} (dim 2) and {dim3} (dim 3): the two halves must have equal dimension\n"
+    )
+
+
 @pytest.mark.parametrize("where", ["top", "note"])
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, where):
     """json's decoder recurses per level, so a deep list is refused as a

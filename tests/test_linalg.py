@@ -16,6 +16,8 @@ from antiassoc.linalg import (
     vec_sub,
 )
 
+from . import reference
+
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
@@ -72,6 +74,53 @@ def test_rank_matches_rref(m):
     assert m.rank() == len(m.rref()[1])
     zero = Matrix.zeros(m.rows, m.cols)
     assert zero.rank() == len(zero.rref()[1]) == 0
+
+
+def assert_matches_reference(m):
+    """rref, rank and kernel_basis, and for a square m det and invert (or
+    SingularError), equal the Fraction Gauss-Jordan of tests/reference.py."""
+    rows, pivots = reference.rref(m)
+    assert m.rref() == (rows, pivots)
+    assert m.rank() == len(pivots)
+    assert m.kernel_basis() == reference.kernel_basis(m)
+    if m.rows != m.cols:
+        return
+    assert m.det() == reference.det(m)
+    try:
+        inverse = reference.invert(m)
+    except SingularError:
+        with pytest.raises(SingularError):
+            m.invert()
+    else:
+        assert m.invert() == inverse
+
+
+@pytest.mark.parametrize("entries", [
+    [],
+    [[0]],
+    [[0, 0, 0], [1, 2, 3], [0, 0, 0]],  # zero rows
+    [[0, 1, 2], [0, 3, 4]],  # a zero column
+    [[1, 2, 3], [2, 4, 7]],  # column 1 holds no pivot
+    [[0, 2, 1], [0, 4, 2], [3, 0, 0]],  # singular, pivot taken from the last row
+    [[0, 1], [1, 0]],  # one row move
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # three row moves
+    [["1/2", "1/3"], ["1/4", "1/5"]],
+    [[0, "-3/7", 2], ["5/3", 0, "1/2"], [1, -1, 0]],
+])
+def test_echelon_queries_match_the_fraction_reference(entries):
+    assert_matches_reference(Matrix(entries))
+
+
+@given(any_shape())
+@settings(max_examples=60, deadline=None)
+def test_any_shape_matches_the_fraction_reference(m):
+    assert_matches_reference(m)
+
+
+@given(st.integers(1, 5).flatmap(square))
+@settings(max_examples=60, deadline=None)
+def test_square_matches_the_fraction_reference(m):
+    assert_matches_reference(m)
 
 
 @given(square(3))
