@@ -7,7 +7,6 @@ with the original product.
 """
 
 from antiassoc import (
-    LinearMap,
     StructureAlgebra,
     associated_algebra,
     check_q_dendriform,
@@ -21,7 +20,7 @@ from antiassoc.io import format_element
 from antiassoc.linalg import Matrix, basis_vec
 
 A = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 1}})
-tau = LinearMap(2, 2, Matrix([["1", "0"], ["0", "1/2"]]))
+tau = Matrix([["1", "0"], ["0", "1/2"]])
 
 print("tau is Rota-Baxter:", check_rota_baxter(A, tau).passed)
 
@@ -35,8 +34,8 @@ print("e1 > e1 =", format_element(D.succ(e1, e1)))
 
 # T-homomorphism: tau(u * v in D) == tau(u) . tau(v) in A
 ok = all(
-    tau(D.star(basis_vec(2, i), basis_vec(2, j)))
-    == multiply(A, tau(basis_vec(2, i)), tau(basis_vec(2, j)))
+    tau.apply(D.star(basis_vec(2, i), basis_vec(2, j)))
+    == multiply(A, tau.apply(basis_vec(2, i)), tau.apply(basis_vec(2, j)))
     for i in range(2)
     for j in range(2)
 )

@@ -81,7 +81,6 @@ from .linalg import (
 )
 from .matched import MatchedPairData, bowtie, check_matched_pair
 from .operators import (
-    LinearMap,
     NotAnOOperator,
     NotSymplectic,
     check_o_operator,
@@ -105,7 +104,6 @@ __all__ = [
     "DoubleConstruction",
     "Fingerprint",
     "IsoVerdict",
-    "LinearMap",
     "MatchedPairData",
     "Matrix",
     "NotAnOOperator",

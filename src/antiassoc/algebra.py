@@ -164,8 +164,8 @@ def _fibers(c: Tensor3, D: int) -> _Compiled:
 
 
 def _columns(m: Matrix, D: int) -> list[Sparse]:
-    """The columns of D * m as sparse vectors."""
-    return [_nonzero(col) for col in zip(*(_scaled(row, D) for row in m.entries))]
+    """The m.cols columns of D * m as sparse vectors."""
+    return [_nonzero(_scaled(m.column(j), D)) for j in range(m.cols)]
 
 
 def _basis(n: int, f: int = 1) -> list[Sparse]:
@@ -543,8 +543,6 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
 def fingerprint(A: StructureAlgebra) -> Fingerprint:
     """Basis-change invariants: dim A^2, annihilator dimensions, symmetry."""
     n = A.dim
-    if n == 0:
-        return Fingerprint(0, 0, 0, 0, True)
     c, r = A.c.entries, range(n)
     dim_square = Matrix.from_columns([c[i][j] for i in r for j in r]).rank()
     # x is a left annihilator iff x*e_j = sum_i x_i c[i][j] = 0 for every j,

@@ -3,8 +3,9 @@
 A bimodule is a pair of action tables (l, r) on a module space V, each a
 Tensor3 of shape (dim A, dim V, dim V) like a structure tensor:
 ``l[i][j]`` is l(e_i) e_j, the left action of e_i on e_j, and ``r[i][j]``
-is r(e_i) e_j.  Documents still spell each table as a list of row-major
-matrices; io.py converts at load and at dump.  The three laws checked
+is r(e_i) e_j; over a 0-dim algebra both are 0 x dim V x dim V.
+Documents still spell each table as a list of row-major matrices; io.py
+converts at load and at dump.  The three laws checked
 here, with q the algebra's parameter, are the q-law G of the semidirect
 product A + V with one argument u in V (see algebra.py):
 
@@ -43,13 +44,11 @@ from .linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
 
 def _check_tables(name: str, table: Tensor3, count: int, size: int) -> None:
     """The shape check of every action-table dataclass: a Tensor3 of shape
-    (count, size, size), one plane per acting basis vector.  A tensor with
-    no planes reads (0, 0, 0)."""
+    (count, size, size), one plane per acting basis vector."""
     if not isinstance(table, Tensor3):
         raise TypeError(f"{name}: an action table is a Tensor3, got {type(table).__name__}")
     shape = (table.d1, table.d2, table.d3)
-    want = (count, size, size) if count else (0, 0, 0)
-    if shape != want:
+    if shape != (count, size, size):
         raise DimensionMismatch(
             f"{name}: expected a {count}x{size}x{size} table, got {'x'.join(map(str, shape))}"
         )

@@ -60,9 +60,8 @@ from .forms import (
     natural_forms,
 )
 from .io import PaperFixture, double_basis_names, format_element
-from .linalg import DimensionMismatch, Tensor3, basis_vec, vec_is_zero, vec_sub
+from .linalg import DimensionMismatch, Matrix, Tensor3, basis_vec, vec_is_zero, vec_sub
 from .matched import MatchedPairData, bowtie, check_matched_pair
-from .operators import LinearMap
 
 
 @dataclass
@@ -298,7 +297,7 @@ def octuple_from_symplectic_pair(
 
 
 def verify_double_isomorphism(
-    T1: DoubleConstruction, T2: DoubleConstruction, phi: LinearMap
+    T1: DoubleConstruction, T2: DoubleConstruction, phi: Matrix
 ) -> CheckReport:
     """Candidate-isomorphism verification between two doubles.
 
@@ -308,17 +307,17 @@ def verify_double_isomorphism(
     here; finding phi is someone else's job.
     """
     d = T1.total.dim
-    if T2.total.dim != d or phi.src_dim != d or phi.dst_dim != d:
+    if T2.total.dim != d or (phi.rows, phi.cols) != (d, d):
         raise DimensionMismatch("phi must be square of the common double dimension")
     n = T1.half_dim
-    cols = [phi.m.column(j) for j in range(d)]
-    diff = (phi.m.transpose() * T2.form.gram * phi.m - T1.form.gram).entries
+    cols = [phi.column(j) for j in range(d)]
+    diff = (phi.transpose() * T2.form.gram * phi - T1.form.gram).entries
 
     def multiplicative(i, j):
-        lhs = phi.m.apply(basis_product(T1.total, i, j))
+        lhs = phi.apply(basis_product(T1.total, i, j))
         return vec_sub(lhs, multiply(T2.total, cols[i], cols[j]))
 
-    kernel = phi.m.kernel_basis()
+    kernel = phi.kernel_basis()
     pairs = list(itertools.product(range(d), repeat=2))
     violations = (
         _run_laws([()], [("invertible", lambda: kernel[0] if kernel else [])])

@@ -29,7 +29,6 @@ from .dendriform import DendriformStructure
 from .forms import BilinearForm
 from .linalg import Matrix, Tensor3
 from .matched import MatchedPairData
-from .operators import LinearMap
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -213,7 +212,7 @@ def _structure(node: object, ctx: _Ctx, prefix: str, cls, *keys: str):
         tensors = [_sparse(node.get(name, []), dim, ctx, prefix, name) for name in lists]
     else:
         shape = (dim, dim, dim)
-        tensors = [Tensor3(_array(_field(node, key, ctx, where), shape, ctx, prefix + key))
+        tensors = [Tensor3(_array(_field(node, key, ctx, where), shape, ctx, prefix + key), shape)
                    for key in keys]
     return cls(dim, q, *tensors)
 
@@ -231,7 +230,8 @@ def _actions(node: object, keys: tuple[str, str], n: int, m: int, ctx: _Ctx,
     """The action lists under ``keys`` (l then r) of ``node`` as a bimodule
     of an n-dim algebra on an m-dim space.  Each list holds n row-major
     m x m matrices, one per acting basis vector."""
-    l, r = (Tensor3(_array(_field(node, k, ctx, prefix[:-1]), (n, m, m), ctx, prefix + k))
+    shape = (n, m, m)
+    l, r = (Tensor3(_array(_field(node, k, ctx, prefix[:-1]), shape, ctx, prefix + k), shape)
             .transposed() for k in keys)
     return Bimodule(n, m, l, r)
 
@@ -278,26 +278,27 @@ def load_form(path: str) -> tuple[StructureAlgebra, BilinearForm]:
     kind = _field(fnode, "kind", ctx, "form")
     if kind not in ("symmetric", "antisymmetric", "general"):
         raise ctx.fail(kind, "form.kind must be symmetric, antisymmetric, or general")
-    gram = Matrix(_array(_field(fnode, "gram", ctx, "form"), (dim, dim), ctx, "form.gram"))
+    shape = (dim, dim)
+    gram = Matrix(_array(_field(fnode, "gram", ctx, "form"), shape, ctx, "form.gram"), shape)
     if dim != A.dim:
         raise ctx.fail(dim, "form.dim must match the algebra dimension")
     # a gram matrix that does not have its kind is refused
     return A, _built(ctx, "gram", "form.gram", BilinearForm, dim, gram, kind)
 
 
-def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, LinearMap]:
+def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, Matrix]:
     ctx, data = _read(path)
     A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
     M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, "bimodule.")
-    T = Matrix(_array(_field(data, "T", ctx), (A.dim, M.module_dim), ctx, "T"))
-    return A, M, _built(ctx, "T", "T", LinearMap, M.module_dim, A.dim, T)
+    shape = (A.dim, M.module_dim)
+    return A, M, Matrix(_array(_field(data, "T", ctx), shape, ctx, "T"), shape)
 
 
-def load_rota_baxter(path: str) -> tuple[StructureAlgebra, LinearMap]:
+def load_rota_baxter(path: str) -> tuple[StructureAlgebra, Matrix]:
     ctx, data = _read(path)
     A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
-    tau = Matrix(_array(_field(data, "tau", ctx), (A.dim, A.dim), ctx, "tau"))
-    return A, _built(ctx, "tau", "tau", LinearMap, A.dim, A.dim, tau)
+    shape = (A.dim, A.dim)
+    return A, Matrix(_array(_field(data, "tau", ctx), shape, ctx, "tau"), shape)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package funnels through the small kernel in this module:
-dense matrices and rank-3 tensors with Fraction entries, one fraction-free
-integer elimination (``Matrix._echelon``) behind rank, rref, kernel, inverse
-and determinant, and a handful of vector helpers.  No floats, anywhere.
+dense matrices and rank-3 tensors with Fraction entries, each holding its
+shape even when an axis is empty (a map onto the zero space), one
+fraction-free integer elimination (``Matrix._echelon``) behind rank, rref,
+kernel, inverse and determinant, and a handful of vector helpers.  No floats, anywhere.
 Vectors are plain ``list[Fraction]`` and are always column vectors; matrices
 act on the left.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -77,22 +78,32 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 # matrices
 
 
+def _unfilled(shape: tuple) -> DimensionMismatch:
+    return DimensionMismatch(f"entries do not fill the shape {'x'.join(map(str, shape))}")
+
+
 class Matrix:
-    """A dense rows x cols matrix of Fractions."""
+    """A dense rows x cols matrix of Fractions.  The shape (rows, cols) is
+    read off the entries unless given; entries with no rows cannot hold the
+    column count, so a 0 x n matrix, such as a map onto the zero space, is
+    built with its shape."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        self.entries: list[list[Fraction]] = [[rat(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
+    def __init__(self, entries: Iterable[Sequence[Scalar]], shape: tuple | None = None):
+        e = self.entries = [[rat(x) for x in row] for row in entries]
+        if shape is None:
+            shape = (len(e), len(e[0]) if e else 0)
+        self.rows, self.cols = shape
+        if len(e) != self.rows:
+            raise _unfilled(shape)
+        for row in e:
             if len(row) != self.cols:
-                raise DimensionMismatch("ragged matrix rows")
+                raise _unfilled(shape)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)])
+        return Matrix([[0] * cols for _ in range(rows)], (rows, cols))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -100,10 +111,9 @@ class Matrix:
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Fraction]]) -> "Matrix":
-        if not columns:
-            return Matrix.zeros(0, 0)
-        n = len(columns[0])
-        return Matrix([[col[i] for col in columns] for i in range(n)])
+        """The matrix with these columns; with none, it is 0x0."""
+        rows = len(columns[0]) if columns else 0
+        return Matrix(zip(*columns, strict=True), (rows, len(columns)))
 
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.entries]
@@ -111,11 +121,7 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -123,25 +129,17 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in pairs], (self.rows, self.cols))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in pairs], (self.rows, self.cols))
 
     def scale(self, s: Scalar) -> "Matrix":
         c = rat(s)
-        return Matrix([[c * a for a in row] for row in self.entries])
+        return Matrix([[c * a for a in row] for row in self.entries], (self.rows, self.cols))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -159,7 +157,7 @@ class Matrix:
                 dest = out[i]
                 for j in range(other.cols):
                     dest[j] += a * orow[j]
-        return Matrix(out)
+        return Matrix(out, (self.rows, other.cols))
 
     def apply(self, v: Sequence[Fraction]) -> list[Fraction]:
         """Matrix times column vector."""
@@ -170,9 +168,7 @@ class Matrix:
         return [dot(row, v) for row in self.entries]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return Matrix([self.column(j) for j in range(self.cols)], (self.cols, self.rows))
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.entries for a in row)
@@ -265,10 +261,10 @@ class Matrix:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
         aug = [row[:] + basis_vec(n, i) for i, row in enumerate(self.entries)]
-        reduced, pivots = Matrix(aug).rref()
+        reduced, pivots = Matrix(aug, (n, 2 * n)).rref()
         if pivots != list(range(n)):
             raise SingularError("matrix is singular")
-        return Matrix([row[n:] for row in reduced])
+        return Matrix([row[n:] for row in reduced], (n, n))
 
     def det(self) -> Fraction:
         """0 below full rank; else (-1)^moves times the echelon's pivots, with
@@ -294,29 +290,29 @@ class Tensor3:
 
     The three axes need not agree in general (action tables of an n-dim
     algebra on an m-dim space are n x m x m), but algebra product tensors
-    are cubic.  With no planes, or planes of no rows, the trailing
-    dimensions read 0.
+    are cubic.  As for Matrix, the shape (d1, d2, d3) is read off the
+    entries unless given, and a tensor with an empty axis is built with it.
     """
 
     __slots__ = ("d1", "d2", "d3", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[Sequence[Scalar]]]):
-        self.entries: list[list[list[Fraction]]] = [
-            [[rat(x) for x in fiber] for fiber in plane] for plane in entries
-        ]
-        self.d1 = len(self.entries)
-        self.d2 = len(self.entries[0]) if self.d1 else 0
-        self.d3 = len(self.entries[0][0]) if self.d1 and self.d2 else 0
-        for plane in self.entries:
+    def __init__(self, entries: Sequence[Sequence[Sequence[Scalar]]], shape: tuple | None = None):
+        e = self.entries = [[[rat(x) for x in fiber] for fiber in plane] for plane in entries]
+        if shape is None:
+            shape = (len(e), len(e[0]) if e else 0, len(e[0][0]) if e and e[0] else 0)
+        self.d1, self.d2, self.d3 = shape
+        if len(e) != self.d1:
+            raise _unfilled(shape)
+        for plane in e:
             if len(plane) != self.d2:
-                raise DimensionMismatch("ragged tensor")
+                raise _unfilled(shape)
             for fiber in plane:
                 if len(fiber) != self.d3:
-                    raise DimensionMismatch("ragged tensor")
+                    raise _unfilled(shape)
 
     @staticmethod
     def zeros(d1: int, d2: int, d3: int) -> "Tensor3":
-        return Tensor3([[[0] * d3 for _ in range(d2)] for _ in range(d1)])
+        return Tensor3([[[0] * d3 for _ in range(d2)] for _ in range(d1)], (d1, d2, d3))
 
     def __getitem__(self, i: int) -> list[list[Fraction]]:
         return self.entries[i]
@@ -324,13 +320,15 @@ class Tensor3:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor3):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.d1, self.d2, self.d3, self.entries) == (
+            other.d1, other.d2, other.d3, other.entries
+        )
 
     def __repr__(self) -> str:
         return f"Tensor3({self.d1}x{self.d2}x{self.d3})"
 
     def copy(self) -> "Tensor3":
-        return Tensor3(self.entries)
+        return Tensor3(self.entries, (self.d1, self.d2, self.d3))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if (self.d1, self.d2, self.d3) != (other.d1, other.d2, other.d3):
@@ -338,20 +336,25 @@ class Tensor3:
         return Tensor3([
             [[a + b for a, b in zip(f1, f2)] for f1, f2 in zip(p1, p2)]
             for p1, p2 in zip(self.entries, other.entries)
-        ])
+        ], (self.d1, self.d2, self.d3))
 
     def scale(self, s: Scalar) -> "Tensor3":
         c = rat(s)
-        return Tensor3([[[c * a for a in fiber] for fiber in plane] for plane in self.entries])
+        planes = [[[c * a for a in fiber] for fiber in plane] for plane in self.entries]
+        return Tensor3(planes, (self.d1, self.d2, self.d3))
 
     def swapped(self) -> "Tensor3":
         """The tensor with axes 0 and 1 exchanged: out[j][i] = self[i][j]."""
-        return Tensor3([[plane[j] for plane in self.entries] for j in range(self.d2)])
+        planes = [[plane[j] for plane in self.entries] for j in range(self.d2)]
+        return Tensor3(planes, (self.d2, self.d1, self.d3))
 
     def transposed(self) -> "Tensor3":
         """The tensor with axes 1 and 2 exchanged: out[i][k][j] = self[i][j][k],
         so each plane, read as a matrix, is transposed."""
-        return Tensor3([[list(col) for col in zip(*plane)] for plane in self.entries])
+        if not self.d2:  # zip reads no columns off a plane with no rows
+            return Tensor3.zeros(self.d1, self.d3, 0)
+        planes = [[list(col) for col in zip(*plane)] for plane in self.entries]
+        return Tensor3(planes, (self.d1, self.d3, self.d2))
 
     def is_zero(self) -> bool:
         return all(

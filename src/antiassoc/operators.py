@@ -20,6 +20,10 @@ identity body for the regular bimodule (l, r) = (L, R); both run on the
 sparse integer kernel in algebra.py, where the action tables compile like
 structure tensors and only the maps T and tau as matrices.
 
+A map is its ``Matrix``: T is dim A x dim V and tau is dim A x dim A.
+The shape is part of the matrix, so a T onto the zero space is 0 x dim V,
+and its identity is checked on all dim V ** 2 pairs.
+
 Constructions refuse invalid input (NotAnOOperator / NotSymplectic)
 instead of emitting structures the theorems say nothing about.
 """
@@ -27,7 +31,6 @@ instead of emitting structures the theorems say nothing about.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -67,40 +70,17 @@ class NotSymplectic(ValueError):
         self.report = report
 
 
-@dataclass
-class LinearMap:
-    src_dim: int
-    dst_dim: int
-    m: Matrix
-
-    def __post_init__(self):
-        # a matrix with no rows reads 0 columns, so a map onto the zero
-        # space is checked by its row count alone
-        if self.m.rows != self.dst_dim or (self.m.rows and self.m.cols != self.src_dim):
-            raise DimensionMismatch(
-                f"matrix {self.m.rows}x{self.m.cols} does not map "
-                f"dim {self.src_dim} to dim {self.dst_dim}"
-            )
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls(n, n, Matrix.identity(n))
-
-    def __call__(self, v):
-        return self.m.apply(v)
-
-
-def _check_shapes(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> None:
+def _check_shapes(A: StructureAlgebra, M: Bimodule, T: Matrix) -> None:
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule belongs to a different algebra dimension")
-    if T.src_dim != M.module_dim or T.dst_dim != A.dim:
+    if (T.rows, T.cols) != (A.dim, M.module_dim):
         raise DimensionMismatch("T must map the module space into the algebra")
 
 
-def _induced_split(M: Bimodule, T: LinearMap) -> DendriformStructure:
+def _induced_split(M: Bimodule, T: Matrix) -> DendriformStructure:
     """u succ v = l(Tu)v and u prec v = r(Tv)u on V, unchecked."""
     m = M.module_dim
-    Te, e = [T.m.column(i) for i in range(m)], [basis_vec(m, i) for i in range(m)]
+    Te, e = [T.column(i) for i in range(m)], [basis_vec(m, i) for i in range(m)]
     succ = Tensor3([[_contract(M.l, Te[i], e[j]) for j in range(m)] for i in range(m)])
     prec = Tensor3([[_contract(M.r, Te[j], e[i]) for j in range(m)] for i in range(m)])
     return DendriformStructure(m, Fraction(-1), prec, succ)
@@ -136,19 +116,20 @@ def _o_operator_violations(F, l, r, Te, D: int, identity_id: str) -> list[Violat
     return _run_laws(itertools.product(range(m), repeat=2), [(identity_id, residual)], D**3)
 
 
-def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
+def check_o_operator(A: StructureAlgebra, M: Bimodule, T: Matrix) -> CheckReport:
     """T(u).T(v) = T( l(Tu)v + r(Tv)u ) on all module basis pairs, that is,
-    T maps the associated product of the induced split on V into A's."""
+    T maps the associated product of the induced split on V into A's.
+    T is the dim A x dim V matrix of the map."""
     _check_shapes(A, M, T)
-    D = _common_den([A.c, M.l, M.r], [T.m])
+    D = _common_den([A.c, M.l, M.r], [T])
     violations = _o_operator_violations(
-        _fibers(A.c, D), _fibers(M.l, D), _fibers(M.r, D), _columns(T.m, D), D, "o_operator"
+        _fibers(A.c, D), _fibers(M.l, D), _fibers(M.r, D), _columns(T, D), D, "o_operator"
     )
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
 def _require_o_operator(
-    A: StructureAlgebra, M: Bimodule, T: LinearMap, force: bool
+    A: StructureAlgebra, M: Bimodule, T: Matrix, force: bool
 ) -> None:
     """Refuse mismatched shapes always, and a failing identity unless forced."""
     _check_shapes(A, M, T)
@@ -157,20 +138,20 @@ def _require_o_operator(
         raise NotAnOOperator(report)
 
 
-def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
+def check_rota_baxter(A: StructureAlgebra, tau: Matrix) -> CheckReport:
     """Weight-zero identity tau(x).tau(y) = tau(tau(x).y + x.tau(y)): the
     O-operator identity of tau for the regular bimodule, l = L and r = R."""
-    if tau.src_dim != A.dim or tau.dst_dim != A.dim:
+    if (tau.rows, tau.cols) != (A.dim, A.dim):
         raise DimensionMismatch("tau must be a square map on the algebra")
-    D = _common_den([A.c], [tau.m])
+    D = _common_den([A.c], [tau])
     F = _fibers(A.c, D)
     R = [list(fibers) for fibers in zip(*F)]  # R(e_i) e_j = e_j e_i: F's axes swapped
-    violations = _o_operator_violations(F, F, R, _columns(tau.m, D), D, "rota_baxter")
+    violations = _o_operator_violations(F, F, R, _columns(tau, D), D, "rota_baxter")
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
 def induced_dendriform_on_module(
-    A: StructureAlgebra, M: Bimodule, T: LinearMap, force: bool = False
+    A: StructureAlgebra, M: Bimodule, T: Matrix, force: bool = False
 ) -> DendriformStructure:
     """Split the module: u succ v = l(Tu)v, u prec v = r(Tv)u.
 
@@ -185,17 +166,16 @@ def induced_dendriform_on_module(
 
 
 def compatible_dendriform_from_o_operator(
-    A: StructureAlgebra, M: Bimodule, T: LinearMap, force: bool = False
+    A: StructureAlgebra, M: Bimodule, T: Matrix, force: bool = False
 ) -> DendriformStructure:
     """Invertible-T transport onto A: x succ y = T(l(x) T^{-1}y), and
     x prec y = T(r(y) T^{-1}x).  The associated algebra is A itself.
-    A T between spaces of different dimensions raises SingularError, read
-    off T's dims: a matrix with no rows reads as 0x0, which inverts.
+    A T between spaces of different dimensions raises SingularError.
     """
     _require_o_operator(A, M, T, force)
-    if T.src_dim != T.dst_dim:
-        raise SingularError(f"T maps dim {T.src_dim} to dim {T.dst_dim}, so it is not invertible")
-    return _transported(M.l, M.r, T.m, T.m.invert(), A.q)
+    if T.rows != T.cols:
+        raise SingularError(f"T maps dim {T.cols} to dim {T.rows}, so it is not invertible")
+    return _transported(M.l, M.r, T, T.invert(), A.q)
 
 
 def dendriform_from_symplectic(

@@ -27,7 +27,6 @@ from antiassoc import (
     DendriformBimodule,
     DendriformMatchedPairData,
     DendriformStructure,
-    LinearMap,
     MatchedPairData,
     StructureAlgebra,
     Violation,
@@ -131,26 +130,26 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     return CheckReport.from_violations(violations, q=str(q))
 
 
-def check_rota_baxter(A: StructureAlgebra, tau: LinearMap) -> CheckReport:
+def check_rota_baxter(A: StructureAlgebra, tau: Matrix) -> CheckReport:
     n, e = A.dim, _basis(A.dim)
-    te = [tau(x) for x in e]
+    te = [tau.apply(x) for x in e]
 
     def residual(i, j):
         inner = vec_add(multiply(A, te[i], e[j]), multiply(A, e[i], te[j]))
-        yield "rota_baxter", vec_sub(multiply(A, te[i], te[j]), tau(inner))
+        yield "rota_baxter", vec_sub(multiply(A, te[i], te[j]), tau.apply(inner))
 
     violations = _run(itertools.product(range(n), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
-def check_o_operator(A: StructureAlgebra, M: Bimodule, T: LinearMap) -> CheckReport:
+def check_o_operator(A: StructureAlgebra, M: Bimodule, T: Matrix) -> CheckReport:
     m = M.module_dim
     e = _basis(m)
-    Te = [T.m.column(i) for i in range(m)]
+    Te = [T.column(i) for i in range(m)]
 
     def residual(i, j):
         induced = vec_add(action_of(M.l, Te[i]).apply(e[j]), action_of(M.r, Te[j]).apply(e[i]))
-        yield "o_operator", vec_sub(multiply(A, Te[i], Te[j]), T(induced))
+        yield "o_operator", vec_sub(multiply(A, Te[i], Te[j]), T.apply(induced))
 
     violations = _run(itertools.product(range(m), repeat=2), residual)
     return CheckReport.from_violations(violations, q=str(A.q))
@@ -595,10 +594,11 @@ def invert(m: Matrix) -> Matrix:
     """The right half of the rref of [m | I]; SingularError when the left
     half is not the identity."""
     n = m.rows
-    rows, pivots = rref(Matrix([row + basis_vec(n, i) for i, row in enumerate(m.entries)]))
+    aug = Matrix([row + basis_vec(n, i) for i, row in enumerate(m.entries)], (n, 2 * n))
+    rows, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularError("matrix is singular")
-    return Matrix([row[n:] for row in rows])
+    return Matrix([row[n:] for row in rows], (n, n))
 
 
 def det(m: Matrix) -> Fraction:

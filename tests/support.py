@@ -63,13 +63,16 @@ def valid_algebra(rng: random.Random, q) -> StructureAlgebra:
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix([[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)])
+    return Matrix([[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)], (rows, cols))
 
 
-def table(mats) -> Tensor3:
-    """The action table whose action of e_k has the row-major matrix
-    mats[k], as a document spells it: T[k][j] is column j of mats[k]."""
-    return Tensor3([m.entries for m in mats]).transposed()
+def table(mats, size: int | None = None) -> Tensor3:
+    """The action table on a ``size``-dim space whose action of e_k has the
+    row-major matrix mats[k], as a document spells it: T[k][j] is column j
+    of mats[k].  ``size`` defaults to the size of mats[0]."""
+    if size is None:
+        size = mats[0].rows
+    return Tensor3([m.entries for m in mats], (len(mats), size, size)).transposed()
 
 
 def random_bimodule(rng: random.Random, A: StructureAlgebra, m: int) -> Bimodule:

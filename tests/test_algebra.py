@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiassoc import (
+    Fingerprint,
     StructureAlgebra,
     anticommutator_algebra,
     basis_product,
@@ -120,6 +121,7 @@ def test_fingerprint_fields():
     g = fingerprint(E2E1)
     assert not g.commutative
     assert fingerprint(ZERO2).dim_square == 0
+    assert fingerprint(StructureAlgebra.zero(0, -1)) == Fingerprint(0, 0, 0, 0, True)
 
 
 @given(st.integers(0, 2**30))

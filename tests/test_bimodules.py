@@ -17,7 +17,7 @@ from antiassoc import (
     semidirect_product,
 )
 from antiassoc.bimodules import action_of
-from antiassoc.linalg import DimensionMismatch, Matrix, basis_vec
+from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
 
 from .support import (
     nilpotent_algebra,
@@ -41,8 +41,12 @@ def test_shape_validation():
         Bimodule(2, 2, table([Matrix.identity(2)] * 2), table([Matrix.identity(3)] * 2))
     with pytest.raises(TypeError):  # a list of matrices is not a table
         Bimodule(2, 2, [Matrix.identity(2)] * 2, [Matrix.identity(2)] * 2)
-    # an algebra of dim 0 has the empty table, whatever the module
-    assert Bimodule(0, 3, table([]), table([])).module_dim == 3
+    # an algebra of dim 0 has no planes, each with the module's shape
+    empty = Tensor3.zeros(0, 2, 2)
+    assert repr(empty) == "Tensor3(0x2x2)" and table([], 2) == empty
+    assert Bimodule(0, 2, empty, empty).module_dim == 2
+    with pytest.raises(DimensionMismatch):
+        Bimodule(0, 2, Tensor3.zeros(0, 0, 0), empty)
 
 
 def test_regular_bimodule_is_valid():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from antiassoc import (
     Bimodule,
     DendriformStructure,
-    LinearMap,
     MatchedPairData,
     StructureAlgebra,
     associated_algebra,
@@ -183,10 +182,8 @@ def test_closure_detector():
 
 def test_isomorphism_identity_and_scaling():
     dh = build_symplectic_double(case3_dendriform(Fraction(1, 2)), DZ)
-    assert verify_double_isomorphism(dh, dh, LinearMap.identity(4)).passed
-    rep = verify_double_isomorphism(
-        dh, dh, LinearMap(4, 4, Matrix.identity(4).scale(2))
-    )
+    assert verify_double_isomorphism(dh, dh, Matrix.identity(4)).passed
+    rep = verify_double_isomorphism(dh, dh, Matrix.identity(4).scale(2))
     assert not rep.passed
     ids = {v.identity_id for v in rep.violations}
     assert ids == {"form", "multiplicative"}
@@ -201,23 +198,21 @@ def test_block_swap_is_not_an_isomorphism():
     for k in range(2):
         swap.entries[k][2 + k] = Fraction(1)
         swap.entries[2 + k][k] = Fraction(1)
-    rep = verify_double_isomorphism(d0, d1, LinearMap(4, 4, swap))
+    rep = verify_double_isomorphism(d0, d1, swap)
     assert not rep.passed
     assert "multiplicative" in {v.identity_id for v in rep.violations}
 
 
 def test_diagonal_automorphism():
     dh = build_symplectic_double(case3_dendriform(Fraction(1, 2)), DZ)
-    phi = LinearMap(
-        4, 4, Matrix([["2", 0, 0, 0], [0, "4", 0, 0], [0, 0, "1/2", 0], [0, 0, 0, "1/4"]])
-    )
+    phi = Matrix([["2", 0, 0, 0], [0, "4", 0, 0], [0, 0, "1/2", 0], [0, 0, 0, "1/4"]])
     assert verify_double_isomorphism(dh, dh, phi).passed
 
 
 def test_isomorphism_dimension_guard():
     dh = build_symplectic_double(case3_dendriform(Fraction(1, 2)), DZ)
     with pytest.raises(DimensionMismatch):
-        verify_double_isomorphism(dh, dh, LinearMap.identity(3))
+        verify_double_isomorphism(dh, dh, Matrix.identity(3))
 
 
 def _dense_tensor(rng, n):

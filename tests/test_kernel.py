@@ -34,11 +34,10 @@ from antiassoc import (
     DendriformBimodule,
     DendriformMatchedPairData,
     DendriformStructure,
-    LinearMap,
     MatchedPairData,
     StructureAlgebra,
 )
-from antiassoc import algebra, bimodules, dendriform, doubles, matched
+from antiassoc import algebra, bimodules, dendriform, doubles, matched, operators
 from antiassoc.io import load_fixture
 from antiassoc.linalg import Matrix, Tensor3
 
@@ -90,20 +89,20 @@ class Draw:
               for k in range(n)] for j in range(n)] for i in range(n)
         ]
         self.bump([fiber for plane in t for fiber in plane])
-        return Tensor3(t)
+        return Tensor3(t, (n, n, n))
 
     def matrix(self, rows, cols, row_ok, col_ok) -> Matrix:
         m = [[entry(self.rng) if self.keep(row_ok(r), col_ok(c)) else Fraction(0)
               for c in range(cols)] for r in range(rows)]
         self.bump(m)
-        return Matrix(m)
+        return Matrix(m, (rows, cols))
 
     def actions(self) -> Tensor3:
         m, vs = self.m, self.vsplit
         return table([
             self.matrix(m, m, lambda r: r >= vs and i < self.split, lambda c: c < vs)
             for i in range(self.n)
-        ])
+        ], m)
 
     def swapped(self) -> "Draw":
         """The same draw with the roles of A and V exchanged."""
@@ -123,9 +122,9 @@ class Draw:
     def dendriform_bimodule(self) -> DendriformBimodule:
         return DendriformBimodule(self.n, self.m, *(self.actions() for _ in range(4)))
 
-    def map_into(self, src) -> LinearMap:
-        n = self.n
-        return LinearMap(src, n, self.matrix(n, src, lambda r: r >= self.split, lambda c: True))
+    def map_into(self, src) -> Matrix:
+        """An n x src matrix whose columns land in A's targets."""
+        return self.matrix(self.n, src, lambda r: r >= self.split, lambda c: True)
 
     def form(self, sign) -> BilinearForm:
         """A Gram matrix on A's generators, made symmetric (sign 1) or
@@ -193,8 +192,6 @@ PASS_WHEN_NILPOTENT = CHECKS[-3:]
 def test_kernel_matches_reference(name, seed, q, family, n):
     rng = random.Random(seed)
     m = rng.choice([k for k in range(4) if k != n])
-    if name == "check_o_operator" and n == 0:
-        m = 0  # a Matrix with no rows has no columns, so T needs m = 0
     args = inputs(name, Draw(rng, family, n, m), q)
     got = getattr(antiassoc, name)(*args)
     want = getattr(reference, name)(*args)
@@ -216,6 +213,22 @@ def test_rota_baxter_is_the_o_operator_identity_of_the_regular_bimodule(seed, fa
     for v in want["violations"]:
         v["identity_id"] = "rota_baxter"
     assert antiassoc.check_rota_baxter(A, tau).as_dict() == want
+
+
+def test_a_map_onto_the_zero_space_runs_its_law_on_every_pair(monkeypatch):
+    """T from a 2-dim V onto the zero algebra is a 0x2 matrix, so the
+    O-operator identity is evaluated on all 4 basis pairs of V."""
+    evaluated = []
+    real = operators._run_laws
+
+    def spy(tuples, laws, den):
+        laws = [(i, lambda *idx, law=law: evaluated.append(idx) or law(*idx)) for i, law in laws]
+        return real(tuples, laws, den)
+
+    monkeypatch.setattr(operators, "_run_laws", spy)
+    A, M = StructureAlgebra.zero(0, -1), Bimodule.zero(0, 2)
+    assert antiassoc.check_o_operator(A, M, Matrix.zeros(0, 2)).passed
+    assert evaluated == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_matched_pair_preconditions_at_the_pairs_scale():

@@ -52,20 +52,69 @@ def test_matrix_apply_dimension_check():
         Matrix.identity(2).apply([1, 2, 3])
 
 
-@given(square(3))
-@settings(max_examples=60)
-def test_rank_plus_nullity(m):
-    assert m.rank() + len(m.kernel_basis()) == 3
-
-
 @st.composite
 def any_shape(draw):
-    """Wide, tall, square or empty, with many zero entries."""
-    rows = draw(st.integers(0, 7))
-    cols = draw(st.integers(1, 7)) if rows else 0
+    """Wide, tall, square, or with no rows or no columns, with many zero
+    entries."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     entry = st.one_of(st.just(Fraction(0)), fractions)
     row = st.lists(entry, min_size=cols, max_size=cols)
-    return Matrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+    return Matrix(draw(st.lists(row, min_size=rows, max_size=rows)), (rows, cols))
+
+
+@given(any_shape())
+@settings(max_examples=100, deadline=None)
+def test_rank_plus_nullity(m):
+    kernel = m.kernel_basis()
+    assert m.rank() + len(kernel) == m.cols
+    for v in kernel:
+        assert len(v) == m.cols and m.apply(v) == [0] * m.rows
+
+
+def test_a_matrix_with_no_rows_keeps_its_columns():
+    m = Matrix.zeros(0, 3)
+    assert (m.rows, m.cols) == (0, 3)
+    assert m == Matrix([], (0, 3)) and m != Matrix([])
+    assert m.rank() == 0
+    assert m.kernel_basis() == [basis_vec(3, i) for i in range(3)]
+    assert m.apply([1, 2, 3]) == []
+    assert Matrix.from_columns([[], [], []]) == m
+    assert_matches_reference(m)
+    assert_matches_reference(m.transpose())
+
+
+def test_products_and_transposes_of_empty_shapes():
+    assert Matrix.zeros(3, 0).transpose() == Matrix.zeros(0, 3)
+    assert Matrix.zeros(2, 0) * Matrix.zeros(0, 3) == Matrix.zeros(2, 3)
+    assert Matrix.zeros(0, 2) * Matrix.zeros(2, 3) == Matrix.zeros(0, 3)
+
+
+@given(any_shape(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_products_and_transposes_keep_their_shape(m, k):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.transpose() == m
+    assert m * Matrix.zeros(m.cols, k) == Matrix.zeros(m.rows, k)
+    assert Matrix.zeros(k, m.rows) * m == Matrix.zeros(k, m.cols)
+    zero = Matrix.zeros(m.rows, m.cols)
+    for same in (m + zero, m - zero, m.scale(1)):
+        assert same == m
+
+
+def test_entries_must_fill_the_shape():
+    with pytest.raises(DimensionMismatch):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        Matrix([[1, 2]], (1, 3))
+    with pytest.raises(DimensionMismatch):
+        Matrix([], (1, 0))
+    with pytest.raises(ValueError):
+        Matrix.from_columns([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        Tensor3([[[1], [2, 3]]])
+    with pytest.raises(DimensionMismatch):
+        Tensor3([[[1, 2]]], (1, 2, 2))
 
 
 @given(any_shape())
@@ -192,8 +241,18 @@ def test_tensor_results_are_fresh():
     assert t.entries == [[[1, 2], [3, 4]]]
 
 
-def test_tensor_without_planes_or_rows_reads_zero():
-    for t in (Tensor3([]), Tensor3([[], []])):
-        assert (t.d2, t.d3) == (0, 0)
-        assert t.transposed() == t
-    assert Tensor3([[], []]).swapped() == Tensor3([])
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (1, 2, 3)])
+def test_tensor_keeps_its_shape(shape):
+    d1, d2, d3 = shape
+    t = Tensor3.zeros(*shape)
+    assert repr(t) == f"Tensor3({d1}x{d2}x{d3})"
+    assert t.transposed() == Tensor3.zeros(d1, d3, d2)
+    assert t.swapped() == Tensor3.zeros(d2, d1, d3)
+    for same in (t.copy(), t + t, t.scale(3), t.transposed().transposed(), t.swapped().swapped()):
+        assert same == t
+
+
+def test_tensor_equality_compares_shapes():
+    assert Tensor3.zeros(0, 3, 3) != Tensor3.zeros(0, 2, 2)
+    assert Tensor3.zeros(2, 0, 3) != Tensor3.zeros(2, 0, 5)
+    assert Tensor3.zeros(2, 0, 3) == Tensor3([[], []], (2, 0, 3))
