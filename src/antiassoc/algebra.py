@@ -27,33 +27,32 @@ structure, their bimodules and their matched pairs:
     G(x, y, z) = (x o1 y) o2 z - q * x o3 (y o4 z)
 
 for four products from [c] or [prec, succ, star], named by position in
-a shape.  A bimodule law puts one argument of the base law in the
-module, a matched-pair condition one in the other algebra.  So each
-identity is a route row (id, shape, placement, scale): the placement
-spells G's arguments ("iju" is G(e_i, e_j, u), "axb" is G(a, x, b)) and
-the scale is 1 or -1/q.  One body per family of placements runs them:
-``_pure_violations``, ``_module_violations`` and ``_mixed_violations``.
+a shape.  A bimodule law is G on the semidirect product A + V with one
+argument in V, a matched-pair condition G on the bowtie A + B with one
+in the other algebra, read in one block.  So each identity is a route
+row (id, shape, placement, scale): the placement spells G's arguments
+("ijk" is the base law, "iju" G(e_i, e_j, u), "axb" G(a, x, b)) and the
+scale is 1 or -1/q.  One body, ``_route_violations``, runs every row on
+the compiled block product (``_join``), each letter over one block.
 
-They run on the exact sparse integer kernel, as do the operator and form
-checks.  A check scales every table it reads by one common denominator D
-(``_common_den``) and keeps each fiber or column as its nonzero
-``(index, int)`` pairs (``_fibers`` for bilinear tables, ``_columns``
-for maps).  Each law is a sum of integer contractions (``_imul``,
-``_iapply``, ``_iaction``, ``_imatmul``) with q's numerator and
-denominator folded into the coefficients, often through scaled basis
-vectors (``_basis``), so all its terms share one scale, D^2 qn qd in a
-route body; ``_on_basis`` turns x -> T(x) e_j into columns.  The runner
-divides by the scale, building Fractions only for a nonzero residual.
-Nothing is cached on the mutable tables: each check call compiles its
-own, once for all its preconditions.  The independent oracles
-(classify2d and the criteria in doubles.py) stay off the kernel.
+The checks run on the exact sparse integer kernel, as do the operator
+and form checks.  A check scales every table it reads by one common
+denominator D (``_common_den``) and keeps each fiber or column as its
+nonzero ``(index, int)`` pairs (``_fibers`` for bilinear tables,
+``_columns`` for maps).  Each law is a sum of integer contractions with
+q's numerator and denominator folded into the coefficients, so all its
+terms share one scale, D^2 qn qd in the route body.  The runner divides
+by the scale, building Fractions only for a nonzero residual.  Nothing
+is cached on the mutable tables: each check call compiles its own, once
+for all its preconditions.  The independent oracles (classify2d and the
+criteria in doubles.py) stay off the kernel.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -110,19 +109,22 @@ def _run_laws(
     tuples: Iterable[tuple[int, ...]],
     laws: Sequence[tuple[str, Callable[..., Sequence]]],
     den: int = 1,
+    base: Sequence[int] = (),
 ) -> list[Violation]:
     """The law runner behind every check: for (identity_id, law) pairs, with
     ``law(*idx)`` den times the residual at a 0-based index tuple, the
     nonzero residuals become Violations with 1-based indices, in tuple order
-    and then law order.  Kernel laws return integers over ``den``."""
-    out = []
+    and then law order, or within its block if ``base`` holds each
+    position's block offset less 1.  Kernel laws return integers over ``den``."""
+    out, made = [], {}  # each distinct residual entry becomes a Fraction once
     for idx in tuples:
         for identity_id, law in laws:
             res = law(*idx)
             if any(res):
-                out.append(Violation(
-                    identity_id, tuple(i + 1 for i in idx), [Fraction(a, den) for a in res]
-                ))
+                at = tuple(map(operator.sub, idx, base)) if base else tuple(i + 1 for i in idx)
+                residual = [made[a] if a in made else made.setdefault(a, Fraction(a, den))
+                            for a in res]
+                out.append(Violation(identity_id, at, residual))
     return out
 
 
@@ -137,7 +139,6 @@ def _prefixed(tag: str, violations: list[Violation]) -> list[Violation]:
 
 Sparse = list[tuple[int, int]]
 _Compiled = list[list[Sparse]]  # a bilinear table compiled by _fibers
-_Acts = list[tuple[_Compiled, _Compiled]]  # the (L, R) tables of each product
 
 
 def _common_den(tensors: Iterable[Tensor3] = (), matrices: Iterable[Matrix] = ()) -> int:
@@ -158,9 +159,10 @@ def _nonzero(vec: Sequence[int]) -> Sparse:
 
 
 def _fibers(c: Tensor3, D: int) -> _Compiled:
-    """D * c[i][j] as sparse vectors.  For an action table T these are the
-    sparse columns of each D * T(e_i)."""
-    return [[_nonzero(_scaled(fiber, D)) for fiber in plane] for plane in c.entries]
+    """D * c[i][j] as sparse vectors, each entry read once.  For an action
+    table T these are the sparse columns of each D * T(e_i)."""
+    return [[[(k, a) for k, x in enumerate(f) if (a := x.numerator * (D // x.denominator))]
+             for f in plane] for plane in c.entries]
 
 
 def _columns(m: Matrix, D: int) -> list[Sparse]:
@@ -193,19 +195,6 @@ def _iapply(cols: Sequence[Sparse], x: Sparse, f: int, acc: list[int]) -> list[i
     return acc
 
 
-def _iaction(tables: Sequence[list[Sparse]], x: Sparse, f: int, acc: list[int]) -> list[int]:
-    """acc += f * T(x) for the action table T compiled by ``_fibers``, as a
-    matrix flattened row-major."""
-    for t, xt in x:
-        g = f * xt
-        cols = tables[t]
-        m = len(cols)
-        for u, col in enumerate(cols):
-            for r, v in col:
-                acc[r * m + u] += g * v
-    return acc
-
-
 def _on_basis(tables: Sequence[list[Sparse]], m: int) -> list[list[Sparse]]:
     """For an action table T compiled by ``_fibers``, the fibers of T with
     its first two axes swapped: the sparse columns of each map
@@ -214,113 +203,115 @@ def _on_basis(tables: Sequence[list[Sparse]], m: int) -> list[list[Sparse]]:
     return [[cols[j] for cols in tables] for j in range(m)]
 
 
-def _imatmul(P: list[Sparse], Q: list[Sparse], f: int, acc: list[int]) -> list[int]:
-    """acc += f * P Q, row-major, for square P and Q given by sparse columns."""
-    m = len(Q)
-    for u, qcol in enumerate(Q):
-        for s, qv in qcol:
-            g = f * qv
-            for r, pv in P[s]:
-                acc[r * m + u] += g * pv
-    return acc
-
-
 # ---------------------------------------------------------------------------
-# the route bodies of the one law shape G (see the module docstring)
+# the route body of the one law shape G (see the module docstring)
 
 _Q_LAW = (0, 0, 0, 0)
-_Q_ASSOC_ROUTES = (("q_assoc", _Q_LAW, "1"),)
+_Q_ASSOC_ROUTES = (("q_assoc", _Q_LAW, "ijk", "1"),)
 
 
-@functools.lru_cache(maxsize=64)
-def _scales(qn: int, qd: int, n: int) -> dict[str, tuple]:
-    """For each scale, (a, b, a e_k, b e_k) with scale * G * qn qd equal to
-    a (x o1 y) o2 z + b x o3 (y o4 z), for q = qn/qd and the e_k of an
-    n-dim space.  Cached on integers, which hash faster than a Fraction;
-    every caller only reads the result."""
-    pairs = (("1", (qn * qd, -qn * qn)), ("-1/q", (-qd * qd, qn * qd)))
-    return {scale: (a, b, _basis(n, a), _basis(n, b)) for scale, (a, b) in pairs}
+def _join(n: int, m: int, cA, cB, la, ra, lb, rb) -> _Compiled:
+    """The product on A + B in ``_block_tensor``'s layout, from its pieces
+    compiled by ``_fibers`` (None is zero): A part, then B part shifted by n."""
+    zero = [[[]] * n] * m
+
+    def shifted(piece, rows):  # the piece's fibers moved into B's block
+        if piece is None:
+            return [[[]] * m] * rows
+        return [[[(k + n, v) for k, v in f] if f else f for f in row] for row in piece]
+
+    la, ra, cB, lb, rb = shifted(la, n), shifted(ra, n), shifted(cB, m), lb or zero, rb or zero
+    return [cA[i] + [rb[j][i] + la[i][j] for j in range(m)] for i in range(n)] + [
+        [lb[j][i] + ra[i][j] for i in range(n)] + cB[j] for j in range(m)
+    ]
 
 
-def _pure_violations(Fs: list[_Compiled], routes, q: Fraction, D: int) -> list[Violation]:
-    """Routes (id, shape, scale) on the basis triples of the products ``Fs``."""
-    n, scales = len(Fs[0]), _scales(q.numerator, q.denominator, len(Fs[0]))
-
-    def law(shape, scale):
-        (o1, o2, o3, o4), (_, _, ez, ex) = shape, scales[scale]
-        F1, F2, F3, F4 = Fs[o1], Fs[o2], Fs[o3], Fs[o4]
-        return lambda i, j, k: _imul(F3, ex[i], F4[j][k], _imul(F2, F1[i][j], ez[k], [0] * n))
-
-    laws = [(name, law(shape, scale)) for name, shape, scale in routes]
-    triples = itertools.product(range(n), repeat=3)
-    return _run_laws(triples, laws, D * D * q.numerator * q.denominator)
-
-
-def _module_violations(
-    Fs: list[_Compiled], acts: _Acts, routes, q: Fraction, D: int
+def _route_violations(
+    Fs: list[_Compiled], routes, q: Fraction, D: int,
+    acting: tuple[int, int], read: tuple[int, int], memo: dict,
 ) -> list[Violation]:
-    """Routes (id, shape, placement, scale) on the basis pairs (i, j) for the
-    products ``Fs`` and their (L, R) tables ``acts`` on a module V, as the
-    matrix of u -> scale * G, row-major, for u in V."""
-    n, scales = len(Fs[0]), _scales(q.numerator, q.denominator, 0)
-    size = len(acts[0][0][0]) ** 2 if n else 0
+    """Routes (id, shape, placement, scale) on the products ``Fs`` of a block
+    product compiled at D, at the tuples of the placement's letters in the
+    order x, i, j, k, a, b: i, j and x run over the block ``acting``, k, a,
+    b and u over ``read``, each an (offset, size) pair.  The residual is read
+    in ``read``, a gathered module letter u as the columns of a row-major
+    matrix; o2 and o3 are read in the block once per check, in ``memo``."""
+    off, size = read
+    end, d, qn, qd = off + size, len(Fs[0]), q.numerator, q.denominator
+    coefficients = {"1": (qn * qd, -qn * qn), "-1/q": (-qd * qd, qn * qd)}
+    letters = "".join(c for c in "xijkab" if c in routes[0][2])
+    picks = {p: operator.itemgetter(*[letters.index(c) for c in p if c != "u"])
+             for _, _, p, _ in routes}
+    gathered = "u" in routes[0][2]
+    stride = size if gathered else 1
+    outers = {}
+    for o in {o for _, shape, _, _ in routes for o in shape[1:3]}:
+        if (o, read, gathered) not in memo:
+            # Fs[o] read in the block: rows R [x][k]; for u columns C [z][k], both baked (U)
+            rows = Fs[o] if (off, size, stride) == (0, d, 1) else [
+                [[((k - off) * stride, v) for k, v in f if off <= k < end] if f else f
+                 for f in row] for row in Fs[o]
+            ]
+            cols = [list(col) for col in zip(*rows)] if gathered else None
+            baked = [[[(r + u, w) for u, row in enumerate(T[off:end]) for r, w in row[k]]
+                      for k in range(d)] for T in (rows, cols)] if gathered else [None, None]
+            memo[o, read, gathered] = rows, cols, *baked
+        outers[o] = memo[o, read, gathered]
 
     def law(shape, placement, scale):
-        (o1, o2, o3, o4), (a, b, _, _) = shape, scales[scale]
-        (L1, R1), (L2, R2), (L3, R3), (L4, R4) = acts[o1], acts[o2], acts[o3], acts[o4]
-        F1, F4 = Fs[o1], Fs[o4]
-        residual = (
-            # u first: R2(y) R1(x) - q R3(x o4 y)
-            lambda x, y: _iaction(R3, F4[x][y], b, _imatmul(R2[y], R1[x], a, [0] * size)),
-            # u in the middle: R2(y) L1(x) - q L3(x) R4(y)
-            lambda x, y: _imatmul(L3[x], R4[y], b, _imatmul(R2[y], L1[x], a, [0] * size)),
-            # u last: L2(x o1 y) - q L3(x) L4(y)
-            lambda x, y: _imatmul(L3[x], L4[y], b, _iaction(L2, F1[x][y], a, [0] * size)),
-        )[placement.index("u")]
-        if placement.index("i") < placement.index("j"):
-            return residual
-        return lambda i, j: residual(j, i)
+        o1, o2, o3, o4 = shape
+        a, b = coefficients[scale]
+        (R2, C2, _, U2), (R3, _, U3, _), F1, F4 = outers[o2], outers[o3], Fs[o1], Fs[o4]
+        pick = picks[placement]
+        if gathered:
+            # each term runs along u through its inner fibers or its baked outer table
+            g = placement.index("u")
+            if g == 0:  # F1 as [y][u], F4 as [y][z]
+                F1u = [col[off:end] for col in zip(*F1)]
+                terms = lambda y, z: (F1u[y], C2[z], (F4[y][z],), U3)  # noqa: E731
+            elif g == 1:  # F1 as [x][u], F4 as [z][u]
+                F1u, F4u = [row[off:end] for row in F1], [col[off:end] for col in zip(*F4)]
+                terms = lambda x, z: (F1u[x], C2[z], F4u[z], R3[x])  # noqa: E731
+            else:  # F1 as [x][y], F4 as [y][u]
+                F4u = [row[off:end] for row in F4]
+                terms = lambda x, y: ((F1[x][y],), U2, F4u[y], R3[x])  # noqa: E731
 
-    laws = [(name, law(shape, place, scale)) for name, shape, place, scale in routes]
-    pairs = itertools.product(range(n), repeat=2)
-    return _run_laws(pairs, laws, D * D * q.numerator * q.denominator)
+            def matrix(*idx):
+                fibers1, T2, fibers4, T3 = terms(*pick(idx))
+                acc = [0] * (size * size)
+                for u, fiber in enumerate(fibers1):
+                    for k, v in fiber:
+                        f = a * v
+                        for r, w in T2[k]:
+                            acc[r + u] += f * w
+                for u, fiber in enumerate(fibers4):
+                    for k, v in fiber:
+                        f = b * v
+                        for r, w in T3[k]:
+                            acc[r + u] += f * w
+                return acc
 
+            return matrix
 
-def _mixed_violations(
-    Fs: list[_Compiled], by_X: _Acts, by_Y: _Acts, routes, q: Fraction, D: int
-) -> list[Violation]:
-    """Routes (id, shape, placement, scale) on the basis triples (x, a, b),
-    x in X and a, b in Y, read in Y's block at (i_x, i_a, i_b).  ``Fs`` are
-    Y's products, ``by_X`` X's (L, R) tables on Y and ``by_Y`` Y's on X."""
-    n, m = len(by_X[0][0]), len(Fs[0])
-    scales = _scales(q.numerator, q.denominator, m)
-    # the maps x -> L(x) e_j and x -> R(x) e_j from X to Y, by their columns
-    on = [tuple(_on_basis(T, m) for T in pair) for pair in by_X]
+        def column(*idx):  # a (x o1 y) o2 z + b x o3 (y o4 z), read in the block
+            x, y, z = pick(idx)
+            acc, R3x = [0] * size, R3[x]
+            for k, v in F1[x][y]:
+                f = a * v
+                for r, w in R2[k][z]:
+                    acc[r] += f * w
+            for k, v in F4[y][z]:
+                f = b * v
+                for r, w in R3x[k]:
+                    acc[r] += f * w
+            return acc
 
-    def law(shape, placement, scale):
-        (o1, o2, o3, o4), (a, b, e1, e2) = shape, scales[scale]
-        F1, F2, F3, F4 = Fs[o1], Fs[o2], Fs[o3], Fs[o4]
-        (L1, R1), (L2, R2), (L3, R3), (L4, R4) = by_X[o1], by_X[o2], by_X[o3], by_X[o4]
-        (L1y, R1y), (L4y, R4y), on_L2, on_R3 = by_Y[o1], by_Y[o4], on[o2][0], on[o3][1]
+        return column
 
-        def xab(ix, ia, ib):  # L2(R'1(a)x)b + (L1(x)a) o2 b - q L3(x)(a o4 b)
-            acc = _imul(F2, L1[ix][ia], e1[ib], _iapply(on_L2[ib], R1y[ia][ix], a, [0] * m))
-            return _iapply(L3[ix], F4[ia][ib], b, acc)
-
-        def abx(ix, ia, ib):  # R2(x)(a o1 b) - q [R3(L'4(b)x)a + a o3 (R4(x)b)]
-            acc = _iapply(on_R3[ia], L4y[ib][ix], b, _iapply(R2[ix], F1[ia][ib], a, [0] * m))
-            return _imul(F3, e2[ia], R4[ix][ib], acc)
-
-        def axb(ix, ia, ib):  # L2(L'1(a)x)b + (R1(x)a) o2 b - q [R3(R'4(b)x)a + a o3 (L4(x)b)]
-            acc = _imul(F2, R1[ix][ia], e1[ib], _iapply(on_L2[ib], L1y[ia][ix], a, [0] * m))
-            acc = _iapply(on_R3[ia], R4y[ib][ix], b, acc)
-            return _imul(F3, e2[ia], L4[ix][ib], acc)
-
-        return {"xab": xab, "abx": abx, "axb": axb}[placement]
-
-    laws = [(name, law(shape, place, scale)) for name, shape, place, scale in routes]
-    triples = itertools.product(range(n), range(m), range(m))
-    return _run_laws(triples, laws, D * D * q.numerator * q.denominator)
+    laws = [(name, law(*row)) for name, *row in routes]
+    blocks = [read if c in "kab" else acting for c in letters]
+    tuples = itertools.product(*[range(start, start + n) for start, n in blocks])
+    return _run_laws(tuples, laws, D * D * qn * qd, [start - 1 for start, _ in blocks])
 
 
 @dataclass
@@ -467,8 +458,8 @@ def _block_tensor(
 
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
     """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
-    D = _common_den([A.c])
-    violations = _pure_violations([_fibers(A.c, D)], _Q_ASSOC_ROUTES, A.q, D)
+    D, whole = _common_den([A.c]), (0, A.dim)
+    violations = _route_violations([_fibers(A.c, D)], _Q_ASSOC_ROUTES, A.q, D, whole, whole, {})
     return CheckReport.from_violations(violations, q=str(A.q), triples=A.dim**3)
 
 

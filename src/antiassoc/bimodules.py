@@ -13,13 +13,14 @@ product A + V with one argument u in V (see algebra.py):
     r_law   r(x*y) - q^{-1} r(y) r(x)     = -G(u, x, y) / q
     lr_law  l(x) r(y) - q^{-1} r(y) l(x)  = -G(x, u, y) / q
 
-Each is one route row, run by algebra.py's module body as a matrix
-identity in u.  Actions of non-basis elements extend linearly from the
-tables: T(x) v is algebra.py's contraction of T with x and v, and
-``action_of`` builds the matrix of T(x) as a ``Matrix``.  The regular
-bimodule is (c, c with its first two axes swapped) and a dual is a
-transpose of the last two axes, scaled.  The semidirect product is
-algebra.py's block assembler with a zero partner algebra.
+Each is one route row, run by algebra.py's route body on the compiled
+semidirect product as a matrix identity in u.  Actions of non-basis
+elements extend linearly from the tables: T(x) v is algebra.py's
+contraction of T with x and v, and ``action_of`` builds the matrix of
+T(x) as a ``Matrix``.  The regular bimodule is (c, c with its first two
+axes swapped) and a dual is a transpose of the last two axes, scaled.
+The semidirect product is algebra.py's block assembler with a zero
+partner algebra.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .algebra import (
     _common_den,
     _contract,
     _fibers,
-    _module_violations,
+    _join,
+    _route_violations,
     mult_operators,
 )
 from .linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
@@ -108,9 +110,10 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     """
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
+    n, m = A.dim, M.module_dim
     D = _common_den([A.c, M.l, M.r])
-    acts = [(_fibers(M.l, D), _fibers(M.r, D))]
-    violations = _module_violations([_fibers(A.c, D)], acts, _BIMODULE_ROUTES, A.q, D)
+    F = _join(n, m, _fibers(A.c, D), None, _fibers(M.l, D), _fibers(M.r, D), None, None)
+    violations = _route_violations([F], _BIMODULE_ROUTES, A.q, D, (0, n), (n, m), {})
     return CheckReport.from_violations(violations, q=str(A.q))
 
 

@@ -29,8 +29,9 @@ G(x, a, b) for axiom a+1, at scales (1, 1, -1/q) for A1 and A2 and
 Everything else is algebra.py's associative machinery on each tensor:
 its contraction, its multiplication tables, duals as transposes, and its
 block assembler for semidirect and bowtie products.  The checks are route
-rows for algebra.py's bodies, the matched pair through matched.py's
-assembler on one compilation of both structures and both bimodules.
+rows for algebra.py's route body on the compiled semidirect product or
+bowtie of each of the three products, the matched pair through
+matched.py's six placements.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     _block_tensor,
-    _Acts,
     _Compiled,
     _common_den,
     _contract,
     _fibers,
-    _module_violations,
-    _pure_violations,
+    _join,
+    _route_violations,
 )
 from .bimodules import Bimodule, _check_sides, _check_tables
 from .linalg import DimensionMismatch, Scalar, Tensor3, rat, vec_add
@@ -116,9 +116,9 @@ class DendriformStructure:
 # the routes of the docstring; shapes index the products [prec, succ, star]
 _PREC, _SUCC, _STAR = 0, 1, 2
 _AXIOM_ROUTES = (
-    ("axiom1", (_PREC, _PREC, _PREC, _STAR), "1"),
-    ("axiom2", (_SUCC, _PREC, _SUCC, _PREC), "1"),
-    ("axiom3", (_STAR, _SUCC, _SUCC, _SUCC), "-1/q"),
+    ("axiom1", (_PREC, _PREC, _PREC, _STAR), "ijk", "1"),
+    ("axiom2", (_SUCC, _PREC, _SUCC, _PREC), "ijk", "1"),
+    ("axiom3", (_STAR, _SUCC, _SUCC, _SUCC), "ijk", "-1/q"),
 )
 
 
@@ -129,8 +129,9 @@ def _structure_tables(D: DendriformStructure, den: int) -> list[_Compiled]:
 
 def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
-    den = _common_den([D.c_prec, D.c_succ])
-    violations = _pure_violations(_structure_tables(D, den), _AXIOM_ROUTES, D.q, den)
+    den, whole = _common_den([D.c_prec, D.c_succ]), (0, D.dim)
+    Fs = _structure_tables(D, den)
+    violations = _route_violations(Fs, _AXIOM_ROUTES, D.q, den, whole, whole, {})
     return CheckReport.from_violations(violations, q=str(D.q), triples=D.dim**3)
 
 
@@ -184,17 +185,18 @@ def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
     return DendriformBimodule(D.dim, D.dim, *dendriform_mult_operators(D))
 
 
-def _compiled(M: DendriformBimodule, den: int) -> _Acts:
-    """The kernel's view of a dendriform bimodule: den times its (L, R)
-    tables for each of prec, succ and star, compiled by ``_fibers``."""
+def _pieces(D: DendriformStructure, M: DendriformBimodule, den: int) -> list[tuple]:
+    """(c, l, r) for each of prec, succ and star: den times D's product
+    tensor and M's left and right tables for it, compiled by ``_fibers``."""
     summed = M.sum_actions()
-    pairs = ((M.l_prec, M.r_prec), (M.l_succ, M.r_succ), (summed.l, summed.r))
-    return [(_fibers(l, den), _fibers(r, den)) for l, r in pairs]
+    acts = ((M.l_prec, M.r_prec), (M.l_succ, M.r_succ), (summed.l, summed.r))
+    tables = _structure_tables(D, den)
+    return [(c, _fibers(l, den), _fibers(r, den)) for c, (l, r) in zip(tables, acts)]
 
 
 _BIMODULE_ROUTES = tuple(
     (f"law{3 * a + k + 1}", shape, placement, "1")
-    for a, (_, shape, _) in enumerate(_AXIOM_ROUTES)
+    for a, (_, shape, _, _) in enumerate(_AXIOM_ROUTES)
     for k, placement in enumerate(("iju", "jui", "uji"))
 )
 
@@ -210,9 +212,10 @@ def check_dendriform_bimodule(
     """
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
+    n, m = D.dim, M.module_dim
     den = _common_den([D.c_prec, D.c_succ, M.l_succ, M.r_succ, M.l_prec, M.r_prec])
-    tables = _structure_tables(D, den), _compiled(M, den)
-    violations = _module_violations(*tables, _BIMODULE_ROUTES, D.q, den)
+    Fs = [_join(n, m, c, None, l, r, None, None) for c, l, r in _pieces(D, M, den)]
+    violations = _route_violations(Fs, _BIMODULE_ROUTES, D.q, den, (0, n), (n, m), {})
     return CheckReport.from_violations(violations, q=str(D.q))
 
 
@@ -272,7 +275,7 @@ class DendriformMatchedPairData:
 _MIXED_SCALES = (("1", "1", "-1/q"), ("1", "1", "-1/q"), ("1", "-1/q", "-1/q"))
 _MATCHED_ROUTES = tuple(
     ((str(35 + 3 * a + k), str(44 + 3 * a + k)), shape, placement, scale)
-    for a, ((_, shape, _), scales) in enumerate(zip(_AXIOM_ROUTES, _MIXED_SCALES))
+    for a, ((_, shape, _, _), scales) in enumerate(zip(_AXIOM_ROUTES, _MIXED_SCALES))
     for k, (placement, scale) in enumerate(zip(("abx", "axb", "xab"), scales))
 )
 
@@ -291,11 +294,12 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
         A.c_prec, A.c_succ, B.c_prec, B.c_succ,
         *(t for M in (P.on_B, P.on_A) for t in (M.l_succ, M.r_succ, M.l_prec, M.r_prec)),
     ])
-    on_B, on_A = _compiled(P.on_B, den), _compiled(P.on_A, den)
-    violations = _matched_violations(
-        "dendriform", (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES),
-        _structure_tables(A, den), _structure_tables(B, den), on_B, on_A, q, den,
-    )
+    Fs = [
+        _join(A.dim, B.dim, cA, cB, la, ra, lb, rb)
+        for (cA, la, ra), (cB, lb, rb) in zip(_pieces(A, P.on_B, den), _pieces(B, P.on_A, den))
+    ]
+    routes = (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
+    violations = _matched_violations("dendriform", routes, Fs, A.dim, B.dim, q, den)
     return CheckReport.from_violations(violations, q=str(q))
 
 

@@ -127,8 +127,6 @@ def check_symplectic(A: StructureAlgebra, w: BilinearForm) -> CheckReport:
 
 def natural_forms(n: int) -> tuple[BilinearForm, BilinearForm]:
     """The canonical pairing forms on a 2n-dimensional doubled space."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     d = 2 * n
     bg = Matrix.zeros(d, d)
     wg = Matrix.zeros(d, d)

@@ -334,13 +334,13 @@ class Tensor3:
         if (self.d1, self.d2, self.d3) != (other.d1, other.d2, other.d3):
             raise DimensionMismatch(f"shapes {self!r} and {other!r}")
         return Tensor3([
-            [[a + b for a, b in zip(f1, f2)] for f1, f2 in zip(p1, p2)]
+            [[a + b if a and b else a or b for a, b in zip(f1, f2)] for f1, f2 in zip(p1, p2)]
             for p1, p2 in zip(self.entries, other.entries)
         ], (self.d1, self.d2, self.d3))
 
     def scale(self, s: Scalar) -> "Tensor3":
         c = rat(s)
-        planes = [[[c * a for a in fiber] for fiber in plane] for plane in self.entries]
+        planes = [[[c * a if a else a for a in fiber] for fiber in plane] for plane in self.entries]
         return Tensor3(planes, (self.d1, self.d2, self.d3))
 
     def swapped(self) -> "Tensor3":

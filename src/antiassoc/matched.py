@@ -17,11 +17,11 @@ the other algebra, read in one block: for x in A and a, b in B, eq1 is
 -G(x, a, b)/q, eq2 is G(a, b, x) and eq5 is G(a, x, b), in B's block, at
 indices (i_x, i_a, i_b).  Equations (3), (4), (6) are their mirrors with
 the roles of A and B swapped, in A's block at (i_a, i_x, i_y), so one
-route row gives both ids.  ``_matched_violations`` assembles a matched
-pair of either kind, this one or the dendriform one: the two algebras'
-base laws and the two bimodules' laws as preconditions, then the two
-halves, all on one compilation of the pair's tables.  bowtie is
-algebra.py's block assembler.
+route row gives both ids.  ``_matched_violations`` runs a matched pair
+of either kind, this one or the dendriform one, as six placements on one
+compiled bowtie: the two algebras' base laws and the two bimodules'
+laws as preconditions, then the two halves.  The dense bowtie is
+algebra.py's block assembler; the checks never build it.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from .algebra import (
     _block_tensor,
     _common_den,
     _fibers,
-    _mixed_violations,
-    _module_violations,
+    _join,
     _prefixed,
-    _pure_violations,
+    _route_violations,
 )
 from .bimodules import _BIMODULE_ROUTES, Bimodule, _check_sides
 
@@ -67,18 +66,23 @@ _MATCHED_ROUTES = (
 )
 
 
-def _matched_violations(tag, routes, A, B, on_B, on_A, q: Fraction, D: int) -> list[Violation]:
+def _matched_violations(tag, routes, Fs, n: int, m: int, q: Fraction, D: int) -> list[Violation]:
     """The four preconditions, tagged, and the two halves of a matched pair
-    of either kind, for the pure, module and mixed ``routes``, the products
-    A and B of the two sides and their (L, R) tables on each other."""
+    of either kind: the pure, module and mixed ``routes`` at six placements
+    on ``Fs``, the products of the block product on A + B, A of dim n first."""
     pure, module, mixed = routes
+    A, B, memo = (0, n), (n, m), {}
+
+    def run(routes, acting, read):
+        return _route_violations(Fs, routes, q, D, acting, read, memo)
+
     return (
-        _prefixed(f"precondition:{tag}:A", _pure_violations(A, pure, q, D))
-        + _prefixed(f"precondition:{tag}:B", _pure_violations(B, pure, q, D))
-        + _prefixed("precondition:bimodule:A_on_B", _module_violations(A, on_B, module, q, D))
-        + _prefixed("precondition:bimodule:B_on_A", _module_violations(B, on_A, module, q, D))
-        + _mixed_violations(B, on_B, on_A, [(ids[0], *r) for ids, *r in mixed], q, D)
-        + _mixed_violations(A, on_A, on_B, [(ids[1], *r) for ids, *r in mixed], q, D)
+        _prefixed(f"precondition:{tag}:A", run(pure, A, A))
+        + _prefixed(f"precondition:{tag}:B", run(pure, B, B))
+        + _prefixed("precondition:bimodule:A_on_B", run(module, A, B))
+        + _prefixed("precondition:bimodule:B_on_A", run(module, B, A))
+        + run([(ids[0], *r) for ids, *r in mixed], A, B)
+        + run([(ids[1], *r) for ids, *r in mixed], B, A)
     )
 
 
@@ -91,12 +95,11 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     All of them share one compilation of the six tables at their common D.
     """
     A, B, q = P.A, P.B, P.A.q
-    D = _common_den([A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r])
-    on_B, on_A = ([(_fibers(M.l, D), _fibers(M.r, D))] for M in (P.on_B, P.on_A))
+    tables = (A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)
+    D = _common_den(tables)
+    F = _join(A.dim, B.dim, *(_fibers(t, D) for t in tables))
     routes = (_Q_ASSOC_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
-    violations = _matched_violations(
-        "q_assoc", routes, [_fibers(A.c, D)], [_fibers(B.c, D)], on_B, on_A, q, D
-    )
+    violations = _matched_violations("q_assoc", routes, [F], A.dim, B.dim, q, D)
     return CheckReport.from_violations(violations, q=str(q))
 
 

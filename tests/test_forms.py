@@ -33,9 +33,11 @@ def test_natural_form_orientations():
     assert B.nondegenerate() and w.nondegenerate()
 
 
-def test_natural_forms_reject_n_zero():
-    with pytest.raises(ValueError):
-        natural_forms(0)
+def test_natural_forms_of_zero_halves_are_0x0():
+    """The double of two zero spaces is the 0-dim space, with 0x0 forms."""
+    B, w = natural_forms(0)
+    assert (B.dim, B.gram.rows, B.gram.cols, B.kind) == (0, 0, 0, "symmetric")
+    assert (w.dim, w.gram.rows, w.gram.cols, w.kind) == (0, 0, 0, "antisymmetric")
 
 
 def test_kind_is_enforced_against_gram():

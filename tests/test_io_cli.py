@@ -784,6 +784,19 @@ def test_double_builds_name_the_file_they_refuse(tmp_path, capsys, command, half
     )
 
 
+@pytest.mark.parametrize("command, half", [
+    ("double-quadratic", {"dim": 0, "q": "-1", "products": []}),
+    ("double-symplectic", {"dim": 0, "q": "-1", "prec_products": []}),
+])
+def test_the_double_of_two_zero_spaces_passes(tmp_path, capsys, command, half):
+    """Two 0-dim halves build the 0-dim double, whose forms are 0x0."""
+    zero = write(tmp_path, "zero.json", half)
+    assert cli.run(["build", command, zero, zero]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["half_dim"], doc["report"]["passed"], doc["report"]["violations"]) == (0, True, [])
+    assert (doc["total"]["dim"], doc["form"]["dim"], doc["form"]["gram"]) == (0, 0, [])
+
+
 @pytest.mark.parametrize("where", ["top", "note"])
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, where):
     """json's decoder recurses per level, so a deep list is refused as a

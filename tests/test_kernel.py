@@ -303,6 +303,28 @@ def test_criteria_match_the_dense_reference_on_the_paper_fixtures(source):
     assert got.as_dict() == want.as_dict()
 
 
+@given(seed=st.integers(0, 2**30), n=st.integers(0, 3), m=st.integers(0, 3))
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+def test_join_is_the_compiled_block_tensor(seed, n, m):
+    """The route body's sparse join of compiled pieces is ``_fibers`` of the
+    dense assembler behind bowtie and semidirect_product, for a bowtie and
+    for a semidirect product, whose zero pieces the join takes as None."""
+    draw = Draw(random.Random(seed), "dense", n, m)
+    back = draw.swapped()
+    pieces = [draw.tensor(), back.tensor(), draw.actions(), draw.actions(),
+              back.actions(), back.actions()]
+    D = algebra._common_den(pieces)
+    cA, cB, la, ra, lb, rb = (algebra._fibers(t, D) for t in pieces)
+    assert algebra._join(n, m, cA, cB, la, ra, lb, rb) == algebra._fibers(
+        algebra._block_tensor(*pieces), D
+    )
+    zero_back = Tensor3.zeros(m, n, n)
+    semidirect = algebra._block_tensor(
+        pieces[0], Tensor3.zeros(m, m, m), pieces[2], pieces[3], zero_back, zero_back
+    )
+    assert algebra._join(n, m, cA, None, la, ra, None, None) == algebra._fibers(semidirect, D)
+
+
 # two (n, m) shapes: a compile count that is the same at both is one
 # compile per table, not one per matrix of an action table or per tuple
 SHAPES = [(2, 3), (3, 1)]
@@ -363,9 +385,14 @@ def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
 
 
 KERNEL_NAMES = [
-    "_fibers", "_columns", "_imul", "_iapply", "_iaction", "_imatmul", "_common_den",
-    "_scaled", "_nonzero", "_basis", "_on_basis",
+    "_fibers", "_columns", "_imul", "_iapply", "_common_den", "_scaled", "_nonzero",
+    "_basis", "_on_basis", "_join", "_route_violations",
 ]
+
+
+def test_kernel_names_resolve():
+    """A name that no longer exists would pass the scan below unchecked."""
+    assert [name for name in KERNEL_NAMES if not hasattr(algebra, name)] == []
 
 
 def _with_doubles_helpers(fn) -> list:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antiassoc
 from antiassoc import (
     Bimodule,
     DendriformMatchedPairData,
@@ -27,6 +28,7 @@ from antiassoc import (
     regular_bimodule,
     semidirect_product,
 )
+from antiassoc import bimodules, dendriform, matched
 from antiassoc.linalg import DimensionMismatch
 
 from .support import SMALL, valid_algebra
@@ -307,3 +309,34 @@ def test_each_route_is_the_base_law_at_one_placement(check, seed, family, q):
         )
         _matched_routes(P, (P.D_A, P.D_B), check_dendriform_matched_pair,
                         DENDRIFORM_MATCHED_ROWS, dendriform_bowtie, check_q_dendriform)
+
+
+def test_composite_checks_never_build_the_dense_product(monkeypatch):
+    """The four composite checks read the compiled block product; the dense
+    builders of the semidirect product and the bowtie, and the assembler
+    behind them, are the slow path and must not run."""
+    def refuse(*args):
+        raise AssertionError("a check built a dense product")
+
+    for module, name in (
+        (bimodules, "semidirect_product"), (matched, "bowtie"),
+        (dendriform, "dendriform_semidirect"), (dendriform, "dendriform_bowtie"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(antiassoc, name, refuse)
+    for module in (bimodules, matched, dendriform):
+        monkeypatch.setattr(module, "_block_tensor", refuse)
+    draw = Draw(random.Random(1), "dense", 2, 3)
+    back, q = draw.swapped(), Fraction(-1)
+    reports = [
+        check_bimodule(draw.algebra(q), draw.bimodule()),
+        check_matched_pair(
+            MatchedPairData(draw.algebra(q), back.algebra(q), draw.bimodule(), back.bimodule())
+        ),
+        check_dendriform_bimodule(draw.dendriform(q), draw.dendriform_bimodule()),
+        check_dendriform_matched_pair(DendriformMatchedPairData(
+            draw.dendriform(q), back.dendriform(q),
+            draw.dendriform_bimodule(), back.dendriform_bimodule(),
+        )),
+    ]
+    assert [r.passed for r in reports] == [False] * 4
