@@ -11,7 +11,13 @@ names), and ``_actions`` an (l, r) pair of action lists.  Errors carry
 the file path, a byte offset, and the offending token, and each message
 names the value by its path from the root of that file, as in
 ``B.products[2]`` or ``displayed[4].left``.  Offsets for semantic errors
-are best-effort: the first occurrence of the token in the file.
+are best-effort: the first occurrence of the token in the file.  Each
+file read has its own context, whose memo maps each distinct rational
+token, once validated, to its Fraction, so a table parses each distinct
+token once.
+
+``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` with a small recursive writer over dicts, lists and tuples.
 """
 
 from __future__ import annotations
@@ -57,6 +63,9 @@ class _Unreadable(ParseError):
 class _Ctx:
     path: str
     text: str
+    # each distinct rational token of the document, once validated, and its
+    # value: a table of n^3 entries holds few distinct tokens
+    rationals: dict[str, Fraction]
 
     def fail(self, token: object, message: str) -> "ParseError":
         # a non-string token is spelled as JSON spells it: true, null, {"a": 1};
@@ -82,7 +91,7 @@ def _read(path: str) -> tuple[_Ctx, object]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(path, exc.start, "", "invalid UTF-8") from exc
-    ctx = _Ctx(path, text)
+    ctx = _Ctx(path, text, {})
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,11 +108,14 @@ def _rational(node: object, ctx: _Ctx) -> Fraction:
         return Fraction(node)
     if not isinstance(node, str):
         raise ctx.fail(node, "expected a rational string like \"-1/2\"")
-    if not _RATIONAL_RE.fullmatch(node):
-        raise ctx.fail(node, "malformed rational")
-    if "/" in node and int(node.split("/", 1)[1]) == 0:
-        raise ctx.fail(node, "denominator is zero")
-    return Fraction(node)
+    value = ctx.rationals.get(node)
+    if value is None:
+        if not _RATIONAL_RE.fullmatch(node):
+            raise ctx.fail(node, "malformed rational")
+        if "/" in node and int(node.split("/", 1)[1]) == 0:
+            raise ctx.fail(node, "denominator is zero")
+        value = ctx.rationals[node] = Fraction(node)
+    return value
 
 
 def _nat(node: object, ctx: _Ctx, what: str, minimum: int = 0, maximum: int | None = None) -> int:
@@ -403,8 +415,57 @@ def double_to_doc(d) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dump_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, the same bytes.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, and each call
+    leaves a cycle of closures for the garbage collector; this writer builds
+    the text itself and hands json.dumps only what it does not write."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: object, nl: str, out: list[str]) -> None:
+    """Append the indent-2 text of ``obj`` to ``out``; ``nl`` is a line break
+    followed by the indentation of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif not isinstance(obj, (dict, list, tuple)) or not obj:
+        # a scalar, or an empty list or dict, is spelled the same by the
+        # one-line encoder, which is C code
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not all(type(k) is str for k in obj):
+            # a key that is not a string: json.dumps's own text, its lines
+            # indented by a replace, since a JSON text holds no raw line break
+            out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(f"{sep}{_quote(key)}: ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        inner = nl + "  "
+        # a flat list of strings or of ints, the bulk of a report, is joined whole
+        if all(type(x) is str for x in obj):
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, obj))}{nl}]")
+        elif all(type(x) is int for x in obj):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, obj))}{nl}]")
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                _write(x, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
 
 
 def basis_names(n: int) -> list[str]:

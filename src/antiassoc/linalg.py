@@ -91,7 +91,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Sequence[Scalar]], shape: tuple | None = None):
-        e = self.entries = [[rat(x) for x in row] for row in entries]
+        e = self.entries = [[x if x.__class__ is Fraction else rat(x) for x in row]
+                            for row in entries]
         if shape is None:
             shape = (len(e), len(e[0]) if e else 0)
         self.rows, self.cols = shape
@@ -103,7 +104,8 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)], (rows, cols))
+        zero = Fraction(0)
+        return Matrix([[zero] * cols for _ in range(rows)], (rows, cols))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -297,7 +299,8 @@ class Tensor3:
     __slots__ = ("d1", "d2", "d3", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Sequence[Scalar]]], shape: tuple | None = None):
-        e = self.entries = [[[rat(x) for x in fiber] for fiber in plane] for plane in entries]
+        e = self.entries = [[[x if x.__class__ is Fraction else rat(x) for x in fiber]
+                             for fiber in plane] for plane in entries]
         if shape is None:
             shape = (len(e), len(e[0]) if e else 0, len(e[0][0]) if e and e[0] else 0)
         self.d1, self.d2, self.d3 = shape
@@ -312,7 +315,8 @@ class Tensor3:
 
     @staticmethod
     def zeros(d1: int, d2: int, d3: int) -> "Tensor3":
-        return Tensor3([[[0] * d3 for _ in range(d2)] for _ in range(d1)], (d1, d2, d3))
+        zero = Fraction(0)
+        return Tensor3([[[zero] * d3 for _ in range(d2)] for _ in range(d1)], (d1, d2, d3))
 
     def __getitem__(self, i: int) -> list[list[Fraction]]:
         return self.entries[i]

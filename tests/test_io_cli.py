@@ -251,6 +251,85 @@ def test_dump_json_is_deterministic():
     assert a.endswith("\n")
 
 
+class _DictSubclass(dict):
+    pass
+
+
+_KEYS = st.text(max_size=4) | st.sampled_from(["", '"', 'a"b', "\\", "\n\t\x00\x1f", "é", "\u2028", "😀"])
+_LEAVES = (
+    st.none() | st.booleans() | st.sampled_from([0, 1, -1]) | st.integers()
+    | st.integers(min_value=2**64) | st.floats() | st.sampled_from([float("inf"), -0.0])
+    | st.text(max_size=6) | st.builds(_DictSubclass) | st.just(()) | st.just([]) | st.just({})
+)
+_FLAT = (
+    st.lists(st.text(max_size=4), min_size=1) | st.lists(st.integers(), min_size=1)
+    | st.lists(st.booleans() | st.sampled_from([0, 1]), min_size=1)
+)
+_DOCS = st.recursive(
+    _LEAVES | _FLAT,
+    lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, kids, max_size=4)
+        | st.dictionaries(_KEYS, kids, max_size=3).map(_DictSubclass)
+        | st.dictionaries(st.integers(-3, 3) | st.floats(), kids, max_size=3)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_dump_json_writes_the_bytes_of_json_dumps(doc):
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [
+    Fraction(1, 2), {1, 2}, ["1", Fraction(1)], [1, {2}], {"a": {"b": (object(),)}},
+    {"a": 1, 2: 3}, {(1, 2): 3},
+], ids=["fraction", "set", "str_list", "int_list", "nested", "mixed_keys", "tuple_key"])
+def test_dump_json_refuses_what_json_dumps_refuses(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dump_json(bad)
+
+
+@pytest.mark.parametrize("doc, token, message", [
+    ('{"dim": 2, "q": "-1", "c": [[[1, "1"], [1, true]], [[0, 0], [0, 0]]]}',
+     "true", 'expected a rational string like "-1/2"'),
+    ('{"dim": 2, "q": "1/2", "c": [[["1/2", "1/2"], ["1/0", "0"]], [["0", "0"], ["0", "0"]]]}',
+     "1/0", "denominator is zero"),
+], ids=["true_after_1", "zero_denominator_after_1_2"])
+def test_the_rational_memo_lets_no_token_stand_in_for_another(tmp_path, capsys, doc, token,
+                                                               message):
+    """A token is refused with its own message and byte after an equal
+    number, or a valid token of the same numerator, was read and kept."""
+    p = write(tmp_path, "memo.json", doc)
+    assert cli.run(["verify", "algebra", p]) == 2
+    offset = doc.index(token)
+    assert capsys.readouterr().err == f"error: {p}: byte {offset}: {message} (token {token!r})\n"
+
+
+def test_the_rational_memo_keeps_only_validated_tokens_of_one_document(tmp_path):
+    p = write(tmp_path, "ok.json", {"dim": 1, "q": "-3/7", "c": [[["1/2"]]]})
+    ctx, _ = aio._read(p)
+    for bad in ("1/0", "0.5", "x", True, 1.5):
+        with pytest.raises(ParseError):
+            aio._rational(bad, ctx)
+    assert aio._rational(1, ctx) == 1
+    assert ctx.rationals == {}
+    assert aio._rational("-3/7", ctx) == Fraction(-3, 7)
+    assert ctx.rationals == {"-3/7": Fraction(-3, 7)}
+    # each document read starts its own memo, and loading one fills nothing
+    # that outlives it
+    state = {name: copy.copy(value) for name, value in vars(aio).items()
+             if isinstance(value, (dict, list, set))}
+    A = load_algebra(p)
+    assert A.q == Fraction(-3, 7) and A.c[0][0][0] == Fraction(1, 2)
+    assert state == {name: value for name, value in vars(aio).items() if name in state}
+    assert aio._read(p)[0].rationals == {}
+
+
 def test_cli_verify_algebra_pass(tmp_path, capsys):
     p = write(tmp_path, "ok.json", E1E1_DOC)
     assert cli.run(["verify", "algebra", p]) == 0

@@ -234,6 +234,33 @@ def test_tensor_axis_swaps_and_arithmetic():
         t + s
 
 
+def test_zeros_share_a_zero_but_no_slot():
+    """Every entry of zeros is one shared Fraction(0): writing one slot
+    changes no other."""
+    for d1, d2, d3 in ((2, 3, 4), (1, 3, 2)):
+        for i in range(d1):
+            for j in range(d2):
+                for k in range(d3):
+                    t = Tensor3.zeros(d1, d2, d3)
+                    t.entries[i][j][k] = Fraction(5)
+                    assert [x for plane in t.entries for row in plane for x in row].count(0) \
+                        == d1 * d2 * d3 - 1
+    for i in range(3):
+        for j in range(2):
+            m = Matrix.zeros(3, 2)
+            m.entries[i][j] = Fraction(-1, 2)
+            assert [x for row in m.entries for x in row].count(0) == 5
+
+
+def test_constructors_still_coerce_what_is_not_a_fraction():
+    with pytest.raises(TypeError):
+        Tensor3([[[True]]])
+    with pytest.raises(TypeError):
+        Matrix([[0.5]])
+    for entries in (Matrix([[1, "-2/4"]]).entries[0], Tensor3([[[1, "-2/4"]]]).entries[0][0]):
+        assert entries == [1, Fraction(-1, 2)] and all(type(x) is Fraction for x in entries)
+
+
 def test_tensor_results_are_fresh():
     t = Tensor3([[[1, 2], [3, 4]]])
     for out in (t.copy(), t.swapped(), t.transposed(), t + t, t.scale(1)):
