@@ -234,64 +234,28 @@ def _route_violations(
     product compiled at D, at the tuples of the placement's letters in the
     order x, i, j, k, a, b: i, j and x run over the block ``acting``, k, a,
     b and u over ``read``, each an (offset, size) pair.  The residual is read
-    in ``read``, a gathered module letter u as the columns of a row-major
-    matrix; o2 and o3 are read in the block once per check, in ``memo``."""
+    in ``read``; with a module letter u it is the row-major matrix whose
+    column u is G at u, so o2 and o3 are read in the block with each row
+    index scaled by the stride ``size``, once per check in ``memo``."""
     off, size = read
     end, d, qn, qd = off + size, len(Fs[0]), q.numerator, q.denominator
     coefficients = {"1": (qn * qd, -qn * qn), "-1/q": (-qd * qd, qn * qd)}
     letters = "".join(c for c in "xijkab" if c in routes[0][2])
-    picks = {p: operator.itemgetter(*[letters.index(c) for c in p if c != "u"])
-             for _, _, p, _ in routes}
-    gathered = "u" in routes[0][2]
-    stride = size if gathered else 1
-    outers = {}
-    for o in {o for _, shape, _, _ in routes for o in shape[1:3]}:
-        if (o, read, gathered) not in memo:
-            # Fs[o] read in the block: rows R [x][k]; for u columns C [z][k], both baked (U)
-            rows = Fs[o] if (off, size, stride) == (0, d, 1) else [
+    stride = size if "u" in routes[0][2] else 1
+
+    def rows(o):  # Fs[o] read in the block: rows [x][k] of (stride * row, value)
+        if (o, read, stride) not in memo:
+            memo[o, read, stride] = Fs[o] if (off, size, stride) == (0, d, 1) else [
                 [[((k - off) * stride, v) for k, v in f if off <= k < end] if f else f
                  for f in row] for row in Fs[o]
             ]
-            cols = [list(col) for col in zip(*rows)] if gathered else None
-            baked = [[[(r + u, w) for u, row in enumerate(T[off:end]) for r, w in row[k]]
-                      for k in range(d)] for T in (rows, cols)] if gathered else [None, None]
-            memo[o, read, gathered] = rows, cols, *baked
-        outers[o] = memo[o, read, gathered]
+        return memo[o, read, stride]
 
     def law(shape, placement, scale):
         o1, o2, o3, o4 = shape
         a, b = coefficients[scale]
-        (R2, C2, _, U2), (R3, _, U3, _), F1, F4 = outers[o2], outers[o3], Fs[o1], Fs[o4]
-        pick = picks[placement]
-        if gathered:
-            # each term runs along u through its inner fibers or its baked outer table
-            g = placement.index("u")
-            if g == 0:  # F1 as [y][u], F4 as [y][z]
-                F1u = [col[off:end] for col in zip(*F1)]
-                terms = lambda y, z: (F1u[y], C2[z], (F4[y][z],), U3)  # noqa: E731
-            elif g == 1:  # F1 as [x][u], F4 as [z][u]
-                F1u, F4u = [row[off:end] for row in F1], [col[off:end] for col in zip(*F4)]
-                terms = lambda x, z: (F1u[x], C2[z], F4u[z], R3[x])  # noqa: E731
-            else:  # F1 as [x][y], F4 as [y][u]
-                F4u = [row[off:end] for row in F4]
-                terms = lambda x, y: ((F1[x][y],), U2, F4u[y], R3[x])  # noqa: E731
-
-            def matrix(*idx):
-                fibers1, T2, fibers4, T3 = terms(*pick(idx))
-                acc = [0] * (size * size)
-                for u, fiber in enumerate(fibers1):
-                    for k, v in fiber:
-                        f = a * v
-                        for r, w in T2[k]:
-                            acc[r + u] += f * w
-                for u, fiber in enumerate(fibers4):
-                    for k, v in fiber:
-                        f = b * v
-                        for r, w in T3[k]:
-                            acc[r + u] += f * w
-                return acc
-
-            return matrix
+        F1, R2, R3, F4 = Fs[o1], rows(o2), rows(o3), Fs[o4]
+        pick = operator.itemgetter(*map((letters + "u").index, placement))
 
         def column(*idx):  # a (x o1 y) o2 z + b x o3 (y o4 z), read in the block
             x, y, z = pick(idx)
@@ -306,7 +270,22 @@ def _route_violations(
                     acc[r] += f * w
             return acc
 
-        return column
+        def matrix(*idx):  # the same sums at each u, into column u
+            acc = [0] * (size * size)
+            for c, u in enumerate(range(off, end)):
+                x, y, z = pick((*idx, u))
+                R3x = R3[x]
+                for k, v in F1[x][y]:
+                    f = a * v
+                    for r, w in R2[k][z]:
+                        acc[r + c] += f * w
+                for k, v in F4[y][z]:
+                    f = b * v
+                    for r, w in R3x[k]:
+                        acc[r + c] += f * w
+            return acc
+
+        return matrix if "u" in placement else column
 
     laws = [(name, law(*row)) for name, *row in routes]
     blocks = [read if c in "kab" else acting for c in letters]

@@ -39,6 +39,7 @@ from .doubles import (
     build_symplectic_double,
 )
 from .forms import check_invariant_symmetric, check_symplectic
+from .linalg import SingularError
 from .matched import bowtie, check_matched_pair
 from .operators import (
     check_o_operator,
@@ -174,7 +175,7 @@ def cmd_verify_form(ns) -> int:
     elif w.kind == "antisymmetric":
         title, rep = "symplectic form", check_symplectic(A, w)
     else:
-        raise ValueError("form.kind must be symmetric or antisymmetric to verify")
+        raise ValueError(f"{ns.file}: form.kind must be symmetric or antisymmetric to verify")
     code = _verify_done(ns, rep, title, aio.basis_names(A.dim))
     if not ns.json:
         print(f"rank {rep.info['rank']}")
@@ -250,15 +251,18 @@ def cmd_build_double_symplectic(ns) -> int:
     return _build_double(ns, aio.load_dendriform, build_symplectic_double)
 
 
-def _build_dendriform_split(ns, title: str, check, construct, *data) -> int:
+def _build_dendriform_split(ns, title: str, inverted: str, check, construct, *data) -> int:
     """Check the precondition on ``data`` (algebra first), refuse unless it
     passes or --force is given, then emit the dendriform split with both
-    reports."""
+    reports.  A refusal to invert the file's value ``inverted`` names both."""
     rep_pre = check(*data)
     if not rep_pre.passed and not ns.force:
         _print_report(title, rep_pre, aio.basis_names(data[0].dim))
         return 1
-    D = construct(*data, force=True)
+    try:
+        D = construct(*data, force=True)
+    except SingularError as exc:
+        raise ValueError(f"{ns.file}: {inverted}: {exc}") from exc
     rep_out = check_q_dendriform(D)
     doc = {
         "dendriform": aio.dendriform_to_doc(D),
@@ -270,14 +274,14 @@ def _build_dendriform_split(ns, title: str, check, construct, *data) -> int:
 
 def cmd_build_dendriform_from_omega(ns) -> int:
     return _build_dendriform_split(
-        ns, "symplectic form", check_symplectic, dendriform_from_symplectic,
+        ns, "symplectic form", "form.gram", check_symplectic, dendriform_from_symplectic,
         *aio.load_form(ns.file),
     )
 
 
 def cmd_build_dendriform_from_o_operator(ns) -> int:
     return _build_dendriform_split(
-        ns, "o-operator", check_o_operator, compatible_dendriform_from_o_operator,
+        ns, "o-operator", "T", check_o_operator, compatible_dendriform_from_o_operator,
         *aio.load_o_operator(ns.file),
     )
 

@@ -93,6 +93,10 @@ def _audited_double(
     n = P.A.dim
     total = bowtie(P)
     form_report = check_form(total, form)
+    # Every matched-pair condition is one block of the total's q-law, yet
+    # both run: check_matched_pair reads _join's compiled pieces of P, and
+    # check_q_associative the dense _block_tensor bowtie the report emits,
+    # so a fault in either assembly shows; each contributes its own ids.
     violations = (
         _prefixed("matched_pair", check_matched_pair(P).violations)
         + _prefixed("total_q_assoc", check_q_associative(total).violations)

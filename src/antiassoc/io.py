@@ -2,7 +2,8 @@
 
 All rationals travel as strings "p" or "p/q" (JSON integers are also
 accepted on input).  Parsing is strict: no floats, no booleans, no
-denominator zero, no whitespace inside a rational.
+denominator zero, no whitespace inside a rational, and no integer with
+more digits than the interpreter converts to int.
 
 Three readers take every document apart: ``_array`` reads a nested list
 of rationals of a fixed shape, ``_structure`` an algebra-like node (an
@@ -26,6 +27,7 @@ import json
 import os
 import re
 import stat
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,15 +94,51 @@ def _read(path: str) -> tuple[_Ctx, object]:
     except UnicodeDecodeError as exc:
         raise ParseError(path, exc.start, "", "invalid UTF-8") from exc
     ctx = _Ctx(path, text, {})
+    return ctx, _parse(ctx)
+
+
+def _parse(ctx: _Ctx, parse_int=None) -> object:
+    """``json.loads`` of ctx's text, every failure a ParseError."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        offset = len(text[: exc.pos].encode("utf-8"))
-        token = text[exc.pos : exc.pos + 10].strip() or "<end>"
-        raise ParseError(path, offset, token, exc.msg) from exc
+        return json.loads(ctx.text, parse_int=parse_int)
+    except json.JSONDecodeError as exc:  # a ValueError too, so caught first
+        offset = len(ctx.text[: exc.pos].encode("utf-8"))
+        token = ctx.text[exc.pos : exc.pos + 10].strip() or "<end>"
+        raise ParseError(ctx.path, offset, token, exc.msg) from exc
     except RecursionError as exc:
-        raise ParseError(path, 0, "", "JSON nested too deeply") from exc
-    return ctx, data
+        raise ParseError(ctx.path, 0, "", "JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer token past the int-string limit
+        raise _long_integer(ctx) from exc
+
+
+def _long_integer(ctx: _Ctx, token: str | None = None) -> ParseError:
+    """The refusal of an integer with more digits than the interpreter
+    converts (``sys.get_int_max_str_digits``): ``token``, a rational string
+    or an object key, or else the first JSON integer that long, named by the
+    path of its first occurrence in document order.  The document is parsed
+    again with every integer kept as its digits, so a syntax error after
+    that integer is raised from here instead."""
+    limit = sys.get_int_max_str_digits()
+    long = [token] if token else []
+
+    def digits(s: str) -> str:
+        if len(s.lstrip("-")) > limit:
+            long.append(s)
+        return s
+
+    message = f"integer has more than {limit} digits"
+    stack = [("", _parse(ctx, digits))]
+    while stack:
+        where, node = stack.pop()
+        if node == long[0]:
+            return ctx.fail(node, f"{where}: {message}")
+        if isinstance(node, dict):
+            if long[0] in node:
+                return ctx.fail(long[0], f"{where} key: {message}")
+            stack += reversed([(f"{where}.{k}" if where else k, v) for k, v in node.items()])
+        elif isinstance(node, list):
+            stack += reversed([(f"{where}[{i}]", v) for i, v in enumerate(node, start=1)])
+    return ctx.fail(long[0], message)  # a repeated key dropped it from the document
 
 
 def _rational(node: object, ctx: _Ctx) -> Fraction:
@@ -112,9 +150,12 @@ def _rational(node: object, ctx: _Ctx) -> Fraction:
     if value is None:
         if not _RATIONAL_RE.fullmatch(node):
             raise ctx.fail(node, "malformed rational")
-        if "/" in node and int(node.split("/", 1)[1]) == 0:
-            raise ctx.fail(node, "denominator is zero")
-        value = ctx.rationals[node] = Fraction(node)
+        try:
+            value = ctx.rationals[node] = Fraction(node)
+        except ZeroDivisionError as exc:
+            raise ctx.fail(node, "denominator is zero") from exc
+        except ValueError as exc:
+            raise _long_integer(ctx, node) from exc
     return value
 
 
@@ -180,9 +221,13 @@ def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
         if not isinstance(out, dict):
             raise ctx.fail(out, f"{entry}.out must map basis index to rational")
         for kstr, val in out.items():
-            if not (kstr.isascii() and kstr.isdigit()) or not 1 <= int(kstr) <= n:
+            try:
+                k = int(kstr) if kstr.isascii() and kstr.isdigit() else 0
+            except ValueError as exc:
+                raise _long_integer(ctx, kstr) from exc
+            if not 1 <= k <= n:
                 raise ctx.fail(kstr, f"{entry}.out key out of range for dim {n}")
-            t.entries[i - 1][j - 1][int(kstr) - 1] = _rational(val, ctx)
+            t.entries[i - 1][j - 1][k - 1] = _rational(val, ctx)
     return t
 
 

@@ -310,6 +310,29 @@ def test_the_rational_memo_lets_no_token_stand_in_for_another(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {p}: byte {offset}: {message} (token {token!r})\n"
 
 
+@pytest.mark.parametrize("text, token, what", [
+    ('{"dim": 1, "q": "-1", "c": [[[N]]]}', "N", "c[1][1][1]: "),
+    ('{"dim": 1, "q": "-1", "c": [[["N/3"]]]}', "N/3", "c[1][1][1]: "),
+    ('{"dim": 1, "q": "3/N", "c": [[["1"]]]}', "3/N", "q: "),
+    ('{"dim": 1, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"N": "1"}}]}', "N",
+     "products[1].out key: "),
+    ('{"dim": N, "dim": 1, "q": "-1", "c": [[["1"]]]}', "N", ""),
+], ids=["json_integer", "numerator", "denominator", "sparse_key", "dropped_by_repeated_key"])
+def test_an_integer_past_the_int_string_limit_is_located(tmp_path, capsys, text, token, what):
+    """Python refuses to convert an integer string of more digits than
+    sys.get_int_max_str_digits(); the loader names the file, the value's
+    path and the token's byte instead.  N stands for such an integer; a
+    repeated key drops it from the parsed document, and so from any path."""
+    limit = sys.get_int_max_str_digits()
+    text, token = (x.replace("N", "7" * (limit + 1)) for x in (text, token))
+    p = write(tmp_path, "long.json", text)
+    assert cli.run(["verify", "algebra", p]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {p}: byte {text.index(token)}: {what}integer has more than {limit} digits "
+        f"(token {token!r})\n"
+    )
+
+
 def test_the_rational_memo_keeps_only_validated_tokens_of_one_document(tmp_path):
     p = write(tmp_path, "ok.json", {"dim": 1, "q": "-3/7", "c": [[["1/2"]]]})
     ctx, _ = aio._read(p)
@@ -468,7 +491,9 @@ def test_cli_verify_form_general_is_rejected(tmp_path, capsys):
         },
     )
     assert cli.run(["verify", "form", f]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        f"error: {f}: form.kind must be symmetric or antisymmetric to verify\n"
+    )
     del alg
 
 
@@ -841,7 +866,29 @@ def test_a_map_onto_the_zero_space_is_not_invertible(tmp_path, capsys):
     """Its matrix is 0x2, which is not square."""
     p = write(tmp_path, "o.json", _onto_zero_space(2))
     assert cli.run(["build", "dendriform-from-o-operator", p]) == 2
-    assert capsys.readouterr().err == "error: T maps dim 2 to dim 0, so it is not invertible\n"
+    assert capsys.readouterr().err == (
+        f"error: {p}: T: T maps dim 2 to dim 0, so it is not invertible\n"
+    )
+
+
+ZERO_ALGEBRA = {"dim": 1, "q": "-1", "products": []}
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    ({"algebra": ZERO_ALGEBRA, "bimodule": {"module_dim": 1, "l": [[["0"]]], "r": [[["0"]]]},
+      "T": [["0"]]}, ["dendriform-from-o-operator"], "T: matrix is singular"),
+    ({"algebra": ZERO_ALGEBRA,
+      "bimodule": {"module_dim": 2, "l": [ZERO_ACTIONS[0]], "r": [ZERO_ACTIONS[0]]},
+      "T": [["1", "0"]]}, ["dendriform-from-o-operator"],
+     "T: T maps dim 2 to dim 1, so it is not invertible"),
+    ({"algebra": ZERO_ALGEBRA, "form": {"dim": 1, "kind": "antisymmetric", "gram": [["0"]]}},
+     ["dendriform-from-omega", "--force"], "form.gram: matrix is singular"),
+], ids=["singular_T", "non_square_T", "zero_gram"])
+def test_a_split_that_cannot_invert_names_the_file_and_value(tmp_path, capsys, doc, args,
+                                                              message):
+    p = write(tmp_path, "doc.json", doc)
+    assert cli.run(["build", args[0], p, *args[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
 
 @pytest.mark.parametrize("command, half", [

@@ -200,6 +200,21 @@ def test_kernel_matches_reference(name, seed, q, family, n):
         assert got.passed
 
 
+@pytest.mark.parametrize("name", PASS_WHEN_NILPOTENT + ["check_bimodule"])
+@pytest.mark.parametrize("family", ["dense", "nilpotent"])
+@pytest.mark.parametrize("n, m", [(1, 5), (5, 1), (2, 6)])
+def test_module_laws_match_reference_past_the_drawn_sizes(name, family, n, m):
+    """The module letter u runs over a block of up to 6 vectors, past the
+    sizes of 0 to 3 that the draws above reach, and over a block of 1.  At
+    q = 2 the two terms of G have distinct integer coefficients, and the
+    Fraction reference stays fast enough for these sizes."""
+    rng = random.Random(f"{name}:{family}:{n}:{m}")
+    args = inputs(name, Draw(rng, family, n, m), Fraction(2))
+    got = getattr(antiassoc, name)(*args)
+    assert got.as_dict() == getattr(reference, name)(*args).as_dict()
+    assert got.passed == (family == "nilpotent")
+
+
 @given(seed=st.integers(0, 2**30), family=st.sampled_from(["dense", "nilpotent"]),
        n=st.integers(0, 3))
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
