@@ -44,8 +44,10 @@ q's numerator and denominator folded into the coefficients, so all its
 terms share one scale, D^2 qn qd in the route body.  The runner divides
 by the scale, building Fractions only for a nonzero residual.  Nothing
 is cached on the mutable tables: each check call compiles its own, once
-for all its preconditions.  The independent oracles (classify2d and the
-criteria in doubles.py) stay off the kernel.
+for all its preconditions.  ``fingerprint`` reads its three ranks off the
+compiled fibers too, as integer rows handed to the one elimination
+``linalg.echelon``, with no Fraction matrix.  The independent oracles
+(classify2d and the criteria in doubles.py) stay off the kernel.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from .linalg import (
     Matrix,
     Scalar,
     Tensor3,
+    echelon,
+    exact_str,
     rat,
     zero_vec,
 )
@@ -83,7 +87,7 @@ class Violation:
         return {
             "identity_id": self.identity_id,
             "indices": list(self.indices),
-            "residual": [str(x) for x in self.residual],
+            "residual": [exact_str(x) for x in self.residual],
         }
 
 
@@ -511,13 +515,22 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
 
 
 def fingerprint(A: StructureAlgebra) -> Fingerprint:
-    """Basis-change invariants: dim A^2, annihilator dimensions, symmetry."""
+    """Basis-change invariants: dim A^2, annihilator dimensions, symmetry.
+
+    The three ranks are read off the compiled fibers D*c[i][j], as n rows
+    of n*n integers each, in one pass: row k of ``square`` holds the e_k
+    coordinate of every product e_i e_j, so its rank is dim A^2.  x is a
+    left annihilator iff sum_i x_i c[i][j][k] = 0 for every (j, k), so
+    row i of ``left`` holds c[i][j][k] at (j, k); x is a right one iff
+    sum_j x_j c[i][j][k] = 0 for every (i, k), and row j of ``right``
+    holds c[i][j][k] at (i, k).  The scale D changes no rank."""
     n = A.dim
-    c, r = A.c.entries, range(n)
-    dim_square = Matrix.from_columns([c[i][j] for i in r for j in r]).rank()
-    # x is a left annihilator iff x*e_j = sum_i x_i c[i][j] = 0 for every j,
-    # and a right one iff e_i*x = sum_j x_j c[i][j] = 0 for every i
-    dim_left = n - Matrix([[c[i][j][k] for i in r] for j in r for k in r]).rank()
-    dim_right = n - Matrix([[c[i][j][k] for j in r] for i in r for k in r]).rank()
+    c, r, nn = A.c.entries, range(n), n * n
+    square, left, right = ([[0] * nn for _ in r] for _ in range(3))
+    for i, plane in enumerate(_fibers(A.c, _common_den([A.c]))):
+        for j, f in enumerate(plane):
+            for k, a in f:
+                square[k][i * n + j] = left[i][j * n + k] = right[j][i * n + k] = a
+    dim_square, rank_left, rank_right = (len(echelon(m, nn)[1]) for m in (square, left, right))
     commutative = all(c[i][j] == c[j][i] for i in r for j in range(i))
-    return Fingerprint(n, dim_square, dim_left, dim_right, commutative)
+    return Fingerprint(n, dim_square, n - rank_left, n - rank_right, commutative)

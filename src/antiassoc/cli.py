@@ -39,7 +39,7 @@ from .doubles import (
     build_symplectic_double,
 )
 from .forms import check_invariant_symmetric, check_symplectic
-from .linalg import SingularError
+from .linalg import SingularError, exact_str
 from .matched import bowtie, check_matched_pair
 from .operators import (
     check_o_operator,
@@ -82,7 +82,7 @@ def _fmt_residual(residual, names=None) -> str:
         return aio.format_element(residual, names)
     if len(residual) <= 8:
         return aio.format_element(residual)
-    return "[" + ", ".join(str(x) for x in residual) + "]"
+    return "[" + ", ".join(map(exact_str, residual)) + "]"
 
 
 def _print_report(title: str, rep, names=None, total=None, unit="identities") -> None:

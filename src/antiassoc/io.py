@@ -3,7 +3,8 @@
 All rationals travel as strings "p" or "p/q" (JSON integers are also
 accepted on input).  Parsing is strict: no floats, no booleans, no
 denominator zero, no whitespace inside a rational, and no integer with
-more digits than the interpreter converts to int.
+more digits than the interpreter converts to int.  Output spells every
+rational whole (``linalg.exact_str``), however many digits it has.
 
 Three readers take every document apart: ``_array`` reads a nested list
 of rationals of a fixed shape, ``_structure`` an algebra-like node (an
@@ -35,7 +36,7 @@ from .algebra import StructureAlgebra
 from .bimodules import Bimodule
 from .dendriform import DendriformStructure
 from .forms import BilinearForm
-from .linalg import Matrix, Tensor3
+from .linalg import Matrix, Tensor3, exact_str
 from .matched import MatchedPairData
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -48,13 +49,24 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 MAX_DIM = 64
 
 
+# A token longer than _TOKEN_SHOWN characters, such as an integer past the
+# int-string limit, is spelled in a ParseError's message by its first and
+# last _TOKEN_ENDS characters and its length, so the line stays readable.
+_TOKEN_SHOWN = 80
+_TOKEN_ENDS = 20
+
+
 class ParseError(ValueError):
     def __init__(self, path: str, offset: int, token: str, message: str):
         self.path = path
         self.offset = offset
         self.token = token
         self.message = message
-        super().__init__(f"{path}: byte {offset}: {message} (token {token!r})")
+        if len(token) > _TOKEN_SHOWN:
+            shown = f"{token[:_TOKEN_ENDS]!r}...{token[-_TOKEN_ENDS:]!r}, {len(token)} characters"
+        else:
+            shown = repr(token)
+        super().__init__(f"{path}: byte {offset}: {message} (token {shown})")
 
 
 class _Unreadable(ParseError):
@@ -475,17 +487,23 @@ def dump_json(obj: object) -> str:
     return "".join(out)
 
 
+_CONTAINERS = (str, dict, list, tuple)
+
+
 def _write(obj: object, nl: str, out: list[str]) -> None:
     """Append the indent-2 text of ``obj`` to ``out``; ``nl`` is a line break
     followed by the indentation of the line ``obj`` starts on."""
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind not in _CONTAINERS:  # a subclass is written as its base
+        kind = next((base for base in _CONTAINERS if isinstance(obj, base)), None)
+    if kind is str:
         out.append(_quote(obj))
-    elif not isinstance(obj, (dict, list, tuple)) or not obj:
+    elif kind is None or not obj:
         # a scalar, or an empty list or dict, is spelled the same by the
         # one-line encoder, which is C code
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not all(type(k) is str for k in obj):
+    elif kind is dict:
+        if set(map(type, obj)) != {str}:
             # a key that is not a string: json.dumps's own text, its lines
             # indented by a replace, since a JSON text holds no raw line break
             out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
@@ -493,16 +511,20 @@ def _write(obj: object, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(f"{sep}{_quote(key)}: ")
-            _write(value, inner, out)
+            if type(value) is str:
+                out.append(f"{sep}{_quote(key)}: {_quote(value)}")
+            else:
+                out.append(f"{sep}{_quote(key)}: ")
+                _write(value, inner, out)
             sep = "," + inner
         out.append(nl + "}")
     else:
         inner = nl + "  "
         # a flat list of strings or of ints, the bulk of a report, is joined whole
-        if all(type(x) is str for x in obj):
+        kinds = set(map(type, obj))
+        if kinds == {str}:
             out.append(f"[{inner}{(',' + inner).join(map(_quote, obj))}{nl}]")
-        elif all(type(x) is int for x in obj):
+        elif kinds == {int}:
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, obj))}{nl}]")
         else:
             sep = "[" + inner
@@ -534,7 +556,7 @@ def format_element(v, names: list[str] | None = None) -> str:
         elif x == -1:
             parts.append(f"-{name}")
         else:
-            parts.append(f"{x}*{name}")
+            parts.append(f"{exact_str(x)}*{name}")
     if not parts:
         return "0"
     out = parts[0]

@@ -3,8 +3,11 @@
 Everything in this package funnels through the small kernel in this module:
 dense matrices and rank-3 tensors with Fraction entries, each holding its
 shape even when an axis is empty (a map onto the zero space), one
-fraction-free integer elimination (``Matrix._echelon``) behind rank, rref,
-kernel, inverse and determinant, and a handful of vector helpers.  No floats, anywhere.
+fraction-free elimination on integer rows (``echelon``) behind rank, rref,
+kernel, inverse and determinant, and a handful of vector helpers.  A
+Matrix scales its rows to integers and hands them to ``echelon``
+(``Matrix._echelon``); a caller that already holds a table as integers,
+such as ``algebra.fingerprint``, calls it directly.  No floats, anywhere.
 Vectors are plain ``list[Fraction]`` and are always column vectors; matrices
 act on the left.
 """
@@ -35,6 +38,23 @@ def rat(x: Scalar) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def exact_str(x: int | Fraction) -> str:
+    """``str(x)``, also when x, or a fraction's numerator or denominator, has
+    more digits than the interpreter converts (``sys.get_int_max_str_digits``),
+    without changing that limit."""
+    try:
+        return str(x)
+    except ValueError:
+        if isinstance(x, Fraction) and x.denominator != 1:
+            return f"{exact_str(x.numerator)}/{exact_str(x.denominator)}"
+        a = int(x)
+    # an integer too long for str: its decimal halves, split at a power of
+    # ten of about half its digits (a digit is log2(10) ~ 20/6 bits)
+    h = max(1, abs(a).bit_length() * 3 // 20)
+    hi, lo = divmod(abs(a), 10**h)
+    return ("-" if a < 0 else "") + exact_str(hi) + exact_str(lo).zfill(h)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +92,51 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the one elimination
+
+
+def echelon(rows: Iterable[list[int]], ncols: int
+            ) -> tuple[list[list[int]], list[int], int, list[tuple[int, int]]]:
+    """The one row elimination, fraction-free on integer rows of length
+    ``ncols``; zero rows are dropped.  For each column in turn, the first
+    row left with a nonzero entry p there is the pivot and leaves the pool;
+    every other row with an entry f there becomes p*row - f*pivot, divided
+    by the gcd of its entries (a row that reaches zero is dropped).
+
+    Returns the pivot rows in order, their pivot columns, and for det
+    ``moves``, the sum of each pivot's index in the pool it was taken from,
+    and ``ops``, the (gcd, pivot) pair of each row operation.  The rank is
+    the number of pivot columns."""
+    rows = [r for r in rows if any(r)]
+    pivots, cols, moves, ops = [], [], 0, []
+    for col in range(ncols):
+        for k, pivot in enumerate(rows):
+            if pivot[col]:
+                break
+        else:
+            continue
+        del rows[k]
+        pivots.append(pivot)
+        cols.append(col)
+        moves += k
+        p = pivot[col]
+        reduced = []
+        for r in rows:
+            f = r[col]
+            if f:
+                r = [p * a - f * b for a, b in zip(r, pivot)]
+                g = math.gcd(*r)
+                if not g:
+                    continue
+                ops.append((g, p))
+                if g > 1:
+                    r = [a // g for a in r]
+            reduced.append(r)
+        rows = reduced
+    return pivots, cols, moves, ops
 
 
 # ---------------------------------------------------------------------------
@@ -184,48 +249,13 @@ class Matrix:
     # -- elimination-based queries ---------------------------------------
 
     def _echelon(self) -> tuple[list[list[int]], list[int], int, list[tuple[int, int]]]:
-        """The one elimination behind rank, rref and det, fraction-free: each
-        row is scaled to integers by the lcm of its denominators, and zero
-        rows are dropped.  For each column in turn, the first row left with a
-        nonzero entry p there is the pivot and leaves the pool; every other
-        row with an entry f there becomes p*row - f*pivot, divided by the gcd
-        of its entries (a row that reaches zero is dropped).
-
-        Returns the pivot rows in order, their pivot columns, and for det
-        ``moves``, the sum of each pivot's index in the pool it was taken
-        from, and ``ops``, the (gcd, pivot) pair of each row operation."""
+        """``echelon`` of the rows, each scaled to integers by the lcm of
+        its denominators."""
         rows = []
         for row in self.entries:
             d = math.lcm(*(x.denominator for x in row))
-            ints = [x.numerator * (d // x.denominator) for x in row]
-            if any(ints):
-                rows.append(ints)
-        pivots, cols, moves, ops = [], [], 0, []
-        for col in range(self.cols):
-            for k, pivot in enumerate(rows):
-                if pivot[col]:
-                    break
-            else:
-                continue
-            del rows[k]
-            pivots.append(pivot)
-            cols.append(col)
-            moves += k
-            p = pivot[col]
-            reduced = []
-            for r in rows:
-                f = r[col]
-                if f:
-                    r = [p * a - f * b for a, b in zip(r, pivot)]
-                    g = math.gcd(*r)
-                    if not g:
-                        continue
-                    ops.append((g, p))
-                    if g > 1:
-                        r = [a // g for a in r]
-                reduced.append(r)
-            rows = reduced
-        return pivots, cols, moves, ops
+            rows.append([x.numerator * (d // x.denominator) for x in row])
+        return echelon(rows, self.cols)
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column indices).

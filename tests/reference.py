@@ -10,9 +10,11 @@ two exactly; nothing in the library imports this module.
 
 The module also keeps the dense form of the two independent criteria of
 doubles.py, ``dual_matched_pair_criterion`` and ``symplectic_criterion``,
-which test_kernel.py compares with the sparse ones the same way, and the
+which test_kernel.py compares with the sparse ones the same way, the
 Fraction Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
-``invert`` and ``det``, which test_linalg.py compares with Matrix's.
+``invert`` and ``det``, which test_linalg.py compares with Matrix's, and
+``fingerprint`` on Fraction matrices ranked by that elimination, which
+test_kernel.py compares with the integer one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from antiassoc import (
     DendriformBimodule,
     DendriformMatchedPairData,
     DendriformStructure,
+    Fingerprint,
     MatchedPairData,
     StructureAlgebra,
     Violation,
@@ -618,3 +621,25 @@ def det(m: Matrix) -> Fraction:
                 f = rows[i][col] / rows[col][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
     return d
+
+
+# ---------------------------------------------------------------------------
+# Fingerprint: the reference for algebra.fingerprint, which reads its three
+# ranks off the compiled integer fibers.  The ranks here are those of
+# Fraction matrices, taken by the Gauss-Jordan rref above.
+
+
+def fingerprint(A: StructureAlgebra) -> Fingerprint:
+    n = A.dim
+    c, r = A.c.entries, range(n)
+
+    def rank(m: Matrix) -> int:
+        return len(rref(m)[1])
+
+    dim_square = rank(Matrix.from_columns([c[i][j] for i in r for j in r]))
+    # x is a left annihilator iff x*e_j = sum_i x_i c[i][j] = 0 for every j,
+    # and a right one iff e_i*x = sum_j x_j c[i][j] = 0 for every i
+    dim_left = n - rank(Matrix([[c[i][j][k] for i in r] for j in r for k in r], (n * n, n)))
+    dim_right = n - rank(Matrix([[c[i][j][k] for j in r] for i in r for k in r], (n * n, n)))
+    commutative = all(c[i][j] == c[j][i] for i in r for j in range(i))
+    return Fingerprint(n, dim_square, dim_left, dim_right, commutative)

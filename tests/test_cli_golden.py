@@ -100,6 +100,25 @@ DOCS = {
         "bimodule": {k: v for k, v in BIMODULE_FAIL.items() if k != "algebra"},
         "T": [["1", "0", "2"], ["0", "1", "-1"]],
     },
+    # 2-step nilpotent, so valid: products of e1..e4 land in e5, e6; its
+    # fingerprint has dim A^2 = 2 and left and right annihilators of 3 and 2
+    "nilpotent6.json": {
+        "dim": 6, "q": "-1",
+        "products": [
+            {"i": 1, "j": 2, "out": {"5": "1"}},
+            {"i": 2, "j": 1, "out": {"5": "-1", "6": "1/2"}},
+            {"i": 3, "j": 3, "out": {"6": "2"}},
+            {"i": 1, "j": 4, "out": {"5": "3"}},
+            {"i": 2, "j": 2, "out": {"5": "-2/3"}},
+        ],
+    },
+    # dense with denominators 1 to 3: every triple fails, and the left
+    # annihilator is a line
+    "dense4.json": {
+        "dim": 4, "q": "-1",
+        "c": [[[f"{(3 * i + 5 * j + 7 * k) % 9 - 4}/{(i + 2 * j + k) % 3 + 1}" for k in range(4)]
+               for j in range(4)] for i in range(4)],
+    },
 }
 
 # (case name, argv); a case whose argv holds "-o" also digests the file written
@@ -121,6 +140,8 @@ CASES = [
     ("verify_o_operator_fail", ["verify", "o-operator", "o_operator_fail.json", "--json"]),
     ("verify_o_operator_wide", ["verify", "o-operator", "o_operator_wide.json", "--json"]),
     ("verify_rota_baxter", ["verify", "rota-baxter", "rb_diag.json", "--json"]),
+    ("verify_algebra_nilpotent6", ["verify", "algebra", "nilpotent6.json", "--json"]),
+    ("verify_algebra_dense4", ["verify", "algebra", "dense4.json", "--json"]),
     ("build_semidirect", ["build", "semidirect", "bimodule_fail.json"]),
     ("build_semidirect_out", ["build", "semidirect", "bimodule_pass.json", "-o", "out.json"]),
     ("build_bowtie", ["build", "bowtie", "matched_fail.json"]),

@@ -322,15 +322,48 @@ def test_an_integer_past_the_int_string_limit_is_located(tmp_path, capsys, text,
     """Python refuses to convert an integer string of more digits than
     sys.get_int_max_str_digits(); the loader names the file, the value's
     path and the token's byte instead.  N stands for such an integer; a
-    repeated key drops it from the parsed document, and so from any path."""
+    repeated key drops it from the parsed document, and so from any path.
+    The token is spelled by its first and last 20 characters and its length."""
     limit = sys.get_int_max_str_digits()
     text, token = (x.replace("N", "7" * (limit + 1)) for x in (text, token))
     p = write(tmp_path, "long.json", text)
     assert cli.run(["verify", "algebra", p]) == 2
     assert capsys.readouterr().err == (
         f"error: {p}: byte {text.index(token)}: {what}integer has more than {limit} digits "
-        f"(token {token!r})\n"
+        f"(token {token[:20]!r}...{token[-20:]!r}, {len(token)} characters)\n"
     )
+
+
+def test_a_parse_error_spells_a_long_token_by_its_ends():
+    """A token of up to 80 characters is spelled whole; a longer one by its
+    first and last 20 characters and its length."""
+    short = "7" * 80
+    assert str(ParseError("f.json", 3, short, "bad")) == f"f.json: byte 3: bad (token {short!r})"
+    long = "1" + "0" * 79 + "2"
+    assert str(ParseError("f.json", 3, long, "bad")) == (
+        "f.json: byte 3: bad (token '10000000000000000000'...'00000000000000000002', "
+        "81 characters)"
+    )
+    assert ParseError("f.json", 3, long, "bad").token == long
+
+
+def test_a_residual_past_the_int_string_limit_prints(tmp_path, capsys):
+    """e1.e1 = 10^z e1 at q = -1 leaves the residual 2 * 10^(2z) e1, with more
+    digits than str converts; the report prints in full, as text and as
+    JSON, and the check fails with exit 1."""
+    z = (sys.get_int_max_str_digits() or 4300) // 2 + 50
+    p = write(tmp_path, "big.json", {"dim": 1, "q": "-1", "c": [[["1" + "0" * z]]]})
+    residual = "2" + "0" * (2 * z)
+    assert cli.run(["verify", "algebra", p]) == 1
+    assert capsys.readouterr() == (
+        f"q-associative: FAIL (0/1 triples)\nviolation at (1, 1, 1): residual {residual}*e1\n", ""
+    )
+    assert cli.run(["verify", "algebra", p, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["report"]["violations"] == [
+        {"identity_id": "q_assoc", "indices": [1, 1, 1], "residual": [residual]}
+    ]
 
 
 def test_the_rational_memo_keeps_only_validated_tokens_of_one_document(tmp_path):

@@ -11,7 +11,9 @@ number of tuples.
 
 The two criteria of doubles.py, sparse Fraction lookups, are compared
 the same way with their dense form, and they, with every doubles.py
-helper they reach, and classify2d stay off the kernel.
+helper they reach, and classify2d stay off the kernel.  ``fingerprint``,
+whose ranks come from the integer fibers, is compared with its Fraction
+form, which ranks Fraction matrices.
 """
 
 import ast
@@ -37,7 +39,7 @@ from antiassoc import (
     MatchedPairData,
     StructureAlgebra,
 )
-from antiassoc import algebra, bimodules, dendriform, doubles, matched, operators
+from antiassoc import algebra, bimodules, dendriform, doubles, linalg, matched, operators
 from antiassoc.io import load_fixture
 from antiassoc.linalg import Matrix, Tensor3
 
@@ -198,6 +200,58 @@ def test_kernel_matches_reference(name, seed, q, family, n):
     assert got.as_dict() == want.as_dict()
     if family == "nilpotent" and name in PASS_WHEN_NILPOTENT:
         assert got.passed
+
+
+def multiples(rng, n) -> Tensor3:
+    """A rank-deficient table: every fiber a multiple of one vector, each
+    plane's fibers multiples of one vector of that plane, or the planes
+    e_i.(-) or (-).e_j multiples of one plane."""
+    kind = rng.choice(["fibers", "rows", "left", "right"])
+    a, v = [entry(rng) for _ in range(n)], [entry(rng) for _ in range(n)]
+    s, m = ([[entry(rng) for _ in range(n)] for _ in range(n)] for _ in range(2))
+
+    def value(i, j, k):
+        if kind == "fibers":
+            return s[i][j] * v[k]
+        if kind == "rows":
+            return s[i][j] * m[i][k]
+        return a[i] * m[j][k] if kind == "left" else a[j] * m[i][k]
+
+    return Tensor3([[[value(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)],
+                   (n, n, n))
+
+
+@given(seed=st.integers(0, 2**30), family=st.sampled_from(FAMILIES + ["multiples"]),
+       n=st.integers(0, 5))
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+def test_fingerprint_matches_the_fraction_reference(seed, family, n):
+    """The ranks read off the integer fibers are those of the Fraction
+    matrices, on dims 0 to 5, with denominators 2, 3 and 7 and on
+    rank-deficient tables."""
+    rng = random.Random(seed)
+    q = rng.choice(QS)
+    if family == "multiples":
+        A = StructureAlgebra(n, q, multiples(rng, n))
+    else:
+        A = Draw(rng, family, n, n).algebra(q)
+    assert algebra.fingerprint(A) == reference.fingerprint(A)
+
+
+def test_fingerprint_builds_no_matrix(monkeypatch):
+    made = []
+    init = Matrix.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Matrix, "__init__", spy)
+    Matrix.identity(1)
+    assert len(made) == 1  # the spy sees every Matrix built
+    A = Draw(random.Random(3), "dense", 5, 5).algebra(Fraction(-1))
+    made.clear()
+    assert algebra.fingerprint(A) == antiassoc.Fingerprint(5, 5, 0, 0, False)
+    assert made == []
 
 
 @pytest.mark.parametrize("name", PASS_WHEN_NILPOTENT + ["check_bimodule"])

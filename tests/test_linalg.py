@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from antiassoc.linalg import (
     Tensor3,
     basis_vec,
     dot,
+    exact_str,
     rat,
     vec_add,
     vec_sub,
@@ -283,3 +286,33 @@ def test_tensor_equality_compares_shapes():
     assert Tensor3.zeros(0, 3, 3) != Tensor3.zeros(0, 2, 2)
     assert Tensor3.zeros(2, 0, 3) != Tensor3.zeros(2, 0, 5)
     assert Tensor3.zeros(2, 0, 3) == Tensor3([[], []], (2, 0, 3))
+
+
+def _read_decimal(text: str) -> Fraction:
+    """The rational a decimal spelling names, read in pieces of 100 digits,
+    so no conversion reaches the interpreter's int-string limit."""
+    def integer(digits: str) -> int:
+        sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+        assert re.fullmatch(r"0|[1-9][0-9]*", digits)
+        value = 0
+        for start in range(0, len(digits), 100):
+            piece = digits[start:start + 100]
+            value = value * 10 ** len(piece) + int(piece)
+        return sign * value
+
+    num, _, den = text.partition("/")
+    return Fraction(integer(num), integer(den) if den else 1)
+
+
+@pytest.mark.parametrize("x", [
+    0, -5, Fraction(-3, 7), 10**5000, -(10**5000 + 1), 7 * 10**9000 + 3, 2**30000,
+    10**9999, Fraction(10**5000 + 1, 3**9000), Fraction(-1, 10**5000), Fraction(10**6000, 7),
+], ids=["zero", "small", "fraction", "power", "negative", "inner_zeros", "power_of_two",
+        "ten_thousand_digits", "long_both", "long_denominator", "long_numerator"])
+def test_exact_str_spells_rationals_past_the_int_string_limit(x):
+    text = exact_str(x)
+    assert _read_decimal(text) == x
+    try:
+        assert text == str(x)
+    except ValueError:  # str refuses; the interpreter's limit is left as it was
+        assert len(text) > sys.get_int_max_str_digits() > 0
