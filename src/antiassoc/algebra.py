@@ -18,8 +18,10 @@ axes swapped, R(y) x = x * y.
 This module also holds the machinery every other module builds on: the
 law runner ``_run_laws`` over (identity_id, law) pairs, ``_prefixed``
 for folding one check's violations into another's, the one contraction
-``_contract`` behind every product and action, and ``_block_tensor``,
-the product tensor on A + B behind semidirect and bowtie products.
+``_contract`` behind every product and action, and ``_join``, the one
+code that knows the block layout of a product on A + B.  The dense
+builders of semidirect and bowtie products read it through
+``_block_tensor``, and the composite checks through ``_compiled_blocks``.
 
 One law shape covers every identity of an algebra, a dendriform
 structure, their bimodules and their matched pairs:
@@ -33,7 +35,8 @@ in the other algebra, read in one block.  So each identity is a route
 row (id, shape, placement, scale): the placement spells G's arguments
 ("ijk" is the base law, "iju" G(e_i, e_j, u), "axb" G(a, x, b)) and the
 scale is 1 or -1/q.  One body, ``_route_violations``, runs every row on
-the compiled block product (``_join``), each letter over one block.
+the compiled block product (``_compiled_blocks``), each letter over one
+block.
 
 The checks run on the exact sparse integer kernel, as do the operator
 and form checks.  A check scales every table it reads by one common
@@ -214,9 +217,15 @@ _Q_LAW = (0, 0, 0, 0)
 _Q_ASSOC_ROUTES = (("q_assoc", _Q_LAW, "ijk", "1"),)
 
 
-def _join(n: int, m: int, cA, cB, la, ra, lb, rb) -> _Compiled:
-    """The product on A + B in ``_block_tensor``'s layout, from its pieces
-    compiled by ``_fibers`` (None is zero): A part, then B part shifted by n."""
+def _join(n: int, m: int, cA, cB, la, ra, lb, rb) -> list[list[list]]:
+    """The product on A + B from the fibers of its pieces as (k, value)
+    pairs, None for a zero piece: A part, then B part shifted by n,
+
+        (x+a)(y+b) = (x*y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a)
+
+    where la/ra are indexed by A's basis and act on B's space, lb/rb the
+    other way around.  The one place that knows this layout: a semidirect
+    product has cB, lb and rb None."""
     zero = [[[]] * n] * m
 
     def shifted(piece, rows):  # the piece's fibers moved into B's block
@@ -228,6 +237,16 @@ def _join(n: int, m: int, cA, cB, la, ra, lb, rb) -> _Compiled:
     return [cA[i] + [rb[j][i] + la[i][j] for j in range(m)] for i in range(n)] + [
         [lb[j][i] + ra[i][j] for i in range(n)] + cB[j] for j in range(m)
     ]
+
+
+def _compiled_blocks(n: int, m: int, blocks: list[tuple]) -> tuple[int, list[_Compiled]]:
+    """The common denominator D of every piece of ``blocks``, each a
+    (cA, cB, la, ra, lb, rb) tuple of Tensor3s or None as for ``_join``,
+    and the ``_join`` of each block's pieces compiled at D: the block
+    products a composite check hands to the route body."""
+    D = _common_den(t for block in blocks for t in block if t is not None)
+    compiled = ([None if t is None else _fibers(t, D) for t in block] for block in blocks)
+    return D, [_join(n, m, *pieces) for pieces in compiled]
 
 
 def _route_violations(
@@ -411,32 +430,21 @@ def mult_operators(A: StructureAlgebra) -> tuple[Tensor3, Tensor3]:
     return A.c.copy(), A.c.swapped()
 
 
-def _block_tensor(
-    cA: Tensor3, cB: Tensor3, la: Tensor3, ra: Tensor3, lb: Tensor3, rb: Tensor3
-) -> Tensor3:
-    """Product tensor on A + B (A-block first):
+def _block_tensor(n: int, m: int, *pieces: Tensor3 | None) -> Tensor3:
+    """The dense product tensor on A + B that ``_join`` lays out from the
+    pieces (cA, cB, la, ra, lb, rb) as Tensor3s, None for a zero piece;
+    every entry of a piece passes through unchanged."""
+    d, zero = n + m, Fraction(0)
 
-    (x+a)(y+b) = (x*y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a)
+    def dense(f):
+        out = [zero] * d
+        for k, x in f:
+            out[k] = x
+        return out
 
-    where la/ra are indexed by A's basis and act on B's space, lb/rb the
-    other way around.  A semidirect product is the case cB = 0, lb = rb = 0.
-    """
-    n, m = cA.d1, cB.d1
-    d = n + m
-    t = Tensor3.zeros(d, d, d)
-    for i in range(n):
-        for j in range(n):
-            t.entries[i][j][:n] = cA.entries[i][j]
-    for i in range(m):
-        for j in range(m):
-            t.entries[n + i][n + j][n:] = cB.entries[i][j]
-    for i in range(n):
-        for j in range(m):
-            t.entries[i][n + j][n:] = la[i][j]  # e_i * b_j, B part
-            t.entries[i][n + j][:n] = rb[j][i]  # e_i * b_j, A part
-            t.entries[n + j][i][n:] = ra[i][j]  # b_j * e_i, B part
-            t.entries[n + j][i][:n] = lb[j][i]  # b_j * e_i, A part
-    return t
+    fibers = [None if t is None else [[list(enumerate(f)) for f in p] for p in t.entries]
+              for t in pieces]
+    return Tensor3([[dense(f) for f in row] for row in _join(n, m, *fibers)], (d, d, d))
 
 
 def check_q_associative(A: StructureAlgebra) -> CheckReport:

@@ -19,8 +19,9 @@ elements extend linearly from the tables: T(x) v is algebra.py's
 contraction of T with x and v, and ``action_of`` builds the matrix of
 T(x) as a ``Matrix``.  The regular bimodule is (c, c with its first two
 axes swapped) and a dual is a transpose of the last two axes, scaled.
-The semidirect product is algebra.py's block assembler with a zero
-partner algebra.
+The semidirect product and the compiled one the check runs on are
+algebra.py's block product on A + V, with no partner algebra and no
+back-actions.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     _block_tensor,
-    _common_den,
+    _compiled_blocks,
     _contract,
-    _fibers,
-    _join,
     _route_violations,
     mult_operators,
 )
@@ -111,9 +110,8 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
     n, m = A.dim, M.module_dim
-    D = _common_den([A.c, M.l, M.r])
-    F = _join(n, m, _fibers(A.c, D), None, _fibers(M.l, D), _fibers(M.r, D), None, None)
-    violations = _route_violations([F], _BIMODULE_ROUTES, A.q, D, (0, n), (n, m), {})
+    D, Fs = _compiled_blocks(n, m, [(A.c, None, M.l, M.r, None, None)])
+    violations = _route_violations(Fs, _BIMODULE_ROUTES, A.q, D, (0, n), (n, m), {})
     return CheckReport.from_violations(violations, q=str(A.q))
 
 
@@ -139,7 +137,5 @@ def semidirect_product(A: StructureAlgebra, M: Bimodule) -> StructureAlgebra:
     """Algebra on A + V with product (x+a)(y+b) = x*y + l(x)b + r(y)a."""
     if M.algebra_dim != A.dim:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
-    m = M.module_dim
-    back = Bimodule.zero(m, A.dim)
-    t = _block_tensor(A.c, Tensor3.zeros(m, m, m), M.l, M.r, back.l, back.r)
-    return StructureAlgebra(A.dim + m, A.q, t)
+    t = _block_tensor(A.dim, M.module_dim, A.c, None, M.l, M.r, None, None)
+    return StructureAlgebra(A.dim + M.module_dim, A.q, t)

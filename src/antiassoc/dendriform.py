@@ -28,27 +28,28 @@ G(x, a, b) for axiom a+1, at scales (1, 1, -1/q) for A1 and A2 and
 
 Everything else is algebra.py's associative machinery on each tensor:
 its contraction, its multiplication tables, duals as transposes, and its
-block assembler for semidirect and bowtie products.  The checks are route
-rows for algebra.py's route body on the compiled semidirect product or
-bowtie of each of the three products, the matched pair through
-matched.py's six placements.
+block product on A + B.  ``_pieces`` lists the tensor and the two action
+tables of each of prec, succ and star; the builders lay out prec and
+succ dense, and the checks compile all three (``_compiled_blocks``) and
+run their route rows on them with algebra.py's route body, the matched
+pair through matched.py's six placements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .algebra import (
     CheckReport,
     StructureAlgebra,
     _block_tensor,
-    _Compiled,
     _common_den,
+    _compiled_blocks,
     _contract,
     _fibers,
-    _join,
     _route_violations,
 )
 from .bimodules import Bimodule, _check_sides, _check_tables
@@ -122,15 +123,10 @@ _AXIOM_ROUTES = (
 )
 
 
-def _structure_tables(D: DendriformStructure, den: int) -> list[_Compiled]:
-    """den times D's [prec, succ, star] tensors, compiled by ``_fibers``."""
-    return [_fibers(t, den) for t in (D.c_prec, D.c_succ, associated_algebra(D).c)]
-
-
 def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
     den, whole = _common_den([D.c_prec, D.c_succ]), (0, D.dim)
-    Fs = _structure_tables(D, den)
+    Fs = [_fibers(t, den) for t in (D.c_prec, D.c_succ, associated_algebra(D).c)]
     violations = _route_violations(Fs, _AXIOM_ROUTES, D.q, den, whole, whole, {})
     return CheckReport.from_violations(violations, q=str(D.q), triples=D.dim**3)
 
@@ -185,13 +181,14 @@ def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
     return DendriformBimodule(D.dim, D.dim, *dendriform_mult_operators(D))
 
 
-def _pieces(D: DendriformStructure, M: DendriformBimodule, den: int) -> list[tuple]:
-    """(c, l, r) for each of prec, succ and star: den times D's product
-    tensor and M's left and right tables for it, compiled by ``_fibers``."""
+def _pieces(D: DendriformStructure, M: DendriformBimodule) -> Iterator[tuple[Tensor3, ...]]:
+    """(c, l, r) for prec, succ and star in turn: D's product tensor and
+    M's left and right tables for it.  The star sums are made only when
+    reached, so a builder that takes two pieces never adds tables."""
+    yield D.c_prec, M.l_prec, M.r_prec
+    yield D.c_succ, M.l_succ, M.r_succ
     summed = M.sum_actions()
-    acts = ((M.l_prec, M.r_prec), (M.l_succ, M.r_succ), (summed.l, summed.r))
-    tables = _structure_tables(D, den)
-    return [(c, _fibers(l, den), _fibers(r, den)) for c, (l, r) in zip(tables, acts)]
+    yield associated_algebra(D).c, summed.l, summed.r
 
 
 _BIMODULE_ROUTES = tuple(
@@ -213,8 +210,8 @@ def check_dendriform_bimodule(
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
     n, m = D.dim, M.module_dim
-    den = _common_den([D.c_prec, D.c_succ, M.l_succ, M.r_succ, M.l_prec, M.r_prec])
-    Fs = [_join(n, m, c, None, l, r, None, None) for c, l, r in _pieces(D, M, den)]
+    blocks = [(c, None, l, r, None, None) for c, l, r in _pieces(D, M)]
+    den, Fs = _compiled_blocks(n, m, blocks)
     violations = _route_violations(Fs, _BIMODULE_ROUTES, D.q, den, (0, n), (n, m), {})
     return CheckReport.from_violations(violations, q=str(D.q))
 
@@ -245,15 +242,10 @@ def dendriform_semidirect(
     """
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
-    m = M.module_dim
-    zero = Tensor3.zeros(m, m, m)
-    back = Bimodule.zero(m, D.dim)
-    return DendriformStructure(
-        D.dim + m,
-        D.q,
-        _block_tensor(D.c_prec, zero, M.l_prec, M.r_prec, back.l, back.r),
-        _block_tensor(D.c_succ, zero, M.l_succ, M.r_succ, back.l, back.r),
-    )
+    n, m = D.dim, M.module_dim
+    prec, succ = (_block_tensor(n, m, c, None, l, r, None, None)
+                  for c, l, r in islice(_pieces(D, M), 2))
+    return DendriformStructure(n + m, D.q, prec, succ)
 
 
 @dataclass
@@ -280,6 +272,13 @@ _MATCHED_ROUTES = tuple(
 )
 
 
+def _bowtie_blocks(P: DendriformMatchedPairData) -> Iterator[tuple[Tensor3, ...]]:
+    """The pieces (cA, cB, la, ra, lb, rb) of the bowtie of prec, succ and
+    star in turn, in ``_join``'s order."""
+    for (cA, la, ra), (cB, lb, rb) in zip(_pieces(P.D_A, P.on_B), _pieces(P.D_B, P.on_A)):
+        yield cA, cB, la, ra, lb, rb
+
+
 def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     """All eighteen conditions, ids "35".."52", plus preconditions.
 
@@ -290,14 +289,7 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     bimodules, at the common denominator of all their tables.
     """
     A, B, q = P.D_A, P.D_B, P.D_A.q
-    den = _common_den([
-        A.c_prec, A.c_succ, B.c_prec, B.c_succ,
-        *(t for M in (P.on_B, P.on_A) for t in (M.l_succ, M.r_succ, M.l_prec, M.r_prec)),
-    ])
-    Fs = [
-        _join(A.dim, B.dim, cA, cB, la, ra, lb, rb)
-        for (cA, la, ra), (cB, lb, rb) in zip(_pieces(A, P.on_B, den), _pieces(B, P.on_A, den))
-    ]
+    den, Fs = _compiled_blocks(A.dim, B.dim, list(_bowtie_blocks(P)))
     routes = (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
     violations = _matched_violations("dendriform", routes, Fs, A.dim, B.dim, q, den)
     return CheckReport.from_violations(violations, q=str(q))
@@ -311,10 +303,6 @@ def dendriform_bowtie(P: DendriformMatchedPairData) -> DendriformStructure:
 
     and the prec analogue with the _prec tables.
     """
-    A, B, on_B, on_A = P.D_A, P.D_B, P.on_B, P.on_A
-    return DendriformStructure(
-        A.dim + B.dim,
-        A.q,
-        _block_tensor(A.c_prec, B.c_prec, on_B.l_prec, on_B.r_prec, on_A.l_prec, on_A.r_prec),
-        _block_tensor(A.c_succ, B.c_succ, on_B.l_succ, on_B.r_succ, on_A.l_succ, on_A.r_succ),
-    )
+    A, B = P.D_A, P.D_B
+    prec, succ = (_block_tensor(A.dim, B.dim, *block) for block in islice(_bowtie_blocks(P), 2))
+    return DendriformStructure(A.dim + B.dim, A.q, prec, succ)

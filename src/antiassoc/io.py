@@ -88,7 +88,9 @@ class _Ctx:
             tok = token if isinstance(token, str) else json.dumps(token)
         except RecursionError:
             tok = ""
-        pos = max(self.text.find(tok), 0) if tok else 0
+        pos = self.text.find(tok) if tok else 0
+        if pos < 0:  # or as json.dumps's ensure_ascii escapes it, e.g. \u0661
+            pos = max(self.text.find(json.dumps(tok)[1:-1]), 0)
         return ParseError(self.path, len(self.text[:pos].encode("utf-8")), tok, message)
 
 

@@ -20,8 +20,9 @@ the roles of A and B swapped, in A's block at (i_a, i_x, i_y), so one
 route row gives both ids.  ``_matched_violations`` runs a matched pair
 of either kind, this one or the dendriform one, as six placements on one
 compiled bowtie: the two algebras' base laws and the two bimodules'
-laws as preconditions, then the two halves.  The dense bowtie is
-algebra.py's block assembler; the checks never build it.
+laws as preconditions, then the two halves.  The dense bowtie and the
+compiled one are both algebra.py's block product (``_block_tensor`` and
+``_compiled_blocks``); the checks never build the dense one.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from .algebra import (
     StructureAlgebra,
     Violation,
     _block_tensor,
-    _common_den,
-    _fibers,
-    _join,
+    _compiled_blocks,
     _prefixed,
     _route_violations,
 )
@@ -95,11 +94,9 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     All of them share one compilation of the six tables at their common D.
     """
     A, B, q = P.A, P.B, P.A.q
-    tables = (A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)
-    D = _common_den(tables)
-    F = _join(A.dim, B.dim, *(_fibers(t, D) for t in tables))
+    D, Fs = _compiled_blocks(A.dim, B.dim, [(A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)])
     routes = (_Q_ASSOC_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
-    violations = _matched_violations("q_assoc", routes, [F], A.dim, B.dim, q, D)
+    violations = _matched_violations("q_assoc", routes, Fs, A.dim, B.dim, q, D)
     return CheckReport.from_violations(violations, q=str(q))
 
 
@@ -111,5 +108,6 @@ def bowtie(P: MatchedPairData) -> StructureAlgebra:
     Built unconditionally; whether it satisfies the q-law is for
     check_q_associative to say.
     """
-    t = _block_tensor(P.A.c, P.B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)
-    return StructureAlgebra(P.A.dim + P.B.dim, P.A.q, t)
+    A, B = P.A, P.B
+    t = _block_tensor(A.dim, B.dim, A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)
+    return StructureAlgebra(A.dim + B.dim, A.q, t)

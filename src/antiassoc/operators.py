@@ -145,7 +145,7 @@ def check_rota_baxter(A: StructureAlgebra, tau: Matrix) -> CheckReport:
         raise DimensionMismatch("tau must be a square map on the algebra")
     D = _common_den([A.c], [tau])
     F = _fibers(A.c, D)
-    R = [list(fibers) for fibers in zip(*F)]  # R(e_i) e_j = e_j e_i: F's axes swapped
+    R = _on_basis(F, A.dim)  # R(e_i) e_j = e_j e_i: F's axes swapped
     violations = _o_operator_violations(F, F, R, _columns(tau, D), D, "rota_baxter")
     return CheckReport.from_violations(violations, q=str(A.q))
 

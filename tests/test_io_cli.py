@@ -114,21 +114,24 @@ def test_nonrational_values_are_rejected(tmp_path, bad):
 
 
 @pytest.mark.parametrize(
-    "out, token",
-    [({"2": "\u0661"}, "\u0661"), ({"\u00b2": "1"}, "\u00b2")],
-    ids=["value", "out_key"],
+    "out, token, ensure_ascii",
+    [({"2": "\u0661"}, "\u0661", False), ({"\u00b2": "1"}, "\u00b2", False),
+     ({"2": "\u0661"}, "\u0661", True), ({"\u00b2": "1"}, "\u00b2", True)],
+    ids=["value", "out_key", "value_escaped", "out_key_escaped"],
 )
-def test_non_ascii_digits_are_located(tmp_path, capsys, out, token):
+def test_non_ascii_digits_are_located(tmp_path, capsys, out, token, ensure_ascii):
     """An Arabic-Indic one as a value and a superscript two as an out key
-    are not ASCII digits, so each is a ParseError at its own byte."""
+    are not ASCII digits, so each is a ParseError at its own byte, also
+    where the file spells it with a \\u escape, as ensure_ascii writes it."""
     doc = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": out}]}
-    raw = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    raw = json.dumps(doc, ensure_ascii=ensure_ascii).encode("utf-8")
+    spelled = json.dumps(token, ensure_ascii=ensure_ascii)[1:-1].encode("utf-8")
     p = tmp_path / "digits.json"
     p.write_bytes(raw)
     with pytest.raises(ParseError) as exc:
         load_algebra(str(p))
     assert exc.value.token == token
-    assert exc.value.offset == raw.index(token.encode("utf-8"))
+    assert exc.value.offset == raw.index(spelled) > 0
     assert cli.run(["verify", "algebra", str(p)]) == 2
     assert f"{p}: byte {exc.value.offset}: " in capsys.readouterr().err
     ok = write(tmp_path, "ok.json", E1E1_DOC)

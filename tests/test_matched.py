@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import antiassoc
@@ -29,7 +29,8 @@ from antiassoc import (
     semidirect_product,
 )
 from antiassoc import bimodules, dendriform, matched
-from antiassoc.linalg import DimensionMismatch
+from antiassoc.bimodules import action_of
+from antiassoc.linalg import DimensionMismatch, basis_vec
 
 from .support import SMALL, valid_algebra
 from .test_kernel import Draw
@@ -122,6 +123,34 @@ def test_zero_actions_give_direct_sum(seed, q):
         for j in range(B.dim):
             assert all(x == 0 for x in basis_product(T, i, n + j))
             assert all(x == 0 for x in basis_product(T, n + j, i))
+
+
+@given(seed=st.integers(0, 2**30), n=st.integers(0, 3), m=st.integers(0, 3))
+@example(seed=1, n=0, m=2)
+@example(seed=2, n=3, m=0)
+@settings(max_examples=40, deadline=None)
+def test_bowtie_is_the_block_formula(seed, n, m):
+    """Every basis product of the dense bowtie is the docstring's
+    (x+a)(y+b) = (x*y + lB(a)y + rB(b)x) + (a o b + lA(x)b + rA(y)a),
+    read off basis_product and action_of, with each of the four action
+    tables nonzero when both sides are."""
+    draw = Draw(random.Random(seed), "dense", n, m)
+    back = draw.swapped()
+    P = MatchedPairData(draw.algebra(-1), back.algebra(-1), draw.bimodule(), back.bimodule())
+    lA, rA, lB, rB = P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r
+    for t in (lA, rA, lB, rB):
+        if n and m and not any(x for plane in t.entries for f in plane for x in f):
+            t.entries[0][0][0] = Fraction(1)
+    T = bowtie(P)
+    assert T.dim == n + m
+    for p, s in itertools.product(range(n + m), repeat=2):
+        left, right = basis_vec(n + m, p), basis_vec(n + m, s)
+        x, a, y, b = left[:n], left[n:], right[:n], right[n:]
+        xy = basis_product(P.A, p, s) if p < n and s < n else [Fraction(0)] * n
+        ab = basis_product(P.B, p - n, s - n) if p >= n and s >= n else [Fraction(0)] * m
+        A_part = zip(xy, action_of(lB, a).apply(y), action_of(rB, b).apply(x))
+        B_part = zip(ab, action_of(lA, x).apply(b), action_of(rA, y).apply(a))
+        assert basis_product(T, p, s) == [sum(t) for t in (*A_part, *B_part)], (p, s)
 
 
 def test_bowtie_agrees_with_quadratic_double():
