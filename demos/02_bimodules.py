@@ -14,6 +14,7 @@ from antiassoc import (
     regular_bimodule,
     semidirect_product,
 )
+from antiassoc.linalg import Tensor3
 
 A = StructureAlgebra.from_products(2, -1, {(1, 1): {2: 1}})
 
@@ -31,9 +32,11 @@ print("dual valid:", check_bimodule(A, D).passed)
 print("double dual == original:", DD.l == reg.l and DD.r == reg.r)
 
 # Now damage one action entry and watch both checks fail together: the
-# table entry l[i][j][k] is the e_k coordinate of l(e_i) e_j.
-bad_l = reg.l.copy()
-bad_l[0][0][0] += 1
+# table entry l[i][j][k] is the e_k coordinate of l(e_i) e_j.  Tables
+# are immutable, so the damaged one is built anew.
+entries = [[list(fiber) for fiber in plane] for plane in reg.l.entries]
+entries[0][0][0] += 1
+bad_l = Tensor3(entries)
 bad = Bimodule(A.dim, reg.module_dim, bad_l, reg.r)
 direct = check_bimodule(A, bad)
 via_product = check_q_associative(semidirect_product(A, bad))

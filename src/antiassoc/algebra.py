@@ -45,12 +45,18 @@ nonzero ``(index, int)`` pairs (``_fibers`` for bilinear tables,
 ``_columns`` for maps).  Each law is a sum of integer contractions with
 q's numerator and denominator folded into the coefficients, so all its
 terms share one scale, D^2 qn qd in the route body.  The runner divides
-by the scale, building Fractions only for a nonzero residual.  Nothing
-is cached on the mutable tables: each check call compiles its own, once
-for all its preconditions.  ``fingerprint`` reads its three ranks off the
-compiled fibers too, as integer rows handed to the one elimination
-``linalg.echelon``, with no Fraction matrix.  The independent oracles
-(classify2d and the criteria in doubles.py) stay off the kernel.
+by the scale, building Fractions only for a nonzero residual.  Tables
+are immutable, and each carries its compiled form (``Tensor3.compiled``:
+its own denominator d and its fibers at d), made once on first use or
+set by the sparse constructor, so the sparse loader hands it over with
+no dense scan.  D is the lcm of the tables' d, and ``_fibers`` hands
+out a table's own fibers when D = d and rescales only their nonzero
+entries otherwise.  A sum of two tables, such as a dendriform star
+product, is added in integers (``_fiber_sum``).  ``fingerprint`` reads
+its three ranks off the compiled fibers too, as integer rows handed to
+the one elimination ``linalg.echelon``, with no Fraction matrix.  The
+independent oracles (classify2d and the criteria in doubles.py) stay
+off the kernel.
 """
 
 from __future__ import annotations
@@ -150,8 +156,9 @@ _Compiled = list[list[Sparse]]  # a bilinear table compiled by _fibers
 
 def _common_den(tensors: Iterable[Tensor3] = (), matrices: Iterable[Matrix] = ()) -> int:
     """The least common denominator D of every entry of the given tensors
-    (structure tensors and action tables) and matrices."""
-    dens = {x.denominator for t in tensors for plane in t.entries for f in plane for x in f}
+    (structure tensors and action tables), the lcm of their compiled d,
+    and matrices."""
+    dens = {t.compiled[0] for t in tensors}
     dens.update(x.denominator for m in matrices for row in m.entries for x in row)
     return math.lcm(*dens)
 
@@ -166,10 +173,32 @@ def _nonzero(vec: Sequence[int]) -> Sparse:
 
 
 def _fibers(c: Tensor3, D: int) -> _Compiled:
-    """D * c[i][j] as sparse vectors, each entry read once.  For an action
-    table T these are the sparse columns of each D * T(e_i)."""
-    return [[[(k, a) for k, x in enumerate(f) if (a := x.numerator * (D // x.denominator))]
-             for f in plane] for plane in c.entries]
+    """D * c[i][j] as sparse vectors, for D a multiple of c's own d: c's
+    compiled fibers themselves when D = d, else those rescaled by D // d.
+    For an action table T these are the sparse columns of each D * T(e_i)."""
+    d, F = c.compiled
+    if D == d:
+        return F
+    f = D // d
+    return [[[(k, a * f) for k, a in fib] if fib else fib for fib in plane] for plane in F]
+
+
+def _fiber_sum(F: _Compiled, G: _Compiled) -> _Compiled:
+    """F + G for two tables compiled at one D, each fiber's nonzero pairs
+    in k order, as ``_fibers`` of the sum of the tables would give them."""
+    out = []
+    for Fp, Gp in zip(F, G):
+        plane = []
+        for f, g in zip(Fp, Gp):
+            if f and g:
+                acc = dict(f)
+                for k, v in g:
+                    acc[k] = acc.get(k, 0) + v
+                plane.append([(k, v) for k, v in sorted(acc.items()) if v])
+            else:
+                plane.append(f or g)
+        out.append(plane)
+    return out
 
 
 def _columns(m: Matrix, D: int) -> list[Sparse]:
@@ -370,15 +399,15 @@ class StructureAlgebra:
         products: dict[tuple[int, int], dict[int, Scalar]],
     ) -> "StructureAlgebra":
         """Build from a sparse 1-indexed table, e.g. {(1, 1): {2: 1}}."""
-        t = Tensor3.zeros(dim, dim, dim)
+        fibers = {}
         for (i, j), out in products.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise DimensionMismatch(f"product index ({i},{j}) out of range")
-            for k, v in out.items():
+            for k in out:
                 if not (1 <= k <= dim):
                     raise DimensionMismatch(f"output index {k} out of range")
-                t.entries[i - 1][j - 1][k - 1] = rat(v)
-        return cls(dim, q, t)
+            fibers[i - 1, j - 1] = {k - 1: rat(v) for k, v in out.items()}
+        return cls(dim, q, Tensor3.from_sparse((dim, dim, dim), fibers))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StructureAlgebra):
@@ -425,9 +454,9 @@ def basis_product(A: StructureAlgebra, i: int, j: int) -> list[Fraction]:
 
 def mult_operators(A: StructureAlgebra) -> tuple[Tensor3, Tensor3]:
     """The left and right multiplication tables (L, R), with
-    L(x) y = R(y) x = x * y: fresh copies of c and of c with its first two
-    axes swapped."""
-    return A.c.copy(), A.c.swapped()
+    L(x) y = R(y) x = x * y: c itself and c with its first two axes
+    swapped."""
+    return A.c, A.c.swapped()
 
 
 def _block_tensor(n: int, m: int, *pieces: Tensor3 | None) -> Tensor3:
@@ -449,8 +478,8 @@ def _block_tensor(n: int, m: int, *pieces: Tensor3 | None) -> Tensor3:
 
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
     """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
-    D, whole = _common_den([A.c]), (0, A.dim)
-    violations = _route_violations([_fibers(A.c, D)], _Q_ASSOC_ROUTES, A.q, D, whole, whole, {})
+    (D, F), whole = A.c.compiled, (0, A.dim)
+    violations = _route_violations([F], _Q_ASSOC_ROUTES, A.q, D, whole, whole, {})
     return CheckReport.from_violations(violations, q=str(A.q), triples=A.dim**3)
 
 
@@ -469,8 +498,7 @@ def anticommutator_algebra(A: StructureAlgebra) -> StructureAlgebra:
 def check_mock_lie(A: StructureAlgebra) -> CheckReport:
     """Commutativity plus the Jacobi identity, both on A's own product."""
     n = A.dim
-    D = _common_den([A.c])
-    F = _fibers(A.c, D)
+    D, F = A.c.compiled
     e, minus = _basis(n), _basis(n, -1)
 
     def commutator(i, j):
@@ -495,8 +523,7 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
     5 w(x(yz)).
     """
     n = A.dim
-    D = _common_den([A.c])
-    F = _fibers(A.c, D)
+    D, F = A.c.compiled
     e = _basis(n)
     r = range(n)
     # (e_i e_j) e_k and e_i (e_j e_k), times D^2
@@ -531,14 +558,15 @@ def fingerprint(A: StructureAlgebra) -> Fingerprint:
     left annihilator iff sum_i x_i c[i][j][k] = 0 for every (j, k), so
     row i of ``left`` holds c[i][j][k] at (j, k); x is a right one iff
     sum_j x_j c[i][j][k] = 0 for every (i, k), and row j of ``right``
-    holds c[i][j][k] at (i, k).  The scale D changes no rank."""
+    holds c[i][j][k] at (i, k).  The scale D changes no rank, and c is
+    commutative iff its fibers D*c[i][j] and D*c[j][i] are equal."""
     n = A.dim
-    c, r, nn = A.c.entries, range(n), n * n
+    F, r, nn = A.c.compiled[1], range(n), n * n
     square, left, right = ([[0] * nn for _ in r] for _ in range(3))
-    for i, plane in enumerate(_fibers(A.c, _common_den([A.c]))):
+    for i, plane in enumerate(F):
         for j, f in enumerate(plane):
             for k, a in f:
                 square[k][i * n + j] = left[i][j * n + k] = right[j][i * n + k] = a
     dim_square, rank_left, rank_right = (len(echelon(m, nn)[1]) for m in (square, left, right))
-    commutative = all(c[i][j] == c[j][i] for i in r for j in range(i))
+    commutative = all(F[i][j] == F[j][i] for i in r for j in range(i))
     return Fingerprint(n, dim_square, n - rank_left, n - rank_right, commutative)

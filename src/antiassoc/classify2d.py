@@ -57,12 +57,9 @@ class ConstraintSystem:
     @staticmethod
     def algebra_from(assignment: Mapping[str, Scalar]) -> StructureAlgebra:
         v = {k: rat(assignment[k]) for k in UNKNOWNS}
-        t = Tensor3.zeros(2, 2, 2)
-        t.entries[0][0] = [v["a1"], v["a2"]]
-        t.entries[0][1] = [v["b1"], v["b2"]]
-        t.entries[1][0] = [v["c1"], v["c2"]]
-        t.entries[1][1] = [v["d1"], v["d2"]]
-        return StructureAlgebra(2, Fraction(-1), t)
+        fibers = {(0, 0): {0: v["a1"], 1: v["a2"]}, (0, 1): {0: v["b1"], 1: v["b2"]},
+                  (1, 0): {0: v["c1"], 1: v["c2"]}, (1, 1): {0: v["d1"], 1: v["d2"]}}
+        return StructureAlgebra(2, Fraction(-1), Tensor3.from_sparse((2, 2, 2), fibers))
 
     @staticmethod
     def residuals(assignment: Mapping[str, Scalar]) -> list[Fraction]:

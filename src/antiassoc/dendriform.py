@@ -29,17 +29,17 @@ G(x, a, b) for axiom a+1, at scales (1, 1, -1/q) for A1 and A2 and
 Everything else is algebra.py's associative machinery on each tensor:
 its contraction, its multiplication tables, duals as transposes, and its
 block product on A + B.  ``_pieces`` lists the tensor and the two action
-tables of each of prec, succ and star; the builders lay out prec and
-succ dense, and the checks compile all three (``_compiled_blocks``) and
-run their route rows on them with algebra.py's route body, the matched
-pair through matched.py's six placements.
+tables of each of prec and succ; the builders lay them out dense, and
+the checks compile them (``_compiled_blocks``), add the compiled prec
+and succ products in integers for star (``_fiber_sum``), and run their
+route rows on the three with algebra.py's route body, the matched pair
+through matched.py's six placements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -49,6 +49,7 @@ from .algebra import (
     _common_den,
     _compiled_blocks,
     _contract,
+    _fiber_sum,
     _fibers,
     _route_violations,
 )
@@ -126,7 +127,8 @@ _AXIOM_ROUTES = (
 def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
     den, whole = _common_den([D.c_prec, D.c_succ]), (0, D.dim)
-    Fs = [_fibers(t, den) for t in (D.c_prec, D.c_succ, associated_algebra(D).c)]
+    prec, succ = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
+    Fs = [prec, succ, _fiber_sum(prec, succ)]
     violations = _route_violations(Fs, _AXIOM_ROUTES, D.q, den, whole, whole, {})
     return CheckReport.from_violations(violations, q=str(D.q), triples=D.dim**3)
 
@@ -140,8 +142,8 @@ def dendriform_mult_operators(
     D: DendriformStructure,
 ) -> tuple[Tensor3, Tensor3, Tensor3, Tensor3]:
     """(L_succ, R_succ, L_prec, R_prec), the multiplication tables of the
-    two products as in algebra.mult_operators: fresh copies, never c itself."""
-    return D.c_succ.copy(), D.c_succ.swapped(), D.c_prec.copy(), D.c_prec.swapped()
+    two products as in algebra.mult_operators."""
+    return D.c_succ, D.c_succ.swapped(), D.c_prec, D.c_prec.swapped()
 
 
 @dataclass
@@ -171,10 +173,8 @@ class DendriformBimodule:
 
 def lift_assoc_bimodule(M: Bimodule) -> DendriformBimodule:
     """Pad an associative bimodule (l, r) into the slots (l, 0, 0, r)."""
-    n, m = M.algebra_dim, M.module_dim
-    return DendriformBimodule(
-        n, m, M.l.copy(), Tensor3.zeros(n, m, m), Tensor3.zeros(n, m, m), M.r.copy()
-    )
+    zero = Tensor3.zeros(M.algebra_dim, M.module_dim, M.module_dim)
+    return DendriformBimodule(M.algebra_dim, M.module_dim, M.l, zero, zero, M.r)
 
 
 def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
@@ -182,13 +182,10 @@ def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:
 
 
 def _pieces(D: DendriformStructure, M: DendriformBimodule) -> Iterator[tuple[Tensor3, ...]]:
-    """(c, l, r) for prec, succ and star in turn: D's product tensor and
-    M's left and right tables for it.  The star sums are made only when
-    reached, so a builder that takes two pieces never adds tables."""
+    """(c, l, r) for prec and succ in turn: D's product tensor and M's left
+    and right tables for it."""
     yield D.c_prec, M.l_prec, M.r_prec
     yield D.c_succ, M.l_succ, M.r_succ
-    summed = M.sum_actions()
-    yield associated_algebra(D).c, summed.l, summed.r
 
 
 _BIMODULE_ROUTES = tuple(
@@ -212,6 +209,7 @@ def check_dendriform_bimodule(
     n, m = D.dim, M.module_dim
     blocks = [(c, None, l, r, None, None) for c, l, r in _pieces(D, M)]
     den, Fs = _compiled_blocks(n, m, blocks)
+    Fs.append(_fiber_sum(*Fs))
     violations = _route_violations(Fs, _BIMODULE_ROUTES, D.q, den, (0, n), (n, m), {})
     return CheckReport.from_violations(violations, q=str(D.q))
 
@@ -243,8 +241,7 @@ def dendriform_semidirect(
     if M.algebra_dim != D.dim:
         raise DimensionMismatch("bimodule indexed by a different algebra dimension")
     n, m = D.dim, M.module_dim
-    prec, succ = (_block_tensor(n, m, c, None, l, r, None, None)
-                  for c, l, r in islice(_pieces(D, M), 2))
+    prec, succ = (_block_tensor(n, m, c, None, l, r, None, None) for c, l, r in _pieces(D, M))
     return DendriformStructure(n + m, D.q, prec, succ)
 
 
@@ -273,8 +270,8 @@ _MATCHED_ROUTES = tuple(
 
 
 def _bowtie_blocks(P: DendriformMatchedPairData) -> Iterator[tuple[Tensor3, ...]]:
-    """The pieces (cA, cB, la, ra, lb, rb) of the bowtie of prec, succ and
-    star in turn, in ``_join``'s order."""
+    """The pieces (cA, cB, la, ra, lb, rb) of the bowtie of prec and succ
+    in turn, in ``_join``'s order."""
     for (cA, la, ra), (cB, lb, rb) in zip(_pieces(P.D_A, P.on_B), _pieces(P.D_B, P.on_A)):
         yield cA, cB, la, ra, lb, rb
 
@@ -290,6 +287,7 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     """
     A, B, q = P.D_A, P.D_B, P.D_A.q
     den, Fs = _compiled_blocks(A.dim, B.dim, list(_bowtie_blocks(P)))
+    Fs.append(_fiber_sum(*Fs))
     routes = (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
     violations = _matched_violations("dendriform", routes, Fs, A.dim, B.dim, q, den)
     return CheckReport.from_violations(violations, q=str(q))
@@ -304,5 +302,5 @@ def dendriform_bowtie(P: DendriformMatchedPairData) -> DendriformStructure:
     and the prec analogue with the _prec tables.
     """
     A, B = P.D_A, P.D_B
-    prec, succ = (_block_tensor(A.dim, B.dim, *block) for block in islice(_bowtie_blocks(P), 2))
+    prec, succ = (_block_tensor(A.dim, B.dim, *block) for block in _bowtie_blocks(P))
     return DendriformStructure(A.dim + B.dim, A.q, prec, succ)

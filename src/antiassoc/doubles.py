@@ -75,10 +75,10 @@ class DoubleConstruction:
 
 def _closure_violations(total: StructureAlgebra, n: int) -> list[Violation]:
     """Each half must be closed under the total product."""
-    c = total.c.entries
+    c, zero = total.c.entries, (Fraction(0),) * n
 
-    leak_A = ("closure:A", lambda i, j: [Fraction(0)] * n + c[i][j][n:])
-    leak_B = ("closure:B", lambda i, j: c[i][j][:n] + [Fraction(0)] * n)
+    leak_A = ("closure:A", lambda i, j: zero + c[i][j][n:])
+    leak_B = ("closure:B", lambda i, j: c[i][j][:n] + zero)
     pairs_A = itertools.product(range(n), repeat=2)
     pairs_B = itertools.product(range(n, total.dim), repeat=2)
     return _run_laws(pairs_A, [leak_A]) + _run_laws(pairs_B, [leak_B])

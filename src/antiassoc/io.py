@@ -42,10 +42,10 @@ from .matched import MatchedPairData
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 # Largest dim an algebra or dendriform document, and largest module_dim a
-# bimodule, may declare.  Product tensors are allocated dense, dim^3
-# Fractions, before their entries are read, and a semidirect product
-# allocates (dim + module_dim)^3, so the bound keeps a hostile dimension
-# from exhausting memory.
+# bimodule, may declare.  A product tensor holds dim^2 fibers of dim
+# entries, even when read from a short sparse list, and a semidirect
+# product allocates (dim + module_dim)^3 entries, so the bound keeps a
+# hostile dimension from exhausting memory.
 MAX_DIM = 64
 
 
@@ -214,11 +214,12 @@ def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, what: str) -> list:
 
 
 def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
-    """A dim-n product tensor from its list ``key`` of {i, j, out} entries."""
+    """A dim-n product tensor from its list ``key`` of {i, j, out} entries,
+    built sparse, so it carries its compiled form without a dense scan."""
     what = prefix + key
     if not isinstance(node, list):
         raise ctx.fail(node, f"{what} must be a list")
-    t = Tensor3.zeros(n, n, n)
+    fibers: dict[tuple[int, int], dict[int, Fraction]] = {}
     first: dict[tuple[int, int], int] = {}
     for pos, item in enumerate(node, start=1):
         entry = f"{what}[{pos}]"
@@ -234,6 +235,7 @@ def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
         first[i, j] = pos
         if not isinstance(out, dict):
             raise ctx.fail(out, f"{entry}.out must map basis index to rational")
+        fiber = fibers[i - 1, j - 1] = {}
         for kstr, val in out.items():
             try:
                 k = int(kstr) if kstr.isascii() and kstr.isdigit() else 0
@@ -241,8 +243,8 @@ def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
                 raise _long_integer(ctx, kstr) from exc
             if not 1 <= k <= n:
                 raise ctx.fail(kstr, f"{entry}.out key out of range for dim {n}")
-            t.entries[i - 1][j - 1][k - 1] = _rational(val, ctx)
-    return t
+            fiber[k - 1] = _rational(val, ctx)
+    return Tensor3.from_sparse((n, n, n), fibers)
 
 
 def _resolve(node: object, ctx: _Ctx, prefix: str) -> tuple[object, _Ctx, str]:

@@ -10,6 +10,12 @@ Matrix scales its rows to integers and hands them to ``echelon``
 such as ``algebra.fingerprint``, calls it directly.  No floats, anywhere.
 Vectors are plain ``list[Fraction]`` and are always column vectors; matrices
 act on the left.
+
+A Tensor3 is immutable, its entries nested tuples, so each carries its
+compiled form, the integer fibers the kernel of algebra.py runs on, made
+once on first use; the sparse constructor ``Tensor3.from_sparse``, which
+the sparse document loader calls, sets it from the nonzero entries it is
+given.  A Matrix is still mutable and compiles on each use.
 """
 
 from __future__ import annotations
@@ -316,39 +322,113 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # rank-3 tensors
 
+_set = object.__setattr__
+
 
 class Tensor3:
-    """Rank-3 tensor c[i][j][k], stored dense and row-major.
+    """Rank-3 tensor c[i][j][k], stored dense and row-major in nested tuples.
 
     The three axes need not agree in general (action tables of an n-dim
     algebra on an m-dim space are n x m x m), but algebra product tensors
     are cubic.  As for Matrix, the shape (d1, d2, d3) is read off the
     entries unless given, and a tensor with an empty axis is built with it.
+
+    A Tensor3 is immutable: writing an entry or setting an attribute
+    raises TypeError.  So it carries its compiled form, ``compiled``, made
+    on first use: the least common denominator d of its entries and its
+    fibers d * c[i][j] as lists of their nonzero (k, int) pairs in k order.
+    ``from_sparse`` sets it from the nonzero entries it is given, so a
+    table built sparse is never scanned.  Every reader of the compiled
+    form shares its lists and none writes them.
     """
 
-    __slots__ = ("d1", "d2", "d3", "entries")
+    __slots__ = ("d1", "d2", "d3", "entries", "_compiled")
 
     def __init__(self, entries: Sequence[Sequence[Sequence[Scalar]]], shape: tuple | None = None):
-        e = self.entries = [[[x if x.__class__ is Fraction else rat(x) for x in fiber]
-                             for fiber in plane] for plane in entries]
+        e = tuple([tuple([tuple([x if x.__class__ is Fraction else rat(x) for x in fiber])
+                          for fiber in plane]) for plane in entries])
         if shape is None:
             shape = (len(e), len(e[0]) if e else 0, len(e[0][0]) if e and e[0] else 0)
-        self.d1, self.d2, self.d3 = shape
-        if len(e) != self.d1:
+        d1, d2, d3 = shape
+        if len(e) != d1:
             raise _unfilled(shape)
         for plane in e:
-            if len(plane) != self.d2:
+            if len(plane) != d2:
                 raise _unfilled(shape)
             for fiber in plane:
-                if len(fiber) != self.d3:
+                if len(fiber) != d3:
                     raise _unfilled(shape)
+        self._hold(e, shape, None)
+
+    def _hold(self, entries: tuple, shape: tuple, compiled) -> None:
+        _set(self, "entries", entries)
+        _set(self, "d1", shape[0])
+        _set(self, "d2", shape[1])
+        _set(self, "d3", shape[2])
+        _set(self, "_compiled", compiled)
+
+    @classmethod
+    def _made(cls, entries: tuple, shape: tuple, compiled=None) -> "Tensor3":
+        """The tensor of ``entries``, nested tuples of Fractions that fill
+        ``shape``, taken as they are."""
+        t = object.__new__(cls)
+        t._hold(entries, shape, compiled)
+        return t
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise TypeError("a Tensor3 is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise TypeError("a Tensor3 is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a tensor from its entries, as slots cannot be set
+        return Tensor3, (self.entries, (self.d1, self.d2, self.d3))
+
+    @classmethod
+    def from_sparse(cls, shape: tuple[int, int, int],
+                    fibers: dict[tuple[int, int], dict[int, Fraction]]) -> "Tensor3":
+        """The tensor of ``shape`` with c[i][j][k] = fibers[i, j][k], 0-based
+        indices in range and Fraction values, and zero elsewhere.  Its
+        compiled form is read off these values alone: zero values are
+        dropped and each fiber is sorted by k."""
+        d1, d2, d3 = shape
+        zero = Fraction(0)
+        empty = (zero,) * d3
+        planes = [[empty] * d2 for _ in range(d1)]
+        nonzero = {}
+        for (i, j), out in fibers.items():
+            f = [zero] * d3
+            pairs = nonzero[i, j] = [(k, x) for k, x in sorted(out.items()) if x]
+            for k, x in pairs:
+                f[k] = x
+            planes[i][j] = tuple(f)
+        d = math.lcm(*{x.denominator for pairs in nonzero.values() for _, x in pairs})
+        ints = [[[]] * d2 for _ in range(d1)]
+        for (i, j), pairs in nonzero.items():
+            ints[i][j] = [(k, x.numerator * (d // x.denominator)) for k, x in pairs]
+        return cls._made(tuple(map(tuple, planes)), shape, (d, ints))
 
     @staticmethod
     def zeros(d1: int, d2: int, d3: int) -> "Tensor3":
-        zero = Fraction(0)
-        return Tensor3([[[zero] * d3 for _ in range(d2)] for _ in range(d1)], (d1, d2, d3))
+        return Tensor3.from_sparse((d1, d2, d3), {})
 
-    def __getitem__(self, i: int) -> list[list[Fraction]]:
+    @property
+    def compiled(self) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+        """(d, F): the least common denominator d of the entries, and
+        F[i][j] the nonzero (k, d * c[i][j][k]) in k order."""
+        if self._compiled is None:
+            _set(self, "_compiled", self._compile())
+        return self._compiled
+
+    def _compile(self) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+        """``compiled`` read off every entry, once per table."""
+        e = self.entries
+        d = math.lcm(*{x.denominator for plane in e for f in plane for x in f})
+        return d, [[[(k, a) for k, x in enumerate(f) if (a := x.numerator * (d // x.denominator))]
+                    for f in plane] for plane in e]
+
+    def __getitem__(self, i: int) -> tuple[tuple[Fraction, ...], ...]:
         return self.entries[i]
 
     def __eq__(self, other: object) -> bool:
@@ -361,34 +441,35 @@ class Tensor3:
     def __repr__(self) -> str:
         return f"Tensor3({self.d1}x{self.d2}x{self.d3})"
 
-    def copy(self) -> "Tensor3":
-        return Tensor3(self.entries, (self.d1, self.d2, self.d3))
-
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        if (self.d1, self.d2, self.d3) != (other.d1, other.d2, other.d3):
+        shape = (self.d1, self.d2, self.d3)
+        if shape != (other.d1, other.d2, other.d3):
             raise DimensionMismatch(f"shapes {self!r} and {other!r}")
-        return Tensor3([
-            [[a + b if a and b else a or b for a, b in zip(f1, f2)] for f1, f2 in zip(p1, p2)]
+        return Tensor3._made(tuple([
+            tuple([tuple([a + b if a and b else a or b for a, b in zip(f1, f2)])
+                   for f1, f2 in zip(p1, p2)])
             for p1, p2 in zip(self.entries, other.entries)
-        ], (self.d1, self.d2, self.d3))
+        ]), shape)
 
     def scale(self, s: Scalar) -> "Tensor3":
         c = rat(s)
-        planes = [[[c * a if a else a for a in fiber] for fiber in plane] for plane in self.entries]
-        return Tensor3(planes, (self.d1, self.d2, self.d3))
+        return Tensor3._made(tuple([
+            tuple([tuple([c * a if a else a for a in fiber]) for fiber in plane])
+            for plane in self.entries
+        ]), (self.d1, self.d2, self.d3))
 
     def swapped(self) -> "Tensor3":
         """The tensor with axes 0 and 1 exchanged: out[j][i] = self[i][j]."""
-        planes = [[plane[j] for plane in self.entries] for j in range(self.d2)]
-        return Tensor3(planes, (self.d2, self.d1, self.d3))
+        planes = tuple([tuple([plane[j] for plane in self.entries]) for j in range(self.d2)])
+        return Tensor3._made(planes, (self.d2, self.d1, self.d3))
 
     def transposed(self) -> "Tensor3":
         """The tensor with axes 1 and 2 exchanged: out[i][k][j] = self[i][j][k],
         so each plane, read as a matrix, is transposed."""
         if not self.d2:  # zip reads no columns off a plane with no rows
             return Tensor3.zeros(self.d1, self.d3, 0)
-        planes = [[list(col) for col in zip(*plane)] for plane in self.entries]
-        return Tensor3(planes, (self.d1, self.d3, self.d2))
+        planes = tuple([tuple(zip(*plane)) for plane in self.entries])
+        return Tensor3._made(planes, (self.d1, self.d3, self.d2))
 
     def is_zero(self) -> bool:
         return all(

@@ -35,12 +35,12 @@ def nilpotent_algebra(rng: random.Random, dim: int, q) -> StructureAlgebra:
     `split` basis vectors, products of generators land strictly above.
     """
     split = rng.randrange(1, dim) if dim > 1 else 1
-    t = Tensor3.zeros(dim, dim, dim)
+    t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(split):
         for j in range(split):
             for k in range(split, dim):
-                t.entries[i][j][k] = rand_fraction(rng)
-    return StructureAlgebra(dim, q, t)
+                t[i][j][k] = rand_fraction(rng)
+    return StructureAlgebra(dim, q, Tensor3(t, (dim, dim, dim)))
 
 
 def curated_algebras(q) -> list[StructureAlgebra]:
@@ -86,29 +86,37 @@ def valid_bimodules(A: StructureAlgebra) -> list[Bimodule]:
     return [Bimodule.zero(A.dim, 2), reg, dual_bimodule(A, reg)]
 
 
+def bumped(t: Tensor3, i: int, j: int, k: int, amount) -> Tensor3:
+    """A new table equal to t but for t[i][j][k] + amount."""
+    entries = [[list(fiber) for fiber in plane] for plane in t.entries]
+    entries[i][j][k] += amount
+    return Tensor3(entries, (t.d1, t.d2, t.d3))
+
+
 def perturb_bimodule(rng: random.Random, M: Bimodule) -> Bimodule:
     """Copy with a single random entry bumped by a nonzero amount: row i,
     column j of the matrix of one basis vector's action, which is the
     table entry [k][j][i]."""
-    l, r = M.l.copy(), M.r.copy()
-    side = l if rng.random() < 0.5 else r
+    left = rng.random() < 0.5
+    side = M.l if left else M.r
     k = rng.randrange(side.d1)
     i = rng.randrange(M.module_dim)
     j = rng.randrange(M.module_dim)
-    side[k][j][i] += rng.choice([Fraction(1), Fraction(-1), Fraction(1, 2)])
-    return Bimodule(M.algebra_dim, M.module_dim, l, r)
+    side = bumped(side, k, j, i, rng.choice([Fraction(1), Fraction(-1), Fraction(1, 2)]))
+    return Bimodule(M.algebra_dim, M.module_dim, side if left else M.l, M.r if left else side)
 
 
 def nilpotent_dendriform(rng: random.Random, dim: int, q) -> DendriformStructure:
     split = rng.randrange(1, dim) if dim > 1 else 1
-    prec = Tensor3.zeros(dim, dim, dim)
-    succ = Tensor3.zeros(dim, dim, dim)
+    prec, succ = ([[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+                  for _ in range(2))
     for i in range(split):
         for j in range(split):
             for k in range(split, dim):
-                prec.entries[i][j][k] = rand_fraction(rng)
-                succ.entries[i][j][k] = rand_fraction(rng)
-    return DendriformStructure(dim, q, prec, succ)
+                prec[i][j][k] = rand_fraction(rng)
+                succ[i][j][k] = rand_fraction(rng)
+    shape = (dim, dim, dim)
+    return DendriformStructure(dim, q, Tensor3(prec, shape), Tensor3(succ, shape))
 
 
 def case3_dendriform(lam) -> DendriformStructure:
@@ -127,13 +135,16 @@ def case4_dendriform() -> DendriformStructure:
 
 
 def perturb_dendriform(rng: random.Random, D: DendriformStructure) -> DendriformStructure:
-    prec = D.c_prec.copy()
-    succ = D.c_succ.copy()
-    target = prec if rng.random() < 0.5 else succ
+    on_prec = rng.random() < 0.5
     i = rng.randrange(D.dim)
     j = rng.randrange(D.dim)
     k = rng.randrange(D.dim)
-    target.entries[i][j][k] += rng.choice([Fraction(1), Fraction(-1), Fraction(2)])
+    amount = rng.choice([Fraction(1), Fraction(-1), Fraction(2)])
+    prec, succ = D.c_prec, D.c_succ
+    if on_prec:
+        prec = bumped(prec, i, j, k, amount)
+    else:
+        succ = bumped(succ, i, j, k, amount)
     return DendriformStructure(D.dim, D.q, prec, succ)
 
 

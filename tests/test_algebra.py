@@ -71,11 +71,16 @@ def test_mult_operators_agree_with_multiply():
 
 
 def test_mult_operators_are_fresh_tables():
-    """Editing a multiplication table never edits the algebra's c."""
+    """A multiplication table refuses every write, so no edit of it can
+    reach the algebra's c, which L is."""
     A = StructureAlgebra.from_products(2, -1, {(1, 2): {1: 3}})
     L, R = mult_operators(A)
-    L[0][1][0] += 1
-    R[1][0][0] += 1
+    assert L is A.c
+    for T, (i, j) in ((L, (0, 1)), (R, (1, 0))):
+        with pytest.raises(TypeError):
+            T[i][j][0] += 1
+        with pytest.raises(TypeError):
+            T.entries = ()
     assert A.c == StructureAlgebra.from_products(2, -1, {(1, 2): {1: 3}}).c
 
 
@@ -135,10 +140,10 @@ def test_fingerprint_swap_invariant_under_relabel(seed):
     rng.shuffle(perm)
     from antiassoc.linalg import Tensor3
 
-    t = Tensor3.zeros(n, n, n)
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                t.entries[perm[i]][perm[j]][perm[k]] = A.c.entries[i][j][k]
-    B = StructureAlgebra(n, A.q, t)
+                t[perm[i]][perm[j]][perm[k]] = A.c.entries[i][j][k]
+    B = StructureAlgebra(n, A.q, Tensor3(t, (n, n, n)))
     assert fingerprint(A) == fingerprint(B)

@@ -6,8 +6,9 @@ are dense, 2-step nilpotent (valid for every q), or nilpotent with one
 entry bumped; entries have denominators up to 7, the module dimension
 differs from the algebra dimension (for a matched pair, the dimension of
 B differs from that of A), and dims 0 and 1 are drawn.  Each check also
-compiles every table once per call, whatever the dimensions and the
-number of tuples.
+compiles every table at most once, whatever the dimensions and the
+number of tuples, and a table the sparse loader built is handed its
+compiled form, which must be the one its dense twin compiles.
 
 The two criteria of doubles.py, sparse Fraction lookups, are compared
 the same way with their dense form, and they, with every doubles.py
@@ -19,6 +20,7 @@ form, which ranks Fraction matrices.
 import ast
 import copy
 import inspect
+import json
 import random
 import re
 import textwrap
@@ -26,7 +28,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import antiassoc
@@ -39,8 +41,8 @@ from antiassoc import (
     MatchedPairData,
     StructureAlgebra,
 )
-from antiassoc import algebra, bimodules, dendriform, doubles, linalg, matched, operators
-from antiassoc.io import load_fixture
+from antiassoc import algebra, cli, doubles, linalg, operators
+from antiassoc.io import load_algebra, load_fixture
 from antiassoc.linalg import Matrix, Tensor3
 
 from . import reference
@@ -397,16 +399,20 @@ def test_join_is_the_compiled_block_tensor(seed, n, m):
 SHAPES = [(2, 3), (3, 1)]
 
 
-def _compiles_per_call(monkeypatch, check, make_args):
-    """The number of ``_fibers`` compiles, counted in every module whose
-    laws a matched pair or a dendriform check runs and that binds
-    ``_fibers``, that one call of ``check`` makes on dense (failing)
-    inputs, at each of SHAPES."""
+def _counted_compiles(monkeypatch) -> list:
+    """The tables compiled from here on, one item per compile made from a
+    table's entries; a table handed its compiled form, or compiled
+    already, adds none."""
     calls = []
-    real = algebra._fibers
-    for module in (algebra, bimodules, matched, dendriform):
-        if "_fibers" in vars(module):
-            monkeypatch.setattr(module, "_fibers", lambda *a: calls.append(a) or real(*a))
+    real = Tensor3._compile
+    monkeypatch.setattr(Tensor3, "_compile", lambda t: calls.append(t) or real(t))
+    return calls
+
+
+def _compiles_per_call(monkeypatch, check, make_args):
+    """The number of tables that one call of ``check`` compiles on fresh
+    dense (failing) inputs, at each of SHAPES."""
+    calls = _counted_compiles(monkeypatch)
     counts = []
     for n, m in SHAPES:
         args = make_args(Draw(random.Random(5), "dense", n, m))
@@ -433,8 +439,8 @@ def test_dendriform_bimodule_compiles_each_action_once(monkeypatch):
         monkeypatch, antiassoc.check_dendriform_bimodule,
         lambda draw: (draw.dendriform(-1), draw.dendriform_bimodule()),
     )
-    # prec, succ and their sum; the four tables and the two summed ones
-    assert counts == [9, 9]
+    # prec, succ and the four tables; the star sums are added compiled
+    assert counts == [6, 6]
 
 
 def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
@@ -448,20 +454,108 @@ def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
     counts = _compiles_per_call(
         monkeypatch, antiassoc.check_dendriform_matched_pair, make_args
     )
-    # each side's three tensors and six tables, shared by the preconditions
-    # and the two halves
-    assert counts == [2 * (3 + 6)] * 2
+    # each side's two tensors and four tables, shared by the preconditions
+    # and the two halves; the star sums are added compiled
+    assert counts == [2 * (2 + 4)] * 2
+
+
+NILPOTENT4 = [(1, 1, {"3": "1/2", "4": "-2/3"}), (1, 2, {"4": "5/7"}), (2, 1, {"3": "-1"}),
+              (2, 2, {"4": "3/1000000"})]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_verify_algebra_compiles_its_table_once(monkeypatch, tmp_path, capsys, sparse):
+    """The q-law and the fingerprint of ``verify algebra`` share one
+    compiled form: made once from a dense document's entries, and handed
+    over by the loader for a sparse one."""
+    if sparse:
+        doc = {"products": [{"i": i, "j": j, "out": out} for i, j, out in NILPOTENT4]}
+    else:
+        c = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+        for i, j, out in NILPOTENT4:
+            for k, x in out.items():
+                c[i - 1][j - 1][int(k) - 1] = x
+        doc = {"c": c}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"dim": 4, "q": "-1", **doc}))
+    calls = _counted_compiles(monkeypatch)
+    assert cli.run(["verify", "algebra", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["fingerprint"]["dim_square"] == 2
+    assert len(calls) == (0 if sparse else 1)
+
+
+def _spelled(p: int, d: int) -> str:
+    return str(p) if d == 1 else f"{p}/{d}"
+
+
+@st.composite
+def sparse_documents(draw):
+    """(dim, products) of a sparse document: explicit zero values, out keys
+    in any order, unreduced spellings and denominators up to 10^6."""
+    n = draw(st.integers(0, 4))
+    value = st.tuples(st.one_of(st.just(0), st.integers(-9, 9)),
+                      st.sampled_from([1, 2, 3, 7, 10**6]))
+    index = st.integers(1, max(n, 1))
+    pairs = draw(st.lists(st.tuples(index, index), unique=True)) if n else []
+    products = []
+    for i, j in pairs:
+        ks = draw(st.lists(index, unique=True))
+        products.append({"i": i, "j": j, "out": {str(k): _spelled(*draw(value)) for k in ks}})
+    return n, products
+
+
+@given(sparse_documents())
+@example((3, [{"i": 2, "j": 1, "out": {"3": "1/2", "1": "0", "2": "-5/1000000"}},
+              {"i": 1, "j": 1, "out": {"2": "0/7"}}]))
+@example((0, []))
+@example((1, [{"i": 1, "j": 1, "out": {"1": "-3/3"}}]))
+@settings(max_examples=100, deadline=None)
+def test_sparse_loader_compiles_as_the_dense_path(tmp_path_factory, document):
+    """The compiled form the sparse loader sets is ``_fibers`` of the
+    equal table loaded dense, which compiles from its entries, and the
+    two loaders give equal tables."""
+    n, products = document
+    c = [[["0"] * n for _ in range(n)] for _ in range(n)]
+    for item in products:
+        for k, x in item["out"].items():
+            c[item["i"] - 1][item["j"] - 1][int(k) - 1] = x
+    where = tmp_path_factory.mktemp("documents")
+    sparse, dense = where / "sparse.json", where / "dense.json"
+    sparse.write_text(json.dumps({"dim": n, "q": "-1", "products": products}))
+    dense.write_text(json.dumps({"dim": n, "q": "-1", "c": c}))
+    loaded, reference_table = load_algebra(str(sparse)).c, load_algebra(str(dense)).c
+    assert reference_table._compiled is None and loaded._compiled is not None
+    D = algebra._common_den([reference_table])
+    assert loaded.compiled == (D, algebra._fibers(reference_table, D))
+    assert loaded == reference_table
+
+
+@given(seed=st.integers(0, 2**30), n=st.integers(0, 3), m=st.integers(0, 3))
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+def test_fiber_sum_is_the_compiled_sum(seed, n, m):
+    """Compiled tables added in integers are the compiled Fraction sum, also
+    where every entry cancels, as for the dendriform star products."""
+    draw = Draw(random.Random(seed), "dense", n, m)
+    for a, b in ((draw.tensor(), draw.tensor()), (draw.actions(), draw.actions())):
+        for b in (b, a.scale(-1)):
+            D = algebra._common_den([a, b])
+            assert algebra._fiber_sum(algebra._fibers(a, D), algebra._fibers(b, D)) == \
+                algebra._fibers(a + b, D)
 
 
 KERNEL_NAMES = [
     "_fibers", "_columns", "_imul", "_iapply", "_common_den", "_scaled", "_nonzero",
-    "_basis", "_on_basis", "_join", "_compiled_blocks", "_route_violations",
+    "_basis", "_on_basis", "_join", "_compiled_blocks", "_route_violations", "_fiber_sum",
+    "compiled",
 ]
 
 
 def test_kernel_names_resolve():
-    """A name that no longer exists would pass the scan below unchecked."""
-    assert [name for name in KERNEL_NAMES if not hasattr(algebra, name)] == []
+    """A name that no longer exists would pass the scan below unchecked.
+    ``compiled``, a table's compiled form, is the one the kernel reads off
+    Tensor3."""
+    assert [name for name in KERNEL_NAMES
+            if not hasattr(algebra, name) and not hasattr(Tensor3, name)] == []
 
 
 def _with_doubles_helpers(fn) -> list:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antiassoc.io import load_algebra
 from antiassoc.linalg import (
     DimensionMismatch,
     Matrix,
@@ -213,41 +216,57 @@ def test_from_columns_column_round_trip():
     assert m.column(1) == [3, 4]
 
 
+def assert_refuses_writes(t):
+    """Every write to t, of an entry or an attribute, raises TypeError."""
+    shape = (t.d1, t.d2, t.d3)
+    with pytest.raises(TypeError):
+        t[0][0][0] += 1
+    with pytest.raises(TypeError):
+        t.entries[0][0] = (Fraction(1),) * t.d3
+    with pytest.raises(TypeError):
+        t.entries[0] = ()
+    for name, value in (("entries", ()), ("d1", 0), ("_compiled", None)):
+        with pytest.raises(TypeError):
+            setattr(t, name, value)
+        with pytest.raises(TypeError):
+            delattr(t, name)
+    assert (t.d1, t.d2, t.d3) == shape
+
+
 def test_tensor_shape_and_copy():
     t = Tensor3.zeros(2, 3, 4)
     assert (t.d1, t.d2, t.d3) == (2, 3, 4)
-    c = t.copy()
-    c.entries[0][0][0] = Fraction(1)
-    assert t.entries[0][0][0] == 0
-    assert t != c
+    assert_refuses_writes(t)
+    assert t == Tensor3.zeros(2, 3, 4)
+    for same in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert same == t
+        assert_refuses_writes(same)
 
 
 def test_tensor_axis_swaps_and_arithmetic():
     t = Tensor3([[[1, 2, 3], [4, 5, 6]]])  # 1 x 2 x 3
     s = t.swapped()
     assert (s.d1, s.d2, s.d3) == (2, 1, 3)
-    assert s.entries == [[[1, 2, 3]], [[4, 5, 6]]]
+    assert s == Tensor3([[[1, 2, 3]], [[4, 5, 6]]])
     u = t.transposed()
     assert (u.d1, u.d2, u.d3) == (1, 3, 2)
-    assert u.entries == [[[1, 4], [2, 5], [3, 6]]]
+    assert u == Tensor3([[[1, 4], [2, 5], [3, 6]]])
     assert s.swapped() == t and u.transposed() == t
-    assert (t + t.scale(2)).entries == [[[3, 6, 9], [12, 15, 18]]]
-    assert t.scale("1/2").entries[0][1] == [2, Fraction(5, 2), 3]
+    assert t + t.scale(2) == Tensor3([[[3, 6, 9], [12, 15, 18]]])
+    assert t.scale("1/2")[0][1] == (2, Fraction(5, 2), 3)
     with pytest.raises(DimensionMismatch):
         t + s
 
 
 def test_zeros_share_a_zero_but_no_slot():
-    """Every entry of zeros is one shared Fraction(0): writing one slot
-    changes no other."""
-    for d1, d2, d3 in ((2, 3, 4), (1, 3, 2)):
-        for i in range(d1):
-            for j in range(d2):
-                for k in range(d3):
-                    t = Tensor3.zeros(d1, d2, d3)
-                    t.entries[i][j][k] = Fraction(5)
-                    assert [x for plane in t.entries for row in plane for x in row].count(0) \
-                        == d1 * d2 * d3 - 1
+    """Every entry of a zero table is one shared Fraction(0), and no slot
+    of it can be written; writing one slot of a zero Matrix changes no
+    other."""
+    for shape in ((2, 3, 4), (1, 3, 2)):
+        t = Tensor3.zeros(*shape)
+        assert len({id(x) for plane in t.entries for row in plane for x in row}) == 1
+        assert_refuses_writes(t)
+        assert t.is_zero() and t.compiled == (1, [[[]] * shape[1]] * shape[0])
     for i in range(3):
         for j in range(2):
             m = Matrix.zeros(3, 2)
@@ -261,14 +280,20 @@ def test_constructors_still_coerce_what_is_not_a_fraction():
     with pytest.raises(TypeError):
         Matrix([[0.5]])
     for entries in (Matrix([[1, "-2/4"]]).entries[0], Tensor3([[[1, "-2/4"]]]).entries[0][0]):
-        assert entries == [1, Fraction(-1, 2)] and all(type(x) is Fraction for x in entries)
+        assert list(entries) == [1, Fraction(-1, 2)] and all(type(x) is Fraction for x in entries)
 
 
-def test_tensor_results_are_fresh():
+def test_tensor_results_are_fresh(tmp_path):
+    """A table loaded dense or sparse, and every result of an operation on
+    one, refuses writes, so none can change the table it came from."""
+    dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
+    dense.write_text('{"dim": 1, "q": "-1", "c": [[["1/2"]]]}')
+    sparse.write_text('{"dim": 1, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"1": "2"}}]}')
     t = Tensor3([[[1, 2], [3, 4]]])
-    for out in (t.copy(), t.swapped(), t.transposed(), t + t, t.scale(1)):
-        out.entries[0][0][0] += 1
-    assert t.entries == [[[1, 2], [3, 4]]]
+    for out in (t, t.swapped(), t.transposed(), t + t, t.scale(1), t.scale(0),
+                load_algebra(str(dense)).c, load_algebra(str(sparse)).c):
+        assert_refuses_writes(out)
+    assert t == Tensor3([[[1, 2], [3, 4]]])
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (1, 2, 3)])
@@ -278,7 +303,7 @@ def test_tensor_keeps_its_shape(shape):
     assert repr(t) == f"Tensor3({d1}x{d2}x{d3})"
     assert t.transposed() == Tensor3.zeros(d1, d3, d2)
     assert t.swapped() == Tensor3.zeros(d2, d1, d3)
-    for same in (t.copy(), t + t, t.scale(3), t.transposed().transposed(), t.swapped().swapped()):
+    for same in (t + t, t.scale(3), t.transposed().transposed(), t.swapped().swapped()):
         assert same == t
 
 

@@ -32,7 +32,7 @@ from antiassoc import bimodules, dendriform, matched
 from antiassoc.bimodules import action_of
 from antiassoc.linalg import DimensionMismatch, basis_vec
 
-from .support import SMALL, valid_algebra
+from .support import SMALL, bumped, valid_algebra
 from .test_kernel import Draw
 
 QS = [Fraction(1), Fraction(-1), Fraction(2)]
@@ -58,11 +58,11 @@ def perturb_pair(rng, P):
     side, slot = TABLES[rng.choice(list(TABLES))]
     M = getattr(P, side)
     # row i, column j of the matrix of e_k's action is the table entry [k][j][i]
-    T = getattr(M, slot).copy()
+    T = getattr(M, slot)
     k = rng.randrange(T.d1)
     i = rng.randrange(M.module_dim)
     j = rng.randrange(M.module_dim)
-    T[k][j][i] += rng.choice([x for x in SMALL if x != 0])
+    T = bumped(T, k, j, i, rng.choice([x for x in SMALL if x != 0]))
     moved = replace(M, **{slot: T})
     return replace(P, **{side: moved})
 
@@ -136,11 +136,14 @@ def test_bowtie_is_the_block_formula(seed, n, m):
     tables nonzero when both sides are."""
     draw = Draw(random.Random(seed), "dense", n, m)
     back = draw.swapped()
-    P = MatchedPairData(draw.algebra(-1), back.algebra(-1), draw.bimodule(), back.bimodule())
-    lA, rA, lB, rB = P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r
-    for t in (lA, rA, lB, rB):
-        if n and m and not any(x for plane in t.entries for f in plane for x in f):
-            t.entries[0][0][0] = Fraction(1)
+    A, B = draw.algebra(-1), back.algebra(-1)
+    on_B, on_A = draw.bimodule(), back.bimodule()
+
+    def nonzero(t):
+        return bumped(t, 0, 0, 0, Fraction(1)) if n and m and t.is_zero() else t
+
+    lA, rA, lB, rB = (nonzero(t) for t in (on_B.l, on_B.r, on_A.l, on_A.r))
+    P = MatchedPairData(A, B, Bimodule(n, m, lA, rA), Bimodule(m, n, lB, rB))
     T = bowtie(P)
     assert T.dim == n + m
     for p, s in itertools.product(range(n + m), repeat=2):

@@ -136,7 +136,7 @@ def test_symplectic_split_on_a_double():
         ]
         for i in range(n)
     ]
-    assert summed == total.c.entries
+    assert Tensor3(summed, (n, n, n)) == total.c
 
 
 def test_degenerate_form_is_singular_even_with_force():
