@@ -469,11 +469,12 @@ def _block_tensor(n: int, m: int, *pieces: Tensor3 | None) -> Tensor3:
         out = [zero] * d
         for k, x in f:
             out[k] = x
-        return out
+        return tuple(out)
 
     fibers = [None if t is None else [[list(enumerate(f)) for f in p] for p in t.entries]
               for t in pieces]
-    return Tensor3([[dense(f) for f in row] for row in _join(n, m, *fibers)], (d, d, d))
+    return Tensor3._made(tuple([tuple([dense(f) for f in row]) for row in _join(n, m, *fibers)]),
+                         (d, d, d))
 
 
 def check_q_associative(A: StructureAlgebra) -> CheckReport:

@@ -103,7 +103,7 @@ def _verify_done(ns, rep, title: str, *text_args, extra=None) -> int:
     through _print_report(title, rep, *text_args), and give the exit code."""
     if ns.json:
         doc = {"command": f"verify-{ns.target}", "input": ns.file,
-               "passed": rep.passed, "report": rep.as_dict(), **(extra or {})}
+               "passed": rep.passed, "report": rep, **(extra or {})}
         sys.stdout.write(aio.dump_json(doc))
     else:
         _print_report(title, rep, *text_args)
@@ -124,7 +124,7 @@ def _emit_doc(doc: dict, ns, passed: bool) -> int:
 
 def _emit_built(ns, key: str, doc: dict, rep) -> int:
     """Emit a one-file build: the construction under ``key`` with its report."""
-    return _emit_doc({key: doc, "report": rep.as_dict()}, ns, rep.passed)
+    return _emit_doc({key: doc, "report": rep}, ns, rep.passed)
 
 
 def _override_q(A: StructureAlgebra, q) -> StructureAlgebra:
@@ -266,8 +266,8 @@ def _build_dendriform_split(ns, title: str, inverted: str, check, construct, *da
     rep_out = check_q_dendriform(D)
     doc = {
         "dendriform": aio.dendriform_to_doc(D),
-        "precondition": rep_pre.as_dict(),
-        "report": rep_out.as_dict(),
+        "precondition": rep_pre,
+        "report": rep_out,
     }
     return _emit_doc(doc, ns, rep_pre.passed and rep_out.passed)
 

@@ -20,6 +20,8 @@ token once.
 
 ``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` with a small recursive writer over dicts, lists and tuples.
+It spells a ``CheckReport`` itself, as the text of its ``as_dict()``
+with no dict built per violation, so the CLI's documents hold reports.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import StructureAlgebra
+from .algebra import CheckReport, StructureAlgebra
 from .bimodules import Bimodule
 from .dendriform import DendriformStructure
 from .forms import BilinearForm
@@ -467,12 +469,14 @@ def form_to_doc(f: BilinearForm) -> dict:
 
 
 def double_to_doc(d) -> dict:
+    """The document of a double construction; its report stays a
+    CheckReport, which ``dump_json`` writes."""
     return {
         "kind": d.kind,
         "half_dim": d.half_dim,
         "total": algebra_to_doc(d.total),
         "form": form_to_doc(d.form),
-        "report": d.report.as_dict(),
+        "report": d.report,
     }
 
 
@@ -480,7 +484,8 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def dump_json(obj: object) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, the same bytes.
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, the same bytes,
+    where each ``CheckReport`` in ``obj`` stands for its ``as_dict()``.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, and each call
     leaves a cycle of closures for the garbage collector; this writer builds
@@ -491,7 +496,7 @@ def dump_json(obj: object) -> str:
     return "".join(out)
 
 
-_CONTAINERS = (str, dict, list, tuple)
+_CONTAINERS = (str, dict, list, tuple, CheckReport)
 
 
 def _write(obj: object, nl: str, out: list[str]) -> None:
@@ -502,6 +507,8 @@ def _write(obj: object, nl: str, out: list[str]) -> None:
         kind = next((base for base in _CONTAINERS if isinstance(obj, base)), None)
     if kind is str:
         out.append(_quote(obj))
+    elif kind is CheckReport:
+        _write_report(obj, nl, out)
     elif kind is None or not obj:
         # a scalar, or an empty list or dict, is spelled the same by the
         # one-line encoder, which is C code
@@ -510,7 +517,8 @@ def _write(obj: object, nl: str, out: list[str]) -> None:
         if set(map(type, obj)) != {str}:
             # a key that is not a string: json.dumps's own text, its lines
             # indented by a replace, since a JSON text holds no raw line break
-            out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+            text = json.dumps(obj, sort_keys=True, indent=2, default=_report_dict)
+            out.append(text.replace("\n", nl))
             return
         inner = nl + "  "
         sep = "{" + inner
@@ -537,6 +545,55 @@ def _write(obj: object, nl: str, out: list[str]) -> None:
                 _write(x, inner, out)
                 sep = "," + inner
             out.append(nl + "]")
+
+
+def _report_dict(obj: object) -> dict:
+    """``json.dumps``'s ``default``: a CheckReport as its ``as_dict()``."""
+    if isinstance(obj, CheckReport):
+        return obj.as_dict()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_report(rep: CheckReport, nl: str, out: list[str]) -> None:
+    """Append the text of ``rep.as_dict()`` without building it: each
+    violation is one string, its head made once per identity id, its
+    indices joined with ``int.__repr__`` and its residual entries, which
+    are rationals, with ``str``.  A violation that this refuses, such as
+    one with a residual past the int-string limit, is written from its own
+    ``as_dict``, which spells that residual with ``exact_str``."""
+    inner = nl + "  "
+    out.append(f'{{{inner}"info": ')
+    _write(rep.info, inner, out)
+    out.append(f',{inner}"passed": ')
+    _write(rep.passed, inner, out)
+    out.append(f',{inner}"violations": ')
+    if not rep.violations:
+        out.append("[]")
+    else:
+        at = inner + "  "  # the line a violation starts on
+        field = at + "  "
+        item = field + "  "
+        ints, strs = "," + item, '",' + item + '"'
+        heads: dict[str, str] = {}
+        texts = []
+        for v in rep.violations:
+            try:
+                head = heads.get(v.identity_id)
+                if head is None:
+                    head = heads[v.identity_id] = (
+                        f'{{{field}"identity_id": {_quote(v.identity_id)},{field}"indices": ')
+                idx = ints.join(map(int.__repr__, v.indices))
+                res = strs.join(map(str, v.residual))
+            except (TypeError, ValueError):
+                sub: list[str] = []
+                _write(v.as_dict(), at, sub)
+                texts.append("".join(sub))
+                continue
+            idx = f"[{item}{idx}{field}]" if v.indices else "[]"
+            res = f'[{item}"{res}"{field}]' if v.residual else "[]"
+            texts.append(f'{head}{idx},{field}"residual": {res}{at}}}')
+        out.append(f"[{at}{(',' + at).join(texts)}{inner}]")
+    out.append(nl + "}")
 
 
 def basis_names(n: int) -> list[str]:

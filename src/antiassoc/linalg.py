@@ -15,7 +15,8 @@ A Tensor3 is immutable, its entries nested tuples, so each carries its
 compiled form, the integer fibers the kernel of algebra.py runs on, made
 once on first use; the sparse constructor ``Tensor3.from_sparse``, which
 the sparse document loader calls, sets it from the nonzero entries it is
-given.  A Matrix is still mutable and compiles on each use.
+given, and ``swapped`` hands its source's over, re-indexed.  A Matrix is
+still mutable and compiles on each use.
 """
 
 from __future__ import annotations
@@ -459,9 +460,15 @@ class Tensor3:
         ]), (self.d1, self.d2, self.d3))
 
     def swapped(self) -> "Tensor3":
-        """The tensor with axes 0 and 1 exchanged: out[j][i] = self[i][j]."""
+        """The tensor with axes 0 and 1 exchanged: out[j][i] = self[i][j].
+        A compiled form, when this tensor has one, is handed over the same
+        way: the same d and fibers, re-indexed."""
         planes = tuple([tuple([plane[j] for plane in self.entries]) for j in range(self.d2)])
-        return Tensor3._made(planes, (self.d2, self.d1, self.d3))
+        compiled = self._compiled
+        if compiled is not None:
+            d, F = compiled
+            compiled = d, [[row[j] for row in F] for j in range(self.d2)]
+        return Tensor3._made(planes, (self.d2, self.d1, self.d3), compiled)
 
     def transposed(self) -> "Tensor3":
         """The tensor with axes 1 and 2 exchanged: out[i][k][j] = self[i][j][k],

@@ -12,10 +12,10 @@ from io import StringIO
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from antiassoc import classify2d, cli, operators
+from antiassoc import CheckReport, Violation, classify2d, cli, operators
 from antiassoc import io as aio
 from antiassoc.io import (
     ParseError,
@@ -284,6 +284,65 @@ _DOCS = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_dump_json_writes_the_bytes_of_json_dumps(doc):
     assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class _Long(Fraction):
+    """A Fraction whose numerator is past the int-string limit, so str and
+    repr refuse it; this repr, which hypothesis prints, names its size."""
+
+    def __repr__(self):
+        return f"<Fraction of {self.numerator.bit_length()} bits>"
+
+
+# a residual entry that str refuses to spell
+_LONG = _Long(2 * 10 ** ((sys.get_int_max_str_digits() or 4300) + 1) + 1, 3)
+_RESIDUALS = st.lists(
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6)), max_size=6)
+_VIOLATIONS = st.builds(
+    Violation,
+    st.text(max_size=6) | st.sampled_from(["q_assoc", 'l_"law', "\\", "é", " ", "😀"]),
+    st.lists(st.integers(1, 12), min_size=1, max_size=5).map(tuple),
+    _RESIDUALS | _RESIDUALS.map(lambda r: r + [_LONG]),
+)
+_INFO = st.dictionaries(_KEYS, st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=3),
+    max_leaves=8,
+), max_size=4)
+_REPORTS = st.builds(CheckReport, st.booleans(), st.lists(_VIOLATIONS, max_size=5), _INFO)
+_REPORT_DOCS = st.recursive(
+    _REPORTS | _LEAVES,
+    lambda kids: (
+        st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, kids, max_size=3)
+        | st.dictionaries(st.integers(-3, 3), kids, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _as_dicts(doc):
+    """``doc`` with each CheckReport replaced by its ``as_dict()``."""
+    if isinstance(doc, CheckReport):
+        return doc.as_dict()
+    if isinstance(doc, dict):
+        return {k: _as_dicts(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_as_dicts(x) for x in doc]
+    return doc
+
+
+@given(_REPORT_DOCS)
+@example(CheckReport(True, [], {}))
+@example({"report": CheckReport(False, [Violation("q_assoc", (1, 1, 1), [_LONG])], {"q": "-1"})})
+@example([CheckReport(False, [Violation('a"\\é', (2,), [Fraction(10**12 + 1, 10**6)]),
+                              Violation("q", (1, 2, 3, 4, 5), [])],
+                      {"n": [1, {"a": [None, True]}], "m": {}})])
+@settings(max_examples=200, deadline=None)
+def test_dump_json_writes_a_report_as_its_as_dict(doc):
+    """A CheckReport anywhere in a document is written as json.dumps writes
+    its ``as_dict()``, a residual past the int-string limit included."""
+    assert dump_json(doc) == json.dumps(_as_dicts(doc), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [

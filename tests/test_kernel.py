@@ -484,6 +484,44 @@ def test_verify_algebra_compiles_its_table_once(monkeypatch, tmp_path, capsys, s
     assert len(calls) == (0 if sparse else 1)
 
 
+def _sparse_document(path, n: int, products) -> str:
+    path.write_text(json.dumps({"dim": n, "q": "-1", "products": [
+        {"i": i, "j": j, "out": out} for i, j, out in products]}))
+    return str(path)
+
+
+def test_swapped_hands_over_its_compiled_form(tmp_path):
+    """A swapped table carries its source's compiled form, re-indexed, and
+    it is the form its own entries compile to: on a table the sparse loader
+    built, on dense draws compiled first and on tables with an empty axis.
+    A table not compiled yet is swapped without compiling it."""
+    draw = Draw(random.Random(3), "dense", 3, 2)
+    tables = [load_algebra(_sparse_document(tmp_path / "a.json", 4, NILPOTENT4)).c,
+              draw.tensor(), draw.actions(),
+              Tensor3.zeros(0, 0, 0), Tensor3.zeros(0, 2, 3), Tensor3.zeros(2, 0, 3)]
+    for t in tables:
+        assert t.compiled
+        s = t.swapped()
+        assert s._compiled is not None
+        assert s.compiled == s._compile()
+        assert s.swapped() == t and s.swapped().compiled == t.compiled
+    fresh = draw.tensor()
+    assert fresh.swapped()._compiled is None and fresh._compiled is None
+
+
+def test_regular_bimodule_of_a_sparse_algebra_compiles_nothing(monkeypatch, tmp_path):
+    """``check_bimodule(A, regular_bimodule(A))`` on a sparse-loaded dim-6
+    algebra runs on the loader's compiled form alone: R = c.swapped() is
+    handed it, so no table is compiled from its entries."""
+    rng = random.Random(6)
+    products = [(i, j, {str(k): str(rng.choice(WIDE)) for k in rng.sample(range(1, 7), 3)})
+                for i in range(1, 7) for j in range(1, 7) if rng.random() < 0.4]
+    A = load_algebra(_sparse_document(tmp_path / "a.json", 6, products))
+    calls = _counted_compiles(monkeypatch)
+    assert not antiassoc.check_bimodule(A, antiassoc.regular_bimodule(A)).passed
+    assert calls == []
+
+
 def _spelled(p: int, d: int) -> str:
     return str(p) if d == 1 else f"{p}/{d}"
 
