@@ -19,9 +19,11 @@ This module also holds the machinery every other module builds on: the
 law runner ``_run_laws`` over (identity_id, law) pairs, ``_prefixed``
 for folding one check's violations into another's, the one contraction
 ``_contract`` behind every product and action, and ``_join``, the one
-code that knows the block layout of a product on A + B.  The dense
-builders of semidirect and bowtie products read it through
-``_block_tensor``, and the composite checks through ``_compiled_blocks``.
+code that knows the block layout of a product on A + B.  The composite
+checks read it through ``_compiled_blocks``, and the builders of
+semidirect and bowtie products through ``_block_tensor``, which hands
+the join over as the built table's compiled form, so no check compiles
+a built block product again.
 
 One law shape covers every identity of an algebra, a dendriform
 structure, their bimodules and their matched pairs:
@@ -246,15 +248,18 @@ _Q_LAW = (0, 0, 0, 0)
 _Q_ASSOC_ROUTES = (("q_assoc", _Q_LAW, "ijk", "1"),)
 
 
-def _join(n: int, m: int, cA, cB, la, ra, lb, rb) -> list[list[list]]:
-    """The product on A + B from the fibers of its pieces as (k, value)
-    pairs, None for a zero piece: A part, then B part shifted by n,
+def _join(n: int, m: int, cA, cB, la, ra, lb, rb) -> _Compiled:
+    """The product on A + B from the compiled fibers of its pieces, their
+    nonzero (k, int) pairs at one D, None for a zero piece: A part, then
+    B part shifted by n,
 
         (x+a)(y+b) = (x*y + lb(a)y + rb(b)x) + (a o b + la(x)b + ra(y)a)
 
     where la/ra are indexed by A's basis and act on B's space, lb/rb the
     other way around.  The one place that knows this layout: a semidirect
-    product has cB, lb and rb None."""
+    product has cB, lb and rb None.  No two pieces share an entry, and each
+    fiber keeps its pairs in k order, so at the pieces' least common D this
+    is the compiled form of the product's table."""
     zero = [[[]] * n] * m
 
     def shifted(piece, rows):  # the piece's fibers moved into B's block
@@ -460,21 +465,15 @@ def mult_operators(A: StructureAlgebra) -> tuple[Tensor3, Tensor3]:
 
 
 def _block_tensor(n: int, m: int, *pieces: Tensor3 | None) -> Tensor3:
-    """The dense product tensor on A + B that ``_join`` lays out from the
-    pieces (cA, cB, la, ra, lb, rb) as Tensor3s, None for a zero piece;
-    every entry of a piece passes through unchanged."""
-    d, zero = n + m, Fraction(0)
-
-    def dense(f):
-        out = [zero] * d
-        for k, x in f:
-            out[k] = x
-        return tuple(out)
-
-    fibers = [None if t is None else [[list(enumerate(f)) for f in p] for p in t.entries]
-              for t in pieces]
-    return Tensor3._made(tuple([tuple([dense(f) for f in row]) for row in _join(n, m, *fibers)]),
-                         (d, d, d))
+    """The product tensor on A + B of the pieces (cA, cB, la, ra, lb, rb),
+    Tensor3s or None for a zero piece: their ``_join`` compiled at D, read
+    as Fractions over D.  D is the lcm of the pieces' own d, so it is the
+    table's own d, and the join is its compiled form."""
+    D, (F,) = _compiled_blocks(n, m, [pieces])
+    made: dict[int, Fraction] = {}
+    fibers = {(i, j): {k: made.get(a) or made.setdefault(a, Fraction(a, D)) for k, a in f}
+              for i, row in enumerate(F) for j, f in enumerate(row) if f}
+    return Tensor3.from_sparse((n + m,) * 3, fibers)
 
 
 def check_q_associative(A: StructureAlgebra) -> CheckReport:

@@ -20,8 +20,8 @@ contraction of T with x and v, and ``action_of`` builds the matrix of
 T(x) as a ``Matrix``.  The regular bimodule is (c, c with its first two
 axes swapped) and a dual is a transpose of the last two axes, scaled.
 The semidirect product and the compiled one the check runs on are
-algebra.py's block product on A + V, with no partner algebra and no
-back-actions.
+algebra.py's one block product on A + V, with no partner algebra and no
+back-actions: the built table carries that join as its compiled form.
 """
 
 from __future__ import annotations

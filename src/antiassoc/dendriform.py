@@ -29,8 +29,8 @@ G(x, a, b) for axiom a+1, at scales (1, 1, -1/q) for A1 and A2 and
 Everything else is algebra.py's associative machinery on each tensor:
 its contraction, its multiplication tables, duals as transposes, and its
 block product on A + B.  ``_pieces`` lists the tensor and the two action
-tables of each of prec and succ; the builders lay them out dense, and
-the checks compile them (``_compiled_blocks``), add the compiled prec
+tables of each of prec and succ; the builders lay out their compiled
+join (``_block_tensor``), and the checks compile them (``_compiled_blocks``), add the compiled prec
 and succ products in integers for star (``_fiber_sum``), and run their
 route rows on the three with algebra.py's route body, the matched pair
 through matched.py's six placements.

@@ -245,6 +245,10 @@ def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
                 raise _long_integer(ctx, kstr) from exc
             if not 1 <= k <= n:
                 raise ctx.fail(kstr, f"{entry}.out key out of range for dim {n}")
+            if k - 1 in fiber:  # the keys before kstr all read as indices
+                earlier = next(s for s in out if int(s) == k)
+                raise ctx.fail(kstr, f"{entry}.out spells the index {k} twice, "
+                                     f"as {earlier!r} and {kstr!r}")
             fiber[k - 1] = _rational(val, ctx)
     return Tensor3.from_sparse((n, n, n), fibers)
 
@@ -434,11 +438,11 @@ def load_fixture(path: str) -> PaperFixture:
 # serialization
 
 def matrix_doc(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+    return [[exact_str(x) for x in row] for row in m.entries]
 
 
 def tensor_doc(t: Tensor3) -> list[list[list[str]]]:
-    return [[[str(x) for x in row] for row in slab] for slab in t.entries]
+    return [[[exact_str(x) for x in row] for row in slab] for slab in t.entries]
 
 
 def algebra_to_doc(A: StructureAlgebra) -> dict:

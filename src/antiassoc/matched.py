@@ -20,9 +20,10 @@ the roles of A and B swapped, in A's block at (i_a, i_x, i_y), so one
 route row gives both ids.  ``_matched_violations`` runs a matched pair
 of either kind, this one or the dendriform one, as six placements on one
 compiled bowtie: the two algebras' base laws and the two bimodules'
-laws as preconditions, then the two halves.  The dense bowtie and the
-compiled one are both algebra.py's block product (``_block_tensor`` and
-``_compiled_blocks``); the checks never build the dense one.
+laws as preconditions, then the two halves.  The checks read the
+compiled bowtie (``_compiled_blocks``) and never build the dense one;
+``bowtie`` builds it from the same join (``_block_tensor``), which it
+carries as its compiled form.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from antiassoc.io import (
     load_form,
     load_rota_baxter,
 )
+from antiassoc.linalg import exact_str
 
 from .test_cli_golden import CASES, DOCS, ROOT, demo_env, write_documents
 
@@ -428,6 +429,22 @@ def test_a_residual_past_the_int_string_limit_prints(tmp_path, capsys):
     ]
 
 
+def test_a_built_entry_past_the_int_string_limit_prints(tmp_path, capsys):
+    """The dual of a bimodule scales r by q^2, so a q of 3000 digits gives
+    an entry of 6000, more than str converts; the built document spells it
+    whole and the failing bimodule check exits 1, not 2."""
+    q = -int("7" * 3000)
+    p = tmp_path / "long_q.json"
+    p.write_text(json.dumps({"algebra": {"dim": 1, "q": str(q), "products": []},
+                             "module_dim": 1, "l": [[["1"]]], "r": [[["1"]]]}))
+    assert cli.run(["build", "dual-bimodule", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["bimodule"]["r"] == [[[exact_str(Fraction(q * q))]]]
+    assert len(doc["report"]["violations"]) == 3
+
+
 def test_the_rational_memo_keeps_only_validated_tokens_of_one_document(tmp_path):
     p = write(tmp_path, "ok.json", {"dim": 1, "q": "-3/7", "c": [[["1/2"]]]})
     ctx, _ = aio._read(p)
@@ -506,6 +523,27 @@ def test_repeated_product_pair_is_rejected(tmp_path, capsys, kind, load, key):
     with pytest.raises(ParseError) as exc:
         load(p)
     assert f"{key}[3] repeats the pair (i, j) = (1, 1) of {key}[2]" in str(exc.value)
+    assert cli.run(["verify", kind, p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: byte ")
+
+
+@pytest.mark.parametrize("kind, load, key", [
+    ("algebra", load_algebra, "products"),
+    ("dendriform", load_dendriform, "prec_products"),
+    ("dendriform", load_dendriform, "succ_products"),
+])
+def test_an_out_index_spelled_twice_is_rejected(tmp_path, capsys, kind, load, key):
+    """Two spellings of one output index, "2" and "02", used to be merged
+    with the last value kept; now it is a ParseError naming the entry and
+    both spellings."""
+    entries = [{"i": 2, "j": 2, "out": {}}, {"i": 1, "j": 1, "out": {"2": "1", "02": "5"}}]
+    p = write(tmp_path, "dup_out.json", json.dumps({"dim": 2, "q": "-1", key: entries}))
+    with pytest.raises(ParseError) as exc:
+        load(p)
+    assert f"{key}[2].out spells the index 2 twice, as '2' and '02'" in str(exc.value)
+    assert exc.value.token == "02"
     assert cli.run(["verify", kind, p]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -8,7 +8,9 @@ differs from the algebra dimension (for a matched pair, the dimension of
 B differs from that of A), and dims 0 and 1 are drawn.  Each check also
 compiles every table at most once, whatever the dimensions and the
 number of tuples, and a table the sparse loader built is handed its
-compiled form, which must be the one its dense twin compiles.
+compiled form, which must be the one its dense twin compiles.  So is a
+block product the builders lay out, whose compiled form is the join of
+its compiled pieces.
 
 The two criteria of doubles.py, sparse Fraction lookups, are compared
 the same way with their dense form, and they, with every doubles.py
@@ -20,6 +22,7 @@ form, which ranks Fraction matrices.
 import ast
 import copy
 import inspect
+import itertools
 import json
 import random
 import re
@@ -41,7 +44,7 @@ from antiassoc import (
     MatchedPairData,
     StructureAlgebra,
 )
-from antiassoc import algebra, cli, doubles, linalg, operators
+from antiassoc import algebra, cli, doubles, io, linalg, operators
 from antiassoc.io import load_algebra, load_fixture
 from antiassoc.linalg import Matrix, Tensor3
 
@@ -374,24 +377,56 @@ def test_criteria_match_the_dense_reference_on_the_paper_fixtures(source):
     assert got.as_dict() == want.as_dict()
 
 
+def _far_table(rng, d1: int, d2: int, d3: int) -> Tensor3:
+    """A dense table of the given shape, about a third of it zero, with
+    denominators up to 10^6."""
+    return Tensor3([[[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10**6]))
+                      if rng.random() < 0.7 else Fraction(0) for _ in range(d3)]
+                     for _ in range(d2)] for _ in range(d1)], (d1, d2, d3))
+
+
 @given(seed=st.integers(0, 2**30), n=st.integers(0, 3), m=st.integers(0, 3))
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 def test_join_is_the_compiled_block_tensor(seed, n, m):
-    """The route body's sparse join of compiled pieces is ``_fibers`` of the
-    dense tensor that bowtie and semidirect_product build from the same
-    pieces, for a bowtie and for a semidirect product, whose zero pieces
-    both take as None."""
-    draw = Draw(random.Random(seed), "dense", n, m)
-    back = draw.swapped()
-    pieces = [draw.tensor(), back.tensor(), draw.actions(), draw.actions(),
-              back.actions(), back.actions()]
-    D = algebra._common_den(pieces)
-    cA, cB, la, ra, lb, rb = (algebra._fibers(t, D) for t in pieces)
-    assert algebra._join(n, m, cA, cB, la, ra, lb, rb) == algebra._fibers(
-        algebra._block_tensor(n, m, *pieces), D
-    )
-    semidirect = algebra._block_tensor(n, m, pieces[0], None, pieces[2], pieces[3], None, None)
-    assert algebra._join(n, m, cA, None, la, ra, None, None) == algebra._fibers(semidirect, D)
+    """``_block_tensor`` lays its pieces out as the bowtie formula does, a
+    None piece as zero, and the compiled form it hands over, the route
+    body's ``_join`` of the compiled pieces, is the one its entries compile
+    to.  So is the table of each of the four builders of a block product."""
+    rng = random.Random(seed)
+    shapes = [(n, n, n), (m, m, m), (n, m, m), (n, m, m), (m, n, n), (m, n, n)]
+    pieces = [_far_table(rng, *shape) for shape in shapes]
+    semidirect = pieces[:1] + [None] + pieces[2:4] + [None, None]
+    some = pieces[:1] + [t if rng.random() < 0.5 else None for t in pieces[1:]]
+    for chosen in (pieces, semidirect, some):
+        t = algebra._block_tensor(n, m, *chosen)
+        D = algebra._common_den(p for p in chosen if p is not None)
+        compiled = (None if p is None else algebra._fibers(p, D) for p in chosen)
+        assert t.compiled == t._compile() == (D, algebra._join(n, m, *compiled))
+        cA, cB, la, ra, lb, rb = (Tensor3.zeros(*shape) if p is None else p
+                                  for p, shape in zip(chosen, shapes))
+        for p, s in itertools.product(range(n + m), repeat=2):
+            if p < n and s < n:
+                want = cA[p][s] + (0,) * m
+            elif p < n:
+                want = rb[s - n][p] + la[p][s - n]
+            elif s < n:
+                want = lb[p - n][s] + ra[s][p - n]
+            else:
+                want = (0,) * n + cB[p - n][s - n]
+            assert t[p][s] == want, (p, s)
+    A, B = StructureAlgebra(n, -1, pieces[0]), StructureAlgebra(m, -1, pieces[1])
+    on_B, on_A = Bimodule(n, m, *pieces[2:4]), Bimodule(m, n, *pieces[4:])
+    D_A, D_B = (DendriformStructure(k, -1, _far_table(rng, k, k, k), _far_table(rng, k, k, k))
+                for k in (n, m))
+    don_B = DendriformBimodule(n, m, *(_far_table(rng, n, m, m) for _ in range(4)))
+    don_A = DendriformBimodule(m, n, *(_far_table(rng, m, n, n) for _ in range(4)))
+    S = antiassoc.dendriform_semidirect(D_A, don_B)
+    T = antiassoc.dendriform_bowtie(DendriformMatchedPairData(D_A, D_B, don_B, don_A))
+    built = [antiassoc.semidirect_product(A, on_B).c,
+             antiassoc.bowtie(MatchedPairData(A, B, on_B, on_A)).c,
+             S.c_prec, S.c_succ, T.c_prec, T.c_succ]
+    for t in built:
+        assert t.compiled == t._compile()
 
 
 # two (n, m) shapes: a compile count that is the same at both is one
@@ -457,6 +492,33 @@ def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
     # each side's two tensors and four tables, shared by the preconditions
     # and the two halves; the star sums are added compiled
     assert counts == [2 * (2 + 4)] * 2
+
+
+def test_block_builders_hand_their_total_its_compiled_form(monkeypatch, tmp_path, capsys):
+    """Both doubles and ``build bowtie`` check the total on the compiled form
+    ``_block_tensor`` hands it, so none compiles a table of the total's
+    shape from its entries, and none compiles a piece twice."""
+    draw = Draw(random.Random(5), "dense", 2, 2)
+    on_B, on_A = draw.bimodule(), draw.bimodule()
+    pair = tmp_path / "pair.json"
+    pair.write_text(io.dump_json({
+        "A": io.algebra_to_doc(draw.algebra(-1)), "B": io.algebra_to_doc(draw.algebra(-1)),
+        **{key: io.tensor_doc(t.transposed())
+           for key, t in zip(["lA", "rA", "lB", "rB"], [on_B.l, on_B.r, on_A.l, on_A.r])},
+    }))
+    builds = [
+        lambda: doubles.build_quadratic_double(draw.algebra(-1), draw.algebra(-1)).report.passed,
+        lambda: doubles.build_symplectic_double(
+            draw.dendriform(-1), draw.dendriform(-1)).report.passed,
+        lambda: cli.run(["build", "bowtie", str(pair)]) == 0,
+    ]
+    calls = _counted_compiles(monkeypatch)
+    for build in builds:
+        calls.clear()
+        assert not build()
+        assert [t for t in calls if (t.d1, t.d2, t.d3) == (4, 4, 4)] == []
+        assert 0 < len({id(t) for t in calls}) == len(calls)
+    assert json.loads(capsys.readouterr().out)["algebra"]["dim"] == 4
 
 
 NILPOTENT4 = [(1, 1, {"3": "1/2", "4": "-2/3"}), (1, 2, {"4": "5/7"}), (2, 1, {"3": "-1"}),
