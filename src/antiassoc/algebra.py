@@ -38,7 +38,17 @@ row (id, shape, placement, scale): the placement spells G's arguments
 ("ijk" is the base law, "iju" G(e_i, e_j, u), "axb" G(a, x, b)) and the
 scale is 1 or -1/q.  One body, ``_route_violations``, runs every row on
 the compiled block product (``_compiled_blocks``), each letter over one
-block.
+block.  It evaluates G only where G can be nonzero: (x o1 y) o2 z is a
+sum over the k of x o1 y of e_k o2 z, and x o3 (y o4 z) one over the k
+of y o4 z of x o3 e_k.  Where none of these products is nonzero in the
+read block, both sums are over empty sets and the residual is exactly
+zero, so skipping the tuple samples nothing.  ``_reached`` finds the
+other tuples from bit masks, in the order of the full walk; where some
+route's first term plainly reaches every tuple, as on a dense table, the
+body walks them all with no set or sort.  A valid nilpotent table, where
+every product of three vanishes, thus costs its nonzero products, not
+n^3 law calls.  Quartic vanishing walks only the quintuples whose inner
+product is nonzero, on the same ground.
 
 The checks run on the exact sparse integer kernel, as do the operator
 and form checks.  A check scales every table it reads by one common
@@ -63,6 +73,7 @@ off the kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -293,7 +304,10 @@ def _route_violations(
     b and u over ``read``, each an (offset, size) pair.  The residual is read
     in ``read``; with a module letter u it is the row-major matrix whose
     column u is G at u, so o2 and o3 are read in the block with each row
-    index scaled by the stride ``size``, once per check in ``memo``."""
+    index scaled by the stride ``size``, once per check in ``memo``.  The
+    laws run only at the tuples ``_reached`` finds, where G can be
+    nonzero, in the order of the full walk; at every other tuple both of
+    G's sums are over empty sets, so no report changes."""
     off, size = read
     end, d, qn, qd = off + size, len(Fs[0]), q.numerator, q.denominator
     coefficients = {"1": (qn * qd, -qn * qn), "-1/q": (-qd * qd, qn * qd)}
@@ -312,7 +326,7 @@ def _route_violations(
         o1, o2, o3, o4 = shape
         a, b = coefficients[scale]
         F1, R2, R3, F4 = Fs[o1], rows(o2), rows(o3), Fs[o4]
-        pick = operator.itemgetter(*map((letters + "u").index, placement))
+        pick = _picker(letters + "u", placement)
 
         def column(*idx):  # a (x o1 y) o2 z + b x o3 (y o4 z), read in the block
             x, y, z = pick(idx)
@@ -344,10 +358,89 @@ def _route_violations(
 
         return matrix if "u" in placement else column
 
-    laws = [(name, law(*row)) for name, *row in routes]
     blocks = [read if c in "kab" else acting for c in letters]
-    tuples = itertools.product(*[range(start, start + n) for start, n in blocks])
+    tuples = _reached(Fs, routes, letters, acting, read, rows, memo)
+    if tuples is None:
+        tuples = itertools.product(*[range(start, start + n) for start, n in blocks])
+    elif not tuples:
+        return []
+    laws = [(name, law(*row)) for name, *row in routes]
     return _run_laws(tuples, laws, D * D * qn * qd, [start - 1 for start, _ in blocks])
+
+
+def _reached(Fs, routes, letters, acting, read, rows, memo) -> list[tuple[int, ...]] | None:
+    """The tuples of ``_route_violations`` at which some route's G can be
+    nonzero, in ``itertools.product`` order, or None when some route's
+    first term plainly reaches every (x, y, z): the first k of each
+    F1[x][y] reaches all of z's block, as on a dense table.  With R2 and
+    R3 the rows of o2 and o3 read in the block, G(x, y, z) is a sum over
+    the k of F1[x][y] of R2[k][z] plus one over the k of F4[y][z] of
+    R3[x][k], so it can be nonzero only where z is reached from F1[x][y]
+    (some k in it has R2[k][z] nonempty) or x from F4[y][z] (some k in it
+    has R3[x][k] nonempty).  At any other tuple both sums run over empty
+    sets, so its residual is exactly zero and skipping it changes no
+    report.  Reach is read off bit masks of each product's rows and
+    columns in the block, and each product's reach off its nonempty
+    fibers, once per check in ``memo``."""
+    span = {"x": acting, "i": acting, "j": acting, "k": read, "a": read, "b": read, "u": read}
+
+    # side 0: row k of rows(o) as the bits z of its nonempty [k][z];
+    # side 1: column k as the bits x of its nonempty [x][k]
+    def masks(o, side):
+        if ("masks", o, read, side) not in memo:
+            R = rows(o)
+            bits = [1 << z for z in range(len(R))]
+            memo["masks", o, read, side] = list(map(
+                sum, map(itertools.compress, itertools.repeat(bits), R if side == 0 else zip(*R))))
+        return memo["masks", o, read, side]
+
+    def covers(o1, o2, placement):  # the first k of each F1[x][y] reaches all of z's block
+        (x0, nx), (y0, ny), (z0, nz) = map(span.get, placement)
+        if ("full", o2, read, z0, nz) not in memo:  # rows k of R2 nonempty all over the block
+            memo["full", o2, read, z0, nz] = [all(row[z0:z0 + nz]) for row in rows(o2)]
+        full = memo["full", o2, read, z0, nz]
+        return all(f and full[f[0][0]] for row in Fs[o1][x0:x0 + nx] for f in row[y0:y0 + ny])
+
+    def reach(o, o_read, side):  # (x, y, bits) for each Fs[o][x][y] reaching any row or column bit
+        if ("reach", o, o_read, side, read) not in memo:
+            mask, out = masks(o_read, side), []
+            for x, row in enumerate(Fs[o]):
+                for y, f in enumerate(row):
+                    bits = 0
+                    for k, _ in f:
+                        bits |= mask[k]
+                    if bits:
+                        out.append((x, y, bits))
+            memo["reach", o, o_read, side, read] = out
+        return memo["reach", o, o_read, side, read]
+
+    if any(covers(o1, o2, placement) for _, (o1, o2, _, _), placement, _ in routes):
+        return None
+    found = set()
+    for _, (o1, o2, o3, o4), placement, _ in routes:
+        # the first term reaches z from (x, y), the second x from (y, z)
+        terms = ((o1, o2, 0, placement), (o4, o3, 1, placement[1:] + placement[0]))
+        for o, o_read, side, roles in terms:
+            (x0, nx), (y0, ny), (z0, nz) = map(span.get, roles)
+            pick, whole = _picker(roles, letters), ((1 << nz) - 1) << z0
+            for x, y, bits in reach(o, o_read, side):
+                bits &= whole
+                if not (bits and x0 <= x < x0 + nx and y0 <= y < y0 + ny):
+                    continue
+                if roles[2] == "u":  # only whether some u is reached
+                    found.add(pick((x, y, None)))
+                    continue
+                while bits:
+                    low = bits & -bits
+                    found.add(pick((x, y, low.bit_length() - 1)))
+                    bits ^= low
+    return sorted(found)
+
+
+@functools.lru_cache(maxsize=None)
+def _picker(roles: str, letters: str) -> Callable:
+    """The getter of the values of ``letters`` from values given in ``roles`` order."""
+    return operator.itemgetter(*map(roles.index, letters))
 
 
 @dataclass
@@ -520,7 +613,10 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
 
     Indices in a violation are (p, i, j, k, l) where p numbers the
     parenthesization: 1 ((wx)y)z, 2 (w(xy))z, 3 (wx)(yz), 4 w((xy)z),
-    5 w(x(yz)).
+    5 w(x(yz)).  A parenthesization is evaluated only where its inner
+    vector is nonzero: (e_i e_j) e_k or e_i (e_j e_k) for p = 1, 2, 4, 5,
+    and for p = 3 some product e_a e_b with a in e_i e_j and b in e_k e_l.
+    Everywhere else it is exactly zero.
     """
     n = A.dim
     D, F = A.c.compiled
@@ -540,12 +636,36 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
     def residual(p, i, j, k, l):
         return parenthesizations[p](i, j, k, l)
 
-    quintuples = (
-        (p, *ijkl)
-        for ijkl in itertools.product(range(n), repeat=4)
-        for p in range(5)
-    )
-    violations = _run_laws(quintuples, [("quartic", residual)], D**3)
+    # A parenthesization is zero wherever its inner vector is, so the walk
+    # streams only the others, in the (i, j, k, l, p) order of the quadruples.
+    # p = 1, 2 at (i, j, k, l) read left/right[i][j][k], and p = 4, 5 read
+    # left/right[j][k][l]: tails[j][k] maps each l with one nonzero to its p,
+    # in l order.
+    tails = [[{} for _ in r] for _ in r]
+    for j, k, l in itertools.product(r, repeat=3):
+        if ps := [p for p, inner in ((3, left), (4, right)) if inner[j][k][l]]:
+            tails[j][k][l] = ps
+    # (e_i e_j)(e_k e_l) needs some F[a][b] nonempty, a in F[i][j] and b in F[k][l]
+    support = [[sum(1 << b for b, _ in f) for f in row] for row in F]
+    hits = [sum(1 << b for b, f in enumerate(row) if f) for row in F]
+
+    def quintuples():
+        for i, j in itertools.product(r, repeat=2):
+            reach = 0  # the b of some F[a][b] nonempty with a in F[i][j]
+            for a, _ in F[i][j]:
+                reach |= hits[a]
+            for k in r:
+                heads = [p for p, inner in ((0, left), (1, right)) if inner[i][j][k]]
+                tail = tails[j][k]
+                for l in r if heads or reach else tail:
+                    for p in heads:
+                        yield p, i, j, k, l
+                    if reach & support[k][l]:
+                        yield 2, i, j, k, l
+                    for p in tail.get(l, ()):
+                        yield p, i, j, k, l
+
+    violations = _run_laws(quintuples(), [("quartic", residual)], D**3)
     return CheckReport.from_violations(violations, quadruples=n**4)
 
 

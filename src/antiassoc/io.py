@@ -2,9 +2,10 @@
 
 All rationals travel as strings "p" or "p/q" (JSON integers are also
 accepted on input).  Parsing is strict: no floats, no booleans, no
-denominator zero, no whitespace inside a rational, and no integer with
-more digits than the interpreter converts to int.  Output spells every
-rational whole (``linalg.exact_str``), however many digits it has.
+denominator zero, no whitespace inside a rational, no integer with more
+digits than the interpreter converts to int, and no key written twice in
+one object.  Output spells every rational whole (``linalg.exact_str``),
+however many digits it has.
 
 Three readers take every document apart: ``_array`` reads a nested list
 of rationals of a fixed shape, ``_structure`` an algebra-like node (an
@@ -13,7 +14,8 @@ names), and ``_actions`` an (l, r) pair of action lists.  Errors carry
 the file path, a byte offset, and the offending token, and each message
 names the value by its path from the root of that file, as in
 ``B.products[2]`` or ``displayed[4].left``.  Offsets for semantic errors
-are best-effort: the first occurrence of the token in the file.  Each
+are best-effort: the first occurrence of the token in the file; a key
+written twice in one object is located at its second spelling.  Each
 file read has its own context, whose memo maps each distinct rational
 token, once validated, to its Fraction, so a table parses each distinct
 token once.
@@ -113,10 +115,52 @@ def _read(path: str) -> tuple[_Ctx, object]:
     return ctx, _parse(ctx)
 
 
+class _RepeatedKey(Exception):
+    """A key written twice in one JSON object, raised by ``_unique``."""
+
+
+def _unique(pairs: list[tuple[str, object]]) -> dict:
+    """The object of ``pairs``, refused when a key repeats: JSON would keep
+    the last value and lose the first without a word."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise _RepeatedKey
+    return obj
+
+
+# a JSON string, with the colon that makes it a key, or a brace
+_KEY_OR_BRACE_RE = re.compile(r'(?P<string>"(?:[^"\\]|\\.)*")(?P<colon>\s*:)?|[{}]')
+
+
+def _repeat(text: str) -> tuple[int, str]:
+    """The key ``_unique`` refuses and its index in ``text``: the first key
+    written twice in the first object to close with a repeat, at its second
+    spelling, just inside the quote.  The parse closes objects in this
+    order, and the text up to that object is valid JSON."""
+    stack: list[tuple[set[str], list[tuple[int, str]]]] = []
+    for m in _KEY_OR_BRACE_RE.finditer(text):
+        if m["colon"]:
+            keys, repeats = stack[-1]
+            key = json.loads(m["string"])
+            if key in keys:
+                repeats.append((m.start() + 1, key))
+            keys.add(key)
+        elif m[0] == "{":
+            stack.append((set(), []))
+        elif m[0] == "}" and (repeats := stack.pop()[1]):
+            return repeats[0]
+    return 0, ""
+
+
 def _parse(ctx: _Ctx, parse_int=None) -> object:
-    """``json.loads`` of ctx's text, every failure a ParseError."""
+    """``json.loads`` of ctx's text with no key repeated in an object,
+    every failure a ParseError."""
     try:
-        return json.loads(ctx.text, parse_int=parse_int)
+        return json.loads(ctx.text, parse_int=parse_int, object_pairs_hook=_unique)
+    except _RepeatedKey as exc:
+        pos, key = _repeat(ctx.text)
+        offset = len(ctx.text[:pos].encode("utf-8"))
+        raise ParseError(ctx.path, offset, key, f"key {key!r} written twice in one object") from exc
     except json.JSONDecodeError as exc:  # a ValueError too, so caught first
         offset = len(ctx.text[: exc.pos].encode("utf-8"))
         token = ctx.text[exc.pos : exc.pos + 10].strip() or "<end>"
@@ -154,7 +198,8 @@ def _long_integer(ctx: _Ctx, token: str | None = None) -> ParseError:
             stack += reversed([(f"{where}.{k}" if where else k, v) for k, v in node.items()])
         elif isinstance(node, list):
             stack += reversed([(f"{where}[{i}]", v) for i, v in enumerate(node, start=1)])
-    return ctx.fail(long[0], message)  # a repeated key dropped it from the document
+    # a safeguard: with no key repeated, every token read is in the document
+    return ctx.fail(long[0], message)
 
 
 def _rational(node: object, ctx: _Ctx) -> Fraction:

@@ -379,14 +379,12 @@ def test_the_rational_memo_lets_no_token_stand_in_for_another(tmp_path, capsys, 
     ('{"dim": 1, "q": "3/N", "c": [[["1"]]]}', "3/N", "q: "),
     ('{"dim": 1, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"N": "1"}}]}', "N",
      "products[1].out key: "),
-    ('{"dim": N, "dim": 1, "q": "-1", "c": [[["1"]]]}', "N", ""),
-], ids=["json_integer", "numerator", "denominator", "sparse_key", "dropped_by_repeated_key"])
+], ids=["json_integer", "numerator", "denominator", "sparse_key"])
 def test_an_integer_past_the_int_string_limit_is_located(tmp_path, capsys, text, token, what):
     """Python refuses to convert an integer string of more digits than
     sys.get_int_max_str_digits(); the loader names the file, the value's
-    path and the token's byte instead.  N stands for such an integer; a
-    repeated key drops it from the parsed document, and so from any path.
-    The token is spelled by its first and last 20 characters and its length."""
+    path and the token's byte instead.  N stands for such an integer.  The
+    token is spelled by its first and last 20 characters and its length."""
     limit = sys.get_int_max_str_digits()
     text, token = (x.replace("N", "7" * (limit + 1)) for x in (text, token))
     p = write(tmp_path, "long.json", text)
@@ -548,6 +546,53 @@ def test_an_out_index_spelled_twice_is_rejected(tmp_path, capsys, kind, load, ke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {p}: byte ")
+
+
+@pytest.mark.parametrize("text, key, at", [
+    ('{"dim": 2, "q": "-1", "q": "2", "products": [{"i": 1, "j": 1, "out": {"2": "1"}}]}',
+     "q", 'q": "2"'),
+    ('{"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": "1", "2": "5"}}]}',
+     "2", '2": "5"'),
+    ('{"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "i": 2, "out": {"2": "1"}}]}',
+     "i", 'i": 2'),
+    ('{"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": "1"}},'
+     ' {"i": 2, "j": 2, "out": {"1": "1", "1": "1"}, "i": 2}]}', "1", '1": "1"}'),
+    ('{"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {}}], "\\u0071": "2"}',
+     "q", '\\u0071"'),
+    ('{"dim": N, "dim": 1, "q": "-1", "c": [[["1"]]]}', "dim", 'dim": 1'),
+], ids=["top_level_q", "sparse_out_index", "products_entry_i", "inner_object_first",
+        "escaped_spelling", "past_the_int_string_limit"])
+def test_a_key_written_twice_is_refused(tmp_path, capsys, text, key, at):
+    """JSON keeps the last value of a repeated key, so such a document used
+    to be checked at q = 2, or with e1.e1 = 5 e2, and exit 0.  Now the parse
+    refuses it, naming the key, at the byte of its second spelling (``at``)
+    in the first object to close with a repeat, and the CLI exits 2.  N stands for
+    an integer past the int-string limit: the parse that looks for it
+    refuses the repeat, which would drop it from the document."""
+    text = text.replace("N", "7" * (sys.get_int_max_str_digits() + 1))
+    p = write(tmp_path, "dup.json", text)
+    with pytest.raises(ParseError) as exc:
+        load_algebra(p)
+    assert exc.value.token == key
+    assert cli.run(["verify", "algebra", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {p}: byte {text.index(at)}: key {key!r} written twice in one object (token {key!r})\n")
+
+
+def test_a_key_written_twice_in_a_referenced_file_is_refused(tmp_path, capsys):
+    """The refusal is made by the parse of every file read, so it names the
+    file the algebra is referenced from, not the bimodule document."""
+    alg = write(tmp_path, "alg.json", '{"dim": 1, "q": "-1", "products": [], "dim": 1}')
+    p = write(tmp_path, "bim.json", {"algebra": "alg.json", "module_dim": 1,
+                                     "l": [[["0"]]], "r": [[["0"]]]})
+    with pytest.raises(ParseError) as exc:
+        load_bimodule(p)
+    assert exc.value.path == alg
+    assert "key 'dim' written twice in one object" in str(exc.value)
+    assert cli.run(["verify", "bimodule", p]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {alg}: byte 39: ")
 
 
 def test_cli_matched_pair_q_override(tmp_path, capsys):

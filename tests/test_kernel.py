@@ -2,15 +2,16 @@
 
 Every check that runs on the kernel must give the reference's report
 exactly: verdict, ids, indices, residual strings, order and info.  Inputs
-are dense, 2-step nilpotent (valid for every q), or nilpotent with one
-entry bumped; entries have denominators up to 7, the module dimension
-differs from the algebra dimension (for a matched pair, the dimension of
-B differs from that of A), and dims 0 and 1 are drawn.  Each check also
-compiles every table at most once, whatever the dimensions and the
-number of tuples, and a table the sparse loader built is handed its
-compiled form, which must be the one its dense twin compiles.  So is a
-block product the builders lay out, whose compiled form is the join of
-its compiled pieces.
+are dense, 2-step nilpotent (valid for every q), nilpotent with one entry
+bumped, or sparse (dense shapes at a low density, so the route body walks
+some basis tuples and skips others); entries have denominators up to 7,
+the module dimension differs from the algebra dimension (for a matched
+pair, the dimension of B differs from that of A), and dims 0 and 1 are
+drawn.  Each check also compiles every table at most once, whatever the
+dimensions and the number of tuples, and a table the sparse loader built
+is handed its compiled form, which must be the one its dense twin
+compiles.  So is a block product the builders lay out, whose compiled
+form is the join of its compiled pieces.
 
 The two criteria of doubles.py, sparse Fraction lookups, are compared
 the same way with their dense form, and they, with every doubles.py
@@ -60,8 +61,8 @@ FAMILIES = ["dense", "nilpotent", "perturbed"]
 NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
-def entry(rng):
-    return rng.choice(WIDE) if rng.random() < 0.6 else Fraction(0)
+def entry(rng, density=0.6):
+    return rng.choice(WIDE) if rng.random() < density else Fraction(0)
 
 
 class Draw:
@@ -72,15 +73,18 @@ class Draw:
     A matched pair takes B on V's space, split at ``vsplit``, with B's
     generators mapping A's generators into A's targets.  Every law of the
     twelve checks then holds for every q, apart from commutativity and the
-    nondegeneracy of a symplectic form."""
+    nondegeneracy of a symplectic form.  A sparse draw has the dense shapes
+    with each entry nonzero at a drawn density in [0.1, 0.5], so a product
+    reaches some basis tuples and not others."""
 
     def __init__(self, rng, family, n, m):
         self.rng, self.family, self.n, self.m = rng, family, n, m
         self.split = rng.randrange(1, n) if n > 1 else n
         self.vsplit = rng.randrange(1, m) if m > 1 else m
+        self.density = rng.uniform(0.1, 0.5) if family == "sparse" else 0.6
 
     def keep(self, *targets) -> bool:
-        return self.family == "dense" or all(targets)
+        return self.family in ("dense", "sparse") or all(targets)
 
     def bump(self, rows):
         """Add a nonzero amount to one random entry of a perturbed input."""
@@ -92,15 +96,15 @@ class Draw:
     def tensor(self) -> Tensor3:
         n, s = self.n, self.split
         t = [
-            [[entry(self.rng) if self.keep(i < s, j < s, k >= s) else Fraction(0)
-              for k in range(n)] for j in range(n)] for i in range(n)
+            [[entry(self.rng, self.density) if self.keep(i < s, j < s, k >= s)
+              else Fraction(0) for k in range(n)] for j in range(n)] for i in range(n)
         ]
         self.bump([fiber for plane in t for fiber in plane])
         return Tensor3(t, (n, n, n))
 
     def matrix(self, rows, cols, row_ok, col_ok) -> Matrix:
-        m = [[entry(self.rng) if self.keep(row_ok(r), col_ok(c)) else Fraction(0)
-              for c in range(cols)] for r in range(rows)]
+        m = [[entry(self.rng, self.density) if self.keep(row_ok(r), col_ok(c))
+              else Fraction(0) for c in range(cols)] for r in range(rows)]
         self.bump(m)
         return Matrix(m, (rows, cols))
 
@@ -192,10 +196,10 @@ PASS_WHEN_NILPOTENT = CHECKS[-3:]
 @given(
     seed=st.integers(0, 2**30),
     q=st.sampled_from(QS),
-    family=st.sampled_from(FAMILIES),
+    family=st.sampled_from(FAMILIES + ["sparse"]),
     n=st.integers(0, 3),
 )
-@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@settings(max_examples=53, deadline=None, phases=NO_SHRINK)
 def test_kernel_matches_reference(name, seed, q, family, n):
     rng = random.Random(seed)
     m = rng.choice([k for k in range(4) if k != n])
@@ -272,6 +276,45 @@ def test_module_laws_match_reference_past_the_drawn_sizes(name, family, n, m):
     got = getattr(antiassoc, name)(*args)
     assert got.as_dict() == getattr(reference, name)(*args).as_dict()
     assert got.passed == (family == "nilpotent")
+
+
+@given(seed=st.integers(0, 2**30), family=st.sampled_from(FAMILIES + ["sparse"]),
+       n=st.integers(0, 5))
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+def test_quartic_walk_matches_reference(seed, family, n):
+    """Quartic vanishing walks only the quintuples whose inner product is
+    nonzero; the reference walks all 5n^4.  The reports are equal on dims
+    up to 5, past the dims the draws of test_kernel_matches_reference reach."""
+    rng = random.Random(seed)
+    A = Draw(rng, family, n, 1).algebra(rng.choice(QS))
+    got = antiassoc.check_quartic_vanishing(A)
+    assert got.as_dict() == reference.check_quartic_vanishing(A).as_dict()
+
+
+def test_route_body_skips_only_unreachable_tuples(monkeypatch):
+    """The route body hands the runner only the tuples some product reaches:
+    none for a 2-step nilpotent table, where every product of three
+    vanishes, and all n^3 for a table with no zero entry."""
+    handed = []
+    real = algebra._run_laws
+
+    def spy(tuples, *args):
+        tuples = list(tuples)
+        handed.extend(tuples)
+        return real(tuples, *args)
+
+    monkeypatch.setattr(algebra, "_run_laws", spy)
+    draw = Draw(random.Random(8), "nilpotent", 8, 8)
+    A, D = draw.algebra(Fraction(-1)), draw.dendriform(Fraction(-1))
+    assert len(A.c.compiled[1][0][0]) > 0  # the table is not zero
+    for report in (antiassoc.check_q_associative(A), antiassoc.check_q_dendriform(D),
+                   antiassoc.check_bimodule(A, antiassoc.regular_bimodule(A))):
+        assert report.passed
+    assert handed == []
+    full = Tensor3([[[Fraction(i + j + k + 1) for k in range(4)] for j in range(4)]
+                    for i in range(4)], (4, 4, 4))
+    antiassoc.check_q_associative(StructureAlgebra(4, -1, full))
+    assert handed == list(itertools.product(range(4), repeat=3))
 
 
 @given(seed=st.integers(0, 2**30), family=st.sampled_from(["dense", "nilpotent"]),
