@@ -617,6 +617,15 @@ def check_quartic_vanishing(A: StructureAlgebra) -> CheckReport:
     vector is nonzero: (e_i e_j) e_k or e_i (e_j e_k) for p = 1, 2, 4, 5,
     and for p = 3 some product e_a e_b with a in e_i e_j and b in e_k e_l.
     Everywhere else it is exactly zero.
+
+    Every q-associative algebra with q not in {0, 1} passes, not only the
+    antiassociative ones (q = -1).  The law (xy)z = q x(yz) at (ab, c, d)
+    and then at (a, b, cd) gives ((ab)c)d = q^2 a(b(cd)); at (a, b, c),
+    then (a, bc, d), then (b, c, d) it gives ((ab)c)d = q^3 a(b(cd)).  So
+    q^2 (q - 1) a(b(cd)) = 0, hence a(b(cd)) = 0, and each other
+    parenthesization is a power of q times it.  At q = 1 the law is
+    associativity, which e1 e1 = e1 satisfies with every product of four
+    vectors e1.
     """
     n = A.dim
     D, F = A.c.compiled

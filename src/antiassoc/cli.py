@@ -49,11 +49,17 @@ from .operators import (
 )
 
 def _rational_arg(text: str) -> Fraction:
+    """A flag's rational; a refused one is named as a ParseError names its
+    token, by its ends and length when it is long."""
     if not aio._RATIONAL_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
-    if "/" in text and int(text.split("/", 1)[1]) == 0:
-        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}")
-    return Fraction(text)
+        raise argparse.ArgumentTypeError(f"not a rational: {aio._shown(text)}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {aio._shown(text)}") from None
+    except ValueError:  # a numerator or denominator past the int-string limit
+        raise argparse.ArgumentTypeError(
+            f"{aio._too_long()} (token {aio._shown(text)})") from None
 
 
 def _grid_arg(text: str) -> list[Fraction]:

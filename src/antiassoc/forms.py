@@ -126,17 +126,16 @@ def check_symplectic(A: StructureAlgebra, w: BilinearForm) -> CheckReport:
 
 
 def natural_forms(n: int) -> tuple[BilinearForm, BilinearForm]:
-    """The canonical pairing forms on a 2n-dimensional doubled space."""
+    """The canonical pairing forms on a 2n-dimensional doubled space: e_i
+    pairs with e_i* to 1 both ways in the symmetric form, and to -1 (e_i
+    first) and 1 (e_i* first) in the antisymmetric one."""
     d = 2 * n
-    bg = Matrix.zeros(d, d)
-    wg = Matrix.zeros(d, d)
-    one = Fraction(1)
-    for i in range(n):
-        bg.entries[i][n + i] = one
-        bg.entries[n + i][i] = one
-        wg.entries[i][n + i] = -one
-        wg.entries[n + i][i] = one
-    return (
-        BilinearForm(d, bg, "symmetric"),
-        BilinearForm(d, wg, "antisymmetric"),
-    )
+    one, zero = Fraction(1), Fraction(0)
+
+    def gram(upper: Fraction) -> Matrix:
+        rows = [[zero] * d for _ in range(d)]
+        for i in range(n):
+            rows[i][n + i], rows[n + i][i] = upper, one
+        return Matrix(rows, (d, d))
+
+    return BilinearForm(d, gram(one), "symmetric"), BilinearForm(d, gram(-one), "antisymmetric")

@@ -13,12 +13,13 @@ algebra or a dendriform structure, dense or sparse, or the file it
 names), and ``_actions`` an (l, r) pair of action lists.  Errors carry
 the file path, a byte offset, and the offending token, and each message
 names the value by its path from the root of that file, as in
-``B.products[2]`` or ``displayed[4].left``.  Offsets for semantic errors
-are best-effort: the first occurrence of the token in the file; a key
-written twice in one object is located at its second spelling.  Each
-file read has its own context, whose memo maps each distinct rational
-token, once validated, to its Fraction, so a table parses each distinct
-token once.
+``B.products[2]`` or ``displayed[4].left``.  The offset, which
+``_located`` finds after a refusal, is exact: a string value or a key is
+located at the first byte inside its quote, any other value at its first
+byte, and a refusal that names an object (a missing field, or values that
+do not fit together) at that object's ``{``.  Each file read has its own
+context, whose memo maps each distinct rational token, once validated,
+to its Fraction, so a table parses each distinct token once.
 
 ``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` with a small recursive writer over dicts, lists and tuples.
@@ -53,11 +54,18 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 MAX_DIM = 64
 
 
-# A token longer than _TOKEN_SHOWN characters, such as an integer past the
-# int-string limit, is spelled in a ParseError's message by its first and
-# last _TOKEN_ENDS characters and its length, so the line stays readable.
-_TOKEN_SHOWN = 80
-_TOKEN_ENDS = 20
+def _shown(token: str) -> str:
+    """``token`` as an error line spells it: its repr, or, past 80 characters
+    (an integer past the int-string limit), its first and last 20 and its
+    length, so the line stays readable."""
+    if len(token) > 80:
+        return f"{token[:20]!r}...{token[-20:]!r}, {len(token)} characters"
+    return repr(token)
+
+
+def _too_long() -> str:
+    """The refusal of an integer string that ``int`` will not convert."""
+    return f"integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 class ParseError(ValueError):
@@ -66,15 +74,74 @@ class ParseError(ValueError):
         self.offset = offset
         self.token = token
         self.message = message
-        if len(token) > _TOKEN_SHOWN:
-            shown = f"{token[:_TOKEN_ENDS]!r}...{token[-_TOKEN_ENDS:]!r}, {len(token)} characters"
-        else:
-            shown = repr(token)
-        super().__init__(f"{path}: byte {offset}: {message} (token {shown})")
+        super().__init__(f"{path}: byte {offset}: {message} (token {_shown(token)})")
 
 
 class _Unreadable(ParseError):
     """A file that could not be read at all, as opposed to one read and refused."""
+
+
+def _spell(path: tuple) -> str:
+    """A path as messages name it: ("B", "products", 1) is B.products[2]."""
+    return "".join(f"[{k + 1}]" if type(k) is int else f".{k}" for k in path).removeprefix(".")
+
+
+# a JSON string, with the colon that makes it a key; a bracket; or a number
+# or literal.  Commas, and colons after no string, match nothing.
+_JSON_TOKEN_RE = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")(\s*:)?|[][{}]|[^][{}\s,:"]+')
+_BRACKET_RE = re.compile(r"[][{}]")
+
+
+def _located(text: str, want: tuple | None = None, key: bool = False):
+    """With ``want``, a path of keys and 0-based indices: the index in
+    ``text`` of the value at that path (of the key ending it, when
+    ``key``), or 0.  Without: (index, token, message) of the first key
+    written twice in the first object to close with a repeat, else of the
+    first integer past the int-string limit.  It reads in one pass, after
+    a refusal, with a stack that holds only the path it is at; it skips
+    each container off the way to ``want``, and stops at a token it cannot
+    place, as past the integer json.loads refused."""
+    limit, goal = sys.get_int_max_str_digits(), want or ()
+    path: list = []  # per open container: the index (a list) or key (an object) it is at
+    objs: list = []  # per open container: None (a list), or [its keys, its first repeat]
+    long, pos = None, 0
+    try:
+        while m := _JSON_TOKEN_RE.search(text, pos):
+            token, start, pos = m[0], m.start(), m.end()
+            if token in "]}":
+                path.pop()
+                if (obj := objs.pop()) and obj[1]:
+                    return obj[1]
+                continue
+            d = len(path) - 1
+            if m[2]:
+                path[d] = name = json.loads(m[1])
+                obj = objs[d]
+                if name in obj[0] and not obj[1]:
+                    obj[1] = start + 1, name, f"key {name!r} written twice in one object"
+                obj[0].add(name)
+            elif objs and objs[d] is None:
+                path[d] += 1
+            # every open container is on the way to want, so this entry decides
+            here = d < 0 or d < len(goal) and path[d] == goal[d]
+            if want is not None and here and d + 1 == len(goal) and key == bool(m[2]):
+                return start + (token[0] == '"')
+            if token in "[{" and (want is None or here):
+                path.append(-1 if token == "[" else None)
+                objs.append(None if token == "[" else [set(), None])
+            elif token in "[{":  # off the way to want: skip to its close
+                depth = 1
+                while depth:
+                    end = _BRACKET_RE.search(text, pos).end()
+                    if text.count('"', pos, end) % 2 or text.find("\\", pos, end) >= 0:
+                        end = _JSON_TOKEN_RE.search(text, pos).end()  # it may be in a string
+                    depth, pos = depth + (text[end - 1] in "[{") - (text[end - 1] in "]}"), end
+            elif not (long or m[2]) and len(digits := token.lstrip("-")) > limit \
+                    and digits.isdigit():
+                long = start, token, f"{_spell(path)}: {_too_long()}"
+    except (IndexError, TypeError, ValueError):
+        pass
+    return 0 if want is not None else long or (0, "", f": {_too_long()}")
 
 
 @dataclass
@@ -85,17 +152,18 @@ class _Ctx:
     # value: a table of n^3 entries holds few distinct tokens
     rationals: dict[str, Fraction]
 
-    def fail(self, token: object, message: str) -> "ParseError":
+    def error(self, pos: int, token: object, message: str) -> ParseError:
         # a non-string token is spelled as JSON spells it: true, null, {"a": 1};
-        # one nested too deeply to spell is not searched for
+        # one nested too deeply to spell is empty
         try:
             tok = token if isinstance(token, str) else json.dumps(token)
         except RecursionError:
             tok = ""
-        pos = self.text.find(tok) if tok else 0
-        if pos < 0:  # or as json.dumps's ensure_ascii escapes it, e.g. \u0661
-            pos = max(self.text.find(json.dumps(tok)[1:-1]), 0)
         return ParseError(self.path, len(self.text[:pos].encode("utf-8")), tok, message)
+
+    def fail(self, at: tuple, token: object, message: str, key: bool = False) -> ParseError:
+        """The refusal of the value at path ``at``, or of the key ending it."""
+        return self.error(_located(self.text, at, key), token, message)
 
 
 def _read(path: str) -> tuple[_Ctx, object]:
@@ -128,301 +196,240 @@ def _unique(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# a JSON string, with the colon that makes it a key, or a brace
-_KEY_OR_BRACE_RE = re.compile(r'(?P<string>"(?:[^"\\]|\\.)*")(?P<colon>\s*:)?|[{}]')
-
-
-def _repeat(text: str) -> tuple[int, str]:
-    """The key ``_unique`` refuses and its index in ``text``: the first key
-    written twice in the first object to close with a repeat, at its second
-    spelling, just inside the quote.  The parse closes objects in this
-    order, and the text up to that object is valid JSON."""
-    stack: list[tuple[set[str], list[tuple[int, str]]]] = []
-    for m in _KEY_OR_BRACE_RE.finditer(text):
-        if m["colon"]:
-            keys, repeats = stack[-1]
-            key = json.loads(m["string"])
-            if key in keys:
-                repeats.append((m.start() + 1, key))
-            keys.add(key)
-        elif m[0] == "{":
-            stack.append((set(), []))
-        elif m[0] == "}" and (repeats := stack.pop()[1]):
-            return repeats[0]
-    return 0, ""
-
-
-def _parse(ctx: _Ctx, parse_int=None) -> object:
-    """``json.loads`` of ctx's text with no key repeated in an object,
-    every failure a ParseError."""
+def _parse(ctx: _Ctx) -> object:
+    """``json.loads`` of ctx's text with no key repeated in an object, every
+    failure a ParseError; a repeated key before a long integer anywhere."""
     try:
-        return json.loads(ctx.text, parse_int=parse_int, object_pairs_hook=_unique)
-    except _RepeatedKey as exc:
-        pos, key = _repeat(ctx.text)
-        offset = len(ctx.text[:pos].encode("utf-8"))
-        raise ParseError(ctx.path, offset, key, f"key {key!r} written twice in one object") from exc
+        return json.loads(ctx.text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:  # a ValueError too, so caught first
-        offset = len(ctx.text[: exc.pos].encode("utf-8"))
         token = ctx.text[exc.pos : exc.pos + 10].strip() or "<end>"
-        raise ParseError(ctx.path, offset, token, exc.msg) from exc
+        raise ctx.error(exc.pos, token, exc.msg) from exc
     except RecursionError as exc:
         raise ParseError(ctx.path, 0, "", "JSON nested too deeply") from exc
-    except ValueError as exc:  # an integer token past the int-string limit
-        raise _long_integer(ctx) from exc
+    except (_RepeatedKey, ValueError) as exc:  # ValueError: a long integer
+        raise ctx.error(*_located(ctx.text)) from exc
 
 
-def _long_integer(ctx: _Ctx, token: str | None = None) -> ParseError:
-    """The refusal of an integer with more digits than the interpreter
-    converts (``sys.get_int_max_str_digits``): ``token``, a rational string
-    or an object key, or else the first JSON integer that long, named by the
-    path of its first occurrence in document order.  The document is parsed
-    again with every integer kept as its digits, so a syntax error after
-    that integer is raised from here instead."""
-    limit = sys.get_int_max_str_digits()
-    long = [token] if token else []
-
-    def digits(s: str) -> str:
-        if len(s.lstrip("-")) > limit:
-            long.append(s)
-        return s
-
-    message = f"integer has more than {limit} digits"
-    stack = [("", _parse(ctx, digits))]
-    while stack:
-        where, node = stack.pop()
-        if node == long[0]:
-            return ctx.fail(node, f"{where}: {message}")
-        if isinstance(node, dict):
-            if long[0] in node:
-                return ctx.fail(long[0], f"{where} key: {message}")
-            stack += reversed([(f"{where}.{k}" if where else k, v) for k, v in node.items()])
-        elif isinstance(node, list):
-            stack += reversed([(f"{where}[{i}]", v) for i, v in enumerate(node, start=1)])
-    # a safeguard: with no key repeated, every token read is in the document
-    return ctx.fail(long[0], message)
-
-
-def _rational(node: object, ctx: _Ctx) -> Fraction:
+def _rational(node: object, ctx: _Ctx, at: tuple, key: object) -> Fraction:
+    """The rational ``node``, the value under ``key`` of the list or object
+    at path ``at``."""
     if type(node) is int:
         return Fraction(node)
     if not isinstance(node, str):
-        raise ctx.fail(node, "expected a rational string like \"-1/2\"")
+        raise ctx.fail((*at, key), node, "expected a rational string like \"-1/2\"")
     value = ctx.rationals.get(node)
     if value is None:
         if not _RATIONAL_RE.fullmatch(node):
-            raise ctx.fail(node, "malformed rational")
+            raise ctx.fail((*at, key), node, "malformed rational")
         try:
             value = ctx.rationals[node] = Fraction(node)
         except ZeroDivisionError as exc:
-            raise ctx.fail(node, "denominator is zero") from exc
+            raise ctx.fail((*at, key), node, "denominator is zero") from exc
         except ValueError as exc:
-            raise _long_integer(ctx, node) from exc
+            raise ctx.fail((*at, key), node, f"{_spell((*at, key))}: {_too_long()}") from exc
     return value
 
 
-def _nat(node: object, ctx: _Ctx, what: str, minimum: int = 0, maximum: int | None = None) -> int:
+def _field(data: object, key: str, ctx: _Ctx, at: tuple = ()) -> object:
+    """data[key], where ``at`` is data's path in its file, empty at the root."""
+    if isinstance(data, dict) and key in data:
+        return data[key]
+    named = f"{_spell(at)}: " if at else ""
+    if not isinstance(data, dict):
+        raise ctx.fail(at, data, f"{named}expected a JSON object")
+    raise ctx.fail(at, key, f"{named}missing field {key!r}")
+
+
+def _nat(data: object, key: str, ctx: _Ctx, at: tuple, minimum=0, maximum=None) -> int:
+    """The integer data[key], at least ``minimum`` and at most ``maximum``."""
+    node = _field(data, key, ctx, at)
     if type(node) is not int or node < minimum:
-        raise ctx.fail(node, f"{what} must be an integer >= {minimum}")
+        raise ctx.fail((*at, key), node, f"{_spell((*at, key))} must be an integer >= {minimum}")
     if maximum is not None and node > maximum:
-        raise ctx.fail(node, f"{what} must be at most {maximum}")
+        raise ctx.fail((*at, key), node, f"{_spell((*at, key))} must be at most {maximum}")
     return node
 
 
-def _field(data: object, key: str, ctx: _Ctx, where: str = "") -> object:
-    """data[key], where ``where`` is data's path in its file, empty at the root."""
-    if isinstance(data, dict) and key in data:
-        return data[key]
-    at = f"{where}: " if where else ""
-    if not isinstance(data, dict):
-        raise ctx.fail(data, f"{at}expected a JSON object")
-    raise ctx.fail(key, f"{at}missing field {key!r}")
-
-
-def _built(ctx: _Ctx, token: str, what: str, cls, *args):
-    """cls(*args); a refusal of the constructor is a ParseError at ``token``
-    that names the value ``what``."""
+def _built(ctx: _Ctx, at: tuple, cls, *args):
+    """cls(*args); a refusal of the constructor is a ParseError at the
+    value at path ``at``, which it names, with its key as the token."""
     try:
         return cls(*args)
     except ValueError as exc:
-        raise ctx.fail(token, f"{what}: {exc}") from exc
+        raise ctx.fail(at, at[-1], f"{_spell(at)}: {exc}") from exc
 
 
-def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, what: str) -> list:
+def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
     """The nested list of rationals ``node`` of the given shape.  A list of
     the wrong length is named by its position, as in c[1][2], and its token
     is its length when it holds lists."""
     n, inner = shape[0], shape[1:]
     if not isinstance(node, list) or len(node) != n:
-        raise ctx.fail(len(node) if isinstance(node, list) and inner else node,
-                       f"{what}: expected a list of {n}")
+        raise ctx.fail(at, len(node) if isinstance(node, list) and inner else node,
+                       f"{_spell(at)}: expected a list of {n}")
     if not inner:
-        return [_rational(x, ctx) for x in node]
-    return [_array(x, inner, ctx, f"{what}[{i}]") for i, x in enumerate(node, start=1)]
+        return [_rational(x, ctx, at, k) for k, x in enumerate(node)]
+    return [_array(x, inner, ctx, (*at, k)) for k, x in enumerate(node)]
 
 
-def _sparse(node: object, n: int, ctx: _Ctx, prefix: str, key: str) -> Tensor3:
-    """A dim-n product tensor from its list ``key`` of {i, j, out} entries,
-    built sparse, so it carries its compiled form without a dense scan."""
-    what = prefix + key
+def _sparse(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
+    """A dim-n product tensor from the list of {i, j, out} entries at path
+    ``at``, built sparse, so it carries its compiled form without a dense scan."""
     if not isinstance(node, list):
-        raise ctx.fail(node, f"{what} must be a list")
+        raise ctx.fail(at, node, f"{_spell(at)} must be a list")
     fibers: dict[tuple[int, int], dict[int, Fraction]] = {}
     first: dict[tuple[int, int], int] = {}
-    for pos, item in enumerate(node, start=1):
-        entry = f"{what}[{pos}]"
-        i = _nat(_field(item, "i", ctx, entry), ctx, f"{entry}.i", 1)
-        j = _nat(_field(item, "j", ctx, entry), ctx, f"{entry}.j", 1)
+    for pos, item in enumerate(node):
+        entry = (*at, pos)
+        i = _nat(item, "i", ctx, entry, 1)
+        j = _nat(item, "j", ctx, entry, 1)
         out = _field(item, "out", ctx, entry)
         if i > n or j > n:
-            raise ctx.fail(max(i, j), f"{entry}: index out of range for dim {n}")
+            raise ctx.fail(entry, max(i, j), f"{_spell(entry)}: index out of range for dim {n}")
         if (i, j) in first:
             # the bare key is the token: the path is not text of the file
-            raise ctx.fail(key, f"{entry} repeats the pair (i, j) = ({i}, {j}) "
-                                f"of {what}[{first[i, j]}]")
+            raise ctx.fail(entry, at[-1], f"{_spell(entry)} repeats the pair (i, j) = "
+                                          f"({i}, {j}) of {_spell((*at, first[i, j]))}")
         first[i, j] = pos
+        out_at = (*entry, "out")
         if not isinstance(out, dict):
-            raise ctx.fail(out, f"{entry}.out must map basis index to rational")
+            raise ctx.fail(out_at, out, f"{_spell(out_at)} must map basis index to rational")
         fiber = fibers[i - 1, j - 1] = {}
         for kstr, val in out.items():
             try:
                 k = int(kstr) if kstr.isascii() and kstr.isdigit() else 0
             except ValueError as exc:
-                raise _long_integer(ctx, kstr) from exc
+                raise ctx.fail((*out_at, kstr), kstr, f"{_spell(out_at)} key: {_too_long()}",
+                               key=True) from exc
             if not 1 <= k <= n:
-                raise ctx.fail(kstr, f"{entry}.out key out of range for dim {n}")
+                raise ctx.fail((*out_at, kstr), kstr,
+                               f"{_spell(out_at)} key out of range for dim {n}", key=True)
             if k - 1 in fiber:  # the keys before kstr all read as indices
                 earlier = next(s for s in out if int(s) == k)
-                raise ctx.fail(kstr, f"{entry}.out spells the index {k} twice, "
-                                     f"as {earlier!r} and {kstr!r}")
-            fiber[k - 1] = _rational(val, ctx)
+                raise ctx.fail((*out_at, kstr), kstr, f"{_spell(out_at)} spells the index "
+                               f"{k} twice, as {earlier!r} and {kstr!r}", key=True)
+            fiber[k - 1] = _rational(val, ctx, out_at, kstr)
     return Tensor3.from_sparse((n, n, n), fibers)
 
 
-def _resolve(node: object, ctx: _Ctx, prefix: str) -> tuple[object, _Ctx, str]:
+def _resolve(node: object, ctx: _Ctx, at: tuple) -> tuple[object, _Ctx, tuple]:
     """Follow string file references, each relative to the file holding it,
-    to the document they end at; the path prefix starts again at the root
-    of each file followed.  A reference back into the chain of files
-    already followed, or to a file that cannot be read, is a ParseError at
-    the reference, not endless recursion or an error that names no referrer."""
+    to the document they end at, whose path starts again at its root.  A
+    reference back into the chain of files followed, or to a file that
+    cannot be read, is a ParseError at the reference."""
     chain: list[str] = []
     while isinstance(node, str):
         path = os.path.join(os.path.dirname(ctx.path) or ".", node)
         if os.path.realpath(path) in chain:
-            raise ctx.fail(node, f"circular file reference to {path}")
+            raise ctx.fail(at, node, f"circular file reference to {path}")
         chain.append(os.path.realpath(path))
         try:
             ctx, node = _read(path)
         except _Unreadable as exc:
-            field = f"{prefix[:-1]}: " if prefix else ""
-            raise ctx.fail(node, f"{field}{exc.path}: byte 0: {exc.message}") from exc
-        prefix = ""
-    return node, ctx, prefix
+            named = f"{_spell(at)}: " if at else ""
+            raise ctx.fail(at, node, f"{named}{exc.path}: byte 0: {exc.message}") from exc
+        at = ()
+    return node, ctx, at
 
 
-def _structure(node: object, ctx: _Ctx, prefix: str, cls, *keys: str):
-    """The algebra-like ``node``, or the file it names, as cls(dim, q,
-    *tensors) with one product tensor per key of ``keys``.  When the node
-    holds any list ``<key>_products`` (``products`` for ``c``) every tensor
-    is read sparse from its list, a missing one meaning zero; else each is
-    read dense under its key."""
-    node, ctx, prefix = _resolve(node, ctx, prefix)
-    where = prefix[:-1]
-    dim = _nat(_field(node, "dim", ctx, where), ctx, f"{prefix}dim", 0, MAX_DIM)
-    q = _rational(_field(node, "q", ctx, where), ctx)
+def _structure(node: object, ctx: _Ctx, at: tuple, cls=StructureAlgebra):
+    """The algebra (or, for ``cls`` DendriformStructure, the dendriform
+    structure) ``node`` at path ``at``, or the file it names, as cls(dim, q,
+    *tensors) with one product tensor per key: c, or prec and succ.  When
+    the node holds any list ``<key>_products`` (``products`` for ``c``)
+    every tensor is read sparse from its list, a missing one meaning zero;
+    else each is read dense under its key."""
+    keys = ("prec", "succ") if cls is DendriformStructure else ("c",)
+    node, ctx, at = _resolve(node, ctx, at)
+    dim = _nat(node, "dim", ctx, at, 0, MAX_DIM)
+    q = _rational(_field(node, "q", ctx, at), ctx, at, "q")
     if q == 0:
-        raise ctx.fail("q", f"{prefix}q must be nonzero")
+        raise ctx.fail((*at, "q"), "q", f"{_spell((*at, 'q'))} must be nonzero")
     lists = ["products" if key == "c" else f"{key}_products" for key in keys]
     if any(name in node for name in lists):
-        tensors = [_sparse(node.get(name, []), dim, ctx, prefix, name) for name in lists]
+        tensors = [_sparse(node.get(name, []), dim, ctx, (*at, name)) for name in lists]
     else:
         shape = (dim, dim, dim)
-        tensors = [Tensor3(_array(_field(node, key, ctx, where), shape, ctx, prefix + key), shape)
+        tensors = [Tensor3(_array(_field(node, key, ctx, at), shape, ctx, (*at, key)), shape)
                    for key in keys]
     return cls(dim, q, *tensors)
 
 
-def _algebra_from(node: object, ctx: _Ctx, prefix: str) -> StructureAlgebra:
-    return _structure(node, ctx, prefix, StructureAlgebra, "c")
-
-
-def _dendriform_from(node: object, ctx: _Ctx, prefix: str) -> DendriformStructure:
-    return _structure(node, ctx, prefix, DendriformStructure, "prec", "succ")
-
-
 def _actions(node: object, keys: tuple[str, str], n: int, m: int, ctx: _Ctx,
-             prefix: str) -> Bimodule:
+             at: tuple) -> Bimodule:
     """The action lists under ``keys`` (l then r) of ``node`` as a bimodule
     of an n-dim algebra on an m-dim space.  Each list holds n row-major
     m x m matrices, one per acting basis vector."""
     shape = (n, m, m)
-    l, r = (Tensor3(_array(_field(node, k, ctx, prefix[:-1]), shape, ctx, prefix + k), shape)
+    l, r = (Tensor3(_array(_field(node, k, ctx, at), shape, ctx, (*at, k)), shape)
             .transposed() for k in keys)
     return Bimodule(n, m, l, r)
 
 
-def _bimodule_from(node: object, n: int, ctx: _Ctx, prefix: str) -> Bimodule:
+def _bimodule_from(node: object, n: int, ctx: _Ctx, at: tuple) -> Bimodule:
     """The fields module_dim, l and r of ``node`` as a bimodule of an n-dim
     algebra."""
-    m = _field(node, "module_dim", ctx, prefix[:-1])
-    m = _nat(m, ctx, f"{prefix}module_dim", 0, MAX_DIM)
-    return _actions(node, ("l", "r"), n, m, ctx, prefix)
+    m = _nat(node, "module_dim", ctx, at, 0, MAX_DIM)
+    return _actions(node, ("l", "r"), n, m, ctx, at)
 
 
 def load_algebra(path: str) -> StructureAlgebra:
     ctx, data = _read(path)
-    return _algebra_from(data, ctx, "")
+    return _structure(data, ctx, ())
 
 
 def load_bimodule(path: str) -> tuple[StructureAlgebra, Bimodule]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
-    return A, _bimodule_from(data, A.dim, ctx, "")
+    A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
+    return A, _bimodule_from(data, A.dim, ctx, ())
 
 
 def load_matched_pair(path: str) -> MatchedPairData:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "A", ctx), ctx, "A.")
-    B = _algebra_from(_field(data, "B", ctx), ctx, "B.")
-    on_B = _actions(data, ("lA", "rA"), A.dim, B.dim, ctx, "")
-    on_A = _actions(data, ("lB", "rB"), B.dim, A.dim, ctx, "")
+    A = _structure(_field(data, "A", ctx), ctx, ("A",))
+    B = _structure(_field(data, "B", ctx), ctx, ("B",))
+    on_B = _actions(data, ("lA", "rA"), A.dim, B.dim, ctx, ())
+    on_A = _actions(data, ("lB", "rB"), B.dim, A.dim, ctx, ())
     # A and B at two values of q are refused
-    return _built(ctx, "B", "B", MatchedPairData, A, B, on_B, on_A)
+    return _built(ctx, ("B",), MatchedPairData, A, B, on_B, on_A)
 
 
 def load_dendriform(path: str) -> DendriformStructure:
     ctx, data = _read(path)
-    return _dendriform_from(data, ctx, "")
+    return _structure(data, ctx, (), DendriformStructure)
 
 
 def load_form(path: str) -> tuple[StructureAlgebra, BilinearForm]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
+    A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
     fnode = _field(data, "form", ctx)
-    dim = _nat(_field(fnode, "dim", ctx, "form"), ctx, "form.dim", 0)
-    kind = _field(fnode, "kind", ctx, "form")
+    dim = _nat(fnode, "dim", ctx, ("form",))
+    kind = _field(fnode, "kind", ctx, ("form",))
     if kind not in ("symmetric", "antisymmetric", "general"):
-        raise ctx.fail(kind, "form.kind must be symmetric, antisymmetric, or general")
+        raise ctx.fail(("form", "kind"), kind,
+                       "form.kind must be symmetric, antisymmetric, or general")
     shape = (dim, dim)
-    gram = Matrix(_array(_field(fnode, "gram", ctx, "form"), shape, ctx, "form.gram"), shape)
+    gram = Matrix(_array(_field(fnode, "gram", ctx, ("form",)), shape, ctx, ("form", "gram")),
+                  shape)
     if dim != A.dim:
-        raise ctx.fail(dim, "form.dim must match the algebra dimension")
+        raise ctx.fail(("form", "dim"), dim, "form.dim must match the algebra dimension")
     # a gram matrix that does not have its kind is refused
-    return A, _built(ctx, "gram", "form.gram", BilinearForm, dim, gram, kind)
+    return A, _built(ctx, ("form", "gram"), BilinearForm, dim, gram, kind)
 
 
 def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, Matrix]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
-    M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, "bimodule.")
+    A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
+    M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, ("bimodule",))
     shape = (A.dim, M.module_dim)
-    return A, M, Matrix(_array(_field(data, "T", ctx), shape, ctx, "T"), shape)
+    return A, M, Matrix(_array(_field(data, "T", ctx), shape, ctx, ("T",)), shape)
 
 
 def load_rota_baxter(path: str) -> tuple[StructureAlgebra, Matrix]:
     ctx, data = _read(path)
-    A = _algebra_from(_field(data, "algebra", ctx), ctx, "algebra.")
+    A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
     shape = (A.dim, A.dim)
-    return A, Matrix(_array(_field(data, "tau", ctx), shape, ctx, "tau"), shape)
+    return A, Matrix(_array(_field(data, "tau", ctx), shape, ctx, ("tau",)), shape)
 
 
 @dataclass
@@ -454,28 +461,29 @@ def load_fixture(path: str) -> PaperFixture:
     label = _field(data, "label", ctx)
     kind = _field(data, "kind", ctx)
     if kind not in ("quadratic", "symplectic"):
-        raise ctx.fail(kind, "kind must be quadratic or symplectic")
+        raise ctx.fail(("kind",), kind, "kind must be quadratic or symplectic")
     quadratic = kind == "quadratic"
     keys = ("A", "Astar") if quadratic else ("DA", "DAstar")
-    read = _algebra_from if quadratic else _dendriform_from
-    X, Y = (read(_field(data, k, ctx), ctx, f"{k}.") for k in keys)
+    cls = StructureAlgebra if quadratic else DendriformStructure
+    X, Y = (_structure(_field(data, k, ctx), ctx, (k,), cls) for k in keys)
     if X.dim != Y.dim or X.q != -1 or Y.q != -1:
         # the audit builds a double, which needs equal halves at q = -1
-        raise ctx.fail(keys[1], f"{keys[0]} and {keys[1]} must have equal dim and q = -1")
+        raise ctx.fail(keys[1:], keys[1],
+                       f"{keys[0]} and {keys[1]} must have equal dim and q = -1")
     A, Astar, DA, DAstar = (X, Y, None, None) if quadratic else (None, None, X, Y)
     half = X.dim
     lines = _field(data, "displayed", ctx)
     if not isinstance(lines, list):
-        raise ctx.fail(lines, "displayed must be a list")
+        raise ctx.fail(("displayed",), lines, "displayed must be a list")
     displayed = [
-        {k: _array(_field(item, k, ctx, f"displayed[{pos}]"), (2 * half,), ctx,
-                   f"displayed[{pos}].{k}")
+        {k: _array(_field(item, k, ctx, ("displayed", pos)), (2 * half,), ctx,
+                   ("displayed", pos, k))
          for k in ("left", "right", "result")}
-        for pos, item in enumerate(lines, start=1)
+        for pos, item in enumerate(lines)
     ]
     complete = _field(data, "complete", ctx)
     if not isinstance(complete, bool):
-        raise ctx.fail(complete, "complete must be true or false")
+        raise ctx.fail(("complete",), complete, "complete must be true or false")
     return PaperFixture(str(label), kind, A, Astar, DA, DAstar, displayed, complete)
 
 

@@ -104,6 +104,23 @@ def test_quartic_vanishing_on_antiassociative():
         assert check_quartic_vanishing(A).passed
 
 
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(1, 3)], ids=["2", "1/3"])
+def test_quartic_vanishing_holds_off_q_minus_one(t):
+    """Any q-associative algebra with q not in {0, 1} has A^4 = 0: the dim-3
+    e1e1 = e2, e1e2 = e3, e2e1 = t e3 passes the q-law at q = t, and with it
+    quartic vanishing."""
+    A = StructureAlgebra.from_products(3, t, {(1, 1): {2: 1}, (1, 2): {3: 1}, (2, 1): {3: t}})
+    assert check_q_associative(A).passed
+    assert check_quartic_vanishing(A).passed
+
+
+def test_quartic_vanishing_fails_at_q_one():
+    """At q = 1 the law is associativity, and e1.e1 = e1 keeps A^4 = A."""
+    A = StructureAlgebra.from_products(1, 1, {(1, 1): {1: 1}})
+    assert check_q_associative(A).passed
+    assert not check_quartic_vanishing(A).passed
+
+
 def test_quartic_flags_nonvanishing():
     # associative with identity-like behavior: e1 acts as left/right unit
     A = StructureAlgebra.from_products(

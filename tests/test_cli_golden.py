@@ -1,6 +1,6 @@
 """Golden CLI output: every verify target, every one-file build, both
-doubles, ``paper fixtures`` and ``classify dim2`` on three grids must keep
-their exact bytes.
+doubles, ``paper fixtures``, ``classify dim2`` on three grids and five
+refused documents must keep their exact bytes.
 
 Each case's digest is the sha256 of its exit code, stdout and stderr (and,
 for a build with ``-o``, the file it writes), kept in ``golden_cli.json``
@@ -121,6 +121,29 @@ DOCS = {
     },
 }
 
+# documents refused with exit 2, each with the verify target that reads it
+# and its exact bytes; each error line gives the refused value's own byte,
+# where an equal, earlier token once stood in for it.  B's q is "0"; B
+# lacks q; A and B, written after the actions, have two values of q; a zero
+# denominator spells its 1 as an escape; and B repeats the pair (1, 1).
+_ACTIONS = '"lA": [[["0"]]], "rA": [[["0"]]], "lB": [[["0"]]], "rB": [[["0"]]]'
+_A = '"A": {"dim": 1, "q": "-1", "products": []}'
+_PAIR = '{"i": 1, "j": 1, "out": {}}'
+REFUSED = {
+    "refused_q_zero.json":
+        ("matched-pair", f'{{{_A}, "B": {{"dim": 1, "q": "0", "products": []}}, {_ACTIONS}}}'),
+    "refused_missing_q.json":
+        ("matched-pair", f'{{{_A}, "B": {{"dim": 1, "products": []}}, {_ACTIONS}}}'),
+    "refused_two_q.json":
+        ("matched-pair", f'{{{_ACTIONS}, {_A}, "B": {{"dim": 1, "q": "2", "products": []}}}}'),
+    "refused_escaped_digit.json":
+        ("algebra", '{"dim": 2, "q": "-1", "products": '
+                    '[{"i": 1, "j": 1, "out": {"2": "\\u0031/0"}}]}'),
+    "refused_repeated_pair.json":
+        ("matched-pair",
+         f'{{{_A}, "B": {{"dim": 1, "q": "-1", "products": [{_PAIR}, {_PAIR}]}}, {_ACTIONS}}}'),
+}
+
 # (case name, argv); a case whose argv holds "-o" also digests the file written
 CASES = [
     ("verify_algebra_pass", ["verify", "algebra", "e1e1_e2.json", "--json"]),
@@ -167,7 +190,7 @@ CASES = [
     ("classify_dim2", ["classify", "dim2"]),
     ("classify_dim2_scaled", ["classify", "dim2", "--grid", "0,1,5"]),
     ("classify_dim2_fractions", ["classify", "dim2", "--grid", "-1/2,0,1/3", "--json"]),
-]
+] + [(name[:-5], ["verify", target, name]) for name, (target, _) in REFUSED.items()]
 
 
 def write_documents(directory: pathlib.Path) -> None:
@@ -176,6 +199,8 @@ def write_documents(directory: pathlib.Path) -> None:
         shutil.copy(src, directory / src.name)
     for name, doc in DOCS.items():
         (directory / name).write_text(json.dumps(doc, indent=2) + "\n")
+    for name, (_, text) in REFUSED.items():
+        (directory / name).write_text(text)
 
 
 def digest(*parts) -> str:

@@ -32,7 +32,7 @@ from antiassoc.io import (
 )
 from antiassoc.linalg import exact_str
 
-from .test_cli_golden import CASES, DOCS, ROOT, demo_env, write_documents
+from .test_cli_golden import CASES, DOCS, REFUSED, ROOT, demo_env, write_documents
 
 E1E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": "1"}}]}
 E2E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 2, "j": 1, "out": {"2": "1"}}]}
@@ -448,10 +448,10 @@ def test_the_rational_memo_keeps_only_validated_tokens_of_one_document(tmp_path)
     ctx, _ = aio._read(p)
     for bad in ("1/0", "0.5", "x", True, 1.5):
         with pytest.raises(ParseError):
-            aio._rational(bad, ctx)
-    assert aio._rational(1, ctx) == 1
+            aio._rational(bad, ctx, (), "q")
+    assert aio._rational(1, ctx, (), "q") == 1
     assert ctx.rationals == {}
-    assert aio._rational("-3/7", ctx) == Fraction(-3, 7)
+    assert aio._rational("-3/7", ctx, (), "q") == Fraction(-3, 7)
     assert ctx.rationals == {"-3/7": Fraction(-3, 7)}
     # each document read starts its own memo, and loading one fills nothing
     # that outlives it
@@ -560,8 +560,9 @@ def test_an_out_index_spelled_twice_is_rejected(tmp_path, capsys, kind, load, ke
     ('{"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {}}], "\\u0071": "2"}',
      "q", '\\u0071"'),
     ('{"dim": N, "dim": 1, "q": "-1", "c": [[["1"]]]}', "dim", 'dim": 1'),
+    ('{"dim": 1, "q": "-1", "q": "-1", "dim": 1, "c": [[["1"]]]}', "q", 'q": "-1", "dim'),
 ], ids=["top_level_q", "sparse_out_index", "products_entry_i", "inner_object_first",
-        "escaped_spelling", "past_the_int_string_limit"])
+        "escaped_spelling", "past_the_int_string_limit", "first_of_two_repeats"])
 def test_a_key_written_twice_is_refused(tmp_path, capsys, text, key, at):
     """JSON keeps the last value of a repeated key, so such a document used
     to be checked at q = 2, or with e1.e1 = 5 e2, and exit 0.  Now the parse
@@ -1017,6 +1018,30 @@ def test_a_refused_nested_object_is_named(tmp_path, capsys, B, message):
     assert f": {message} (token " in err
 
 
+@pytest.mark.parametrize("name, message, spelling", [
+    ("refused_q_zero.json", "B.q must be nonzero", '0", "products": []}, "lA"'),
+    ("refused_missing_q.json", "B: missing field 'q'", '{"dim": 1, "products"'),
+    ("refused_two_q.json", "B: matched pair requires a single q on both algebras",
+     '{"dim": 1, "q": "2"'),
+    ("refused_escaped_digit.json", "denominator is zero", "\\u0031"),
+    ("refused_repeated_pair.json",
+     "B.products[2] repeats the pair (i, j) = (1, 1) of B.products[1]",
+     '{"i": 1, "j": 1, "out": {}}]'),
+], ids=["q_zero", "missing_q", "two_q", "escaped_digit", "repeated_pair"])
+def test_a_refusal_is_located_at_the_value_it_names(tmp_path, name, message, spelling):
+    """Each offset once fell on an equal, earlier token: A's "q", the "B"
+    inside the key "lB", the 1 past its escape, or the first "products".
+    Now it is the byte of the value the message names, the first byte
+    inside a string's quote, or an object's "{"."""
+    target, raw = REFUSED[name]
+    p = write(tmp_path, name, raw)
+    load = load_algebra if target == "algebra" else aio.load_matched_pair
+    with pytest.raises(ParseError) as exc:
+        load(p)
+    assert exc.value.message == message
+    assert exc.value.offset == raw.index(spelling)
+
+
 def test_a_missing_top_level_field_is_not_prefixed(tmp_path):
     p = write(tmp_path, "mp.json", {"A": {"dim": 1, "q": "-1", "products": []}})
     with pytest.raises(ParseError) as exc:
@@ -1129,17 +1154,114 @@ def test_nesting_just_below_the_decoders_limit_is_a_parse_error(tmp_path):
                 load_algebra(p)
 
 
+def _deepest_json_list() -> int:
+    """The largest depth of nested lists json.loads reads from this frame,
+    up to twice the recursion limit."""
+    low, high = 1, 2 * sys.getrecursionlimit()
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
+
+
+def test_a_refusal_in_a_document_nested_near_the_decoders_limit_is_located(tmp_path, capsys):
+    """The decoder reads a note nested a little less deep than it can; the
+    document's q is zero, and the one error line locates that q exactly:
+    the pass that finds its byte keeps its own stack, so it does not
+    recurse per level."""
+    depth = _deepest_json_list() - 50
+    nest = "[" * depth + "]" * depth
+    raw = '{"note": %s, "dim": 1, "q": "0", "c": [[["0"]]]}' % nest
+    p = write(tmp_path, "deep.json", raw)
+    assert cli.run(["verify", "algebra", p]) == 2
+    offset = raw.index('0", "c"')
+    assert capsys.readouterr().err == f"error: {p}: byte {offset}: q must be nonzero (token 'q')\n"
+
+
+@pytest.mark.parametrize("text, key, at", [
+    ('{"dim": 1, "q": "-1", "c": [[[N]]], "note": {"a": 1, "a": 2}}', "a", 'a": 2'),
+    ('{"note": [N, {"b": [], "b": N}], "dim": 1, "q": "-1", "c": [[["0"]]]}', "b", 'b": 7'),
+], ids=["repeat_after", "repeat_beside"])
+def test_a_key_written_twice_is_refused_before_a_long_integer(tmp_path, capsys, text, key, at):
+    """json.loads stops at the first integer past the int-string limit (N),
+    before the object with the repeat closes; the repeat is still the
+    refusal, at its second spelling."""
+    text = text.replace("N", "7" * (sys.get_int_max_str_digits() + 1))
+    p = write(tmp_path, "both.json", text)
+    assert cli.run(["verify", "algebra", p]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {p}: byte {text.index(at)}: key {key!r} written twice in one object "
+        f"(token {key!r})\n")
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("", "a: integer has more than {limit} digits"),
+    (', "c": {"x": 1, "x": 2}', "key 'x' written twice in one object"),
+], ids=["long", "repeat"])
+def test_a_long_integer_before_deep_nesting_is_refused_in_bounded_memory(tmp_path, tail, message):
+    """json.loads stops at the integer (N), so nothing it reads bounds the
+    depth of what follows: the pass that reads on keeps one path, not one
+    per value, and refuses the document with one line in a child limited
+    to 1.5 GB."""
+    limit = sys.get_int_max_str_digits()
+    depth = 100_000
+    text = '{"a": %s, "b": %s%s%s}' % ("7" * (limit + 1), "[" * depth, "]" * depth, tail)
+    p = write(tmp_path, "deep_long.json", text)
+    done = _cli_in_bounded_child("verify", "algebra", p)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1
+    assert f": {message.format(limit=limit)} (token " in done.stderr
+
+
+LONG_REFUSAL =("integer has more than {limit} digits (token ", ")")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "algebra", "DOC", "--q", "1/N"], LONG_REFUSAL),
+    (["classify", "dim2", "--grid", "1,N"], LONG_REFUSAL),
+    (["verify", "algebra", "DOC", "--q", "1/Nx"], ("not a rational: ", "")),
+], ids=["q", "grid", "junk"])
+def test_a_long_flag_value_is_refused_by_its_ends(tmp_path, capsys, argv, message):
+    """A flag's value past the int-string limit is refused as such, and a
+    long refused value is named by its ends and length, as a ParseError
+    names a long token, not echoed whole."""
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 700)
+    doc = write(tmp_path, "ok.json", E1E1_DOC)
+    argv = [doc if a == "DOC" else a.replace("N", long) for a in argv]
+    token = argv[-1].removeprefix("1,")
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    head, tail = message
+    assert captured.err.endswith(f": {head.format(limit=limit)}{token[:20]!r}..."
+                                 f"{token[-20:]!r}, {len(token)} characters{tail}\n")
+    assert long not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # the front end over mutated documents
 
 FUZZ_VALUES = [True, None, 0.5, -1, 65, "1/0", "\u0661", [], {}, "missing.json"]
 # each document a verify case of the golden CLI tests reads, with its
 # command; the bundled fixtures go through ``paper fixtures``
-FUZZ_TARGETS = sorted({(argv[1], argv[2]) for _, argv in CASES if argv[0] == "verify"}) + [
+FUZZ_TARGETS = sorted({(argv[1], argv[2]) for _, argv in CASES
+                       if argv[0] == "verify" and argv[2] not in REFUSED}) + [
     ("paper", p.name) for p in sorted(BUNDLED.iterdir(), key=lambda p: p.name)
     if p.name.endswith(".json")
 ]
 ERROR_LINE = re.compile(r"error: [^\n]+: byte [0-9]+: [^\n]*\n")
+# the error line's file, byte and message, whose head may name a value by its
+# path (a key of it, with " key"), as in B.products[2] or c[1][1][2]; of
+# "A and Astar must ...", the value named last
+LOCATED = re.compile(r"error: (?P<file>.+?): byte (?P<byte>[0-9]+): (?P<message>.*)\n")
+NAMED = re.compile(r"(?:\w+ and )?(?P<path>[A-Za-z_]\w*(?:\.[A-Za-z_]\w*|\[[0-9]+\])*)"
+                   r"(?P<key> key)?(?:: | must | repeats )")
+SENTINEL = "@@located@@"
 
 
 def _json_paths(node, at=()):
@@ -1159,6 +1281,54 @@ def fuzz_dir(tmp_path_factory):
     return directory
 
 
+def _path_of(spelled):
+    """("B", "products", 1) of "B.products[2]": positions are 1-based there."""
+    return tuple(int(k[1:-1]) - 1 if k.startswith("[") else k
+                 for k in re.findall(r"\[[0-9]+\]|[^.[]+", spelled))
+
+
+def _start_of(doc, path, key=False):
+    """The byte where the value at ``path`` of ``doc``, or the key ending
+    it, starts in json.dumps(doc, indent=2), inside a string's quote: the
+    text before it is the same when the value is replaced by a sentinel
+    string, or the key renamed to one."""
+    marked = copy.deepcopy(doc)
+    *parents, last = path
+    node = marked
+    for k in parents:
+        node = node[k]
+    value = node[last]
+    if key:
+        items = list(node.items())
+        node.clear()
+        node.update((SENTINEL if k == last else k, v) for k, v in items)
+    else:
+        node[last] = SENTINEL
+    start = json.dumps(marked, indent=2).index(f'"{SENTINEL}"')
+    return start + 1 if key or isinstance(value, str) else start
+
+
+_TRICKY = '[]{}",:\\ a1é'  # brackets, quotes and escapes inside strings
+JSON_DOCS = st.recursive(
+    st.integers() | st.booleans() | st.none() | st.text(_TRICKY, max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(_TRICKY, max_size=3), kids, max_size=4),
+    max_leaves=25)
+
+
+@given(doc=JSON_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_located_finds_every_value_and_key(doc):
+    """The located pass, which skips each container off the way to the
+    path it is asked for, finds every value and every key of a document
+    whose strings hold brackets, quotes and escapes."""
+    text = json.dumps(doc, indent=2)
+    for path in _json_paths(doc):
+        assert aio._located(text, path) == _start_of(doc, path)
+        if isinstance(path[-1], str):
+            assert aio._located(text, path, key=True) == _start_of(doc, path, key=True)
+
+
 def _fuzz_source(command, name):
     if command == "paper":
         return json.loads((BUNDLED / name).read_text())
@@ -1173,7 +1343,8 @@ def test_cli_survives_one_mutated_value(fuzz_dir, seed):
     """One value of a valid document, at a drawn path, replaced by a value
     of the wrong type, range or spelling, or by a file name that does not
     exist: the CLI exits 0, 1 or 2 without an escaping exception, and exit
-    2 prints one located error line."""
+    2 prints one located error line.  Its byte is where the value its
+    message names starts, or, when it names none, the mutated value."""
     rng = random.Random(seed)
     command, name = rng.choice(FUZZ_TARGETS)
     doc = copy.deepcopy(_fuzz_source(command, name))
@@ -1197,3 +1368,11 @@ def test_cli_survives_one_mutated_value(fuzz_dir, seed):
     assert code in (0, 1, 2)
     if code == 2:
         assert ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
+        line = LOCATED.fullmatch(err.getvalue())
+        if line["file"] == str(target):
+            named = NAMED.match(line["message"])
+            if named:
+                path, key = _path_of(named["path"]), bool(named["key"])
+            else:
+                path, key = (*parents, last), False
+            assert int(line["byte"]) == _start_of(doc, path, key), err.getvalue()
