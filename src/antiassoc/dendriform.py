@@ -30,10 +30,11 @@ Everything else is algebra.py's associative machinery on each tensor:
 its contraction, its multiplication tables, duals as transposes, and its
 block product on A + B.  ``_pieces`` lists the tensor and the two action
 tables of each of prec and succ; the builders lay out their compiled
-join (``_block_tensor``), and the checks compile them (``_compiled_blocks``), add the compiled prec
-and succ products in integers for star (``_fiber_sum``), and run their
-route rows on the three with algebra.py's route body, the matched pair
-through matched.py's six placements.
+join (``_block_tensor``), and the checks compile them
+(``_compiled_blocks``), add the compiled prec and succ products in
+integers for star (``_fiber_sum``), and run their route rows on the three
+with algebra.py's route body, the matched pair through matched.py's six
+placements.
 """
 
 from __future__ import annotations

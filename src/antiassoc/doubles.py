@@ -349,11 +349,9 @@ def audit_paper_fixture(fx: PaperFixture) -> dict:
     data: which conditions of the build report hold, each displayed product
     line against the recomputed one, and, when the fixture claims its lines
     are the complete table, every nonzero basis product it does not show."""
-    if fx.kind == "quadratic":
-        d = build_quadratic_double(fx.A, fx.Astar)
-    else:
-        d = build_symplectic_double(fx.DA, fx.DAstar)
-    labels = double_basis_names(fx.half_dim)
+    build = build_quadratic_double if fx.kind == "quadratic" else build_symplectic_double
+    d = build(*fx.halves)
+    labels = double_basis_names(d.half_dim)
     failed = {v.identity_id.split(":", 1)[0] for v in d.report.violations}
     conditions = [
         {"name": name, "passed": tag not in failed}

@@ -444,21 +444,18 @@ class PaperFixture:
 
     label: str
     kind: str  # "quadratic" | "symplectic"
-    A: StructureAlgebra | None
-    Astar: StructureAlgebra | None
-    DA: DendriformStructure | None
-    DAstar: DendriformStructure | None
+    # (A, Astar), two StructureAlgebras, when quadratic; (DA, DAstar), two
+    # DendriformStructures, when symplectic
+    halves: tuple
     displayed: list[dict]
     complete: bool
-
-    @property
-    def half_dim(self) -> int:
-        return self.A.dim if self.A is not None else self.DA.dim
 
 
 def load_fixture(path: str) -> PaperFixture:
     ctx, data = _read(path)
     label = _field(data, "label", ctx)
+    if not isinstance(label, str):
+        raise ctx.fail(("label",), label, "label must be a string")
     kind = _field(data, "kind", ctx)
     if kind not in ("quadratic", "symplectic"):
         raise ctx.fail(("kind",), kind, "kind must be quadratic or symplectic")
@@ -470,7 +467,6 @@ def load_fixture(path: str) -> PaperFixture:
         # the audit builds a double, which needs equal halves at q = -1
         raise ctx.fail(keys[1:], keys[1],
                        f"{keys[0]} and {keys[1]} must have equal dim and q = -1")
-    A, Astar, DA, DAstar = (X, Y, None, None) if quadratic else (None, None, X, Y)
     half = X.dim
     lines = _field(data, "displayed", ctx)
     if not isinstance(lines, list):
@@ -484,7 +480,7 @@ def load_fixture(path: str) -> PaperFixture:
     complete = _field(data, "complete", ctx)
     if not isinstance(complete, bool):
         raise ctx.fail(("complete",), complete, "complete must be true or false")
-    return PaperFixture(str(label), kind, A, Astar, DA, DAstar, displayed, complete)
+    return PaperFixture(label, kind, (X, Y), displayed, complete)
 
 
 # ---------------------------------------------------------------------------

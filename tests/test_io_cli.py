@@ -1002,6 +1002,23 @@ def test_values_that_do_not_fit_together_are_located(tmp_path, load, doc, messag
     assert (exc.value.path, exc.value.message) == (p, message)
 
 
+@pytest.mark.parametrize("label", [{"x": [True, None]}, 7], ids=["object", "number"])
+def test_a_fixture_label_that_is_not_a_string_is_refused(tmp_path, capsys, monkeypatch, label):
+    """A label is read as strictly as kind: one that is not a string exits 2
+    at its own byte, and no heading spells it in Python."""
+    raw = json.dumps({**CASE4, "label": label})
+    p = write(tmp_path, "case4.json", raw)
+    with pytest.raises(ParseError) as exc:
+        aio.load_fixture(p)
+    at = raw.index('"label": ') + len('"label": ')
+    assert (exc.value.message, exc.value.offset) == ("label must be a string", at)
+    monkeypatch.setenv("ANTIASSOC_FIXTURES", str(tmp_path))
+    assert cli.run(["paper", "fixtures"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {p}: byte {at}: label must be a string (token ")
+
+
 @pytest.mark.parametrize("B, message", [
     ({"dim": 1, "products": []}, "B: missing field 'q'"),
     ([], "B: expected a JSON object"),

@@ -410,12 +410,9 @@ FIXTURES = resources.files("antiassoc") / "fixtures"
 )
 def test_criteria_match_the_dense_reference_on_the_paper_fixtures(source):
     fx = load_fixture(str(FIXTURES / source))
-    if fx.kind == "quadratic":
-        (name, ref), halves = CRITERIA[0], (fx.A, fx.Astar)
-    else:
-        (name, ref), halves = CRITERIA[1], (fx.DA, fx.DAstar)
-    got = getattr(antiassoc, name)(*halves)
-    want = getattr(reference, ref)(*halves)
+    name, ref = CRITERIA[0] if fx.kind == "quadratic" else CRITERIA[1]
+    got = getattr(antiassoc, name)(*fx.halves)
+    want = getattr(reference, ref)(*fx.halves)
     assert got.violations == want.violations
     assert got.as_dict() == want.as_dict()
 
