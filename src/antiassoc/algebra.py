@@ -56,8 +56,10 @@ denominator D (``_common_den``) and keeps each fiber or column as its
 nonzero ``(index, int)`` pairs (``_fibers`` for bilinear tables,
 ``_columns`` for maps).  Each law is a sum of integer contractions with
 q's numerator and denominator folded into the coefficients, so all its
-terms share one scale, D^2 qn qd in the route body.  The runner divides
-by the scale, building Fractions only for a nonzero residual.  Tables
+terms share one scale, D^2 qn qd in the route body.  The runner keeps a
+nonzero residual as those integers over the scale (``Violation``): a
+Fraction is made only when a caller reads ``Violation.residual``, and the
+report writer spells each distinct integer once from them.  Tables
 are immutable, and each carries its compiled form (``Tensor3.compiled``:
 its own denominator d and its fibers at d), made once on first use or
 set by the sparse constructor, so the sparse loader hands it over with
@@ -93,17 +95,53 @@ from .linalg import (
 )
 
 
-@dataclass
 class Violation:
     """One failed identity instance: which law, at which basis indices.
 
     ``residual`` is LHS minus RHS in coordinates, so a reader can see not
-    just that a law failed but by how much and in which direction.
+    just that a law failed but by how much and in which direction.  It
+    reads as a list of Fractions.  A kernel check hands over the integer
+    numerators of its residual instead, with their common ``scale``: the
+    residual as stored is ``entries``, integers over ``scale``, or the
+    rationals themselves when ``scale`` is None.  The Fractions are made on
+    the first read of ``residual`` and kept, and the writer of a report
+    spells the integers without them.  Two violations are equal when their
+    ids, indices and residual values are.
     """
 
-    identity_id: str
-    indices: tuple[int, ...]
-    residual: list[Fraction]
+    __slots__ = ("identity_id", "indices", "entries", "scale")
+    __hash__ = None  # equal by value, and mutable
+
+    def __init__(self, identity_id: str, indices: tuple[int, ...],
+                 residual: list, scale: int | None = None):
+        self.identity_id = identity_id
+        self.indices = indices
+        self.entries = residual
+        self.scale = scale
+
+    @property
+    def residual(self) -> list[Fraction]:
+        if self.scale is not None:
+            self.entries = [Fraction(a, self.scale) for a in self.entries]
+            self.scale = None
+        return self.entries
+
+    @residual.setter
+    def residual(self, value: list[Fraction]) -> None:
+        self.entries, self.scale = value, None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Violation:
+            return NotImplemented
+        return (self.identity_id, self.indices, self.residual) == (
+            other.identity_id, other.indices, other.residual)
+
+    def __repr__(self) -> str:
+        return (f"Violation(identity_id={self.identity_id!r}, indices={self.indices!r}, "
+                f"residual={self.residual!r})")
+
+    def __reduce__(self):
+        return Violation, (self.identity_id, self.indices, self.entries, self.scale)
 
     def as_dict(self) -> dict:
         return {
@@ -134,30 +172,34 @@ class CheckReport:
 def _run_laws(
     tuples: Iterable[tuple[int, ...]],
     laws: Sequence[tuple[str, Callable[..., Sequence]]],
-    den: int = 1,
+    den: int | None = None,
     base: Sequence[int] = (),
 ) -> list[Violation]:
     """The law runner behind every check: for (identity_id, law) pairs, with
-    ``law(*idx)`` den times the residual at a 0-based index tuple, the
-    nonzero residuals become Violations with 1-based indices, in tuple order
-    and then law order, or within its block if ``base`` holds each
-    position's block offset less 1.  Kernel laws return integers over ``den``."""
-    out, made = [], {}  # each distinct residual entry becomes a Fraction once
+    ``law(*idx)`` the residual at a 0-based index tuple, the nonzero
+    residuals become Violations with 1-based indices, in tuple order and
+    then law order, or within its block if ``base`` holds each position's
+    block offset less 1.  A kernel law returns integers, den times the
+    residual: they are kept as the violation's entries over the scale den,
+    with no Fraction made.  With no den, the law returns rationals, and each
+    distinct entry becomes a Fraction once."""
+    out, made = [], {}
     for idx in tuples:
         for identity_id, law in laws:
             res = law(*idx)
             if any(res):
                 at = tuple(map(operator.sub, idx, base)) if base else tuple(i + 1 for i in idx)
-                residual = [made[a] if a in made else made.setdefault(a, Fraction(a, den))
-                            for a in res]
-                out.append(Violation(identity_id, at, residual))
+                if den is None:
+                    res = [made[a] if a in made else made.setdefault(a, Fraction(a)) for a in res]
+                out.append(Violation(identity_id, at, res, den))
     return out
 
 
 def _prefixed(tag: str, violations: list[Violation]) -> list[Violation]:
     """``violations`` with ids prefixed ``tag:``, for folding one check, or
-    one law body, into another's verdict."""
-    return [Violation(f"{tag}:{v.identity_id}", v.indices, v.residual) for v in violations]
+    one law body, into another's verdict; integer entries stay integers."""
+    return [Violation(f"{tag}:{v.identity_id}", v.indices, v.entries, v.scale)
+            for v in violations]
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ to its Fraction, so a table parses each distinct token once.
 ``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` with a small recursive writer over dicts, lists and tuples.
 It spells a ``CheckReport`` itself, as the text of its ``as_dict()``
-with no dict built per violation, so the CLI's documents hold reports.
+with no dict built per violation and no Fraction made of a kernel
+violation's integers, so the CLI's documents hold reports.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import stat
@@ -338,7 +340,8 @@ def _structure(node: object, ctx: _Ctx, at: tuple, cls=StructureAlgebra):
     *tensors) with one product tensor per key: c, or prec and succ.  When
     the node holds any list ``<key>_products`` (``products`` for ``c``)
     every tensor is read sparse from its list, a missing one meaning zero;
-    else each is read dense under its key."""
+    else each is read dense under its key.  A node that holds both forms
+    is refused at its ``{``, since either reading would drop a table."""
     keys = ("prec", "succ") if cls is DendriformStructure else ("c",)
     node, ctx, at = _resolve(node, ctx, at)
     dim = _nat(node, "dim", ctx, at, 0, MAX_DIM)
@@ -346,7 +349,13 @@ def _structure(node: object, ctx: _Ctx, at: tuple, cls=StructureAlgebra):
     if q == 0:
         raise ctx.fail((*at, "q"), "q", f"{_spell((*at, 'q'))} must be nonzero")
     lists = ["products" if key == "c" else f"{key}_products" for key in keys]
-    if any(name in node for name in lists):
+    dense = [key for key in keys if key in node]
+    sparse = [name for name in lists if name in node]
+    if dense and sparse:
+        named = f"{_spell(at)}: " if at else ""
+        raise ctx.fail(at, dense[0], f"{named}dense {dense[0]!r} and sparse {sparse[0]!r} "
+                                     "cannot be mixed")
+    if sparse:
         tensors = [_sparse(node.get(name, []), dim, ctx, (*at, name)) for name in lists]
     else:
         shape = (dim, dim, dim)
@@ -607,13 +616,35 @@ def _report_dict(obj: object) -> dict:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+class _Spelled(dict):
+    """The text of each integer a over one ``scale``, as ``str`` spells
+    ``Fraction(a, scale)``: made on the first lookup of a, with one gcd and
+    the sign taken off the scale, which is negative when q is."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, a: int) -> str:
+        g = math.gcd(a, self.scale)
+        n, d = a // g, self.scale // g
+        if d < 0:
+            n, d = -n, -d
+        text = self[a] = str(n) if d == 1 else f"{n}/{d}"
+        return text
+
+
 def _write_report(rep: CheckReport, nl: str, out: list[str]) -> None:
     """Append the text of ``rep.as_dict()`` without building it: each
     violation is one string, its head made once per identity id, its
-    indices joined with ``int.__repr__`` and its residual entries, which
-    are rationals, with ``str``.  A violation that this refuses, such as
-    one with a residual past the int-string limit, is written from its own
-    ``as_dict``, which spells that residual with ``exact_str``."""
+    indices joined with ``int.__repr__`` and its residual entries spelled
+    from what the violation holds.  Integer entries over a scale are
+    looked up in one memo per scale (``_Spelled``), keyed by the int, so
+    each distinct value is spelled once and no Fraction is made; rational
+    entries are spelled with ``str``.  A violation that this refuses, such
+    as one with an entry past the int-string limit, is written from its
+    own ``as_dict``, which spells that residual with ``exact_str``."""
     inner = nl + "  "
     out.append(f'{{{inner}"info": ')
     _write(rep.info, inner, out)
@@ -628,6 +659,7 @@ def _write_report(rep: CheckReport, nl: str, out: list[str]) -> None:
         item = field + "  "
         ints, strs = "," + item, '",' + item + '"'
         heads: dict[str, str] = {}
+        spelled: dict[int, _Spelled] = {}
         texts = []
         for v in rep.violations:
             try:
@@ -636,14 +668,20 @@ def _write_report(rep: CheckReport, nl: str, out: list[str]) -> None:
                     head = heads[v.identity_id] = (
                         f'{{{field}"identity_id": {_quote(v.identity_id)},{field}"indices": ')
                 idx = ints.join(map(int.__repr__, v.indices))
-                res = strs.join(map(str, v.residual))
+                if v.scale is None:
+                    res = strs.join(map(str, v.entries))
+                else:
+                    memo = spelled.get(v.scale)
+                    if memo is None:
+                        memo = spelled[v.scale] = _Spelled(v.scale)
+                    res = strs.join(map(memo.__getitem__, v.entries))
             except (TypeError, ValueError):
                 sub: list[str] = []
                 _write(v.as_dict(), at, sub)
                 texts.append("".join(sub))
                 continue
             idx = f"[{item}{idx}{field}]" if v.indices else "[]"
-            res = f'[{item}"{res}"{field}]' if v.residual else "[]"
+            res = f'[{item}"{res}"{field}]' if v.entries else "[]"
             texts.append(f'{head}{idx},{field}"residual": {res}{at}}}')
         out.append(f"[{at}{(',' + at).join(texts)}{inner}]")
     out.append(nl + "}")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antiassoc import (
@@ -18,7 +18,7 @@ from antiassoc import (
     multiply,
 )
 from antiassoc.bimodules import action_of
-from antiassoc.linalg import basis_vec
+from antiassoc.linalg import Matrix, Tensor3, basis_vec
 
 from .support import nilpotent_algebra, valid_algebra
 
@@ -112,6 +112,27 @@ def test_quartic_vanishing_holds_off_q_minus_one(t):
     A = StructureAlgebra.from_products(3, t, {(1, 1): {2: 1}, (1, 2): {3: 1}, (2, 1): {3: t}})
     assert check_q_associative(A).passed
     assert check_quartic_vanishing(A).passed
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(1, 3)], ids=["2", "1/3"])
+@given(st.lists(small_rationals, min_size=9, max_size=9))
+@settings(max_examples=25, deadline=None)
+def test_quartic_vanishing_holds_on_a_transported_family(t, entries):
+    """The same family transported by an invertible P, x.y = P(P^-1 x . P^-1 y),
+    is a dense table on which the q-law passes exactly at q = t, and with it
+    quartic vanishing."""
+    P = Matrix([entries[:3], entries[3:6], entries[6:]])
+    assume(P.det() != 0)
+    X = StructureAlgebra.from_products(3, t, {(1, 1): {2: 1}, (1, 2): {3: 1}, (2, 1): {3: t}})
+    Pinv = P.invert()
+    cols = [Pinv.column(j) for j in range(3)]
+    c = Tensor3([[P.apply(multiply(X, cols[i], cols[j])) for j in range(3)] for i in range(3)])
+    assert check_q_associative(StructureAlgebra(3, t, c)).passed
+    assert not check_q_associative(StructureAlgebra(3, t + 1, c)).passed
+    assert check_quartic_vanishing(StructureAlgebra(3, t, c)).passed
 
 
 def test_quartic_vanishing_fails_at_q_one():

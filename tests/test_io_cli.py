@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import json
+import math
 import os
 import random
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from antiassoc import CheckReport, Violation, classify2d, cli, operators
+from antiassoc import CheckReport, Violation, algebra, classify2d, cli, operators
 from antiassoc import io as aio
 from antiassoc.io import (
     ParseError,
@@ -305,12 +306,41 @@ _VIOLATIONS = st.builds(
     st.lists(st.integers(1, 12), min_size=1, max_size=5).map(tuple),
     _RESIDUALS | _RESIDUALS.map(lambda r: r + [_LONG]),
 )
+# kernel violations: integer numerators over a law's scale, which is negative
+# when q is, here with prime factors up to 10^6
+_SCALES = st.builds(
+    lambda sign, factors: sign * math.prod(factors),
+    st.sampled_from([1, -1]),
+    st.lists(st.integers(1, 10**6) | st.sampled_from([2, 3, 999_979, 999_983]),
+             min_size=1, max_size=3),
+)
+_NUMERATORS = st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=6)
+
+
+@st.composite
+def _kernel_violations(draw) -> list[Violation]:
+    """The violations ``algebra._run_laws`` makes of drawn integer residuals
+    at drawn index tuples over one drawn scale."""
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 11), min_size=1, max_size=5).map(tuple),
+        _NUMERATORS | _NUMERATORS.map(lambda r: r + [_LONG.numerator]),
+    ), max_size=4))
+    residuals = iter([res for _, res in rows])
+    law = (draw(st.sampled_from(["q_assoc", "jacobi", "l_law"])), lambda *idx: next(residuals))
+    return algebra._run_laws([idx for idx, _ in rows], [law], draw(_SCALES))
+
+
 _INFO = st.dictionaries(_KEYS, st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=3),
     max_leaves=8,
 ), max_size=4)
-_REPORTS = st.builds(CheckReport, st.booleans(), st.lists(_VIOLATIONS, max_size=5), _INFO)
+_REPORTS = st.builds(
+    CheckReport, st.booleans(),
+    st.lists(st.lists(_VIOLATIONS, max_size=3) | _kernel_violations(), max_size=3)
+    .map(lambda parts: sum(parts, [])),
+    _INFO,
+)
 _REPORT_DOCS = st.recursive(
     _REPORTS | _LEAVES,
     lambda kids: (
@@ -339,11 +369,27 @@ def _as_dicts(doc):
 @example([CheckReport(False, [Violation('a"\\é', (2,), [Fraction(10**12 + 1, 10**6)]),
                               Violation("q", (1, 2, 3, 4, 5), [])],
                       {"n": [1, {"a": [None, True]}], "m": {}})])
+@example(CheckReport(False, algebra._run_laws(
+    [(0, 1, 2), (1, 1, 1)],
+    [("q_assoc", lambda i, j, k: [[6, -4, 0], [999_983, 0, -2 * 999_983]][i])],
+    -4 * 999_983), {}))
 @settings(max_examples=200, deadline=None)
 def test_dump_json_writes_a_report_as_its_as_dict(doc):
     """A CheckReport anywhere in a document is written as json.dumps writes
-    its ``as_dict()``, a residual past the int-string limit included."""
+    its ``as_dict()``, a residual past the int-string limit included, for
+    violations that hold Fractions and for kernel ones that hold integers
+    over a scale.  The dump comes first, so it reads the integers."""
     assert dump_json(doc) == json.dumps(_as_dicts(doc), sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_spells_a_kernel_numerator_past_the_limit_as_its_as_dict():
+    """A kernel entry that str refuses is written through the violation's
+    ``as_dict``; hypothesis cannot print such a violation as an example."""
+    rows = [[6, -4, 0], [1, _LONG.numerator, 0]]
+    rep = CheckReport(False, algebra._run_laws(
+        [(0, 1, 2), (1, 1, 1)], [("q_assoc", lambda i, j, k: rows[i])], -4 * 999_983), {})
+    assert [v.scale for v in rep.violations] == [-4 * 999_983] * 2
+    assert dump_json(rep) == json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [
@@ -992,7 +1038,17 @@ CASE4 = json.loads((BUNDLED / "case4.json").read_text())
      "B: matched pair requires a single q on both algebras"),
     (aio.load_fixture, {**CASE4, "DAstar": {**CASE4["DAstar"], "q": "2"}},
      "DA and DAstar must have equal dim and q = -1"),
-], ids=["form-kind", "matched-pair-q", "fixture-halves"])
+    (load_dendriform, {"dim": 1, "q": "-1", "prec": [[["1"]]], "succ_products": []},
+     "dense 'prec' and sparse 'succ_products' cannot be mixed"),
+    (load_dendriform, {"dim": 1, "q": "-1", "prec": [[["1"]]], "succ": [[["1"]]],
+                       "succ_products": []},
+     "dense 'prec' and sparse 'succ_products' cannot be mixed"),
+    (aio.load_matched_pair, {"A": {"dim": 1, "q": "-1", "c": [[["1"]]], "products": []},
+                             "B": {"dim": 1, "q": "-1", "products": []},
+                             **dict.fromkeys(["lA", "rA", "lB", "rB"], ONE_BY_ONE)},
+     "A: dense 'c' and sparse 'products' cannot be mixed"),
+], ids=["form-kind", "matched-pair-q", "fixture-halves", "dense-prec-sparse-succ",
+        "dense-and-sparse-succ", "dense-and-sparse-c"])
 def test_values_that_do_not_fit_together_are_located(tmp_path, load, doc, message):
     """Each value is well formed, but the document as a whole is refused by
     the object it builds; that refusal is a ParseError of the document."""
@@ -1057,6 +1113,23 @@ def test_a_refusal_is_located_at_the_value_it_names(tmp_path, name, message, spe
         load(p)
     assert exc.value.message == message
     assert exc.value.offset == raw.index(spelling)
+
+
+@pytest.mark.parametrize("target, raw, message", [
+    ("dendriform", '{"dim": 1, "q": "-1", "prec": [[["1"]]], "succ_products": []}',
+     "dense 'prec' and sparse 'succ_products' cannot be mixed"),
+    ("bimodule", '{"algebra": {"dim": 1, "q": "-1", "c": [[["1"]]], "products": []}, '
+                 '"module_dim": 0, "l": [[]], "r": [[]]}',
+     "algebra: dense 'c' and sparse 'products' cannot be mixed"),
+], ids=["top-level", "nested"])
+def test_a_node_holding_dense_and_sparse_tables_exits_2_at_its_brace(tmp_path, capsys, target,
+                                                                    raw, message):
+    """Either form alone would drop the other's table without a word, so
+    the node is refused where it opens."""
+    p = write(tmp_path, "mixed.json", raw)
+    assert cli.run(["verify", target, p]) == 2
+    at = raw.index('{"dim"')
+    assert capsys.readouterr().err.startswith(f"error: {p}: byte {at}: {message} (token ")
 
 
 def test_a_missing_top_level_field_is_not_prefixed(tmp_path):

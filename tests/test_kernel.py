@@ -25,6 +25,7 @@ import copy
 import inspect
 import itertools
 import json
+import pickle
 import random
 import re
 import textwrap
@@ -44,6 +45,7 @@ from antiassoc import (
     DendriformStructure,
     MatchedPairData,
     StructureAlgebra,
+    Violation,
 )
 from antiassoc import algebra, cli, doubles, io, linalg, operators
 from antiassoc.io import load_algebra, load_fixture
@@ -348,20 +350,55 @@ def test_a_map_onto_the_zero_space_runs_its_law_on_every_pair(monkeypatch):
     assert evaluated == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_matched_pair_preconditions_at_the_pairs_scale():
-    """The preconditions run on the pair's tables compiled at the pair's
-    common denominator, 21 here, where A's own is 1 and B's is 7: their
-    residuals must still equal the reference's exactly."""
+def _pair_at_21() -> MatchedPairData:
+    """A failing matched pair at q = -1 whose common denominator is 21,
+    where A's own is 1 and B's is 7."""
     A = StructureAlgebra(2, -1, Tensor3([[[1, 2], [0, -1]], [[3, 0], [1, 1]]]))
     B = StructureAlgebra(2, -1, Tensor3([[["1/7", 0], ["2/7", 1]], [[0, "-3/7"], [1, 0]]]))
     on_B = Bimodule(2, 2, *(table([Matrix([[1, "1/3"], [0, 2]])] * 2) for _ in "lr"))
     on_A = Bimodule(2, 2, *(table([Matrix([["2/3", 0], [1, -1]])] * 2) for _ in "lr"))
-    pair = MatchedPairData(A, B, on_B, on_A)
+    return MatchedPairData(A, B, on_B, on_A)
+
+
+def test_matched_pair_preconditions_at_the_pairs_scale():
+    """The preconditions run on the pair's tables compiled at the pair's
+    common denominator, 21 here, where A's own is 1 and B's is 7: their
+    residuals must still equal the reference's exactly."""
+    pair = _pair_at_21()
     got = antiassoc.check_matched_pair(pair)
     assert got.as_dict() == reference.check_matched_pair(pair).as_dict()
     tags = {v.identity_id.rsplit(":", 1)[0] for v in got.violations}
     assert {"precondition:q_assoc:A", "precondition:q_assoc:B",
             "precondition:bimodule:A_on_B", "precondition:bimodule:B_on_A"} <= tags
+
+
+def test_a_kernel_violation_reads_as_the_fractions_it_stands_for():
+    """A kernel violation holds its residual as integers over the law's
+    scale, D^2 qn qd = -441 here.  Read, it is the reference's Violation of
+    Fractions; a deep copy, a pickle and a prefixed copy made before any
+    read keep the integers and read the same."""
+    pair = _pair_at_21()
+    got = antiassoc.check_matched_pair(pair).violations
+    want = reference.check_matched_pair(pair).violations
+    assert got and {v.scale for v in got} == {-441}
+    copies = [copy.deepcopy(got)] + [
+        pickle.loads(pickle.dumps(got, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    prefixed = algebra._prefixed("tag", got)
+    assert {v.scale for copied in [*copies, prefixed] for v in copied} == {-441}
+    assert got == want
+    assert all(type(v.residual) is list and v.scale is None for v in got)
+    assert all(type(x) is Fraction for v in got for x in v.residual)
+    for copied in copies:
+        assert copied == want
+    assert [(v.identity_id, v.indices, v.residual) for v in prefixed] == [
+        (f"tag:{w.identity_id}", w.indices, w.residual) for w in want
+    ]
+    # equal by value across forms and scales, and never equal to a tuple
+    assert Violation("a", (1,), [2, -3], 4) == Violation("a", (1,), [-1, Fraction(3, 2)], -2)
+    assert Violation("a", (1,), [2, -3], 4) == Violation("a", (1,), [Fraction(1, 2), Fraction(-3, 4)])
+    assert Violation("a", (1,), [2, -3], 4) != Violation("a", (1,), [2, -3], 5)
+    assert Violation("a", (1,), [2], 4) != ("a", (1,), [Fraction(1, 2)])
 
 
 # The two criteria of doubles.py read sparse Fraction fibers; the dense
