@@ -21,9 +21,8 @@ for folding one check's violations into another's, the one contraction
 ``_contract`` behind every product and action, and ``_join``, the one
 code that knows the block layout of a product on A + B.  The composite
 checks read it through ``_compiled_blocks``, and the builders of
-semidirect and bowtie products through ``_block_tensor``, which hands
-the join over as the built table's compiled form, so no check compiles
-a built block product again.
+semidirect and bowtie products through ``_block_tensor``, whose table is
+that join: a Tensor3 is its compiled form.
 
 One law shape covers every identity of an algebra, a dendriform
 structure, their bimodules and their matched pairs:
@@ -59,14 +58,14 @@ q's numerator and denominator folded into the coefficients, so all its
 terms share one scale, D^2 qn qd in the route body.  The runner keeps a
 nonzero residual as those integers over the scale (``Violation``): a
 Fraction is made only when a caller reads ``Violation.residual``, and the
-report writer spells each distinct integer once from them.  Tables
-are immutable, and each carries its compiled form (``Tensor3.compiled``:
-its own denominator d and its fibers at d), made once on first use or
-set by the sparse constructor, so the sparse loader hands it over with
-no dense scan.  D is the lcm of the tables' d, and ``_fibers`` hands
-out a table's own fibers when D = d and rescales only their nonzero
-entries otherwise.  A sum of two tables, such as a dendriform star
-product, is added in integers (``_fiber_sum``).  ``fingerprint`` reads
+report writer spells each distinct integer once from them.  A table is
+its compiled form (``Tensor3.compiled``: its least denominator d and its
+fibers at d), which every constructor and operation of linalg.Tensor3
+builds in integers, so no check reads a Fraction of a table.  D is the
+lcm of the tables' d, and ``_fibers`` hands out a table's own fibers
+when D = d and rescales only their nonzero entries otherwise.  A sum of
+two tables, such as a dendriform star product, is added in integers
+(``linalg._fiber_sum``).  ``fingerprint`` reads
 its three ranks off the compiled fibers too, as integer rows handed to
 the one elimination ``linalg.echelon``, with no Fraction matrix.  The
 independent oracles (classify2d and the criteria in doubles.py) stay
@@ -88,6 +87,8 @@ from .linalg import (
     Matrix,
     Scalar,
     Tensor3,
+    _check_table,
+    _times,
     echelon,
     exact_str,
     rat,
@@ -137,8 +138,10 @@ class Violation:
             other.identity_id, other.indices, other.residual)
 
     def __repr__(self) -> str:
+        residual = ", ".join(f"Fraction({exact_str(x.numerator)}, {exact_str(x.denominator)})"
+                             for x in self.residual)
         return (f"Violation(identity_id={self.identity_id!r}, indices={self.indices!r}, "
-                f"residual={self.residual!r})")
+                f"residual=[{residual}])")
 
     def __reduce__(self):
         return Violation, (self.identity_id, self.indices, self.entries, self.scale)
@@ -232,28 +235,7 @@ def _fibers(c: Tensor3, D: int) -> _Compiled:
     compiled fibers themselves when D = d, else those rescaled by D // d.
     For an action table T these are the sparse columns of each D * T(e_i)."""
     d, F = c.compiled
-    if D == d:
-        return F
-    f = D // d
-    return [[[(k, a * f) for k, a in fib] if fib else fib for fib in plane] for plane in F]
-
-
-def _fiber_sum(F: _Compiled, G: _Compiled) -> _Compiled:
-    """F + G for two tables compiled at one D, each fiber's nonzero pairs
-    in k order, as ``_fibers`` of the sum of the tables would give them."""
-    out = []
-    for Fp, Gp in zip(F, G):
-        plane = []
-        for f, g in zip(Fp, Gp):
-            if f and g:
-                acc = dict(f)
-                for k, v in g:
-                    acc[k] = acc.get(k, 0) + v
-                plane.append([(k, v) for k, v in sorted(acc.items()) if v])
-            else:
-                plane.append(f or g)
-        out.append(plane)
-    return out
+    return _times(F, D // d)
 
 
 def _columns(m: Matrix, D: int) -> list[Sparse]:
@@ -519,10 +501,7 @@ class StructureAlgebra:
         q = rat(q)
         if q == 0:
             raise ValueError("q must be nonzero")
-        if (c.d1, c.d2, c.d3) != (dim, dim, dim):
-            raise DimensionMismatch(
-                f"tensor {c.d1}x{c.d2}x{c.d3} does not match dim {dim}"
-            )
+        _check_table("c", c, (dim, dim, dim))
         self.dim = dim
         self.q = q
         self.c = c
@@ -555,7 +534,7 @@ class StructureAlgebra:
         return self.dim == other.dim and self.q == other.q and self.c == other.c
 
     def __repr__(self) -> str:
-        return f"StructureAlgebra(dim={self.dim}, q={self.q})"
+        return f"StructureAlgebra(dim={self.dim}, q={exact_str(self.q)})"
 
 
 def _contract(
@@ -601,33 +580,24 @@ def mult_operators(A: StructureAlgebra) -> tuple[Tensor3, Tensor3]:
 
 def _block_tensor(n: int, m: int, *pieces: Tensor3 | None) -> Tensor3:
     """The product tensor on A + B of the pieces (cA, cB, la, ra, lb, rb),
-    Tensor3s or None for a zero piece: their ``_join`` compiled at D, read
-    as Fractions over D.  D is the lcm of the pieces' own d, so it is the
-    table's own d, and the join is its compiled form."""
+    Tensor3s or None for a zero piece: their ``_join`` compiled at D.  D is
+    the lcm of the pieces' own least d, and the join places every nonzero
+    entry of each piece, so (D, join) is the table's canonical form."""
     D, (F,) = _compiled_blocks(n, m, [pieces])
-    made: dict[int, Fraction] = {}
-    fibers = {(i, j): {k: made.get(a) or made.setdefault(a, Fraction(a, D)) for k, a in f}
-              for i, row in enumerate(F) for j, f in enumerate(row) if f}
-    return Tensor3.from_sparse((n + m,) * 3, fibers)
+    return Tensor3._made((n + m,) * 3, (D, F))
 
 
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
     """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
     (D, F), whole = A.c.compiled, (0, A.dim)
     violations = _route_violations([F], _Q_ASSOC_ROUTES, A.q, D, whole, whole, {})
-    return CheckReport.from_violations(violations, q=str(A.q), triples=A.dim**3)
+    return CheckReport.from_violations(violations, q=exact_str(A.q), triples=A.dim**3)
 
 
 def anticommutator_algebra(A: StructureAlgebra) -> StructureAlgebra:
     """Symmetrized product a # b = (a*b + b*a)/2; output carries q = -1."""
-    n, c = A.dim, A.c.entries
-    half = Fraction(1, 2)
-    t = [
-        [[half * (u + v) for u, v in zip(c[i][j], c[j][i])] for j in range(n)]
-        for i in range(n)
-    ]
     # the q slot is meaningless for the symmetrized product; -1 by convention
-    return StructureAlgebra(n, Fraction(-1), Tensor3(t))
+    return StructureAlgebra(A.dim, -1, (A.c + A.c.swapped()).scale(Fraction(1, 2)))
 
 
 def check_mock_lie(A: StructureAlgebra) -> CheckReport:

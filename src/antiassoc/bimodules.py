@@ -21,7 +21,7 @@ T(x) as a ``Matrix``.  The regular bimodule is (c, c with its first two
 axes swapped) and a dual is a transpose of the last two axes, scaled.
 The semidirect product and the compiled one the check runs on are
 algebra.py's one block product on A + V, with no partner algebra and no
-back-actions: the built table carries that join as its compiled form.
+back-actions: the built table is that join.
 """
 
 from __future__ import annotations
@@ -40,19 +40,7 @@ from .algebra import (
     _route_violations,
     mult_operators,
 )
-from .linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
-
-
-def _check_tables(name: str, table: Tensor3, count: int, size: int) -> None:
-    """The shape check of every action-table dataclass: a Tensor3 of shape
-    (count, size, size), one plane per acting basis vector."""
-    if not isinstance(table, Tensor3):
-        raise TypeError(f"{name}: an action table is a Tensor3, got {type(table).__name__}")
-    shape = (table.d1, table.d2, table.d3)
-    if shape != (count, size, size):
-        raise DimensionMismatch(
-            f"{name}: expected a {count}x{size}x{size} table, got {'x'.join(map(str, shape))}"
-        )
+from .linalg import DimensionMismatch, Matrix, Tensor3, _check_table, basis_vec, exact_str
 
 
 def _check_sides(n: int, m: int, on_B, on_A) -> None:
@@ -75,8 +63,9 @@ class Bimodule:
     r: Tensor3
 
     def __post_init__(self):
-        _check_tables("l", self.l, self.algebra_dim, self.module_dim)
-        _check_tables("r", self.r, self.algebra_dim, self.module_dim)
+        shape = (self.algebra_dim, self.module_dim, self.module_dim)
+        _check_table("l", self.l, shape)
+        _check_table("r", self.r, shape)
 
     @classmethod
     def zero(cls, algebra_dim: int, module_dim: int) -> "Bimodule":
@@ -112,7 +101,7 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
     n, m = A.dim, M.module_dim
     D, Fs = _compiled_blocks(n, m, [(A.c, None, M.l, M.r, None, None)])
     violations = _route_violations(Fs, _BIMODULE_ROUTES, A.q, D, (0, n), (n, m), {})
-    return CheckReport.from_violations(violations, q=str(A.q))
+    return CheckReport.from_violations(violations, q=exact_str(A.q))
 
 
 def regular_bimodule(A: StructureAlgebra) -> Bimodule:

@@ -44,7 +44,7 @@ from .algebra import (
     fingerprint,
     multiply,
 )
-from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, basis_vec, rat
+from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, basis_vec, exact_str, rat
 
 UNKNOWNS = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
 
@@ -121,7 +121,7 @@ class IsoVerdict:
         return {
             "status": self.status,
             "witness": (
-                [[str(x) for x in row] for row in self.witness.entries]
+                [[exact_str(x) for x in row] for row in self.witness.entries]
                 if self.witness is not None
                 else None
             ),
@@ -304,6 +304,6 @@ def describe_residual(residual: Sequence[Fraction]) -> str:
     for k, x in enumerate(residual):
         if x == 0:
             continue
-        coeff = "" if x == 1 else ("-" if x == -1 else f"{x}*")
+        coeff = "" if x == 1 else ("-" if x == -1 else f"{exact_str(x)}*")
         terms.append(f"{coeff}e{k + 1}")
     return " + ".join(terms) if terms else "0"

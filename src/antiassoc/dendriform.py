@@ -29,11 +29,11 @@ G(x, a, b) for axiom a+1, at scales (1, 1, -1/q) for A1 and A2 and
 Everything else is algebra.py's associative machinery on each tensor:
 its contraction, its multiplication tables, duals as transposes, and its
 block product on A + B.  ``_pieces`` lists the tensor and the two action
-tables of each of prec and succ; the builders lay out their compiled
-join (``_block_tensor``), and the checks compile them
-(``_compiled_blocks``), add the compiled prec and succ products in
-integers for star (``_fiber_sum``), and run their route rows on the three
-with algebra.py's route body, the matched pair through matched.py's six
+tables of each of prec and succ; the builders' tables are their join
+(``_block_tensor``), and the checks compile them (``_compiled_blocks``),
+add the compiled prec and succ products in integers for star
+(``linalg._fiber_sum``), and run their route rows on the three with
+algebra.py's route body, the matched pair through matched.py's six
 placements.
 """
 
@@ -50,12 +50,20 @@ from .algebra import (
     _common_den,
     _compiled_blocks,
     _contract,
-    _fiber_sum,
     _fibers,
     _route_violations,
 )
-from .bimodules import Bimodule, _check_sides, _check_tables
-from .linalg import DimensionMismatch, Scalar, Tensor3, rat, vec_add
+from .bimodules import Bimodule, _check_sides
+from .linalg import (
+    DimensionMismatch,
+    Scalar,
+    Tensor3,
+    _check_table,
+    _fiber_sum,
+    exact_str,
+    rat,
+    vec_add,
+)
 from .matched import _matched_violations
 
 
@@ -66,9 +74,8 @@ class DendriformStructure:
         q = rat(q)
         if q == 0:
             raise ValueError("q must be nonzero")
-        for t in (c_prec, c_succ):
-            if (t.d1, t.d2, t.d3) != (dim, dim, dim):
-                raise DimensionMismatch("product tensor shape does not match dim")
+        _check_table("c_prec", c_prec, (dim, dim, dim))
+        _check_table("c_succ", c_succ, (dim, dim, dim))
         self.dim = dim
         self.q = q
         self.c_prec = c_prec
@@ -113,7 +120,7 @@ class DendriformStructure:
         )
 
     def __repr__(self) -> str:
-        return f"DendriformStructure(dim={self.dim}, q={self.q})"
+        return f"DendriformStructure(dim={self.dim}, q={exact_str(self.q)})"
 
 
 # the routes of the docstring; shapes index the products [prec, succ, star]
@@ -131,7 +138,7 @@ def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     prec, succ = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
     Fs = [prec, succ, _fiber_sum(prec, succ)]
     violations = _route_violations(Fs, _AXIOM_ROUTES, D.q, den, whole, whole, {})
-    return CheckReport.from_violations(violations, q=str(D.q), triples=D.dim**3)
+    return CheckReport.from_violations(violations, q=exact_str(D.q), triples=D.dim**3)
 
 
 def associated_algebra(D: DendriformStructure) -> StructureAlgebra:
@@ -157,8 +164,9 @@ class DendriformBimodule:
     r_prec: Tensor3
 
     def __post_init__(self):
+        shape = (self.algebra_dim, self.module_dim, self.module_dim)
         for name in ("l_succ", "r_succ", "l_prec", "r_prec"):
-            _check_tables(name, getattr(self, name), self.algebra_dim, self.module_dim)
+            _check_table(name, getattr(self, name), shape)
 
     @classmethod
     def zero(cls, algebra_dim: int, module_dim: int) -> "DendriformBimodule":
@@ -212,7 +220,7 @@ def check_dendriform_bimodule(
     den, Fs = _compiled_blocks(n, m, blocks)
     Fs.append(_fiber_sum(*Fs))
     violations = _route_violations(Fs, _BIMODULE_ROUTES, D.q, den, (0, n), (n, m), {})
-    return CheckReport.from_violations(violations, q=str(D.q))
+    return CheckReport.from_violations(violations, q=exact_str(D.q))
 
 
 def dual_dendriform_bimodule(M: DendriformBimodule, q: Scalar) -> DendriformBimodule:
@@ -291,7 +299,7 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     Fs.append(_fiber_sum(*Fs))
     routes = (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
     violations = _matched_violations("dendriform", routes, Fs, A.dim, B.dim, q, den)
-    return CheckReport.from_violations(violations, q=str(q))
+    return CheckReport.from_violations(violations, q=exact_str(q))
 
 
 def dendriform_bowtie(P: DendriformMatchedPairData) -> DendriformStructure:

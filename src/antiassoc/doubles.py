@@ -94,8 +94,8 @@ def _audited_double(
     total = bowtie(P)
     form_report = check_form(total, form)
     # Every matched-pair condition is one block of the total's q-law, yet
-    # both run, on the pieces' join and on the total that carries it as its
-    # compiled form, because each contributes its own ids to the report.
+    # both run, on the pieces' join and on the total, which is that join,
+    # because each contributes its own ids to the report.
     violations = (
         _prefixed("matched_pair", check_matched_pair(P).violations)
         + _prefixed("total_q_assoc", check_q_associative(total).violations)

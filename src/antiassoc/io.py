@@ -276,7 +276,7 @@ def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
 
 def _sparse(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
     """A dim-n product tensor from the list of {i, j, out} entries at path
-    ``at``, built sparse, so it carries its compiled form without a dense scan."""
+    ``at``, built sparse: only its nonzero entries become integers."""
     if not isinstance(node, list):
         raise ctx.fail(at, node, f"{_spell(at)} must be a list")
     fibers: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -504,7 +504,7 @@ def tensor_doc(t: Tensor3) -> list[list[list[str]]]:
 
 
 def algebra_to_doc(A: StructureAlgebra) -> dict:
-    return {"dim": A.dim, "q": str(A.q), "c": tensor_doc(A.c)}
+    return {"dim": A.dim, "q": exact_str(A.q), "c": tensor_doc(A.c)}
 
 
 def bimodule_to_doc(A: StructureAlgebra, M: Bimodule) -> dict:
@@ -520,7 +520,7 @@ def bimodule_to_doc(A: StructureAlgebra, M: Bimodule) -> dict:
 def dendriform_to_doc(D: DendriformStructure) -> dict:
     return {
         "dim": D.dim,
-        "q": str(D.q),
+        "q": exact_str(D.q),
         "prec": tensor_doc(D.c_prec),
         "succ": tensor_doc(D.c_succ),
     }

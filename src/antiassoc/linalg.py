@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package funnels through the small kernel in this module:
-dense matrices and rank-3 tensors with Fraction entries, each holding its
+dense Fraction matrices and rank-3 tensors of rationals, each holding its
 shape even when an axis is empty (a map onto the zero space), one
 fraction-free elimination on integer rows (``echelon``) behind rank, rref,
 kernel, inverse and determinant, and a handful of vector helpers.  A
@@ -11,12 +11,14 @@ such as ``algebra.fingerprint``, calls it directly.  No floats, anywhere.
 Vectors are plain ``list[Fraction]`` and are always column vectors; matrices
 act on the left.
 
-A Tensor3 is immutable, its entries nested tuples, so each carries its
-compiled form, the integer fibers the kernel of algebra.py runs on, made
-once on first use; the sparse constructor ``Tensor3.from_sparse``, which
-the sparse document loader calls, sets it from the nonzero entries it is
-given, and ``swapped`` hands its source's over, re-indexed.  A Matrix is
-still mutable and compiles on each use.
+A Tensor3 is its compiled form, the integer fibers the kernel of
+algebra.py runs on: the least common denominator d of its entries and
+each fiber d * c[i][j] as its nonzero (k, int) pairs in k order.  This
+form is canonical.  Every constructor builds it, the sparse one
+``Tensor3.from_sparse`` from the nonzero entries it is given, and every
+operation (sum, scaling, the two axis swaps) works on the integers
+alone; the dense Fraction entries are a view, made on first read.  A
+Matrix is still mutable and compiles on each use.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class Matrix:
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
+        body = "; ".join(" ".join(map(exact_str, row)) for row in self.entries)
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -323,27 +325,51 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # rank-3 tensors
 
+Fibers = list[list[list[tuple[int, int]]]]  # F[i][j]: the nonzero (k, int) in k order
+
 _set = object.__setattr__
 
 
+def _times(F: Fibers, f: int) -> Fibers:
+    """Every int of the fibers F times f."""
+    if f == 1:
+        return F
+    return [[[(k, a * f) for k, a in fib] if fib else fib for fib in plane] for plane in F]
+
+
+def _fiber_sum(F: Fibers, G: Fibers) -> Fibers:
+    """F + G for two tables compiled at one d, as its fibers at that d:
+    each fiber's nonzero pairs in k order."""
+    def added(f, g):
+        if not (f and g):
+            return f or g
+        acc = dict(f)
+        for k, v in g:
+            acc[k] = acc.get(k, 0) + v
+        return [(k, v) for k, v in sorted(acc.items()) if v]
+
+    return [[added(f, g) for f, g in zip(Fp, Gp)] for Fp, Gp in zip(F, G)]
+
+
 class Tensor3:
-    """Rank-3 tensor c[i][j][k], stored dense and row-major in nested tuples.
+    """Rank-3 tensor c[i][j][k] of rationals, held as its compiled form.
 
     The three axes need not agree in general (action tables of an n-dim
     algebra on an m-dim space are n x m x m), but algebra product tensors
     are cubic.  As for Matrix, the shape (d1, d2, d3) is read off the
     entries unless given, and a tensor with an empty axis is built with it.
 
-    A Tensor3 is immutable: writing an entry or setting an attribute
-    raises TypeError.  So it carries its compiled form, ``compiled``, made
-    on first use: the least common denominator d of its entries and its
-    fibers d * c[i][j] as lists of their nonzero (k, int) pairs in k order.
-    ``from_sparse`` sets it from the nonzero entries it is given, so a
-    table built sparse is never scanned.  Every reader of the compiled
-    form shares its lists and none writes them.
+    ``compiled`` = (d, F) is the table: d the least common denominator of
+    its entries (1 for a zero table) and F[i][j] the fiber d * c[i][j] as
+    its nonzero (k, int) pairs in k order.  This form is canonical, so two
+    tables are equal exactly when their shapes and forms are.  Every
+    constructor and operation builds it directly.  ``entries``, the dense
+    tuples of Fractions, is a view made from it on first read; the dense
+    constructor keeps the tuples it is given as that view.  A Tensor3 is
+    immutable, and every reader of its compiled form shares the lists.
     """
 
-    __slots__ = ("d1", "d2", "d3", "entries", "_compiled")
+    __slots__ = ("d1", "d2", "d3", "compiled", "_entries")
 
     def __init__(self, entries: Sequence[Sequence[Sequence[Scalar]]], shape: tuple | None = None):
         e = tuple([tuple([tuple([x if x.__class__ is Fraction else rat(x) for x in fiber])
@@ -359,22 +385,30 @@ class Tensor3:
             for fiber in plane:
                 if len(fiber) != d3:
                     raise _unfilled(shape)
-        self._hold(e, shape, None)
+        d = math.lcm(*{x.denominator for plane in e for f in plane for x in f})
+        F = [[[(k, a) for k, x in enumerate(f) if (a := x.numerator * (d // x.denominator))]
+              for f in plane] for plane in e]
+        self._hold(shape, (d, F), e)
 
-    def _hold(self, entries: tuple, shape: tuple, compiled) -> None:
-        _set(self, "entries", entries)
-        _set(self, "d1", shape[0])
-        _set(self, "d2", shape[1])
-        _set(self, "d3", shape[2])
-        _set(self, "_compiled", compiled)
+    def _hold(self, shape: tuple, compiled: tuple[int, Fibers], entries: tuple | None) -> None:
+        for name, value in zip(self.__slots__, (*shape, compiled, entries)):
+            _set(self, name, value)
 
     @classmethod
-    def _made(cls, entries: tuple, shape: tuple, compiled=None) -> "Tensor3":
-        """The tensor of ``entries``, nested tuples of Fractions that fill
-        ``shape``, taken as they are."""
+    def _made(cls, shape: tuple, compiled: tuple[int, Fibers]) -> "Tensor3":
+        """The tensor of ``shape`` whose canonical form is ``compiled``, as given."""
         t = object.__new__(cls)
-        t._hold(entries, shape, compiled)
+        t._hold(shape, compiled, None)
         return t
+
+    @classmethod
+    def _reduced(cls, shape: tuple, d: int, F: Fibers) -> "Tensor3":
+        """The tensor of ``shape`` with fibers F at a positive d that need
+        not be the least: both are divided by the gcd of d and every int."""
+        g = math.gcd(d, *(a for plane in F for f in plane for _, a in f))
+        if g > 1:
+            d, F = d // g, [[[(k, a // g) for k, a in f] for f in plane] for plane in F]
+        return cls._made(shape, (d, F))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise TypeError("a Tensor3 is immutable")
@@ -383,51 +417,45 @@ class Tensor3:
         raise TypeError("a Tensor3 is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild a tensor from its entries, as slots cannot be set
-        return Tensor3, (self.entries, (self.d1, self.d2, self.d3))
+        # copy and pickle rebuild a tensor from its compiled form, as slots cannot be set
+        return Tensor3._made, ((self.d1, self.d2, self.d3), self.compiled)
 
     @classmethod
     def from_sparse(cls, shape: tuple[int, int, int],
                     fibers: dict[tuple[int, int], dict[int, Fraction]]) -> "Tensor3":
         """The tensor of ``shape`` with c[i][j][k] = fibers[i, j][k], 0-based
-        indices in range and Fraction values, and zero elsewhere.  Its
-        compiled form is read off these values alone: zero values are
-        dropped and each fiber is sorted by k."""
-        d1, d2, d3 = shape
-        zero = Fraction(0)
-        empty = (zero,) * d3
-        planes = [[empty] * d2 for _ in range(d1)]
-        nonzero = {}
+        indices in range and Fraction values, and zero elsewhere: zero
+        values are dropped and each fiber is sorted by k."""
+        d1, d2, _ = shape
+        d = math.lcm(*{x.denominator for out in fibers.values() for x in out.values()})
+        F = [[[]] * d2 for _ in range(d1)]
         for (i, j), out in fibers.items():
-            f = [zero] * d3
-            pairs = nonzero[i, j] = [(k, x) for k, x in sorted(out.items()) if x]
-            for k, x in pairs:
-                f[k] = x
-            planes[i][j] = tuple(f)
-        d = math.lcm(*{x.denominator for pairs in nonzero.values() for _, x in pairs})
-        ints = [[[]] * d2 for _ in range(d1)]
-        for (i, j), pairs in nonzero.items():
-            ints[i][j] = [(k, x.numerator * (d // x.denominator)) for k, x in pairs]
-        return cls._made(tuple(map(tuple, planes)), shape, (d, ints))
+            F[i][j] = [(k, x.numerator * (d // x.denominator)) for k, x in sorted(out.items()) if x]
+        return cls._made(shape, (d, F))
 
     @staticmethod
     def zeros(d1: int, d2: int, d3: int) -> "Tensor3":
-        return Tensor3.from_sparse((d1, d2, d3), {})
+        return Tensor3._made((d1, d2, d3), (1, [[[]] * d2 for _ in range(d1)]))
 
     @property
-    def compiled(self) -> tuple[int, list[list[list[tuple[int, int]]]]]:
-        """(d, F): the least common denominator d of the entries, and
-        F[i][j] the nonzero (k, d * c[i][j][k]) in k order."""
-        if self._compiled is None:
-            _set(self, "_compiled", self._compile())
-        return self._compiled
+    def entries(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The dense view c[i][j][k]: one shared zero, one Fraction per distinct int."""
+        if self._entries is None:
+            _set(self, "_entries", self._view())
+        return self._entries
 
-    def _compile(self) -> tuple[int, list[list[list[tuple[int, int]]]]]:
-        """``compiled`` read off every entry, once per table."""
-        e = self.entries
-        d = math.lcm(*{x.denominator for plane in e for f in plane for x in f})
-        return d, [[[(k, a) for k, x in enumerate(f) if (a := x.numerator * (d // x.denominator))]
-                    for f in plane] for plane in e]
+    def _view(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        d, F = self.compiled
+        zero, made = Fraction(0), {}
+        empty = (zero,) * self.d3
+
+        def fiber(f):
+            row = [zero] * self.d3
+            for k, a in f:
+                row[k] = made.get(a) or made.setdefault(a, Fraction(a, d))
+            return tuple(row)
+
+        return tuple([tuple([fiber(f) if f else empty for f in plane]) for plane in F])
 
     def __getitem__(self, i: int) -> tuple[tuple[Fraction, ...], ...]:
         return self.entries[i]
@@ -435,8 +463,8 @@ class Tensor3:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor3):
             return NotImplemented
-        return (self.d1, self.d2, self.d3, self.entries) == (
-            other.d1, other.d2, other.d3, other.entries
+        return (self.d1, self.d2, self.d3, self.compiled) == (
+            other.d1, other.d2, other.d3, other.compiled
         )
 
     def __repr__(self) -> str:
@@ -446,39 +474,44 @@ class Tensor3:
         shape = (self.d1, self.d2, self.d3)
         if shape != (other.d1, other.d2, other.d3):
             raise DimensionMismatch(f"shapes {self!r} and {other!r}")
-        return Tensor3._made(tuple([
-            tuple([tuple([a + b if a and b else a or b for a, b in zip(f1, f2)])
-                   for f1, f2 in zip(p1, p2)])
-            for p1, p2 in zip(self.entries, other.entries)
-        ]), shape)
+        (d, F), (e, G) = self.compiled, other.compiled
+        D = math.lcm(d, e)
+        return Tensor3._reduced(shape, D, _fiber_sum(_times(F, D // d), _times(G, D // e)))
 
     def scale(self, s: Scalar) -> "Tensor3":
         c = rat(s)
-        return Tensor3._made(tuple([
-            tuple([tuple([c * a if a else a for a in fiber]) for fiber in plane])
-            for plane in self.entries
-        ]), (self.d1, self.d2, self.d3))
+        shape = (self.d1, self.d2, self.d3)
+        if not c:
+            return Tensor3.zeros(*shape)
+        d, F = self.compiled
+        return Tensor3._reduced(shape, d * c.denominator, _times(F, c.numerator))
 
     def swapped(self) -> "Tensor3":
-        """The tensor with axes 0 and 1 exchanged: out[j][i] = self[i][j].
-        A compiled form, when this tensor has one, is handed over the same
-        way: the same d and fibers, re-indexed."""
-        planes = tuple([tuple([plane[j] for plane in self.entries]) for j in range(self.d2)])
-        compiled = self._compiled
-        if compiled is not None:
-            d, F = compiled
-            compiled = d, [[row[j] for row in F] for j in range(self.d2)]
-        return Tensor3._made(planes, (self.d2, self.d1, self.d3), compiled)
+        """The tensor with axes 0 and 1 exchanged: out[j][i] = self[i][j],
+        the same d and fibers, re-indexed."""
+        d, F = self.compiled
+        planes = [[row[j] for row in F] for j in range(self.d2)]
+        return Tensor3._made((self.d2, self.d1, self.d3), (d, planes))
 
     def transposed(self) -> "Tensor3":
         """The tensor with axes 1 and 2 exchanged: out[i][k][j] = self[i][j][k],
         so each plane, read as a matrix, is transposed."""
-        if not self.d2:  # zip reads no columns off a plane with no rows
-            return Tensor3.zeros(self.d1, self.d3, 0)
-        planes = tuple([tuple(zip(*plane)) for plane in self.entries])
-        return Tensor3._made(planes, (self.d1, self.d3, self.d2))
+        d, F = self.compiled
+        planes = [[[] for _ in range(self.d3)] for _ in F]
+        for cols, plane in zip(planes, F):
+            for j, f in enumerate(plane):
+                for k, a in f:
+                    cols[k].append((j, a))
+        return Tensor3._made((self.d1, self.d3, self.d2), (d, planes))
 
     def is_zero(self) -> bool:
-        return all(
-            x == 0 for plane in self.entries for fiber in plane for x in fiber
-        )
+        return not any(f for plane in self.compiled[1] for f in plane)
+
+
+def _check_table(name: str, table: object, shape: tuple[int, int, int]) -> None:
+    """The check of every table a structure holds: a Tensor3 of ``shape``."""
+    if not isinstance(table, Tensor3):
+        raise TypeError(f"{name}: a table is a Tensor3, got {type(table).__name__}")
+    if (table.d1, table.d2, table.d3) != shape:
+        raise DimensionMismatch(f"{name}: expected a {'x'.join(map(str, shape))} table, "
+                                f"got {table.d1}x{table.d2}x{table.d3}")

@@ -21,9 +21,8 @@ route row gives both ids.  ``_matched_violations`` runs a matched pair
 of either kind, this one or the dendriform one, as six placements on one
 compiled bowtie: the two algebras' base laws and the two bimodules'
 laws as preconditions, then the two halves.  The checks read the
-compiled bowtie (``_compiled_blocks``) and never build the dense one;
-``bowtie`` builds it from the same join (``_block_tensor``), which it
-carries as its compiled form.
+compiled bowtie (``_compiled_blocks``); ``bowtie`` builds its table from
+the same join (``_block_tensor``).
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .algebra import (
     _route_violations,
 )
 from .bimodules import _BIMODULE_ROUTES, Bimodule, _check_sides
+from .linalg import exact_str
 
 
 @dataclass
@@ -98,7 +98,7 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     D, Fs = _compiled_blocks(A.dim, B.dim, [(A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)])
     routes = (_Q_ASSOC_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
     violations = _matched_violations("q_assoc", routes, Fs, A.dim, B.dim, q, D)
-    return CheckReport.from_violations(violations, q=str(q))
+    return CheckReport.from_violations(violations, q=exact_str(q))
 
 
 def bowtie(P: MatchedPairData) -> StructureAlgebra:

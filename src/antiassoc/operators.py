@@ -51,7 +51,7 @@ from .algebra import (
 from .bimodules import Bimodule
 from .dendriform import DendriformStructure
 from .forms import BilinearForm, check_symplectic
-from .linalg import DimensionMismatch, Matrix, Scalar, SingularError, Tensor3, basis_vec
+from .linalg import DimensionMismatch, Matrix, Scalar, SingularError, Tensor3, basis_vec, exact_str
 
 
 class NotAnOOperator(ValueError):
@@ -125,7 +125,7 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: Matrix) -> CheckReport
     violations = _o_operator_violations(
         _fibers(A.c, D), _fibers(M.l, D), _fibers(M.r, D), _columns(T, D), D, "o_operator"
     )
-    return CheckReport.from_violations(violations, q=str(A.q))
+    return CheckReport.from_violations(violations, q=exact_str(A.q))
 
 
 def _require_o_operator(
@@ -147,7 +147,7 @@ def check_rota_baxter(A: StructureAlgebra, tau: Matrix) -> CheckReport:
     F = _fibers(A.c, D)
     R = _on_basis(F, A.dim)  # R(e_i) e_j = e_j e_i: F's axes swapped
     violations = _o_operator_violations(F, F, R, _columns(tau, D), D, "rota_baxter")
-    return CheckReport.from_violations(violations, q=str(A.q))
+    return CheckReport.from_violations(violations, q=exact_str(A.q))
 
 
 def induced_dendriform_on_module(

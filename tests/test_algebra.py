@@ -5,9 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import antiassoc
 from antiassoc import (
+    Bimodule,
+    CheckReport,
+    DendriformBimodule,
+    DendriformMatchedPairData,
+    DendriformStructure,
     Fingerprint,
+    IsoVerdict,
+    MatchedPairData,
     StructureAlgebra,
+    Violation,
     anticommutator_algebra,
     basis_product,
     check_mock_lie,
@@ -17,8 +26,10 @@ from antiassoc import (
     mult_operators,
     multiply,
 )
+from antiassoc import io
 from antiassoc.bimodules import action_of
-from antiassoc.linalg import Matrix, Tensor3, basis_vec
+from antiassoc.classify2d import describe_residual
+from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3, basis_vec, exact_str
 
 from .support import nilpotent_algebra, valid_algebra
 
@@ -185,3 +196,72 @@ def test_fingerprint_swap_invariant_under_relabel(seed):
                 t[perm[i]][perm[j]][perm[k]] = A.c.entries[i][j][k]
     B = StructureAlgebra(n, A.q, Tensor3(t, (n, n, n)))
     assert fingerprint(A) == fingerprint(B)
+
+
+# a q whose numerator is past the interpreter's int-string limit
+LONG_Q = Fraction(3**10000, 7)
+
+
+def test_a_long_q_is_spelled_whole_in_every_report():
+    """Each check that reports its q spells it with exact_str, as do the
+    document writers and the reprs, where str would raise ValueError."""
+    q = LONG_Q
+    A, D = StructureAlgebra.zero(1, q), DendriformStructure.zero(1, q)
+    M, N = Bimodule.zero(1, 1), DendriformBimodule.zero(1, 1)
+    reports = [
+        check_q_associative(A),
+        antiassoc.check_bimodule(A, M),
+        antiassoc.check_q_dendriform(D),
+        antiassoc.check_dendriform_bimodule(D, N),
+        antiassoc.check_dendriform_matched_pair(DendriformMatchedPairData(D, D, N, N)),
+        antiassoc.check_matched_pair(MatchedPairData(A, A, M, M)),
+        antiassoc.check_o_operator(A, M, Matrix.zeros(1, 1)),
+        antiassoc.check_rota_baxter(A, Matrix.zeros(1, 1)),
+    ]
+    spelled = exact_str(q)
+    for report in reports:
+        assert report.passed and report.info["q"] == spelled
+        assert repr(report) == f"CheckReport(passed=True, violations=[], info={report.info!r})"
+    assert io.algebra_to_doc(A)["q"] == io.dendriform_to_doc(D)["q"] == spelled
+    assert repr(A) == f"StructureAlgebra(dim=1, q={spelled})"
+    assert repr(D) == f"DendriformStructure(dim=1, q={spelled})"
+
+
+def test_reprs_spell_long_rationals_whole():
+    """A Violation in either form, a CheckReport holding one, a Matrix, an
+    isomorphism verdict and a described residual spell a rational past the
+    int-string limit whole; ordinary values print as before."""
+    big, spelled = LONG_Q.numerator, exact_str(LONG_Q.numerator)
+    want = f"Violation(identity_id='a', indices=(1,), residual=[Fraction({spelled}, 7), Fraction(-2, 7)])"
+    for v in (Violation("a", (1,), [big, -2], 7), Violation("a", (1,), [LONG_Q, Fraction(-2, 7)])):
+        assert repr(v) == want
+        assert repr(CheckReport(False, [v], {"q": "-1"})) == (
+            f"CheckReport(passed=False, violations=[{want}], info={{'q': '-1'}})")
+    short = [Fraction(1, 2), Fraction(-3)]
+    assert repr(Violation("b", (1, 2), [2, -12], 4)) == (
+        f"Violation(identity_id='b', indices=(1, 2), residual={short!r})")
+    assert repr(Matrix([[LONG_Q, "1/2"]])) == f"Matrix[1x2: {exact_str(LONG_Q)} 1/2]"
+    assert IsoVerdict("yes", Matrix([[LONG_Q]])).as_dict()["witness"] == [[exact_str(LONG_Q)]]
+    assert describe_residual([LONG_Q, 0, -1]) == f"{exact_str(LONG_Q)}*e1 + -e3"
+
+
+_ONE, _TWO = Tensor3.zeros(1, 1, 1), Tensor3.zeros(1, 2, 2)
+
+
+@pytest.mark.parametrize("make, name, shape", [
+    (lambda t: StructureAlgebra(1, -1, t), "c", (1, 1, 1)),
+    (lambda t: DendriformStructure(1, -1, _ONE, t), "c_succ", (1, 1, 1)),
+    (lambda t: Bimodule(1, 2, t, _TWO), "l", (1, 2, 2)),
+    (lambda t: DendriformBimodule(1, 2, _TWO, _TWO, _TWO, t), "r_prec", (1, 2, 2)),
+], ids=["algebra", "dendriform", "bimodule", "dendriform_bimodule"])
+def test_every_structure_checks_its_tables_alike(make, name, shape):
+    """One table check serves every structure: a table that is not a
+    Tensor3 is a TypeError and a wrong shape a DimensionMismatch, each
+    naming the table."""
+    make(Tensor3.zeros(*shape))
+    d1, d2, d3 = shape
+    with pytest.raises(TypeError, match=f"^{name}: a table is a Tensor3, got list$"):
+        make([[[0] * d3 for _ in range(d2)] for _ in range(d1)])
+    with pytest.raises(DimensionMismatch,
+                       match=f"^{name}: expected a {d1}x{d2}x{d3} table, got 2x3x3$"):
+        make(Tensor3.zeros(2, 3, 3))

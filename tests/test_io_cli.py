@@ -288,16 +288,8 @@ def test_dump_json_writes_the_bytes_of_json_dumps(doc):
     assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-class _Long(Fraction):
-    """A Fraction whose numerator is past the int-string limit, so str and
-    repr refuse it; this repr, which hypothesis prints, names its size."""
-
-    def __repr__(self):
-        return f"<Fraction of {self.numerator.bit_length()} bits>"
-
-
 # a residual entry that str refuses to spell
-_LONG = _Long(2 * 10 ** ((sys.get_int_max_str_digits() or 4300) + 1) + 1, 3)
+_LONG = Fraction(2 * 10 ** ((sys.get_int_max_str_digits() or 4300) + 1) + 1, 3)
 _RESIDUALS = st.lists(
     st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6)), max_size=6)
 _VIOLATIONS = st.builds(

@@ -7,11 +7,11 @@ bumped, or sparse (dense shapes at a low density, so the route body walks
 some basis tuples and skips others); entries have denominators up to 7,
 the module dimension differs from the algebra dimension (for a matched
 pair, the dimension of B differs from that of A), and dims 0 and 1 are
-drawn.  Each check also compiles every table at most once, whatever the
-dimensions and the number of tuples, and a table the sparse loader built
-is handed its compiled form, which must be the one its dense twin
-compiles.  So is a block product the builders lay out, whose compiled
-form is the join of its compiled pieces.
+drawn.  A table is its compiled form: every operation on one, the sparse
+loader and the block products the builders lay out must give the
+canonical form of the dense Fraction table computed in the test, and no
+check, no ``verify`` and no builder compiles a table from entries or
+reads a table's Fractions.
 
 The two criteria of doubles.py, sparse Fraction lookups, are compared
 the same way with their dense form, and they, with every doubles.py
@@ -25,6 +25,7 @@ import copy
 import inspect
 import itertools
 import json
+import math
 import pickle
 import random
 import re
@@ -462,13 +463,96 @@ def _far_table(rng, d1: int, d2: int, d3: int) -> Tensor3:
                      for _ in range(d2)] for _ in range(d1)], (d1, d2, d3))
 
 
+def _canonical(dense) -> tuple:
+    """The compiled form of dense lists of rationals, read off them here:
+    the lcm d of their denominators and each fiber's nonzero (k, d * x)."""
+    d = math.lcm(*(Fraction(x).denominator for plane in dense for f in plane for x in f))
+    return d, [[[(k, Fraction(x).numerator * (d // Fraction(x).denominator))
+                 for k, x in enumerate(f) if x] for f in plane] for plane in dense]
+
+
+def assert_is_the_table(t: Tensor3, dense, shape: tuple) -> None:
+    """t is the table of the dense lists ``dense``: the same shape, compiled
+    form, entries and value as the dense constructor gives, the form is the
+    canonical one, and the dense constructor rebuilds t from its entries."""
+    want = Tensor3(dense, shape)
+    assert (t.d1, t.d2, t.d3) == shape
+    assert t.compiled == want.compiled == _canonical(dense)
+    assert t.entries == want.entries
+    assert t == want and Tensor3(t.entries, shape) == t
+
+
+def assert_is_a_view(t: Tensor3) -> None:
+    """The entries of t, built from its compiled form, hold one Fraction
+    object per distinct value, so one shared zero."""
+    flat = [x for plane in t.entries for f in plane for x in f]
+    assert all(type(x) is Fraction for x in flat)
+    assert len({id(x) for x in flat}) == len(set(flat))
+
+
+_VALUES = st.just(Fraction(0)) | st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7, 999983, 10**6]))
+
+
+@st.composite
+def table_pairs(draw):
+    """(shape, e, u): two dense lists of Fractions of one shape, any axis
+    possibly empty."""
+    shape = tuple(draw(st.integers(0, 3)) for _ in range(3))
+    d1, d2, d3 = shape
+    size = d1 * d2 * d3
+
+    def dense():
+        flat = iter(draw(st.lists(_VALUES, min_size=size, max_size=size)))
+        return [[[next(flat) for _ in range(d3)] for _ in range(d2)] for _ in range(d1)]
+
+    return shape, dense(), dense()
+
+
+_HALF, _TINY = Fraction(1, 2), Fraction(-1, 10**6)
+
+
+@given(table_pairs(), st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                st.sampled_from([1, 2, 7, 10**6])))
+@example(((2, 0, 3), [[], []], [[], []]), Fraction(3, 7))
+@example(((1, 2, 2), [[[_HALF, 0], [0, _TINY]]], [[[_HALF, _HALF], [0, -_TINY]]]), Fraction(-2))
+@settings(max_examples=150, deadline=None)
+def test_every_operation_builds_the_canonical_form(tables, s):
+    """Each operation on the integers gives the table of the dense Fraction
+    result computed here, at its least d: on a table built dense and one
+    built sparse from the same values (zero values among them, keys out of
+    order), with empty axes, for scale by 0, 1, -1 and p/r, and for sums
+    with a drawn table and with the negation, which cancels every entry."""
+    shape, e, other = tables
+    d1, d2, d3 = shape
+    r1, r2, r3 = range(d1), range(d2), range(d3)
+    fibers = {(i, j): dict(reversed(list(enumerate(e[i][j])))) for i in r1 for j in r2
+              if any(e[i][j])}
+    results = []
+    for t in (Tensor3(e, shape), Tensor3.from_sparse(shape, fibers)):
+        assert_is_the_table(t, e, shape)
+        results.append((t, e, shape))
+        results.append((t.swapped(), [[e[i][j] for i in r1] for j in r2], (d2, d1, d3)))
+        results.append((t.transposed(), [[[e[i][j][k] for j in r2] for k in r3] for i in r1],
+                        (d1, d3, d2)))
+        for c in (0, 1, -1, s):
+            results.append((t.scale(c), [[[c * x for x in f] for f in p] for p in e], shape))
+        for u in (other, [[[-x for x in f] for f in p] for p in e]):
+            total = [[[x + y for x, y in zip(f, g)] for f, g in zip(p, q)] for p, q in zip(e, u)]
+            results.append((t + Tensor3(u, shape), total, shape))
+    for t, dense, shape in results[1:]:
+        assert_is_a_view(t)
+        assert_is_the_table(t, dense, shape)
+
+
 @given(seed=st.integers(0, 2**30), n=st.integers(0, 3), m=st.integers(0, 3))
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 def test_join_is_the_compiled_block_tensor(seed, n, m):
     """``_block_tensor`` lays its pieces out as the bowtie formula does, a
-    None piece as zero, and the compiled form it hands over, the route
-    body's ``_join`` of the compiled pieces, is the one its entries compile
-    to.  So is the table of each of the four builders of a block product."""
+    None piece as zero: it is the table of the formula's dense Fractions,
+    and its compiled form is the route body's ``_join`` of the compiled
+    pieces.  The table of each of the four builders of a block product is
+    canonical too."""
     rng = random.Random(seed)
     shapes = [(n, n, n), (m, m, m), (n, m, m), (n, m, m), (m, n, n), (m, n, n)]
     pieces = [_far_table(rng, *shape) for shape in shapes]
@@ -478,19 +562,20 @@ def test_join_is_the_compiled_block_tensor(seed, n, m):
         t = algebra._block_tensor(n, m, *chosen)
         D = algebra._common_den(p for p in chosen if p is not None)
         compiled = (None if p is None else algebra._fibers(p, D) for p in chosen)
-        assert t.compiled == t._compile() == (D, algebra._join(n, m, *compiled))
+        assert t.compiled == (D, algebra._join(n, m, *compiled))
         cA, cB, la, ra, lb, rb = (Tensor3.zeros(*shape) if p is None else p
                                   for p, shape in zip(chosen, shapes))
+        want = [[None] * (n + m) for _ in range(n + m)]
         for p, s in itertools.product(range(n + m), repeat=2):
             if p < n and s < n:
-                want = cA[p][s] + (0,) * m
+                want[p][s] = cA[p][s] + (0,) * m
             elif p < n:
-                want = rb[s - n][p] + la[p][s - n]
+                want[p][s] = rb[s - n][p] + la[p][s - n]
             elif s < n:
-                want = lb[p - n][s] + ra[s][p - n]
+                want[p][s] = lb[p - n][s] + ra[s][p - n]
             else:
-                want = (0,) * n + cB[p - n][s - n]
-            assert t[p][s] == want, (p, s)
+                want[p][s] = (0,) * n + cB[p - n][s - n]
+        assert_is_the_table(t, want, (n + m,) * 3)
     A, B = StructureAlgebra(n, -1, pieces[0]), StructureAlgebra(m, -1, pieces[1])
     on_B, on_A = Bimodule(n, m, *pieces[2:4]), Bimodule(m, n, *pieces[4:])
     D_A, D_B = (DendriformStructure(k, -1, _far_table(rng, k, k, k), _far_table(rng, k, k, k))
@@ -503,162 +588,128 @@ def test_join_is_the_compiled_block_tensor(seed, n, m):
              antiassoc.bowtie(MatchedPairData(A, B, on_B, on_A)).c,
              S.c_prec, S.c_succ, T.c_prec, T.c_succ]
     for t in built:
-        assert t.compiled == t._compile()
+        assert_is_the_table(t, t.entries, (n + m,) * 3)
 
 
-# two (n, m) shapes: a compile count that is the same at both is one
-# compile per table, not one per matrix of an action table or per tuple
-SHAPES = [(2, 3), (3, 1)]
+def _counted(monkeypatch) -> tuple[list, list]:
+    """From here on, the tables compiled from dense entries, by the dense
+    constructor, and the tables whose entries view is built from their
+    compiled form; no other code path makes either."""
+    compiles, views = [], []
+    init, view = Tensor3.__init__, Tensor3._view
+
+    def counted_init(t, *args, **kwargs):
+        compiles.append(t)
+        init(t, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor3, "__init__", counted_init)
+    monkeypatch.setattr(Tensor3, "_view", lambda t: views.append(t) or view(t))
+    return compiles, views
 
 
-def _counted_compiles(monkeypatch) -> list:
-    """The tables compiled from here on, one item per compile made from a
-    table's entries; a table handed its compiled form, or compiled
-    already, adds none."""
-    calls = []
-    real = Tensor3._compile
-    monkeypatch.setattr(Tensor3, "_compile", lambda t: calls.append(t) or real(t))
-    return calls
+def _structure_doc(n: int, tables: dict, sparse: bool) -> dict:
+    """A structure document with the product tables ``tables`` by key (c, or
+    prec and succ), each spelled sparse or dense."""
+    doc = {"dim": n, "q": "-1"}
+    for key, t in tables.items():
+        if not sparse:
+            doc[key] = io.tensor_doc(t)
+            continue
+        d, F = t.compiled
+        doc["products" if key == "c" else f"{key}_products"] = [
+            {"i": i + 1, "j": j + 1, "out": {str(k + 1): str(Fraction(a, d)) for k, a in f}}
+            for i, plane in enumerate(F) for j, f in enumerate(plane) if f
+        ]
+    return doc
 
 
-def _compiles_per_call(monkeypatch, check, make_args):
-    """The number of tables that one call of ``check`` compiles on fresh
-    dense (failing) inputs, at each of SHAPES."""
-    calls = _counted_compiles(monkeypatch)
-    counts = []
-    for n, m in SHAPES:
-        args = make_args(Draw(random.Random(5), "dense", n, m))
-        calls.clear()
-        assert not check(*args).passed
-        counts.append(len(calls))
-    return counts
+def _actions_doc(M: Bimodule, keys=("l", "r")) -> dict:
+    return {key: io.tensor_doc(t.transposed()) for key, t in zip(keys, (M.l, M.r))}
 
 
-def test_matched_pair_compiles_each_action_once(monkeypatch):
-    def make_args(draw):
-        back = draw.swapped()
-        return (MatchedPairData(draw.algebra(-1), back.algebra(-1),
-                                draw.bimodule(), back.bimodule()),)
-
-    counts = _compiles_per_call(monkeypatch, antiassoc.check_matched_pair, make_args)
-    # the two structure tensors and on_B.l, on_B.r, on_A.l, on_A.r, shared by
-    # the preconditions and the two halves
-    assert counts == [6, 6]
-
-
-def test_dendriform_bimodule_compiles_each_action_once(monkeypatch):
-    counts = _compiles_per_call(
-        monkeypatch, antiassoc.check_dendriform_bimodule,
-        lambda draw: (draw.dendriform(-1), draw.dendriform_bimodule()),
-    )
-    # prec, succ and the four tables; the star sums are added compiled
-    assert counts == [6, 6]
-
-
-def test_dendriform_matched_pair_compiles_each_action_once(monkeypatch):
-    def make_args(draw):
-        back = draw.swapped()
-        return (DendriformMatchedPairData(
-            draw.dendriform(-1), back.dendriform(-1),
-            draw.dendriform_bimodule(), back.dendriform_bimodule(),
-        ),)
-
-    counts = _compiles_per_call(
-        monkeypatch, antiassoc.check_dendriform_matched_pair, make_args
-    )
-    # each side's two tensors and four tables, shared by the preconditions
-    # and the two halves; the star sums are added compiled
-    assert counts == [2 * (2 + 4)] * 2
-
-
-def test_block_builders_hand_their_total_its_compiled_form(monkeypatch, tmp_path, capsys):
-    """Both doubles and ``build bowtie`` check the total on the compiled form
-    ``_block_tensor`` hands it, so none compiles a table of the total's
-    shape from its entries, and none compiles a piece twice."""
-    draw = Draw(random.Random(5), "dense", 2, 2)
-    on_B, on_A = draw.bimodule(), draw.bimodule()
-    pair = tmp_path / "pair.json"
-    pair.write_text(io.dump_json({
-        "A": io.algebra_to_doc(draw.algebra(-1)), "B": io.algebra_to_doc(draw.algebra(-1)),
-        **{key: io.tensor_doc(t.transposed())
-           for key, t in zip(["lA", "rA", "lB", "rB"], [on_B.l, on_B.r, on_A.l, on_A.r])},
-    }))
-    builds = [
-        lambda: doubles.build_quadratic_double(draw.algebra(-1), draw.algebra(-1)).report.passed,
-        lambda: doubles.build_symplectic_double(
-            draw.dendriform(-1), draw.dendriform(-1)).report.passed,
-        lambda: cli.run(["build", "bowtie", str(pair)]) == 0,
-    ]
-    calls = _counted_compiles(monkeypatch)
-    for build in builds:
-        calls.clear()
-        assert not build()
-        assert [t for t in calls if (t.d1, t.d2, t.d3) == (4, 4, 4)] == []
-        assert 0 < len({id(t) for t in calls}) == len(calls)
-    assert json.loads(capsys.readouterr().out)["algebra"]["dim"] == 4
-
-
-NILPOTENT4 = [(1, 1, {"3": "1/2", "4": "-2/3"}), (1, 2, {"4": "5/7"}), (2, 1, {"3": "-1"}),
-              (2, 2, {"4": "3/1000000"})]
+def _verify_documents(sparse: bool) -> dict:
+    """For each kind of ``verify``, a document on sparse draws and the
+    number of its tables spelled dense: its product tables when not
+    ``sparse``, and its action tables, which documents spell dense only."""
+    draw = Draw(random.Random(7), "sparse", 3, 2)
+    back = draw.swapped()
+    A, B, D = draw.algebra(-1), back.algebra(-1), draw.dendriform(-1)
+    M, N = draw.bimodule(), back.bimodule()
+    g = draw.matrix(3, 3, lambda _: True, lambda _: True)
+    dense = 0 if sparse else 1
+    a, b = (_structure_doc(X.dim, {"c": X.c}, sparse) for X in (A, B))
+    return {
+        "algebra": (a, dense),
+        "dendriform": (_structure_doc(3, {"prec": D.c_prec, "succ": D.c_succ}, sparse),
+                       2 * dense),
+        "bimodule": ({"algebra": a, "module_dim": 2, **_actions_doc(M)}, dense + 2),
+        "matched-pair": ({"A": a, "B": b, **_actions_doc(M, ("lA", "rA")),
+                          **_actions_doc(N, ("lB", "rB"))}, 2 * dense + 4),
+        "form": ({"algebra": a, "form": io.form_to_doc(
+            BilinearForm(3, g + g.transpose(), "symmetric"))}, dense),
+        "o-operator": ({"algebra": a, "bimodule": {"module_dim": 2, **_actions_doc(M)},
+                        "T": io.matrix_doc(draw.map_into(2))}, dense + 2),
+        "rota-baxter": ({"algebra": a, "tau": io.matrix_doc(draw.map_into(3))}, dense),
+    }
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_verify_algebra_compiles_its_table_once(monkeypatch, tmp_path, capsys, sparse):
-    """The q-law and the fingerprint of ``verify algebra`` share one
-    compiled form: made once from a dense document's entries, and handed
-    over by the loader for a sparse one."""
-    if sparse:
-        doc = {"products": [{"i": i, "j": j, "out": out} for i, j, out in NILPOTENT4]}
-    else:
-        c = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
-        for i, j, out in NILPOTENT4:
-            for k, x in out.items():
-                c[i - 1][j - 1][int(k) - 1] = x
-        doc = {"c": c}
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps({"dim": 4, "q": "-1", **doc}))
-    calls = _counted_compiles(monkeypatch)
-    assert cli.run(["verify", "algebra", str(path), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["fingerprint"]["dim_square"] == 2
-    assert len(calls) == (0 if sparse else 1)
+def test_verify_reads_no_fraction_of_a_table(monkeypatch, tmp_path, capsys, sparse):
+    """``verify`` of every kind builds no entries view: the checks, the
+    fingerprint and the report read the compiled forms alone.  Each table
+    a document spells dense is compiled exactly once, at load, and one
+    spelled sparse never."""
+    documents = _verify_documents(sparse)
+    compiles, views = _counted(monkeypatch)
+    for kind, (doc, tables) in documents.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        compiles.clear()
+        assert cli.run(["verify", kind, str(path), "--json"]) in (0, 1), kind
+        assert "passed" in json.loads(capsys.readouterr().out)
+        assert (len(compiles), len({id(t) for t in compiles}), views) == (tables, tables, []), kind
+
+
+def test_checks_and_builders_compile_nothing(monkeypatch, tmp_path, capsys):
+    """Every check on dense draws, and the regular bimodule check of a
+    sparse-loaded algebra, compiles no table and builds no entries view.
+    The builders of both doubles and ``build bowtie`` compile nothing past
+    the tables of their input: every table they build, the total among
+    them, is built in integers."""
+    draw = Draw(random.Random(5), "dense", 3, 2)
+    calls = [(getattr(antiassoc, name), inputs(name, draw, Fraction(-1))) for name in CHECKS]
+    rng = random.Random(6)
+    products = [(i, j, {str(k): str(rng.choice(WIDE)) for k in rng.sample(range(1, 7), 3)})
+                for i in range(1, 7) for j in range(1, 7) if rng.random() < 0.4]
+    A = load_algebra(_sparse_document(tmp_path / "a.json", 6, products))
+    calls.append((antiassoc.check_bimodule, (A, antiassoc.regular_bimodule(A))))
+    compiles, views = _counted(monkeypatch)
+    for check, args in calls:
+        check(*args)
+        assert (compiles, views) == ([], []), check.__name__
+    pair = tmp_path / "pair.json"
+    on_B, on_A = draw.bimodule(), draw.swapped().bimodule()
+    pair.write_text(json.dumps({
+        "A": io.algebra_to_doc(draw.algebra(-1)),
+        "B": io.algebra_to_doc(draw.swapped().algebra(-1)),
+        **_actions_doc(on_B, ("lA", "rA")), **_actions_doc(on_A, ("lB", "rB")),
+    }))
+    halves = draw.algebra(-1), draw.algebra(-1)
+    dendriform_halves = draw.dendriform(-1), draw.dendriform(-1)
+    compiles.clear()
+    assert not doubles.build_quadratic_double(*halves).report.passed
+    assert not doubles.build_symplectic_double(*dendriform_halves).report.passed
+    assert compiles == []
+    assert cli.run(["build", "bowtie", str(pair)]) == 1
+    assert json.loads(capsys.readouterr().out)["algebra"]["dim"] == 5
+    assert sorted((t.d1, t.d2, t.d3) for t in compiles) == [
+        (2, 2, 2), (2, 3, 3), (2, 3, 3), (3, 2, 2), (3, 2, 2), (3, 3, 3)]
 
 
 def _sparse_document(path, n: int, products) -> str:
     path.write_text(json.dumps({"dim": n, "q": "-1", "products": [
         {"i": i, "j": j, "out": out} for i, j, out in products]}))
     return str(path)
-
-
-def test_swapped_hands_over_its_compiled_form(tmp_path):
-    """A swapped table carries its source's compiled form, re-indexed, and
-    it is the form its own entries compile to: on a table the sparse loader
-    built, on dense draws compiled first and on tables with an empty axis.
-    A table not compiled yet is swapped without compiling it."""
-    draw = Draw(random.Random(3), "dense", 3, 2)
-    tables = [load_algebra(_sparse_document(tmp_path / "a.json", 4, NILPOTENT4)).c,
-              draw.tensor(), draw.actions(),
-              Tensor3.zeros(0, 0, 0), Tensor3.zeros(0, 2, 3), Tensor3.zeros(2, 0, 3)]
-    for t in tables:
-        assert t.compiled
-        s = t.swapped()
-        assert s._compiled is not None
-        assert s.compiled == s._compile()
-        assert s.swapped() == t and s.swapped().compiled == t.compiled
-    fresh = draw.tensor()
-    assert fresh.swapped()._compiled is None and fresh._compiled is None
-
-
-def test_regular_bimodule_of_a_sparse_algebra_compiles_nothing(monkeypatch, tmp_path):
-    """``check_bimodule(A, regular_bimodule(A))`` on a sparse-loaded dim-6
-    algebra runs on the loader's compiled form alone: R = c.swapped() is
-    handed it, so no table is compiled from its entries."""
-    rng = random.Random(6)
-    products = [(i, j, {str(k): str(rng.choice(WIDE)) for k in rng.sample(range(1, 7), 3)})
-                for i in range(1, 7) for j in range(1, 7) if rng.random() < 0.4]
-    A = load_algebra(_sparse_document(tmp_path / "a.json", 6, products))
-    calls = _counted_compiles(monkeypatch)
-    assert not antiassoc.check_bimodule(A, antiassoc.regular_bimodule(A)).passed
-    assert calls == []
 
 
 def _spelled(p: int, d: int) -> str:
@@ -687,10 +738,10 @@ def sparse_documents(draw):
 @example((0, []))
 @example((1, [{"i": 1, "j": 1, "out": {"1": "-3/3"}}]))
 @settings(max_examples=100, deadline=None)
-def test_sparse_loader_compiles_as_the_dense_path(tmp_path_factory, document):
-    """The compiled form the sparse loader sets is ``_fibers`` of the
-    equal table loaded dense, which compiles from its entries, and the
-    two loaders give equal tables."""
+def test_sparse_loader_builds_the_dense_paths_form(tmp_path_factory, document):
+    """The sparse loader, which builds only integers, and the dense loader,
+    which compiles the document's entries, give one compiled form, so
+    equal tables with equal entries."""
     n, products = document
     c = [[["0"] * n for _ in range(n)] for _ in range(n)]
     for item in products:
@@ -701,23 +752,25 @@ def test_sparse_loader_compiles_as_the_dense_path(tmp_path_factory, document):
     sparse.write_text(json.dumps({"dim": n, "q": "-1", "products": products}))
     dense.write_text(json.dumps({"dim": n, "q": "-1", "c": c}))
     loaded, reference_table = load_algebra(str(sparse)).c, load_algebra(str(dense)).c
-    assert reference_table._compiled is None and loaded._compiled is not None
-    D = algebra._common_den([reference_table])
-    assert loaded.compiled == (D, algebra._fibers(reference_table, D))
-    assert loaded == reference_table
+    assert loaded.compiled == reference_table.compiled == _canonical(reference_table.entries)
+    assert loaded == reference_table and loaded.entries == reference_table.entries
 
 
 @given(seed=st.integers(0, 2**30), n=st.integers(0, 3), m=st.integers(0, 3))
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 def test_fiber_sum_is_the_compiled_sum(seed, n, m):
-    """Compiled tables added in integers are the compiled Fraction sum, also
-    where every entry cancels, as for the dendriform star products."""
+    """Compiled tables added in integers are the Fraction sum of their
+    entries, made here, compiled at the tables' common D, also where every
+    entry cancels, as for the dendriform star products."""
     draw = Draw(random.Random(seed), "dense", n, m)
     for a, b in ((draw.tensor(), draw.tensor()), (draw.actions(), draw.actions())):
         for b in (b, a.scale(-1)):
             D = algebra._common_den([a, b])
-            assert algebra._fiber_sum(algebra._fibers(a, D), algebra._fibers(b, D)) == \
-                algebra._fibers(a + b, D)
+            total = [[[x + y for x, y in zip(f, g)] for f, g in zip(p, q)]
+                     for p, q in zip(a.entries, b.entries)]
+            want = [[[(k, x.numerator * (D // x.denominator)) for k, x in enumerate(f) if x]
+                     for f in plane] for plane in total]
+            assert linalg._fiber_sum(algebra._fibers(a, D), algebra._fibers(b, D)) == want
 
 
 KERNEL_NAMES = [
@@ -730,9 +783,10 @@ KERNEL_NAMES = [
 def test_kernel_names_resolve():
     """A name that no longer exists would pass the scan below unchecked.
     ``compiled``, a table's compiled form, is the one the kernel reads off
-    Tensor3."""
+    Tensor3, and ``_fiber_sum``, the integer sum of two such forms, is
+    linalg's."""
     assert [name for name in KERNEL_NAMES
-            if not hasattr(algebra, name) and not hasattr(Tensor3, name)] == []
+            if not any(hasattr(home, name) for home in (algebra, linalg, Tensor3))] == []
 
 
 def _with_doubles_helpers(fn) -> list:

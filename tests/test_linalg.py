@@ -225,7 +225,7 @@ def assert_refuses_writes(t):
         t.entries[0][0] = (Fraction(1),) * t.d3
     with pytest.raises(TypeError):
         t.entries[0] = ()
-    for name, value in (("entries", ()), ("d1", 0), ("_compiled", None)):
+    for name, value in (("entries", ()), ("d1", 0), ("compiled", None), ("_entries", None)):
         with pytest.raises(TypeError):
             setattr(t, name, value)
         with pytest.raises(TypeError):
