@@ -106,8 +106,10 @@ class Violation:
     residual as stored is ``entries``, integers over ``scale``, or the
     rationals themselves when ``scale`` is None.  The Fractions are made on
     the first read of ``residual`` and kept, and the writer of a report
-    spells the integers without them.  Two violations are equal when their
-    ids, indices and residual values are.
+    spells the integers without them.  ``==``, ``repr`` and ``as_dict``
+    make them afresh and keep nothing, so reading a violation that way
+    leaves its form as it is.  Two violations are equal when their ids,
+    indices and residual values are.
     """
 
     __slots__ = ("identity_id", "indices", "entries", "scale")
@@ -123,23 +125,28 @@ class Violation:
     @property
     def residual(self) -> list[Fraction]:
         if self.scale is not None:
-            self.entries = [Fraction(a, self.scale) for a in self.entries]
-            self.scale = None
+            self.entries, self.scale = self._values(), None
         return self.entries
 
     @residual.setter
     def residual(self, value: list[Fraction]) -> None:
         self.entries, self.scale = value, None
 
+    def _values(self) -> list[Fraction]:
+        """The residual's values, made without storing them."""
+        if self.scale is None:
+            return self.entries
+        return [Fraction(a, self.scale) for a in self.entries]
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not Violation:
             return NotImplemented
-        return (self.identity_id, self.indices, self.residual) == (
-            other.identity_id, other.indices, other.residual)
+        return (self.identity_id, self.indices, self._values()) == (
+            other.identity_id, other.indices, other._values())
 
     def __repr__(self) -> str:
         residual = ", ".join(f"Fraction({exact_str(x.numerator)}, {exact_str(x.denominator)})"
-                             for x in self.residual)
+                             for x in self._values())
         return (f"Violation(identity_id={self.identity_id!r}, indices={self.indices!r}, "
                 f"residual=[{residual}])")
 
@@ -150,7 +157,7 @@ class Violation:
         return {
             "identity_id": self.identity_id,
             "indices": list(self.indices),
-            "residual": [exact_str(x) for x in self.residual],
+            "residual": [exact_str(x) for x in self._values()],
         }
 
 

@@ -6,9 +6,13 @@ is what makes auditing published-but-inconsistent tables possible.  The
 two criterion verifiers are deliberately separate code paths from the
 generic matched-pair machinery; agreement of their verdicts with the
 builders' is a theorem, and the test suite exploits that.  The criteria
-are sparse Fraction table lookups (see the helpers above them), off the
-integer kernel; their dense Matrix form is kept in tests/reference.py,
-and tests/test_kernel.py requires identical reports from the two.
+compute in integers of their own, off the kernel of algebra.py: each call
+reads its tables through their entries, scales them by the lcm D of
+their denominators and sums sparse integer fibers (see the helpers above
+them), so each residual is an integer vector over D^2, kept so in its
+Violation until read.  Their dense Fraction form is kept in
+tests/reference.py, and tests/test_kernel.py requires identical reports
+from the two.
 
 ``verify_double_isomorphism`` runs its conditions on algebra.py's law
 runner.  ``audit_paper_fixture`` rebuilds one bundled fixture's double
@@ -29,6 +33,7 @@ prec-right and succ-left transposes (R_prec^T, L_succ^T).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,25 +124,37 @@ def _require_halves(X, Y) -> None:
 
 # ---------------------------------------------------------------------------
 # The two criteria read every table T (a structure tensor or an action
-# table, both with T[i][j] = T(e_i) e_j) as lists of its fibers' nonzero
-# (k, Fraction) pairs.  Each quantified vector is a basis vector, so each
-# term of a criterion equation is a fiber, or one fiber pushed through one
-# slice of a table:
+# table, both with T[i][j] = T(e_i) e_j) through its entries, scaled by one
+# D per call: the lcm of the denominators of every table the call reads
+# (_table_den), 1 when they are all zero.  A table is kept as lists of its
+# fibers' nonzero (k, D * T[i][j][k]) pairs.  Each quantified vector is a
+# basis vector, so each term of a criterion equation is a fiber, or one
+# fiber pushed through one slice of a table:
 #
 #     T(e_i) v = sum_j v_j T[i][j]      T(w) e_j = sum_i w_i T[i][j]
 #
 # A product a o b of the half with structure tensor o is the action of its
-# left multiplication table, which is o itself.  The arithmetic is plain
-# Fraction sums; the integer kernel of algebra.py is not used, so the
+# left multiplication table, which is o itself.  Every term is a product of
+# two scaled entries, so a residual is D^2 times its value, in integers,
+# and the law runner keeps it so over the scale D^2.  The arithmetic is
+# plain int sums here; the integer kernel of algebra.py is not used, so the
 # criteria stay an independent check on the builders.
 
-SparseTable = list[list[list[tuple[int, Fraction]]]]
+SparseTable = list[list[list[tuple[int, int]]]]
 
 
-def _nonzero_table(T: Tensor3) -> SparseTable:
-    """Each fiber T[i][j] as the list of its nonzero (k, T[i][j][k])."""
+def _table_den(tables: list[Tensor3]) -> int:
+    """The lcm D of the denominators of every entry of ``tables``."""
+    return math.lcm(*{x.denominator for T in tables for plane in T.entries
+                      for fiber in plane for x in fiber})
+
+
+def _nonzero_table(T: Tensor3, D: int) -> SparseTable:
+    """Each fiber T[i][j] as the list of its nonzero (k, D * T[i][j][k]),
+    for D a multiple of every denominator of T."""
     return [
-        [[(k, v) for k, v in enumerate(fiber) if v] for fiber in plane]
+        [[(k, x.numerator * (D // x.denominator)) for k, x in enumerate(fiber) if x]
+         for fiber in plane]
         for plane in T.entries
     ]
 
@@ -219,14 +236,15 @@ def check_dual_matched_pair_criterion(
 
     LA, RA = mult_operators(A)
     LB, RB = mult_operators(Astar)
-    R, L, Ro, Lo = (_nonzero_table(T.transposed()) for T in (RA, LA, RB, LB))
-    o = _nonzero_table(Astar.c)
+    tables = [T.transposed() for T in (RA, LA, RB, LB)] + [Astar.c]
+    D = _table_den(tables)
+    R, L, Ro, Lo, o = (_nonzero_table(T, D) for T in tables)
 
     laws = [
         ("dual1", lambda x, a, b: _right_equation(R, Lo, o, x, a, b)),
         ("dual2", lambda x, a, b: _mixed_equation(R, L, Ro, Lo, o, x, a, b)),
     ]
-    violations += _run_laws(itertools.product(range(A.dim), repeat=3), laws)
+    violations += _run_laws(itertools.product(range(A.dim), repeat=3), laws, D * D)
     return CheckReport.from_violations(violations)
 
 
@@ -265,8 +283,10 @@ def check_symplectic_criterion(
     ls_a, _, _, rp_a = dendriform_mult_operators(D_A)
     ls_b, _, _, rp_b = dendriform_mult_operators(D_Astar)
     # R_prec_A^T and L_succ_A^T act on A*, R_prec_B^T and L_succ_B^T on A
-    Ra, La, Rb, Lb = (_nonzero_table(T.transposed()) for T in (rp_a, ls_a, rp_b, ls_b))
-    A, B = (_nonzero_table(associated_algebra(D).c) for D in (D_A, D_Astar))
+    tables = [T.transposed() for T in (rp_a, ls_a, rp_b, ls_b)]
+    tables += [associated_algebra(half).c for half in (D_A, D_Astar)]
+    D = _table_den(tables)
+    Ra, La, Rb, Lb, A, B = (_nonzero_table(T, D) for T in tables)
 
     laws = [
         ("eq1", lambda *idx: _right_equation(Ra, Lb, B, *idx)),
@@ -276,7 +296,7 @@ def check_symplectic_criterion(
         ("eq4", lambda *idx: _left_equation(Lb, Ra, A, *idx)),
         ("eq6", lambda *idx: _mixed_equation(Rb, Lb, Ra, La, A, *idx)),
     ]
-    violations += _run_laws(itertools.product(range(D_A.dim), repeat=3), laws)
+    violations += _run_laws(itertools.product(range(D_A.dim), repeat=3), laws, D * D)
     return CheckReport.from_violations(violations)
 
 

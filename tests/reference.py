@@ -8,9 +8,10 @@ matrices of its basis vectors' actions and, for any other element,
 through ``action_of``.  tests/test_kernel.py compares the
 two exactly; nothing in the library imports this module.
 
-The module also keeps the dense form of the two independent criteria of
-doubles.py, ``dual_matched_pair_criterion`` and ``symplectic_criterion``,
-which test_kernel.py compares with the sparse ones the same way, the
+The module also keeps the dense Fraction form of the two independent
+criteria of doubles.py, ``dual_matched_pair_criterion`` and
+``symplectic_criterion`` (the library's sum sparse integer fibers over
+their own D, and test_kernel.py compares the two the same way), the
 Fraction Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
 ``invert`` and ``det``, which test_linalg.py compares with Matrix's, and
 ``fingerprint`` on Fraction matrices ranked by that elimination, which

@@ -13,11 +13,13 @@ canonical form of the dense Fraction table computed in the test, and no
 check, no ``verify`` and no builder compiles a table from entries or
 reads a table's Fractions.
 
-The two criteria of doubles.py, sparse Fraction lookups, are compared
-the same way with their dense form, and they, with every doubles.py
-helper they reach, and classify2d stay off the kernel.  ``fingerprint``,
-whose ranks come from the integer fibers, is compared with its Fraction
-form, which ranks Fraction matrices.
+The two criteria of doubles.py, which compute in integers of their own
+over the lcm D of their tables' denominators, are compared the same way
+with their dense Fraction form, also at denominators up to 10^6 and at
+half-dim 0; they, with every doubles.py helper they reach, and classify2d
+stay off the kernel.  ``fingerprint``, whose ranks come from the integer
+fibers, is compared with its Fraction form, which ranks Fraction
+matrices.
 """
 
 import ast
@@ -402,9 +404,29 @@ def test_a_kernel_violation_reads_as_the_fractions_it_stands_for():
     assert Violation("a", (1,), [2], 4) != ("a", (1,), [Fraction(1, 2)])
 
 
-# The two criteria of doubles.py read sparse Fraction fibers; the dense
-# Matrix form they replaced is kept in tests/reference.py.  Each draw is a
-# pair of halves: dense random ones (failing nearly everywhere), a
+def test_reading_a_violation_leaves_its_form():
+    """``repr``, ``==`` and ``as_dict`` make the Fractions of an integer
+    residual without keeping them, so a violation read that way keeps its
+    integers over its scale, whichever side of ``==`` it is on.  Only a
+    read of ``residual`` turns it into its Fractions."""
+    v, w = Violation("a", (1,), [2, -6], 4), Violation("a", (1,), [1, -3], 2)
+    r = Violation("a", (1,), [Fraction(1, 2), Fraction(-3, 2)])
+    assert repr(v) == repr(w) == repr(r)
+    assert (v.entries, v.scale, w.entries, w.scale) == ([2, -6], 4, [1, -3], 2)
+    assert v == w and w == v and v == r and r == v and w == r
+    assert not v != w
+    assert v != Violation("a", (1,), [2, -6], 5) and Violation("a", (1,), [2, -6], 5) != w
+    assert (v.entries, v.scale, w.entries, w.scale) == ([2, -6], 4, [1, -3], 2)
+    assert v.as_dict() == w.as_dict() == r.as_dict()
+    assert (v.entries, v.scale, w.entries, w.scale) == ([2, -6], 4, [1, -3], 2)
+    assert v.residual == r.residual and (v.entries, v.scale) == (r.residual, None)
+
+
+# The two criteria of doubles.py compute in integers over their own D, the
+# lcm of the denominators they read off their tables' entries, with each
+# residual kept over D^2; they stay off the kernel.  The dense Fraction
+# form they replaced is kept in tests/reference.py.  Each draw is a pair
+# of halves: dense random ones (failing nearly everywhere), a
 # nilpotent half with the zero half (a valid double), or two nilpotent
 # halves split alike, which the criteria need not accept.
 CRITERIA = [
@@ -461,6 +483,52 @@ def _far_table(rng, d1: int, d2: int, d3: int) -> Tensor3:
     return Tensor3([[[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10**6]))
                       if rng.random() < 0.7 else Fraction(0) for _ in range(d3)]
                      for _ in range(d2)] for _ in range(d1)], (d1, d2, d3))
+
+
+def _far_halves(name: str, rng, n: int) -> tuple:
+    """Two q = -1 halves of dimension n for the criterion ``name``, their
+    tables built by ``_far_table``, with the lcm of their denominators."""
+    k = 1 if name == "check_dual_matched_pair_criterion" else 2
+    tables = [[_far_table(rng, n, n, n) for _ in range(k)] for _ in "AB"]
+    den = math.lcm(*(x.denominator for half in tables for t in half
+                     for plane in t.entries for f in plane for x in f))
+    cls = StructureAlgebra if k == 1 else DendriformStructure
+    return tuple(cls(n, -1, *half) for half in tables), den
+
+
+@pytest.mark.parametrize("name, ref", CRITERIA, ids=[c for c, _ in CRITERIA])
+@given(seed=st.integers(0, 2**30), n=st.integers(2, 3))
+@example(seed=0, n=2)
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
+def test_criteria_match_the_reference_at_wide_denominators(name, ref, seed, n):
+    """Entries mix denominators up to 10^6, so a criterion's D reaches
+    3 * 7 * 10^6.  Each equation violation holds its residual as
+    integers over D^2 before anything reads it, so no Fraction is made per
+    residual, and the report is the reference's, in value and in bytes."""
+    halves, D = _far_halves(name, random.Random(seed), n)
+    got = getattr(antiassoc, name)(*halves)
+    equations = [v for v in got.violations if not v.identity_id.startswith("precondition:")]
+    assert all(v.scale == D * D and all(type(a) is int for a in v.entries) for v in equations)
+    want = getattr(reference, ref)(*halves)
+    assert got.violations == want.violations
+    assert io.dump_json(got) == io.dump_json(want)
+    assert got.as_dict() == want.as_dict()
+    assert all(v.scale == D * D for v in equations)
+
+
+@pytest.mark.parametrize("name, ref", CRITERIA, ids=[c for c, _ in CRITERIA])
+def test_doubles_of_0_dim_halves(name, ref):
+    """Half-dim 0 has no entry and no tuple, so a criterion's D is the lcm
+    of no denominators, 1.  Both criteria pass, as the reference's do, and
+    so do both builders."""
+    quadratic = name == "check_dual_matched_pair_criterion"
+    half = (StructureAlgebra if quadratic else DendriformStructure).zero(0, -1)
+    got = getattr(antiassoc, name)(half, half)
+    want = getattr(reference, ref)(half, half)
+    assert got.passed and want.passed and got.as_dict() == want.as_dict()
+    build = antiassoc.build_quadratic_double if quadratic else antiassoc.build_symplectic_double
+    built = build(half, half)
+    assert built.report.passed and built.total.dim == 0
 
 
 def _canonical(dense) -> tuple:
