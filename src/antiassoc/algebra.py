@@ -56,10 +56,11 @@ nonzero ``(index, int)`` pairs (``_fibers`` for bilinear tables,
 ``_columns`` for maps).  Each law is a sum of integer contractions with
 q's numerator and denominator folded into the coefficients, so all its
 terms share one scale, D^2 qn qd in the route body.  The runner keeps a
-nonzero residual as those integers over the scale (``Violation``): a
-Fraction is made only when a caller reads ``Violation.residual``, and the
-report writer spells each distinct integer once from them.  A table is
-its compiled form (``Tensor3.compiled``: its least denominator d and its
+nonzero residual as those integers over the scale (``Violation``), the
+one form a violation is stored in: a Fraction is made only when a caller
+reads ``Violation.residual``, and the report writer spells each distinct
+integer once from them.  A table is its compiled form
+(``Tensor3.compiled``: its least denominator d and its
 fibers at d), which every constructor and operation of linalg.Tensor3
 builds in integers, so no check reads a Fraction of a table.  D is the
 lcm of the tables' d, and ``_fibers`` hands out a table's own fibers
@@ -101,15 +102,14 @@ class Violation:
 
     ``residual`` is LHS minus RHS in coordinates, so a reader can see not
     just that a law failed but by how much and in which direction.  It
-    reads as a list of Fractions.  A kernel check hands over the integer
-    numerators of its residual instead, with their common ``scale``: the
-    residual as stored is ``entries``, integers over ``scale``, or the
-    rationals themselves when ``scale`` is None.  The Fractions are made on
-    the first read of ``residual`` and kept, and the writer of a report
-    spells the integers without them.  ``==``, ``repr`` and ``as_dict``
-    make them afresh and keep nothing, so reading a violation that way
-    leaves its form as it is.  Two violations are equal when their ids,
-    indices and residual values are.
+    reads as a list of Fractions, made afresh on each read.  It is stored
+    as ``entries``, integers over one ``scale``: a kernel check hands over
+    the integer numerators of its residual with their common scale, and
+    rationals handed over with no scale are stored as numerators over the
+    lcm of their denominators (1 for an empty or all-integer residual).
+    No read changes what is stored, and the writer of a report spells the
+    integers without making a Fraction.  Two violations are equal when
+    their ids, indices and residual values are.
     """
 
     __slots__ = ("identity_id", "indices", "entries", "scale")
@@ -119,34 +119,25 @@ class Violation:
                  residual: list, scale: int | None = None):
         self.identity_id = identity_id
         self.indices = indices
+        if not scale:
+            scale = math.lcm(*(x.denominator for x in residual))
+            residual = [x.numerator * (scale // x.denominator) for x in residual]
         self.entries = residual
         self.scale = scale
 
     @property
     def residual(self) -> list[Fraction]:
-        if self.scale is not None:
-            self.entries, self.scale = self._values(), None
-        return self.entries
-
-    @residual.setter
-    def residual(self, value: list[Fraction]) -> None:
-        self.entries, self.scale = value, None
-
-    def _values(self) -> list[Fraction]:
-        """The residual's values, made without storing them."""
-        if self.scale is None:
-            return self.entries
         return [Fraction(a, self.scale) for a in self.entries]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Violation:
             return NotImplemented
-        return (self.identity_id, self.indices, self._values()) == (
-            other.identity_id, other.indices, other._values())
+        return (self.identity_id, self.indices, self.residual) == (
+            other.identity_id, other.indices, other.residual)
 
     def __repr__(self) -> str:
         residual = ", ".join(f"Fraction({exact_str(x.numerator)}, {exact_str(x.denominator)})"
-                             for x in self._values())
+                             for x in self.residual)
         return (f"Violation(identity_id={self.identity_id!r}, indices={self.indices!r}, "
                 f"residual=[{residual}])")
 
@@ -157,7 +148,7 @@ class Violation:
         return {
             "identity_id": self.identity_id,
             "indices": list(self.indices),
-            "residual": [exact_str(x) for x in self._values()],
+            "residual": [exact_str(x) for x in self.residual],
         }
 
 
@@ -190,17 +181,15 @@ def _run_laws(
     residuals become Violations with 1-based indices, in tuple order and
     then law order, or within its block if ``base`` holds each position's
     block offset less 1.  A kernel law returns integers, den times the
-    residual: they are kept as the violation's entries over the scale den,
-    with no Fraction made.  With no den, the law returns rationals, and each
-    distinct entry becomes a Fraction once."""
-    out, made = [], {}
+    residual, kept as the violation's entries over the scale den; with no
+    den, the law returns rationals, which the Violation stores as integers
+    over their own lcm."""
+    out = []
     for idx in tuples:
         for identity_id, law in laws:
             res = law(*idx)
             if any(res):
                 at = tuple(map(operator.sub, idx, base)) if base else tuple(i + 1 for i in idx)
-                if den is None:
-                    res = [made[a] if a in made else made.setdefault(a, Fraction(a)) for a in res]
                 out.append(Violation(identity_id, at, res, den))
     return out
 

@@ -75,7 +75,12 @@ class Bimodule:
 
 def action_of(table: Tensor3, x: Sequence[Fraction]) -> Matrix:
     """Linear extension: the action matrix of the element with coordinates x,
-    whose column j is T(x) e_j."""
+    whose column j is T(x) e_j.
+
+    No check calls it.  It is public, the Fraction reference of the tests
+    builds its action matrices with it, and bench/tracing.py traces it by
+    name, so deleting it is a change to the benchmark itself, which
+    tests/test_tracing_names.py::test_traced_names_resolve guards."""
     if table.d1 != len(x):
         raise DimensionMismatch("coordinate length does not match action table")
     m = table.d2

@@ -49,6 +49,9 @@ from .linalg import DimensionMismatch, Matrix, Scalar, Tensor3, basis_vec, exact
 UNKNOWNS = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
 
 
+# No library path calls ConstraintSystem.residuals, but bench/tracing.py
+# traces it by name, so deleting it is a change to the benchmark itself;
+# tests/test_tracing_names.py::test_traced_names_resolve fails until then.
 class ConstraintSystem:
     """The 16 antiassociativity residuals in the eight unknowns."""
 
@@ -165,7 +168,8 @@ def are_isomorphic_dim2(
     No verdicts point at a separating fingerprint field; Yes verdicts come
     with the witness P2 P1^-1 of _normal_form_basis, re-verified.  Unknown
     is left only for tables that are not antiassociative.
-    grid is accepted for existing positional callers and not read.
+    grid is not read.  The benchmark (bench/workloads.py) passes it
+    positionally, so it goes only with a change to the benchmark itself.
     """
     if A1.dim != 2 or A2.dim != 2:
         raise DimensionMismatch("this test is specific to dimension 2")

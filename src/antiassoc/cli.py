@@ -62,6 +62,15 @@ def _rational_arg(text: str) -> Fraction:
             f"{aio._too_long()} (token {aio._shown(text)})") from None
 
 
+def _q_arg(text: str) -> Fraction:
+    """The value of --q: a rational, refused here when zero, so the error
+    line names the flag."""
+    q = _rational_arg(text)
+    if not q:
+        raise argparse.ArgumentTypeError(f"q must be nonzero: {aio._shown(text)}")
+    return q
+
+
 def _grid_arg(text: str) -> list[Fraction]:
     grid = [_rational_arg(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not grid:
@@ -419,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = vsub.add_parser(target)
         p.add_argument("file")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--q", type=_rational_arg, default=None,
+        p.add_argument("--q", type=_q_arg, default=None,
                        help="override the document's q before checking")
         p.set_defaults(func=fn)
 

@@ -24,8 +24,8 @@ to its Fraction, so a table parses each distinct token once.
 ``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` with a small recursive writer over dicts, lists and tuples.
 It spells a ``CheckReport`` itself, as the text of its ``as_dict()``
-with no dict built per violation and no Fraction made of a kernel
-violation's integers, so the CLI's documents hold reports.
+with no dict built per violation and no Fraction made of a violation's
+integers over its scale, so the CLI's documents hold reports.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ from .matched import MatchedPairData
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 # Largest dim an algebra or dendriform document, and largest module_dim a
-# bimodule, may declare.  A product tensor holds dim^2 fibers of dim
-# entries, even when read from a short sparse list, and a semidirect
-# product allocates (dim + module_dim)^3 entries, so the bound keeps a
-# hostile dimension from exhausting memory.
+# bimodule, may declare.  A table's compiled form holds one fiber list per
+# pair (i, j), dim^2 of them even when read from a short sparse list, a
+# check may walk all dim^3 basis triples, and a built table is written from
+# its dense view, (dim + module_dim)^3 entries for a semidirect product, so
+# the bound keeps a hostile dimension from exhausting memory.
 MAX_DIM = 64
 
 
@@ -617,9 +618,9 @@ def _report_dict(obj: object) -> dict:
 
 
 class _Spelled(dict):
-    """The text of each integer a over one ``scale``, as ``str`` spells
-    ``Fraction(a, scale)``: made on the first lookup of a, with one gcd and
-    the sign taken off the scale, which is negative when q is."""
+    """The text of each integer a over one ``scale``, as ``exact_str``
+    spells ``Fraction(a, scale)``: made on the first lookup of a, with one
+    gcd and the sign taken off the scale, which is negative when q is."""
 
     __slots__ = ("scale",)
 
@@ -631,20 +632,17 @@ class _Spelled(dict):
         n, d = a // g, self.scale // g
         if d < 0:
             n, d = -n, -d
-        text = self[a] = str(n) if d == 1 else f"{n}/{d}"
+        text = self[a] = exact_str(n) if d == 1 else f"{exact_str(n)}/{exact_str(d)}"
         return text
 
 
 def _write_report(rep: CheckReport, nl: str, out: list[str]) -> None:
     """Append the text of ``rep.as_dict()`` without building it: each
     violation is one string, its head made once per identity id, its
-    indices joined with ``int.__repr__`` and its residual entries spelled
-    from what the violation holds.  Integer entries over a scale are
-    looked up in one memo per scale (``_Spelled``), keyed by the int, so
-    each distinct value is spelled once and no Fraction is made; rational
-    entries are spelled with ``str``.  A violation that this refuses, such
-    as one with an entry past the int-string limit, is written from its
-    own ``as_dict``, which spells that residual with ``exact_str``."""
+    indices joined with ``int.__repr__`` and its residual entries, integers
+    over the violation's scale, looked up in one memo per scale
+    (``_Spelled``), keyed by the int, so each distinct value is spelled
+    once and no Fraction is made."""
     inner = nl + "  "
     out.append(f'{{{inner}"info": ')
     _write(rep.info, inner, out)
@@ -662,24 +660,15 @@ def _write_report(rep: CheckReport, nl: str, out: list[str]) -> None:
         spelled: dict[int, _Spelled] = {}
         texts = []
         for v in rep.violations:
-            try:
-                head = heads.get(v.identity_id)
-                if head is None:
-                    head = heads[v.identity_id] = (
-                        f'{{{field}"identity_id": {_quote(v.identity_id)},{field}"indices": ')
-                idx = ints.join(map(int.__repr__, v.indices))
-                if v.scale is None:
-                    res = strs.join(map(str, v.entries))
-                else:
-                    memo = spelled.get(v.scale)
-                    if memo is None:
-                        memo = spelled[v.scale] = _Spelled(v.scale)
-                    res = strs.join(map(memo.__getitem__, v.entries))
-            except (TypeError, ValueError):
-                sub: list[str] = []
-                _write(v.as_dict(), at, sub)
-                texts.append("".join(sub))
-                continue
+            head = heads.get(v.identity_id)
+            if head is None:
+                head = heads[v.identity_id] = (
+                    f'{{{field}"identity_id": {_quote(v.identity_id)},{field}"indices": ')
+            idx = ints.join(map(int.__repr__, v.indices))
+            memo = spelled.get(v.scale)
+            if memo is None:
+                memo = spelled[v.scale] = _Spelled(v.scale)
+            res = strs.join(map(memo.__getitem__, v.entries))
             idx = f"[{item}{idx}{field}]" if v.indices else "[]"
             res = f'[{item}"{res}"{field}]' if v.entries else "[]"
             texts.append(f'{head}{idx},{field}"residual": {res}{at}}}')

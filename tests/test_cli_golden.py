@@ -86,6 +86,15 @@ DOCS = {
         "algebra": "e1e1_e2.json",
         "form": {"dim": 2, "kind": "antisymmetric", "gram": [["0", "1"], ["-1", "0"]]},
     },
+    # degenerate, kernel [3/2, -1/2, 1]: its nondegenerate violation, made of
+    # Fractions, reaches the report writer and the text printer after the
+    # kernel's cyclic ones
+    "form_degenerate.json": {
+        "algebra": {"dim": 3, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"3": "1"}},
+                                                      {"i": 1, "j": 2, "out": {"3": "1/2"}}]},
+        "form": {"dim": 3, "kind": "antisymmetric",
+                 "gram": [["0", "2", "1"], ["-2", "0", "3"], ["-1", "-3", "0"]]},
+    },
     # tau = diag(1, 1/2) is a Rota-Baxter operator of E1E1, so an
     # O-operator for its regular bimodule; the identity is not
     "o_operator_pass.json": {
@@ -216,6 +225,8 @@ CASES = [
     ("verify_dendriform_sparse", ["verify", "dendriform", "dendriform_sparse.json", "--json"]),
     ("verify_form_symmetric", ["verify", "form", "form_symmetric.json", "--json"]),
     ("verify_form_antisymmetric", ["verify", "form", "form_antisymmetric.json", "--json"]),
+    ("verify_form_degenerate", ["verify", "form", "form_degenerate.json", "--json"]),
+    ("verify_form_degenerate_text", ["verify", "form", "form_degenerate.json"]),
     ("verify_o_operator_pass", ["verify", "o-operator", "o_operator_pass.json", "--json"]),
     ("verify_o_operator_fail", ["verify", "o-operator", "o_operator_fail.json", "--json"]),
     ("verify_o_operator_wide", ["verify", "o-operator", "o_operator_wide.json", "--json"]),

@@ -369,14 +369,14 @@ def _as_dicts(doc):
 def test_dump_json_writes_a_report_as_its_as_dict(doc):
     """A CheckReport anywhere in a document is written as json.dumps writes
     its ``as_dict()``, a residual past the int-string limit included, for
-    violations that hold Fractions and for kernel ones that hold integers
+    violations made from Fractions and for kernel ones made from integers
     over a scale.  The dump comes first, so it reads the integers."""
     assert dump_json(doc) == json.dumps(_as_dicts(doc), sort_keys=True, indent=2) + "\n"
 
 
 def test_dump_json_spells_a_kernel_numerator_past_the_limit_as_its_as_dict():
-    """A kernel entry that str refuses is written through the violation's
-    ``as_dict``; hypothesis cannot print such a violation as an example."""
+    """A kernel entry that str refuses is spelled whole, through
+    ``exact_str``; hypothesis cannot print such a violation as an example."""
     rows = [[6, -4, 0], [1, _LONG.numerator, 0]]
     rep = CheckReport(False, algebra._run_laws(
         [(0, 1, 2), (1, 1, 1)], [("q_assoc", lambda i, j, k: rows[i])], -4 * 999_983), {})
@@ -863,6 +863,21 @@ def test_cli_classify_enumerates_once_per_grid(
     assert len(calls["partition_into_classes"]) == partitions
     assert enumeration["grid"] == ["-1", "0", "1"]
     assert enumeration["solutions"] == 9
+
+
+@pytest.mark.parametrize("q", ["0", "-0", "0/7", "00"])
+def test_a_zero_q_flag_is_refused_as_the_flag(capsys, q):
+    """A zero --q is refused by the parser, before the file is read, on a
+    line that names the flag and the value, as a zero denominator is; the
+    grid of classify dim2 takes 0 as a coefficient."""
+    for target in sorted({argv[1] for _, argv in CASES if argv[0] == "verify"}):
+        assert cli.run(["verify", target, "missing.json", "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --q: q must be nonzero: {q!r}\n")
+    assert cli.run(["verify", "algebra", "missing.json", "--q", "-1/0"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --q: zero denominator: '-1/0'\n")
+    assert cli.run(["classify", "dim2", "--grid", q]) == 0
 
 
 def test_cli_classify_rejects_junk_grid(capsys):

@@ -31,6 +31,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import textwrap
 from fractions import Fraction
 from importlib import resources
@@ -378,8 +379,8 @@ def test_matched_pair_preconditions_at_the_pairs_scale():
 def test_a_kernel_violation_reads_as_the_fractions_it_stands_for():
     """A kernel violation holds its residual as integers over the law's
     scale, D^2 qn qd = -441 here.  Read, it is the reference's Violation of
-    Fractions; a deep copy, a pickle and a prefixed copy made before any
-    read keep the integers and read the same."""
+    Fractions, and the read keeps the integers; a deep copy, a pickle and a
+    prefixed copy keep them too and read the same."""
     pair = _pair_at_21()
     got = antiassoc.check_matched_pair(pair).violations
     want = reference.check_matched_pair(pair).violations
@@ -390,7 +391,7 @@ def test_a_kernel_violation_reads_as_the_fractions_it_stands_for():
     prefixed = algebra._prefixed("tag", got)
     assert {v.scale for copied in [*copies, prefixed] for v in copied} == {-441}
     assert got == want
-    assert all(type(v.residual) is list and v.scale is None for v in got)
+    assert all(type(v.residual) is list and v.scale == -441 for v in got)
     assert all(type(x) is Fraction for v in got for x in v.residual)
     for copied in copies:
         assert copied == want
@@ -404,11 +405,28 @@ def test_a_kernel_violation_reads_as_the_fractions_it_stands_for():
     assert Violation("a", (1,), [2], 4) != ("a", (1,), [Fraction(1, 2)])
 
 
-def test_reading_a_violation_leaves_its_form():
-    """``repr``, ``==`` and ``as_dict`` make the Fractions of an integer
-    residual without keeping them, so a violation read that way keeps its
-    integers over its scale, whichever side of ``==`` it is on.  Only a
-    read of ``residual`` turns it into its Fractions."""
+# drawn residuals: rationals with denominators up to 10^6 and integers,
+# then rationals whose numerator is past the int-string limit, which are
+# made in the test from drawn denominators, as hypothesis cannot print them
+_LONG = 2 * 10 ** ((sys.get_int_max_str_digits() or 4300) + 1) + 1
+_RATIONALS = st.lists(
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6))
+    | st.integers(-10**6, 10**6).map(Fraction),
+    max_size=6,
+)
+
+
+@given(short=_RATIONALS, long_dens=st.lists(st.integers(-10**6, 10**6).filter(bool), max_size=2))
+@example(short=[], long_dens=[])
+@example(short=[Fraction(-1, 2), Fraction(0)], long_dens=[3])
+@settings(max_examples=50, deadline=None)
+def test_reading_a_violation_leaves_its_form(short, long_dens):
+    """A violation is stored as integers over one scale: rationals handed
+    over with no scale become their numerators over the lcm of their
+    denominators.  ``residual``, ``repr``, ``==``, ``as_dict``, the report
+    writer, a deep copy, a pickle and a prefixed copy make the Fractions
+    without keeping them, so a violation read any of these ways keeps its
+    integers over its scale, whichever side of ``==`` it is on."""
     v, w = Violation("a", (1,), [2, -6], 4), Violation("a", (1,), [1, -3], 2)
     r = Violation("a", (1,), [Fraction(1, 2), Fraction(-3, 2)])
     assert repr(v) == repr(w) == repr(r)
@@ -419,7 +437,28 @@ def test_reading_a_violation_leaves_its_form():
     assert (v.entries, v.scale, w.entries, w.scale) == ([2, -6], 4, [1, -3], 2)
     assert v.as_dict() == w.as_dict() == r.as_dict()
     assert (v.entries, v.scale, w.entries, w.scale) == ([2, -6], 4, [1, -3], 2)
-    assert v.residual == r.residual and (v.entries, v.scale) == (r.residual, None)
+    assert v.residual == r.residual and (v.entries, v.scale, r.entries, r.scale) == (
+        [2, -6], 4, [1, -3], 2)
+
+    residual = short + [Fraction(_LONG, den) for den in long_dens]
+    d = Violation("b", (2, 1), residual)
+    scale = math.lcm(*(x.denominator for x in residual))
+    assert all(type(a) is int for a in d.entries) and d.scale == scale
+    assert d.residual == residual
+    form = (list(d.entries), d.scale)
+    # protocols 0 and 1 write an int in decimal, which the int-string limit
+    # refuses for any int past it, in a violation or not
+    copies = [copy.deepcopy(d), *algebra._prefixed("tag", [d])] + [
+        pickle.loads(pickle.dumps(d, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    twin = Violation("b", (2, 1), [-3 * a for a in d.entries], -3 * scale)
+    assert repr(d) == repr(copies[0])
+    assert d == twin and twin == d and d == copies[0]
+    assert d.as_dict()["residual"] == [linalg.exact_str(x) for x in residual]
+    rep = antiassoc.CheckReport(False, [d, twin])
+    assert io.dump_json(rep) == json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
+    assert all((u.entries, u.scale) == form for u in [d, *copies])
+    assert (twin.entries, twin.scale) == ([-3 * a for a in form[0]], -3 * scale)
 
 
 # The two criteria of doubles.py compute in integers over their own D, the
