@@ -54,7 +54,6 @@ from .dendriform import (
     dendriform_mult_operators,
     dendriform_semidirect,
     dual_dendriform_bimodule,
-    lift_assoc_bimodule,
     regular_dendriform_bimodule,
 )
 from .doubles import (
@@ -146,7 +145,6 @@ __all__ = [
     "enumerate_2d_antiassociative",
     "fingerprint",
     "induced_dendriform_on_module",
-    "lift_assoc_bimodule",
     "mult_operators",
     "multiply",
     "natural_forms",

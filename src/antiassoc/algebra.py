@@ -51,9 +51,10 @@ product is nonzero, on the same ground.
 
 The checks run on the exact sparse integer kernel, as do the operator
 and form checks.  A check scales every table it reads by one common
-denominator D (``_common_den``) and keeps each fiber or column as its
-nonzero ``(index, int)`` pairs (``_fibers`` for bilinear tables,
-``_columns`` for maps).  Each law is a sum of integer contractions with
+denominator D, the lcm of their denominators, in one call
+(``linalg._at_common_den``), which hands back each table at D: a
+bilinear table as its fibers, a map as integer rows, whose columns
+``_columns`` keeps as nonzero ``(index, int)`` pairs.  Each law is a sum of integer contractions with
 q's numerator and denominator folded into the coefficients, so all its
 terms share one scale, D^2 qn qd in the route body.  The runner keeps a
 nonzero residual as those integers over the scale (``Violation``), the
@@ -62,9 +63,7 @@ reads ``Violation.residual``, and the report writer spells each distinct
 integer once from them.  A table is its compiled form
 (``Tensor3.compiled``: its least denominator d and its
 fibers at d), which every constructor and operation of linalg.Tensor3
-builds in integers, so no check reads a Fraction of a table.  D is the
-lcm of the tables' d, and ``_fibers`` hands out a table's own fibers
-when D = d and rescales only their nonzero entries otherwise.  A sum of
+builds in integers, so no check reads a Fraction of a table.  A sum of
 two tables, such as a dendriform star product, is added in integers
 (``linalg._fiber_sum``).  ``fingerprint`` reads
 its three ranks off the compiled fibers too, as integer rows handed to
@@ -85,11 +84,10 @@ from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     DimensionMismatch,
-    Matrix,
     Scalar,
     Tensor3,
+    _at_common_den,
     _check_table,
-    _times,
     echelon,
     exact_str,
     rat,
@@ -205,38 +203,17 @@ def _prefixed(tag: str, violations: list[Violation]) -> list[Violation]:
 # the sparse integer kernel: a sparse vector is a list of (index, int) pairs
 
 Sparse = list[tuple[int, int]]
-_Compiled = list[list[Sparse]]  # a bilinear table compiled by _fibers
-
-
-def _common_den(tensors: Iterable[Tensor3] = (), matrices: Iterable[Matrix] = ()) -> int:
-    """The least common denominator D of every entry of the given tensors
-    (structure tensors and action tables), the lcm of their compiled d,
-    and matrices."""
-    dens = {t.compiled[0] for t in tensors}
-    dens.update(x.denominator for m in matrices for row in m.entries for x in row)
-    return math.lcm(*dens)
-
-
-def _scaled(vec: Sequence[Fraction], D: int) -> list[int]:
-    """D * vec as integers; D must be a multiple of every denominator."""
-    return [x.numerator * (D // x.denominator) for x in vec]
+_Compiled = list[list[Sparse]]  # a bilinear table at D, as _at_common_den hands it out
 
 
 def _nonzero(vec: Sequence[int]) -> Sparse:
     return [(k, a) for k, a in enumerate(vec) if a]
 
 
-def _fibers(c: Tensor3, D: int) -> _Compiled:
-    """D * c[i][j] as sparse vectors, for D a multiple of c's own d: c's
-    compiled fibers themselves when D = d, else those rescaled by D // d.
-    For an action table T these are the sparse columns of each D * T(e_i)."""
-    d, F = c.compiled
-    return _times(F, D // d)
-
-
-def _columns(m: Matrix, D: int) -> list[Sparse]:
-    """The m.cols columns of D * m as sparse vectors."""
-    return [_nonzero(_scaled(m.column(j), D)) for j in range(m.cols)]
+def _columns(rows: Sequence[Sequence[int]], n: int) -> list[Sparse]:
+    """The n columns of a matrix given by its integer rows, as sparse
+    vectors; n is given, since a matrix with no rows cannot hold it."""
+    return [[(r, row[j]) for r, row in enumerate(rows) if row[j]] for j in range(n)]
 
 
 def _basis(n: int, f: int = 1) -> list[Sparse]:
@@ -265,7 +242,7 @@ def _iapply(cols: Sequence[Sparse], x: Sparse, f: int, acc: list[int]) -> list[i
 
 
 def _on_basis(tables: Sequence[list[Sparse]], m: int) -> list[list[Sparse]]:
-    """For an action table T compiled by ``_fibers``, the fibers of T with
+    """For the fibers of an action table T at D, the fibers of T with
     its first two axes swapped: the sparse columns of each map
     x -> T(x) e_j, for j < m.  The action of an element x on a basis vector
     is then one ``_iapply``."""
@@ -309,9 +286,8 @@ def _compiled_blocks(n: int, m: int, blocks: list[tuple]) -> tuple[int, list[_Co
     (cA, cB, la, ra, lb, rb) tuple of Tensor3s or None as for ``_join``,
     and the ``_join`` of each block's pieces compiled at D: the block
     products a composite check hands to the route body."""
-    D = _common_den(t for block in blocks for t in block if t is not None)
-    compiled = ([None if t is None else _fibers(t, D) for t in block] for block in blocks)
-    return D, [_join(n, m, *pieces) for pieces in compiled]
+    D, pieces = _at_common_den(*itertools.chain.from_iterable(blocks))
+    return D, [_join(n, m, *pieces[s:s + 6]) for s in range(0, len(pieces), 6)]
 
 
 def _route_violations(

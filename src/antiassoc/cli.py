@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import pathlib
+import signal
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -485,6 +486,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
+    except BrokenPipeError:  # the reader went away: not an input error
+        raise
     except (ValueError, OSError) as exc:
         # ParseError, SingularError and DimensionMismatch are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
@@ -492,6 +495,8 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # end as a Unix filter does when its reader goes away
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -47,10 +47,8 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     _block_tensor,
-    _common_den,
     _compiled_blocks,
     _contract,
-    _fibers,
     _route_violations,
 )
 from .bimodules import Bimodule, _check_sides
@@ -58,6 +56,7 @@ from .linalg import (
     DimensionMismatch,
     Scalar,
     Tensor3,
+    _at_common_den,
     _check_table,
     _fiber_sum,
     exact_str,
@@ -134,8 +133,8 @@ _AXIOM_ROUTES = (
 
 def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     """The three axioms on all basis triples; ids axiom1/axiom2/axiom3."""
-    den, whole = _common_den([D.c_prec, D.c_succ]), (0, D.dim)
-    prec, succ = _fibers(D.c_prec, den), _fibers(D.c_succ, den)
+    den, (prec, succ) = _at_common_den(D.c_prec, D.c_succ)
+    whole = (0, D.dim)
     Fs = [prec, succ, _fiber_sum(prec, succ)]
     violations = _route_violations(Fs, _AXIOM_ROUTES, D.q, den, whole, whole, {})
     return CheckReport.from_violations(violations, q=exact_str(D.q), triples=D.dim**3)
@@ -178,12 +177,6 @@ class DendriformBimodule:
         l_star = self.l_succ + self.l_prec
         r_star = self.r_succ + self.r_prec
         return Bimodule(self.algebra_dim, self.module_dim, l_star, r_star)
-
-
-def lift_assoc_bimodule(M: Bimodule) -> DendriformBimodule:
-    """Pad an associative bimodule (l, r) into the slots (l, 0, 0, r)."""
-    zero = Tensor3.zeros(M.algebra_dim, M.module_dim, M.module_dim)
-    return DendriformBimodule(M.algebra_dim, M.module_dim, M.l, zero, zero, M.r)
 
 
 def regular_dendriform_bimodule(D: DendriformStructure) -> DendriformBimodule:

@@ -26,14 +26,12 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     Violation,
-    _common_den,
-    _fibers,
+    _columns,
     _iapply,
     _nonzero,
     _run_laws,
-    _scaled,
 )
-from .linalg import DimensionMismatch, Matrix, dot
+from .linalg import DimensionMismatch, Matrix, _at_common_den, dot
 
 KINDS = ("symmetric", "antisymmetric", "general")
 
@@ -73,9 +71,7 @@ def _compiled(A: StructureAlgebra, form: BilinearForm):
     first[i][j][k] = D^2 * form(e_i e_j, e_k)."""
     if form.dim != A.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
-    D = _common_den([A.c], [form.gram])
-    F = _fibers(A.c, D)
-    g = [_scaled(row, D) for row in form.gram.entries]
+    D, (F, g) = _at_common_den(A.c, form.gram)
     rows = [_nonzero(row) for row in g]
     first = [[_iapply(rows, fiber, 1, [0] * A.dim) for fiber in plane] for plane in F]
     return D, F, g, first
@@ -90,7 +86,7 @@ def check_invariant_symmetric(A: StructureAlgebra, B: BilinearForm) -> CheckRepo
     D, F, g, first = _compiled(A, B)
     n = A.dim
     # second[j][k][i] = D^2 * B(e_i, e_j e_k), read off the Gram matrix's columns
-    cols = [_nonzero(col) for col in zip(*g)]
+    cols = _columns(g, n)
     second = [[_iapply(cols, fiber, 1, [0] * n) for fiber in plane] for plane in F]
 
     symmetric = ("symmetric", lambda i, j: [g[i][j] - g[j][i]])

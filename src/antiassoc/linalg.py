@@ -18,7 +18,8 @@ form is canonical.  Every constructor builds it, the sparse one
 ``Tensor3.from_sparse`` from the nonzero entries it is given, and every
 operation (sum, scaling, the two axis swaps) works on the integers
 alone; the dense Fraction entries are a view, made on first read.  A
-Matrix is still mutable and compiles on each use.
+Matrix is still mutable Fraction rows, scaled to integers on each check
+by ``_at_common_den``, the one rule for a check's common denominator.
 """
 
 from __future__ import annotations
@@ -474,9 +475,8 @@ class Tensor3:
         shape = (self.d1, self.d2, self.d3)
         if shape != (other.d1, other.d2, other.d3):
             raise DimensionMismatch(f"shapes {self!r} and {other!r}")
-        (d, F), (e, G) = self.compiled, other.compiled
-        D = math.lcm(d, e)
-        return Tensor3._reduced(shape, D, _fiber_sum(_times(F, D // d), _times(G, D // e)))
+        D, (F, G) = _at_common_den(self, other)
+        return Tensor3._reduced(shape, D, _fiber_sum(F, G))
 
     def scale(self, s: Scalar) -> "Tensor3":
         c = rat(s)
@@ -506,6 +506,31 @@ class Tensor3:
 
     def is_zero(self) -> bool:
         return not any(f for plane in self.compiled[1] for f in plane)
+
+
+def _at_common_den(*tables: Tensor3 | Matrix | None) -> tuple[int, list]:
+    """The one scale of a check on several tables: D, the lcm of the
+    denominators of every entry of ``tables``, and each table at D.  A
+    Tensor3 comes back as its fibers D * c[i][j], its own fiber lists when
+    D is its d; a Matrix as the integer rows of D * m; None as None.  A
+    check on one table reads its ``compiled``, which is this rule for that
+    table alone."""
+    dens = set()
+    for t in tables:
+        if isinstance(t, Tensor3):
+            dens.add(t.compiled[0])
+        elif t is not None:
+            dens.update(x.denominator for row in t.entries for x in row)
+    D, out = math.lcm(*dens), []
+    for t in tables:
+        if isinstance(t, Tensor3):
+            d, F = t.compiled
+            out.append(F if d == D else _times(F, D // d))
+        elif t is None:
+            out.append(None)
+        else:
+            out.append([[x.numerator * (D // x.denominator) for x in row] for row in t.entries])
+    return D, out
 
 
 def _check_table(name: str, table: object, shape: tuple[int, int, int]) -> None:

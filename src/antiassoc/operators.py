@@ -38,9 +38,7 @@ from .algebra import (
     StructureAlgebra,
     Violation,
     _columns,
-    _common_den,
     _contract,
-    _fibers,
     _iapply,
     _imul,
     _nonzero,
@@ -51,7 +49,16 @@ from .algebra import (
 from .bimodules import Bimodule
 from .dendriform import DendriformStructure
 from .forms import BilinearForm, check_symplectic
-from .linalg import DimensionMismatch, Matrix, Scalar, SingularError, Tensor3, basis_vec, exact_str
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Scalar,
+    SingularError,
+    Tensor3,
+    _at_common_den,
+    basis_vec,
+    exact_str,
+)
 
 
 class NotAnOOperator(ValueError):
@@ -121,10 +128,8 @@ def check_o_operator(A: StructureAlgebra, M: Bimodule, T: Matrix) -> CheckReport
     T maps the associated product of the induced split on V into A's.
     T is the dim A x dim V matrix of the map."""
     _check_shapes(A, M, T)
-    D = _common_den([A.c, M.l, M.r], [T])
-    violations = _o_operator_violations(
-        _fibers(A.c, D), _fibers(M.l, D), _fibers(M.r, D), _columns(T, D), D, "o_operator"
-    )
+    D, (F, l, r, rows) = _at_common_den(A.c, M.l, M.r, T)
+    violations = _o_operator_violations(F, l, r, _columns(rows, T.cols), D, "o_operator")
     return CheckReport.from_violations(violations, q=exact_str(A.q))
 
 
@@ -143,10 +148,9 @@ def check_rota_baxter(A: StructureAlgebra, tau: Matrix) -> CheckReport:
     O-operator identity of tau for the regular bimodule, l = L and r = R."""
     if (tau.rows, tau.cols) != (A.dim, A.dim):
         raise DimensionMismatch("tau must be a square map on the algebra")
-    D = _common_den([A.c], [tau])
-    F = _fibers(A.c, D)
+    D, (F, rows) = _at_common_den(A.c, tau)
     R = _on_basis(F, A.dim)  # R(e_i) e_j = e_j e_i: F's axes swapped
-    violations = _o_operator_violations(F, F, R, _columns(tau, D), D, "rota_baxter")
+    violations = _o_operator_violations(F, F, R, _columns(rows, A.dim), D, "rota_baxter")
     return CheckReport.from_violations(violations, q=exact_str(A.q))
 
 

@@ -263,6 +263,16 @@ CASES = [
     ("classify_dim2_json", ["classify", "dim2", "--json"]),
     ("classify_dim2_scaled", ["classify", "dim2", "--grid", "0,1,5"]),
     ("classify_dim2_fractions", ["classify", "dim2", "--grid", "-1/2,0,1/3", "--json"]),
+    # text mode of the passing and failing verdicts, whose counts the kernel checks print
+    ("verify_algebra_pass_text", ["verify", "algebra", "e1e1_e2.json"]),
+    ("verify_matched_pass_text", ["verify", "matched-pair", "matched_pass.json"]),
+    ("verify_dendriform_pass_text", ["verify", "dendriform", "dendriform_pass.json"]),
+    ("verify_dendriform_fail_text", ["verify", "dendriform", "dendriform_fail.json"]),
+    ("verify_form_symmetric_text", ["verify", "form", "form_symmetric.json"]),
+    ("verify_o_operator_pass_text", ["verify", "o-operator", "o_operator_pass.json"]),
+    ("verify_o_operator_fail_text", ["verify", "o-operator", "o_operator_fail.json"]),
+    ("verify_rota_baxter_text", ["verify", "rota-baxter", "rb_diag.json"]),
+    ("paper_fixtures_text", ["paper", "fixtures"]),
 ] + [(name[:-5], ["verify", target, name]) for name, (target, _) in REFUSED.items()]
 
 

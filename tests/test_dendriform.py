@@ -20,13 +20,12 @@ from antiassoc import (
     dendriform_mult_operators,
     dendriform_semidirect,
     dual_dendriform_bimodule,
-    lift_assoc_bimodule,
     octuple_from_symplectic_pair,
     regular_bimodule,
     regular_dendriform_bimodule,
 )
 from antiassoc.bimodules import action_of
-from antiassoc.linalg import DimensionMismatch, Matrix, basis_vec
+from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
 
 from .support import (
     case3_dendriform,
@@ -171,7 +170,8 @@ def test_lift_valid_iff_assoc_bimodule(seed, q):
         from .support import perturb_bimodule
 
         M = perturb_bimodule(rng, M)
-    lifted = lift_assoc_bimodule(M)
+    zero = Tensor3.zeros(M.algebra_dim, M.module_dim, M.module_dim)
+    lifted = DendriformBimodule(M.algebra_dim, M.module_dim, M.l, zero, zero, M.r)
     assert check_dendriform_bimodule(D, lifted).passed == check_bimodule(A, M).passed
 
 

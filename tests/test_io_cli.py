@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -215,6 +216,34 @@ def test_a_file_that_is_not_regular_is_refused(tmp_path, kind):
     assert proc.returncode == 2, proc.stderr
     assert "/dev/zero: byte 0: not a regular file" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_ends_the_cli_as_a_filter():
+    """A reader gone away, as in ``antiassoc classify dim2 | head -1``, is
+    not bad input: the CLI dies of SIGPIPE as a Unix filter does, with
+    nothing on stderr, and does not exit 2 with an error line."""
+    read, write = os.pipe()
+    os.close(read)  # no reader, before the child writes a byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "antiassoc.cli", "classify", "dim2"],
+                              env=demo_env(), stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
+
+
+class _ClosedOutput(StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_broken_pipe_is_not_reported_as_an_input_error(capsys):
+    """In process, where SIGPIPE is ignored, a closed stdout raises out of
+    ``run``: it is not printed as an input error with exit 2."""
+    with mock.patch("sys.stdout", _ClosedOutput()), pytest.raises(BrokenPipeError):
+        cli.run(["classify", "dim2"])
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_file_is_a_parse_error(tmp_path):

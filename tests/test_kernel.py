@@ -578,6 +578,12 @@ def _canonical(dense) -> tuple:
                  for k, x in enumerate(f) if x] for f in plane] for plane in dense]
 
 
+def _fibers_at(t: Tensor3, D: int) -> list:
+    """The compiled fibers of t at D, a multiple of its own d, rescaled here."""
+    d, F = t.compiled
+    return [[[(k, a * (D // d)) for k, a in f] for f in plane] for plane in F]
+
+
 def assert_is_the_table(t: Tensor3, dense, shape: tuple) -> None:
     """t is the table of the dense lists ``dense``: the same shape, compiled
     form, entries and value as the dense constructor gives, the form is the
@@ -667,8 +673,8 @@ def test_join_is_the_compiled_block_tensor(seed, n, m):
     some = pieces[:1] + [t if rng.random() < 0.5 else None for t in pieces[1:]]
     for chosen in (pieces, semidirect, some):
         t = algebra._block_tensor(n, m, *chosen)
-        D = algebra._common_den(p for p in chosen if p is not None)
-        compiled = (None if p is None else algebra._fibers(p, D) for p in chosen)
+        D = math.lcm(*(p.compiled[0] for p in chosen if p is not None))
+        compiled = (None if p is None else _fibers_at(p, D) for p in chosen)
         assert t.compiled == (D, algebra._join(n, m, *compiled))
         cA, cB, la, ra, lb, rb = (Tensor3.zeros(*shape) if p is None else p
                                   for p, shape in zip(chosen, shapes))
@@ -872,25 +878,84 @@ def test_fiber_sum_is_the_compiled_sum(seed, n, m):
     draw = Draw(random.Random(seed), "dense", n, m)
     for a, b in ((draw.tensor(), draw.tensor()), (draw.actions(), draw.actions())):
         for b in (b, a.scale(-1)):
-            D = algebra._common_den([a, b])
+            D = math.lcm(a.compiled[0], b.compiled[0])
             total = [[[x + y for x, y in zip(f, g)] for f, g in zip(p, q)]
                      for p, q in zip(a.entries, b.entries)]
             want = [[[(k, x.numerator * (D // x.denominator)) for k, x in enumerate(f) if x]
                      for f in plane] for plane in total]
-            assert linalg._fiber_sum(algebra._fibers(a, D), algebra._fibers(b, D)) == want
+            assert linalg._fiber_sum(_fibers_at(a, D), _fibers_at(b, D)) == want
+
+
+_PRIMES = [2, 3, 7, 101, 999983]
+
+
+@st.composite
+def scaled_tables(draw):
+    """Up to five tables, each a Tensor3 (any axis possibly empty, zero
+    tables among them), a Matrix (0 x m among them) or None, with entries
+    over one shared prime denominator or over distinct ones."""
+    shared = draw(st.sampled_from([None, *_PRIMES]))
+
+    def value():
+        den = shared or draw(st.sampled_from(_PRIMES))
+        return Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, den])))
+
+    tables = []
+    for kind in draw(st.lists(st.sampled_from(["tensor", "zero", "matrix", None]), max_size=5)):
+        d1, d2, d3 = (draw(st.integers(0, 3)) for _ in range(3))
+        if kind == "tensor":
+            tables.append(Tensor3([[[value() for _ in range(d3)] for _ in range(d2)]
+                                   for _ in range(d1)], (d1, d2, d3)))
+        elif kind == "zero":
+            tables.append(Tensor3.zeros(d1, d2, d3))
+        elif kind == "matrix":
+            tables.append(Matrix([[value() for _ in range(d2)] for _ in range(d1)], (d1, d2)))
+        else:
+            tables.append(None)
+    return tables
+
+
+def _dense(t) -> list[Fraction]:
+    """Every entry of a Tensor3 or a Matrix, read off its dense entries."""
+    if isinstance(t, Matrix):
+        return [x for row in t.entries for x in row]
+    return [x for plane in t.entries for f in plane for x in f]
+
+
+@given(scaled_tables())
+@example([Tensor3.zeros(2, 0, 3), Matrix([], (0, 3)), None,
+          Tensor3([[[Fraction(1, 2), Fraction(1, 3)]]]), Matrix([[Fraction(-5, 7)]])])
+@settings(max_examples=150, deadline=None)
+def test_at_common_den_is_each_table_at_the_lcm(tables):
+    """D is the lcm of every entry's denominator, each table comes back as
+    its dense entries times D (a Tensor3 as its nonzero fiber pairs, a
+    Matrix as integer rows, None as None), and a Tensor3 whose own d is D
+    is handed out as its own fiber lists."""
+    D, scaled = linalg._at_common_den(*tables)
+    assert D == math.lcm(*(x.denominator for t in tables if t is not None for x in _dense(t)))
+    for t, got in zip(tables, scaled, strict=True):
+        if t is None:
+            assert got is None
+        elif isinstance(t, Matrix):
+            assert got == [[int(x * D) for x in row] for row in t.entries]
+            assert all(type(a) is int for row in got for a in row)
+        else:
+            assert got == [[[(k, int(x * D)) for k, x in enumerate(f) if x] for f in plane]
+                           for plane in t.entries]
+            assert (got is t.compiled[1]) == (t.compiled[0] == D)
 
 
 KERNEL_NAMES = [
-    "_fibers", "_columns", "_imul", "_iapply", "_common_den", "_scaled", "_nonzero",
-    "_basis", "_on_basis", "_join", "_compiled_blocks", "_route_violations", "_fiber_sum",
-    "compiled",
+    "_at_common_den", "_columns", "_imul", "_iapply", "_nonzero", "_basis", "_on_basis",
+    "_join", "_compiled_blocks", "_route_violations", "_fiber_sum", "compiled",
 ]
 
 
 def test_kernel_names_resolve():
     """A name that no longer exists would pass the scan below unchecked.
     ``compiled``, a table's compiled form, is the one the kernel reads off
-    Tensor3, and ``_fiber_sum``, the integer sum of two such forms, is
+    Tensor3; ``_fiber_sum``, the integer sum of two such forms, and
+    ``_at_common_den``, the one rule for a check's denominator, are
     linalg's."""
     assert [name for name in KERNEL_NAMES
             if not any(hasattr(home, name) for home in (algebra, linalg, Tensor3))] == []

@@ -166,24 +166,20 @@ def test_forced_induced_split_evaluates_no_products(monkeypatch):
 
 
 def test_o_operator_check_compiles_each_table_once(monkeypatch):
-    """One compile per table and per call, the same at two (n, m): not one
-    per matrix of an action table, and not one per tuple."""
-    calls = {"_fibers": [], "_columns": []}
-    for name, spied in calls.items():
-        real = getattr(operators, name)
-        monkeypatch.setattr(operators, name, lambda *a, real=real, spied=spied: (
-            spied.append(a) or real(*a)))
+    """One compile per call, of the four tables c, l, r and T together, the
+    same at two (n, m): not one per matrix of an action table, and not one
+    per tuple."""
+    calls, real = [], operators._at_common_den
+    monkeypatch.setattr(operators, "_at_common_den", lambda *a: calls.append(a) or real(*a))
     rng = random.Random(4)
     for n, m in ((2, 4), (3, 2)):
         c = [[[rand_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]
         A = StructureAlgebra(n, -1, Tensor3(c))
         M = random_bimodule(rng, A, m)
         T = random_matrix(rng, n, m)
-        for spied in calls.values():
-            spied.clear()
+        calls.clear()
         assert not check_o_operator(A, M, T).passed
-        assert len(calls["_fibers"]) == 3  # c, l and r
-        assert len(calls["_columns"]) == 1  # T
+        assert calls == [(A.c, M.l, M.r, T)]
 
 
 @pytest.mark.parametrize(
