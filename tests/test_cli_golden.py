@@ -258,6 +258,12 @@ CASES = [
                                  "dendriform_zero.json"]),
     ("build_double_symplectic_fail", ["build", "double-symplectic", "dendriform_fail.json",
                                       "dendriform_pass.json"]),
+    # halves that each pass their own law, as a pair failing only the mixed
+    # conditions and so the total's q-law: their order reaches the report
+    ("build_double_quadratic_mixed", ["build", "double-quadratic", "e1e1_e2.json",
+                                      "e1e1_e2.json"]),
+    ("build_double_symplectic_mixed", ["build", "double-symplectic", "dendriform_pass.json",
+                                       "dendriform_pass.json"]),
     ("paper_fixtures", ["paper", "fixtures", "--json"]),
     ("classify_dim2", ["classify", "dim2"]),
     ("classify_dim2_json", ["classify", "dim2", "--json"]),

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from antiassoc import (
     Bimodule,
+    CheckReport,
     DendriformStructure,
     MatchedPairData,
     StructureAlgebra,
+    Violation,
     associated_algebra,
     basis_product,
     bowtie,
@@ -20,16 +22,22 @@ from antiassoc import (
     check_symplectic_criterion,
     dendriform_bowtie,
     dendriform_mult_operators,
+    dual_bimodule,
     mult_operators,
+    natural_forms,
     octuple_from_symplectic_pair,
+    regular_bimodule,
     verify_double_isomorphism,
 )
 from antiassoc.doubles import _closure_violations
-from antiassoc.io import double_basis_names, format_element
+from antiassoc.io import double_basis_names, dump_json, format_element
 from antiassoc.bimodules import action_of
 from antiassoc.linalg import DimensionMismatch, Matrix, Tensor3, basis_vec
 
+from . import reference
 from .support import (
+    FAMILIES,
+    Draw,
     case3_dendriform,
     case4_dendriform,
     perturb_dendriform,
@@ -261,3 +269,61 @@ def test_double_actions_follow_their_formulas(seed):
     (LA, RA), (LB, RB) = (map(_transposed, mult_operators(X)) for X in (A, B))
     P = MatchedPairData(A, B, Bimodule(n, n, RA, LA), Bimodule(n, n, RB, LB))
     assert build_quadratic_double(A, B).total == bowtie(P)
+
+
+def _reference_closure(total, n):
+    """Each product of two basis vectors of one half, where it has a
+    coordinate in the other half, read off the Fraction entries."""
+    c, zero, violations = total.c.entries, [Fraction(0)] * n, []
+    for tag, block, leak in (("closure:A", range(n), lambda f: zero + list(f[n:])),
+                             ("closure:B", range(n, 2 * n), lambda f: list(f[:n]) + zero)):
+        for i in block:
+            for j in block:
+                if any(leak(c[i][j])):
+                    violations.append(Violation(tag, (i + 1, j + 1), leak(c[i][j])))
+    return violations
+
+
+def _reference_double_report(P, form_check, form, kind):
+    """A builder's report assembled from the Fraction reference: the matched
+    pair, the bowtie's q-law, the form and the closure of the halves."""
+    total = bowtie(P)
+    form_report = form_check(total, form)
+    violations = (
+        reference._prefixed("matched_pair", reference.check_matched_pair(P))
+        + reference._prefixed("total_q_assoc", reference.check_q_associative(total))
+        + reference._prefixed("form", form_report)
+        + _reference_closure(total, P.A.dim)
+    )
+    return CheckReport.from_violations(
+        violations, kind=kind, half_dim=P.A.dim, form_rank=form_report.info["rank"])
+
+
+@given(seed=st.integers(0, 2**30), family=st.sampled_from(FAMILIES), n=st.integers(0, 3),
+       zero_dual=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_builders_report_what_the_reference_assembles(seed, family, n, zero_dual):
+    """Both builders' reports, ids, indices, residuals, order and info, equal
+    the list the Fraction reference assembles for the same matched pair, on
+    dense, nilpotent and perturbed halves at q = -1, each dual half drawn or
+    zero, by ``as_dict`` and by the bytes of the JSON report."""
+    draw = Draw(random.Random(seed), family, n, n)
+    A, Astar = draw.algebra(-1), draw.algebra(-1)
+    DA, DAstar = draw.dendriform(-1), draw.dendriform(-1)
+    if zero_dual:
+        Astar, DAstar = StructureAlgebra.zero(n, -1), DendriformStructure.zero(n, -1)
+    symmetric, symplectic = natural_forms(n)
+    on_Astar, on_A = (dual_bimodule(X, regular_bimodule(X)) for X in (A, Astar))
+    octuple = octuple_from_symplectic_pair(DA, DAstar)
+    cases = [
+        (build_quadratic_double(A, Astar), MatchedPairData(A, Astar, on_Astar, on_A),
+         reference.check_invariant_symmetric, symmetric, "quadratic"),
+        (build_symplectic_double(DA, DAstar),
+         MatchedPairData(associated_algebra(DA), associated_algebra(DAstar),
+                         octuple.on_B.sum_actions(), octuple.on_A.sum_actions()),
+         reference.check_symplectic, symplectic, "symplectic"),
+    ]
+    for built, P, form_check, form, kind in cases:
+        want = _reference_double_report(P, form_check, form, kind)
+        assert built.report.as_dict() == want.as_dict()
+        assert dump_json(built.report) == dump_json(want)

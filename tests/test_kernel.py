@@ -56,101 +56,13 @@ from antiassoc.io import load_algebra, load_fixture
 from antiassoc.linalg import Matrix, Tensor3
 
 from . import reference
-from .support import SMALL, table
+from .support import FAMILIES, WIDE, Draw, entry, table
 
 QS = [Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3, 5), Fraction(-7, 2)]
-WIDE = [x for x in SMALL if x] + [Fraction(1, 7), Fraction(-5, 3), Fraction(7, 2)]
-FAMILIES = ["dense", "nilpotent", "perturbed"]
 # The draw-seeded tests skip shrinking: a smaller seed is not a smaller
 # input to Draw, so shrinking would only rerun the slow reference.  A
 # failure is still reported with the seed that reproduces it.
 NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
-
-
-def entry(rng, density=0.6):
-    return rng.choice(WIDE) if rng.random() < density else Fraction(0)
-
-
-class Draw:
-    """Random inputs of one family.  The nilpotent shapes: A's basis is
-    generators (below ``split``) then targets, products of generators land
-    in the targets; V splits the same way at ``vsplit``, generators of A
-    map V's generators into V's targets, and maps land in A's targets.
-    A matched pair takes B on V's space, split at ``vsplit``, with B's
-    generators mapping A's generators into A's targets.  Every law of the
-    twelve checks then holds for every q, apart from commutativity and the
-    nondegeneracy of a symplectic form.  A sparse draw has the dense shapes
-    with each entry nonzero at a drawn density in [0.1, 0.5], so a product
-    reaches some basis tuples and not others."""
-
-    def __init__(self, rng, family, n, m):
-        self.rng, self.family, self.n, self.m = rng, family, n, m
-        self.split = rng.randrange(1, n) if n > 1 else n
-        self.vsplit = rng.randrange(1, m) if m > 1 else m
-        self.density = rng.uniform(0.1, 0.5) if family == "sparse" else 0.6
-
-    def keep(self, *targets) -> bool:
-        return self.family in ("dense", "sparse") or all(targets)
-
-    def bump(self, rows):
-        """Add a nonzero amount to one random entry of a perturbed input."""
-        cells = [(row, k) for row in rows for k in range(len(row))]
-        if self.family == "perturbed" and cells:
-            row, k = self.rng.choice(cells)
-            row[k] += self.rng.choice(WIDE)
-
-    def tensor(self) -> Tensor3:
-        n, s = self.n, self.split
-        t = [
-            [[entry(self.rng, self.density) if self.keep(i < s, j < s, k >= s)
-              else Fraction(0) for k in range(n)] for j in range(n)] for i in range(n)
-        ]
-        self.bump([fiber for plane in t for fiber in plane])
-        return Tensor3(t, (n, n, n))
-
-    def matrix(self, rows, cols, row_ok, col_ok) -> Matrix:
-        m = [[entry(self.rng, self.density) if self.keep(row_ok(r), col_ok(c))
-              else Fraction(0) for c in range(cols)] for r in range(rows)]
-        self.bump(m)
-        return Matrix(m, (rows, cols))
-
-    def actions(self) -> Tensor3:
-        m, vs = self.m, self.vsplit
-        return table([
-            self.matrix(m, m, lambda r: r >= vs and i < self.split, lambda c: c < vs)
-            for i in range(self.n)
-        ], m)
-
-    def swapped(self) -> "Draw":
-        """The same draw with the roles of A and V exchanged."""
-        other = copy.copy(self)
-        other.n, other.m, other.split, other.vsplit = self.m, self.n, self.vsplit, self.split
-        return other
-
-    def algebra(self, q) -> StructureAlgebra:
-        return StructureAlgebra(self.n, q, self.tensor())
-
-    def bimodule(self) -> Bimodule:
-        return Bimodule(self.n, self.m, self.actions(), self.actions())
-
-    def dendriform(self, q) -> DendriformStructure:
-        return DendriformStructure(self.n, q, self.tensor(), self.tensor())
-
-    def dendriform_bimodule(self) -> DendriformBimodule:
-        return DendriformBimodule(self.n, self.m, *(self.actions() for _ in range(4)))
-
-    def map_into(self, src) -> Matrix:
-        """An n x src matrix whose columns land in A's targets."""
-        return self.matrix(self.n, src, lambda r: r >= self.split, lambda c: True)
-
-    def form(self, sign) -> BilinearForm:
-        """A Gram matrix on A's generators, made symmetric (sign 1) or
-        antisymmetric (sign -1) in the nilpotent family."""
-        s = self.split
-        g = self.matrix(self.n, self.n, lambda r: r < s, lambda c: c < s)
-        if self.family == "nilpotent":
-            g = g + g.transpose().scale(sign)
-        return BilinearForm(self.n, g)
 
 
 def inputs(name, draw, q):
