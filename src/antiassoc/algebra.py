@@ -37,16 +37,24 @@ row (id, shape, placement, scale): the placement spells G's arguments
 ("ijk" is the base law, "iju" G(e_i, e_j, u), "axb" G(a, x, b)) and the
 scale is 1 or -1/q.  One body, ``_route_violations``, runs every row on
 the compiled block product (``_compiled_blocks``), each letter over one
-block.  It evaluates G only where G can be nonzero: (x o1 y) o2 z is a
-sum over the k of x o1 y of e_k o2 z, and x o3 (y o4 z) one over the k
-of y o4 z of x o3 e_k.  Where none of these products is nonzero in the
-read block, both sums are over empty sets and the residual is exactly
-zero, so skipping the tuple samples nothing.  ``_reached`` finds the
-other tuples from bit masks, in the order of the full walk; where some
-route's first term plainly reaches every tuple, as on a dense table, the
-body walks them all with no set or sort.  A valid nilpotent table, where
-every product of three vanishes, thus costs its nonzero products, not
-n^3 law calls.  Quartic vanishing walks only the quintuples whose inner
+block.  A check hands it all its reads at once, each a set of rows read
+in one block, and it evaluates each shape's G once (``_evaluate``): at
+each triple (x, y, z) of the whole product that some read needs, as one
+integer vector over every block, keeping only the nonzero ones.  Each
+row is then a block read of that evaluation (``_block_read``), so the
+six placements of a matched pair, its preconditions and a double's total
+q-law share one evaluation of each cube, each product of three blocks
+(``_plan`` cuts them).  G is evaluated only where it can be nonzero:
+(x o1 y) o2 z is a sum over the k of x o1 y of e_k o2 z, and
+x o3 (y o4 z) one over the k of y o4 z of x o3 e_k.  Where none of
+these products is nonzero, both sums are over empty sets and the
+residual is exactly zero, so skipping the triple samples nothing.
+``_reached`` finds the other triples of each cube from bit masks, in the
+order of the full walk; where the first term reaches at least half of a
+cube, as on a dense table, the body walks the whole cube with no sort,
+and the triples it did not need come out zero and are dropped.  A valid
+nilpotent table, where every product of three vanishes, thus costs its
+nonzero products, not n^3 law calls.  Quartic vanishing walks only the quintuples whose inner
 product is nonzero, on the same ground.
 
 The checks run on the exact sparse integer kernel, as do the operator
@@ -56,7 +64,7 @@ denominator D, the lcm of their denominators, in one call
 bilinear table as its fibers, a map as integer rows, whose columns
 ``_columns`` keeps as nonzero ``(index, int)`` pairs.  Each law is a sum of integer contractions with
 q's numerator and denominator folded into the coefficients, so all its
-terms share one scale, D^2 qn qd in the route body.  The runner keeps a
+terms share one scale, D^2 qn qd in the route body.  A check keeps a
 nonzero residual as those integers over the scale (``Violation``), the
 one form a violation is stored in: a Fraction is made only when a caller
 reads ``Violation.residual``, and the report writer spells each distinct
@@ -74,6 +82,7 @@ off the kernel.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -172,23 +181,20 @@ def _run_laws(
     tuples: Iterable[tuple[int, ...]],
     laws: Sequence[tuple[str, Callable[..., Sequence]]],
     den: int | None = None,
-    base: Sequence[int] = (),
 ) -> list[Violation]:
-    """The law runner behind every check: for (identity_id, law) pairs, with
-    ``law(*idx)`` the residual at a 0-based index tuple, the nonzero
-    residuals become Violations with 1-based indices, in tuple order and
-    then law order, or within its block if ``base`` holds each position's
-    block offset less 1.  A kernel law returns integers, den times the
-    residual, kept as the violation's entries over the scale den; with no
-    den, the law returns rationals, which the Violation stores as integers
-    over their own lcm."""
+    """The law runner of every check off the route body: for (identity_id,
+    law) pairs, with ``law(*idx)`` the residual at a 0-based index tuple,
+    the nonzero residuals become Violations with 1-based indices, in tuple
+    order and then law order.  A kernel law returns integers, den times
+    the residual, kept as the violation's entries over the scale den; with
+    no den, the law returns rationals, which the Violation stores as
+    integers over their own lcm."""
     out = []
     for idx in tuples:
         for identity_id, law in laws:
             res = law(*idx)
             if any(res):
-                at = tuple(map(operator.sub, idx, base)) if base else tuple(i + 1 for i in idx)
-                out.append(Violation(identity_id, at, res, den))
+                out.append(Violation(identity_id, tuple(i + 1 for i in idx), res, den))
     return out
 
 
@@ -290,147 +296,173 @@ def _compiled_blocks(n: int, m: int, blocks: list[tuple]) -> tuple[int, list[_Co
     return D, [_join(n, m, *pieces[s:s + 6]) for s in range(0, len(pieces), 6)]
 
 
-def _route_violations(
-    Fs: list[_Compiled], routes, q: Fraction, D: int,
-    acting: tuple[int, int], read: tuple[int, int], memo: dict,
-) -> list[Violation]:
-    """Routes (id, shape, placement, scale) on the products ``Fs`` of a block
-    product compiled at D, at the tuples of the placement's letters in the
-    order x, i, j, k, a, b: i, j and x run over the block ``acting``, k, a,
-    b and u over ``read``, each an (offset, size) pair.  The residual is read
-    in ``read``; with a module letter u it is the row-major matrix whose
-    column u is G at u, so o2 and o3 are read in the block with each row
-    index scaled by the stride ``size``, once per check in ``memo``.  The
-    laws run only at the tuples ``_reached`` finds, where G can be
-    nonzero, in the order of the full walk; at every other tuple both of
-    G's sums are over empty sets, so no report changes."""
-    off, size = read
-    end, d, qn, qd = off + size, len(Fs[0]), q.numerator, q.denominator
-    coefficients = {"1": (qn * qd, -qn * qn), "-1/q": (-qd * qd, qn * qd)}
-    letters = "".join(c for c in "xijkab" if c in routes[0][2])
-    stride = size if "u" in routes[0][2] else 1
-
-    def rows(o):  # Fs[o] read in the block: rows [x][k] of (stride * row, value)
-        if (o, read, stride) not in memo:
-            memo[o, read, stride] = Fs[o] if (off, size, stride) == (0, d, 1) else [
-                [[((k - off) * stride, v) for k, v in f if off <= k < end] if f else f
-                 for f in row] for row in Fs[o]
-            ]
-        return memo[o, read, stride]
-
-    def law(shape, placement, scale):
-        o1, o2, o3, o4 = shape
-        a, b = coefficients[scale]
-        F1, R2, R3, F4 = Fs[o1], rows(o2), rows(o3), Fs[o4]
-        pick = _picker(letters + "u", placement)
-
-        def column(*idx):  # a (x o1 y) o2 z + b x o3 (y o4 z), read in the block
-            x, y, z = pick(idx)
-            acc, R3x = [0] * size, R3[x]
-            for k, v in F1[x][y]:
-                f = a * v
-                for r, w in R2[k][z]:
-                    acc[r] += f * w
-            for k, v in F4[y][z]:
-                f = b * v
-                for r, w in R3x[k]:
-                    acc[r] += f * w
-            return acc
-
-        def matrix(*idx):  # the same sums at each u, into column u
-            acc = [0] * (size * size)
-            for c, u in enumerate(range(off, end)):
-                x, y, z = pick((*idx, u))
-                R3x = R3[x]
-                for k, v in F1[x][y]:
-                    f = a * v
-                    for r, w in R2[k][z]:
-                        acc[r + c] += f * w
-                for k, v in F4[y][z]:
-                    f = b * v
-                    for r, w in R3x[k]:
-                        acc[r + c] += f * w
-            return acc
-
-        return matrix if "u" in placement else column
-
-    blocks = [read if c in "kab" else acting for c in letters]
-    tuples = _reached(Fs, routes, letters, acting, read, rows, memo)
-    if tuples is None:
-        tuples = itertools.product(*[range(start, start + n) for start, n in blocks])
-    elif not tuples:
-        return []
-    laws = [(name, law(*row)) for name, *row in routes]
-    return _run_laws(tuples, laws, D * D * qn * qd, [start - 1 for start, _ in blocks])
+def _route_violations(Fs: list[_Compiled], q: Fraction, D: int,
+                      reads: tuple[tuple, ...]) -> list[list[Violation]]:
+    """The violations of each read (routes, acting, read) on the products
+    ``Fs`` of a block product compiled at D, all read off one evaluation
+    of G per shape (``_evaluate``), on the cubes ``_plan`` cuts."""
+    qn, qd = q.numerator, q.denominator
+    plans, wanted = _plan(reads)
+    values = {shape: {cube: _evaluate(Fs, shape, triples, qn * qd, -qn * qn)
+                      for cube, triples in _reached(Fs, shape, cubes)}
+              for shape, cubes in wanted}
+    scale = D * D * qn * qd
+    return [_block_read(values, *plan, len(Fs[0]), qn, qd, scale) for plan in plans]
 
 
-def _reached(Fs, routes, letters, acting, read, rows, memo) -> list[tuple[int, ...]] | None:
-    """The tuples of ``_route_violations`` at which some route's G can be
-    nonzero, in ``itertools.product`` order, or None when some route's
-    first term plainly reaches every (x, y, z): the first k of each
-    F1[x][y] reaches all of z's block, as on a dense table.  With R2 and
-    R3 the rows of o2 and o3 read in the block, G(x, y, z) is a sum over
-    the k of F1[x][y] of R2[k][z] plus one over the k of F4[y][z] of
-    R3[x][k], so it can be nonzero only where z is reached from F1[x][y]
-    (some k in it has R2[k][z] nonempty) or x from F4[y][z] (some k in it
-    has R3[x][k] nonempty).  At any other tuple both sums run over empty
+@functools.lru_cache(maxsize=1024)
+def _plan(reads: tuple[tuple, ...]) -> tuple[tuple, tuple]:
+    """What ``_route_violations`` reads: for each read, its rows, the block
+    offset less 1 of each of its letters, its read block and whether its
+    values come out in the order of its tuples; and for each shape, the
+    cubes its G is evaluated on.
+
+    A read's rows (id, shape, placement, scale) share the letters of their
+    placements, taken in the order x, i, j, k, a, b: i, j and x run over
+    the block ``acting``, k, a, b and u over ``read``, each an (offset,
+    size) pair, and the residual is read in ``read``.  The ends of every
+    block cut the product into blocks, and their products of three into
+    cubes; a row reads G on the cubes its placement spans."""
+    cuts = sorted({p for _, (a, m), (b, s) in reads for p in (a, a + m, b, b + s)})
+    blocks = [(a, b - a) for a, b in zip(cuts, cuts[1:])]
+    plans, wanted = [], {}
+    for routes, acting, read in reads:
+        letters = "".join(c for c in "xijkab" if c in routes[0][2])
+        span = {c: read if c in "kabu" else acting for c in "xijkabu"}
+        parts = {c: [b for b in blocks if off <= b[0] < off + size]
+                 for c, (off, size) in span.items()}
+        rows = []
+        for identity_id, shape, placement, scale in routes:
+            cubes = tuple(itertools.product(*map(parts.get, placement)))
+            wanted.setdefault(shape, {}).update(dict.fromkeys(cubes))
+            rows.append((identity_id, shape, _picker(placement, letters), placement.find("u"),
+                         scale == "-1/q", cubes))
+        ordered = len(rows) == 1 and len(rows[0][-1]) == 1 and routes[0][2].startswith(letters)
+        base = tuple(span[c][0] - 1 for c in letters)
+        plans.append((tuple(rows), base, read, ordered))
+    return tuple(plans), tuple((shape, tuple(cubes)) for shape, cubes in wanted.items())
+
+
+def _reached(Fs: list[_Compiled], shape, cubes) -> list[tuple]:
+    """(cube, triples) for each cube (three (offset, size) blocks) holding
+    a triple (x, y, z) at which G of ``shape`` can be nonzero, with those
+    triples in ``itertools.product`` order, as (x, y, the z in order).
+    G(x, y, z) is a sum over the k of F1[x][y] of F2[k][z] plus one over
+    the k of F4[y][z] of F3[x][k], so it can be nonzero only where z is
+    reached from F1[x][y] (some k in it has F2[k][z] nonempty) or x from
+    F4[y][z] (some k in it has F3[x][k] nonempty).  At any other triple both sums run over empty
     sets, so its residual is exactly zero and skipping it changes no
-    report.  Reach is read off bit masks of each product's rows and
-    columns in the block, and each product's reach off its nonempty
-    fibers, once per check in ``memo``."""
-    span = {"x": acting, "i": acting, "j": acting, "k": read, "a": read, "b": read, "u": read}
+    report.  Reach is read off bit masks of F2's rows and F3's columns,
+    once per shape.  Where the first term alone reaches at least half of
+    a cube, as on a dense table, the cube is walked whole with no sort:
+    the triples reached by neither term evaluate to zero vectors, which
+    are dropped.  Elsewhere the second term is read only at the (x, y)
+    the first leaves short of some z."""
+    F1, F2, F3, F4 = (Fs[o] for o in shape)
+    d, out, second = len(F1), [], None
+    bits = [1 << z for z in range(d)]
 
-    # side 0: row k of rows(o) as the bits z of its nonempty [k][z];
-    # side 1: column k as the bits x of its nonempty [x][k]
-    def masks(o, side):
-        if ("masks", o, read, side) not in memo:
-            R = rows(o)
-            bits = [1 << z for z in range(len(R))]
-            memo["masks", o, read, side] = list(map(
-                sum, map(itertools.compress, itertools.repeat(bits), R if side == 0 else zip(*R))))
-        return memo["masks", o, read, side]
-
-    def covers(o1, o2, placement):  # the first k of each F1[x][y] reaches all of z's block
-        (x0, nx), (y0, ny), (z0, nz) = map(span.get, placement)
-        if ("full", o2, read, z0, nz) not in memo:  # rows k of R2 nonempty all over the block
-            memo["full", o2, read, z0, nz] = [all(row[z0:z0 + nz]) for row in rows(o2)]
-        full = memo["full", o2, read, z0, nz]
-        return all(f and full[f[0][0]] for row in Fs[o1][x0:x0 + nx] for f in row[y0:y0 + ny])
-
-    def reach(o, o_read, side):  # (x, y, bits) for each Fs[o][x][y] reaching any row or column bit
-        if ("reach", o, o_read, side, read) not in memo:
-            mask, out = masks(o_read, side), []
-            for x, row in enumerate(Fs[o]):
-                for y, f in enumerate(row):
-                    bits = 0
+    def reaching(F, masks):  # (x, y, the bits of masks[k] for the k of F[x][y]), nonzero
+        found = []
+        for x, row in enumerate(F):
+            for y, f in enumerate(row):
+                if f:
+                    b = 0
                     for k, _ in f:
-                        bits |= mask[k]
-                    if bits:
-                        out.append((x, y, bits))
-            memo["reach", o, o_read, side, read] = out
-        return memo["reach", o, o_read, side, read]
+                        b |= masks[k]
+                    if b:
+                        found.append((x, y, b))
+        return found
 
-    if any(covers(o1, o2, placement) for _, (o1, o2, _, _), placement, _ in routes):
-        return None
-    found = set()
-    for _, (o1, o2, o3, o4), placement, _ in routes:
-        # the first term reaches z from (x, y), the second x from (y, z)
-        terms = ((o1, o2, 0, placement), (o4, o3, 1, placement[1:] + placement[0]))
-        for o, o_read, side, roles in terms:
-            (x0, nx), (y0, ny), (z0, nz) = map(span.get, roles)
-            pick, whole = _picker(roles, letters), ((1 << nz) - 1) << z0
-            for x, y, bits in reach(o, o_read, side):
-                bits &= whole
-                if not (bits and x0 <= x < x0 + nx and y0 <= y < y0 + ny):
-                    continue
-                if roles[2] == "u":  # only whether some u is reached
-                    found.add(pick((x, y, None)))
-                    continue
-                while bits:
-                    low = bits & -bits
-                    found.add(pick((x, y, low.bit_length() - 1)))
-                    bits ^= low
-    return sorted(found)
+    first = reaching(F1, [sum(itertools.compress(bits, row)) for row in F2])  # z of F2[k][z]
+    for cube in cubes:
+        (x0, nx), (y0, ny), (z0, nz) = cube
+        xs, ys, zs = range(x0, x0 + nx), range(y0, y0 + ny), range(z0, z0 + nz)
+        full, reached, count = ((1 << nz) - 1) << z0, {}, 0  # (x, y): the bits z reached
+        for x, y, b in first:
+            if x in xs and y in ys and (b := b & full):
+                reached[x, y] = b
+                count += b.bit_count()
+        if 2 * count >= nx * ny * nz:
+            out.append((cube, [(x, y, zs) for x in xs for y in ys]))
+            continue
+        if second is None:  # (y, z, the bits x of the F3[x][k], k in F4[y][z])
+            second = reaching(F4, [sum(itertools.compress(bits, col)) for col in zip(*F3)])
+        short = [((1 << nx) - 1) << x0] * d  # for each y, the bits x of the (x, y) short of a z
+        for (x, y), b in reached.items():
+            if b == full:
+                short[y] &= ~(1 << x)
+        for y, z, b in second:
+            if y in ys and z in zs:
+                b &= short[y]
+                while b:
+                    low = b & -b
+                    xy = low.bit_length() - 1, y
+                    reached[xy] = reached.get(xy, 0) | 1 << z
+                    b ^= low
+        if reached:
+            out.append((cube, [(x, y, [z for z in zs if b >> z & 1])
+                               for (x, y), b in sorted(reached.items())]))
+    return out
+
+
+def _evaluate(Fs: list[_Compiled], shape, triples, a: int, b: int) -> list[tuple]:
+    """(t, g) for each triple t = (x, y, z) of ``triples``, given as
+    (x, y, the z in order), at which g = a (x o1 y) o2 z + b x o3 (y o4 z),
+    on the whole product, is not zero.  With a = qn qd and b = -qn^2, g is
+    D^2 qn qd G(x, y, z)."""
+    F1, F2, F3, F4 = (Fs[o] for o in shape)
+    d, out = len(F1), []
+    for x, y, zs in triples:
+        F1xy, F3x, F4y = F1[x][y], F3[x], F4[y]
+        for z in zs:
+            acc = [0] * d
+            for k, v in F1xy:
+                f = a * v
+                for r, w in F2[k][z]:
+                    acc[r] += f * w
+            for k, v in F4y[z]:
+                f = b * v
+                for r, w in F3x[k]:
+                    acc[r] += f * w
+            if any(acc):
+                out.append(((x, y, z), acc))
+    return out
+
+
+def _block_read(values: dict, rows: tuple, base: tuple[int, ...], read: tuple[int, int],
+                ordered: bool, d: int, qn: int, qd: int, scale: int) -> list[Violation]:
+    """The violations of one read off ``values``, each shape's nonzero g on
+    each cube: each row's value at a tuple of its letters is g's block
+    ``read`` at the placement's triple, or, with a module letter u, the
+    row-major matrix whose column u is that block at u; under the scale
+    -1/q each int g of it is -qd (g // qn), exact since every g is a
+    multiple of qn, so all rows share the scale D^2 qn qd.  Violations are
+    in the order of the tuples, then of the rows, at indices within each
+    letter's block."""
+    off, size = read
+    end, whole, found = off + size, read == (0, d), []
+    for identity_id, shape, pick, u, negated, cubes in rows:
+        negated = negated and qn != -qd  # -1/q is 1 at q = -1
+        cubed = values[shape]
+        got = cubed.get(cubes[0], ()) if len(cubes) == 1 else [
+            tg for cube in cubes for tg in cubed.get(cube, ())]
+        if u >= 0:
+            mats = collections.defaultdict(([0] * (size * size)).copy)
+            for t, g in got:
+                mats[pick(t)][t[u] - off::size] = g[off:end]
+            got = [(key, mat) for key, mat in mats.items() if any(mat)]
+        elif whole:
+            got = [(pick(t), g) for t, g in got]
+        else:
+            got = [(pick(t), block) for t, g in got if any(block := g[off:end])]
+        for key, entries in got:
+            found.append((key, identity_id,
+                          [-qd * (g // qn) for g in entries] if negated else entries))
+    if not ordered:  # stable: at one tuple the rows stay in order
+        found.sort(key=operator.itemgetter(0))
+    return [Violation(identity_id, tuple(map(operator.sub, key, base)), entries, scale)
+            for key, identity_id, entries in found]
 
 
 @functools.lru_cache(maxsize=None)
@@ -562,7 +594,7 @@ def _block_tensor(n: int, m: int, *pieces: Tensor3 | None) -> Tensor3:
 def check_q_associative(A: StructureAlgebra) -> CheckReport:
     """Test (e_i e_j) e_k - q * e_i (e_j e_k) = 0 on all basis triples."""
     (D, F), whole = A.c.compiled, (0, A.dim)
-    violations = _route_violations([F], _Q_ASSOC_ROUTES, A.q, D, whole, whole, {})
+    (violations,) = _route_violations([F], A.q, D, ((_Q_ASSOC_ROUTES, whole, whole),))
     return CheckReport.from_violations(violations, q=exact_str(A.q), triples=A.dim**3)
 
 

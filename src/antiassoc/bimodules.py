@@ -105,7 +105,7 @@ def check_bimodule(A: StructureAlgebra, M: Bimodule) -> CheckReport:
         raise DimensionMismatch("bimodule is indexed by a different algebra dimension")
     n, m = A.dim, M.module_dim
     D, Fs = _compiled_blocks(n, m, [(A.c, None, M.l, M.r, None, None)])
-    violations = _route_violations(Fs, _BIMODULE_ROUTES, A.q, D, (0, n), (n, m), {})
+    (violations,) = _route_violations(Fs, A.q, D, ((_BIMODULE_ROUTES, (0, n), (n, m)),))
     return CheckReport.from_violations(violations, q=exact_str(A.q))
 
 

@@ -32,9 +32,9 @@ block product on A + B.  ``_pieces`` lists the tensor and the two action
 tables of each of prec and succ; the builders' tables are their join
 (``_block_tensor``), and the checks compile them (``_compiled_blocks``),
 add the compiled prec and succ products in integers for star
-(``linalg._fiber_sum``), and run their route rows on the three with
-algebra.py's route body, the matched pair through matched.py's six
-placements.
+(``linalg._fiber_sum``), and hand their route rows on the three to
+algebra.py's route body, which evaluates each axiom's G once per check;
+the matched pair is matched.py's six reads of that one evaluation.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .linalg import (
     rat,
     vec_add,
 )
-from .matched import _matched_violations
+from .matched import _matched_reads, _matched_violations
 
 
 class DendriformStructure:
@@ -136,7 +136,7 @@ def check_q_dendriform(D: DendriformStructure) -> CheckReport:
     den, (prec, succ) = _at_common_den(D.c_prec, D.c_succ)
     whole = (0, D.dim)
     Fs = [prec, succ, _fiber_sum(prec, succ)]
-    violations = _route_violations(Fs, _AXIOM_ROUTES, D.q, den, whole, whole, {})
+    (violations,) = _route_violations(Fs, D.q, den, ((_AXIOM_ROUTES, whole, whole),))
     return CheckReport.from_violations(violations, q=exact_str(D.q), triples=D.dim**3)
 
 
@@ -212,7 +212,7 @@ def check_dendriform_bimodule(
     blocks = [(c, None, l, r, None, None) for c, l, r in _pieces(D, M)]
     den, Fs = _compiled_blocks(n, m, blocks)
     Fs.append(_fiber_sum(*Fs))
-    violations = _route_violations(Fs, _BIMODULE_ROUTES, D.q, den, (0, n), (n, m), {})
+    (violations,) = _route_violations(Fs, D.q, den, ((_BIMODULE_ROUTES, (0, n), (n, m)),))
     return CheckReport.from_violations(violations, q=exact_str(D.q))
 
 
@@ -269,6 +269,7 @@ _MATCHED_ROUTES = tuple(
     for a, ((_, shape, _, _), scales) in enumerate(zip(_AXIOM_ROUTES, _MIXED_SCALES))
     for k, (placement, scale) in enumerate(zip(("abx", "axb", "xab"), scales))
 )
+_PAIR_ROUTES = (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
 
 
 def _bowtie_blocks(P: DendriformMatchedPairData) -> Iterator[tuple[Tensor3, ...]]:
@@ -290,8 +291,8 @@ def check_dendriform_matched_pair(P: DendriformMatchedPairData) -> CheckReport:
     A, B, q = P.D_A, P.D_B, P.D_A.q
     den, Fs = _compiled_blocks(A.dim, B.dim, list(_bowtie_blocks(P)))
     Fs.append(_fiber_sum(*Fs))
-    routes = (_AXIOM_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
-    violations = _matched_violations("dendriform", routes, Fs, A.dim, B.dim, q, den)
+    found = _route_violations(Fs, q, den, _matched_reads(_PAIR_ROUTES, A.dim, B.dim))
+    violations = _matched_violations("dendriform", found)
     return CheckReport.from_violations(violations, q=exact_str(q))
 
 

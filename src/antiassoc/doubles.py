@@ -3,6 +3,10 @@
 Both builders follow one policy: assemble first, verify afterwards, and
 never refuse.  The attached report carries every failed condition, which
 is what makes auditing published-but-inconsistent tables possible.  The
+matched-pair conditions and the total's q-law are block reads of one
+evaluation of G on the total, which is the compiled bowtie, and the
+closure of each half is read off the total's compiled fibers, so a build
+makes no Fraction view of a table.  The
 two criterion verifiers are deliberately separate code paths from the
 generic matched-pair machinery; agreement of their verdicts with the
 builders' is a theorem, and the test suite exploits that.  The criteria
@@ -35,13 +39,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
+    _Q_ASSOC_ROUTES,
     CheckReport,
     StructureAlgebra,
     Violation,
     _prefixed,
+    _route_violations,
     _run_laws,
     basis_product,
     check_q_associative,
@@ -66,7 +71,13 @@ from .forms import (
 )
 from .io import PaperFixture, double_basis_names, format_element
 from .linalg import DimensionMismatch, Matrix, Tensor3, basis_vec, vec_is_zero, vec_sub
-from .matched import MatchedPairData, bowtie, check_matched_pair
+from .matched import (
+    _PAIR_ROUTES,
+    MatchedPairData,
+    _matched_reads,
+    _matched_violations,
+    bowtie,
+)
 
 
 @dataclass
@@ -79,14 +90,23 @@ class DoubleConstruction:
 
 
 def _closure_violations(total: StructureAlgebra, n: int) -> list[Violation]:
-    """Each half must be closed under the total product."""
-    c, zero = total.c.entries, (Fraction(0),) * n
+    """Each half must be closed under the total product: a residual is the
+    pairs of a product's compiled fiber whose k lies in the other half,
+    over the total's d."""
+    d, F = total.c.compiled
 
-    leak_A = ("closure:A", lambda i, j: zero + c[i][j][n:])
-    leak_B = ("closure:B", lambda i, j: c[i][j][:n] + zero)
-    pairs_A = itertools.product(range(n), repeat=2)
-    pairs_B = itertools.product(range(n, total.dim), repeat=2)
-    return _run_laws(pairs_A, [leak_A]) + _run_laws(pairs_B, [leak_B])
+    def leak(i, j, other):
+        res = [0] * total.dim
+        for k, a in F[i][j]:
+            if k in other:
+                res[k] = a
+        return res
+
+    A, B = range(n), range(n, total.dim)
+    leak_A = ("closure:A", lambda i, j: leak(i, j, B))
+    leak_B = ("closure:B", lambda i, j: leak(i, j, A))
+    return (_run_laws(itertools.product(A, repeat=2), [leak_A], d)
+            + _run_laws(itertools.product(B, repeat=2), [leak_B], d))
 
 
 def _audited_double(
@@ -95,15 +115,19 @@ def _audited_double(
     """Bowtie of P with ``form`` attached; the report collects the matched
     pair, the q-law of the total, ``check_form`` and closure of the halves,
     and the form's rank as ``check_form`` reports it."""
-    n = P.A.dim
+    n, q = P.A.dim, P.A.q
     total = bowtie(P)
     form_report = check_form(total, form)
-    # Every matched-pair condition is one block of the total's q-law, yet
-    # both run, on the pieces' join and on the total, which is that join,
-    # because each contributes its own ids to the report.
+    # Every matched-pair condition is one block of the total's q-law, and
+    # the total is the compiled bowtie the pair's check reads: both are
+    # reads of one evaluation of G on its table, each under its own ids.
+    D, F = total.c.compiled
+    whole = (0, total.dim)
+    *pair, total_law = _route_violations(
+        [F], q, D, _matched_reads(_PAIR_ROUTES, n, n) + ((_Q_ASSOC_ROUTES, whole, whole),))
     violations = (
-        _prefixed("matched_pair", check_matched_pair(P).violations)
-        + _prefixed("total_q_assoc", check_q_associative(total).violations)
+        _prefixed("matched_pair", _matched_violations("q_assoc", pair))
+        + _prefixed("total_q_assoc", total_law)
         + _prefixed("form", form_report.violations)
         + _closure_violations(total, n)
     )

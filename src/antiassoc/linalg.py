@@ -479,11 +479,15 @@ class Tensor3:
         return Tensor3._reduced(shape, D, _fiber_sum(F, G))
 
     def scale(self, s: Scalar) -> "Tensor3":
+        """The tensor times s; by a unit, 1 or -1, the same d and the same
+        or negated ints, which are canonical as they stand."""
         c = rat(s)
         shape = (self.d1, self.d2, self.d3)
         if not c:
             return Tensor3.zeros(*shape)
         d, F = self.compiled
+        if c.denominator == 1 and c.numerator in (1, -1):
+            return Tensor3._made(shape, (d, _times(F, c.numerator)))
         return Tensor3._reduced(shape, d * c.denominator, _times(F, c.numerator))
 
     def swapped(self) -> "Tensor3":

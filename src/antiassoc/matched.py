@@ -17,18 +17,20 @@ the other algebra, read in one block: for x in A and a, b in B, eq1 is
 -G(x, a, b)/q, eq2 is G(a, b, x) and eq5 is G(a, x, b), in B's block, at
 indices (i_x, i_a, i_b).  Equations (3), (4), (6) are their mirrors with
 the roles of A and B swapped, in A's block at (i_a, i_x, i_y), so one
-route row gives both ids.  ``_matched_violations`` runs a matched pair
-of either kind, this one or the dendriform one, as six placements on one
-compiled bowtie: the two algebras' base laws and the two bimodules'
-laws as preconditions, then the two halves.  The checks read the
+route row gives both ids.  A matched pair of either kind, this one or
+the dendriform one, is six reads (``_matched_reads``) of one evaluation
+of the bowtie's G: the two algebras' base laws and the two bimodules'
+laws as preconditions, then the two halves, which ``_matched_violations``
+folds into one verdict.  Each cube of the bowtie with arguments in both
+algebras is evaluated once and read in both blocks.  The checks read the
 compiled bowtie (``_compiled_blocks``); ``bowtie`` builds its table from
-the same join (``_block_tensor``).
+the same join (``_block_tensor``), so a double reads its total's q-law
+off that same evaluation too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     _Q_ASSOC_ROUTES,
@@ -64,25 +66,32 @@ _MATCHED_ROUTES = (
     (("eq2", "eq4"), _Q_LAW, "abx", "1"),
     (("eq5", "eq6"), _Q_LAW, "axb", "1"),
 )
+_PAIR_ROUTES = (_Q_ASSOC_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
 
 
-def _matched_violations(tag, routes, Fs, n: int, m: int, q: Fraction, D: int) -> list[Violation]:
-    """The four preconditions, tagged, and the two halves of a matched pair
-    of either kind: the pure, module and mixed ``routes`` at six placements
-    on ``Fs``, the products of the block product on A + B, A of dim n first."""
+def _matched_reads(routes, n: int, m: int) -> tuple:
+    """The six reads of a matched pair of either kind on its block product
+    on A + B, A of dim n first: the pure ``routes`` on each algebra, the
+    module ones for each algebra acting on the other, and the mixed ones
+    for x in A and for x in B."""
     pure, module, mixed = routes
-    A, B, memo = (0, n), (n, m), {}
+    A, B = (0, n), (n, m)
+    half_A, half_B = (tuple((ids[s], *row) for ids, *row in mixed) for s in (0, 1))
+    return ((pure, A, A), (pure, B, B), (module, A, B), (module, B, A),
+            (half_A, A, B), (half_B, B, A))
 
-    def run(routes, acting, read):
-        return _route_violations(Fs, routes, q, D, acting, read, memo)
 
+def _matched_violations(tag: str, found: list[list[Violation]]) -> list[Violation]:
+    """The violations of the six reads as one verdict: the four
+    preconditions, tagged, then the two halves."""
+    pure_A, pure_B, on_B, on_A, half_A, half_B = found
     return (
-        _prefixed(f"precondition:{tag}:A", run(pure, A, A))
-        + _prefixed(f"precondition:{tag}:B", run(pure, B, B))
-        + _prefixed("precondition:bimodule:A_on_B", run(module, A, B))
-        + _prefixed("precondition:bimodule:B_on_A", run(module, B, A))
-        + run([(ids[0], *r) for ids, *r in mixed], A, B)
-        + run([(ids[1], *r) for ids, *r in mixed], B, A)
+        _prefixed(f"precondition:{tag}:A", pure_A)
+        + _prefixed(f"precondition:{tag}:B", pure_B)
+        + _prefixed("precondition:bimodule:A_on_B", on_B)
+        + _prefixed("precondition:bimodule:B_on_A", on_A)
+        + half_A
+        + half_B
     )
 
 
@@ -96,8 +105,8 @@ def check_matched_pair(P: MatchedPairData) -> CheckReport:
     """
     A, B, q = P.A, P.B, P.A.q
     D, Fs = _compiled_blocks(A.dim, B.dim, [(A.c, B.c, P.on_B.l, P.on_B.r, P.on_A.l, P.on_A.r)])
-    routes = (_Q_ASSOC_ROUTES, _BIMODULE_ROUTES, _MATCHED_ROUTES)
-    violations = _matched_violations("q_assoc", routes, Fs, A.dim, B.dim, q, D)
+    found = _route_violations(Fs, q, D, _matched_reads(_PAIR_ROUTES, A.dim, B.dim))
+    violations = _matched_violations("q_assoc", found)
     return CheckReport.from_violations(violations, q=exact_str(q))
 
 

@@ -23,6 +23,7 @@ matrices.
 """
 
 import ast
+import collections
 import copy
 import inspect
 import itertools
@@ -209,30 +210,69 @@ def test_quartic_walk_matches_reference(seed, family, n):
     assert got.as_dict() == reference.check_quartic_vanishing(A).as_dict()
 
 
+def _spied_evaluations(monkeypatch) -> list:
+    """From here on, (shape, triple) for each triple at which the route
+    body evaluates G, handed over as (x, y, the z)."""
+    evaluated = []
+    real = algebra._evaluate
+
+    def spy(Fs, shape, triples, *args):
+        evaluated.extend((shape, (x, y, z)) for x, y, zs in triples for z in zs)
+        return real(Fs, shape, triples, *args)
+
+    monkeypatch.setattr(algebra, "_evaluate", spy)
+    return evaluated
+
+
 def test_route_body_skips_only_unreachable_tuples(monkeypatch):
-    """The route body hands the runner only the tuples some product reaches:
+    """The route body evaluates G only at the triples some product reaches:
     none for a 2-step nilpotent table, where every product of three
     vanishes, and all n^3 for a table with no zero entry."""
-    handed = []
-    real = algebra._run_laws
-
-    def spy(tuples, *args):
-        tuples = list(tuples)
-        handed.extend(tuples)
-        return real(tuples, *args)
-
-    monkeypatch.setattr(algebra, "_run_laws", spy)
+    evaluated = _spied_evaluations(monkeypatch)
     draw = Draw(random.Random(8), "nilpotent", 8, 8)
     A, D = draw.algebra(Fraction(-1)), draw.dendriform(Fraction(-1))
     assert len(A.c.compiled[1][0][0]) > 0  # the table is not zero
     for report in (antiassoc.check_q_associative(A), antiassoc.check_q_dendriform(D),
                    antiassoc.check_bimodule(A, antiassoc.regular_bimodule(A))):
         assert report.passed
-    assert handed == []
+    assert evaluated == []
     full = Tensor3([[[Fraction(i + j + k + 1) for k in range(4)] for j in range(4)]
                     for i in range(4)], (4, 4, 4))
     antiassoc.check_q_associative(StructureAlgebra(4, -1, full))
-    assert handed == list(itertools.product(range(4), repeat=3))
+    assert [t for _, t in evaluated] == list(itertools.product(range(4), repeat=3))
+
+
+def test_a_block_product_is_evaluated_once(monkeypatch):
+    """Both matched-pair checks and both builders read every condition,
+    precondition and the total's q-law off one evaluation: each triple of
+    the block product at most once per shape per call, and none on a
+    (nilpotent, zero) pair, where every product of three vanishes."""
+    evaluated = _spied_evaluations(monkeypatch)
+
+    def calls(family, zero_dual):
+        draw = Draw(random.Random(9), family, 3, 3)
+        A, D = draw.algebra(-1), draw.dendriform(-1)
+        A_star, D_star = ((StructureAlgebra.zero(3, -1), DendriformStructure.zero(3, -1))
+                          if zero_dual else (draw.algebra(-1), draw.dendriform(-1)))
+        on_B, on_A = (antiassoc.dual_bimodule(X, antiassoc.regular_bimodule(X))
+                      for X in (A, A_star))
+        return [
+            (antiassoc.check_matched_pair, MatchedPairData(A, A_star, on_B, on_A)),
+            (antiassoc.check_dendriform_matched_pair,
+             doubles.octuple_from_symplectic_pair(D, D_star)),
+            (doubles.build_quadratic_double, A, A_star),
+            (doubles.build_symplectic_double, D, D_star),
+        ]
+
+    for call, *args in calls("dense", zero_dual=False):
+        evaluated.clear()
+        call(*args)
+        assert evaluated and max(collections.Counter(evaluated).values()) == 1, call.__name__
+    for call, *args in calls("nilpotent", zero_dual=True):
+        evaluated.clear()
+        result = call(*args)
+        assert getattr(result, "report", result).passed, call.__name__
+        assert evaluated == [], call.__name__
 
 
 @given(seed=st.integers(0, 2**30), family=st.sampled_from(["dense", "nilpotent"]),
@@ -698,9 +738,9 @@ def test_verify_reads_no_fraction_of_a_table(monkeypatch, tmp_path, capsys, spar
 def test_checks_and_builders_compile_nothing(monkeypatch, tmp_path, capsys):
     """Every check on dense draws, and the regular bimodule check of a
     sparse-loaded algebra, compiles no table and builds no entries view.
-    The builders of both doubles and ``build bowtie`` compile nothing past
-    the tables of their input: every table they build, the total among
-    them, is built in integers."""
+    The builders of both doubles compile nothing and build no entries view,
+    the total's included: they read every table in integers.  ``build
+    bowtie`` compiles nothing past the tables of its input."""
     draw = Draw(random.Random(5), "dense", 3, 2)
     calls = [(getattr(antiassoc, name), inputs(name, draw, Fraction(-1))) for name in CHECKS]
     rng = random.Random(6)
@@ -722,9 +762,10 @@ def test_checks_and_builders_compile_nothing(monkeypatch, tmp_path, capsys):
     halves = draw.algebra(-1), draw.algebra(-1)
     dendriform_halves = draw.dendriform(-1), draw.dendriform(-1)
     compiles.clear()
+    views.clear()
     assert not doubles.build_quadratic_double(*halves).report.passed
     assert not doubles.build_symplectic_double(*dendriform_halves).report.passed
-    assert compiles == []
+    assert (compiles, views) == ([], [])
     assert cli.run(["build", "bowtie", str(pair)]) == 1
     assert json.loads(capsys.readouterr().out)["algebra"]["dim"] == 5
     assert sorted((t.d1, t.d2, t.d3) for t in compiles) == [
@@ -859,7 +900,8 @@ def test_at_common_den_is_each_table_at_the_lcm(tables):
 
 KERNEL_NAMES = [
     "_at_common_den", "_columns", "_imul", "_iapply", "_nonzero", "_basis", "_on_basis",
-    "_join", "_compiled_blocks", "_route_violations", "_fiber_sum", "compiled",
+    "_join", "_compiled_blocks", "_route_violations", "_plan", "_reached", "_evaluate",
+    "_block_read", "_fiber_sum", "compiled",
 ]
 
 
