@@ -49,13 +49,15 @@ q-law share one evaluation of each cube, each product of three blocks
 x o3 (y o4 z) one over the k of y o4 z of x o3 e_k.  Where none of
 these products is nonzero, both sums are over empty sets and the
 residual is exactly zero, so skipping the triple samples nothing.
-``_reached`` finds the other triples of each cube from bit masks, in the
-order of the full walk; where the first term reaches at least half of a
-cube, as on a dense table, the body walks the whole cube with no sort,
-and the triples it did not need come out zero and are dropped.  A valid
+``_reached`` finds the other triples of each cube, in the order of the
+full walk.  Where the first k of each x o1 y reaches every z of a cube,
+as on a dense table, the body walks the whole cube with no bit mask;
+elsewhere it reads reach off bit masks, and where the first term reaches
+at least half of a cube it walks the whole cube with no sort.  The
+triples it did not need come out zero and are dropped.  A valid
 nilpotent table, where every product of three vanishes, thus costs its
-nonzero products, not n^3 law calls.  Quartic vanishing walks only the quintuples whose inner
-product is nonzero, on the same ground.
+nonzero products, not n^3 law calls.  Quartic vanishing walks only the
+quintuples whose inner product is nonzero, on the same ground.
 
 The checks run on the exact sparse integer kernel, as do the operator
 and form checks.  A check scales every table it reads by one common
@@ -350,34 +352,30 @@ def _reached(Fs: list[_Compiled], shape, cubes) -> list[tuple]:
     G(x, y, z) is a sum over the k of F1[x][y] of F2[k][z] plus one over
     the k of F4[y][z] of F3[x][k], so it can be nonzero only where z is
     reached from F1[x][y] (some k in it has F2[k][z] nonempty) or x from
-    F4[y][z] (some k in it has F3[x][k] nonempty).  At any other triple both sums run over empty
-    sets, so its residual is exactly zero and skipping it changes no
-    report.  Reach is read off bit masks of F2's rows and F3's columns,
-    once per shape.  Where the first term alone reaches at least half of
-    a cube, as on a dense table, the cube is walked whole with no sort:
-    the triples reached by neither term evaluate to zero vectors, which
-    are dropped.  Elsewhere the second term is read only at the (x, y)
-    the first leaves short of some z."""
+    F4[y][z] (some k in it has F3[x][k] nonempty).  At any other triple
+    both sums run over empty sets, so its residual is exactly zero and
+    skipping it changes no report.  Until some cube falls short of it, a
+    cube where the first k of every F1[x][y] has F2[k][z] nonempty at
+    every z, as on a dense table, is walked whole with no reach read.
+    Past that, reach is read off bit masks of F2's rows and F3's
+    columns, once per shape; where the first term alone reaches at least
+    half of a cube the cube is walked whole too, and the triples reached
+    by neither term evaluate to zero vectors, which are dropped.
+    Elsewhere the second term is read only at the (x, y) the first leaves
+    short of some z."""
     F1, F2, F3, F4 = (Fs[o] for o in shape)
-    d, out, second = len(F1), [], None
-    bits = [1 << z for z in range(d)]
-
-    def reaching(F, masks):  # (x, y, the bits of masks[k] for the k of F[x][y]), nonzero
-        found = []
-        for x, row in enumerate(F):
-            for y, f in enumerate(row):
-                if f:
-                    b = 0
-                    for k, _ in f:
-                        b |= masks[k]
-                    if b:
-                        found.append((x, y, b))
-        return found
-
-    first = reaching(F1, [sum(itertools.compress(bits, row)) for row in F2])  # z of F2[k][z]
+    d, out, first, second = len(F1), [], None, None
     for cube in cubes:
         (x0, nx), (y0, ny), (z0, nz) = cube
         xs, ys, zs = range(x0, x0 + nx), range(y0, y0 + ny), range(z0, z0 + nz)
+        if first is None:
+            corner = F1[x0][y0]  # tried first: on a sparse table it is short at once
+            if corner and F2[corner[0][0]][z0] and all(
+                    f and all(F2[f[0][0]][z0:z0 + nz])
+                    for row in F1[x0:x0 + nx] for f in row[y0:y0 + ny]):
+                out.append((cube, [(x, y, zs) for x in xs for y in ys]))
+                continue
+            first = _reaching(F1, F2)  # (x, y, the bits z of the F2[k][z], k in F1[x][y])
         full, reached, count = ((1 << nz) - 1) << z0, {}, 0  # (x, y): the bits z reached
         for x, y, b in first:
             if x in xs and y in ys and (b := b & full):
@@ -387,7 +385,7 @@ def _reached(Fs: list[_Compiled], shape, cubes) -> list[tuple]:
             out.append((cube, [(x, y, zs) for x in xs for y in ys]))
             continue
         if second is None:  # (y, z, the bits x of the F3[x][k], k in F4[y][z])
-            second = reaching(F4, [sum(itertools.compress(bits, col)) for col in zip(*F3)])
+            second = _reaching(F4, zip(*F3))
         short = [((1 << nx) - 1) << x0] * d  # for each y, the bits x of the (x, y) short of a z
         for (x, y), b in reached.items():
             if b == full:
@@ -404,6 +402,23 @@ def _reached(Fs: list[_Compiled], shape, cubes) -> list[tuple]:
             out.append((cube, [(x, y, [z for z in zs if b >> z & 1])
                                for (x, y), b in sorted(reached.items())]))
     return out
+
+
+def _reaching(F: _Compiled, rows) -> list[tuple[int, int, int]]:
+    """(x, y, b) where b, the bits z of the nonempty rows[k][z] over the k
+    of F[x][y], is not zero."""
+    bits = [1 << z for z in range(len(F))]
+    masks = [sum(itertools.compress(bits, row)) for row in rows]
+    found = []
+    for x, row in enumerate(F):
+        for y, f in enumerate(row):
+            if f:
+                b = 0
+                for k, _ in f:
+                    b |= masks[k]
+                if b:
+                    found.append((x, y, b))
+    return found
 
 
 def _evaluate(Fs: list[_Compiled], shape, triples, a: int, b: int) -> list[tuple]:
@@ -441,28 +456,28 @@ def _block_read(values: dict, rows: tuple, base: tuple[int, ...], read: tuple[in
     in the order of the tuples, then of the rows, at indices within each
     letter's block."""
     off, size = read
-    end, whole, found = off + size, read == (0, d), []
+    end, sub, found = off + size, operator.sub, []
     for identity_id, shape, pick, u, negated, cubes in rows:
-        negated = negated and qn != -qd  # -1/q is 1 at q = -1
         cubed = values[shape]
         got = cubed.get(cubes[0], ()) if len(cubes) == 1 else [
             tg for cube in cubes for tg in cubed.get(cube, ())]
+        if negated and qn != -qd:  # -1/q is 1 at q = -1
+            got = [(t, [-qd * (x // qn) for x in g]) for t, g in got]
         if u >= 0:
             mats = collections.defaultdict(([0] * (size * size)).copy)
             for t, g in got:
                 mats[pick(t)][t[u] - off::size] = g[off:end]
-            got = [(key, mat) for key, mat in mats.items() if any(mat)]
-        elif whole:
-            got = [(pick(t), g) for t, g in got]
+            found += [Violation(identity_id, tuple(map(sub, key, base)), mat, scale)
+                      for key, mat in mats.items() if any(mat)]
+        elif read == (0, d):
+            found += [Violation(identity_id, tuple(map(sub, pick(t), base)), g, scale)
+                      for t, g in got]
         else:
-            got = [(pick(t), block) for t, g in got if any(block := g[off:end])]
-        for key, entries in got:
-            found.append((key, identity_id,
-                          [-qd * (g // qn) for g in entries] if negated else entries))
+            found += [Violation(identity_id, tuple(map(sub, pick(t), base)), block, scale)
+                      for t, g in got if any(block := g[off:end])]
     if not ordered:  # stable: at one tuple the rows stay in order
-        found.sort(key=operator.itemgetter(0))
-    return [Violation(identity_id, tuple(map(operator.sub, key, base)), entries, scale)
-            for key, identity_id, entries in found]
+        found.sort(key=operator.attrgetter("indices"))
+    return found
 
 
 @functools.lru_cache(maxsize=None)
