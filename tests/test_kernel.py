@@ -900,8 +900,8 @@ def test_at_common_den_is_each_table_at_the_lcm(tables):
 
 KERNEL_NAMES = [
     "_at_common_den", "_columns", "_imul", "_iapply", "_nonzero", "_basis", "_on_basis",
-    "_join", "_compiled_blocks", "_route_violations", "_plan", "_reached", "_evaluate",
-    "_block_read", "_fiber_sum", "compiled",
+    "_join", "_compiled_blocks", "_route_violations", "_plan", "_reached", "_reaching",
+    "_evaluate", "_block_read", "_fiber_sum", "compiled",
 ]
 
 
