@@ -6,10 +6,10 @@ is what makes auditing published-but-inconsistent tables possible.  The
 matched-pair conditions and the total's q-law are block reads of one
 evaluation of G on the total, which is the compiled bowtie, and the
 closure of each half is read off the total's compiled fibers, so a build
-makes no Fraction view of a table.  The
-two criterion verifiers are deliberately separate code paths from the
-generic matched-pair machinery; agreement of their verdicts with the
-builders' is a theorem, and the test suite exploits that.  The criteria
+makes no Fraction view of a table.  The two criterion verifiers are
+deliberately separate code paths from the generic matched-pair
+machinery; agreement of their verdicts with the builders' is a theorem,
+and the test suite exploits that.  The criteria
 compute in integers of their own, off the kernel of algebra.py: each call
 reads its tables through their entries, scales them by the lcm D of
 their denominators and sums sparse integer fibers (see the helpers above
