@@ -463,12 +463,12 @@ def _block_read(values: dict, rows: tuple, base: tuple[int, ...], read: tuple[in
             tg for cube in cubes for tg in cubed.get(cube, ())]
         if negated and qn != -qd:  # -1/q is 1 at q = -1
             got = [(t, [-qd * (x // qn) for x in g]) for t, g in got]
-        if u >= 0:
-            mats = collections.defaultdict(([0] * (size * size)).copy)
+        if u >= 0:  # row r of a d x size matrix holds G's coordinate r; keep the read rows
+            mats = collections.defaultdict(([0] * (d * size)).copy)
             for t, g in got:
-                mats[pick(t)][t[u] - off::size] = g[off:end]
+                mats[pick(t)][t[u] - off::size] = g
             found += [Violation(identity_id, tuple(map(sub, key, base)), mat, scale)
-                      for key, mat in mats.items() if any(mat)]
+                      for key, rows in mats.items() if any(mat := rows[off * size:end * size])]
         elif read == (0, d):
             found += [Violation(identity_id, tuple(map(sub, pick(t), base)), g, scale)
                       for t, g in got]
