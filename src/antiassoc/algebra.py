@@ -468,7 +468,7 @@ def _block_read(values: dict, rows: tuple, base: tuple[int, ...], read: tuple[in
             for t, g in got:
                 mats[pick(t)][t[u] - off::size] = g
             found += [Violation(identity_id, tuple(map(sub, key, base)), mat, scale)
-                      for key, rows in mats.items() if any(mat := rows[off * size:end * size])]
+                      for key, full in mats.items() if any(mat := full[off * size:end * size])]
         elif read == (0, d):
             found += [Violation(identity_id, tuple(map(sub, pick(t), base)), g, scale)
                       for t, g in got]
