@@ -7,19 +7,23 @@ digits than the interpreter converts to int, and no key written twice in
 one object.  Output spells every rational whole (``linalg.exact_str``),
 however many digits it has.
 
-Three readers take every document apart: ``_array`` reads a nested list
-of rationals of a fixed shape, ``_structure`` an algebra-like node (an
-algebra or a dendriform structure, dense or sparse, or the file it
-names), and ``_actions`` an (l, r) pair of action lists.  Errors carry
-the file path, a byte offset, and the offending token, and each message
-names the value by its path from the root of that file, as in
-``B.products[2]`` or ``displayed[4].left``.  The offset, which
-``_located`` finds after a refusal, is exact: a string value or a key is
-located at the first byte inside its quote, any other value at its first
-byte, and a refusal that names an object (a missing field, or values that
-do not fit together) at that object's ``{``.  Each file read has its own
-context, whose memo maps each distinct rational token, once validated,
-to its Fraction, so a table parses each distinct token once.
+Three readers take every document apart: ``_distinct`` reads a nested
+list of rationals of a fixed shape, ``_structure`` an algebra-like node
+(an algebra or a dendriform structure, dense or sparse, or the file it
+names), and ``_actions`` an (l, r) pair of action lists.  A table is read
+by its distinct tokens: each is validated once, through its document's
+memo of rational strings, and scaled once to its int at the table's
+least common denominator, so each entry costs one lookup and no entry
+becomes a Fraction on its way to a Tensor3.  Only after this token pass
+refuses does the per-entry walk (``_array``, ``_sparse_walk``) run, to
+name the first bad value in document order.  Errors carry the file
+path, a byte offset, and the offending token, and each message names the
+value by its path from the root of that file, as in ``B.products[2]`` or
+``displayed[4].left``.  The offset, which ``_located`` finds after a
+refusal, is exact: a string value or a key is located at the first byte
+inside its quote, any other value at its first byte, and a refusal that
+names an object (a missing field, or values that do not fit together) at
+that object's ``{``.
 
 ``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` with a small recursive writer over dicts, lists and tuples.
@@ -38,6 +42,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import CheckReport, StructureAlgebra
 from .bimodules import Bimodule
@@ -151,8 +156,9 @@ def _located(text: str, want: tuple | None = None, key: bool = False):
 class _Ctx:
     path: str
     text: str
-    # each distinct rational token of the document, once validated, and its
-    # value: a table of n^3 entries holds few distinct tokens
+    # each distinct rational string of the document, once validated, and
+    # its value; the token pass looks up each distinct token of a table
+    # here, so a document's tables validate a token once between them
     rationals: dict[str, Fraction]
 
     def error(self, pos: int, token: object, message: str) -> ParseError:
@@ -263,9 +269,10 @@ def _built(ctx: _Ctx, at: tuple, cls, *args):
 
 
 def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
-    """The nested list of rationals ``node`` of the given shape.  A list of
-    the wrong length is named by its position, as in c[1][2], and its token
-    is its length when it holds lists."""
+    """The nested list of rationals ``node`` of the given shape, read entry
+    by entry: the walk that names a refusal after ``_distinct`` refused.  A
+    list of the wrong length is named by its position, as in c[1][2], and
+    its token is its length when it holds lists."""
     n, inner = shape[0], shape[1:]
     if not isinstance(node, list) or len(node) != n:
         raise ctx.fail(at, len(node) if isinstance(node, list) and inner else node,
@@ -275,9 +282,122 @@ def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
     return [_array(x, inner, ctx, (*at, k)) for k, x in enumerate(node)]
 
 
+# the types of a table entry the token pass takes: a JSON integer or a
+# string.  A bool, which equals and hashes as 0 or 1, a float, null or a
+# container goes to the walk, which refuses it.
+_TOKENS = {int, str}
+
+
+def _values(tokens: set, memo: dict[str, Fraction]) -> dict | None:
+    """The value of each of ``tokens``, JSON integers and strings, with each
+    string validated once per document through ``memo``; None when one is
+    not a rational."""
+    values = {}
+    for token in tokens:
+        value = memo.get(token) if type(token) is str else Fraction(token)
+        if value is None:
+            if not _RATIONAL_RE.fullmatch(token):
+                return None
+            try:
+                value = memo[token] = Fraction(token)
+            except (ZeroDivisionError, ValueError):  # a zero denominator, or too many digits
+                return None
+        values[token] = value
+    return values
+
+
+def _scaled(values: dict) -> tuple[int, dict]:
+    """d, the lcm of the denominators of one table's ``values``, and each
+    token's int at d."""
+    d = math.lcm(*{v.denominator for v in values.values()})
+    return d, {token: v.numerator * (d // v.denominator) for token, v in values.items()}
+
+
+def _distinct(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> tuple[list, dict]:
+    """The innermost lists of the nested list ``node`` of the given shape,
+    in document order, and the value of each distinct token in them.  When
+    a list has the wrong length or an entry is not a rational, the walk
+    ``_array`` runs and names the first such value in document order."""
+    lists = [node]
+    for depth, n in enumerate(shape):
+        if depth:
+            lists = [x for parent in lists for x in parent]
+        if not all(type(x) is list and len(x) == n for x in lists):
+            break
+    else:
+        if set(map(type, chain.from_iterable(lists))) <= _TOKENS:
+            values = _values(set().union(*lists), ctx.rationals)
+            if values is not None:
+                return lists, values
+    _array(node, shape, ctx, at)
+    raise AssertionError(f"{_spell(at)}: the walk read a table the token pass refused")
+
+
+def _table(node: object, shape: tuple[int, int, int], ctx: _Ctx, at: tuple) -> Tensor3:
+    """The dense table ``node`` of the given shape, compiled from its
+    distinct tokens: each is scaled to its int at the table's d once, and
+    each entry is one lookup."""
+    d, ints = _scaled(_distinct(node, shape, ctx, at)[1])
+    return Tensor3.from_scaled(shape, d, node, ints)
+
+
+def _rationals(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
+    """The vector (a shape of one axis) or the matrix (two) of rationals
+    ``node``, each entry its distinct token's value."""
+    lists, values = _distinct(node, shape, ctx, at)
+    rows = [list(map(values.__getitem__, f)) for f in lists]
+    return rows[0] if len(shape) == 1 else rows
+
+
+def _sparse_fibers(node: object, n: int) -> dict | None:
+    """The fibers of the list of {i, j, out} entries ``node`` of a dim-n
+    table, as {(i, j): {k: token}} 0-based, when every entry passes the
+    key checks of ``_sparse_walk`` and every value is a JSON integer or a
+    string; else None."""
+    if type(node) is not list:
+        return None
+    fibers: dict[tuple[int, int], dict[int, object]] = {}
+    try:
+        for item in node:
+            if type(item) is not dict:
+                return None
+            i, j, out = item.get("i"), item.get("j"), item.get("out")
+            if not (type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n
+                    and type(out) is dict and (i - 1, j - 1) not in fibers):
+                return None
+            fiber = fibers[i - 1, j - 1] = {}
+            for kstr, token in out.items():
+                k = int(kstr) if kstr.isascii() and kstr.isdigit() else 0
+                if not 0 < k <= n or k - 1 in fiber:
+                    return None
+                fiber[k - 1] = token
+    except ValueError:  # an index with more digits than int converts
+        return None
+    kinds = set(map(type, chain.from_iterable(f.values() for f in fibers.values())))
+    return fibers if kinds <= _TOKENS else None
+
+
 def _sparse(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
     """A dim-n product tensor from the list of {i, j, out} entries at path
-    ``at``, built sparse: only its nonzero entries become integers."""
+    ``at``, compiled from its distinct tokens: only its nonzero entries
+    become integers.  On a refusal the walk ``_sparse_walk`` runs and names
+    the first bad value in document order."""
+    fibers = _sparse_fibers(node, n)
+    if fibers is not None:
+        values = _values(set().union(*(f.values() for f in fibers.values())), ctx.rationals)
+        if values is not None:
+            d, ints = _scaled(values)
+            F = [[[]] * n for _ in range(n)]
+            for (i, j), fiber in fibers.items():
+                F[i][j] = [(k, a) for k, token in sorted(fiber.items()) if (a := ints[token])]
+            return Tensor3._made((n, n, n), (d, F))
+    _sparse_walk(node, n, ctx, at)
+    raise AssertionError(f"{_spell(at)}: the walk read a table the token pass refused")
+
+
+def _sparse_walk(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
+    """The tensor ``_sparse`` reads, read entry by entry: the walk that
+    names a refusal after the token pass refused."""
     if not isinstance(node, list):
         raise ctx.fail(at, node, f"{_spell(at)} must be a list")
     fibers: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -360,8 +480,7 @@ def _structure(node: object, ctx: _Ctx, at: tuple, cls=StructureAlgebra):
         tensors = [_sparse(node.get(name, []), dim, ctx, (*at, name)) for name in lists]
     else:
         shape = (dim, dim, dim)
-        tensors = [Tensor3(_array(_field(node, key, ctx, at), shape, ctx, (*at, key)), shape)
-                   for key in keys]
+        tensors = [_table(_field(node, key, ctx, at), shape, ctx, (*at, key)) for key in keys]
     return cls(dim, q, *tensors)
 
 
@@ -371,8 +490,7 @@ def _actions(node: object, keys: tuple[str, str], n: int, m: int, ctx: _Ctx,
     of an n-dim algebra on an m-dim space.  Each list holds n row-major
     m x m matrices, one per acting basis vector."""
     shape = (n, m, m)
-    l, r = (Tensor3(_array(_field(node, k, ctx, at), shape, ctx, (*at, k)), shape)
-            .transposed() for k in keys)
+    l, r = (_table(_field(node, k, ctx, at), shape, ctx, (*at, k)).transposed() for k in keys)
     return Bimodule(n, m, l, r)
 
 
@@ -419,7 +537,7 @@ def load_form(path: str) -> tuple[StructureAlgebra, BilinearForm]:
         raise ctx.fail(("form", "kind"), kind,
                        "form.kind must be symmetric, antisymmetric, or general")
     shape = (dim, dim)
-    gram = Matrix(_array(_field(fnode, "gram", ctx, ("form",)), shape, ctx, ("form", "gram")),
+    gram = Matrix(_rationals(_field(fnode, "gram", ctx, ("form",)), shape, ctx, ("form", "gram")),
                   shape)
     if dim != A.dim:
         raise ctx.fail(("form", "dim"), dim, "form.dim must match the algebra dimension")
@@ -432,14 +550,14 @@ def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, Matrix]:
     A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
     M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, ("bimodule",))
     shape = (A.dim, M.module_dim)
-    return A, M, Matrix(_array(_field(data, "T", ctx), shape, ctx, ("T",)), shape)
+    return A, M, Matrix(_rationals(_field(data, "T", ctx), shape, ctx, ("T",)), shape)
 
 
 def load_rota_baxter(path: str) -> tuple[StructureAlgebra, Matrix]:
     ctx, data = _read(path)
     A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
     shape = (A.dim, A.dim)
-    return A, Matrix(_array(_field(data, "tau", ctx), shape, ctx, ("tau",)), shape)
+    return A, Matrix(_rationals(_field(data, "tau", ctx), shape, ctx, ("tau",)), shape)
 
 
 @dataclass
@@ -482,8 +600,8 @@ def load_fixture(path: str) -> PaperFixture:
     if not isinstance(lines, list):
         raise ctx.fail(("displayed",), lines, "displayed must be a list")
     displayed = [
-        {k: _array(_field(item, k, ctx, ("displayed", pos)), (2 * half,), ctx,
-                   ("displayed", pos, k))
+        {k: _rationals(_field(item, k, ctx, ("displayed", pos)), (2 * half,), ctx,
+                        ("displayed", pos, k))
          for k in ("left", "right", "result")}
         for pos, item in enumerate(lines)
     ]

@@ -14,10 +14,13 @@ act on the left.
 A Tensor3 is its compiled form, the integer fibers the kernel of
 algebra.py runs on: the least common denominator d of its entries and
 each fiber d * c[i][j] as its nonzero (k, int) pairs in k order.  This
-form is canonical.  Every constructor builds it, the sparse one
-``Tensor3.from_sparse`` from the nonzero entries it is given, and every
-operation (sum, scaling, the two axis swaps) works on the integers
-alone; the dense Fraction entries are a view, made on first read.  A
+form is canonical.  Every constructor builds it: the two dense ones
+through one compile (``Tensor3._compile``), from Fraction entries or, for
+the loader, from each entry's int looked up (``Tensor3.from_scaled``),
+and the sparse one ``Tensor3.from_sparse`` from the nonzero entries it
+is given.  Every operation (sum, scaling, the two axis swaps) works on
+the integers alone; the dense Fraction entries are a view, made on first
+read.  A
 Matrix is still mutable Fraction rows, scaled to integers on each check
 by ``_at_common_den``, the one rule for a check's common denominator.
 """
@@ -25,6 +28,7 @@ by ``_at_common_den``, the one rule for a check's common denominator.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -329,6 +333,7 @@ class Matrix:
 Fibers = list[list[list[tuple[int, int]]]]  # F[i][j]: the nonzero (k, int) in k order
 
 _set = object.__setattr__
+_second = operator.itemgetter(1)
 
 
 def _times(F: Fibers, f: int) -> Fibers:
@@ -340,10 +345,16 @@ def _times(F: Fibers, f: int) -> Fibers:
 
 def _fiber_sum(F: Fibers, G: Fibers) -> Fibers:
     """F + G for two tables compiled at one d, as its fibers at that d:
-    each fiber's nonzero pairs in k order."""
+    each fiber's nonzero pairs in k order.  Two fibers that list the same
+    ks in the same order, as every fiber of a dense table does, are added
+    pairwise; any others through a dict of their ks."""
     def added(f, g):
         if not (f and g):
             return f or g
+        if len(f) == len(g):
+            pairs = [(k, a + b) for (k, a), (l, b) in zip(f, g) if k == l]
+            if len(pairs) == len(f):
+                return list(filter(_second, pairs))
         acc = dict(f)
         for k, v in g:
             acc[k] = acc.get(k, 0) + v
@@ -387,9 +398,24 @@ class Tensor3:
                 if len(fiber) != d3:
                     raise _unfilled(shape)
         d = math.lcm(*{x.denominator for plane in e for f in plane for x in f})
-        F = [[[(k, a) for k, x in enumerate(f) if (a := x.numerator * (d // x.denominator))]
-              for f in plane] for plane in e]
-        self._hold(shape, (d, F), e)
+        self._compile(shape, d, e, lambda x: x.numerator * (d // x.denominator), e)
+
+    def _compile(self, shape: tuple, d: int, table: Sequence, scale, entries: tuple | None) -> None:
+        """The one compile of a dense table, behind this constructor and the
+        loader's ``from_scaled``: ``table`` the nested lists of ``shape``,
+        each entry taken to its int at d, the least common denominator, by
+        ``scale``; each fiber keeps its nonzero (k, int) pairs in k order."""
+        F = [[list(filter(_second, enumerate(map(scale, f)))) for f in plane] for plane in table]
+        self._hold(shape, (d, F), entries)
+
+    @classmethod
+    def from_scaled(cls, shape: tuple, d: int, table: Sequence, ints: dict) -> "Tensor3":
+        """The tensor of ``shape`` whose entry x of the nested lists ``table``
+        is ints[x] / d, where d is the least common denominator of those
+        values: each entry is one lookup."""
+        t = object.__new__(cls)
+        t._compile(shape, d, table, ints.__getitem__, None)
+        return t
 
     def _hold(self, shape: tuple, compiled: tuple[int, Fibers], entries: tuple | None) -> None:
         for name, value in zip(self.__slots__, (*shape, compiled, entries)):

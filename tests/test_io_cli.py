@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from io import StringIO
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from antiassoc import CheckReport, Violation, algebra, classify2d, cli, operators
@@ -32,9 +33,10 @@ from antiassoc.io import (
     load_form,
     load_rota_baxter,
 )
-from antiassoc.linalg import exact_str
+from antiassoc.linalg import Matrix, Tensor3, exact_str
 
 from .test_cli_golden import CASES, DOCS, REFUSED, ROOT, demo_env, write_documents
+from .test_kernel import _canonical
 
 E1E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 1, "j": 1, "out": {"2": "1"}}]}
 E2E1_DOC = {"dim": 2, "q": "-1", "products": [{"i": 2, "j": 1, "out": {"2": "1"}}]}
@@ -1502,3 +1504,278 @@ def test_cli_survives_one_mutated_value(fuzz_dir, seed):
             else:
                 path, key = (*parents, last), False
             assert int(line["byte"]) == _start_of(doc, path, key), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the distinct-token pass against the per-entry walk
+
+_ZERO_TOKENS = [0, "0", "-0", "0/7", "00"]
+# "2/4" and "-5/10" beside "1/2" and "-1/2"; primes near 10^6 as denominators
+_VALUE_TOKENS = [1, -3, 12, "1/2", "2/4", "-1/2", "-5/10", "7", "3/999983", "-2/999979",
+                 "5/1000003"]
+NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
+
+
+def _token(rng):
+    return rng.choice(_ZERO_TOKENS if rng.random() < 0.5 else _VALUE_TOKENS)
+
+
+def _nested(rng, shape):
+    return [_nested(rng, shape[1:]) for _ in range(shape[0])] if shape else _token(rng)
+
+
+def _fractions(node):
+    return [_fractions(x) for x in node] if isinstance(node, list) else Fraction(node)
+
+
+def _sparse_list(rng, n):
+    """A drawn {i, j, out} list of a dim-n table in a drawn order, with
+    explicit zeros and indices spelled with a leading zero among it, and
+    the same table as the fibers ``Tensor3.from_sparse`` takes."""
+    items, fibers = [], {}
+    for i, j in itertools.product(range(n), repeat=2):
+        if rng.random() < 0.6:
+            ks = rng.sample(range(n), rng.randint(0, n))
+            out = {("0" if rng.random() < 0.2 else "") + str(k + 1): _token(rng) for k in ks}
+            items.append({"i": i + 1, "j": j + 1, "out": out})
+            fibers[i, j] = {k: Fraction(token) for k, token in zip(ks, out.values())}
+    rng.shuffle(items)
+    return items, fibers
+
+
+def _structure_case(rng, n, keys, q=None):
+    """A structure node of dim n with one table per key (c, or prec and
+    succ), all dense or all sparse, and for each table the Tensor3 its
+    Fractions make, with its dense Fraction entries."""
+    doc = {"dim": n, "q": q or rng.choice([-1, "-1", "-2/4", "3/999983"])}
+    want, sparse = [], rng.random() < 0.5
+    for key in keys:
+        if sparse:
+            doc["products" if key == "c" else f"{key}_products"], fibers = _sparse_list(rng, n)
+            dense = [[[fibers.get((i, j), {}).get(k, Fraction(0)) for k in range(n)]
+                      for j in range(n)] for i in range(n)]
+            want.append((Tensor3.from_sparse((n, n, n), fibers), dense))
+        else:
+            doc[key] = _nested(rng, (n, n, n))
+            dense = _fractions(doc[key])
+            want.append((Tensor3(dense, (n, n, n)), dense))
+    return doc, want
+
+
+def _actions_case(rng, n, m):
+    """Action lists l and r of an n-dim algebra on an m-dim space, each the
+    n row-major matrices of its basis vectors, and their tables (the
+    matrices' columns) as ``_structure_case`` gives them."""
+    lists = {key: _nested(rng, (n, m, m)) for key in ("l", "r")}
+    want = []
+    for t in map(_fractions, lists.values()):
+        columns = [[[plane[r][c] for r in range(m)] for c in range(m)] for plane in t]
+        want.append((Tensor3(t, (n, m, m)).transposed(), columns))
+    return lists, want
+
+
+def _loader_case(rng, kind, n, m):
+    """(document, loader, the loaded value's tables, its expected tables)."""
+    A, want_A = _structure_case(rng, n, ("c",), -1 if kind == "fixture" else None)
+    if kind == "algebra":
+        return A, load_algebra, lambda X: [X.c], want_A
+    if kind == "dendriform":
+        D, want = _structure_case(rng, n, ("prec", "succ"))
+        return D, load_dendriform, lambda X: [X.c_prec, X.c_succ], want
+    if kind == "bimodule":
+        lists, want = _actions_case(rng, n, m)
+        return ({"algebra": A, "module_dim": m, **lists}, load_bimodule,
+                lambda got: [got[0].c, got[1].l, got[1].r], want_A + want)
+    if kind == "o-operator":
+        lists, want = _actions_case(rng, n, m)
+        T = _nested(rng, (n, m))
+        return ({"algebra": A, "bimodule": {"module_dim": m, **lists}, "T": T},
+                aio.load_o_operator, lambda got: [got[0].c, got[1].l, got[1].r, got[2]],
+                want_A + want + [Matrix(_fractions(T), (n, n if m is None else m))])
+    if kind == "rota-baxter":
+        tau = _nested(rng, (n, n))
+        return ({"algebra": A, "tau": tau}, load_rota_baxter, lambda got: [got[0].c, got[1]],
+                want_A + [Matrix(_fractions(tau), (n, n))])
+    if kind == "form":
+        gram = _nested(rng, (n, n))
+        return ({"algebra": A, "form": {"dim": n, "kind": "general", "gram": gram}}, load_form,
+                lambda got: [got[0].c, got[1].gram], want_A + [Matrix(_fractions(gram), (n, n))])
+    B, want_B = _structure_case(rng, n, ("c",), -1)
+    displayed = [{key: _nested(rng, (2 * n,)) for key in ("left", "right", "result")}
+                 for _ in range(rng.randint(0, 2))]
+    return ({"label": "drawn", "kind": "quadratic", "A": A, "Astar": B, "displayed": displayed,
+             "complete": False}, aio.load_fixture,
+            lambda got: [*(X.c for X in got.halves), got.displayed],
+            want_A + want_B + [[{key: _fractions(v) for key, v in line.items()}
+                                for line in displayed]])
+
+
+_LOADER_KINDS = ["algebra", "dendriform", "bimodule", "o-operator", "rota-baxter", "form",
+                 "fixture"]
+
+
+def _no_walk(*args):
+    raise AssertionError("the per-entry walk ran on a valid table")
+
+
+@given(seed=st.integers(0, 2**30))
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+def test_the_token_pass_reads_each_table_as_its_fractions(tmp_path_factory, seed):
+    """A valid document of each kind, dense or sparse, whose tokens mix JSON
+    integers, zeros spelled "-0" and "0/7", equal values spelled "2/4" and
+    "1/2" and primes near 10^6 as denominators, loads without the
+    per-entry walk, and each table is the one its entries give as
+    Fractions: the same shape and compiled form as the dense constructor
+    or ``from_sparse`` makes, and each Matrix and vector equal."""
+    rng = random.Random(seed)
+    kind, n, m = rng.choice(_LOADER_KINDS), rng.randint(0, 3), rng.randint(0, 3)
+    doc, load, tables, want = _loader_case(rng, kind, n, m)
+    path = tmp_path_factory.mktemp("tokens") / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    with mock.patch.object(aio, "_array", _no_walk), \
+            mock.patch.object(aio, "_sparse_walk", _no_walk):
+        got = tables(load(str(path)))
+    assert len(got) == len(want)
+    for table, expected in zip(got, want):
+        if isinstance(table, Tensor3):
+            made, dense = expected
+            assert ((table.d1, table.d2, table.d3), table.compiled) == \
+                ((made.d1, made.d2, made.d3), made.compiled), kind
+            assert table.compiled == _canonical(dense), kind
+        else:
+            assert table == expected, kind
+
+
+_BAD_TOKENS = ["1/0", "x", "1.5", "", " 1", 0.5, None, True, False, [], {"a": 1}]
+
+
+def _dense_fault(rng, table, depth):
+    """One fault put into the nested list ``table`` of ``depth`` axes, each
+    at least 1 long: a value that is no rational, a list one short or one
+    long, a list replaced by a value, or true beside a 1 (false beside a 0)."""
+    fault = rng.choice(["bad", "short", "long", "value", "bool"])
+    lists, level = [table], rng.randrange(depth)
+    for _ in range(level if fault in ("short", "long", "value") else depth - 1):
+        lists = [x for parent in lists for x in parent if isinstance(x, list)]
+    lists = [x for x in lists if x]
+    if not lists:  # an earlier fault left no list this deep
+        return
+    if fault == "value" and level:
+        rng.choice(lists)[:] = [rng.choice(_BAD_TOKENS[:5])]  # one value where a list was
+        return
+    row = rng.choice(lists)
+    if fault == "short":
+        row.pop(rng.randrange(len(row)))
+    elif fault == "long":
+        row.insert(rng.randrange(len(row) + 1), copy.deepcopy(row[0]))
+    elif fault in ("bad", "value"):
+        row[rng.randrange(len(row))] = rng.choice(_BAD_TOKENS)
+    else:
+        value, twin = rng.choice([(1, True), (0, False)])
+        row[rng.randrange(len(row))], row[rng.randrange(len(row))] = value, twin
+
+
+def _sparse_fault(rng, items, n):
+    """One fault put into the {i, j, out} list ``items`` of a dim-n table:
+    a bad value, index key or field, an index spelled twice, or a
+    repeated (i, j)."""
+    fault = rng.choice(["value", "key", "twice", "field", "repeat"])
+    if not items or fault == "repeat":
+        pos = rng.randrange(len(items) + 1)
+        items.insert(pos, copy.deepcopy(rng.choice(items)) if items else {"i": 1, "j": 1})
+        return
+    item = rng.choice(items)
+    out = item.get("out")
+    if fault == "field" or not isinstance(out, dict):
+        key, value = rng.choice([("i", 0), ("j", n + 1), ("i", True), ("j", "1"),
+                                 ("out", []), ("out", None)])
+        item[key] = value
+    elif fault == "key":
+        out[rng.choice(["0", str(n + 1), "x", "-1", "١"])] = "1"
+    elif fault == "twice" or not out:
+        k = rng.choice(list(out) or ["1"]).lstrip("0")
+        out.setdefault(k, "1")
+        out["0" + k] = "1"
+    else:
+        out[rng.choice(list(out))] = rng.choice(_BAD_TOKENS)
+
+
+def _walk_error(path, key, shape):
+    """The refusal of the per-entry walk, called directly on the table under
+    ``key`` of the document at ``path``: ``_sparse_walk`` of a dim-``shape``
+    list, ``_array`` of a nested list of that shape; None if it reads it."""
+    ctx, data = aio._read(str(path))
+    try:
+        if type(shape) is int:
+            aio._sparse_walk(data[key], shape, ctx, (key,))
+        else:
+            aio._array(data[key], shape, ctx, (key,))
+    except ParseError as exc:
+        return exc
+    return None
+
+
+def _error_line(kind, path):
+    err = StringIO()
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+        assert cli.run(["verify", kind, str(path)]) == 2
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("key, table, message", [
+    ("c", [[["1/0", "1"], ["1"]], [["0", "0"], ["0", "0"]]], "denominator is zero"),
+    ("c", [[["1"], ["1/0", "1"]], [["0", "0"], ["0", "0"]]], "c[1][1]: expected a list of 2"),
+    ("c", [[[1, "1"], [True, 1]], [[0, 0], ["1/0", 0]]], 'expected a rational string like "-1/2"'),
+    ("products", [{"i": 1, "j": 1, "out": {"2": "1"}}, {"i": 1, "j": 1, "out": {"1": "x"}},
+                  {"i": 2, "j": 2, "out": {"3": "1"}}],
+     "products[2] repeats the pair (i, j) = (1, 1) of products[1]"),
+    ("products", [{"i": 1, "j": 1, "out": {"2": "x"}}, {"i": 1, "j": 1, "out": {"1": "1"}}],
+     "malformed rational"),
+], ids=["bad_token_then_short_row", "short_row_then_bad_token", "true_beside_1",
+        "repeated_pair_then_bad_token", "bad_token_then_repeated_pair"])
+def test_a_table_with_two_faults_prints_the_walks_first(tmp_path, key, table, message):
+    """Of two faults in one table, the one first in document order is
+    refused, with the exact error line of the per-entry walk."""
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps({"dim": 2, "q": "-1", key: table}))
+    walk = _walk_error(path, key, 2 if key == "products" else (2, 2, 2))
+    assert message in str(walk)
+    assert _error_line("algebra", path) == f"error: {walk}\n"
+
+
+@given(seed=st.integers(0, 2**30))
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+def test_a_refused_table_gives_the_walks_own_error_line(tmp_path_factory, seed):
+    """A table with two faults, each anywhere in it (a bad token before or
+    after a short row, a repeated (i, j), true in a table that also holds
+    1, ...), prints the exact error line of the per-entry walk called
+    directly on that table: the token pass only hands a refusal on."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    kind, key = rng.choice([("algebra", "c"), ("algebra", "products"),
+                            ("dendriform", "succ_products"), ("dendriform", "prec"),
+                            ("bimodule", "l"), ("rota-baxter", "tau"), ("o-operator", "T")])
+    sparse = key.endswith("products")
+    keys = ("prec", "succ") if kind == "dendriform" else ("c",)
+    while True:
+        A, _ = _structure_case(rng, n, keys)
+        if sparse == any(name.endswith("products") for name in A):
+            break
+    lists, _ = _actions_case(rng, n, m)
+    doc = {"algebra": {"dim": n, "q": -1, "c": _nested(rng, (n, n, n))}, "module_dim": m,
+           **lists} if kind == "bimodule" else A
+    if kind == "rota-baxter":
+        doc = {"algebra": A, "tau": _nested(rng, (n, n))}
+    elif kind == "o-operator":
+        doc = {"algebra": A, "bimodule": {"module_dim": m, **lists}, "T": _nested(rng, (n, m))}
+    shape = {"l": (n, m, m), "tau": (n, n), "T": (n, m)}.get(key, (n, n, n))
+    for _ in range(2):
+        if sparse:
+            _sparse_fault(rng, doc[key], n)
+        else:
+            _dense_fault(rng, doc[key], len(shape))
+    path = tmp_path_factory.mktemp("faults") / f"{kind}.json"
+    path.write_text(json.dumps(doc, indent=rng.choice([None, 2])))
+    walk = _walk_error(path, key, n if sparse else shape)
+    assume(walk is not None)  # the second fault undid the first: a row cut, then lengthened
+    assert _error_line(kind, path) == f"error: {walk}\n"

@@ -657,17 +657,18 @@ def test_join_is_the_compiled_block_tensor(seed, n, m):
 
 
 def _counted(monkeypatch) -> tuple[list, list]:
-    """From here on, the tables compiled from dense entries, by the dense
-    constructor, and the tables whose entries view is built from their
-    compiled form; no other code path makes either."""
+    """From here on, the tables compiled from dense entries, by the one
+    dense compile behind the dense constructor and the loader, and the
+    tables whose entries view is built from their compiled form; no other
+    code path makes either."""
     compiles, views = [], []
-    init, view = Tensor3.__init__, Tensor3._view
+    compile_, view = Tensor3._compile, Tensor3._view
 
-    def counted_init(t, *args, **kwargs):
+    def counted_compile(t, *args, **kwargs):
         compiles.append(t)
-        init(t, *args, **kwargs)
+        compile_(t, *args, **kwargs)
 
-    monkeypatch.setattr(Tensor3, "__init__", counted_init)
+    monkeypatch.setattr(Tensor3, "_compile", counted_compile)
     monkeypatch.setattr(Tensor3, "_view", lambda t: views.append(t) or view(t))
     return compiles, views
 
@@ -837,6 +838,41 @@ def test_fiber_sum_is_the_compiled_sum(seed, n, m):
             want = [[[(k, x.numerator * (D // x.denominator)) for k, x in enumerate(f) if x]
                      for f in plane] for plane in total]
             assert linalg._fiber_sum(_fibers_at(a, D), _fibers_at(b, D)) == want
+
+
+@st.composite
+def fiber_pairs(draw):
+    """Two fibers of one length, each its nonzero (k, int) pairs in k order:
+    the second on the first's ks, with each value drawn or the first's
+    negated (so some or all of the sum cancels), or on ks of its own."""
+    n = draw(st.integers(1, 6))
+    value = st.integers(-3, 3).filter(bool)
+
+    def fiber():
+        ks = sorted(draw(st.sets(st.integers(0, n - 1))))
+        return [(k, draw(value)) for k in ks]
+
+    f = fiber()
+    if draw(st.booleans()):
+        return f, [(k, draw(st.sampled_from([-a, draw(value)]))) for k, a in f]
+    return f, fiber()
+
+
+@given(fiber_pairs())
+@example(([(0, 1), (2, -3)], [(0, -1), (2, 3)]))
+@example(([(0, 1), (2, -3)], [(0, 2), (1, 3)]))
+@settings(max_examples=200, deadline=None)
+def test_fiber_sum_adds_equal_ks_pairwise_as_the_dict_does(pair):
+    """Two fibers on the same ks in the same order are added pairwise, any
+    others through a dict of their ks: both give the dict's sum, each
+    k once, in k order, with every cancelled k dropped."""
+    f, g = pair
+    acc = {}
+    for k, a in f + g:
+        acc[k] = acc.get(k, 0) + a
+    want = [(k, a) for k, a in sorted(acc.items()) if a]
+    assert linalg._fiber_sum([[f]], [[g]]) == [[want]]
+    assert linalg._fiber_sum([[g]], [[f]]) == [[want]]
 
 
 _PRIMES = [2, 3, 7, 101, 999983]
