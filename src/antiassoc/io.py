@@ -8,22 +8,23 @@ one object.  Output spells every rational whole (``linalg.exact_str``),
 however many digits it has.
 
 Three readers take every document apart: ``_distinct`` reads a nested
-list of rationals of a fixed shape, ``_structure`` an algebra-like node
-(an algebra or a dendriform structure, dense or sparse, or the file it
-names), and ``_actions`` an (l, r) pair of action lists.  A table is read
-by its distinct tokens: each is validated once, through its document's
-memo of rational strings, and scaled once to its int at the table's
-least common denominator, so each entry costs one lookup and no entry
-becomes a Fraction on its way to a Tensor3.  Only after this token pass
-refuses does the per-entry walk (``_array``, ``_sparse_walk``) run, to
-name the first bad value in document order.  Errors carry the file
-path, a byte offset, and the offending token, and each message names the
-value by its path from the root of that file, as in ``B.products[2]`` or
+list of rationals of a fixed shape (a table, a matrix, or every vector
+of a fixture at once), ``_structure`` an algebra-like node (an algebra
+or a dendriform structure, dense or sparse, or the file it names), and
+``_actions`` an (l, r) pair of action lists.  A table is read by its
+distinct tokens: each is validated once, through its document's memo of
+rational strings, and scaled once to its int at the table's least
+common denominator, so each entry costs one lookup and no entry becomes
+a Fraction on its way to a Tensor3.  Only after this token pass refuses
+does the per-entry walk (``_array``, ``_sparse_walk``) run, to name the
+first bad value in document order.  Errors carry the file path, a byte
+offset, and the offending token, and each message names the value by
+its path from the root of that file, as in ``B.products[2]`` or
 ``displayed[4].left``.  The offset, which ``_located`` finds after a
 refusal, is exact: a string value or a key is located at the first byte
 inside its quote, any other value at its first byte, and a refusal that
-names an object (a missing field, or values that do not fit together) at
-that object's ``{``.
+names an object (a missing field, or values that do not fit together)
+at that object's ``{``.
 
 ``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` with a small recursive writer over dicts, lists and tuples.
@@ -43,6 +44,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NoReturn
 
 from .algebra import CheckReport, StructureAlgebra
 from .bimodules import Bimodule
@@ -270,7 +272,7 @@ def _built(ctx: _Ctx, at: tuple, cls, *args):
 
 def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
     """The nested list of rationals ``node`` of the given shape, read entry
-    by entry: the walk that names a refusal after ``_distinct`` refused.  A
+    by entry: the walk that names a refusal after the token pass refused.  A
     list of the wrong length is named by its position, as in c[1][2], and
     its token is its length when it holds lists."""
     n, inner = shape[0], shape[1:]
@@ -286,6 +288,7 @@ def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
 # string.  A bool, which equals and hashes as 0 or 1, a float, null or a
 # container goes to the walk, which refuses it.
 _TOKENS = {int, str}
+_LIST = {list}
 
 
 def _values(tokens: set, memo: dict[str, Fraction]) -> dict | None:
@@ -313,40 +316,58 @@ def _scaled(values: dict) -> tuple[int, dict]:
     return d, {token: v.numerator * (d // v.denominator) for token, v in values.items()}
 
 
-def _distinct(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> tuple[list, dict]:
+def _distinct(node: object, shape: tuple[int, ...], memo: dict[str, Fraction]
+              ) -> tuple[list, dict] | None:
     """The innermost lists of the nested list ``node`` of the given shape,
-    in document order, and the value of each distinct token in them.  When
-    a list has the wrong length or an entry is not a rational, the walk
-    ``_array`` runs and names the first such value in document order."""
+    in document order, and the value of each distinct token in them, each
+    string validated once per document through ``memo``; None when a list
+    has the wrong length or an entry is not a rational."""
     lists = [node]
     for depth, n in enumerate(shape):
         if depth:
             lists = [x for parent in lists for x in parent]
-        if not all(type(x) is list and len(x) == n for x in lists):
-            break
-    else:
-        if set(map(type, chain.from_iterable(lists))) <= _TOKENS:
-            values = _values(set().union(*lists), ctx.rationals)
-            if values is not None:
-                return lists, values
-    _array(node, shape, ctx, at)
-    raise AssertionError(f"{_spell(at)}: the walk read a table the token pass refused")
+        if not (set(map(type, lists)) <= _LIST and set(map(len, lists)) <= {n}):
+            return None
+    if not set(map(type, chain.from_iterable(lists))) <= _TOKENS:
+        return None
+    values = _values(set().union(*lists), memo)
+    return None if values is None else (lists, values)
+
+
+def _refused(walk) -> NoReturn:
+    """Run ``walk``, the per-entry read of what the token pass refused: it
+    raises the ParseError that names the first bad value in document order."""
+    walk()
+    raise AssertionError("the per-entry walk read what the token pass refused")
 
 
 def _table(node: object, shape: tuple[int, int, int], ctx: _Ctx, at: tuple) -> Tensor3:
     """The dense table ``node`` of the given shape, compiled from its
     distinct tokens: each is scaled to its int at the table's d once, and
     each entry is one lookup."""
-    d, ints = _scaled(_distinct(node, shape, ctx, at)[1])
+    read = _distinct(node, shape, ctx.rationals)
+    if read is None:
+        _refused(lambda: _array(node, shape, ctx, at))
+    d, ints = _scaled(read[1])
     return Tensor3.from_scaled(shape, d, node, ints)
 
 
-def _rationals(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
-    """The vector (a shape of one axis) or the matrix (two) of rationals
-    ``node``, each entry its distinct token's value."""
-    lists, values = _distinct(node, shape, ctx, at)
-    rows = [list(map(values.__getitem__, f)) for f in lists]
-    return rows[0] if len(shape) == 1 else rows
+def _rationals(node: object, shape: tuple[int, int], memo: dict[str, Fraction]) -> list | None:
+    """The rows of the matrix of rationals ``node`` of the given shape, each
+    entry its distinct token's value; None when the token pass refuses."""
+    read = _distinct(node, shape, memo)
+    if read is None:
+        return None
+    lists, values = read
+    return [list(map(values.__getitem__, f)) for f in lists]
+
+
+def _matrix(node: object, shape: tuple[int, int], ctx: _Ctx, at: tuple) -> Matrix:
+    """The matrix of rationals ``node`` of the given shape."""
+    rows = _rationals(node, shape, ctx.rationals)
+    if rows is None:
+        _refused(lambda: _array(node, shape, ctx, at))
+    return Matrix(rows, shape)
 
 
 def _sparse_fibers(node: object, n: int) -> dict | None:
@@ -391,8 +412,7 @@ def _sparse(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
             for (i, j), fiber in fibers.items():
                 F[i][j] = [(k, a) for k, token in sorted(fiber.items()) if (a := ints[token])]
             return Tensor3._made((n, n, n), (d, F))
-    _sparse_walk(node, n, ctx, at)
-    raise AssertionError(f"{_spell(at)}: the walk read a table the token pass refused")
+    _refused(lambda: _sparse_walk(node, n, ctx, at))
 
 
 def _sparse_walk(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
@@ -537,8 +557,7 @@ def load_form(path: str) -> tuple[StructureAlgebra, BilinearForm]:
         raise ctx.fail(("form", "kind"), kind,
                        "form.kind must be symmetric, antisymmetric, or general")
     shape = (dim, dim)
-    gram = Matrix(_rationals(_field(fnode, "gram", ctx, ("form",)), shape, ctx, ("form", "gram")),
-                  shape)
+    gram = _matrix(_field(fnode, "gram", ctx, ("form",)), shape, ctx, ("form", "gram"))
     if dim != A.dim:
         raise ctx.fail(("form", "dim"), dim, "form.dim must match the algebra dimension")
     # a gram matrix that does not have its kind is refused
@@ -550,14 +569,14 @@ def load_o_operator(path: str) -> tuple[StructureAlgebra, Bimodule, Matrix]:
     A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
     M = _bimodule_from(_field(data, "bimodule", ctx), A.dim, ctx, ("bimodule",))
     shape = (A.dim, M.module_dim)
-    return A, M, Matrix(_rationals(_field(data, "T", ctx), shape, ctx, ("T",)), shape)
+    return A, M, _matrix(_field(data, "T", ctx), shape, ctx, ("T",))
 
 
 def load_rota_baxter(path: str) -> tuple[StructureAlgebra, Matrix]:
     ctx, data = _read(path)
     A = _structure(_field(data, "algebra", ctx), ctx, ("algebra",))
     shape = (A.dim, A.dim)
-    return A, Matrix(_rationals(_field(data, "tau", ctx), shape, ctx, ("tau",)), shape)
+    return A, _matrix(_field(data, "tau", ctx), shape, ctx, ("tau",))
 
 
 @dataclass
@@ -599,12 +618,15 @@ def load_fixture(path: str) -> PaperFixture:
     lines = _field(data, "displayed", ctx)
     if not isinstance(lines, list):
         raise ctx.fail(("displayed",), lines, "displayed must be a list")
-    displayed = [
-        {k: _rationals(_field(item, k, ctx, ("displayed", pos)), (2 * half,), ctx,
-                        ("displayed", pos, k))
-         for k in ("left", "right", "result")}
-        for pos, item in enumerate(lines)
-    ]
+    keys = ("left", "right", "result")
+    # every displayed vector in one token pass, as the rows of one matrix
+    vectors = [item.get(k) if type(item) is dict else None for item in lines for k in keys]
+    rows = _rationals(vectors, (len(vectors), 2 * half), ctx.rationals)
+    if rows is None:
+        _refused(lambda: [_array(_field(item, k, ctx, ("displayed", pos)), (2 * half,), ctx,
+                                 ("displayed", pos, k))
+                          for pos, item in enumerate(lines) for k in keys])
+    displayed = [dict(zip(keys, rows[pos:pos + 3])) for pos in range(0, len(rows), 3)]
     complete = _field(data, "complete", ctx)
     if not isinstance(complete, bool):
         raise ctx.fail(("complete",), complete, "complete must be true or false")

@@ -1591,7 +1591,7 @@ def _loader_case(rng, kind, n, m):
         T = _nested(rng, (n, m))
         return ({"algebra": A, "bimodule": {"module_dim": m, **lists}, "T": T},
                 aio.load_o_operator, lambda got: [got[0].c, got[1].l, got[1].r, got[2]],
-                want_A + want + [Matrix(_fractions(T), (n, n if m is None else m))])
+                want_A + want + [Matrix(_fractions(T), (n, m))])
     if kind == "rota-baxter":
         tau = _nested(rng, (n, n))
         return ({"algebra": A, "tau": tau}, load_rota_baxter, lambda got: [got[0].c, got[1]],
@@ -1762,12 +1762,11 @@ def test_a_refused_table_gives_the_walks_own_error_line(tmp_path_factory, seed):
         if sparse == any(name.endswith("products") for name in A):
             break
     lists, _ = _actions_case(rng, n, m)
-    doc = {"algebra": {"dim": n, "q": -1, "c": _nested(rng, (n, n, n))}, "module_dim": m,
-           **lists} if kind == "bimodule" else A
-    if kind == "rota-baxter":
-        doc = {"algebra": A, "tau": _nested(rng, (n, n))}
-    elif kind == "o-operator":
-        doc = {"algebra": A, "bimodule": {"module_dim": m, **lists}, "T": _nested(rng, (n, m))}
+    doc = {"algebra": A, "dendriform": A,
+           "bimodule": {"algebra": A, "module_dim": m, **lists},
+           "rota-baxter": {"algebra": A, "tau": _nested(rng, (n, n))},
+           "o-operator": {"algebra": A, "bimodule": {"module_dim": m, **lists},
+                          "T": _nested(rng, (n, m))}}[kind]
     shape = {"l": (n, m, m), "tau": (n, n), "T": (n, m)}.get(key, (n, n, n))
     for _ in range(2):
         if sparse:
@@ -1779,3 +1778,47 @@ def test_a_refused_table_gives_the_walks_own_error_line(tmp_path_factory, seed):
     walk = _walk_error(path, key, n if sparse else shape)
     assume(walk is not None)  # the second fault undid the first: a row cut, then lengthened
     assert _error_line(kind, path) == f"error: {walk}\n"
+
+
+@given(seed=st.integers(0, 2**30))
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+def test_a_refused_fixture_vector_gives_the_walks_own_error(tmp_path_factory, seed):
+    """A fixture reads all its displayed vectors in one token pass; with two
+    faults among them (a bad token, a vector too short or too long or not
+    a list, a missing vector, a line that is not an object), it is refused
+    with the error of the per-entry walk over the lines in document order."""
+    rng = random.Random(seed)
+    n, keys = rng.randint(1, 2), ("left", "right", "result")
+    lines = [{key: _nested(rng, (2 * n,)) for key in keys} for _ in range(rng.randint(1, 3))]
+    for _ in range(2):
+        pos, key = rng.randrange(len(lines)), rng.choice(keys)
+        line = lines[pos]
+        fault = rng.choice(["bad", "short", "long", "value", "missing", "line"])
+        if fault == "line" or not isinstance(line, dict):
+            lines[pos] = rng.choice([[], "x", None])
+        elif fault == "missing":
+            line.pop(key, None)
+        elif fault == "value" or not isinstance(line.get(key), list):
+            line[key] = rng.choice(_BAD_TOKENS)
+        elif fault == "bad":
+            line[key][rng.randrange(2 * n)] = rng.choice(_BAD_TOKENS)
+        else:
+            line[key] = line[key][1:] if fault == "short" else line[key] + ["0"]
+    A, _ = _structure_case(rng, n, ("c",), -1)
+    B, _ = _structure_case(rng, n, ("c",), -1)
+    path = tmp_path_factory.mktemp("fixtures") / "case.json"
+    path.write_text(json.dumps({"label": "drawn", "kind": "quadratic", "A": A, "Astar": B,
+                                "displayed": lines, "complete": False}))
+    ctx, data = aio._read(str(path))
+    try:
+        for pos, line in enumerate(data["displayed"]):
+            for key in keys:
+                at = ("displayed", pos)
+                aio._array(aio._field(line, key, ctx, at), (2 * n,), ctx, (*at, key))
+    except ParseError as exc:
+        walk = exc
+    else:
+        assume(False)  # the second fault undid the first
+    with pytest.raises(ParseError) as loaded:
+        aio.load_fixture(str(path))
+    assert str(loaded.value) == str(walk)
