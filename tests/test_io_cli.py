@@ -1801,7 +1801,11 @@ def test_a_refused_fixture_vector_gives_the_walks_own_error(tmp_path_factory, se
         elif fault == "value" or not isinstance(line.get(key), list):
             line[key] = rng.choice(_BAD_TOKENS)
         elif fault == "bad":
-            line[key][rng.randrange(2 * n)] = rng.choice(_BAD_TOKENS)
+            vector = line[key]  # an earlier fault may have cut it short
+            if vector:
+                vector[rng.randrange(len(vector))] = rng.choice(_BAD_TOKENS)
+            else:
+                vector.append("x")
         else:
             line[key] = line[key][1:] if fault == "short" else line[key] + ["0"]
     A, _ = _structure_case(rng, n, ("c",), -1)
