@@ -15,16 +15,18 @@ or a dendriform structure, dense or sparse, or the file it names), and
 distinct tokens: each is validated once, through its document's memo of
 rational strings, and scaled once to its int at the table's least
 common denominator, so each entry costs one lookup and no entry becomes
-a Fraction on its way to a Tensor3.  Only after this token pass refuses
-does the per-entry walk (``_array``, ``_sparse_walk``) run, to name the
-first bad value in document order.  Errors carry the file path, a byte
-offset, and the offending token, and each message names the value by
-its path from the root of that file, as in ``B.products[2]`` or
-``displayed[4].left``.  The offset, which ``_located`` finds after a
-refusal, is exact: a string value or a key is located at the first byte
-inside its quote, any other value at its first byte, and a refusal that
-names an object (a missing field, or values that do not fit together)
-at that object's ``{``.
+a Fraction on its way to a Tensor3.  The token pass over a nested list
+checks whole levels at once, so only after it refuses does the
+per-entry walk ``_array`` run, to name the first bad value in document
+order; a sparse {i, j, out} list is read entry by entry anyway, so
+``_sparse`` refuses its first bad value where it reads it.  Errors carry
+the file path, a byte offset, and the offending token, and each message
+names the value by its path from the root of that file, as in
+``B.products[2]`` or ``displayed[4].left``.  The offset, which
+``_located`` finds after a refusal, is exact: a string value or a key
+is located at the first byte inside its quote, any other value at its
+first byte, and a refusal that names an object (a missing field, or
+values that do not fit together) at that object's ``{``.
 
 ``dump_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` with a small recursive writer over dicts, lists and tuples.
@@ -286,27 +288,9 @@ def _array(node: object, shape: tuple[int, ...], ctx: _Ctx, at: tuple) -> list:
 
 # the types of a table entry the token pass takes: a JSON integer or a
 # string.  A bool, which equals and hashes as 0 or 1, a float, null or a
-# container goes to the walk, which refuses it.
+# container is refused, by the walk or by ``_rational``.
 _TOKENS = {int, str}
 _LIST = {list}
-
-
-def _values(tokens: set, memo: dict[str, Fraction]) -> dict | None:
-    """The value of each of ``tokens``, JSON integers and strings, with each
-    string validated once per document through ``memo``; None when one is
-    not a rational."""
-    values = {}
-    for token in tokens:
-        value = memo.get(token) if type(token) is str else Fraction(token)
-        if value is None:
-            if not _RATIONAL_RE.fullmatch(token):
-                return None
-            try:
-                value = memo[token] = Fraction(token)
-            except (ZeroDivisionError, ValueError):  # a zero denominator, or too many digits
-                return None
-        values[token] = value
-    return values
 
 
 def _scaled(values: dict) -> tuple[int, dict]:
@@ -330,8 +314,18 @@ def _distinct(node: object, shape: tuple[int, ...], memo: dict[str, Fraction]
             return None
     if not set(map(type, chain.from_iterable(lists))) <= _TOKENS:
         return None
-    values = _values(set().union(*lists), memo)
-    return None if values is None else (lists, values)
+    values = {}
+    for token in set().union(*lists):
+        value = memo.get(token) if type(token) is str else Fraction(token)
+        if value is None:
+            if not _RATIONAL_RE.fullmatch(token):
+                return None
+            try:
+                value = memo[token] = Fraction(token)
+            except (ZeroDivisionError, ValueError):  # a zero denominator, or too many digits
+                return None
+        values[token] = value
+    return lists, values
 
 
 def _refused(walk) -> NoReturn:
@@ -370,89 +364,58 @@ def _matrix(node: object, shape: tuple[int, int], ctx: _Ctx, at: tuple) -> Matri
     return Matrix(rows, shape)
 
 
-def _sparse_fibers(node: object, n: int) -> dict | None:
-    """The fibers of the list of {i, j, out} entries ``node`` of a dim-n
-    table, as {(i, j): {k: token}} 0-based, when every entry passes the
-    key checks of ``_sparse_walk`` and every value is a JSON integer or a
-    string; else None."""
-    if type(node) is not list:
-        return None
-    fibers: dict[tuple[int, int], dict[int, object]] = {}
-    try:
-        for item in node:
-            if type(item) is not dict:
-                return None
-            i, j, out = item.get("i"), item.get("j"), item.get("out")
-            if not (type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n
-                    and type(out) is dict and (i - 1, j - 1) not in fibers):
-                return None
-            fiber = fibers[i - 1, j - 1] = {}
-            for kstr, token in out.items():
-                k = int(kstr) if kstr.isascii() and kstr.isdigit() else 0
-                if not 0 < k <= n or k - 1 in fiber:
-                    return None
-                fiber[k - 1] = token
-    except ValueError:  # an index with more digits than int converts
-        return None
-    kinds = set(map(type, chain.from_iterable(f.values() for f in fibers.values())))
-    return fibers if kinds <= _TOKENS else None
-
-
 def _sparse(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
     """A dim-n product tensor from the list of {i, j, out} entries at path
-    ``at``, compiled from its distinct tokens: only its nonzero entries
-    become integers.  On a refusal the walk ``_sparse_walk`` runs and names
-    the first bad value in document order."""
-    fibers = _sparse_fibers(node, n)
-    if fibers is not None:
-        values = _values(set().union(*(f.values() for f in fibers.values())), ctx.rationals)
-        if values is not None:
-            d, ints = _scaled(values)
-            F = [[[]] * n for _ in range(n)]
-            for (i, j), fiber in fibers.items():
-                F[i][j] = [(k, a) for k, token in sorted(fiber.items()) if (a := ints[token])]
-            return Tensor3._made((n, n, n), (d, F))
-    _refused(lambda: _sparse_walk(node, n, ctx, at))
-
-
-def _sparse_walk(node: object, n: int, ctx: _Ctx, at: tuple) -> Tensor3:
-    """The tensor ``_sparse`` reads, read entry by entry: the walk that
-    names a refusal after the token pass refused."""
+    ``at``, read once in document order: a cheap check passes each good
+    entry, key and value, the first that fails is refused where it stands,
+    and each distinct token is validated on first sight, through the
+    document's memo.  The table is compiled from its distinct tokens, so
+    only its nonzero entries become integers."""
     if not isinstance(node, list):
         raise ctx.fail(at, node, f"{_spell(at)} must be a list")
-    fibers: dict[tuple[int, int], dict[int, Fraction]] = {}
-    first: dict[tuple[int, int], int] = {}
+    fibers: dict[tuple[int, int], dict[int, object]] = {}
+    values: dict = {}  # each distinct token of the table and its value
     for pos, item in enumerate(node):
-        entry = (*at, pos)
-        i = _nat(item, "i", ctx, entry, 1)
-        j = _nat(item, "j", ctx, entry, 1)
-        out = _field(item, "out", ctx, entry)
-        if i > n or j > n:
-            raise ctx.fail(entry, max(i, j), f"{_spell(entry)}: index out of range for dim {n}")
-        if (i, j) in first:
-            # the bare key is the token: the path is not text of the file
-            raise ctx.fail(entry, at[-1], f"{_spell(entry)} repeats the pair (i, j) = "
-                                          f"({i}, {j}) of {_spell((*at, first[i, j]))}")
-        first[i, j] = pos
-        out_at = (*entry, "out")
-        if not isinstance(out, dict):
+        i, j, out = (item.get("i"), item.get("j"), item.get("out")) if type(item) is dict \
+            else (None, None, None)
+        out_at = (*at, pos, "out")
+        if not (type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n
+                and type(out) is dict and (i - 1, j - 1) not in fibers):
+            entry = (*at, pos)
+            i = _nat(item, "i", ctx, entry, 1)
+            j = _nat(item, "j", ctx, entry, 1)
+            _field(item, "out", ctx, entry)
+            if i > n or j > n:
+                raise ctx.fail(entry, max(i, j), f"{_spell(entry)}: index out of range for dim {n}")
+            if (i - 1, j - 1) in fibers:  # every entry before this one was read
+                first = next(p for p, x in enumerate(node) if (x["i"], x["j"]) == (i, j))
+                # the bare key is the token: the path is not text of the file
+                raise ctx.fail(entry, at[-1], f"{_spell(entry)} repeats the pair (i, j) = "
+                                              f"({i}, {j}) of {_spell((*at, first))}")
             raise ctx.fail(out_at, out, f"{_spell(out_at)} must map basis index to rational")
         fiber = fibers[i - 1, j - 1] = {}
-        for kstr, val in out.items():
+        for kstr, token in out.items():
             try:
                 k = int(kstr) if kstr.isascii() and kstr.isdigit() else 0
             except ValueError as exc:
                 raise ctx.fail((*out_at, kstr), kstr, f"{_spell(out_at)} key: {_too_long()}",
                                key=True) from exc
-            if not 1 <= k <= n:
+            if not 0 < k <= n:
                 raise ctx.fail((*out_at, kstr), kstr,
                                f"{_spell(out_at)} key out of range for dim {n}", key=True)
             if k - 1 in fiber:  # the keys before kstr all read as indices
                 earlier = next(s for s in out if int(s) == k)
                 raise ctx.fail((*out_at, kstr), kstr, f"{_spell(out_at)} spells the index "
                                f"{k} twice, as {earlier!r} and {kstr!r}", key=True)
-            fiber[k - 1] = _rational(val, ctx, out_at, kstr)
-    return Tensor3.from_sparse((n, n, n), fibers)
+            # a bool equals and hashes as 0 or 1, so the type is checked first
+            if type(token) not in _TOKENS or token not in values:
+                values[token] = _rational(token, ctx, out_at, kstr)
+            fiber[k - 1] = token
+    d, ints = _scaled(values)
+    F = [[[]] * n for _ in range(n)]
+    for (i, j), fiber in fibers.items():
+        F[i][j] = [(k, a) for k, token in sorted(fiber.items()) if (a := ints[token])]
+    return Tensor3._made((n, n, n), (d, F))
 
 
 def _resolve(node: object, ctx: _Ctx, at: tuple) -> tuple[object, _Ctx, tuple]:

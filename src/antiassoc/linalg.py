@@ -251,9 +251,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.cols)], (self.cols, self.rows))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
-
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(

@@ -15,7 +15,9 @@ their own D, and test_kernel.py compares the two the same way), the
 Fraction Gauss-Jordan elimination behind ``rref``, ``kernel_basis``,
 ``invert`` and ``det``, which test_linalg.py compares with Matrix's, and
 ``fingerprint`` on Fraction matrices ranked by that elimination, which
-test_kernel.py compares with the integer one.
+test_kernel.py compares with the integer one, and ``sparse_walk``, the
+entry-by-entry read of a sparse {i, j, out} table, whose first refusal in
+document order test_io_cli.py compares with the loader's.
 """
 
 from __future__ import annotations
@@ -41,7 +43,16 @@ from antiassoc import (
 )
 from antiassoc.bimodules import action_of
 from antiassoc.doubles import _require_halves
-from antiassoc.linalg import Matrix, SingularError, basis_vec, vec_add, vec_is_zero, vec_sub
+from antiassoc.io import _field, _nat, _rational, _spell, _too_long
+from antiassoc.linalg import (
+    Matrix,
+    SingularError,
+    Tensor3,
+    basis_vec,
+    vec_add,
+    vec_is_zero,
+    vec_sub,
+)
 
 
 def _run(tuples, residual) -> list[Violation]:
@@ -644,3 +655,49 @@ def fingerprint(A: StructureAlgebra) -> Fingerprint:
     dim_right = n - rank(Matrix([[c[i][j][k] for j in r] for i in r for k in r], (n * n, n)))
     commutative = all(c[i][j] == c[j][i] for i in r for j in range(i))
     return Fingerprint(n, dim_square, dim_left, dim_right, commutative)
+
+
+# ---------------------------------------------------------------------------
+# The sparse table walk: the reference for io._sparse, which reads an
+# {i, j, out} list in one pass and refuses its first fault where it reads
+# it.  Here each entry's fields, then each key and its value, are checked
+# one at a time, so the first refusal is the first fault in document order.
+
+
+def sparse_walk(node: object, n: int, ctx, at: tuple) -> Tensor3:
+    """The dim-n tensor of the {i, j, out} list ``node`` at path ``at`` of
+    the document ``ctx`` (an ``io._Ctx``), read entry by entry."""
+    if not isinstance(node, list):
+        raise ctx.fail(at, node, f"{_spell(at)} must be a list")
+    fibers: dict[tuple[int, int], dict[int, Fraction]] = {}
+    first: dict[tuple[int, int], int] = {}
+    for pos, item in enumerate(node):
+        entry = (*at, pos)
+        i = _nat(item, "i", ctx, entry, 1)
+        j = _nat(item, "j", ctx, entry, 1)
+        out = _field(item, "out", ctx, entry)
+        if i > n or j > n:
+            raise ctx.fail(entry, max(i, j), f"{_spell(entry)}: index out of range for dim {n}")
+        if (i, j) in first:
+            raise ctx.fail(entry, at[-1], f"{_spell(entry)} repeats the pair (i, j) = "
+                                          f"({i}, {j}) of {_spell((*at, first[i, j]))}")
+        first[i, j] = pos
+        out_at = (*entry, "out")
+        if not isinstance(out, dict):
+            raise ctx.fail(out_at, out, f"{_spell(out_at)} must map basis index to rational")
+        fiber = fibers[i - 1, j - 1] = {}
+        for kstr, val in out.items():
+            try:
+                k = int(kstr) if kstr.isascii() and kstr.isdigit() else 0
+            except ValueError as exc:
+                raise ctx.fail((*out_at, kstr), kstr, f"{_spell(out_at)} key: {_too_long()}",
+                               key=True) from exc
+            if not 1 <= k <= n:
+                raise ctx.fail((*out_at, kstr), kstr,
+                               f"{_spell(out_at)} key out of range for dim {n}", key=True)
+            if k - 1 in fiber:
+                earlier = next(s for s in out if int(s) == k)
+                raise ctx.fail((*out_at, kstr), kstr, f"{_spell(out_at)} spells the index "
+                               f"{k} twice, as {earlier!r} and {kstr!r}", key=True)
+            fiber[k - 1] = _rational(val, ctx, out_at, kstr)
+    return Tensor3.from_sparse((n, n, n), fibers)

@@ -107,6 +107,8 @@ DOCS = {
         "bimodule": {"module_dim": 2, **REGULAR},
         "T": [["1", "0"], ["0", "1"]],
     },
+    # the identity is no Rota-Baxter operator of E1E1: e1.e1 = e2 is not 2 e2
+    "rb_fail.json": {"algebra": "e1e1_e2.json", "tau": [["1", "0"], ["0", "1"]]},
     "o_operator_wide.json": {
         "algebra": "e1e1_e2.json",
         "bimodule": {k: v for k, v in BIMODULE_FAIL.items() if k != "algebra"},
@@ -278,6 +280,9 @@ CASES = [
     ("verify_o_operator_pass_text", ["verify", "o-operator", "o_operator_pass.json"]),
     ("verify_o_operator_fail_text", ["verify", "o-operator", "o_operator_fail.json"]),
     ("verify_rota_baxter_text", ["verify", "rota-baxter", "rb_diag.json"]),
+    ("verify_rota_baxter_fail_text", ["verify", "rota-baxter", "rb_fail.json"]),
+    # the q flag replaces the document's q, so the residuals are those at q = 2
+    ("verify_dendriform_q2_text", ["verify", "dendriform", "dendriform_fail.json", "--q", "2"]),
     ("paper_fixtures_text", ["paper", "fixtures"]),
 ] + [(name[:-5], ["verify", target, name]) for name, (target, _) in REFUSED.items()]
 

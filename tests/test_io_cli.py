@@ -35,6 +35,7 @@ from antiassoc.io import (
 )
 from antiassoc.linalg import Matrix, Tensor3, exact_str
 
+from . import reference
 from .test_cli_golden import CASES, DOCS, REFUSED, ROOT, demo_env, write_documents
 from .test_kernel import _canonical
 
@@ -1170,6 +1171,19 @@ def test_a_node_holding_dense_and_sparse_tables_exits_2_at_its_brace(tmp_path, c
     assert capsys.readouterr().err.startswith(f"error: {p}: byte {at}: {message} (token ")
 
 
+def test_a_form_of_another_dimension_exits_2_at_its_dim(tmp_path, capsys):
+    """A well-formed 3 x 3 form on a 2-dim algebra is refused at the byte of
+    form.dim, with that dim as the token."""
+    gram = [["1" if r == c else "0" for c in range(3)] for r in range(3)]
+    raw = json.dumps({"algebra": {"dim": 2, "q": "-1", "products": []},
+                      "form": {"dim": 3, "kind": "symmetric", "gram": gram}})
+    p = write(tmp_path, "form.json", raw)
+    assert cli.run(["verify", "form", p]) == 2
+    at = raw.index('3, "kind"')
+    assert capsys.readouterr().err == (
+        f"error: {p}: byte {at}: form.dim must match the algebra dimension (token '3')\n")
+
+
 def test_a_missing_top_level_field_is_not_prefixed(tmp_path):
     p = write(tmp_path, "mp.json", {"A": {"dim": 1, "q": "-1", "products": []}})
     with pytest.raises(ParseError) as exc:
@@ -1624,16 +1638,15 @@ def test_the_token_pass_reads_each_table_as_its_fractions(tmp_path_factory, seed
     """A valid document of each kind, dense or sparse, whose tokens mix JSON
     integers, zeros spelled "-0" and "0/7", equal values spelled "2/4" and
     "1/2" and primes near 10^6 as denominators, loads without the
-    per-entry walk, and each table is the one its entries give as
-    Fractions: the same shape and compiled form as the dense constructor
-    or ``from_sparse`` makes, and each Matrix and vector equal."""
+    per-entry walk of a dense table, and each table is the one its entries
+    give as Fractions: the same shape and compiled form as the dense
+    constructor or ``from_sparse`` makes, and each Matrix and vector equal."""
     rng = random.Random(seed)
     kind, n, m = rng.choice(_LOADER_KINDS), rng.randint(0, 3), rng.randint(0, 3)
     doc, load, tables, want = _loader_case(rng, kind, n, m)
     path = tmp_path_factory.mktemp("tokens") / f"{kind}.json"
     path.write_text(json.dumps(doc))
-    with mock.patch.object(aio, "_array", _no_walk), \
-            mock.patch.object(aio, "_sparse_walk", _no_walk):
+    with mock.patch.object(aio, "_array", _no_walk):
         got = tables(load(str(path)))
     assert len(got) == len(want)
     for table, expected in zip(got, want):
@@ -1677,21 +1690,23 @@ def _dense_fault(rng, table, depth):
 
 def _sparse_fault(rng, items, n):
     """One fault put into the {i, j, out} list ``items`` of a dim-n table:
-    a bad value, index key or field, an index spelled twice, or a
-    repeated (i, j)."""
-    fault = rng.choice(["value", "key", "twice", "field", "repeat"])
+    a bad value, index key (with a good or a bad value) or field, a
+    missing field, an index spelled twice, or a repeated (i, j)."""
+    fault = rng.choice(["value", "key", "twice", "field", "missing", "repeat"])
     if not items or fault == "repeat":
         pos = rng.randrange(len(items) + 1)
         items.insert(pos, copy.deepcopy(rng.choice(items)) if items else {"i": 1, "j": 1})
         return
     item = rng.choice(items)
     out = item.get("out")
-    if fault == "field" or not isinstance(out, dict):
+    if fault == "missing":
+        item.pop(rng.choice(["i", "j", "out"]), None)
+    elif fault == "field" or not isinstance(out, dict):
         key, value = rng.choice([("i", 0), ("j", n + 1), ("i", True), ("j", "1"),
                                  ("out", []), ("out", None)])
         item[key] = value
     elif fault == "key":
-        out[rng.choice(["0", str(n + 1), "x", "-1", "١"])] = "1"
+        out[rng.choice(["0", str(n + 1), "x", "-1", "١"])] = rng.choice(["1", "x", True])
     elif fault == "twice" or not out:
         k = rng.choice(list(out) or ["1"]).lstrip("0")
         out.setdefault(k, "1")
@@ -1702,12 +1717,13 @@ def _sparse_fault(rng, items, n):
 
 def _walk_error(path, key, shape):
     """The refusal of the per-entry walk, called directly on the table under
-    ``key`` of the document at ``path``: ``_sparse_walk`` of a dim-``shape``
-    list, ``_array`` of a nested list of that shape; None if it reads it."""
+    ``key`` of the document at ``path``: the reference ``sparse_walk`` of a
+    dim-``shape`` list, ``_array`` of a nested list of that shape; None if
+    it reads it."""
     ctx, data = aio._read(str(path))
     try:
         if type(shape) is int:
-            aio._sparse_walk(data[key], shape, ctx, (key,))
+            reference.sparse_walk(data[key], shape, ctx, (key,))
         else:
             aio._array(data[key], shape, ctx, (key,))
     except ParseError as exc:
@@ -1731,8 +1747,18 @@ def _error_line(kind, path):
      "products[2] repeats the pair (i, j) = (1, 1) of products[1]"),
     ("products", [{"i": 1, "j": 1, "out": {"2": "x"}}, {"i": 1, "j": 1, "out": {"1": "1"}}],
      "malformed rational"),
+    ("products", [{"i": 1, "j": 1, "out": {}}, {"i": True, "j": 1, "out": {}}],
+     "products[2].i must be an integer >= 1"),
+    ("products", [{"i": 1, "j": 1, "out": {}}, {"i": 1, "j": 1}],
+     "products[2]: missing field 'out'"),
+    ("products", [{"i": 1, "j": 1, "out": {"3": "x"}}],
+     "products[1].out key out of range for dim 2"),
+    ("products", [{"i": 1, "j": 1, "out": {"1": 1, "2": True}}],
+     'expected a rational string like "-1/2"'),
 ], ids=["bad_token_then_short_row", "short_row_then_bad_token", "true_beside_1",
-        "repeated_pair_then_bad_token", "bad_token_then_repeated_pair"])
+        "repeated_pair_then_bad_token", "bad_token_then_repeated_pair",
+        "true_index_of_a_repeated_pair", "repeated_pair_without_out", "bad_key_of_a_bad_value",
+        "true_beside_1_in_a_list"])
 def test_a_table_with_two_faults_prints_the_walks_first(tmp_path, key, table, message):
     """Of two faults in one table, the one first in document order is
     refused, with the exact error line of the per-entry walk."""
@@ -1749,7 +1775,8 @@ def test_a_refused_table_gives_the_walks_own_error_line(tmp_path_factory, seed):
     """A table with two faults, each anywhere in it (a bad token before or
     after a short row, a repeated (i, j), true in a table that also holds
     1, ...), prints the exact error line of the per-entry walk called
-    directly on that table: the token pass only hands a refusal on."""
+    directly on that table: the loader refuses the first fault in document
+    order, as the walk does."""
     rng = random.Random(seed)
     n, m = rng.randint(1, 3), rng.randint(1, 3)
     kind, key = rng.choice([("algebra", "c"), ("algebra", "products"),
